@@ -47,7 +47,7 @@ class Classification:
                 "diagnostics": self.diagnostics}
 
 
-def _zero_gate(value: float, tol_zero: float, spread: float) -> float:
+def _zero_gate(tol_zero: float, spread: float) -> float:
     return max(tol_zero, 10.0 * spread)
 
 
@@ -92,8 +92,7 @@ def decide(theta0: int, a: int, gamma0_zero: bool, gamma_zero: bool,
 def classify(report: ResidueReport, spec: Optional[MultiplierSpec],
              pmc: bool = False, regular: bool = False,
              tol_zero: float = 1e-6) -> Classification:
-    gate = _zero_gate(float(np.linalg.norm(report.gamma0)), tol_zero,
-                      report.rho_spread)
+    gate = _zero_gate(tol_zero, report.rho_spread)
     gamma0_zero = bool(np.linalg.norm(report.gamma0) <= gate)
     gamma_zero = bool(np.all(np.asarray(report.gamma) == 0))
     mu = None if spec is None or spec.is_zero else spec.mu
@@ -126,22 +125,19 @@ def classify(report: ResidueReport, spec: Optional[MultiplierSpec],
                           diagnostics)
 
 
-def pmc_detect(curv, frame, report: Optional[ResidueReport] = None,
+def pmc_detect(out: dict, report: Optional[ResidueReport] = None,
                threshold: float = 5e-3, tol_zero: float = 1e-6) -> dict:
     """Parallelism test |pi_n grad H| with the residue cross-check.
 
-    A surface flagged parallel-mean-curvature must also show vanishing
-    residues; disagreement is reported, not silently resolved.
+    ``out`` is the result of ``multiplier.pmc_multiplier``.  A surface
+    flagged parallel-mean-curvature must also show vanishing residues;
+    disagreement is reported, not silently resolved.
     """
-    from willmore.multiplier import pmc_multiplier
-
-    out = pmc_multiplier(curv, frame)
     is_pmc = bool(out["pmc_defect"] < threshold)
     result = {"pmc": is_pmc, "defect": out["pmc_defect"],
               "antiholomorphy_defect": out["antiholomorphy_defect"]}
     if is_pmc and report is not None:
-        gate = _zero_gate(float(np.linalg.norm(report.beta0)), tol_zero,
-                          report.rho_spread)
+        gate = _zero_gate(tol_zero, report.rho_spread)
         residues_zero = (np.linalg.norm(report.beta0) <= gate
                          and np.all(np.asarray(report.gamma) == 0))
         result["residues_vanish"] = bool(residues_zero)

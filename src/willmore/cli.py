@@ -43,13 +43,13 @@ def _apply_overrides(config, args) -> dict:
 
 
 def cmd_generate(args) -> int:
-    from willmore.pipeline import _build_field
+    from willmore.pipeline import build_field
     from willmore.grid import PolarGrid
     from willmore.surface import save_samples_csv
 
     config = _load_config(args.config)
     grid = PolarGrid.from_json(config["grid"])
-    field, _ = _build_field(config, grid)
+    field = build_field(config, grid)
     save_samples_csv(field, args.out)
     print(f"wrote {field.grid.n_r * field.grid.n_theta} samples to {args.out}")
     return 0
@@ -93,12 +93,12 @@ def cmd_residues(args) -> int:
 def cmd_energy(args) -> int:
     from willmore.curvature import curvature, willmore_energy
     from willmore.grid import PolarGrid
-    from willmore.pipeline import _build_field
+    from willmore.pipeline import build_field
     from willmore.surface import conformal_factor, frame_and_gauss
 
     config = _load_config(args.config)
     grid = PolarGrid.from_json(config["grid"])
-    field, _ = _build_field(config, grid)
+    field = build_field(config, grid)
     frame = frame_and_gauss(field, conformal_factor(field))
     w = willmore_energy(curvature(field, frame))
     print(f"willmore energy over the sampled annulus: {w:.12g}")

@@ -13,10 +13,11 @@ Lap u + e^{2 lam} K.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from willmore.grid import PolarGrid, annulus_norms, integrate, laplacian
+from willmore.grid import PolarGrid, annulus_norms, grad, integrate, laplacian
 from willmore.surface import (FrameField, ImmersionField,
                               gauss_map_gradient_norm, normal_projector)
 
@@ -35,6 +36,11 @@ class CurvatureField:
 
     def H_norm(self) -> np.ndarray:
         return np.linalg.norm(self.H, axis=-1)
+
+    @cached_property
+    def dH(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dH/dx, dH/dy), computed once and shared by every consumer."""
+        return grad(self.grid, self.H)
 
 
 def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import PolarGrid, circle_mean, loglog_slope
+from willmore.grid import PolarGrid, circle_mean, fit_order
 from willmore.surface import ImmersionField
 
 
@@ -95,7 +95,7 @@ def _residual_slope(grid: PolarGrid, resid_nodes: np.ndarray, sel: np.ndarray,
     radii = grid.r[sel][keep]
     if keep.sum() < 3:
         return np.inf, True
-    return float(loglog_slope(radii, prof[keep])), False
+    return fit_order(radii, prof[keep]), False
 
 
 def fit_phi(field: ImmersionField, theta0: int, a: int, u0: float,

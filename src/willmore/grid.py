@@ -227,6 +227,3 @@ def fit_order(hs, errs) -> float:
         return np.inf
     return float(np.polyfit(np.log(hs[keep]), np.log(errs[keep]), 1)[0])
 
-
-def loglog_slope(x, y) -> float:
-    return fit_order(x, y)

@@ -205,7 +205,6 @@ def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
     The sign convention is configurable; +1 balances the strong-form equation
     when pi_n grad H = 0.
     """
-    from willmore.grid import grad
     from willmore.surface import normal_projector
 
     grid = frame.grid
@@ -215,7 +214,7 @@ def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
     scale = max(float(np.max(np.abs(f_pmc))), 1e-30)
     dz_defect = annulus_norms(grid, dz(grid, f_pmc))["max"] / scale
 
-    gx, gy = grad(grid, curv.H)
+    gx, gy = curv.dH
     pi_n = normal_projector(frame)
     num = np.sqrt(np.sum(pi_n(gx) ** 2 + pi_n(gy) ** 2, axis=-1))
     den = np.sqrt(np.sum(gx ** 2 + gy ** 2, axis=-1))

@@ -84,15 +84,13 @@ def _resolve_multiplier(config) -> tuple[Optional[MultiplierSpec], str, int]:
     return MultiplierSpec.from_json(doc), "spec", +1
 
 
-def _build_field(config, grid):
+def build_field(config, grid):
+    """The configured surface: CSV samples or a catalog chart on ``grid``."""
     surf = config["surface"]
     if "csv" in surf:
-        field = load_samples_csv(surf["csv"])
-        return field, False
-    name = surf["name"]
-    field = catalog_surface(name, surf.get("params", {}), grid,
-                            int(surf.get("ambient_dim", 3)))
-    return field, True
+        return load_samples_csv(surf["csv"])
+    return catalog_surface(surf["name"], surf.get("params", {}), grid,
+                           int(surf.get("ambient_dim", 3)))
 
 
 def _default_tolerances(config) -> dict:
@@ -114,7 +112,7 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
     tol = _default_tolerances(config)
     spec, mult_mode, pmc_sign = _resolve_multiplier(config)
 
-    field, _ = _stage("surface", _build_field, config, grid)
+    field = _stage("surface", build_field, config, grid)
     grid = field.grid
     frame = _stage("conformal_factor", conformal_factor, field)
     level = {"grid": grid.to_json(),
@@ -154,12 +152,12 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
     level["A_isotropy_defect"] = td.isotropy_defect
     level["A_normal_defect"] = td.normal_defect
 
+    pmc = _stage("pmc_multiplier", pmc_multiplier, curv, frame, pmc_sign)
     if mult_mode == "pmc":
-        out = _stage("pmc_multiplier", pmc_multiplier, curv, frame, pmc_sign)
-        f_field = out["f_pmc"]
+        f_field = pmc["f_pmc"]
         level["multiplier"] = {"mode": "pmc", "sign": pmc_sign,
                                "antiholomorphy_defect":
-                                   out["antiholomorphy_defect"]}
+                                   pmc["antiholomorphy_defect"]}
     else:
         f_field, _ = _stage("sample_multiplier", sample_multiplier, spec, grid)
         level["multiplier"] = {"mode": mult_mode,
@@ -170,13 +168,13 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
     sr = _stage("strong_residual", strong_residual, curv, frame, f_arg,
                 0.1, 0.9)
     level["strong_norms"] = sr["norms"]
-    fl = _stage("flux", flux, curv, frame, f_arg, M_f, None, field)
+    fl = _stage("flux", flux, curv, frame, f_arg, M_f, field)
     level["div_norms"] = fl.div_norms(0.1, 0.9)
     rms = lambda f: np.sqrt(circle_mean(np.sum(np.abs(f) ** 2, axis=-1)))
     level["residual_profile"] = {"r": grid.r, "strong_rms": rms(sr["field"]),
                                  "div_rms": rms(fl.div_defect)}
-    eq = _stage("equivalence", equivalence_check, curv, frame, f_arg, M_f,
-                field, 0.1, 0.9)
+    eq = _stage("equivalence", equivalence_check, sr["field"], fl, curv, frame,
+                f_arg, field, 0.1, 0.9)
     level["equivalence_norms"] = eq["identity_norms"]
 
     fr = _stage("first_residue", first_residue, fl)
@@ -187,9 +185,7 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
                     spec, td.A, br.u0)
     level["gamma0"] = gamma0
 
-    fl_corr = _stage("flux_corrected", flux, curv, frame, f_arg, M_f, beta0,
-                     field)
-    L, ldef = _stage("potential_L", potential_L, fl_corr)
+    L, ldef = _stage("potential_L", potential_L, fl, beta0)
     level["loop_defect"] = ldef
 
     F_mu = None
@@ -219,9 +215,8 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
         diagnostics={"per_circle_beta0": fr["per_circle"],
                      "circle_radii": fr["radii"],
                      "winding_raw": srw.raw})
-    level["pmc_detect"] = _stage("pmc_detect", pmc_detect, curv, frame,
-                                 report, tol["pmc_threshold"],
-                                 tol["tol_zero"])
+    level["pmc_detect"] = _stage("pmc_detect", pmc_detect, pmc, report,
+                                 tol["pmc_threshold"], tol["tol_zero"])
 
     if with_potentials:
         pots = _stage("solve_gG", solve_gG, beta0, field)
@@ -243,8 +238,6 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
             br.u0, gamma0, hfit["E_a"])
 
     level["_report"] = report
-    level["_curv"] = curv
-    level["_frame"] = frame
     return level
 
 
@@ -256,6 +249,9 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
     base_grid = PolarGrid.from_json(config["grid"]) if "grid" in config else \
         PolarGrid(1e-3, 1.0, 96, 64)
     n_levels = int(config.get("levels", 1))
+    if n_levels < 1:
+        raise PipelineError("levels", ValueError(
+            f"levels must be a positive integer, got {n_levels}"))
     if "csv" in config.get("surface", {}) and n_levels > 1:
         raise PipelineError("surface", ValueError(
             "CSV-imported samples cannot be refined; use levels = 1"))
@@ -312,39 +308,28 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
     return doc
 
 
+def _write_csv(path: Path, header: list, columns: list) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([repr(float(v)) for v in row])
+
+
 def _write_profiles(out: Path, level: dict) -> None:
-    dp = level.get("delta_profile")
-    if dp is not None:
-        with open(out / "delta_profile.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "delta"])
-            for r, d in zip(dp["r"], dp["delta"]):
-                w.writerow([repr(float(r)), repr(float(d))])
-    wp = level.get("w_profile")
-    if wp is not None:
-        m = np.asarray(wp["abs_mean"]).shape[-1]
-        with open(out / "w_profile.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r"] + [f"abs_W_{j + 1}" for j in range(m)])
-            for r, row in zip(wp["r"], np.asarray(wp["abs_mean"])):
-                w.writerow([repr(float(r))] + [repr(float(v)) for v in row])
-    ep = level.get("energy_profile")
-    if ep is not None:
-        radii = np.asarray(level["delta_profile"]["r"])
-        with open(out / "energy_profile.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "energy_density"])
-            for r, v in zip(radii, np.asarray(ep)):
-                w.writerow([repr(float(r)), repr(float(v))])
-    rp = level.get("residual_profile")
-    if rp is not None:
-        with open(out / "residual_profile.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "strong_rms", "div_rms"])
-            for r, s_, d_ in zip(np.asarray(rp["r"]),
-                                 np.asarray(rp["strong_rms"]),
-                                 np.asarray(rp["div_rms"])):
-                w.writerow([repr(float(r)), repr(float(s_)), repr(float(d_))])
+    dp = level["delta_profile"]
+    _write_csv(out / "delta_profile.csv", ["r", "delta"],
+               [dp["r"], dp["delta"]])
+    abs_mean = np.asarray(level["w_profile"]["abs_mean"])
+    m = abs_mean.shape[-1]
+    _write_csv(out / "w_profile.csv",
+               ["r"] + [f"abs_W_{j + 1}" for j in range(m)],
+               [level["w_profile"]["r"]] + list(abs_mean.T))
+    _write_csv(out / "energy_profile.csv", ["r", "energy_density"],
+               [dp["r"], level["energy_profile"]])
+    rp = level["residual_profile"]
+    _write_csv(out / "residual_profile.csv", ["r", "strong_rms", "div_rms"],
+               [rp["r"], rp["strong_rms"], rp["div_rms"]])
 
 
 def exit_code(doc: dict) -> int:

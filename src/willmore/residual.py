@@ -19,8 +19,14 @@ vanishes, and the two sides obey the pointwise algebraic identity
 for every conformal immersion (solution or not); ``equivalence_check``
 verifies it discretely, together with dz(e^{-2 lam} f dz Phi) = H0 f / 2.
 The circulation of X_raw over any centered circle is 4 pi beta0, and
-X = X_raw - 2 beta0 grad log|x| has vanishing circulation, consistently
-with the mean curvature growing like -beta0 log|z| at the puncture.
+X = X_raw - 2 beta0 grad log|x| (``FluxField.corrected``) has vanishing
+circulation, consistently with the mean curvature growing like
+-beta0 log|z| at the puncture.
+
+grad H and grad n are read from the caches ``CurvatureField.dH`` and
+``FrameField.dn``, so the strong form, the flux and the parallelism test
+share one derivative of each.  The flux is built once, without beta0, and
+``equivalence_check`` combines the strong field and flux the caller holds.
 """
 
 from __future__ import annotations
@@ -31,8 +37,7 @@ from typing import Optional
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import (PolarGrid, annulus_norms, circulation, div, dz,
-                           grad)
+from willmore.grid import PolarGrid, annulus_norms, div, dz
 from willmore.multivec import MultiVec, hodge_star, wedge
 from willmore.surface import FrameField, ImmersionField, normal_projector
 
@@ -41,16 +46,18 @@ from willmore.surface import FrameField, ImmersionField, normal_projector
 class FluxField:
     grid: PolarGrid
     raw: np.ndarray                 # (2, n_r, n_theta, m), no beta0 correction
-    X: np.ndarray                   # raw - 2 beta0 grad log|x| (== raw if beta0 None)
-    beta0: Optional[np.ndarray]
     div_defect: np.ndarray          # div raw per node, (n_r, n_theta, m)
 
     def div_norms(self, r_lo=None, r_hi=None) -> dict:
         return annulus_norms(self.grid, self.div_defect, r_lo, r_hi)
 
-    def circulations(self) -> np.ndarray:
-        """(n_r, m) flux integrals of X over the grid circles."""
-        return circulation(self.grid, self.X[0], self.X[1])
+    def corrected(self, beta0) -> np.ndarray:
+        """X = raw - 2 beta0 grad log|x|, the flux with vanishing circulation."""
+        beta0 = np.asarray(beta0, dtype=float)
+        grid = self.grid
+        r2 = (grid.rr ** 2)[..., None]
+        return np.stack([self.raw[0] - 2.0 * beta0 * grid.x[..., None] / r2,
+                         self.raw[1] - 2.0 * beta0 * grid.y[..., None] / r2])
 
 
 def _star_wedge_with_H(frame: FrameField, comp: np.ndarray,
@@ -60,20 +67,13 @@ def _star_wedge_with_H(frame: FrameField, comp: np.ndarray,
     return hodge_star(wedge(nv, MultiVec.vector(m, H))).coeffs
 
 
-def _grad_H_terms(curv: CurvatureField, frame: FrameField):
-    grid = curv.grid
-    pi_n = normal_projector(frame)
-    Hx, Hy = grad(grid, curv.H)
-    nx, ny = grad(grid, frame.n.coeffs)
-    return pi_n, Hx, Hy, nx, ny
-
-
 def strong_residual(curv: CurvatureField, frame: FrameField,
                     f_field: Optional[np.ndarray] = None,
                     r_lo=None, r_hi=None) -> dict:
     """Nodewise strong-form residual and its annulus norms."""
     grid = curv.grid
-    pi_n, Hx, Hy, _, _ = _grad_H_terms(curv, frame)
+    pi_n = normal_projector(frame)
+    Hx, Hy = curv.dH
     e2l = np.exp(2.0 * frame.lam)[..., None]
     lap_perp = pi_n(div(grid, pi_n(Hx), pi_n(Hy))) / e2l
     cross = 2.0 * np.real(np.sum(curv.H * np.conj(curv.H0), axis=-1)[..., None]
@@ -87,15 +87,16 @@ def strong_residual(curv: CurvatureField, frame: FrameField,
 def flux(curv: CurvatureField, frame: FrameField,
          f_field: Optional[np.ndarray] = None,
          M_f: Optional[np.ndarray] = None,
-         beta0: Optional[np.ndarray] = None,
          field: Optional[ImmersionField] = None) -> FluxField:
-    """Divergence-form flux X_raw, optionally corrected by a known beta0.
+    """Divergence-form flux X_raw and its divergence.
 
     With f == 0 the multiplier term is skipped entirely, so the flux reduces
     bitwise to the plain Willmore flux.
     """
     grid = curv.grid
-    pi_n, Hx, Hy, nx, ny = _grad_H_terms(curv, frame)
+    pi_n = normal_projector(frame)
+    Hx, Hy = curv.dH
+    nx, ny = frame.dn
     raw_x = Hx - 3.0 * pi_n(Hx) + _star_wedge_with_H(frame, -ny, curv.H)
     raw_y = Hy - 3.0 * pi_n(Hy) + _star_wedge_with_H(frame, nx, curv.H)
 
@@ -111,29 +112,23 @@ def flux(curv: CurvatureField, frame: FrameField,
                          + M_f[..., 1, 1, None] * perp[1]) / e2l
 
     raw = np.stack([raw_x, raw_y])
-    X = raw
-    if beta0 is not None:
-        beta0 = np.asarray(beta0, dtype=float)
-        r2 = (grid.rr ** 2)[..., None]
-        X = np.stack([raw_x - 2.0 * beta0 * grid.x[..., None] / r2,
-                      raw_y - 2.0 * beta0 * grid.y[..., None] / r2])
-    defect = div(grid, raw[0], raw[1])
-    return FluxField(grid, raw, X, beta0, defect)
+    return FluxField(grid, raw, div(grid, raw[0], raw[1]))
 
 
-def equivalence_check(curv: CurvatureField, frame: FrameField,
-                      f_field: Optional[np.ndarray] = None,
-                      M_f: Optional[np.ndarray] = None,
-                      field: Optional[ImmersionField] = None,
-                      r_lo=None, r_hi=None) -> dict:
-    """Discrete defect of strong form + (e^{-2 lam}/2) div(flux bracket), and
-    of the anti-holomorphy identity dz(e^{-2 lam} f dz Phi) = H0 f / 2."""
+def equivalence_check(strong: np.ndarray, fl: FluxField,
+                      curv: CurvatureField, frame: FrameField,
+                      f_field: Optional[np.ndarray],
+                      field: Optional[ImmersionField],
+                      r_lo, r_hi) -> dict:
+    """Discrete defect of strong form + (e^{-2 lam}/2) div X_raw, and of the
+    anti-holomorphy identity dz(e^{-2 lam} f dz Phi) = H0 f / 2.
+
+    ``strong`` is the field of ``strong_residual`` and ``fl`` the flux of
+    ``flux``, both built with the same multiplier ``f_field``.
+    """
     grid = curv.grid
-    strong = strong_residual(curv, frame, f_field, r_lo, r_hi)["field"]
-    fl = flux(curv, frame, f_field, M_f, beta0=None, field=field)
     e2l = np.exp(2.0 * frame.lam)[..., None]
-    dform = 0.5 * div(grid, fl.raw[0], fl.raw[1]) / e2l
-    gap = strong + dform
+    gap = strong + 0.5 * fl.div_defect / e2l
     out = {"identity_norms": annulus_norms(grid, gap, r_lo, r_hi)}
     if f_field is not None and field is not None and np.any(f_field):
         d1 = field.gradient()

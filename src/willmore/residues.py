@@ -260,11 +260,10 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
                "defect": defect, "relative_defect": defect / scale}
 
 
-def potential_L(fl: FluxField) -> tuple[np.ndarray, dict]:
-    """L with grad_perp L = X (the beta0-corrected flux)."""
-    if fl.beta0 is None:
-        raise ResidueError("potential_L needs the beta0-corrected flux")
-    return integrate_curl_potential(fl.grid, fl.X[0], fl.X[1])
+def potential_L(fl: FluxField, beta0) -> tuple[np.ndarray, dict]:
+    """L with grad_perp L = X, the flux corrected by the first residue beta0."""
+    X = fl.corrected(beta0)
+    return integrate_curl_potential(fl.grid, X[0], X[1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -129,6 +130,11 @@ class FrameField:
     def with_branch(self, theta0, u, u0) -> "FrameField":
         return dataclasses.replace(self, theta0=theta0, u=u, u0=u0)
 
+    @cached_property
+    def dn(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dn/dx, dn/dy) of the Gauss map coefficients, computed once."""
+        return grad(self.grid, self.n.coeffs)
+
 
 def conformal_factor(field: ImmersionField) -> FrameField:
     """lam = log(|grad Phi| / sqrt(2)) and the per-node conformality defect."""
@@ -182,7 +188,7 @@ def normal_projector(frame: FrameField):
 
 def gauss_map_gradient_norm(frame: FrameField) -> np.ndarray:
     """|grad n| per node from the sampled Gauss map coefficients."""
-    gx, gy = grad(frame.grid, frame.n.coeffs)
+    gx, gy = frame.dn
     return np.sqrt(np.sum(gx ** 2 + gy ** 2, axis=-1))
 
 
@@ -406,14 +412,6 @@ def rotated_chart(chart: Callable, Q: np.ndarray) -> Callable:
         comps = chart(x, y)
         return [sum(Q[i, j] * comps[j] for j in range(len(comps)))
                 for i in range(Q.shape[0])]
-    return new_chart
-
-
-def rescaled_chart(chart: Callable, rho: float) -> Callable:
-    """Precompose with z -> rho z (chart rescaling of the domain)."""
-
-    def new_chart(x, y):
-        return chart(rho * x, rho * y)
     return new_chart
 
 

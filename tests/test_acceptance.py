@@ -153,7 +153,7 @@ def test_criterion_4_first_residue():
     vx = 2 * beta0 * grid.x[..., None] / r2 - py
     vy = 2 * beta0 * grid.y[..., None] / r2 + px
     raw = np.stack([vx, vy])
-    fl = FluxField(grid, raw, raw, None, g.div(grid, vx, vy))
+    fl = FluxField(grid, raw, g.div(grid, vx, vy))
     out = first_residue(fl, n_circles=5)
     assert np.max(np.abs(out["beta0"] - beta0)) < 1e-10
     assert out["rho_spread"] < 1e-6
@@ -281,8 +281,9 @@ def test_criterion_7_potential_identities():
             br = branch_order(frame)
             frame = frame.with_branch(br.theta0, br.u, br.u0)
             curv = curvature(field, frame)
-            beta0 = first_residue(flux(curv, frame))["beta0"]
-            L, _ = potential_L(flux(curv, frame, beta0=beta0))
+            fl = flux(curv, frame)
+            beta0 = first_residue(fl)["beta0"]
+            L, _ = potential_L(fl, beta0)
             pots = potentials_SR(L, field, curv, solve_gG(beta0, field))
             out = verify_system(pots, frame, field, band[0], band[1])
             for key in res:

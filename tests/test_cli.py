@@ -111,6 +111,13 @@ def test_error_exit_code(tmp_path, capsys):
     assert "stage 'surface'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_levels_below_one_exit_code(tmp_path, capsys, levels):
+    cfg = write_config(tmp_path, PLANE)
+    assert main(["analyze", "--config", cfg, "--levels", levels]) == 1
+    assert "stage 'levels'" in capsys.readouterr().err
+
+
 def test_csv_surface_single_level(tmp_path):
     cfg = write_config(tmp_path, PLANE)
     out = tmp_path / "samples.csv"

@@ -174,7 +174,7 @@ def test_special_fields_decay_rate():
     sf = special_fields(spec, theta0, frame.u0, A, field, frame)
     prof = np.sqrt(g.circle_mean(np.sum(np.abs(sf.J) ** 2, axis=-1)))
     sel = grid.r < 0.1
-    slope = g.loglog_slope(grid.r[sel], prof[sel])
+    slope = g.fit_order(grid.r[sel], prof[sel])
     assert slope >= mu + 2 - theta0 - 0.1
 
 

@@ -1,0 +1,46 @@
+"""analyze_level builds each per-level quantity once and passes it on."""
+
+import importlib
+from collections import Counter
+
+import pytest
+
+from willmore import multiplier, pipeline, residual, surface
+from willmore.grid import PolarGrid, grad
+
+# the package exports the function ``curvature``, which shadows the module
+curvature = importlib.import_module("willmore.curvature")
+
+ONE_PASS_CONFIGS = {
+    "pmc_cylinder": {"surface": {"name": "cylinder_cmc",
+                                 "params": {"radius": 0.75}},
+                     "multiplier": {"mode": "pmc"}},
+    "zero_multiplier": {"surface": {"name": "inverted_catenoid"}},
+}
+
+
+def _count(monkeypatch, calls, key, fn, *modules):
+    """Replace ``fn`` by a counting wrapper under its name in ``modules``."""
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    for mod in modules:
+        monkeypatch.setattr(mod, fn.__name__, counted, raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_CONFIGS))
+def test_analyze_level_runs_each_stage_once(name, monkeypatch):
+    calls = Counter()
+    # patched where defined too, so a call from inside another stage counts
+    _count(monkeypatch, calls, "flux", residual.flux, pipeline, residual)
+    _count(monkeypatch, calls, "strong_residual", residual.strong_residual,
+           pipeline, residual)
+    _count(monkeypatch, calls, "pmc_multiplier", multiplier.pmc_multiplier,
+           pipeline, multiplier)
+    # grad H and grad n are the only gradients these two modules take
+    _count(monkeypatch, calls, "grad_H", grad, curvature)
+    _count(monkeypatch, calls, "grad_n", grad, surface)
+    pipeline.analyze_level(ONE_PASS_CONFIGS[name],
+                           PolarGrid(1e-3, 1.0, 96, 64))
+    assert calls == {"flux": 1, "strong_residual": 1, "pmc_multiplier": 1,
+                     "grad_H": 1, "grad_n": 1}

@@ -97,8 +97,9 @@ def test_outer_dirichlet_condition():
 
 def full_chain(name, grid, m=3):
     field, frame, curv = analyzed(name, grid)
-    beta0 = first_residue(flux(curv, frame))["beta0"]
-    L, _ = potential_L(flux(curv, frame, beta0=beta0))
+    fl = flux(curv, frame)
+    beta0 = first_residue(fl)["beta0"]
+    L, _ = potential_L(fl, beta0)
     pots = solve_gG(beta0, field)
     pots = potentials_SR(L, field, curv, pots)
     return field, frame, curv, pots
@@ -158,8 +159,9 @@ def test_synthetic_potentials_finite():
     br = branch_order(frame)
     frame = frame.with_branch(br.theta0, br.u, br.u0)
     curv = curvature(field, frame)
-    beta0 = first_residue(flux(curv, frame))["beta0"]
-    L, _ = potential_L(flux(curv, frame, beta0=beta0))
+    fl = flux(curv, frame)
+    beta0 = first_residue(fl)["beta0"]
+    L, _ = potential_L(fl, beta0)
     pots = potentials_SR(L, field, curv, solve_gG(beta0, field))
     assert np.all(np.isfinite(pots.S))
     assert np.all(np.isfinite(pots.R))
@@ -186,8 +188,7 @@ def test_conservative_system_codimension_two():
         M_f = matrix_field(f_field)
         fl = flux(curv, frame, f_field, M_f, field=field)
         beta0 = first_residue(fl)["beta0"]
-        fl2 = flux(curv, frame, f_field, M_f, beta0, field)
-        L, _ = potential_L(fl2)
+        L, _ = potential_L(fl, beta0)
         pots = potentials_SR(L, field, curv, solve_gG(beta0, field))
         out = verify_system(pots, frame, field, 0.15, 0.85)
         for key in res:

@@ -129,7 +129,7 @@ def _planted_flux(grid, beta0, m=3):
     vx = 2 * beta0 * grid.x[..., None] / r2 - py
     vy = 2 * beta0 * grid.y[..., None] / r2 + px
     raw = np.stack([vx, vy])
-    return FluxField(grid, raw, raw, None, g.div(grid, vx, vy))
+    return FluxField(grid, raw, g.div(grid, vx, vy))
 
 
 def test_first_residue_planted_recovery():
@@ -239,7 +239,7 @@ def test_second_residue_with_log_multiplier():
     f_field, M_f = sample_multiplier(spec, grid)
     fl = flux(curv, frame, f_field, M_f, field=field)
     beta0 = first_residue(fl)["beta0"]
-    L, _ = potential_L(flux(curv, frame, f_field, M_f, beta0, field))
+    L, _ = potential_L(fl, beta0)
     sf = special_fields(spec, theta0, br.u0, td.A, field, frame)
     W = w_field(L, curv.H, beta0, sf.F_mu, grid)
     sr = second_residue(W, grid)
@@ -274,10 +274,14 @@ def test_potential_planted_stream_function():
 
 
 def test_potential_requires_beta0_subtraction():
+    # the raw flux has circulation 4 pi beta0: only the corrected one closes
     grid = PolarGrid(0.02, 1.0, 64, 64)
-    fl = _planted_flux(grid, np.zeros(3))
-    with pytest.raises(ResidueError):
-        potential_L(fl)
+    beta0 = np.array([0.8, -1.3, 2.2])
+    fl = _planted_flux(grid, beta0)
+    _, defect = potential_L(fl, beta0)
+    assert defect["holonomy"] < 1e-12
+    _, raw_defect = potential_L(fl, 0)
+    assert abs(raw_defect["holonomy"] - 4 * np.pi * 2.2) < 1e-10
 
 
 def test_potential_L_defect_refines_on_inverted_catenoid():
@@ -287,8 +291,9 @@ def test_potential_L_defect_refines_on_inverted_catenoid():
         field = catalog_surface("inverted_catenoid", {}, grid, 3)
         frame, _ = analyzed_frame(field)
         curv = curvature(field, frame)
-        beta0 = first_residue(flux(curv, frame))["beta0"]
-        _, defect = potential_L(flux(curv, frame, beta0=beta0))
+        fl = flux(curv, frame)
+        beta0 = first_residue(fl)["beta0"]
+        _, defect = potential_L(fl, beta0)
         defs.append(defect["relative_defect"])
         hs.append(grid.ds)
     assert g.fit_order(hs, defs) >= 1.5
@@ -328,8 +333,9 @@ def test_gauge_invariance_of_gamma():
                              "gamma0": [0, 0, 0.2, 0]}, grid, 4)
     frame, br = analyzed_frame(field)
     curv = curvature(field, frame)
-    beta0 = first_residue(flux(curv, frame))["beta0"]
-    L, _ = potential_L(flux(curv, frame, beta0=beta0))
+    fl = flux(curv, frame)
+    beta0 = first_residue(fl)["beta0"]
+    L, _ = potential_L(fl, beta0)
     sr1 = second_residue(w_field(L, curv.H, beta0, None, grid), grid)
     shift = RNG.standard_normal(4)
     sr2 = second_residue(w_field(L + shift, curv.H, beta0, None, grid), grid)
@@ -353,8 +359,9 @@ def test_synthetic_pipeline_recovers_gamma(theta0, a):
     frame, br = analyzed_frame(field)
     assert br.theta0 == theta0
     curv = curvature(field, frame)
-    out = first_residue(flux(curv, frame))
-    L, _ = potential_L(flux(curv, frame, beta0=out["beta0"]))
+    fl = flux(curv, frame)
+    out = first_residue(fl)
+    L, _ = potential_L(fl, out["beta0"])
     W = w_field(L, curv.H, out["beta0"], None, grid)
     sr = second_residue(W, grid)
     assert sr.a == a
@@ -382,9 +389,10 @@ def test_rotation_equivariance():
         field = from_chart(chart, grid, m)
         frame, br = analyzed_frame(field)
         curv = curvature(field, frame)
-        out = first_residue(flux(curv, frame))
+        fl = flux(curv, frame)
+        out = first_residue(fl)
         td = tangent_vector(field, frame, br)
-        L, _ = potential_L(flux(curv, frame, beta0=out["beta0"]))
+        L, _ = potential_L(fl, out["beta0"])
         sr = second_residue(w_field(L, curv.H, out["beta0"], None, grid), grid)
         return br, td, out, sr
 
