@@ -43,12 +43,11 @@ def _apply_overrides(config, args) -> dict:
 
 
 def cmd_generate(args) -> int:
-    from willmore.pipeline import build_field
-    from willmore.grid import PolarGrid
+    from willmore.pipeline import build_field, config_grid
     from willmore.surface import save_samples_csv
 
     config = _load_config(args.config)
-    grid = PolarGrid.from_json(config["grid"])
+    grid = config_grid(config)
     field = build_field(config, grid)
     save_samples_csv(field, args.out)
     print(f"wrote {field.grid.n_r * field.grid.n_theta} samples to {args.out}")
@@ -74,11 +73,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_residues(args) -> int:
-    from willmore.pipeline import analyze_level, _jsonable
-    from willmore.grid import PolarGrid
+    from willmore.pipeline import _jsonable, analyze_level, config_grid
 
     config = _apply_overrides(_load_config(args.config), args)
-    grid = PolarGrid.from_json(config["grid"])
+    grid = config_grid(config)
     level = analyze_level(config, grid, with_potentials=False,
                           with_expansion=False)
     doc = _jsonable(level["_report"].to_json())
@@ -92,12 +90,11 @@ def cmd_residues(args) -> int:
 
 def cmd_energy(args) -> int:
     from willmore.curvature import curvature, willmore_energy
-    from willmore.grid import PolarGrid
-    from willmore.pipeline import build_field
+    from willmore.pipeline import build_field, config_grid
     from willmore.surface import conformal_factor, frame_and_gauss
 
     config = _load_config(args.config)
-    grid = PolarGrid.from_json(config["grid"])
+    grid = config_grid(config)
     field = build_field(config, grid)
     frame = frame_and_gauss(field, conformal_factor(field))
     w = willmore_energy(curvature(field, frame))
@@ -106,11 +103,10 @@ def cmd_energy(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from willmore.pipeline import analyze_level, _jsonable
-    from willmore.grid import PolarGrid
+    from willmore.pipeline import _jsonable, analyze_level, config_grid
 
     config = _apply_overrides(_load_config(args.config), args)
-    grid = PolarGrid.from_json(config["grid"])
+    grid = config_grid(config)
     level = analyze_level(config, grid, with_potentials=False,
                           with_expansion=True)
     doc = _jsonable({"expansion": level["expansion"],

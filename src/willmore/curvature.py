@@ -18,8 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from willmore.grid import PolarGrid, annulus_norms, grad, integrate, laplacian
-from willmore.surface import (FrameField, ImmersionField,
-                              gauss_map_gradient_norm, normal_projector)
+from willmore.surface import FrameField, ImmersionField, normal_projector
 
 
 @dataclass(eq=False)
@@ -85,7 +84,7 @@ def bending_energy_density(curv: CurvatureField) -> np.ndarray:
 
 def gauss_map_energy_density(frame: FrameField) -> np.ndarray:
     """|grad n|^2 from the sampled Gauss map (flat measure)."""
-    return gauss_map_gradient_norm(frame) ** 2
+    return frame.dn_norm ** 2
 
 
 def tangential_H_defect(curv: CurvatureField, frame: FrameField) -> float:
@@ -111,7 +110,7 @@ def gauss_bonnet_check(curv: CurvatureField, frame: FrameField,
 
 def delta_profile(frame: FrameField) -> dict:
     """delta(r) = r max_theta |grad n| per circle, plus int delta^2 dr/r."""
-    gn = gauss_map_gradient_norm(frame)
+    gn = frame.dn_norm
     delta = frame.grid.r * np.max(gn, axis=1)
     total = float(np.trapezoid(delta ** 2, frame.grid.s))
     return {"r": frame.grid.r, "delta": delta, "square_integral": total}
@@ -128,7 +127,7 @@ def weingarten_constant(curv: CurvatureField, frame: FrameField,
                         trim: float = 0.1) -> float:
     """Measured best constant in e^lam |H0| <= c |grad n| (c <= 2 expected)."""
     lhs = np.exp(curv.lam) * np.linalg.norm(curv.H0, axis=-1)
-    rhs = gauss_map_gradient_norm(frame)
+    rhs = frame.dn_norm
     k = max(2, int(round(trim * curv.grid.n_r)))
     sl = slice(k, -k)
     ratio = lhs[sl] / np.maximum(rhs[sl], 1e-30)

@@ -84,6 +84,9 @@ class PolarGrid:
 
     @staticmethod
     def from_json(d: dict) -> "PolarGrid":
+        missing = sorted({"r_min", "n_r", "n_theta"} - set(d))
+        if missing:
+            raise ValueError(f"grid is missing {', '.join(missing)}")
         return PolarGrid(float(d["r_min"]), float(d.get("r_max", 1.0)),
                          int(d["n_r"]), int(d["n_theta"]))
 

@@ -142,16 +142,19 @@ def _bullet_table(m: int, p: int, q: int):
 
 
 def _apply_bilinear(table, a: np.ndarray, b: np.ndarray, dim_out: int) -> np.ndarray:
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (dim_out,)
-    out = np.zeros(shape, dtype=np.result_type(a, b))
+    # coefficient-major: each term reads and writes whole contiguous planes
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a = np.moveaxis(a, -1, 0).copy()
+    b = np.moveaxis(b, -1, 0).copy()
+    out = np.zeros((dim_out,) + lead, dtype=np.result_type(a, b))
     for ia, ib, io, s in table:
         if s == 1:
-            out[..., io] += a[..., ia] * b[..., ib]
+            out[io] += a[ia] * b[ib]
         elif s == -1:
-            out[..., io] -= a[..., ia] * b[..., ib]
+            out[io] -= a[ia] * b[ib]
         else:
-            out[..., io] += s * (a[..., ia] * b[..., ib])
-    return out
+            out[io] += s * (a[ia] * b[ib])
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from numbers import Real
 from pathlib import Path
 from typing import Optional
 
@@ -91,6 +92,13 @@ def build_field(config, grid):
         return load_samples_csv(surf["csv"])
     return catalog_surface(surf["name"], surf.get("params", {}), grid,
                            int(surf.get("ambient_dim", 3)))
+
+
+def config_grid(config) -> PolarGrid:
+    """The configured base grid (96x64 from r_min 1e-3 when none is given)."""
+    if "grid" not in config:
+        return PolarGrid(1e-3, 1.0, 96, 64)
+    return _stage("grid", PolarGrid.from_json, config["grid"])
 
 
 def _default_tolerances(config) -> dict:
@@ -246,12 +254,13 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
     t0 = time.time()
     tol = _default_tolerances(config)
     spec, mult_mode, _ = _resolve_multiplier(config)
-    base_grid = PolarGrid.from_json(config["grid"]) if "grid" in config else \
-        PolarGrid(1e-3, 1.0, 96, 64)
-    n_levels = int(config.get("levels", 1))
-    if n_levels < 1:
+    base_grid = config_grid(config)
+    n_levels = config.get("levels", 1)
+    if (isinstance(n_levels, bool) or not isinstance(n_levels, Real)
+            or not float(n_levels).is_integer() or n_levels < 1):
         raise PipelineError("levels", ValueError(
-            f"levels must be a positive integer, got {n_levels}"))
+            f"levels must be a positive integer, got {n_levels!r}"))
+    n_levels = int(n_levels)
     if "csv" in config.get("surface", {}) and n_levels > 1:
         raise PipelineError("surface", ValueError(
             "CSV-imported samples cannot be refined; use levels = 1"))

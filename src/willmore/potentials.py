@@ -48,8 +48,9 @@ class PotentialSet:
     R: Optional[np.ndarray] = None     # 2-vector coefficients per node
     v_S: Optional[tuple] = None        # defining field grad_perp S
     v_R: Optional[tuple] = None        # defining field grad_perp R
+    dg: Optional[tuple] = None         # grad g, taken once for v_S
+    dG: Optional[tuple] = None         # grad G, taken once for v_R
     loop_defects: dict = dfield(default_factory=dict)
-    residuals: dict = dfield(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def potentials_SR(L: np.ndarray, field: ImmersionField, curv: CurvatureField,
            wedge(Lw, bmv(perp[1])).coeffs - 2.0 * wedge(Hw, bmv(d1[1])).coeffs - Gy)
     S, dS = integrate_curl_potential(grid, v_s[0], v_s[1])
     R, dR = integrate_curl_potential(grid, v_r[0], v_r[1])
-    return PotentialSet(pots.g, pots.G, S, R, v_s, v_r,
+    return PotentialSet(pots.g, pots.G, S, R, v_s, v_r, (gx, gy), (Gx, Gy),
                         loop_defects={"S": dS, "R": dR})
 
 
@@ -184,7 +185,9 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     m = field.ambient_dim
     s_bullR, s_dotS, s_bullG, s_sng, s_phi = signs
     sn = hodge_star(frame.n)                      # 2-vector field
-    sn_x, sn_y = grad(grid, sn.coeffs)
+    # the star is a signed permutation, so grad(star n) = star(grad n)
+    sn_x, sn_y = (hodge_star(MultiVec(m, frame.n.grade, d)).coeffs
+                  for d in frame.dn)
     mk2 = lambda c: MultiVec(m, 2, c)
     mk1 = lambda c: MultiVec.vector(m, c)
 
@@ -195,8 +198,8 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     Rx, Ry = perp_R[1], -perp_R[0]
     lap_S = grad(grid, perp_S[1])[0] - grad(grid, perp_S[0])[1]
     lap_R = grad(grid, perp_R[1])[0] - grad(grid, perp_R[0])[1]
-    gx, gy = grad(grid, pots.g)
-    Gx, Gy = grad(grid, pots.G)
+    gx, gy = pots.dg
+    Gx, Gy = pots.dG
     perp_g = (-gy, gx)
     perp_G = (-Gy, Gx)
 

@@ -135,6 +135,12 @@ class FrameField:
         """(dn/dx, dn/dy) of the Gauss map coefficients, computed once."""
         return grad(self.grid, self.n.coeffs)
 
+    @cached_property
+    def dn_norm(self) -> np.ndarray:
+        """|grad n| per node, from the cached gradient ``dn``."""
+        gx, gy = self.dn
+        return np.sqrt(np.sum(gx ** 2 + gy ** 2, axis=-1))
+
 
 def conformal_factor(field: ImmersionField) -> FrameField:
     """lam = log(|grad Phi| / sqrt(2)) and the per-node conformality defect."""
@@ -184,12 +190,6 @@ def normal_projector(frame: FrameField):
                 - np.sum(v * e2, axis=-1, keepdims=True) * e2)
 
     return project
-
-
-def gauss_map_gradient_norm(frame: FrameField) -> np.ndarray:
-    """|grad n| per node from the sampled Gauss map coefficients."""
-    gx, gy = frame.dn
-    return np.sqrt(np.sum(gx ** 2 + gy ** 2, axis=-1))
 
 
 # ---------------------------------------------------------------------------

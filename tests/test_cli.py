@@ -118,6 +118,41 @@ def test_levels_below_one_exit_code(tmp_path, capsys, levels):
     assert "stage 'levels'" in capsys.readouterr().err
 
 
+def _no_level_work(monkeypatch):
+    import willmore.pipeline as pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level ran on a malformed config")
+    monkeypatch.setattr(pipeline, "analyze_level", refuse)
+
+
+@pytest.mark.parametrize("levels", ["two", 1.5, True, None, float("nan")])
+def test_malformed_levels_named_before_work(monkeypatch, levels):
+    _no_level_work(monkeypatch)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline({**PLANE, "levels": levels})
+    assert err.value.stage == "levels"
+
+
+@pytest.mark.parametrize("grid", [
+    {**PLANE["grid"], "n_theta": 33},
+    {k: v for k, v in PLANE["grid"].items() if k != "r_min"},
+    "fine",
+])
+def test_malformed_grid_named_before_work(monkeypatch, grid):
+    _no_level_work(monkeypatch)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline({**PLANE, "grid": grid})
+    assert err.value.stage == "grid"
+
+
+def test_malformed_grid_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**PLANE, "grid": {"r_min": 0.01}})
+    assert main(["analyze", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'grid'" in err and "n_r, n_theta" in err
+
+
 def test_csv_surface_single_level(tmp_path):
     cfg = write_config(tmp_path, PLANE)
     out = tmp_path / "samples.csv"

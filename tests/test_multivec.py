@@ -13,7 +13,8 @@ from itertools import combinations
 
 from willmore.multivec import (
     AlgebraError, MultiVec, bullet, hodge_star, inner, interior, wedge,
-    _masks, _positions, _wedge_sign,
+    _apply_bilinear, _bullet_table, _masks, _positions, _wedge_sign,
+    _wedge_table,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -291,3 +292,39 @@ def test_wedge_sign_parity():
     assert _wedge_sign(0b1100, 0b0011) == _wedge_sign(0b0011, 0b1100)
     assert _positions(4, 2)[0b0011] == 0
     assert len(_masks(8, 4)) == comb(8, 4)
+
+
+# -- coefficient-major kernel -------------------------------------------------
+
+def _bilinear_reference(table, a, b, dim_out):
+    """Per-entry loop on the trailing coefficient axis, in table order."""
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (dim_out,)
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for ia, ib, io, s in table:
+        if s == 1:
+            out[..., io] += a[..., ia] * b[..., ib]
+        elif s == -1:
+            out[..., io] -= a[..., ia] * b[..., ib]
+        else:
+            out[..., io] += s * (a[..., ia] * b[..., ib])
+    return out
+
+
+@pytest.mark.parametrize("table, a_shape, b_shape, dim_out, complex_a", [
+    (_bullet_table(8, 2, 2), (19, 12, 28), (19, 12, 28), 28, False),
+    (_bullet_table(8, 2, 1), (28,), (19, 12, 8), 8, False),
+    (_wedge_table(8, 1, 1), (19, 12, 8), (19, 1, 8), 28, True),
+    (_bullet_table(3, 2, 2), (19, 12, 3), (19, 12, 3), 3, True),
+])
+def test_apply_bilinear_matches_entry_loop(table, a_shape, b_shape, dim_out,
+                                           complex_a):
+    a = RNG.standard_normal(a_shape)
+    if complex_a:
+        a = a + 1j * RNG.standard_normal(a_shape)
+    b = RNG.standard_normal(b_shape)
+    got = _apply_bilinear(table, a, b, dim_out)
+    want = _bilinear_reference(table, a, b, dim_out)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    # same terms summed in the same order: equal to the last bit
+    assert np.array_equal(got, want)

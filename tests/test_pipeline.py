@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from willmore import multiplier, pipeline, residual, surface
+from willmore import multiplier, pipeline, potentials, residual, surface
 from willmore.grid import PolarGrid, grad
 
 # the package exports the function ``curvature``, which shadows the module
@@ -44,3 +44,21 @@ def test_analyze_level_runs_each_stage_once(name, monkeypatch):
                            PolarGrid(1e-3, 1.0, 96, 64))
     assert calls == {"flux": 1, "strong_residual": 1, "pmc_multiplier": 1,
                      "grad_H": 1, "grad_n": 1}
+
+
+def test_verify_system_takes_eight_gradients(monkeypatch):
+    # grad g, grad G and grad n arrive cached; only the 8 new ones are taken
+    calls = Counter()
+    verify = potentials.verify_system
+
+    def counted_verify(*args, **kwargs):
+        calls["verify_system"] += 1
+        with monkeypatch.context() as inside:
+            _count(inside, calls, "grad", grad, potentials)
+            return verify(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_system", counted_verify)
+    pipeline.analyze_level(
+        {"surface": {"name": "inverted_catenoid", "ambient_dim": 8}},
+        PolarGrid(1e-3, 1.0, 48, 32), with_potentials=True)
+    assert calls == {"verify_system": 1, "grad": 8}
