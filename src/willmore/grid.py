@@ -3,9 +3,11 @@
 Nodes live at radii geometrically spaced between r_min and r_max (uniform
 in s = log r) and uniformly spaced angles on [0, 2pi).  The origin is never
 a node.  Angular derivatives are spectral (trigonometric interpolation),
-radial derivatives are second-order centered differences in s.  Cartesian
-operators are assembled from the polar ones; second derivatives compose
-first-derivative passes.
+radial derivatives are second-order centered differences in s.  Angular
+transforms are real (``rfft``/``irfft`` over the n/2 + 1 non-negative
+modes); a complex field is differentiated as its real and imaginary parts.
+Cartesian operators are assembled from the polar ones; second derivatives
+compose first-derivative passes.
 
 Field arrays are shaped (n_r, n_theta, ...) with arbitrary trailing axes.
 """
@@ -98,15 +100,14 @@ def _trail(a: np.ndarray, field: np.ndarray) -> np.ndarray:
 
 def dtheta(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
     """Spectral d/dtheta along axis 1."""
+    if np.iscomplexobj(f):
+        return dtheta(grid, f.real) + 1j * dtheta(grid, f.imag)
     n = grid.n_theta
-    fh = np.fft.fft(f, axis=1)
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = np.arange(n // 2 + 1, dtype=float)
     k[n // 2] = 0.0  # drop the unpaired Nyquist mode for odd derivatives
-    shape = [1, n] + [1] * (f.ndim - 2)
-    out = np.fft.ifft(fh * (1j * k).reshape(shape), axis=1)
-    if not np.iscomplexobj(f):
-        out = out.real
-    return out
+    shape = [1, n // 2 + 1] + [1] * (f.ndim - 2)
+    fh = np.fft.rfft(f, axis=1)
+    return np.fft.irfft(fh * (1j * k).reshape(shape), n, axis=1)
 
 
 def ds(grid: PolarGrid, f: np.ndarray) -> np.ndarray:

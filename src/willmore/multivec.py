@@ -7,6 +7,13 @@ field of multivectors sampled on a grid; all operations broadcast over the
 leading axes.  With integer coefficient arrays every operation is exact,
 since the structure constants are the integers +-1.
 
+The bilinear products run over a table of (left, right, out, sign) terms.
+The kernel works coefficient-major: it copies each operand once to a
+(coefficient, *lead) layout, so every term multiplies and accumulates whole
+contiguous planes, then hands the result back in the (*lead, coefficient)
+layout.  Terms are summed in table order, so the result does not depend on
+the layout.
+
 Operations: wedge product, Hodge star (standard orientation of R^m),
 interior multiplication ``interior(gamma, beta)`` defined by duality
 <gamma . beta, alpha> = <gamma, beta ^ alpha>, and the first-order

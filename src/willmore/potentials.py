@@ -65,16 +65,18 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
     kills the inward-growing homogeneous branch (the unique bounded
     extension across the excluded disk).
     """
+    if np.iscomplexobj(rhs):
+        return _solve_modes(grid, rhs.real) + 1j * _solve_modes(grid, rhs.imag)
     n_r, n_theta = grid.n_r, grid.n_theta
     h = grid.ds
-    rhat = np.fft.fft(rhs, axis=1)
-    src = np.exp(2.0 * grid.s)[:, None, None] * rhat.reshape(n_r, n_theta, -1)
+    rhat = np.fft.rfft(rhs, axis=1)
+    n_modes = rhat.shape[1]
+    src = np.exp(2.0 * grid.s)[:, None, None] * rhat.reshape(n_r, n_modes, -1)
     ncomp = src.shape[-1]
     out = np.zeros_like(src)
-    ks = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
     h2_12 = h * h / 12.0
-    for col, k in enumerate(ks):
-        ak = abs(float(k))
+    for col in range(n_modes):
+        ak = float(col)   # mode k = col >= 0; irfft supplies k < 0
         kk = ak * ak
         # Numerov rows (fourth order): (1 - h^2 k^2/12)(u_{i-1} + u_{i+1})
         #   - (2 + 10 h^2 k^2/12) u_i = h^2/12 (f_{i-1} + 10 f_i + f_{i+1})
@@ -107,13 +109,11 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
         try:
             sol = solve_banded((1, 3), ab, b)
         except np.linalg.LinAlgError as exc:
-            raise PotentialError(f"resonant radial mode k = {k}: {exc}")
+            raise PotentialError(f"resonant radial mode k = {col}: {exc}")
         if not np.all(np.isfinite(sol)):
-            raise PotentialError(f"singular radial solve at mode k = {k}")
+            raise PotentialError(f"singular radial solve at mode k = {col}")
         out[:, col] = sol
-    u = np.fft.ifft(out.reshape(n_r, n_theta, ncomp), axis=1)
-    u = u.real if not np.iscomplexobj(rhs) else u
-    return u.reshape(rhs.shape)
+    return np.fft.irfft(out, n_theta, axis=1).reshape(rhs.shape)
 
 
 def solve_gG(beta0: np.ndarray, field: ImmersionField) -> PotentialSet:

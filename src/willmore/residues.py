@@ -197,20 +197,22 @@ def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the antiderivative samples and the per-circle holonomy
     2 pi mean(f) picked up over one full loop (the non-periodic part).
     """
+    if np.iscomplexobj(vals):
+        re, holo_re = _cumtheta(vals.real, n_theta)
+        im, holo_im = _cumtheta(vals.imag, n_theta)
+        return re + 1j * im, holo_re + 1j * holo_im
     mean = np.mean(vals, axis=1, keepdims=True)
-    fh = np.fft.fft(vals - mean, axis=1)
-    k = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
-    shape = [1, n_theta] + [1] * (vals.ndim - 2)
-    mask = np.ones(n_theta)
+    fh = np.fft.rfft(vals - mean, axis=1)
+    k = np.arange(n_theta // 2 + 1, dtype=float)
+    shape = (-1,) + (1,) * (vals.ndim - 2)   # along axis 1
+    mask = np.ones(len(k))
     mask[0] = 0.0
     k[0] = 1.0
     if n_theta % 2 == 0:
         mask[n_theta // 2] = 0.0  # drop the unpaired Nyquist mode
         k[n_theta // 2] = 1.0
     weight = (mask / (1j * k)).reshape(shape)
-    prim = np.fft.ifft(fh * weight, axis=1)
-    if not np.iscomplexobj(vals):
-        prim = prim.real
+    prim = np.fft.irfft(fh * weight, n_theta, axis=1)
     theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
     out = prim - prim[:, :1] + mean * theta.reshape(shape)
     holonomy = 2.0 * np.pi * mean[:, 0]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from willmore import pipeline
 from willmore.cli import main
 from willmore.pipeline import run_pipeline, PipelineError
 from willmore.surface import load_samples_csv
@@ -119,8 +120,6 @@ def test_levels_below_one_exit_code(tmp_path, capsys, levels):
 
 
 def _no_level_work(monkeypatch):
-    import willmore.pipeline as pipeline
-
     def refuse(*args, **kwargs):
         raise AssertionError("a level ran on a malformed config")
     monkeypatch.setattr(pipeline, "analyze_level", refuse)

@@ -36,6 +36,16 @@ def test_spectral_dtheta_exact_on_harmonics():
     assert np.allclose(g.dtheta(gr, f), expect, atol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.5 - 2.0j])
+def test_dtheta_drops_the_nyquist_mode(scale):
+    # cos(n theta / 2) is the unpaired Nyquist mode: its odd derivative is 0
+    gr = make_grid()
+    f = scale * np.cos(gr.n_theta // 2 * gr.tt)
+    out = g.dtheta(gr, f)
+    assert np.iscomplexobj(out) == np.iscomplexobj(f)
+    assert np.max(np.abs(out)) < 1e-12
+
+
 def test_constant_field_derivatives_vanish():
     gr = make_grid()
     f = np.ones((gr.n_r, gr.n_theta))

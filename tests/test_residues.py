@@ -7,7 +7,7 @@ from willmore.curvature import curvature
 from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField, flux
 from willmore.residues import (
-    ResidueError, ResidueReport, branch_order, first_residue,
+    ResidueError, ResidueReport, _cumtheta, branch_order, first_residue,
     integrate_curl_potential, modified_residue, pole_order_range, potential_L,
     radial_extrapolate, second_residue, tangent_vector, w_field,
 )
@@ -24,6 +24,22 @@ def analyzed_frame(field):
     frame = frame_and_gauss(field, frame, defect_threshold=thr)
     br = branch_order(frame)
     return frame.with_branch(br.theta0, br.u, br.u0), br
+
+
+# -- angular antiderivative ---------------------------------------------------
+
+@pytest.mark.parametrize("z", [1.0, 0.7 - 1.3j])
+def test_cumtheta_on_trig_polynomial(z):
+    # the Nyquist term has no paired mode and no antiderivative: it is dropped
+    grid = PolarGrid(0.05, 1.0, 24, 64)
+    th, n = grid.tt, grid.n_theta
+    vals = z * (np.cos(3 * th) + 2.0 * np.sin(5 * th) - 0.4
+                + 0.9 * np.cos(n // 2 * th))
+    want = z * (np.sin(3 * th) / 3.0 + 0.4 * (1.0 - np.cos(5 * th)) - 0.4 * th)
+    out, holonomy = _cumtheta(vals, n)
+    assert np.iscomplexobj(out) == np.iscomplexobj(vals)
+    assert np.max(np.abs(out - want)) < 1e-12
+    assert np.allclose(holonomy, -0.8 * np.pi * z, rtol=0, atol=1e-12)
 
 
 # -- branch order -------------------------------------------------------------
