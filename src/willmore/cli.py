@@ -14,7 +14,13 @@ Configs are JSON documents:
      "multiplier": null | {"mu": ..., "a_mu": [re, im], "f0": [[re, im], ...],
                            "zero": false} | {"mode": "pmc", "sign": 1},
      "levels": 1, "with_potentials": false,
-     "tolerances": {"tol_zero": 1e-6, "defect_threshold": 1e-6}}
+     "tolerances": {"tol_zero": 1e-6, "defect_threshold": 1e-6,
+                    "pmc_threshold": 5e-3, "winding_gate": 0.2}}
+
+``residues`` and ``fit`` run the first level of ``analyze``, and ``energy``
+its stages up to the energy, with the same tolerances; ``classify``
+re-derives the verdict with the report's saved tolerances unless
+``--tol-zero`` is given.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 
 def _load_config(path) -> dict:
@@ -42,13 +46,32 @@ def _apply_overrides(config, args) -> dict:
     return config
 
 
+def _first_level(args, with_expansion: bool) -> dict:
+    """The first refinement level of ``analyze`` on the configured surface."""
+    from willmore.pipeline import analyze_level, config_grid
+
+    config = _apply_overrides(_load_config(args.config), args)
+    return analyze_level(config, config_grid(config), with_potentials=False,
+                         with_expansion=with_expansion)
+
+
+def _write_json(doc, out) -> int:
+    from willmore.grid import jsonable
+
+    text = json.dumps(jsonable(doc), indent=1)
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text)
+    return 0
+
+
 def cmd_generate(args) -> int:
-    from willmore.pipeline import build_field, config_grid
+    from willmore.pipeline import _stage, build_field, config_grid
     from willmore.surface import save_samples_csv
 
     config = _load_config(args.config)
-    grid = config_grid(config)
-    field = build_field(config, grid)
+    field = _stage("surface", build_field, config, config_grid(config))
     save_samples_csv(field, args.out)
     print(f"wrote {field.grid.n_r * field.grid.n_theta} samples to {args.out}")
     return 0
@@ -73,79 +96,46 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_residues(args) -> int:
-    from willmore.pipeline import _jsonable, analyze_level, config_grid
-
-    config = _apply_overrides(_load_config(args.config), args)
-    grid = config_grid(config)
-    level = analyze_level(config, grid, with_potentials=False,
-                          with_expansion=False)
-    doc = _jsonable(level["_report"].to_json())
-    text = json.dumps(doc, indent=1)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
-    return 0
+    level = _first_level(args, with_expansion=False)
+    return _write_json(level["_report"].to_json(), args.out)
 
 
 def cmd_energy(args) -> int:
-    from willmore.curvature import curvature, willmore_energy
-    from willmore.pipeline import build_field, config_grid
-    from willmore.surface import conformal_factor, frame_and_gauss
+    from willmore.pipeline import config_grid, level_geometry
 
     config = _load_config(args.config)
-    grid = config_grid(config)
-    field = build_field(config, grid)
-    frame = frame_and_gauss(field, conformal_factor(field))
-    w = willmore_energy(curvature(field, frame))
-    print(f"willmore energy over the sampled annulus: {w:.12g}")
+    level, *_ = level_geometry(config, config_grid(config))
+    print("willmore energy over the sampled annulus: "
+          f"{level['willmore_energy']:.12g}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    from willmore.pipeline import _jsonable, analyze_level, config_grid
-
-    config = _apply_overrides(_load_config(args.config), args)
-    grid = config_grid(config)
-    level = analyze_level(config, grid, with_potentials=False,
-                          with_expansion=True)
-    doc = _jsonable({"expansion": level["expansion"],
-                     "expansion_H": level["expansion_H"],
-                     "constants": level["constants"]})
-    text = json.dumps(doc, indent=1)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
-    return 0
+    level = _first_level(args, with_expansion=True)
+    return _write_json({k: level[k] for k in
+                        ("expansion", "expansion_H", "constants")}, args.out)
 
 
 def cmd_classify(args) -> int:
     from willmore.classify import classify
-    from willmore.multiplier import MultiplierSpec
+    from willmore.pipeline import (_default_tolerances, _resolve_multiplier,
+                                   exit_code)
     from willmore.residues import ResidueReport
 
     with open(args.report) as fh:
         doc = json.load(fh)
-    res = doc["residues"]
-    rep = ResidueReport(
-        theta0=int(res["theta0"]), u0=float(res["u0"]),
-        A=np.array([complex(re, im) for re, im in res["A"]]),
-        beta0=np.array(res["beta0"]), rho_spread=float(res["rho_spread"]),
-        gamma0=np.array(res["gamma0"]), gamma=np.array(res["gamma"]),
-        a=int(res["a"]))
-    mult = doc.get("config", {}).get("multiplier")
-    spec = None
-    if mult and mult != "zero" and mult.get("mode") != "pmc":
-        spec = MultiplierSpec.from_json(mult)
-    elif mult is None or mult == "zero":
-        spec = MultiplierSpec.zero_spec()
+    config = doc.get("config", {})
+    spec, _, _ = _resolve_multiplier(config)
+    tol_zero = (args.tol_zero if args.tol_zero is not None
+                else _default_tolerances(config)["tol_zero"])
     cond = doc.get("classification", {}).get("conditions", {})
-    verdict = classify(rep, spec, pmc=bool(cond.get("pmc", False)),
+    verdict = classify(ResidueReport.from_json(doc["residues"]), spec,
+                       pmc=bool(cond.get("pmc", False)),
                        regular=bool(cond.get("regular", False)),
-                       tol_zero=args.tol_zero or 1e-6)
-    print(json.dumps(verdict.to_json(), indent=1))
-    return 2 if verdict.verdict == "inconsistent" else 0
+                       tol_zero=tol_zero)
+    out = verdict.to_json()
+    print(json.dumps(out, indent=1))
+    return exit_code({"classification": out})
 
 
 def main(argv=None) -> int:

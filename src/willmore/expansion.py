@@ -16,13 +16,13 @@ exponents come from log-log slopes of the residual circle norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 from typing import Optional
 
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import PolarGrid, circle_mean, fit_order
+from willmore.grid import PolarGrid, circle_mean, fit_order, jsonable
 from willmore.surface import ImmersionField
 
 
@@ -46,20 +46,8 @@ class ExpansionFit:
     diagnostics: dict = dfield(default_factory=dict)
 
     def to_json(self) -> dict:
-        cx = lambda v: [[float(x.real), float(x.imag)] for x in np.asarray(v)]
-        return {
-            "A": cx(self.A),
-            "B": [cx(b) for b in self.B],
-            "E_a": cx(self.E_a),
-            "C_vec": np.asarray(self.C_vec).tolist(),
-            "C_theta_a": cx(self.C_theta_a),
-            "gamma0_fit": np.asarray(self.gamma0_fit).tolist(),
-            "remainder_exponent_phi": self.remainder_exponent_phi,
-            "remainder_exponent_H": self.remainder_exponent_H,
-            "fit_residual": self.fit_residual,
-            "condition_number": self.condition_number,
-            "at_floor": self.at_floor,
-        }
+        return jsonable({f.name: getattr(self, f.name) for f in fields(self)
+                         if f.name != "diagnostics"})
 
 
 def _weighted_lstsq(design: np.ndarray, targets: np.ndarray,
@@ -243,27 +231,3 @@ def verify_constants(fit: ExpansionFit, theta0: int, a: int, u0: float,
                 np.linalg.norm(fit.C_theta_a - expect_Cta))
             out["C_theta_a_partial"] = False
     return out
-
-
-def radial_log_laplacian_oracle(theta0: int, n: int = 4000) -> dict:
-    """High-resolution check that Lap(r^{2t}(t log r - 1)) = 4 t^3 r^{2t-2} log r.
-
-    Settles the cubic-vs-quadratic discrepancy in the closed-form log
-    coefficient by direct finite differencing of the radial profile.
-    """
-    r = np.linspace(0.25, 0.75, n)
-    h = r[1] - r[0]
-    t = float(theta0)
-    f = r ** (2 * t) * (t * np.log(r) - 1.0)
-    lap = np.empty_like(f)
-    lap[1:-1] = ((f[2:] - 2 * f[1:-1] + f[:-2]) / h ** 2
-                 + (f[2:] - f[:-2]) / (2 * h * r[1:-1]))
-    lap[0] = lap[1]
-    lap[-1] = lap[-2]
-    cubic = 4.0 * t ** 3 * r ** (2 * t - 2) * np.log(r)
-    quad = 4.0 * t ** 2 * r ** (2 * t - 2) * np.log(r)
-    mid = slice(1, -1)
-    return {
-        "cubic_error": float(np.max(np.abs(lap[mid] - cubic[mid]))),
-        "quadratic_error": float(np.max(np.abs(lap[mid] - quad[mid]))),
-    }

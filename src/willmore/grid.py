@@ -7,7 +7,8 @@ radial derivatives are second-order centered differences in s.  Angular
 transforms are real (``rfft``/``irfft`` over the n/2 + 1 non-negative
 modes); a complex field is differentiated as its real and imaginary parts.
 Cartesian operators are assembled from the polar ones; second derivatives
-compose first-derivative passes.
+compose first-derivative passes.  ``jsonable`` is the one converter of
+arrays and complex numbers to JSON values, used by every report writer.
 
 Field arrays are shaped (n_r, n_theta, ...) with arbitrary trailing axes.
 """
@@ -231,3 +232,23 @@ def fit_order(hs, errs) -> float:
         return np.inf
     return float(np.polyfit(np.log(hs[keep]), np.log(errs[keep]), 1)[0])
 
+
+def jsonable(v):
+    """``v`` with arrays, numpy scalars and complex numbers made JSON-ready.
+
+    Complex values become ``[re, im]`` pairs; containers are converted
+    recursively, and anything else is returned as it is.
+    """
+    if isinstance(v, dict):
+        return {k: jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [jsonable(x) for x in v]
+    if isinstance(v, np.ndarray):
+        if np.iscomplexobj(v):
+            return [jsonable(x) for x in v.tolist()]
+        return v.tolist()
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, (np.floating, np.integer, np.bool_)):
+        return v.item()
+    return v

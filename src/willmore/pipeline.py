@@ -27,9 +27,11 @@ import numpy as np
 
 from willmore.classify import classify, pmc_detect
 from willmore.curvature import (curvature, delta_profile, gauss_bonnet_check,
-                                weingarten_constant, willmore_energy)
+                                gauss_map_energy_density, weingarten_constant,
+                                willmore_energy)
 from willmore.expansion import fit_H, fit_phi, verify_constants
-from willmore.grid import PolarGrid, circle_mean, fit_order
+from willmore.grid import (PolarGrid, circle_mean, fit_order, integrate,
+                           jsonable)
 from willmore.multiplier import (MultiplierSpec, matrix_field, pmc_multiplier,
                                  sample_multiplier, special_fields)
 from willmore.potentials import potentials_SR, solve_gG, verify_system
@@ -58,22 +60,6 @@ def _stage(name, fn, *args, **kwargs):
         raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
-
-
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, np.ndarray):
-        if np.iscomplexobj(v):
-            return [_jsonable(x) for x in v.tolist()]
-        return v.tolist()
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
-    return v
 
 
 def _resolve_multiplier(config) -> tuple[Optional[MultiplierSpec], str, int]:
@@ -114,16 +100,16 @@ def _default_tolerances(config) -> dict:
     return tol
 
 
-def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
-                  with_expansion: bool = True) -> dict:
-    """One refinement level of the full chain; returns the level record."""
-    tol = _default_tolerances(config)
-    spec, mult_mode, pmc_sign = _resolve_multiplier(config)
+def level_geometry(config, grid: PolarGrid):
+    """Surface, frame, branch order, curvature and Willmore energy of a level.
 
+    Returns the level record begun here and what the rest of the level
+    reads: ``(level, field, frame, branch, curv)``.
+    """
+    tol = _default_tolerances(config)
     field = _stage("surface", build_field, config, grid)
-    grid = field.grid
     frame = _stage("conformal_factor", conformal_factor, field)
-    level = {"grid": grid.to_json(),
+    level = {"grid": field.grid.to_json(),
              "conformal_defect": float(np.max(frame.defect))}
     frame = _stage("frame_and_gauss", frame_and_gauss, field, frame,
                    tol["defect_threshold"])
@@ -136,9 +122,17 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
 
     curv = _stage("curvature", curvature, field, frame)
     level["willmore_energy"] = _stage("energy", willmore_energy, curv)
+    return level, field, frame, br, curv
+
+
+def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
+                  with_expansion: bool = True) -> dict:
+    """One refinement level of the full chain; returns the level record."""
+    tol = _default_tolerances(config)
+    spec, mult_mode, pmc_sign = _resolve_multiplier(config)
+    level, field, frame, br, curv = level_geometry(config, grid)
+    grid = field.grid
     # the Gauss-map energy is recorded, never silently rescaled away
-    from willmore.curvature import gauss_map_energy_density
-    from willmore.grid import integrate
     gm_energy = _stage("gauss_map_energy", integrate, grid,
                        gauss_map_energy_density(frame))
     level["gauss_map_energy"] = gm_energy
@@ -305,7 +299,7 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
         "residues": report.to_json(),
         "classification": verdict.to_json(),
     }
-    doc = _jsonable(doc)
+    doc = jsonable(doc)
 
     if out_dir is not None:
         out = Path(out_dir)

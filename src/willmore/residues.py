@@ -12,12 +12,12 @@ circles are the second residue gamma with pole order a = max_j gamma_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 from typing import Optional
 
 import numpy as np
 
-from willmore.grid import PolarGrid, circle_mean
+from willmore.grid import PolarGrid, circle_mean, circulation, jsonable
 from willmore.multivec import MultiVec, hodge_star, interior
 from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField
@@ -146,7 +146,6 @@ def first_residue(fl: FluxField, n_circles: int = 5,
         circles = _interior_band(fl.grid, max(n_circles, 3))
     if len(circles) < 3:
         raise ResidueError("need at least 3 circles strictly inside the grid")
-    from willmore.grid import circulation
     all_beta = circulation(fl.grid, fl.raw[0], fl.raw[1]) / (4.0 * np.pi)
     table = all_beta[circles]
     beta0 = table.mean(axis=0)
@@ -325,7 +324,8 @@ def second_residue(W: np.ndarray, grid: PolarGrid, n_circles: int = 4,
     defect of the potential reconstruction, below which phases are noise),
     or by the circle-mean modulus decaying toward the puncture (log-log
     slope >= 1/2), since a meromorphic E_j with E_j(0) != 0 or a pole can
-    only stay level or grow inward.
+    only stay level or grow inward.  A degenerate component's raw windings
+    are NaN: its phase is noise, not a measurement.
     """
     m = W.shape[-1]
     hi = max(int(quantile * grid.n_r), n_circles + 2)
@@ -342,6 +342,7 @@ def second_residue(W: np.ndarray, grid: PolarGrid, n_circles: int = 4,
     scale = float(np.max(amp))
     if scale == 0.0 or scale <= 3.0 * noise_floor:
         # identically vanishing or noise-dominated W: no usable poles
+        raw[:] = np.nan
         return SecondResidue(gamma, 0, raw, np.ones(m, dtype=bool),
                              grid.r[idx])
     log_r = np.log(grid.r[idx])
@@ -351,6 +352,7 @@ def second_residue(W: np.ndarray, grid: PolarGrid, n_circles: int = 4,
         if (np.max(amp[:, j]) < max(floor * scale, 3.0 * noise_floor)
                 or decay >= 0.5):
             degenerate[j] = True
+            raw[:, j] = np.nan
             continue
         confirmed = None
         for ci in range(len(idx) - 1):
@@ -401,26 +403,15 @@ class ResidueReport:
         return not lo <= self.a <= hi
 
     def to_json(self) -> dict:
-        def conv(v):
-            if isinstance(v, np.ndarray):
-                if np.iscomplexobj(v):
-                    return [[float(x.real), float(x.imag)] for x in v.ravel()]
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, dict):
-                return {k: conv(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [conv(x) for x in v]
-            return v
-        return {
-            "theta0": self.theta0,
-            "u0": self.u0,
-            "A": conv(self.A),
-            "beta0": conv(self.beta0),
-            "rho_spread": self.rho_spread,
-            "gamma0": conv(self.gamma0),
-            "gamma": conv(self.gamma),
-            "a": self.a,
-            "diagnostics": conv(self.diagnostics),
-        }
+        return jsonable({f.name: getattr(self, f.name) for f in fields(self)})
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "ResidueReport":
+        """The report that ``to_json`` wrote as ``doc``."""
+        return cls(
+            int(doc["theta0"]), float(doc["u0"]),
+            np.array([complex(re, im) for re, im in doc["A"]]),
+            np.asarray(doc["beta0"], dtype=float), float(doc["rho_spread"]),
+            np.asarray(doc["gamma0"], dtype=float),
+            np.asarray(doc["gamma"], dtype=int), int(doc["a"]),
+            {k: np.asarray(v) for k, v in doc.get("diagnostics", {}).items()})

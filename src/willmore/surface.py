@@ -74,12 +74,6 @@ class ImmersionField:
         _, gyy = grad(self.grid, g1[1])
         return np.stack([gxx, gxy, gyy])
 
-    def resampled(self, grid: PolarGrid) -> "ImmersionField":
-        if self.chart is None:
-            raise SurfaceError("resampling needs an analytic chart")
-        return from_chart(self.chart, grid, self.ambient_dim,
-                          name=self.name, params=self.params)
-
 
 def from_chart(chart: Callable, grid: PolarGrid, m: int,
                name: str = "", params: Optional[dict] = None) -> ImmersionField:
@@ -367,11 +361,6 @@ CATALOG = {
     "synthetic_th4": _synthetic_th4,
 }
 
-#: entries that satisfy the Willmore equation with zero multiplier (away from 0)
-WILLMORE_ENTRIES = {"plane", "branched_plane", "sphere_stereographic",
-                    "catenoid_end", "inverted_catenoid"}
-#: entries with parallel mean curvature but nonzero multiplier
-PMC_ENTRIES = {"cylinder_cmc", "clifford_torus_patch"}
 #: entries whose equation extends across the origin (no branch, no flux there)
 REGULAR_ENTRIES = {"plane", "sphere_stereographic", "cylinder_cmc",
                    "clifford_torus_patch"}

@@ -12,8 +12,7 @@ import numpy as np
 from willmore import grid as g
 from willmore.classify import VERDICTS, classify, decide
 from willmore.curvature import curvature, delta_profile, willmore_energy
-from willmore.expansion import (fit_H, fit_phi, radial_log_laplacian_oracle,
-                                verify_constants)
+from willmore.expansion import fit_H, fit_phi, verify_constants
 from willmore.grid import PolarGrid, fit_order
 from willmore.multiplier import MultiplierSpec, matrix_field, pmc_multiplier
 from willmore.multivec import MultiVec, hodge_star, inner, wedge
@@ -22,6 +21,8 @@ from willmore.potentials import potentials_SR, solve_gG, verify_system
 from willmore.residual import FluxField, flux, strong_residual
 from willmore.residues import branch_order, first_residue, potential_L
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
+
+from oracles import radial_log_laplacian_oracle
 
 RNG = np.random.default_rng(424242)
 

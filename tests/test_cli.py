@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ PLANE = {
 INVCAT = {
     "surface": {"name": "inverted_catenoid", "ambient_dim": 3},
     "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 96, "n_theta": 64},
+}
+
+# planted branch point theta0 = 2, a = 1; conformal only asymptotically
+SYNTH_TH2 = {
+    "surface": {"name": "synthetic_th4", "ambient_dim": 4,
+                "params": {"theta0": 2, "a": 1,
+                           "E_a": [[0, 0], [0, 0], [1.0, 0.5], [0, 0]],
+                           "gamma0": [0, 0, 0.25, 0]}},
+    "grid": {"r_min": 1e-2, "r_max": 1.0, "n_r": 96, "n_theta": 64},
 }
 
 
@@ -80,13 +90,7 @@ def test_energy_command(tmp_path, capsys):
 
 
 def test_fit_command(tmp_path):
-    cfg = write_config(tmp_path, {
-        "surface": {"name": "synthetic_th4", "ambient_dim": 4,
-                    "params": {"theta0": 2, "a": 1,
-                               "E_a": [[0, 0], [0, 0], [1.0, 0.5], [0, 0]],
-                               "gamma0": [0, 0, 0.25, 0]}},
-        "grid": {"r_min": 1e-2, "r_max": 1.0, "n_r": 96, "n_theta": 64},
-    })
+    cfg = write_config(tmp_path, SYNTH_TH2)
     out = tmp_path / "fit.json"
     assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -98,9 +102,72 @@ def test_classify_from_saved_report(tmp_path, capsys):
     cfg = write_config(tmp_path, PLANE)
     main(["analyze", "--config", cfg, "--out", str(tmp_path / "rep")])
     capsys.readouterr()
-    code = main(["classify", "--report", str(tmp_path / "rep" / "report.json")])
-    assert code == 0
+    report = str(tmp_path / "rep" / "report.json")
+    assert main(["classify", "--report", report]) == 0
     assert "regular_point_smooth" in capsys.readouterr().out
+    # --tol-zero 0 leaves only the measured spread in the zero gate
+    assert main(["classify", "--report", report, "--tol-zero", "0"]) == 0
+    gate = json.loads(capsys.readouterr().out)["conditions"]["zero_gate"]
+    spread = json.loads(Path(report).read_text())["residues"]["rho_spread"]
+    assert gate == 10.0 * spread < 1e-6
+
+
+def analyze_report(tmp_path, cfg, capsys) -> dict:
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "rep")]) == 0
+    capsys.readouterr()
+    return json.loads((tmp_path / "rep" / "report.json").read_text())
+
+
+def test_classify_uses_saved_tolerances(tmp_path, capsys):
+    # tol_zero 10 swallows |gamma0| = 2 of the inverted catenoid: smooth
+    cfg = write_config(tmp_path, {**INVCAT, "tolerances": {"tol_zero": 10}})
+    doc = analyze_report(tmp_path, cfg, capsys)
+    assert doc["classification"]["verdict"] == "smooth"
+    report = str(tmp_path / "rep" / "report.json")
+    assert main(["classify", "--report", report]) == 0
+    assert json.loads(capsys.readouterr().out) == doc["classification"]
+
+
+def test_energy_honours_default_tolerances(tmp_path, capsys):
+    cfg = write_config(tmp_path, SYNTH_TH2)
+    doc = analyze_report(tmp_path, cfg, capsys)
+    assert main(["energy", "--config", cfg]) == 0
+    w = doc["levels"][0]["willmore_energy"]
+    assert capsys.readouterr().out.split()[-1] == f"{w:.12g}"
+
+
+@pytest.mark.parametrize("command", ["generate", "energy"])
+def test_unknown_surface_names_stage(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"surface": {"name": "not_a_surface"}})
+    argv = [command, "--config", cfg]
+    if command == "generate":
+        argv += ["--out", str(tmp_path / "samples.csv")]
+    assert main(argv) == 1
+    assert "stage 'surface'" in capsys.readouterr().err
+
+
+def test_cli_commands_agree_with_analyze(tmp_path, capsys):
+    for i, config in enumerate((INVCAT, SYNTH_TH2)):
+        run = tmp_path / str(i)
+        run.mkdir()
+        cfg = write_config(run, config)
+        doc = analyze_report(run, cfg, capsys)
+        outputs = {}
+        for command in ("residues", "fit"):
+            out = run / f"{command}.json"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            outputs[command] = json.loads(out.read_text())
+        level = doc["levels"][-1]
+        np.testing.assert_equal(outputs["residues"], doc["residues"])
+        np.testing.assert_equal(outputs["fit"], {
+            k: level[k] for k in ("expansion", "expansion_H", "constants")})
+        capsys.readouterr()
+        assert main(["energy", "--config", cfg]) == 0
+        energy = capsys.readouterr().out.split()[-1]
+        assert energy == f"{level['willmore_energy']:.12g}"
+        report = str(run / "rep" / "report.json")
+        assert main(["classify", "--report", report]) == 0
+        assert json.loads(capsys.readouterr().out) == doc["classification"]
 
 
 def test_error_exit_code(tmp_path, capsys):
@@ -175,13 +242,7 @@ def test_csv_roundtrip_through_pipeline(tmp_path):
 def test_pipeline_synthetic_planted_verdict():
     # planted (theta0 = 2, a = 1): sobolev_limited with exponent 3 and the
     # report reproduces the planted quantities
-    doc = run_pipeline({
-        "surface": {"name": "synthetic_th4", "ambient_dim": 4,
-                    "params": {"theta0": 2, "a": 1,
-                               "E_a": [[0, 0], [0, 0], [1.0, 0.5], [0, 0]],
-                               "gamma0": [0, 0, 0.25, 0]}},
-        "grid": {"r_min": 1e-2, "r_max": 1.0, "n_r": 96, "n_theta": 64},
-    })
+    doc = run_pipeline(SYNTH_TH2)
     assert doc["classification"]["verdict"] == "sobolev_limited"
     assert doc["classification"]["sobolev_exponent"] == 3
     res = doc["residues"]

@@ -3,10 +3,11 @@ import pytest
 
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
-from willmore.expansion import (ExpansionError, fit_H, fit_phi,
-                                radial_log_laplacian_oracle, verify_constants)
+from willmore.expansion import ExpansionError, fit_H, fit_phi, verify_constants
 from willmore.residues import branch_order
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
+
+from oracles import radial_log_laplacian_oracle
 
 
 def prepared(params, m=4, r_min=1e-2, n_r=96, n_theta=64, name="synthetic_th4"):

@@ -1,8 +1,10 @@
-"""analyze_level builds each per-level quantity once and passes it on."""
+"""analyze_level builds each per-level quantity once and passes it on, and
+reports what it measured, not noise."""
 
 import importlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from willmore import multiplier, pipeline, potentials, residual, surface
@@ -62,3 +64,19 @@ def test_verify_system_takes_eight_gradients(monkeypatch):
         {"surface": {"name": "inverted_catenoid", "ambient_dim": 8}},
         PolarGrid(1e-3, 1.0, 48, 32), with_potentials=True)
     assert calls == {"verify_system": 1, "grad": 8}
+
+
+def test_degenerate_windings_reported_as_nan():
+    doc = pipeline.run_pipeline({
+        "surface": {"name": "inverted_catenoid"},
+        "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 48, "n_theta": 32},
+        "levels": 2})
+    raws = [(lv["winding_raw"], lv["winding_degenerate"])
+            for lv in doc["levels"]]
+    raws.append((doc["residues"]["diagnostics"]["winding_raw"],
+                 doc["levels"][-1]["winding_degenerate"]))
+    for raw, degenerate in raws:
+        raw, degenerate = np.array(raw, dtype=float), np.array(degenerate)
+        assert degenerate.any()
+        assert np.all(np.isnan(raw[:, degenerate]))
+        assert np.all(np.isfinite(raw[:, ~degenerate]))

@@ -330,6 +330,21 @@ def test_winding_exact_on_monomials():
     assert np.nanmax(np.abs(sr.raw[:, :2] - np.rint(sr.raw[:, :2]))) < 1e-12
 
 
+def test_degenerate_windings_are_nan():
+    # a component without a pole has no measured winding, only phase noise
+    grid = PolarGrid(0.01, 1.0, 64, 64)
+    W = np.empty((grid.n_r, grid.n_theta, 2), dtype=complex)
+    W[..., 0] = grid.z ** -1
+    W[..., 1] = 1e-12 * np.exp(0.3j)
+    sr = second_residue(W, grid)
+    assert list(sr.degenerate) == [False, True]
+    assert np.all(np.isfinite(sr.raw[:, 0])) and np.all(np.isnan(sr.raw[:, 1]))
+    # noise-dominated W: every component degenerate, every winding NaN
+    noise = RNG.normal(size=W.shape) + 1j * RNG.normal(size=W.shape)
+    sr = second_residue(1e-9 * noise, grid, noise_floor=1e-6)
+    assert np.all(sr.degenerate) and np.all(np.isnan(sr.raw))
+
+
 def test_winding_gate_rejects_non_integer():
     grid = PolarGrid(0.01, 1.0, 64, 64)
     W = np.empty((grid.n_r, grid.n_theta, 1), dtype=complex)
@@ -432,6 +447,9 @@ def test_report_serialization():
     assert doc["gamma"] == [0, 0, 1]
     import json
     json.dumps(doc)  # must be JSON-clean
+    back = ResidueReport.from_json(json.loads(json.dumps(doc)))
+    np.testing.assert_equal(back.to_json(), doc)
+    assert np.array_equal(back.A, rep.A) and back.gamma.dtype.kind == "i"
     spec = MultiplierSpec(mu=0, a_mu=1.0)
     assert not rep.range_violation(None)
     assert not rep.range_violation(spec)
