@@ -17,10 +17,11 @@ Configs are JSON documents:
      "tolerances": {"tol_zero": 1e-6, "defect_threshold": 1e-6,
                     "pmc_threshold": 5e-3, "winding_gate": 0.2}}
 
-``residues`` and ``fit`` run the first level of ``analyze``, and ``energy``
-its stages up to the energy, with the same tolerances; ``classify``
-re-derives the verdict with the report's saved tolerances unless
-``--tol-zero`` is given.
+``residues`` and ``fit`` run ``analyze`` (without potentials; ``residues``
+also without expansions) and print its last level, and ``energy`` runs the
+last level's stages up to the energy, with the same tolerances;
+``classify`` re-derives the verdict with the report's saved tolerances
+unless ``--tol-zero`` is given.
 """
 
 from __future__ import annotations
@@ -46,19 +47,17 @@ def _apply_overrides(config, args) -> dict:
     return config
 
 
-def _first_level(args, with_expansion: bool) -> dict:
-    """The first refinement level of ``analyze`` on the configured surface."""
-    from willmore.pipeline import analyze_level, config_grid
+def _analyze(args, with_expansion: bool) -> dict:
+    """The ``analyze`` report of the configured run, without potentials."""
+    from willmore.pipeline import run_pipeline
 
     config = _apply_overrides(_load_config(args.config), args)
-    return analyze_level(config, config_grid(config), with_potentials=False,
-                         with_expansion=with_expansion)
+    return run_pipeline({**config, "with_potentials": False,
+                         "with_expansion": with_expansion})
 
 
 def _write_json(doc, out) -> int:
-    from willmore.grid import jsonable
-
-    text = json.dumps(jsonable(doc), indent=1)
+    text = json.dumps(doc, indent=1)
     if out:
         Path(out).write_text(text)
     else:
@@ -96,22 +95,22 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_residues(args) -> int:
-    level = _first_level(args, with_expansion=False)
-    return _write_json(level["_report"].to_json(), args.out)
+    return _write_json(_analyze(args, with_expansion=False)["residues"],
+                       args.out)
 
 
 def cmd_energy(args) -> int:
-    from willmore.pipeline import config_grid, level_geometry
+    from willmore.pipeline import level_geometry, level_grids
 
     config = _load_config(args.config)
-    level, *_ = level_geometry(config, config_grid(config))
+    level, *_ = level_geometry(config, level_grids(config)[-1])
     print("willmore energy over the sampled annulus: "
           f"{level['willmore_energy']:.12g}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    level = _first_level(args, with_expansion=True)
+    level = _analyze(args, with_expansion=True)["levels"][-1]
     return _write_json({k: level[k] for k in
                         ("expansion", "expansion_H", "constants")}, args.out)
 

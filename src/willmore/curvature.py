@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from willmore.grid import PolarGrid, annulus_norms, grad, integrate, laplacian
-from willmore.surface import FrameField, ImmersionField, normal_projector
+from willmore.surface import (BranchData, FrameField, ImmersionField,
+                              normal_projector)
 
 
 @dataclass(eq=False)
@@ -43,12 +44,8 @@ class CurvatureField:
 
 
 def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
-    if frame.e1 is None:
-        raise ValueError("frame_and_gauss must run before curvature")
-    d1 = field.gradient()
-    d2 = field.hessian()
-    p1, p2 = d1[0], d1[1]
-    pxx, pxy, pyy = d2[0], d2[1], d2[2]
+    p1, p2 = field.d1[0], field.d1[1]
+    pxx, pxy, pyy = field.d2[0], field.d2[1], field.d2[2]
     e2l = np.exp(2.0 * frame.lam)[..., None]
     pi_n = normal_projector(frame)
 
@@ -95,16 +92,14 @@ def tangential_H_defect(curv: CurvatureField, frame: FrameField) -> float:
     return float(np.max(np.linalg.norm(tang, axis=-1))) / scale
 
 
-def gauss_bonnet_check(curv: CurvatureField, frame: FrameField,
+def gauss_bonnet_check(curv: CurvatureField, branch: BranchData,
                        r_lo=None, r_hi=None) -> dict:
     """Liouville residual Lap u + e^{2 lam} K on the annulus.
 
-    This is the computable local form of the Gauss-Bonnet identity; it needs
-    the regular conformal part u from the branch-order analysis.
+    This is the computable local form of the Gauss-Bonnet identity; u is
+    the regular conformal part of the branch-order analysis.
     """
-    if frame.u is None:
-        raise ValueError("branch order analysis must fill frame.u first")
-    res = laplacian(curv.grid, frame.u) + np.exp(2.0 * curv.lam) * curv.K
+    res = laplacian(curv.grid, branch.u) + np.exp(2.0 * curv.lam) * curv.K
     return annulus_norms(curv.grid, res, r_lo, r_hi)
 
 
@@ -116,19 +111,17 @@ def delta_profile(frame: FrameField) -> dict:
     return {"r": frame.grid.r, "delta": delta, "square_integral": total}
 
 
-def gauss_curvature_from_liouville(frame: FrameField) -> np.ndarray:
+def gauss_curvature_from_liouville(curv: CurvatureField,
+                                   branch: BranchData) -> np.ndarray:
     """K via -Lap u = e^{2 lam} K; cross-validates the det(II) route."""
-    if frame.u is None:
-        raise ValueError("branch order analysis must fill frame.u first")
-    return -laplacian(frame.grid, frame.u) * np.exp(-2.0 * frame.lam)
+    return -laplacian(curv.grid, branch.u) * np.exp(-2.0 * curv.lam)
 
 
-def weingarten_constant(curv: CurvatureField, frame: FrameField,
-                        trim: float = 0.1) -> float:
+def weingarten_constant(curv: CurvatureField, frame: FrameField) -> float:
     """Measured best constant in e^lam |H0| <= c |grad n| (c <= 2 expected)."""
     lhs = np.exp(curv.lam) * np.linalg.norm(curv.H0, axis=-1)
     rhs = frame.dn_norm
-    k = max(2, int(round(trim * curv.grid.n_r)))
+    k = max(2, int(round(0.1 * curv.grid.n_r)))
     sl = slice(k, -k)
     ratio = lhs[sl] / np.maximum(rhs[sl], 1e-30)
     keep = rhs[sl] > 1e-12 * max(float(np.max(rhs)), 1e-30)

@@ -51,7 +51,7 @@ class ExpansionFit:
 
 
 def _weighted_lstsq(design: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray, max_cond: float = 1e12):
+                    weights: np.ndarray):
     """Column-normalized weighted least squares; returns coefs, cond, resid."""
     wd = design * weights[:, None]
     norms = np.linalg.norm(wd, axis=0)
@@ -61,7 +61,7 @@ def _weighted_lstsq(design: np.ndarray, targets: np.ndarray,
     wt = targets * weights[:, None]
     coef, _, rank, sv = np.linalg.lstsq(wd, wt, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if rank < design.shape[1] or cond > max_cond:
+    if rank < design.shape[1] or cond > 1e12:
         raise ExpansionError(
             f"rank-deficient expansion design (cond {cond:.2e}): basis "
             "collinear at the sampled radii")
@@ -86,12 +86,11 @@ def _residual_slope(grid: PolarGrid, resid_nodes: np.ndarray, sel: np.ndarray,
     return fit_order(radii, prof[keep]), False
 
 
-def fit_phi(field: ImmersionField, theta0: int, a: int, u0: float,
-            inner_fraction: float = 1.0 / 3.0) -> ExpansionFit:
+def fit_phi(field: ImmersionField, theta0: int, a: int, u0: float) -> ExpansionFit:
     """Componentwise weighted fit of the immersion expansion on inner annuli."""
     grid = field.grid
     m = field.ambient_dim
-    n_fit = max(8, int(round(inner_fraction * grid.n_r)))
+    n_fit = max(8, int(round(1.0 / 3.0 * grid.n_r)))
     sel = np.zeros(grid.n_r, dtype=bool)
     sel[:n_fit] = True
 
@@ -147,18 +146,17 @@ def fit_phi(field: ImmersionField, theta0: int, a: int, u0: float,
                         diagnostics={"columns": labels, "n_annuli": n_fit})
 
 
-def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float,
-          inner_fraction: float = 1.0 / 3.0, n_nuisance: int = 2) -> dict:
+def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
     """Fit H against Re(E_a z^{-a}) - gamma0 log|z| plus nuisance companions.
 
-    The companions Re/Im(z^{k-a}), k = 1..n_nuisance, absorb the leading
-    remainder so the pole and log coefficients stay clean.
+    The companions Re/Im(z^{k-a}), k = 1, 2, absorb the leading remainder so
+    the pole and log coefficients stay clean.
     """
     if a >= theta0:
         raise ExpansionError(f"pole order a = {a} outside [0, theta0 - 1]")
     grid = curv.grid
     m = curv.H.shape[-1]
-    n_fit = max(8, int(round(inner_fraction * grid.n_r)))
+    n_fit = max(8, int(round(1.0 / 3.0 * grid.n_r)))
     sel = np.zeros(grid.n_r, dtype=bool)
     sel[:n_fit] = True
 
@@ -173,7 +171,7 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float,
         labels.append("im pole")
     cols.append(-np.log(r))
     labels.append("log")
-    for k in range(1, n_nuisance + 1):
+    for k in range(1, 3):
         zq = z ** float(k - a)
         cols.append(zq.real)
         labels.append(f"nuis re z^{k - a}")

@@ -77,9 +77,10 @@ class PolarGrid:
     def z(self) -> np.ndarray:
         return self.x + 1j * self.y
 
-    def refined(self, factor: int = 2) -> "PolarGrid":
+    def refined(self) -> "PolarGrid":
+        """The next refinement level: radial and angular steps halved."""
         return PolarGrid(self.r_min, self.r_max,
-                         (self.n_r - 1) * factor + 1, self.n_theta * factor)
+                         (self.n_r - 1) * 2 + 1, self.n_theta * 2)
 
     def to_json(self) -> dict:
         return {"r_min": self.r_min, "r_max": self.r_max,

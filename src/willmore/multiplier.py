@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from willmore.grid import PolarGrid, annulus_norms, dz
-from willmore.surface import FrameField, ImmersionField
+from willmore.grid import PolarGrid, annulus_norms, dz, dzbar
+from willmore.surface import (BranchData, FrameField, ImmersionField,
+                              normal_projector)
 
 
 class MultiplierError(ValueError):
@@ -105,12 +106,6 @@ def matrix_field(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_multiplier(spec: MultiplierSpec, grid: PolarGrid):
-    """f values and the matrix field M_f on the grid nodes."""
-    f = spec.evaluate(grid.z)
-    return f, matrix_field(f)
-
-
 def antiholomorphy_defect(spec: MultiplierSpec, grid: PolarGrid,
                           discrete: bool = False) -> float:
     """Relative norm of dz f (vanishes for a function of zbar alone).
@@ -145,16 +140,16 @@ class SpecialFields:
     mismatch: float
 
 
-def special_fields(spec: MultiplierSpec, theta0: int, u0: float,
-                   A: np.ndarray, field: ImmersionField,
-                   frame: FrameField) -> SpecialFields:
+def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
+                   field: ImmersionField, lam: np.ndarray) -> SpecialFields:
     """F_mu and J with e^{-2 lam} f dz(Phi) = dzbar(F_mu) + J.
 
     J is evaluated two ways: as the defining difference, and through the
     centered branch representation
     a_mu zbar^{mu+1-theta0} [z^{1-theta0} e^{-2u} dz(Phi) - (theta0/2) e^{-2 u0} A]
-    plus the smooth tail contribution e^{-2 lam} f0 dz(Phi).  The reported
-    mismatch is the annulus max of their difference.
+    plus the smooth tail contribution e^{-2 lam} f0 dz(Phi), with theta0, u
+    and u0 from ``branch``.  The reported mismatch is the annulus max of
+    their difference.
     """
     grid = field.grid
     m = field.ambient_dim
@@ -163,13 +158,11 @@ def special_fields(spec: MultiplierSpec, theta0: int, u0: float,
     if spec.is_zero:
         zeros = np.zeros(shape, dtype=complex)
         return SpecialFields(zeros, zeros.copy(), zeros.copy(), 0.0)
-    if frame.u is None:
-        raise MultiplierError("branch analysis (u field) required for F_mu, J")
 
+    theta0, u0 = branch.theta0, branch.u0
     A = np.asarray(A, dtype=complex)
-    d1 = field.gradient()
-    dz_phi = 0.5 * (d1[0] - 1j * d1[1])
-    e2lam = np.exp(2.0 * frame.lam)[..., None]
+    dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
+    e2lam = np.exp(2.0 * lam)[..., None]
 
     mu = spec.mu
     head = 0.5 * theta0 * np.exp(-2.0 * u0) * spec.a_mu * A[None, None, :]
@@ -183,7 +176,7 @@ def special_fields(spec: MultiplierSpec, theta0: int, u0: float,
     lhs = e2lam ** (-1) * f * dz_phi
     J = lhs - dzbar_F
 
-    bracket = (z ** (1 - theta0) * np.exp(-2.0 * frame.u)[..., None] * dz_phi
+    bracket = (z ** (1 - theta0) * np.exp(-2.0 * branch.u)[..., None] * dz_phi
                - 0.5 * theta0 * np.exp(-2.0 * u0) * A[None, None, :])
     J_series = spec.a_mu * np.conj(z) ** (mu + 1 - theta0) * bracket
     if spec.f0:
@@ -205,8 +198,6 @@ def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
     The sign convention is configurable; +1 balances the strong-form equation
     when pi_n grad H = 0.
     """
-    from willmore.surface import normal_projector
-
     grid = frame.grid
     hdot = np.sum(curv.H * np.conj(curv.H0), axis=-1)
     f_pmc = sign * 2.0 * np.exp(2.0 * frame.lam) * hdot
@@ -231,13 +222,11 @@ def codazzi_defect(curv, frame: FrameField) -> float:
     identity reads e^{-2lam} dzbar(e^{2lam} H.H0) = H.dz H + H0.dzbar H;
     it is why the parallel-mean-curvature multiplier is anti-holomorphic.
     """
-    from willmore.grid import dzbar as _dzbar, dz as _dz
-
     grid = frame.grid
     e2l = np.exp(2.0 * frame.lam)
-    lhs = _dzbar(grid, e2l * np.sum(curv.H * curv.H0, axis=-1)) / e2l
-    dzH = _dz(grid, curv.H)
-    dzbH = _dzbar(grid, curv.H)
+    lhs = dzbar(grid, e2l * np.sum(curv.H * curv.H0, axis=-1)) / e2l
+    dzH = dz(grid, curv.H)
+    dzbH = dzbar(grid, curv.H)
     rhs = np.sum(curv.H * dzH, axis=-1) + np.sum(curv.H0 * dzbH, axis=-1)
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-30)
     return annulus_norms(grid, lhs - rhs)["max"] / scale

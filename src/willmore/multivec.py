@@ -192,10 +192,6 @@ class MultiVec:
         return MultiVec(m, k, np.zeros(lead_shape + (comb(m, k),), dtype=dtype))
 
     @staticmethod
-    def scalar(m: int, value) -> "MultiVec":
-        return MultiVec(m, 0, np.asarray(value)[..., None])
-
-    @staticmethod
     def vector(m: int, components: np.ndarray) -> "MultiVec":
         components = np.asarray(components)
         if components.shape[-1] != m:

@@ -32,8 +32,7 @@ from willmore.curvature import (curvature, delta_profile, gauss_bonnet_check,
 from willmore.expansion import fit_H, fit_phi, verify_constants
 from willmore.grid import (PolarGrid, circle_mean, fit_order, integrate,
                            jsonable)
-from willmore.multiplier import (MultiplierSpec, matrix_field, pmc_multiplier,
-                                 sample_multiplier, special_fields)
+from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
 from willmore.potentials import potentials_SR, solve_gG, verify_system
 from willmore.residual import equivalence_check, flux, strong_residual
 from willmore.residues import (ResidueReport, branch_order, first_residue,
@@ -63,12 +62,21 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def _resolve_multiplier(config) -> tuple[Optional[MultiplierSpec], str, int]:
+    """(spec, mode, pmc sign) of the config's multiplier; a malformed one
+    fails as stage ``multiplier``."""
     doc = config.get("multiplier")
     if doc is None or doc == "zero":
         return MultiplierSpec.zero_spec(), "zero", +1
-    if isinstance(doc, dict) and doc.get("mode") == "pmc":
-        return None, "pmc", int(doc.get("sign", +1))
-    return MultiplierSpec.from_json(doc), "spec", +1
+    if not isinstance(doc, dict):
+        raise PipelineError("multiplier", ValueError(
+            f"multiplier must be null, a spec or {{'mode': 'pmc'}}, got {doc!r}"))
+    if doc.get("mode") == "pmc":
+        sign = doc.get("sign", +1)
+        if isinstance(sign, bool) or sign not in (1, -1):
+            raise PipelineError("multiplier", ValueError(
+                f"pmc sign must be +1 or -1, got {sign!r}"))
+        return None, "pmc", int(sign)
+    return _stage("multiplier", MultiplierSpec.from_json, doc), "spec", +1
 
 
 def build_field(config, grid):
@@ -87,7 +95,30 @@ def config_grid(config) -> PolarGrid:
     return _stage("grid", PolarGrid.from_json, config["grid"])
 
 
+def level_grids(config) -> list[PolarGrid]:
+    """The grids of the configured refinement levels, coarsest first; a
+    malformed surface, grid or level count fails here, before any work."""
+    surf = config.get("surface")
+    if not isinstance(surf, dict) or not ("csv" in surf or "name" in surf):
+        raise PipelineError("surface", ValueError(
+            f"surface must be a mapping with a name or a csv, got {surf!r}"))
+    grids = [config_grid(config)]
+    n_levels = config.get("levels", 1)
+    if (isinstance(n_levels, bool) or not isinstance(n_levels, Real)
+            or not float(n_levels).is_integer() or n_levels < 1):
+        raise PipelineError("levels", ValueError(
+            f"levels must be a positive integer, got {n_levels!r}"))
+    if "csv" in surf and n_levels > 1:
+        raise PipelineError("surface", ValueError(
+            "CSV-imported samples cannot be refined; use levels = 1"))
+    for _ in range(int(n_levels) - 1):
+        grids.append(grids[-1].refined())
+    return grids
+
+
 def _default_tolerances(config) -> dict:
+    """The default gates with the config's ``tolerances`` applied; an
+    unknown key or a non-numeric value fails as stage ``tolerances``."""
     tol = {"tol_zero": 1e-6, "defect_threshold": 1e-6,
            "pmc_threshold": 5e-3, "winding_gate": 0.2}
     name = config.get("surface", {}).get("name", "")
@@ -96,7 +127,13 @@ def _default_tolerances(config) -> dict:
         # rows carry an O(1) defect by construction. The measured defect is
         # still recorded in every level of the report.
         tol["defect_threshold"] = 2.0
-    tol.update(config.get("tolerances", {}))
+    given = config.get("tolerances", {})
+    if not isinstance(given, dict) or any(
+            k not in tol or isinstance(v, bool) or not isinstance(v, Real)
+            for k, v in given.items()):
+        raise PipelineError("tolerances", ValueError(
+            f"tolerances may set {', '.join(tol)} to numbers, got {given!r}"))
+    tol.update(given)
     return tol
 
 
@@ -108,14 +145,13 @@ def level_geometry(config, grid: PolarGrid):
     """
     tol = _default_tolerances(config)
     field = _stage("surface", build_field, config, grid)
-    frame = _stage("conformal_factor", conformal_factor, field)
+    conformal = _stage("conformal_factor", conformal_factor, field)
     level = {"grid": field.grid.to_json(),
-             "conformal_defect": float(np.max(frame.defect))}
-    frame = _stage("frame_and_gauss", frame_and_gauss, field, frame,
+             "conformal_defect": float(np.max(conformal[1]))}
+    frame = _stage("frame_and_gauss", frame_and_gauss, field, conformal,
                    tol["defect_threshold"])
 
     br = _stage("branch_order", branch_order, frame)
-    frame = frame.with_branch(br.theta0, br.u, br.u0)
     level["theta0"] = br.theta0
     level["slope_raw"] = br.slope
     level["u0"] = br.u0
@@ -145,8 +181,7 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
     level["delta_square_integral"] = prof["square_integral"]
     level["delta_profile"] = {"r": prof["r"], "delta": prof["delta"]}
     level["energy_profile"] = circle_mean(curv.energy_density)
-    level["liouville"] = _stage("gauss_bonnet", gauss_bonnet_check, curv,
-                                frame)
+    level["liouville"] = _stage("gauss_bonnet", gauss_bonnet_check, curv, br)
     level["weingarten_constant"] = weingarten_constant(curv, frame)
 
     td = _stage("tangent_vector", tangent_vector, field, frame, br)
@@ -161,16 +196,15 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
                                "antiholomorphy_defect":
                                    pmc["antiholomorphy_defect"]}
     else:
-        f_field, _ = _stage("sample_multiplier", sample_multiplier, spec, grid)
+        f_field = _stage("multiplier", spec.evaluate, grid.z)
         level["multiplier"] = {"mode": mult_mode,
                                "spec": spec.to_json() if spec else None}
-    M_f = matrix_field(f_field) if np.any(f_field) else None
     f_arg = f_field if np.any(f_field) else None
 
     sr = _stage("strong_residual", strong_residual, curv, frame, f_arg,
                 0.1, 0.9)
     level["strong_norms"] = sr["norms"]
-    fl = _stage("flux", flux, curv, frame, f_arg, M_f, field)
+    fl = _stage("flux", flux, curv, frame, f_arg, field)
     level["div_norms"] = fl.div_norms(0.1, 0.9)
     rms = lambda f: np.sqrt(circle_mean(np.sum(np.abs(f) ** 2, axis=-1)))
     level["residual_profile"] = {"r": grid.r, "strong_rms": rms(sr["field"]),
@@ -192,8 +226,8 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
 
     F_mu = None
     if spec is not None and not spec.is_zero:
-        sf = _stage("special_fields", special_fields, spec, br.theta0, br.u0,
-                    td.A, field, frame)
+        sf = _stage("special_fields", special_fields, spec, br, td.A, field,
+                    frame.lam)
         F_mu = sf.F_mu
         level["special_fields_mismatch"] = sf.mismatch
     W = _stage("w_field", w_field, L, curv.H, beta0, F_mu, grid)
@@ -221,8 +255,8 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
                                  tol["pmc_threshold"], tol["tol_zero"])
 
     if with_potentials:
-        pots = _stage("solve_gG", solve_gG, beta0, field)
-        pots = _stage("potentials_SR", potentials_SR, L, field, curv, pots)
+        g, G = _stage("solve_gG", solve_gG, beta0, field)
+        pots = _stage("potentials_SR", potentials_SR, L, field, curv, g, G)
         level["potential_loop_defects"] = pots.loop_defects
         level["system_residuals"] = _stage("verify_system", verify_system,
                                            pots, frame, field, 0.15, 0.85)
@@ -246,27 +280,13 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
 def run_pipeline(config: dict, out_dir=None) -> dict:
     """Full analysis across refinement levels; writes report and profiles."""
     t0 = time.time()
+    grids = level_grids(config)
     tol = _default_tolerances(config)
     spec, mult_mode, _ = _resolve_multiplier(config)
-    base_grid = config_grid(config)
-    n_levels = config.get("levels", 1)
-    if (isinstance(n_levels, bool) or not isinstance(n_levels, Real)
-            or not float(n_levels).is_integer() or n_levels < 1):
-        raise PipelineError("levels", ValueError(
-            f"levels must be a positive integer, got {n_levels!r}"))
-    n_levels = int(n_levels)
-    if "csv" in config.get("surface", {}) and n_levels > 1:
-        raise PipelineError("surface", ValueError(
-            "CSV-imported samples cannot be refined; use levels = 1"))
 
-    levels = []
-    grid = base_grid
-    for i in range(n_levels):
-        levels.append(analyze_level(config, grid,
-                                    config.get("with_potentials", False),
-                                    config.get("with_expansion", True)))
-        if i + 1 < n_levels:
-            grid = grid.refined()
+    levels = [analyze_level(config, grid, config.get("with_potentials", False),
+                            config.get("with_expansion", True))
+              for grid in grids]
 
     convergence = {}
     if len(levels) >= 2:
@@ -307,7 +327,6 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
         with open(out / "report.json", "w") as fh:
             json.dump(doc, fh, indent=1)
         _write_profiles(out, levels[-1])
-    doc["_classification"] = verdict
     return doc
 
 

@@ -22,9 +22,8 @@ operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -44,13 +43,13 @@ class PotentialError(ValueError):
 class PotentialSet:
     g: np.ndarray                      # scalar field
     G: np.ndarray                      # 2-vector coefficients per node
-    S: Optional[np.ndarray] = None
-    R: Optional[np.ndarray] = None     # 2-vector coefficients per node
-    v_S: Optional[tuple] = None        # defining field grad_perp S
-    v_R: Optional[tuple] = None        # defining field grad_perp R
-    dg: Optional[tuple] = None         # grad g, taken once for v_S
-    dG: Optional[tuple] = None         # grad G, taken once for v_R
-    loop_defects: dict = dfield(default_factory=dict)
+    S: np.ndarray
+    R: np.ndarray                      # 2-vector coefficients per node
+    v_S: tuple                         # defining field grad_perp S
+    v_R: tuple                         # defining field grad_perp R
+    dg: tuple                          # grad g, taken once for v_S
+    dG: tuple                          # grad G, taken once for v_R
+    loop_defects: dict                 # path-integration defects of S, R
 
 
 # ---------------------------------------------------------------------------
@@ -116,24 +115,24 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(out, n_theta, axis=1).reshape(rhs.shape)
 
 
-def solve_gG(beta0: np.ndarray, field: ImmersionField) -> PotentialSet:
-    """Potentials of the log source Gamma = 2 beta0 log|x| (zero if beta0 is)."""
+def solve_gG(beta0: np.ndarray,
+             field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
+    """(g, G), the potentials of the log source Gamma = 2 beta0 log|x|
+    (zero if beta0 is)."""
     grid = field.grid
     m = field.ambient_dim
     beta0 = np.asarray(beta0, dtype=float)
-    d1 = field.gradient()
+    d1 = field.d1
     if not np.any(beta0):
-        return PotentialSet(np.zeros((grid.n_r, grid.n_theta)),
-                            np.zeros((grid.n_r, grid.n_theta, comb(m, 2))))
+        return (np.zeros((grid.n_r, grid.n_theta)),
+                np.zeros((grid.n_r, grid.n_theta, comb(m, 2))))
     r2 = grid.rr ** 2
     gam_x = 2.0 * grid.x[..., None] * beta0 / r2[..., None]
     gam_y = 2.0 * grid.y[..., None] * beta0 / r2[..., None]
     rhs_g = np.sum(gam_x * d1[0] + gam_y * d1[1], axis=-1)
     bmv = lambda v: MultiVec.vector(m, v)
     rhs_G = (wedge(bmv(gam_x), bmv(d1[0])) + wedge(bmv(gam_y), bmv(d1[1]))).coeffs
-    g = _solve_modes(grid, rhs_g)
-    G = _solve_modes(grid, rhs_G)
-    return PotentialSet(g, G)
+    return _solve_modes(grid, rhs_g), _solve_modes(grid, rhs_G)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +140,15 @@ def solve_gG(beta0: np.ndarray, field: ImmersionField) -> PotentialSet:
 # ---------------------------------------------------------------------------
 
 def potentials_SR(L: np.ndarray, field: ImmersionField, curv: CurvatureField,
-                  pots: PotentialSet) -> PotentialSet:
+                  g: np.ndarray, G: np.ndarray) -> PotentialSet:
+    """S and R from the flux potential L and the solutions g, G of
+    ``solve_gG``; returns the complete set."""
     grid = field.grid
     m = field.ambient_dim
-    d1 = field.gradient()
+    d1 = field.d1
     perp = (-d1[1], d1[0])
-    gx, gy = grad(grid, pots.g)
-    Gx, Gy = grad(grid, pots.G)
+    gx, gy = grad(grid, g)
+    Gx, Gy = grad(grid, G)
     v_s = (np.sum(L * perp[0], axis=-1) - gx,
            np.sum(L * perp[1], axis=-1) - gy)
     bmv = lambda v: MultiVec.vector(m, v)
@@ -157,8 +158,8 @@ def potentials_SR(L: np.ndarray, field: ImmersionField, curv: CurvatureField,
            wedge(Lw, bmv(perp[1])).coeffs - 2.0 * wedge(Hw, bmv(d1[1])).coeffs - Gy)
     S, dS = integrate_curl_potential(grid, v_s[0], v_s[1])
     R, dR = integrate_curl_potential(grid, v_r[0], v_r[1])
-    return PotentialSet(pots.g, pots.G, S, R, v_s, v_r, (gx, gy), (Gx, Gy),
-                        loop_defects={"S": dS, "R": dR})
+    return PotentialSet(g, G, S, R, v_s, v_r, (gx, gy), (Gx, Gy),
+                        {"S": dS, "R": dR})
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +167,21 @@ def potentials_SR(L: np.ndarray, field: ImmersionField, curv: CurvatureField,
 # ---------------------------------------------------------------------------
 
 def verify_system(pots: PotentialSet, frame: FrameField,
-                  field: ImmersionField, r_lo=None, r_hi=None,
-                  signs: tuple = (-1, -1, -1, -1, +1), ) -> dict:
+                  field: ImmersionField, r_lo=None, r_hi=None) -> dict:
     """Annulus norms of the conservative system and the -2 Lap Phi identity.
 
     The gradients of S and R enter through their defining curl fields
     (grad_perp S and grad_perp R are known exactly up to the reported loop
-    defect), so each residual costs a single discrete derivative.  The
-    ``signs`` tuple carries the orientation of the contraction terms
-    relative to the printed system; the defaults are the ones under which
-    every residual is refinement-convergent with this package's Hodge-star
-    and first-order-contraction conventions (see the ledger note on the
+    defect), so each residual costs a single discrete derivative.  The five
+    signs (s1 .. s5 below) carry the orientation of the contraction terms
+    relative to the printed system; they are the ones under which every
+    residual is refinement-convergent with this package's Hodge-star and
+    first-order-contraction conventions (see the ledger note on the
     operator-convention mismatch in the cited statements).
     """
-    if pots.S is None or pots.R is None or pots.v_S is None:
-        raise PotentialError("S and R must be computed before verify_system")
     grid = field.grid
     m = field.ambient_dim
-    s_bullR, s_dotS, s_bullG, s_sng, s_phi = signs
+    s_bullR, s_dotS, s_bullG, s_sng, s_phi = -1, -1, -1, -1, +1
     sn = hodge_star(frame.n)                      # 2-vector field
     # the star is a signed permutation, so grad(star n) = star(grad n)
     sn_x, sn_y = (hodge_star(MultiVec(m, frame.n.grade, d)).coeffs
@@ -224,8 +222,7 @@ def verify_system(pots: PotentialSet, frame: FrameField,
 
     # -2 Lap Phi = (grad S - perp grad g) . perp grad Phi
     #              + s5 (grad R - perp grad G) bullet perp grad Phi
-    d1 = field.gradient()
-    d2 = field.hessian()
+    d1, d2 = field.d1, field.d2
     perp_phi = (-d1[1], d1[0])
     t_scal = ((Sx - perp_g[0])[..., None] * perp_phi[0]
               + (Sy - perp_g[1])[..., None] * perp_phi[1])

@@ -38,6 +38,7 @@ import numpy as np
 
 from willmore.curvature import CurvatureField
 from willmore.grid import PolarGrid, annulus_norms, div, dz
+from willmore.multiplier import matrix_field
 from willmore.multivec import MultiVec, hodge_star, wedge
 from willmore.surface import FrameField, ImmersionField, normal_projector
 
@@ -60,8 +61,7 @@ class FluxField:
                          self.raw[1] - 2.0 * beta0 * grid.y[..., None] / r2])
 
 
-def _star_wedge_with_H(frame: FrameField, comp: np.ndarray,
-                       H: np.ndarray) -> np.ndarray:
+def _star_wedge_with_H(comp: np.ndarray, H: np.ndarray) -> np.ndarray:
     m = H.shape[-1]
     nv = MultiVec(m, m - 2, comp)
     return hodge_star(wedge(nv, MultiVec.vector(m, H))).coeffs
@@ -86,25 +86,25 @@ def strong_residual(curv: CurvatureField, frame: FrameField,
 
 def flux(curv: CurvatureField, frame: FrameField,
          f_field: Optional[np.ndarray] = None,
-         M_f: Optional[np.ndarray] = None,
          field: Optional[ImmersionField] = None) -> FluxField:
     """Divergence-form flux X_raw and its divergence.
 
-    With f == 0 the multiplier term is skipped entirely, so the flux reduces
-    bitwise to the plain Willmore flux.
+    The multiplier term uses M_f of ``f_field`` and grad Phi of ``field``.
+    With f == 0 it is skipped entirely, so the flux reduces bitwise to the
+    plain Willmore flux.
     """
     grid = curv.grid
     pi_n = normal_projector(frame)
     Hx, Hy = curv.dH
     nx, ny = frame.dn
-    raw_x = Hx - 3.0 * pi_n(Hx) + _star_wedge_with_H(frame, -ny, curv.H)
-    raw_y = Hy - 3.0 * pi_n(Hy) + _star_wedge_with_H(frame, nx, curv.H)
+    raw_x = Hx - 3.0 * pi_n(Hx) + _star_wedge_with_H(-ny, curv.H)
+    raw_y = Hy - 3.0 * pi_n(Hy) + _star_wedge_with_H(nx, curv.H)
 
-    if M_f is not None and f_field is not None and np.any(f_field):
+    if f_field is not None and np.any(f_field):
         if field is None:
             raise ValueError("the immersion field is needed for the M_f term")
-        d1 = field.gradient()
-        perp = (-d1[1], d1[0])  # grad_perp Phi
+        M_f = matrix_field(f_field)
+        perp = (-field.d1[1], field.d1[0])  # grad_perp Phi
         e2l = np.exp(2.0 * frame.lam)[..., None]
         raw_x = raw_x + (M_f[..., 0, 0, None] * perp[0]
                          + M_f[..., 0, 1, None] * perp[1]) / e2l
@@ -131,8 +131,7 @@ def equivalence_check(strong: np.ndarray, fl: FluxField,
     gap = strong + 0.5 * fl.div_defect / e2l
     out = {"identity_norms": annulus_norms(grid, gap, r_lo, r_hi)}
     if f_field is not None and field is not None and np.any(f_field):
-        d1 = field.gradient()
-        dz_phi = 0.5 * (d1[0] - 1j * d1[1])
+        dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
         lhs = dz(grid, f_field[..., None] * dz_phi / e2l)
         rhs = 0.5 * curv.H0 * f_field[..., None]
         out["antiholomorphy_norms"] = annulus_norms(grid, lhs - rhs, r_lo, r_hi)

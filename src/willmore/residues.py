@@ -21,24 +21,23 @@ from willmore.grid import PolarGrid, circle_mean, circulation, jsonable
 from willmore.multivec import MultiVec, hodge_star, interior
 from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField
-from willmore.surface import FrameField, ImmersionField
+from willmore.surface import BranchData, FrameField, ImmersionField
 
 
 class ResidueError(ValueError):
     pass
 
 
-def radial_extrapolate(grid: PolarGrid, rings: np.ndarray,
-                       n_pts: Optional[int] = None, degree: int = 2):
-    """Value at r = 0 from a least-squares polynomial in r on inner circles.
+def radial_extrapolate(grid: PolarGrid, rings: np.ndarray):
+    """Value at r = 0 from a least-squares quadratic in r on inner circles.
 
     ``rings`` has shape (n_r, ...); the radii are normalized before fitting
     so the design stays conditioned on strongly graded grids.
     """
-    n = n_pts or max(6, grid.n_r // 6)
+    n = max(6, grid.n_r // 6)
     r = grid.r[:n]
     rho = r / r[-1]
-    design = np.stack([rho ** k for k in range(degree + 1)], axis=1)
+    design = np.stack([rho ** k for k in range(3)], axis=1)
     vals = rings[:n].reshape(n, -1)
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
     return coef[0].reshape(rings.shape[1:])
@@ -48,25 +47,16 @@ def radial_extrapolate(grid: PolarGrid, rings: np.ndarray,
 # branch order and tangent vector
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class BranchData:
-    theta0: int
-    slope: float
-    u: np.ndarray
-    u0: float
-
-
-def branch_order(frame: FrameField, fit_fraction: float = 0.5,
-                 gate: float = 0.2) -> BranchData:
+def branch_order(frame: FrameField) -> BranchData:
     """theta0 = 1 + round(slope of circle-averaged lam against log r)."""
     grid = frame.grid
     lam_bar = circle_mean(frame.lam)
-    k = max(4, int(round(fit_fraction * grid.n_r)))
+    k = max(4, int(round(0.5 * grid.n_r)))
     slope = float(np.polyfit(grid.s[:k], lam_bar[:k], 1)[0])
     nearest = int(np.rint(slope))
-    if abs(slope - nearest) > gate:
+    if abs(slope - nearest) > 0.2:
         raise ResidueError(
-            f"conformal factor slope {slope:.3f} is farther than {gate} from "
+            f"conformal factor slope {slope:.3f} is farther than 0.2 from "
             "an integer: input under-resolved or not conformal")
     theta0 = nearest + 1
     if theta0 < 1:
@@ -113,8 +103,7 @@ def tangent_vector(field: ImmersionField, frame: FrameField,
                    branch: BranchData) -> TangentData:
     """A = (2/theta0) lim z^{1-theta0} dz(Phi), by circle-mean extrapolation."""
     grid = field.grid
-    d1 = field.gradient()
-    dz_phi = 0.5 * (d1[0] - 1j * d1[1])
+    dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
     w = grid.z[..., None] ** (1 - branch.theta0) * dz_phi
     rings = circle_mean(w)
     A = 2.0 / branch.theta0 * radial_extrapolate(grid, rings)
@@ -132,18 +121,13 @@ def tangent_vector(field: ImmersionField, frame: FrameField,
 # first and modified residues
 # ---------------------------------------------------------------------------
 
-def _interior_band(grid: PolarGrid, n_circles: int):
-    lo, hi = int(0.25 * grid.n_r), int(0.75 * grid.n_r)
-    if hi - lo < n_circles:
-        raise ResidueError("grid too coarse to place residue circles")
-    return np.linspace(lo, hi, n_circles).astype(int)
-
-
-def first_residue(fl: FluxField, n_circles: int = 5,
-                  circles: Optional[np.ndarray] = None) -> dict:
+def first_residue(fl: FluxField, circles: Optional[np.ndarray] = None) -> dict:
     """beta0 = circulation / 4 pi per circle; mean and rho-spread reported."""
     if circles is None:
-        circles = _interior_band(fl.grid, max(n_circles, 3))
+        lo, hi = int(0.25 * fl.grid.n_r), int(0.75 * fl.grid.n_r)
+        if hi - lo < 5:
+            raise ResidueError("grid too coarse to place residue circles")
+        circles = np.linspace(lo, hi, 5).astype(int)
     if len(circles) < 3:
         raise ResidueError("need at least 3 circles strictly inside the grid")
     all_beta = circulation(fl.grid, fl.raw[0], fl.raw[1]) / (4.0 * np.pi)
@@ -308,18 +292,16 @@ def _winding(values: np.ndarray) -> float:
     return float(np.sum(steps) * n / (n - 1) / (2.0 * np.pi))
 
 
-def second_residue(W: np.ndarray, grid: PolarGrid, n_circles: int = 4,
-                   gate: float = 0.2, floor: float = 1e-7,
-                   quantile: float = 0.25,
+def second_residue(W: np.ndarray, grid: PolarGrid, gate: float = 0.2,
                    noise_floor: float = 0.0) -> SecondResidue:
     """Componentwise winding numbers gamma_j = -winding(W_j) on small circles.
 
-    Circles are drawn from the innermost quartile of radii where the
+    Four circles are drawn from the innermost quartile of radii where the
     meromorphic part dominates; each integer must be confirmed by two
     consecutive circles with raw winding within ``gate`` of it.  Components
     that vanish at the puncture carry no pole and no usable phase; they are
     flagged degenerate with gamma_j = 0 by convention.  Vanishing is
-    detected by a modulus below ``floor`` relative to the largest component,
+    detected by a modulus below 1e-7 relative to the largest component,
     by a modulus below the absolute ``noise_floor`` (callers pass the loop
     defect of the potential reconstruction, below which phases are noise),
     or by the circle-mean modulus decaying toward the puncture (log-log
@@ -328,8 +310,8 @@ def second_residue(W: np.ndarray, grid: PolarGrid, n_circles: int = 4,
     are NaN: its phase is noise, not a measurement.
     """
     m = W.shape[-1]
-    hi = max(int(quantile * grid.n_r), n_circles + 2)
-    idx = np.unique(np.linspace(2, hi, n_circles).astype(int))
+    hi = max(int(0.25 * grid.n_r), 6)
+    idx = np.unique(np.linspace(2, hi, 4).astype(int))
     amp = np.array([[np.mean(np.abs(W[i, :, j])) for j in range(m)]
                     for i in idx])
     raw = np.full((len(idx), m), np.nan)
@@ -349,7 +331,7 @@ def second_residue(W: np.ndarray, grid: PolarGrid, n_circles: int = 4,
     for j in range(m):
         decay = float(np.polyfit(log_r, np.log(np.maximum(amp[:, j], 1e-300)),
                                  1)[0]) if len(idx) > 1 else 0.0
-        if (np.max(amp[:, j]) < max(floor * scale, 3.0 * noise_floor)
+        if (np.max(amp[:, j]) < max(1e-7 * scale, 3.0 * noise_floor)
                 or decay >= 0.5):
             degenerate[j] = True
             raw[:, j] = np.nan

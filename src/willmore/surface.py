@@ -5,15 +5,14 @@ stereographic sphere, catenoid end, inverted catenoid, CMC cylinder,
 Clifford torus patch) plus a synthetic branch-point template with planted
 expansion coefficients.  Every catalog chart is written in ordinary
 arithmetic over jets, so sampled fields come with machine-precision first
-and second derivatives.  Imported CSV samples carry no derivative
-evaluators and fall back to discrete differentiation.
+and second derivatives.  Imported CSV samples are differentiated once, at
+load, with the grid stencils (``from_samples``); every stage then reads the
+derivatives the field carries.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -36,7 +35,7 @@ class SurfaceError(ValueError):
 
 @dataclass(eq=False)
 class ImmersionField:
-    """Samples of an immersion on a polar grid, with optional exact derivatives.
+    """Samples of an immersion on a polar grid with their derivatives.
 
     phi has shape (n_r, n_theta, m); d1 stacks (d/dx1, d/dx2) and d2 stacks
     (d2/dx1dx1, d2/dx1dx2, d2/dx2dx2) along a leading axis.
@@ -45,9 +44,8 @@ class ImmersionField:
     grid: PolarGrid
     ambient_dim: int
     phi: np.ndarray
-    d1: Optional[np.ndarray] = None
-    d2: Optional[np.ndarray] = None
-    chart: Optional[Callable] = None
+    d1: np.ndarray
+    d2: np.ndarray
     name: str = ""
     params: Optional[dict] = None
 
@@ -57,26 +55,10 @@ class ImmersionField:
         if not np.all(np.isfinite(self.phi)):
             raise SurfaceError("immersion samples must be finite")
 
-    @property
-    def analytic(self) -> bool:
-        return self.d1 is not None and self.d2 is not None
-
-    def gradient(self) -> np.ndarray:
-        if self.d1 is not None:
-            return self.d1
-        return np.stack(grad(self.grid, self.phi))
-
-    def hessian(self) -> np.ndarray:
-        if self.d2 is not None:
-            return self.d2
-        g1 = self.gradient()
-        gxx, gxy = grad(self.grid, g1[0])
-        _, gyy = grad(self.grid, g1[1])
-        return np.stack([gxx, gxy, gyy])
-
 
 def from_chart(chart: Callable, grid: PolarGrid, m: int,
                name: str = "", params: Optional[dict] = None) -> ImmersionField:
+    """Samples of a jet chart with its exact first and second derivatives."""
     xj, yj = Jet.seed(grid.x, grid.y)
     comps = chart(xj, yj)
     if len(comps) != m:
@@ -86,18 +68,18 @@ def from_chart(chart: Callable, grid: PolarGrid, m: int,
     phi = stack("f")
     d1 = np.stack([stack("fx"), stack("fy")])
     d2 = np.stack([stack("fxx"), stack("fxy"), stack("fyy")])
-    return ImmersionField(grid, m, phi, d1, d2, chart, name, params or {})
+    return ImmersionField(grid, m, phi, d1, d2, name, params or {})
 
 
-def differentiate(field: ImmersionField, order: int) -> np.ndarray:
-    """First or second derivative samples; exact when the chart is analytic."""
-    if order == 1:
-        return field.gradient()
-    if order == 2:
-        if field.grid.n_r < 20 and field.d2 is None:
-            raise SurfaceError("grid too coarse for the second-derivative stencil")
-        return field.hessian()
-    raise SurfaceError("order must be 1 or 2")
+def from_samples(grid: PolarGrid, phi: np.ndarray) -> ImmersionField:
+    """Bare samples, differentiated once with the grid stencils."""
+    if grid.n_r < 20:
+        raise SurfaceError("grid too coarse for the second-derivative stencil")
+    d1 = np.stack(grad(grid, phi))
+    gxx, gxy = grad(grid, d1[0])
+    _, gyy = grad(grid, d1[1])
+    return ImmersionField(grid, phi.shape[-1], phi, d1,
+                          np.stack([gxx, gxy, gyy]))
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +88,14 @@ def differentiate(field: ImmersionField, order: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class FrameField:
-    """Conformal parameter and the orthonormal frame / Gauss map per node."""
+    """Conformal parameter and defect, orthonormal frame and Gauss map."""
 
     grid: PolarGrid
     lam: np.ndarray
     defect: np.ndarray
-    e1: Optional[np.ndarray] = None
-    e2: Optional[np.ndarray] = None
-    n: Optional[MultiVec] = None
-    u: Optional[np.ndarray] = None
-    theta0: Optional[int] = None
-    u0: Optional[float] = None
-
-    def with_frame(self, e1, e2, n) -> "FrameField":
-        return dataclasses.replace(self, e1=e1, e2=e2, n=n)
-
-    def with_branch(self, theta0, u, u0) -> "FrameField":
-        return dataclasses.replace(self, theta0=theta0, u=u, u0=u0)
+    e1: np.ndarray
+    e2: np.ndarray
+    n: MultiVec
 
     @cached_property
     def dn(self) -> tuple[np.ndarray, np.ndarray]:
@@ -136,10 +109,9 @@ class FrameField:
         return np.sqrt(np.sum(gx ** 2 + gy ** 2, axis=-1))
 
 
-def conformal_factor(field: ImmersionField) -> FrameField:
+def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
     """lam = log(|grad Phi| / sqrt(2)) and the per-node conformality defect."""
-    d1 = field.gradient()
-    p1, p2 = d1[0], d1[1]
+    p1, p2 = field.d1[0], field.d1[1]
     n1 = np.linalg.norm(p1, axis=-1)
     n2 = np.linalg.norm(p2, axis=-1)
     e2lam = 0.5 * (n1 ** 2 + n2 ** 2)
@@ -148,23 +120,25 @@ def conformal_factor(field: ImmersionField) -> FrameField:
     lam = 0.5 * np.log(e2lam)
     dot = np.sum(p1 * p2, axis=-1)
     defect = np.maximum(np.abs(n1 - n2) / np.exp(lam), np.abs(dot) / e2lam)
-    return FrameField(field.grid, lam, defect)
+    return lam, defect
 
 
-def frame_and_gauss(field: ImmersionField, frame: FrameField,
+def frame_and_gauss(field: ImmersionField, conformal: tuple,
                     defect_threshold: float = 1e-6) -> FrameField:
     """Orthonormal tangent frame and the Gauss map n = star(e1 ^ e2).
 
-    e1 follows d Phi/dx1; e2 is Gram-Schmidt orthonormalized against e1 so
-    the frame stays exactly orthonormal when the chart is only conformal to
+    ``conformal`` is the (lam, defect) pair of ``conformal_factor``; the
+    frame is refused when the defect exceeds ``defect_threshold``.  e1
+    follows d Phi/dx1; e2 is Gram-Schmidt orthonormalized against e1 so the
+    frame stays exactly orthonormal when the chart is only conformal to
     rounding.
     """
-    worst = float(np.max(frame.defect))
+    lam, defect = conformal
+    worst = float(np.max(defect))
     if worst > defect_threshold:
         raise SurfaceError(
             f"conformal defect {worst:.3e} exceeds threshold {defect_threshold:.1e}")
-    d1 = field.gradient()
-    p1, p2 = d1[0], d1[1]
+    p1, p2 = field.d1[0], field.d1[1]
     e1 = p1 / np.linalg.norm(p1, axis=-1, keepdims=True)
     t2 = p2 - np.sum(p2 * e1, axis=-1, keepdims=True) * e1
     e2 = t2 / np.linalg.norm(t2, axis=-1, keepdims=True)
@@ -172,7 +146,18 @@ def frame_and_gauss(field: ImmersionField, frame: FrameField,
     n = hodge_star(wedge(MultiVec.vector(m, e1), MultiVec.vector(m, e2)))
     nn = np.sqrt(np.sum(n.coeffs ** 2, axis=-1, keepdims=True))
     n = MultiVec(m, m - 2, n.coeffs / nn)
-    return frame.with_frame(e1, e2, n)
+    return FrameField(field.grid, lam, defect, e1, e2, n)
+
+
+@dataclass(eq=False)
+class BranchData:
+    """Branch order theta0, the slope it was read from, the regular part
+    u = lam - (theta0 - 1) log r and its value u0 at the puncture."""
+
+    theta0: int
+    slope: float
+    u: np.ndarray
+    u0: float
 
 
 def normal_projector(frame: FrameField):
@@ -405,17 +390,8 @@ def rotated_chart(chart: Callable, Q: np.ndarray) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# JSON / CSV interfaces
+# CSV interface
 # ---------------------------------------------------------------------------
-
-def surface_from_json(doc) -> ImmersionField:
-    """Build a catalog surface from {name, params, grid, ambient_dim}."""
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    grid = PolarGrid.from_json(doc["grid"])
-    return catalog_surface(doc["name"], doc.get("params", {}), grid,
-                           int(doc.get("ambient_dim", 3)))
-
 
 def save_samples_csv(field: ImmersionField, path) -> None:
     m = field.ambient_dim
@@ -449,4 +425,4 @@ def load_samples_csv(path) -> ImmersionField:
     ti = {float(v): i for i, v in enumerate(th_vals)}
     for row in rows:
         phi[ri[row[0]], ti[row[1]]] = row[2:]
-    return ImmersionField(grid, m, phi)
+    return from_samples(grid, phi)

@@ -14,7 +14,7 @@ from willmore.classify import VERDICTS, classify, decide
 from willmore.curvature import curvature, delta_profile, willmore_energy
 from willmore.expansion import fit_H, fit_phi, verify_constants
 from willmore.grid import PolarGrid, fit_order
-from willmore.multiplier import MultiplierSpec, matrix_field, pmc_multiplier
+from willmore.multiplier import MultiplierSpec, pmc_multiplier
 from willmore.multivec import MultiVec, hodge_star, inner, wedge
 from willmore.pipeline import run_pipeline
 from willmore.potentials import potentials_SR, solve_gG, verify_system
@@ -120,13 +120,12 @@ def test_criterion_3_willmore_verification():
         for n in (32, 64, 128):
             grid = PolarGrid(0.1, 0.9999, n, n)
             field, frame, curv = analyzed(name, params, grid)
-            f_field = M_f = None
+            f_field = None
             if with_f:
                 f_field = pmc_multiplier(curv, frame)["f_pmc"]
-                M_f = matrix_field(f_field)
             strongs.append(strong_residual(curv, frame, f_field,
                                            0.1, 0.9)["norms"]["rms"])
-            divs.append(flux(curv, frame, f_field, M_f,
+            divs.append(flux(curv, frame, f_field,
                              field=field).div_norms(0.1, 0.9)["rms"])
             hs.append(grid.ds)
         for label, errs in (("strong", strongs), ("div", divs)):
@@ -155,7 +154,7 @@ def test_criterion_4_first_residue():
     vy = 2 * beta0 * grid.y[..., None] / r2 + px
     raw = np.stack([vx, vy])
     fl = FluxField(grid, raw, g.div(grid, vx, vy))
-    out = first_residue(fl, n_circles=5)
+    out = first_residue(fl)
     assert np.max(np.abs(out["beta0"] - beta0)) < 1e-10
     assert out["rho_spread"] < 1e-6
 
@@ -243,7 +242,6 @@ def test_criterion_6_expansion_round_trip():
     frame = conformal_factor(field)
     frame = frame_and_gauss(field, frame, defect_threshold=2.0)
     br = branch_order(frame)
-    frame = frame.with_branch(br.theta0, br.u, br.u0)
     fit = fit_phi(field, theta0, a, br.u0)
     assert np.max(np.abs(fit.A - A)) < 1e-6
     assert all(np.max(np.abs(bf - bp)) < 1e-4 for bf, bp in zip(fit.B, B))
@@ -279,13 +277,11 @@ def test_criterion_7_potential_identities():
         for n in (48, 96, 192):
             grid = PolarGrid(r_min, 1.0, n, 64)
             field, frame, curv = analyzed(name, {}, grid)
-            br = branch_order(frame)
-            frame = frame.with_branch(br.theta0, br.u, br.u0)
             curv = curvature(field, frame)
             fl = flux(curv, frame)
             beta0 = first_residue(fl)["beta0"]
             L, _ = potential_L(fl, beta0)
-            pots = potentials_SR(L, field, curv, solve_gG(beta0, field))
+            pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
             out = verify_system(pots, frame, field, band[0], band[1])
             for key in res:
                 res[key].append(out[key]["rms"])

@@ -146,8 +146,16 @@ def test_unknown_surface_names_stage(tmp_path, capsys, command):
     assert "stage 'surface'" in capsys.readouterr().err
 
 
+# two refinement levels: every command reports the last one
+INVCAT_TWO_LEVELS = {
+    "surface": {"name": "inverted_catenoid", "ambient_dim": 3},
+    "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 48, "n_theta": 32},
+    "levels": 2,
+}
+
+
 def test_cli_commands_agree_with_analyze(tmp_path, capsys):
-    for i, config in enumerate((INVCAT, SYNTH_TH2)):
+    for i, config in enumerate((INVCAT, SYNTH_TH2, INVCAT_TWO_LEVELS)):
         run = tmp_path / str(i)
         run.mkdir()
         cfg = write_config(run, config)
@@ -200,6 +208,31 @@ def test_malformed_levels_named_before_work(monkeypatch, levels):
     assert err.value.stage == "levels"
 
 
+@pytest.mark.parametrize("stage, entry", [
+    ("multiplier", {"multiplier": {"mu": -2, "a_mu": [1.0, 0.0]}}),
+    ("multiplier", {"multiplier": {"mu": 0}}),
+    ("multiplier", {"multiplier": {"mode": "pmc", "sign": "x"}}),
+    ("multiplier", {"multiplier": {"mode": "pmc", "sign": 0}}),
+    ("multiplier", {"multiplier": "pmc"}),
+    ("surface", {"surface": "plane"}),
+    ("surface", {"surface": {"params": {}}}),
+    ("tolerances", {"tolerances": {"tol_zero": "small"}}),
+    ("tolerances", {"tolerances": {"tol_zeros": 1e-6}}),
+    ("tolerances", {"tolerances": [1e-6]}),
+])
+def test_malformed_config_named_before_work(monkeypatch, stage, entry):
+    _no_level_work(monkeypatch)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline({**PLANE, **entry})
+    assert err.value.stage == stage
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pmc_sign_accepts_plus_or_minus_one(sign):
+    config = {"multiplier": {"mode": "pmc", "sign": sign}}
+    assert pipeline._resolve_multiplier(config) == (None, "pmc", sign)
+
+
 @pytest.mark.parametrize("grid", [
     {**PLANE["grid"], "n_theta": 33},
     {k: v for k, v in PLANE["grid"].items() if k != "r_min"},
@@ -226,6 +259,21 @@ def test_csv_surface_single_level(tmp_path):
     with pytest.raises(PipelineError):
         run_pipeline({"surface": {"csv": str(out)},
                       "grid": PLANE["grid"], "levels": 2})
+
+
+def test_csv_too_coarse_for_stencil_named(tmp_path):
+    # 16 rows pass the grid's own minimum but not the stencil's
+    cfg = write_config(tmp_path, {**PLANE, "grid": {**PLANE["grid"],
+                                                    "n_r": 16}})
+    out = tmp_path / "samples.csv"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    # a gate loose enough that the stencil's own defect would pass it
+    with pytest.raises(PipelineError) as err:
+        run_pipeline({"surface": {"csv": str(out)}, "regular": True,
+                      "with_expansion": False,
+                      "tolerances": {"defect_threshold": 0.1}})
+    assert err.value.stage == "surface"
+    assert "too coarse" in str(err.value)
 
 
 def test_csv_roundtrip_through_pipeline(tmp_path):

@@ -13,11 +13,10 @@ from oracles import radial_log_laplacian_oracle
 def prepared(params, m=4, r_min=1e-2, n_r=96, n_theta=64, name="synthetic_th4"):
     grid = PolarGrid(r_min, 1.0, n_r, n_theta)
     field = catalog_surface(name, params, grid, m)
-    frame = conformal_factor(field)
-    thr = max(1e-6, 2.0 * float(np.max(frame.defect)))
-    frame = frame_and_gauss(field, frame, defect_threshold=thr)
+    conformal = conformal_factor(field)
+    thr = max(1e-6, 2.0 * float(np.max(conformal[1])))
+    frame = frame_and_gauss(field, conformal, defect_threshold=thr)
     br = branch_order(frame)
-    frame = frame.with_branch(br.theta0, br.u, br.u0)
     return field, frame, br
 
 

@@ -8,9 +8,10 @@ from willmore.grid import PolarGrid
 from willmore.curvature import curvature
 from willmore.multiplier import (
     MultiplierError, MultiplierSpec, antiholomorphy_defect, codazzi_defect,
-    matrix_field, pmc_multiplier, sample_multiplier, special_fields,
+    matrix_field, pmc_multiplier, special_fields,
 )
-from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
+from willmore.surface import (BranchData, catalog_surface, conformal_factor,
+                              frame_and_gauss)
 
 RNG = np.random.default_rng(99)
 
@@ -29,7 +30,8 @@ def rand_spec():
 def test_zero_spec():
     spec = MultiplierSpec.zero_spec()
     grid = make_grid()
-    f, M = sample_multiplier(spec, grid)
+    f = spec.evaluate(grid.z)
+    M = matrix_field(f)
     assert not np.any(f) and not np.any(M)
 
 
@@ -61,7 +63,7 @@ def test_matrix_symmetric_trace_free():
     grid = make_grid()
     for _ in range(5):
         spec = rand_spec()
-        f, M = sample_multiplier(spec, grid)
+        M = matrix_field(spec.evaluate(grid.z))
         assert np.allclose(M, np.swapaxes(M, -1, -2))
         assert np.allclose(np.trace(M, axis1=-2, axis2=-1), 0.0)
 
@@ -87,15 +89,15 @@ def test_json_round_trip():
 def _branch_frame(field, theta0, u0):
     frame = frame_and_gauss(field, conformal_factor(field))
     u = frame.lam - (theta0 - 1) * np.log(field.grid.rr)
-    return frame.with_branch(theta0, u, u0)
+    return frame, BranchData(theta0, theta0 - 1.0, u, u0)
 
 
 def test_special_fields_zero_multiplier():
     grid = make_grid()
     field = catalog_surface("branched_plane", {"theta0": 2}, grid, 3)
-    frame = _branch_frame(field, 2, np.log(2.0))
-    sf = special_fields(MultiplierSpec.zero_spec(), 2, np.log(2.0),
-                        np.array([1, 1j, 0]), field, frame)
+    frame, br = _branch_frame(field, 2, np.log(2.0))
+    sf = special_fields(MultiplierSpec.zero_spec(), br,
+                        np.array([1, 1j, 0]), field, frame.lam)
     assert not np.any(sf.F_mu) and not np.any(sf.J)
 
 
@@ -106,10 +108,10 @@ def test_special_fields_branched_plane_J_vanishes():
     field = catalog_surface("branched_plane", {"theta0": theta0}, grid, 3)
     A = np.array([1.0, 1j, 0.0])
     u0 = float(np.log(theta0))
-    frame = _branch_frame(field, theta0, u0)
+    frame, br = _branch_frame(field, theta0, u0)
     for mu in (-1, 0, theta0 - 2, 2):
         spec = MultiplierSpec(mu=mu, a_mu=1.3 - 0.4j)
-        sf = special_fields(spec, theta0, u0, A, field, frame)
+        sf = special_fields(spec, br, A, field, frame.lam)
         assert np.max(np.abs(sf.J)) < 1e-10, f"mu={mu}"
         assert sf.mismatch < 1e-10
 
@@ -121,9 +123,9 @@ def test_special_fields_log_branch_case():
     field = catalog_surface("branched_plane", {"theta0": theta0}, grid, 3)
     A = np.array([1.0, 1j, 0.0])
     u0 = float(np.log(theta0))
-    frame = _branch_frame(field, theta0, u0)
+    frame, br = _branch_frame(field, theta0, u0)
     spec = MultiplierSpec(mu=mu, a_mu=2.0)
-    sf = special_fields(spec, theta0, u0, A, field, frame)
+    sf = special_fields(spec, br, A, field, frame.lam)
     expect = (0.5 * theta0 * np.exp(-2 * u0) * 2.0 * A[None, None, :]
               * 2.0 * np.log(grid.rr)[..., None])
     assert np.allclose(sf.F_mu, expect, atol=1e-12)
@@ -143,11 +145,11 @@ def test_special_fields_synthetic_log_branch_two_routes():
             "synthetic_th4",
             {"theta0": theta0, "a": 1, "E_a": [0, 0, 0.3, 0.1j],
              "gamma0": [0, 0, 0.2, 0]}, grid, 4)
-        frame = conformal_factor(field)
-        u = frame.lam - (theta0 - 1) * np.log(grid.rr)
+        lam, _ = conformal_factor(field)
+        u = lam - (theta0 - 1) * np.log(grid.rr)
         u0 = float(u[0, 0])
-        frame = frame.with_branch(theta0, u, u0)
-        sf = special_fields(spec, theta0, u0, A, field, frame)
+        br = BranchData(theta0, theta0 - 1.0, u, u0)
+        sf = special_fields(spec, br, A, field, lam)
         # logarithmic template: angular mean of |F_mu| grows like |log r|
         prof = g.circle_mean(np.abs(sf.F_mu[..., 0]))
         assert prof[0] > 2.0 * prof[-2]
@@ -166,12 +168,12 @@ def test_special_fields_decay_rate():
         "synthetic_th4",
         {"theta0": theta0, "a": 1, "E_a": [0, 0, 1.0], "gamma0": [0, 0, 0.2]},
         grid, 3)
-    frame = conformal_factor(field)
-    u = frame.lam - (theta0 - 1) * np.log(grid.rr)
-    frame = frame.with_branch(theta0, u, float(u[0, 0]))
+    lam, _ = conformal_factor(field)
+    u = lam - (theta0 - 1) * np.log(grid.rr)
+    br = BranchData(theta0, theta0 - 1.0, u, float(u[0, 0]))
     spec = MultiplierSpec(mu=mu, a_mu=1.0)
     A = np.array([1.0, 1j, 0.0])
-    sf = special_fields(spec, theta0, frame.u0, A, field, frame)
+    sf = special_fields(spec, br, A, field, lam)
     prof = np.sqrt(g.circle_mean(np.sum(np.abs(sf.J) ** 2, axis=-1)))
     sel = grid.r < 0.1
     slope = g.fit_order(grid.r[sel], prof[sel])

@@ -66,6 +66,23 @@ def test_verify_system_takes_eight_gradients(monkeypatch):
     assert calls == {"verify_system": 1, "grad": 8}
 
 
+@pytest.mark.parametrize("with_potentials", [False, True])
+def test_csv_level_differentiates_once(tmp_path, monkeypatch,
+                                       with_potentials):
+    # grad Phi and its second derivatives (3 calls) at load, grad n (1)
+    grid = PolarGrid(1e-3, 1.0, 48, 32)
+    path = tmp_path / "samples.csv"
+    surface.save_samples_csv(
+        surface.catalog_surface("inverted_catenoid", {}, grid, 3), path)
+    calls = Counter()
+    _count(monkeypatch, calls, "grad", grad, surface)
+    pipeline.analyze_level(
+        {"surface": {"csv": str(path)},
+         "tolerances": {"defect_threshold": 0.1}},
+        grid, with_potentials=with_potentials)
+    assert calls == {"grad": 4}
+
+
 def test_degenerate_windings_reported_as_nan():
     doc = pipeline.run_pipeline({
         "surface": {"name": "inverted_catenoid"},

@@ -4,10 +4,10 @@ import pytest
 from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
-from willmore.potentials import (PotentialError, PotentialSet, _solve_modes,
-                                 potentials_SR, solve_gG, verify_system)
+from willmore.potentials import (_solve_modes, potentials_SR, solve_gG,
+                                 verify_system)
 from willmore.residual import flux
-from willmore.residues import branch_order, first_residue, potential_L
+from willmore.residues import first_residue, potential_L
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
 
 
@@ -73,8 +73,6 @@ def test_mode_solver_convergence_order():
 def analyzed(name, grid, m=3):
     field = catalog_surface(name, {}, grid, m)
     frame = frame_and_gauss(field, conformal_factor(field))
-    br = branch_order(frame)
-    frame = frame.with_branch(br.theta0, br.u, br.u0)
     curv = curvature(field, frame)
     return field, frame, curv
 
@@ -82,8 +80,8 @@ def analyzed(name, grid, m=3):
 def test_zero_beta0_gives_zero_potentials():
     grid = PolarGrid(0.05, 1.0, 48, 64)
     field, _, _ = analyzed("sphere_stereographic", grid)
-    pots = solve_gG(np.zeros(3), field)
-    assert not np.any(pots.g) and not np.any(pots.G)
+    pot_g, pot_G = solve_gG(np.zeros(3), field)
+    assert not np.any(pot_g) and not np.any(pot_G)
 
 
 def test_solve_gG_residual_refines_inverted_catenoid():
@@ -92,13 +90,13 @@ def test_solve_gG_residual_refines_inverted_catenoid():
         grid = PolarGrid(1e-3, 1.0, n, 64)
         field, frame, curv = analyzed("inverted_catenoid", grid)
         beta0 = first_residue(flux(curv, frame))["beta0"]
-        pots = solve_gG(beta0, field)
-        d1 = field.gradient()
+        pot_g, _ = solve_gG(beta0, field)
+        d1 = field.d1
         r2 = (grid.rr ** 2)[..., None]
         gx = 2 * grid.x[..., None] * beta0 / r2
         gy = 2 * grid.y[..., None] * beta0 / r2
         rhs = np.sum(gx * d1[0] + gy * d1[1], axis=-1)
-        res = g.laplacian(grid, pots.g) - rhs
+        res = g.laplacian(grid, pot_g) - rhs
         errs.append(g.annulus_norms(grid, res, 0.1, 0.9)["rms"]
                     / max(1.0, g.annulus_norms(grid, rhs, 0.1, 0.9)["rms"]))
         hs.append(grid.ds)
@@ -110,9 +108,9 @@ def test_outer_dirichlet_condition():
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field, frame, curv = analyzed("inverted_catenoid", grid)
     beta0 = first_residue(flux(curv, frame))["beta0"]
-    pots = solve_gG(beta0, field)
-    assert np.max(np.abs(pots.g[-1])) < 1e-12
-    assert np.max(np.abs(pots.G[-1])) < 1e-12
+    pot_g, pot_G = solve_gG(beta0, field)
+    assert np.max(np.abs(pot_g[-1])) < 1e-12
+    assert np.max(np.abs(pot_G[-1])) < 1e-12
 
 
 def full_chain(name, grid, m=3):
@@ -120,8 +118,7 @@ def full_chain(name, grid, m=3):
     fl = flux(curv, frame)
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
-    pots = solve_gG(beta0, field)
-    pots = potentials_SR(L, field, curv, pots)
+    pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
     return field, frame, curv, pots
 
 
@@ -176,13 +173,11 @@ def test_synthetic_potentials_finite():
          "E_a": [0, 0, 0.5, 0], "gamma0": [0, 0, 0.2, 0]}, grid, 4)
     frame = conformal_factor(field)
     frame = frame_and_gauss(field, frame, defect_threshold=2.0)
-    br = branch_order(frame)
-    frame = frame.with_branch(br.theta0, br.u, br.u0)
     curv = curvature(field, frame)
     fl = flux(curv, frame)
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
-    pots = potentials_SR(L, field, curv, solve_gG(beta0, field))
+    pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
     assert np.all(np.isfinite(pots.S))
     assert np.all(np.isfinite(pots.R))
     assert np.isfinite(pots.loop_defects["S"]["defect"])
@@ -193,7 +188,7 @@ def test_conservative_system_codimension_two():
     # the Clifford torus with its parallel-mean-curvature multiplier is an
     # exactly conformal constrained-Willmore input
     from willmore.curvature import curvature as curv_fn
-    from willmore.multiplier import matrix_field, pmc_multiplier
+    from willmore.multiplier import pmc_multiplier
     res = {"sysS": [], "sysR": [], "delphi": []}
     hs = []
     for n in (48, 96, 192):
@@ -201,15 +196,12 @@ def test_conservative_system_codimension_two():
         field = catalog_surface("clifford_torus_patch", {"scale": 1.0},
                                 grid, 4)
         frame = frame_and_gauss(field, conformal_factor(field))
-        br = branch_order(frame)
-        frame = frame.with_branch(br.theta0, br.u, br.u0)
         curv = curv_fn(field, frame)
         f_field = pmc_multiplier(curv, frame)["f_pmc"]
-        M_f = matrix_field(f_field)
-        fl = flux(curv, frame, f_field, M_f, field=field)
+        fl = flux(curv, frame, f_field, field=field)
         beta0 = first_residue(fl)["beta0"]
         L, _ = potential_L(fl, beta0)
-        pots = potentials_SR(L, field, curv, solve_gG(beta0, field))
+        pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
         out = verify_system(pots, frame, field, 0.15, 0.85)
         for key in res:
             res[key].append(out[key]["rms"])
@@ -217,11 +209,3 @@ def test_conservative_system_codimension_two():
     for key, vals in res.items():
         order = g.fit_order(hs, vals)
         assert order >= 1.0 or max(vals) < 1e-9, f"{key}: {vals}"
-
-
-def test_verify_system_needs_SR():
-    grid = PolarGrid(0.05, 1.0, 48, 64)
-    field, frame, curv = analyzed("sphere_stereographic", grid)
-    with pytest.raises(PotentialError):
-        verify_system(PotentialSet(np.zeros((48, 64)),
-                                   np.zeros((48, 64, 3))), frame, field)

@@ -3,7 +3,7 @@ import numpy as np
 from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
-from willmore.multiplier import matrix_field, pmc_multiplier
+from willmore.multiplier import pmc_multiplier
 from willmore.residual import equivalence_check, flux, strong_residual
 from willmore.surface import (CATALOG, catalog_surface, conformal_factor,
                               frame_and_gauss, from_chart, inverted_chart)
@@ -23,13 +23,12 @@ def sweep(name, params=None, m=3, with_pmc_multiplier=False):
     for n_r, n_theta in LEVELS:
         grid = PolarGrid(0.1, 0.9999, n_r, n_theta)
         field, frame, curv = setup(name, params, grid, m)
-        f_field = M_f = None
+        f_field = None
         if with_pmc_multiplier:
             f_field = pmc_multiplier(curv, frame)["f_pmc"]
-            M_f = matrix_field(f_field)
         sr = strong_residual(curv, frame, f_field, r_lo=0.1, r_hi=0.9)
         strongs.append(sr["norms"]["rms"])
-        fl = flux(curv, frame, f_field, M_f, field=field)
+        fl = flux(curv, frame, f_field, field=field)
         divs.append(fl.div_norms(0.1, 0.9)["rms"])
         eqs.append(equivalence_check(sr["field"], fl, curv, frame, f_field,
                                      field, 0.1, 0.9)["identity_norms"]["rms"])
@@ -91,9 +90,8 @@ def test_antiholomorphy_identity_with_multiplier():
     grid = PolarGrid(0.1, 0.9999, 96, 96)
     field, frame, curv = setup("cylinder_cmc", {"radius": 0.75}, grid)
     f_field = pmc_multiplier(curv, frame)["f_pmc"]
-    M_f = matrix_field(f_field)
     out = equivalence_check(strong_residual(curv, frame, f_field)["field"],
-                            flux(curv, frame, f_field, M_f, field),
+                            flux(curv, frame, f_field, field),
                             curv, frame, f_field, field, 0.1, 0.9)
     assert out["antiholomorphy_norms"]["rms"] < 1e-4
 
@@ -137,7 +135,7 @@ def test_zero_multiplier_is_bitwise_willmore_flux():
     field, frame, curv = setup("sphere_stereographic", grid=grid)
     a = flux(curv, frame)
     zero_f = np.zeros((grid.n_r, grid.n_theta), dtype=complex)
-    b = flux(curv, frame, f_field=zero_f, M_f=matrix_field(zero_f), field=field)
+    b = flux(curv, frame, f_field=zero_f, field=field)
     assert np.array_equal(a.raw, b.raw)
 
 
@@ -146,7 +144,7 @@ def test_equivalence_on_synthetic_with_multiplier():
     # divergence gap is conformality-limited for the synthetic template, so
     # it scales linearly with the planted coefficient size (and hence with
     # the template's conformality defect) instead of with h
-    from willmore.multiplier import MultiplierSpec, sample_multiplier
+    from willmore.multiplier import MultiplierSpec
 
     def gap_for(scale_c, n=96):
         params = {"theta0": 2, "a": 1,
@@ -156,14 +154,14 @@ def test_equivalence_on_synthetic_with_multiplier():
         spec = MultiplierSpec(mu=0, a_mu=0.5 + 0.2j)
         grid = PolarGrid(0.01, 0.5, n, 64)
         field = catalog_surface("synthetic_th4", params, grid, 4)
-        frame = conformal_factor(field)
-        defect = float(np.max(frame.defect))
-        frame = frame_and_gauss(field, frame, defect_threshold=1.0)
+        conformal = conformal_factor(field)
+        defect = float(np.max(conformal[1]))
+        frame = frame_and_gauss(field, conformal, defect_threshold=1.0)
         curv = curvature(field, frame)
-        f_field, M_f = sample_multiplier(spec, grid)
+        f_field = spec.evaluate(grid.z)
         out = equivalence_check(
             strong_residual(curv, frame, f_field)["field"],
-            flux(curv, frame, f_field, M_f, field), curv, frame, f_field,
+            flux(curv, frame, f_field, field), curv, frame, f_field,
             field, 0.05, 0.4)
         return (out["identity_norms"]["rms"],
                 out["antiholomorphy_norms"]["rms"], defect)

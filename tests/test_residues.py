@@ -19,11 +19,11 @@ RNG = np.random.default_rng(1234)
 
 
 def analyzed_frame(field):
-    frame = conformal_factor(field)
-    thr = max(1e-6, 2.0 * float(np.max(frame.defect)))
-    frame = frame_and_gauss(field, frame, defect_threshold=thr)
+    conformal = conformal_factor(field)
+    thr = max(1e-6, 2.0 * float(np.max(conformal[1])))
+    frame = frame_and_gauss(field, conformal, defect_threshold=thr)
     br = branch_order(frame)
-    return frame.with_branch(br.theta0, br.u, br.u0), br
+    return frame, br
 
 
 # -- angular antiderivative ---------------------------------------------------
@@ -75,7 +75,8 @@ def test_branch_order_inverted_catenoid():
 
 def test_branch_order_rejects_non_integer_slope():
     grid = PolarGrid(0.01, 1.0, 64, 64)
-    frame = conformal_factor(catalog_surface("plane", {}, grid, 3))
+    field = catalog_surface("plane", {}, grid, 3)
+    frame = frame_and_gauss(field, conformal_factor(field))
     half = frame.lam + 0.5 * np.log(grid.rr)  # slope 1/2: not a branch
     import dataclasses
     bad = dataclasses.replace(frame, lam=half)
@@ -218,7 +219,6 @@ def test_modified_residue_cancels_multiplier_circulation():
     # the observable anchor for the correction's sign: switching on a
     # multiplier of order mu = theta0 - 2 shifts the measured circulation
     # by exactly the correction term, so gamma0 is multiplier-independent
-    from willmore.multiplier import sample_multiplier
     theta0 = 2
     spec = MultiplierSpec(mu=theta0 - 2, a_mu=0.7 - 0.4j)
     grid = PolarGrid(1e-3, 1.0, 128, 64)
@@ -230,8 +230,8 @@ def test_modified_residue_cancels_multiplier_circulation():
     curv = curvature(field, frame)
     td = tangent_vector(field, frame, br)
     b_plain = first_residue(flux(curv, frame))["beta0"]
-    f_field, M_f = sample_multiplier(spec, grid)
-    b_with_f = first_residue(flux(curv, frame, f_field, M_f,
+    f_field = spec.evaluate(grid.z)
+    b_with_f = first_residue(flux(curv, frame, f_field,
                                   field=field))["beta0"]
     assert np.linalg.norm(b_with_f - b_plain) > 0.1  # the flux does shift
     g0 = modified_residue(b_with_f, theta0, spec, td.A, br.u0)
@@ -241,7 +241,7 @@ def test_modified_residue_cancels_multiplier_circulation():
 def test_second_residue_with_log_multiplier():
     # with mu = theta0 - 2 the F_mu block of W cancels the multiplier's log
     # content, so the planted pole winds cleanly
-    from willmore.multiplier import sample_multiplier, special_fields
+    from willmore.multiplier import special_fields
     theta0, a = 2, 1
     spec = MultiplierSpec(mu=theta0 - 2, a_mu=0.7 - 0.4j)
     grid = PolarGrid(1e-4, 1.0, 96, 64)
@@ -252,11 +252,11 @@ def test_second_residue_with_log_multiplier():
     frame, br = analyzed_frame(field)
     curv = curvature(field, frame)
     td = tangent_vector(field, frame, br)
-    f_field, M_f = sample_multiplier(spec, grid)
-    fl = flux(curv, frame, f_field, M_f, field=field)
+    f_field = spec.evaluate(grid.z)
+    fl = flux(curv, frame, f_field, field=field)
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
-    sf = special_fields(spec, theta0, br.u0, td.A, field, frame)
+    sf = special_fields(spec, br, td.A, field, frame.lam)
     W = w_field(L, curv.H, beta0, sf.F_mu, grid)
     sr = second_residue(W, grid)
     assert sr.a == a

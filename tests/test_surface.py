@@ -1,16 +1,14 @@
-import json
-
 import numpy as np
 import pytest
 
 from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.multivec import MultiVec, hodge_star, inner, wedge
+from willmore.pipeline import build_field
 from willmore.surface import (
-    SurfaceError, catalog_surface, conformal_factor, differentiate,
-    frame_and_gauss, from_chart, inverted_chart, load_samples_csv,
-    rotated_chart, save_samples_csv, surface_from_json,
-    synthetic_th4_coefficients, CATALOG,
+    SurfaceError, catalog_surface, conformal_factor, frame_and_gauss,
+    from_chart, from_samples, inverted_chart, load_samples_csv,
+    rotated_chart, save_samples_csv, synthetic_th4_coefficients, CATALOG,
 )
 
 GEOMETRIC = ["plane", "branched_plane", "sphere_stereographic", "catenoid_end",
@@ -35,23 +33,23 @@ def test_unknown_name_raises():
 
 def test_plane_lambda_and_defect():
     field = build("plane")
-    frame = conformal_factor(field)
-    assert np.max(np.abs(frame.lam)) < 1e-12
-    assert np.max(frame.defect) < 1e-12
+    lam, defect = conformal_factor(field)
+    assert np.max(np.abs(lam)) < 1e-12
+    assert np.max(defect) < 1e-12
 
 
 @pytest.mark.parametrize("name", GEOMETRIC)
 def test_catalog_charts_are_conformal(name):
     field = build(name)
-    frame = conformal_factor(field)
-    assert np.max(frame.defect) < 1e-10, f"{name} defect too large"
+    _, defect = conformal_factor(field)
+    assert np.max(defect) < 1e-10, f"{name} defect too large"
 
 
 def test_branched_plane_conformal_factor():
     theta0 = 3
     field = build("branched_plane", {"theta0": theta0, "scale": 0.7})
-    frame = conformal_factor(field)
-    shifted = frame.lam - (theta0 - 1) * np.log(field.grid.rr)
+    lam, _ = conformal_factor(field)
+    shifted = lam - (theta0 - 1) * np.log(field.grid.rr)
     expect = np.log(theta0 * 0.7)
     assert np.max(np.abs(shifted - expect)) < 1e-10
 
@@ -59,9 +57,9 @@ def test_branched_plane_conformal_factor():
 def test_sphere_conformal_factor_closed_form():
     R = 1.3
     field = build("sphere_stereographic", {"R": R})
-    frame = conformal_factor(field)
+    lam, _ = conformal_factor(field)
     expect = np.log(2 * R / (1 + field.grid.rr ** 2))
-    assert np.max(np.abs(frame.lam - expect)) < 1e-12
+    assert np.max(np.abs(lam - expect)) < 1e-12
 
 
 def test_sphere_normal_is_radial():
@@ -104,16 +102,15 @@ def test_frame_rejects_nonconformal():
         return [x + 0.5 * y, y, zero]
 
     field = from_chart(skew_chart, grid, 3)
-    frame = conformal_factor(field)
     with pytest.raises(SurfaceError):
-        frame_and_gauss(field, frame)
+        frame_and_gauss(field, conformal_factor(field))
 
 
 @pytest.mark.parametrize("theta0", [1, 2, 3])
 def test_branch_scaling_law(theta0):
     # circle means of log|grad Phi| against log r have slope theta0 - 1
     field = build("branched_plane", {"theta0": theta0})
-    d1 = field.gradient()
+    d1 = field.d1
     mag = np.linalg.norm(d1[0], axis=-1) ** 2 + np.linalg.norm(d1[1], axis=-1) ** 2
     ring = np.log(np.sqrt(g.circle_mean(mag)))
     s = field.grid.s
@@ -124,7 +121,7 @@ def test_branch_scaling_law(theta0):
 
 def test_analytic_monomial_derivative_exact():
     field = build("branched_plane", {"theta0": 4})
-    d1 = differentiate(field, 1)
+    d1 = field.d1
     dz_phi = 0.5 * (d1[0] - 1j * d1[1])
     z = field.grid.z
     A = np.array([1.0, 1j, 0.0])
@@ -137,8 +134,8 @@ def test_discrete_derivatives_converge_order_two():
     for n_r in (32, 64, 128):
         grid = make_grid(n_r=n_r, r_min=0.05)
         field = build("sphere_stereographic", grid=grid)
-        bare = type(field)(grid, 3, field.phi)  # no analytic evaluators
-        diff = bare.gradient()
+        bare = from_samples(grid, field.phi)  # stencil derivatives only
+        diff = bare.d1
         err = max(g.annulus_norms(grid, diff[i] - field.d1[i])["max"]
                   for i in range(2))
         errs.append(err)
@@ -148,7 +145,7 @@ def test_discrete_derivatives_converge_order_two():
 
 def test_second_derivatives_available():
     field = build("inverted_catenoid")
-    h = differentiate(field, 2)
+    h = field.d2
     assert h.shape == (3, field.grid.n_r, field.grid.n_theta, 3)
     assert np.all(np.isfinite(h))
 
@@ -165,10 +162,10 @@ def test_synthetic_template_coefficients_and_defect():
     assert co["u0"] == pytest.approx(np.log(2.0))
     grid = make_grid(r_min=1e-3)
     field = catalog_surface("synthetic_th4", params, grid, m)
-    frame = conformal_factor(field)
+    _, defect = conformal_factor(field)
     # conformal only asymptotically: defect shrinks toward the branch point
-    inner = frame.defect[: grid.n_r // 4].max()
-    outer = frame.defect[-grid.n_r // 4:].max()
+    inner = defect[: grid.n_r // 4].max()
+    outer = defect[-grid.n_r // 4:].max()
     assert inner < 0.02 * max(outer, 1e-12) or inner < 1e-8
 
 
@@ -184,8 +181,8 @@ def test_inverted_plane_is_sphere_like():
     base = CATALOG["plane"]({}, 3)
     chart = inverted_chart(base, center=[0.0, 0.0, 2.0])
     field = from_chart(chart, grid, 3)
-    frame = conformal_factor(field)
-    assert np.max(frame.defect) < 1e-10
+    _, defect = conformal_factor(field)
+    assert np.max(defect) < 1e-10
     # image lies on the sphere |p - c'|^2 = 1/16 with c' = (0,0,-1/4) + center adj
     p = field.phi - np.array([0, 0, -0.25])
     rad = np.linalg.norm(p, axis=-1)
@@ -206,11 +203,11 @@ def test_surface_json_and_csv_round_trip(tmp_path):
     doc = {"name": "sphere_stereographic", "params": {"R": 1.0},
            "grid": {"r_min": 0.05, "r_max": 1.0, "n_r": 24, "n_theta": 32},
            "ambient_dim": 3}
-    field = surface_from_json(json.dumps(doc))
+    field = build_field({"surface": doc}, PolarGrid.from_json(doc["grid"]))
     assert field.phi.shape == (24, 32, 3)
     path = tmp_path / "samples.csv"
     save_samples_csv(field, path)
     loaded = load_samples_csv(path)
     assert loaded.grid.n_r == 24 and loaded.grid.n_theta == 32
     assert np.allclose(loaded.phi, field.phi, atol=1e-12)
-    assert not loaded.analytic
+    assert np.array_equal(loaded.d1, np.stack(g.grad(loaded.grid, loaded.phi)))
