@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from willmore.grid import PolarGrid, annulus_norms, grad, integrate, laplacian
+from willmore.grid import (PolarGrid, annulus_norms, dot, grad, integrate,
+                           laplacian)
 from willmore.surface import (BranchData, FrameField, ImmersionField,
                               normal_projector)
 
@@ -33,9 +34,6 @@ class CurvatureField:
     H0: np.ndarray         # complex normal vector per node
     K: np.ndarray
     energy_density: np.ndarray  # |H|^2 e^{2 lam}
-
-    def H_norm(self) -> np.ndarray:
-        return np.linalg.norm(self.H, axis=-1)
 
     @cached_property
     def dH(self) -> tuple[np.ndarray, np.ndarray]:
@@ -57,26 +55,19 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
 
     dz_phi = 0.5 * (p1 - 1j * p2)
     dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
-    lam_x = np.sum(p1 * pxx + p2 * pxy, axis=-1, keepdims=True) / (2.0 * e2l)
-    lam_y = np.sum(p1 * pxy + p2 * pyy, axis=-1, keepdims=True) / (2.0 * e2l)
+    lam_x = (dot(p1, pxx) + dot(p2, pxy))[..., None] / (2.0 * e2l)
+    lam_y = (dot(p1, pxy) + dot(p2, pyy))[..., None] / (2.0 * e2l)
     dz_lam = 0.5 * (lam_x - 1j * lam_y)
     H0 = 2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi) / e2l
 
-    K = np.sum(h11 * h22, axis=-1) - np.sum(h12 * h12, axis=-1)
-    density = np.sum(H * H, axis=-1) * e2l[..., 0]
+    K = dot(h11, h22) - dot(h12, h12)
+    density = dot(H, H) * e2l[..., 0]
     return CurvatureField(field.grid, frame.lam, h11, h12, h22, H, H0, K, density)
 
 
 def willmore_energy(curv: CurvatureField, r_lo=None, r_hi=None) -> float:
     """Integral of |H|^2 over the annulus in the induced area element."""
     return integrate(curv.grid, curv.energy_density, r_lo, r_hi)
-
-
-def bending_energy_density(curv: CurvatureField) -> np.ndarray:
-    """|II|^2_g in the induced metric times the area factor e^{2 lam}."""
-    sq = (np.sum(curv.h11 ** 2, axis=-1) + 2.0 * np.sum(curv.h12 ** 2, axis=-1)
-          + np.sum(curv.h22 ** 2, axis=-1))
-    return sq * np.exp(2.0 * curv.lam)
 
 
 def gauss_map_energy_density(frame: FrameField) -> np.ndarray:
@@ -119,7 +110,8 @@ def gauss_curvature_from_liouville(curv: CurvatureField,
 
 def weingarten_constant(curv: CurvatureField, frame: FrameField) -> float:
     """Measured best constant in e^lam |H0| <= c |grad n| (c <= 2 expected)."""
-    lhs = np.exp(curv.lam) * np.linalg.norm(curv.H0, axis=-1)
+    re, im = curv.H0.real, curv.H0.imag
+    lhs = np.exp(curv.lam) * np.sqrt(dot(re, re) + dot(im, im))
     rhs = frame.dn_norm
     k = max(2, int(round(0.1 * curv.grid.n_r)))
     sl = slice(k, -k)

@@ -6,9 +6,16 @@ a node.  Angular derivatives are spectral (trigonometric interpolation),
 radial derivatives are second-order centered differences in s.  Angular
 transforms are real (``rfft``/``irfft`` over the n/2 + 1 non-negative
 modes); a complex field is differentiated as its real and imaginary parts.
-Cartesian operators are assembled from the polar ones; second derivatives
-compose first-derivative passes.  ``jsonable`` is the one converter of
-arrays and complex numbers to JSON values, used by every report writer.
+Cartesian operators are assembled from the polar ones, with the trig
+tables ``PolarGrid.cos_t``/``sin_t`` computed once per grid; second
+derivatives compose first-derivative passes.  Each operator takes only the
+derivatives its result keeps: ``div`` differentiates v_x in x and v_y in y
+(never the discarded half of two gradients), and the Wirtinger derivatives
+``dz``/``dzbar`` are formed directly from the polar ones as
+e^{-+i theta}(d_r -+ (i/r) d_theta)/2.  ``dot`` is the one contraction over
+the trailing (ambient) axis: bilinear, no conjugation.  ``jsonable`` is the
+one converter of arrays and complex numbers to JSON values, used by every
+report writer.
 
 Field arrays are shaped (n_r, n_theta, ...) with arbitrary trailing axes.
 """
@@ -66,12 +73,22 @@ class PolarGrid:
         return np.broadcast_to(self.theta[None, :], (self.n_r, self.n_theta))
 
     @cached_property
+    def cos_t(self) -> np.ndarray:
+        """cos(theta) per node, shape (n_r, n_theta); one row in memory."""
+        return np.broadcast_to(np.cos(self.theta)[None, :], self.tt.shape)
+
+    @cached_property
+    def sin_t(self) -> np.ndarray:
+        """sin(theta) per node, shape (n_r, n_theta); one row in memory."""
+        return np.broadcast_to(np.sin(self.theta)[None, :], self.tt.shape)
+
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.rr * np.cos(self.tt)
+        return self.rr * self.cos_t
 
     @cached_property
     def y(self) -> np.ndarray:
-        return self.rr * np.sin(self.tt)
+        return self.rr * self.sin_t
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -98,6 +115,11 @@ class PolarGrid:
 def _trail(a: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Broadcast a (n_r, n_theta) factor over the trailing axes of field."""
     return a.reshape(a.shape + (1,) * (field.ndim - 2))
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Contraction over the last axis, sum_i a_i b_i (no conjugation)."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 def dtheta(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
@@ -140,15 +162,22 @@ def grad(grid: PolarGrid, f: np.ndarray):
     """Cartesian gradient (d/dx1, d/dx2) of a node field."""
     fr = dr(grid, f)
     ft_over_r = dtheta(grid, f) / _trail(grid.rr, f)
-    c = _trail(np.cos(grid.tt), f)
-    s = _trail(np.sin(grid.tt), f)
+    c = _trail(grid.cos_t, f)
+    s = _trail(grid.sin_t, f)
     return c * fr - s * ft_over_r, s * fr + c * ft_over_r
 
 
 def div(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    gx, _ = grad(grid, vx)
-    _, gy = grad(grid, vy)
-    return gx + gy
+    """d vx/dx1 + d vy/dx2; equal to grad(vx)[0] + grad(vy)[1] bit for bit.
+
+    The x-term is finished before vy is differentiated, so only one pair of
+    polar derivatives is alive at a time.
+    """
+    c = _trail(grid.cos_t, vx)
+    s = _trail(grid.sin_t, vx)
+    rr = _trail(grid.rr, vx)
+    out = c * dr(grid, vx) - s * (dtheta(grid, vx) / rr)
+    return out + (s * dr(grid, vy) + c * (dtheta(grid, vy) / rr))
 
 
 def laplacian(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
@@ -157,15 +186,24 @@ def laplacian(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
     return (dss(grid, f) + ftt) / _trail(grid.rr ** 2, f)
 
 
+def _wirtinger(grid: PolarGrid, f: np.ndarray, sign: int) -> np.ndarray:
+    """(d/dx1 + sign i d/dx2)/2, formed from the polar derivatives as
+    e^{sign i theta} (d_r + sign (i/r) d_theta) / 2."""
+    out = dtheta(grid, f).astype(complex, copy=False)
+    out *= sign * 1j
+    out /= _trail(grid.rr, f)
+    out += dr(grid, f)
+    out *= _trail(0.5 * (grid.cos_t[:1] + (sign * 1j) * grid.sin_t[:1]), f)
+    return out
+
+
 def dz(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
     """Wirtinger derivative (d/dx1 - i d/dx2)/2."""
-    gx, gy = grad(grid, f)
-    return 0.5 * (gx - 1j * gy)
+    return _wirtinger(grid, f, -1)
 
 
 def dzbar(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
-    gx, gy = grad(grid, f)
-    return 0.5 * (gx + 1j * gy)
+    return _wirtinger(grid, f, +1)
 
 
 # -- circle and annulus reductions -------------------------------------------
@@ -177,8 +215,8 @@ def circle_mean(f: np.ndarray) -> np.ndarray:
 
 def circulation(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """Outward flux integral of (vx, vy) through each grid circle."""
-    c = _trail(np.cos(grid.tt), vx)
-    s = _trail(np.sin(grid.tt), vx)
+    c = _trail(grid.cos_t, vx)
+    s = _trail(grid.sin_t, vx)
     nu_dot = c * vx + s * vy
     return 2.0 * np.pi * _trail(grid.r[:, None], vx)[:, 0] * circle_mean(nu_dot)
 

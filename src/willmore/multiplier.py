@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from willmore.grid import PolarGrid, annulus_norms, dz, dzbar
+from willmore.grid import PolarGrid, annulus_norms, dot, dz, dzbar
 from willmore.surface import (BranchData, FrameField, ImmersionField,
                               normal_projector)
 
@@ -87,9 +88,13 @@ class MultiplierSpec:
             doc = json.loads(doc)
         if doc.get("zero", False):
             return MultiplierSpec.zero_spec()
-        am = doc["a_mu"]
+        mu, am = doc["mu"], doc["a_mu"]
+        if (isinstance(mu, bool) or not isinstance(mu, Real)
+                or not float(mu).is_integer()):
+            raise MultiplierError("multiplier order mu must be an integer, "
+                                  f"got {mu!r}")
         return MultiplierSpec(
-            mu=int(doc["mu"]),
+            mu=int(mu),
             a_mu=complex(am[0], am[1]),
             f0=tuple(complex(c[0], c[1]) for c in doc.get("f0", [])),
         )
@@ -199,7 +204,7 @@ def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
     when pi_n grad H = 0.
     """
     grid = frame.grid
-    hdot = np.sum(curv.H * np.conj(curv.H0), axis=-1)
+    hdot = dot(curv.H, np.conj(curv.H0))
     f_pmc = sign * 2.0 * np.exp(2.0 * frame.lam) * hdot
 
     scale = max(float(np.max(np.abs(f_pmc))), 1e-30)
@@ -207,8 +212,9 @@ def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
 
     gx, gy = curv.dH
     pi_n = normal_projector(frame)
-    num = np.sqrt(np.sum(pi_n(gx) ** 2 + pi_n(gy) ** 2, axis=-1))
-    den = np.sqrt(np.sum(gx ** 2 + gy ** 2, axis=-1))
+    px, py = pi_n(gx), pi_n(gy)
+    num = np.sqrt(dot(px, px) + dot(py, py))
+    den = np.sqrt(dot(gx, gx) + dot(gy, gy))
     floor = max(float(np.max(den)), float(np.max(np.abs(curv.H))), 1e-30)
     pmc_defect = annulus_norms(grid, num)["max"] / floor
     return {"f_pmc": f_pmc, "antiholomorphy_defect": dz_defect,
@@ -224,9 +230,9 @@ def codazzi_defect(curv, frame: FrameField) -> float:
     """
     grid = frame.grid
     e2l = np.exp(2.0 * frame.lam)
-    lhs = dzbar(grid, e2l * np.sum(curv.H * curv.H0, axis=-1)) / e2l
+    lhs = dzbar(grid, e2l * dot(curv.H, curv.H0)) / e2l
     dzH = dz(grid, curv.H)
     dzbH = dzbar(grid, curv.H)
-    rhs = np.sum(curv.H * dzH, axis=-1) + np.sum(curv.H0 * dzbH, axis=-1)
+    rhs = dot(curv.H, dzH) + dot(curv.H0, dzbH)
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-30)
     return annulus_norms(grid, lhs - rhs)["max"] / scale

@@ -30,6 +30,8 @@ from math import comb
 
 import numpy as np
 
+from willmore.grid import dot
+
 MAX_DIM = 8
 MIN_DIM = 3
 
@@ -290,4 +292,4 @@ def inner(a: MultiVec, b: MultiVec) -> np.ndarray:
     a._like(b)
     if a.grade != b.grade:
         raise AlgebraError("inner product needs equal grades")
-    return np.sum(a.coeffs * b.coeffs, axis=-1)
+    return dot(a.coeffs, b.coeffs)

@@ -30,7 +30,7 @@ from willmore.curvature import (curvature, delta_profile, gauss_bonnet_check,
                                 gauss_map_energy_density, weingarten_constant,
                                 willmore_energy)
 from willmore.expansion import fit_H, fit_phi, verify_constants
-from willmore.grid import (PolarGrid, circle_mean, fit_order, integrate,
+from willmore.grid import (PolarGrid, circle_mean, dot, fit_order, integrate,
                            jsonable)
 from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
 from willmore.potentials import potentials_SR, solve_gG, verify_system
@@ -118,7 +118,8 @@ def level_grids(config) -> list[PolarGrid]:
 
 def _default_tolerances(config) -> dict:
     """The default gates with the config's ``tolerances`` applied; an
-    unknown key or a non-numeric value fails as stage ``tolerances``."""
+    unknown key, or a value that is not a finite non-negative number, fails
+    as stage ``tolerances``."""
     tol = {"tol_zero": 1e-6, "defect_threshold": 1e-6,
            "pmc_threshold": 5e-3, "winding_gate": 0.2}
     name = config.get("surface", {}).get("name", "")
@@ -130,9 +131,10 @@ def _default_tolerances(config) -> dict:
     given = config.get("tolerances", {})
     if not isinstance(given, dict) or any(
             k not in tol or isinstance(v, bool) or not isinstance(v, Real)
-            for k, v in given.items()):
+            or not 0.0 <= v < float("inf") for k, v in given.items()):
         raise PipelineError("tolerances", ValueError(
-            f"tolerances may set {', '.join(tol)} to numbers, got {given!r}"))
+            f"tolerances may set {', '.join(tol)} to finite non-negative "
+            f"numbers, got {given!r}"))
     tol.update(given)
     return tol
 
@@ -206,7 +208,7 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
     level["strong_norms"] = sr["norms"]
     fl = _stage("flux", flux, curv, frame, f_arg, field)
     level["div_norms"] = fl.div_norms(0.1, 0.9)
-    rms = lambda f: np.sqrt(circle_mean(np.sum(np.abs(f) ** 2, axis=-1)))
+    rms = lambda f: np.sqrt(circle_mean(dot(f, f)))  # both fields are real
     level["residual_profile"] = {"r": grid.r, "strong_rms": rms(sr["field"]),
                                  "div_rms": rms(fl.div_defect)}
     eq = _stage("equivalence", equivalence_check, sr["field"], fl, curv, frame,

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from willmore.curvature import CurvatureField
-from willmore.grid import PolarGrid, annulus_norms, grad
+from willmore.grid import PolarGrid, annulus_norms, div, dot, grad
 from willmore.multivec import MultiVec, bullet, hodge_star, inner, wedge
 from willmore.residues import integrate_curl_potential
 from willmore.surface import FrameField, ImmersionField
@@ -129,7 +129,7 @@ def solve_gG(beta0: np.ndarray,
     r2 = grid.rr ** 2
     gam_x = 2.0 * grid.x[..., None] * beta0 / r2[..., None]
     gam_y = 2.0 * grid.y[..., None] * beta0 / r2[..., None]
-    rhs_g = np.sum(gam_x * d1[0] + gam_y * d1[1], axis=-1)
+    rhs_g = dot(gam_x, d1[0]) + dot(gam_y, d1[1])
     bmv = lambda v: MultiVec.vector(m, v)
     rhs_G = (wedge(bmv(gam_x), bmv(d1[0])) + wedge(bmv(gam_y), bmv(d1[1]))).coeffs
     return _solve_modes(grid, rhs_g), _solve_modes(grid, rhs_G)
@@ -149,8 +149,7 @@ def potentials_SR(L: np.ndarray, field: ImmersionField, curv: CurvatureField,
     perp = (-d1[1], d1[0])
     gx, gy = grad(grid, g)
     Gx, Gy = grad(grid, G)
-    v_s = (np.sum(L * perp[0], axis=-1) - gx,
-           np.sum(L * perp[1], axis=-1) - gy)
+    v_s = (dot(L, perp[0]) - gx, dot(L, perp[1]) - gy)
     bmv = lambda v: MultiVec.vector(m, v)
     Lw = bmv(L)
     Hw = bmv(curv.H)
@@ -194,8 +193,8 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     perp_S, perp_R = pots.v_S, pots.v_R
     Sx, Sy = perp_S[1], -perp_S[0]
     Rx, Ry = perp_R[1], -perp_R[0]
-    lap_S = grad(grid, perp_S[1])[0] - grad(grid, perp_S[0])[1]
-    lap_R = grad(grid, perp_R[1])[0] - grad(grid, perp_R[0])[1]
+    lap_S = div(grid, perp_S[1], -perp_S[0])
+    lap_R = div(grid, perp_R[1], -perp_R[0])
     gx, gy = pots.dg
     Gx, Gy = pots.dG
     perp_g = (-gy, gx)
@@ -205,7 +204,7 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     dot_R = (inner(mk2(sn_x), mk2(perp_R[0])) + inner(mk2(sn_y), mk2(perp_R[1])))
     w1 = inner(sn, mk2(Gx))
     w2 = inner(sn, mk2(Gy))
-    div_w = grad(grid, w1)[0] + grad(grid, w2)[1]
+    div_w = div(grid, w1, w2)
     res_S = -lap_S - dot_R - div_w
 
     # -Lap R = s1 grad(star n) bullet perp grad R - grad(star n) perp grad S
@@ -217,7 +216,7 @@ def verify_system(pots: PotentialSet, frame: FrameField,
           + s_sng * sn.coeffs * gx[..., None])
     f2 = (s_bullG * bullet(sn, mk2(Gy)).coeffs
           + s_sng * sn.coeffs * gy[..., None])
-    div_f = grad(grid, f1)[0] + grad(grid, f2)[1]
+    div_f = div(grid, f1, f2)
     res_R = -lap_R - s_bullR * bull_R + s_dotS * dot_S - div_f
 
     # -2 Lap Phi = (grad S - perp grad g) . perp grad Phi

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import PolarGrid, annulus_norms, div, dz
+from willmore.grid import PolarGrid, annulus_norms, div, dot, dz
 from willmore.multiplier import matrix_field
 from willmore.multivec import MultiVec, hodge_star, wedge
 from willmore.surface import FrameField, ImmersionField, normal_projector
@@ -76,8 +76,7 @@ def strong_residual(curv: CurvatureField, frame: FrameField,
     Hx, Hy = curv.dH
     e2l = np.exp(2.0 * frame.lam)[..., None]
     lap_perp = pi_n(div(grid, pi_n(Hx), pi_n(Hy))) / e2l
-    cross = 2.0 * np.real(np.sum(curv.H * np.conj(curv.H0), axis=-1)[..., None]
-                          * curv.H0)
+    cross = 2.0 * np.real(dot(curv.H, np.conj(curv.H0))[..., None] * curv.H0)
     res = lap_perp + cross
     if f_field is not None:
         res = res - np.real(curv.H0 * f_field[..., None]) / e2l

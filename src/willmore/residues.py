@@ -211,11 +211,9 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
     axes.  The loop defect combines the worst angular holonomy with the
     mismatch against the independent angular-then-radial path family.
     """
-    c = np.cos(grid.tt)
-    s = np.sin(grid.tt)
     shape_pad = (1,) * (vx.ndim - 2)
-    c = c.reshape(c.shape + shape_pad)
-    s = s.reshape(s.shape + shape_pad)
+    c = grid.cos_t.reshape(grid.cos_t.shape + shape_pad)
+    s = grid.sin_t.reshape(grid.sin_t.shape + shape_pad)
     rr = grid.rr.reshape(grid.rr.shape + shape_pad)
     dP_ds = rr * (-s * vx + c * vy)          # r * (V . e_theta)
     dP_dth = -rr * (c * vx + s * vy)         # -r * (V . e_r)

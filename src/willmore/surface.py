@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from willmore import jets
-from willmore.grid import PolarGrid, grad
+from willmore.grid import PolarGrid, dot, grad
 from willmore.jets import Jet
 from willmore.multivec import MultiVec, hodge_star, wedge
 
@@ -46,8 +46,6 @@ class ImmersionField:
     phi: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    name: str = ""
-    params: Optional[dict] = None
 
     def __post_init__(self):
         if self.phi.shape != (self.grid.n_r, self.grid.n_theta, self.ambient_dim):
@@ -56,8 +54,7 @@ class ImmersionField:
             raise SurfaceError("immersion samples must be finite")
 
 
-def from_chart(chart: Callable, grid: PolarGrid, m: int,
-               name: str = "", params: Optional[dict] = None) -> ImmersionField:
+def from_chart(chart: Callable, grid: PolarGrid, m: int) -> ImmersionField:
     """Samples of a jet chart with its exact first and second derivatives."""
     xj, yj = Jet.seed(grid.x, grid.y)
     comps = chart(xj, yj)
@@ -68,7 +65,7 @@ def from_chart(chart: Callable, grid: PolarGrid, m: int,
     phi = stack("f")
     d1 = np.stack([stack("fx"), stack("fy")])
     d2 = np.stack([stack("fxx"), stack("fxy"), stack("fyy")])
-    return ImmersionField(grid, m, phi, d1, d2, name, params or {})
+    return ImmersionField(grid, m, phi, d1, d2)
 
 
 def from_samples(grid: PolarGrid, phi: np.ndarray) -> ImmersionField:
@@ -106,7 +103,7 @@ class FrameField:
     def dn_norm(self) -> np.ndarray:
         """|grad n| per node, from the cached gradient ``dn``."""
         gx, gy = self.dn
-        return np.sqrt(np.sum(gx ** 2 + gy ** 2, axis=-1))
+        return np.sqrt(dot(gx, gx) + dot(gy, gy))
 
 
 def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +115,8 @@ def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
     if np.any(e2lam == 0.0):
         raise SurfaceError("degenerate sample: |grad Phi| vanishes at a node")
     lam = 0.5 * np.log(e2lam)
-    dot = np.sum(p1 * p2, axis=-1)
-    defect = np.maximum(np.abs(n1 - n2) / np.exp(lam), np.abs(dot) / e2lam)
+    cross = dot(p1, p2)
+    defect = np.maximum(np.abs(n1 - n2) / np.exp(lam), np.abs(cross) / e2lam)
     return lam, defect
 
 
@@ -139,12 +136,12 @@ def frame_and_gauss(field: ImmersionField, conformal: tuple,
         raise SurfaceError(
             f"conformal defect {worst:.3e} exceeds threshold {defect_threshold:.1e}")
     p1, p2 = field.d1[0], field.d1[1]
-    e1 = p1 / np.linalg.norm(p1, axis=-1, keepdims=True)
-    t2 = p2 - np.sum(p2 * e1, axis=-1, keepdims=True) * e1
-    e2 = t2 / np.linalg.norm(t2, axis=-1, keepdims=True)
+    e1 = p1 / np.sqrt(dot(p1, p1))[..., None]
+    t2 = p2 - dot(p2, e1)[..., None] * e1
+    e2 = t2 / np.sqrt(dot(t2, t2))[..., None]
     m = field.ambient_dim
     n = hodge_star(wedge(MultiVec.vector(m, e1), MultiVec.vector(m, e2)))
-    nn = np.sqrt(np.sum(n.coeffs ** 2, axis=-1, keepdims=True))
+    nn = np.sqrt(dot(n.coeffs, n.coeffs))[..., None]
     n = MultiVec(m, m - 2, n.coeffs / nn)
     return FrameField(field.grid, lam, defect, e1, e2, n)
 
@@ -165,8 +162,7 @@ def normal_projector(frame: FrameField):
     e1, e2 = frame.e1, frame.e2
 
     def project(v):
-        return (v - np.sum(v * e1, axis=-1, keepdims=True) * e1
-                - np.sum(v * e2, axis=-1, keepdims=True) * e2)
+        return v - dot(v, e1)[..., None] * e1 - dot(v, e2)[..., None] * e2
 
     return project
 
@@ -359,7 +355,7 @@ def catalog_surface(name: str, params: Optional[dict], grid: PolarGrid,
     params = dict(params or {})
     m = int(params.pop("ambient_dim", ambient_dim))
     chart = CATALOG[name](params, m)
-    return from_chart(chart, grid, m, name=name, params=params)
+    return from_chart(chart, grid, m)
 
 
 # -- chart transforms --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Closed-form oracles that only the tests use."""
+"""Closed-form oracles and curvature norms that only the tests use."""
 
 import numpy as np
 
@@ -25,3 +25,15 @@ def radial_log_laplacian_oracle(theta0: int, n: int = 4000) -> dict:
         "cubic_error": float(np.max(np.abs(lap[mid] - cubic[mid]))),
         "quadratic_error": float(np.max(np.abs(lap[mid] - quad[mid]))),
     }
+
+
+def H_norm(curv) -> np.ndarray:
+    """|H| per node of a ``CurvatureField``."""
+    return np.linalg.norm(curv.H, axis=-1)
+
+
+def bending_energy_density(curv) -> np.ndarray:
+    """|II|^2_g in the induced metric times the area factor e^{2 lam}."""
+    sq = (np.sum(curv.h11 ** 2, axis=-1) + 2.0 * np.sum(curv.h12 ** 2, axis=-1)
+          + np.sum(curv.h22 ** 2, axis=-1))
+    return sq * np.exp(2.0 * curv.lam)

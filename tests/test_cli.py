@@ -219,6 +219,12 @@ def test_malformed_levels_named_before_work(monkeypatch, levels):
     ("tolerances", {"tolerances": {"tol_zero": "small"}}),
     ("tolerances", {"tolerances": {"tol_zeros": 1e-6}}),
     ("tolerances", {"tolerances": [1e-6]}),
+    ("multiplier", {"multiplier": {"mu": 0.5, "a_mu": [1.0, 0.0]}}),
+    ("multiplier", {"multiplier": {"mu": True, "a_mu": [1.0, 0.0]}}),
+    ("multiplier", {"multiplier": {"mu": "1", "a_mu": [1.0, 0.0]}}),
+    ("tolerances", {"tolerances": {"tol_zero": float("nan")}}),
+    ("tolerances", {"tolerances": {"winding_gate": -1.0}}),
+    ("tolerances", {"tolerances": {"defect_threshold": float("inf")}}),
 ])
 def test_malformed_config_named_before_work(monkeypatch, stage, entry):
     _no_level_work(monkeypatch)

@@ -4,13 +4,15 @@ import pytest
 from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import (
-    bending_energy_density, curvature, delta_profile,
+    curvature, delta_profile,
     gauss_bonnet_check, gauss_curvature_from_liouville,
     gauss_map_energy_density, tangential_H_defect, weingarten_constant,
     willmore_energy,
 )
 from willmore.surface import (BranchData, catalog_surface, conformal_factor,
                               frame_and_gauss)
+
+from oracles import H_norm, bending_energy_density
 
 
 def setup(name, params=None, grid=None, m=3):
@@ -30,7 +32,7 @@ def test_plane_flat():
 def test_sphere_umbilic_closed_forms():
     R = 1.4
     _, frame, curv = setup("sphere_stereographic", {"R": R})
-    assert np.max(np.abs(curv.H_norm() - 1.0 / R)) < 1e-10
+    assert np.max(np.abs(H_norm(curv) - 1.0 / R)) < 1e-10
     assert np.max(np.abs(curv.H0)) < 1e-8
     assert np.max(np.abs(curv.K - 1.0 / R ** 2)) < 1e-10
     assert tangential_H_defect(curv, frame) < 1e-10
@@ -38,14 +40,14 @@ def test_sphere_umbilic_closed_forms():
 
 def test_catenoid_minimal():
     _, _, curv = setup("catenoid_end")
-    assert np.max(curv.H_norm()) < 1e-10
+    assert np.max(H_norm(curv)) < 1e-10
     assert np.max(curv.K) < 0.0
 
 
 def test_cylinder_cmc_curvatures():
     rho = 0.75
     _, _, curv = setup("cylinder_cmc", {"radius": rho})
-    assert np.max(np.abs(curv.H_norm() - 1.0 / (2 * rho))) < 1e-10
+    assert np.max(np.abs(H_norm(curv) - 1.0 / (2 * rho))) < 1e-10
     h0 = np.linalg.norm(curv.H0, axis=-1)
     assert np.max(np.abs(h0 - 1.0 / (2 * rho))) < 1e-10
     assert np.max(np.abs(curv.K)) < 1e-10

@@ -128,6 +128,48 @@ def test_divergence_free_planted_field():
     assert g.fit_order(hs, errs) >= 1.9
 
 
+def _smooth(gr, trailing, seed):
+    """A smooth field: four polynomials/harmonics with random weights per
+    trailing component."""
+    basis = np.stack([gr.x, gr.y ** 2, gr.x * gr.y, gr.rr * np.cos(3 * gr.tt)],
+                     axis=-1)
+    w = np.random.default_rng(seed).standard_normal((4,) + trailing)
+    return np.tensordot(basis, w, axes=1)
+
+
+@pytest.mark.parametrize("trailing", [(), (28,)])
+def test_div_is_the_kept_half_of_two_gradients(trailing):
+    gr = make_grid()
+    vx, vy = _smooth(gr, trailing, 1), _smooth(gr, trailing, 2)
+    expect = g.grad(gr, vx)[0] + g.grad(gr, vy)[1]
+    assert np.array_equal(g.div(gr, vx, vy), expect)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_polar_wirtinger_matches_cartesian(is_complex):
+    gr = make_grid()
+    f = _smooth(gr, (3,), 3)
+    if is_complex:
+        f = f + 1j * _smooth(gr, (3,), 4)
+    gx, gy = g.grad(gr, f)
+    for got, want in ((g.dz(gr, f), 0.5 * (gx - 1j * gy)),
+                      (g.dzbar(gr, f), 0.5 * (gx + 1j * gy))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [3, 8, 28])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_dot_is_the_trailing_axis_sum(m, is_complex):
+    rng = np.random.default_rng(m)
+    a, b = rng.standard_normal((2, 6, 5, m))
+    if is_complex:
+        a = a + 1j * rng.standard_normal(a.shape)
+        b = b - 1j * rng.standard_normal(b.shape)
+    expect = np.sum(a * b, axis=-1)  # bilinear: no conjugate
+    bound = 2 * m * np.finfo(float).eps * np.sum(np.abs(a * b), axis=-1)
+    assert np.all(np.abs(g.dot(a, b) - expect) <= bound)
+
+
 def test_integrate_area():
     gr = make_grid(n_r=64)
     one = np.ones((gr.n_r, gr.n_theta))

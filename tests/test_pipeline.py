@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from willmore import grid as g
 from willmore import multiplier, pipeline, potentials, residual, surface
 from willmore.grid import PolarGrid, grad
 
@@ -48,22 +49,25 @@ def test_analyze_level_runs_each_stage_once(name, monkeypatch):
                      "grad_H": 1, "grad_n": 1}
 
 
-def test_verify_system_takes_eight_gradients(monkeypatch):
-    # grad g, grad G and grad n arrive cached; only the 8 new ones are taken
+def test_verify_system_takes_four_divergences(monkeypatch):
+    # grad g, grad G and grad n arrive cached; the four divergences take one
+    # angular derivative per input (8) and no full gradient
     calls = Counter()
     verify = potentials.verify_system
 
     def counted_verify(*args, **kwargs):
         calls["verify_system"] += 1
         with monkeypatch.context() as inside:
-            _count(inside, calls, "grad", grad, potentials)
+            _count(inside, calls, "grad", grad, potentials, g)
+            _count(inside, calls, "div", g.div, potentials)
+            _count(inside, calls, "dtheta", g.dtheta, g)
             return verify(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "verify_system", counted_verify)
     pipeline.analyze_level(
         {"surface": {"name": "inverted_catenoid", "ambient_dim": 8}},
         PolarGrid(1e-3, 1.0, 48, 32), with_potentials=True)
-    assert calls == {"verify_system": 1, "grad": 8}
+    assert calls == {"verify_system": 1, "div": 4, "dtheta": 8}
 
 
 @pytest.mark.parametrize("with_potentials", [False, True])
