@@ -9,19 +9,23 @@ Subcommands:
     classify   re-derive the verdict from a saved report.json
 
 Configs are JSON documents:
-    {"surface": {"name": ..., "params": {...}, "ambient_dim": m},
+    {"surface": {"name": ..., "params": {...}, "ambient_dim": m}
+                | {"csv": path},
      "grid": {"r_min": ..., "r_max": ..., "n_r": ..., "n_theta": ...},
      "multiplier": null | {"mu": ..., "a_mu": [re, im], "f0": [[re, im], ...],
                            "zero": false} | {"mode": "pmc", "sign": 1},
-     "levels": 1, "with_potentials": false,
+     "levels": 1, "regular": bool, "with_potentials": false,
+     "with_expansion": true,
      "tolerances": {"tol_zero": 1e-6, "defect_threshold": 1e-6,
                     "pmc_threshold": 5e-3, "winding_gate": 0.2}}
 
-``residues`` and ``fit`` run ``analyze`` (without potentials; ``residues``
-also without expansions) and print its last level, and ``energy`` runs the
-last level's stages up to the energy, with the same tolerances;
-``classify`` re-derives the verdict with the report's saved tolerances
-unless ``--tol-zero`` is given.
+Every command reads its config (after its flags) through
+``pipeline.resolve``, so an unknown key or a malformed entry is refused,
+with its stage named, before any work.  ``residues`` and ``fit`` run
+``analyze`` (without potentials; ``residues`` also without expansions) and
+print its last level, and ``energy`` runs the last level's stages up to the
+energy, with the same settings; ``classify`` re-derives the verdict with
+the report's saved config, and ``--tol-zero`` replaces its ``tol_zero``.
 """
 
 from __future__ import annotations
@@ -38,10 +42,16 @@ def _load_config(path) -> dict:
 
 
 def _apply_overrides(config, args) -> dict:
+    """The config with the command's flags applied; an entry that is not a
+    mapping is left as it is, for ``resolve`` to refuse."""
+    if not isinstance(config, dict):
+        return config
     if getattr(args, "levels", None) is not None:
         config["levels"] = args.levels
     if getattr(args, "tol_zero", None) is not None:
-        config.setdefault("tolerances", {})["tol_zero"] = args.tol_zero
+        tol = config.setdefault("tolerances", {})
+        if isinstance(tol, dict):
+            tol["tol_zero"] = args.tol_zero
     if getattr(args, "with_potentials", False):
         config["with_potentials"] = True
     return config
@@ -52,8 +62,9 @@ def _analyze(args, with_expansion: bool) -> dict:
     from willmore.pipeline import run_pipeline
 
     config = _apply_overrides(_load_config(args.config), args)
-    return run_pipeline({**config, "with_potentials": False,
-                         "with_expansion": with_expansion})
+    if isinstance(config, dict):
+        config.update(with_potentials=False, with_expansion=with_expansion)
+    return run_pipeline(config)
 
 
 def _write_json(doc, out) -> int:
@@ -66,11 +77,11 @@ def _write_json(doc, out) -> int:
 
 
 def cmd_generate(args) -> int:
-    from willmore.pipeline import _stage, build_field, config_grid
+    from willmore.pipeline import _stage, build_field, resolve
     from willmore.surface import save_samples_csv
 
-    config = _load_config(args.config)
-    field = _stage("surface", build_field, config, config_grid(config))
+    settings = resolve(_load_config(args.config))
+    field = _stage("surface", build_field, settings, settings.grids[0])
     save_samples_csv(field, args.out)
     print(f"wrote {field.grid.n_r * field.grid.n_theta} samples to {args.out}")
     return 0
@@ -100,10 +111,10 @@ def cmd_residues(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    from willmore.pipeline import level_geometry, level_grids
+    from willmore.pipeline import level_geometry, resolve
 
-    config = _load_config(args.config)
-    level, *_ = level_geometry(config, level_grids(config)[-1])
+    settings = resolve(_load_config(args.config))
+    level, *_ = level_geometry(settings, settings.grids[-1])
     print("willmore energy over the sampled annulus: "
           f"{level['willmore_energy']:.12g}")
     return 0
@@ -117,21 +128,18 @@ def cmd_fit(args) -> int:
 
 def cmd_classify(args) -> int:
     from willmore.classify import classify
-    from willmore.pipeline import (_default_tolerances, _resolve_multiplier,
-                                   exit_code)
+    from willmore.pipeline import exit_code, resolve
     from willmore.residues import ResidueReport
 
     with open(args.report) as fh:
         doc = json.load(fh)
-    config = doc.get("config", {})
-    spec, _, _ = _resolve_multiplier(config)
-    tol_zero = (args.tol_zero if args.tol_zero is not None
-                else _default_tolerances(config)["tol_zero"])
+    settings = resolve(_apply_overrides(doc.get("config", {}), args))
+    # pmc is measured on the last level, so it is read from the report
     cond = doc.get("classification", {}).get("conditions", {})
-    verdict = classify(ResidueReport.from_json(doc["residues"]), spec,
-                       pmc=bool(cond.get("pmc", False)),
-                       regular=bool(cond.get("regular", False)),
-                       tol_zero=tol_zero)
+    verdict = classify(ResidueReport.from_json(doc["residues"]),
+                       settings.spec, pmc=bool(cond.get("pmc", False)),
+                       regular=settings.regular,
+                       tol_zero=settings.tolerances["tol_zero"])
     out = verdict.to_json()
     print(json.dumps(out, indent=1))
     return exit_code({"classification": out})

@@ -75,14 +75,6 @@ def gauss_map_energy_density(frame: FrameField) -> np.ndarray:
     return frame.dn_norm ** 2
 
 
-def tangential_H_defect(curv: CurvatureField, frame: FrameField) -> float:
-    """max |pi_T H| / max(|H|, eps): vanishes on exactly conformal input."""
-    pi_n = normal_projector(frame)
-    tang = curv.H - pi_n(curv.H)
-    scale = max(float(np.max(np.linalg.norm(curv.H, axis=-1))), 1e-30)
-    return float(np.max(np.linalg.norm(tang, axis=-1))) / scale
-
-
 def gauss_bonnet_check(curv: CurvatureField, branch: BranchData,
                        r_lo=None, r_hi=None) -> dict:
     """Liouville residual Lap u + e^{2 lam} K on the annulus.
@@ -100,12 +92,6 @@ def delta_profile(frame: FrameField) -> dict:
     delta = frame.grid.r * np.max(gn, axis=1)
     total = float(np.trapezoid(delta ** 2, frame.grid.s))
     return {"r": frame.grid.r, "delta": delta, "square_integral": total}
-
-
-def gauss_curvature_from_liouville(curv: CurvatureField,
-                                   branch: BranchData) -> np.ndarray:
-    """K via -Lap u = e^{2 lam} K; cross-validates the det(II) route."""
-    return -laplacian(curv.grid, branch.u) * np.exp(-2.0 * curv.lam)
 
 
 def weingarten_constant(curv: CurvatureField, frame: FrameField) -> float:

@@ -22,7 +22,7 @@ from numbers import Real
 
 import numpy as np
 
-from willmore.grid import PolarGrid, annulus_norms, dot, dz, dzbar
+from willmore.grid import PolarGrid, annulus_norms, dot, dz
 from willmore.surface import (BranchData, FrameField, ImmersionField,
                               normal_projector)
 
@@ -219,20 +219,3 @@ def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
     pmc_defect = annulus_norms(grid, num)["max"] / floor
     return {"f_pmc": f_pmc, "antiholomorphy_defect": dz_defect,
             "pmc_defect": pmc_defect}
-
-
-def codazzi_defect(curv, frame: FrameField) -> float:
-    """Residual of the Codazzi identity tying H, H0 and the conformal factor.
-
-    In the Weingarten convention used here (H0 from dz(e^{-lam} e_z)) the
-    identity reads e^{-2lam} dzbar(e^{2lam} H.H0) = H.dz H + H0.dzbar H;
-    it is why the parallel-mean-curvature multiplier is anti-holomorphic.
-    """
-    grid = frame.grid
-    e2l = np.exp(2.0 * frame.lam)
-    lhs = dzbar(grid, e2l * dot(curv.H, curv.H0)) / e2l
-    dzH = dz(grid, curv.H)
-    dzbH = dzbar(grid, curv.H)
-    rhs = dot(curv.H, dzH) + dot(curv.H0, dzbH)
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-30)
-    return annulus_norms(grid, lhs - rhs)["max"] / scale

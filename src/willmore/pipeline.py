@@ -1,9 +1,14 @@
 """End-to-end analysis: surface -> curvature -> multiplier -> flux ->
 residues -> potentials (optional) -> expansion -> classification.
 
-``run_pipeline`` executes the chain on one or more refinement levels,
-aggregates convergence orders, and writes a versioned JSON report plus CSV
-radial profiles.  Any stage failure is re-raised with the stage named.
+``resolve`` reads a config once, before any work, into a frozen
+``Settings``: the surface entry, the level grids, the tolerances, the
+multiplier and the ``regular``, ``with_potentials`` and ``with_expansion``
+flags.  A malformed or unknown entry fails there, as a ``PipelineError``
+that names its stage.  ``run_pipeline`` resolves its config, executes the
+chain on every refinement level with those settings, aggregates convergence
+orders, and writes a versioned JSON report plus CSV radial profiles.  Any
+stage failure is re-raised with the stage named.
 
 Report files (schema_version 1):
     report.json            config, per-level records, convergence orders,
@@ -19,9 +24,11 @@ from __future__ import annotations
 import csv
 import json
 import time
+from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NoReturn, Optional
 
 import numpy as np
 
@@ -33,6 +40,7 @@ from willmore.expansion import fit_H, fit_phi, verify_constants
 from willmore.grid import (PolarGrid, circle_mean, dot, fit_order, integrate,
                            jsonable)
 from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
+from willmore.multivec import MAX_DIM, MIN_DIM
 from willmore.potentials import potentials_SR, solve_gG, verify_system
 from willmore.residual import equivalence_check, flux, strong_residual
 from willmore.residues import (ResidueReport, branch_order, first_residue,
@@ -43,6 +51,10 @@ from willmore.surface import (REGULAR_ENTRIES, catalog_surface,
                               load_samples_csv)
 
 SCHEMA_VERSION = 1
+
+#: the top-level config keys; any other key is refused at stage ``config``
+CONFIG_KEYS = ("surface", "grid", "levels", "multiplier", "tolerances",
+               "regular", "with_potentials", "with_expansion")
 
 
 class PipelineError(RuntimeError):
@@ -61,68 +73,100 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def _resolve_multiplier(config) -> tuple[Optional[MultiplierSpec], str, int]:
-    """(spec, mode, pmc sign) of the config's multiplier; a malformed one
-    fails as stage ``multiplier``."""
-    doc = config.get("multiplier")
+def _refuse(stage: str, message: str) -> NoReturn:
+    raise PipelineError(stage, ValueError(message))
+
+
+def _is_integer(v) -> bool:
+    return (not isinstance(v, bool) and isinstance(v, Real)
+            and float(v).is_integer())
+
+
+@dataclass(frozen=True)
+class Settings:
+    """What a config asks of a run, checked once by ``resolve``.
+
+    ``surface`` is ``{"csv": path}`` or ``{"name", "params",
+    "ambient_dim"}``; ``grids`` are the refinement levels, coarsest first;
+    ``spec`` is None in pmc mode, where ``pmc_sign`` applies.
+    """
+
+    surface: Mapping
+    grids: tuple[PolarGrid, ...]
+    tolerances: Mapping[str, float]
+    spec: Optional[MultiplierSpec]
+    mult_mode: str
+    pmc_sign: int
+    regular: bool
+    with_potentials: bool
+    with_expansion: bool
+
+
+def _surface_entry(surf) -> dict:
+    """The checked surface entry: a CSV path, or a catalog name with its
+    params and ambient dimension."""
+    if not isinstance(surf, dict) or not ("csv" in surf or "name" in surf):
+        _refuse("surface", "surface must be a mapping with a name or a csv, "
+                f"got {surf!r}")
+    if "csv" in surf:
+        if not isinstance(surf["csv"], str):
+            _refuse("surface", f"csv must be a path, got {surf['csv']!r}")
+        return {"csv": surf["csv"]}
+    if not isinstance(surf["name"], str):
+        _refuse("surface", f"name must be a string, got {surf['name']!r}")
+    params, m = surf.get("params", {}), surf.get("ambient_dim", 3)
+    if not isinstance(params, dict) or "ambient_dim" in params:
+        _refuse("surface", "params must be a mapping without ambient_dim "
+                f"(set it on the surface), got {params!r}")
+    if not _is_integer(m) or not MIN_DIM <= m <= MAX_DIM:
+        _refuse("surface", f"ambient_dim must be an integer in [{MIN_DIM}, "
+                f"{MAX_DIM}], got {m!r}")
+    return {"name": surf["name"], "params": params, "ambient_dim": int(m)}
+
+
+def _multiplier(doc) -> tuple[Optional[MultiplierSpec], str, int]:
+    """(spec, mode, pmc sign) of the config's multiplier entry."""
     if doc is None or doc == "zero":
         return MultiplierSpec.zero_spec(), "zero", +1
     if not isinstance(doc, dict):
-        raise PipelineError("multiplier", ValueError(
-            f"multiplier must be null, a spec or {{'mode': 'pmc'}}, got {doc!r}"))
+        _refuse("multiplier", "multiplier must be null, a spec or "
+                f"{{'mode': 'pmc'}}, got {doc!r}")
     if doc.get("mode") == "pmc":
         sign = doc.get("sign", +1)
         if isinstance(sign, bool) or sign not in (1, -1):
-            raise PipelineError("multiplier", ValueError(
-                f"pmc sign must be +1 or -1, got {sign!r}"))
+            _refuse("multiplier", f"pmc sign must be +1 or -1, got {sign!r}")
         return None, "pmc", int(sign)
     return _stage("multiplier", MultiplierSpec.from_json, doc), "spec", +1
 
 
-def build_field(config, grid):
-    """The configured surface: CSV samples or a catalog chart on ``grid``."""
-    surf = config["surface"]
-    if "csv" in surf:
-        return load_samples_csv(surf["csv"])
-    return catalog_surface(surf["name"], surf.get("params", {}), grid,
-                           int(surf.get("ambient_dim", 3)))
+def resolve(config) -> Settings:
+    """The settings of ``config``; a malformed or unknown entry fails here,
+    before any work, with the stage named after its key (``config`` for
+    the keys themselves)."""
+    if not isinstance(config, dict):
+        _refuse("config", f"config must be a mapping, got {config!r}")
+    unknown = sorted(map(str, set(config) - set(CONFIG_KEYS)))
+    if unknown:
+        _refuse("config", f"unknown keys {', '.join(unknown)}; accepted "
+                f"keys: {', '.join(CONFIG_KEYS)}")
+    surface = _surface_entry(config.get("surface"))
+    # the two defaults below still follow the catalog name as given
+    name = config["surface"].get("name")
 
-
-def config_grid(config) -> PolarGrid:
-    """The configured base grid (96x64 from r_min 1e-3 when none is given)."""
-    if "grid" not in config:
-        return PolarGrid(1e-3, 1.0, 96, 64)
-    return _stage("grid", PolarGrid.from_json, config["grid"])
-
-
-def level_grids(config) -> list[PolarGrid]:
-    """The grids of the configured refinement levels, coarsest first; a
-    malformed surface, grid or level count fails here, before any work."""
-    surf = config.get("surface")
-    if not isinstance(surf, dict) or not ("csv" in surf or "name" in surf):
-        raise PipelineError("surface", ValueError(
-            f"surface must be a mapping with a name or a csv, got {surf!r}"))
-    grids = [config_grid(config)]
+    grids = [_stage("grid", PolarGrid.from_json, config["grid"])
+             if "grid" in config else PolarGrid(1e-3, 1.0, 96, 64)]
     n_levels = config.get("levels", 1)
-    if (isinstance(n_levels, bool) or not isinstance(n_levels, Real)
-            or not float(n_levels).is_integer() or n_levels < 1):
-        raise PipelineError("levels", ValueError(
-            f"levels must be a positive integer, got {n_levels!r}"))
-    if "csv" in surf and n_levels > 1:
-        raise PipelineError("surface", ValueError(
-            "CSV-imported samples cannot be refined; use levels = 1"))
+    if not _is_integer(n_levels) or n_levels < 1:
+        _refuse("levels", f"levels must be a positive integer, got "
+                f"{n_levels!r}")
+    if "csv" in surface and n_levels > 1:
+        _refuse("surface", "CSV-imported samples cannot be refined; use "
+                "levels = 1")
     for _ in range(int(n_levels) - 1):
         grids.append(grids[-1].refined())
-    return grids
 
-
-def _default_tolerances(config) -> dict:
-    """The default gates with the config's ``tolerances`` applied; an
-    unknown key, or a value that is not a finite non-negative number, fails
-    as stage ``tolerances``."""
     tol = {"tol_zero": 1e-6, "defect_threshold": 1e-6,
            "pmc_threshold": 5e-3, "winding_gate": 0.2}
-    name = config.get("surface", {}).get("name", "")
     if name == "synthetic_th4":
         # the planted template is conformal only asymptotically; its outer
         # rows carry an O(1) defect by construction. The measured defect is
@@ -132,26 +176,42 @@ def _default_tolerances(config) -> dict:
     if not isinstance(given, dict) or any(
             k not in tol or isinstance(v, bool) or not isinstance(v, Real)
             or not 0.0 <= v < float("inf") for k, v in given.items()):
-        raise PipelineError("tolerances", ValueError(
-            f"tolerances may set {', '.join(tol)} to finite non-negative "
-            f"numbers, got {given!r}"))
+        _refuse("tolerances", f"tolerances may set {', '.join(tol)} to "
+                f"finite non-negative numbers, got {given!r}")
     tol.update(given)
-    return tol
+    spec, mult_mode, pmc_sign = _multiplier(config.get("multiplier"))
+
+    flags = {"regular": config.get("regular", name in REGULAR_ENTRIES),
+             "with_potentials": config.get("with_potentials", False),
+             "with_expansion": config.get("with_expansion", True)}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            _refuse(key, f"{key} must be true or false, got {value!r}")
+    return Settings(MappingProxyType(surface), tuple(grids),
+                    MappingProxyType(tol), spec, mult_mode, pmc_sign, **flags)
 
 
-def level_geometry(config, grid: PolarGrid):
+def build_field(settings: Settings, grid: PolarGrid):
+    """The configured surface: CSV samples or a catalog chart on ``grid``."""
+    surf = settings.surface
+    if "csv" in surf:
+        return load_samples_csv(surf["csv"])
+    return catalog_surface(surf["name"], surf["params"], grid,
+                           surf["ambient_dim"])
+
+
+def level_geometry(settings: Settings, grid: PolarGrid):
     """Surface, frame, branch order, curvature and Willmore energy of a level.
 
     Returns the level record begun here and what the rest of the level
     reads: ``(level, field, frame, branch, curv)``.
     """
-    tol = _default_tolerances(config)
-    field = _stage("surface", build_field, config, grid)
+    field = _stage("surface", build_field, settings, grid)
     conformal = _stage("conformal_factor", conformal_factor, field)
     level = {"grid": field.grid.to_json(),
              "conformal_defect": float(np.max(conformal[1]))}
     frame = _stage("frame_and_gauss", frame_and_gauss, field, conformal,
-                   tol["defect_threshold"])
+                   settings.tolerances["defect_threshold"])
 
     br = _stage("branch_order", branch_order, frame)
     level["theta0"] = br.theta0
@@ -163,12 +223,13 @@ def level_geometry(config, grid: PolarGrid):
     return level, field, frame, br, curv
 
 
-def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
-                  with_expansion: bool = True) -> dict:
-    """One refinement level of the full chain; returns the level record."""
-    tol = _default_tolerances(config)
-    spec, mult_mode, pmc_sign = _resolve_multiplier(config)
-    level, field, frame, br, curv = level_geometry(config, grid)
+def analyze_level(settings: Settings,
+                  grid: PolarGrid) -> tuple[dict, ResidueReport]:
+    """One refinement level of the full chain: the level record and the
+    level's residues."""
+    tol, spec = settings.tolerances, settings.spec
+    mult_mode, pmc_sign = settings.mult_mode, settings.pmc_sign
+    level, field, frame, br, curv = level_geometry(settings, grid)
     grid = field.grid
     # the Gauss-map energy is recorded, never silently rescaled away
     gm_energy = _stage("gauss_map_energy", integrate, grid,
@@ -256,14 +317,14 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
     level["pmc_detect"] = _stage("pmc_detect", pmc_detect, pmc, report,
                                  tol["pmc_threshold"], tol["tol_zero"])
 
-    if with_potentials:
+    if settings.with_potentials:
         g, G = _stage("solve_gG", solve_gG, beta0, field)
         pots = _stage("potentials_SR", potentials_SR, L, field, curv, g, G)
         level["potential_loop_defects"] = pots.loop_defects
         level["system_residuals"] = _stage("verify_system", verify_system,
                                            pots, frame, field, 0.15, 0.85)
 
-    if with_expansion:
+    if settings.with_expansion:
         fit = _stage("fit_phi", fit_phi, field, br.theta0, srw.a, br.u0)
         hfit = _stage("fit_H", fit_H, curv, br.theta0, srw.a, br.u0)
         level["expansion"] = fit.to_json()
@@ -275,20 +336,15 @@ def analyze_level(config, grid: PolarGrid, with_potentials: bool = False,
             "verify_constants", verify_constants, fit, br.theta0, srw.a,
             br.u0, gamma0, hfit["E_a"])
 
-    level["_report"] = report
-    return level
+    return level, report
 
 
 def run_pipeline(config: dict, out_dir=None) -> dict:
     """Full analysis across refinement levels; writes report and profiles."""
     t0 = time.time()
-    grids = level_grids(config)
-    tol = _default_tolerances(config)
-    spec, mult_mode, _ = _resolve_multiplier(config)
-
-    levels = [analyze_level(config, grid, config.get("with_potentials", False),
-                            config.get("with_expansion", True))
-              for grid in grids]
+    settings = resolve(config)
+    runs = [analyze_level(settings, grid) for grid in settings.grids]
+    levels = [level for level, _ in runs]
 
     convergence = {}
     if len(levels) >= 2:
@@ -302,21 +358,18 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
         convergence["beta0_drift"] = float(np.linalg.norm(
             np.asarray(levels[-1]["beta0"]) - np.asarray(levels[-2]["beta0"])))
 
-    final = levels[-1]
-    report: ResidueReport = final["_report"]
-    surf = config.get("surface", {})
-    regular = bool(config.get("regular",
-                              surf.get("name") in REGULAR_ENTRIES))
-    pmc_flag = bool(mult_mode == "pmc" and final["pmc_detect"]["pmc"])
-    verdict = classify(report, spec, pmc=pmc_flag, regular=regular,
-                       tol_zero=tol["tol_zero"])
+    final, report = runs[-1]
+    pmc_flag = bool(settings.mult_mode == "pmc"
+                    and final["pmc_detect"]["pmc"])
+    verdict = classify(report, settings.spec, pmc=pmc_flag,
+                       regular=settings.regular,
+                       tol_zero=settings.tolerances["tol_zero"])
 
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": {k: v for k, v in config.items() if not k.startswith("_")},
+        "config": config,
         "elapsed_seconds": time.time() - t0,
-        "levels": [{k: v for k, v in lv.items() if not k.startswith("_")}
-                   for lv in levels],
+        "levels": levels,
         "convergence": convergence,
         "residues": report.to_json(),
         "classification": verdict.to_json(),
@@ -328,7 +381,7 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "report.json", "w") as fh:
             json.dump(doc, fh, indent=1)
-        _write_profiles(out, levels[-1])
+        _write_profiles(out, final)
     return doc
 
 

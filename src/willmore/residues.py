@@ -378,10 +378,6 @@ class ResidueReport:
     a: int
     diagnostics: dict = dfield(default_factory=dict)
 
-    def range_violation(self, spec: Optional[MultiplierSpec]) -> bool:
-        lo, hi = pole_order_range(self.theta0, spec)
-        return not lo <= self.a <= hi
-
     def to_json(self) -> dict:
         return jsonable({f.name: getattr(self, f.name) for f in fields(self)})
 

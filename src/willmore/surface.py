@@ -352,37 +352,8 @@ def catalog_surface(name: str, params: Optional[dict], grid: PolarGrid,
     if name not in CATALOG:
         raise SurfaceError(f"unknown catalog surface {name!r}; "
                            f"choices: {sorted(CATALOG)}")
-    params = dict(params or {})
-    m = int(params.pop("ambient_dim", ambient_dim))
-    chart = CATALOG[name](params, m)
-    return from_chart(chart, grid, m)
-
-
-# -- chart transforms --------------------------------------------------------
-
-def inverted_chart(chart: Callable, center) -> Callable:
-    """Compose a chart with the sphere inversion p -> (p - c)/|p - c|^2."""
-    center = np.asarray(center, dtype=float)
-
-    def new_chart(x, y):
-        comps = chart(x, y)
-        shifted = [ci - center[k] for k, ci in enumerate(comps)]
-        norm2 = shifted[0] * shifted[0]
-        for s in shifted[1:]:
-            norm2 = norm2 + s * s
-        return [s / norm2 for s in shifted]
-    return new_chart
-
-
-def rotated_chart(chart: Callable, Q: np.ndarray) -> Callable:
-    """Compose a chart with an ambient orthogonal map."""
-    Q = np.asarray(Q, dtype=float)
-
-    def new_chart(x, y):
-        comps = chart(x, y)
-        return [sum(Q[i, j] * comps[j] for j in range(len(comps)))
-                for i in range(Q.shape[0])]
-    return new_chart
+    chart = CATALOG[name](params or {}, ambient_dim)
+    return from_chart(chart, grid, ambient_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,17 @@ def test_malformed_levels_named_before_work(monkeypatch, levels):
     ("tolerances", {"tolerances": {"tol_zero": float("nan")}}),
     ("tolerances", {"tolerances": {"winding_gate": -1.0}}),
     ("tolerances", {"tolerances": {"defect_threshold": float("inf")}}),
+    ("regular", {"regular": "false"}),
+    ("with_potentials", {"with_potentials": "no"}),
+    ("with_expansion", {"with_expansion": "false"}),
+    ("config", {"levles": 2}),
+    ("surface", {"surface": {"name": "plane", "ambient_dim": 3.7}}),
+    ("surface", {"surface": {"name": "plane", "ambient_dim": 9}}),
+    ("surface", {"surface": {"name": "plane", "params": [1.0]}}),
+    ("surface", {"surface": {"name": "plane",
+                             "params": {"ambient_dim": 4}}}),
+    ("surface", {"surface": {"csv": 5}}),
+    ("surface", {"surface": {"name": ["plane"]}}),
 ])
 def test_malformed_config_named_before_work(monkeypatch, stage, entry):
     _no_level_work(monkeypatch)
@@ -233,10 +245,31 @@ def test_malformed_config_named_before_work(monkeypatch, stage, entry):
     assert err.value.stage == stage
 
 
+def test_unknown_key_lists_accepted_keys():
+    with pytest.raises(PipelineError) as err:
+        pipeline.resolve({**PLANE, "levles": 2})
+    assert "levles" in str(err.value)
+    assert all(key in str(err.value) for key in pipeline.CONFIG_KEYS)
+
+
+def test_readme_documents_every_config_key():
+    # the rows of the key table in README's config section
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+    assert documented == set(pipeline.CONFIG_KEYS)
+    for key in documented:
+        # an accepted key gets past the key check to its own entry's check
+        with pytest.raises(PipelineError) as err:
+            pipeline.resolve({key: object()})
+        assert err.value.stage != "config", key
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_pmc_sign_accepts_plus_or_minus_one(sign):
-    config = {"multiplier": {"mode": "pmc", "sign": sign}}
-    assert pipeline._resolve_multiplier(config) == (None, "pmc", sign)
+    s = pipeline.resolve({**PLANE,
+                          "multiplier": {"mode": "pmc", "sign": sign}})
+    assert (s.spec, s.mult_mode, s.pmc_sign) == (None, "pmc", sign)
 
 
 @pytest.mark.parametrize("grid", [
@@ -256,6 +289,13 @@ def test_malformed_grid_exit_code(tmp_path, capsys):
     assert main(["analyze", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "stage 'grid'" in err and "n_r, n_theta" in err
+
+
+def test_tol_zero_override_on_malformed_tolerances_exit_code(tmp_path,
+                                                             capsys):
+    cfg = write_config(tmp_path, {**PLANE, "tolerances": [1e-6]})
+    assert main(["analyze", "--config", cfg, "--tol-zero", "1e-6"]) == 1
+    assert "stage 'tolerances'" in capsys.readouterr().err
 
 
 def test_csv_surface_single_level(tmp_path):

@@ -4,15 +4,14 @@ import pytest
 from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import (
-    curvature, delta_profile,
-    gauss_bonnet_check, gauss_curvature_from_liouville,
-    gauss_map_energy_density, tangential_H_defect, weingarten_constant,
-    willmore_energy,
+    curvature, delta_profile, gauss_bonnet_check, gauss_map_energy_density,
+    weingarten_constant, willmore_energy,
 )
 from willmore.surface import (BranchData, catalog_surface, conformal_factor,
                               frame_and_gauss)
 
-from oracles import H_norm, bending_energy_density
+from oracles import (H_norm, bending_energy_density,
+                     gauss_curvature_from_liouville, tangential_H_defect)
 
 
 def setup(name, params=None, grid=None, m=3):

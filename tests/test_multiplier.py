@@ -7,11 +7,13 @@ from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
 from willmore.multiplier import (
-    MultiplierError, MultiplierSpec, antiholomorphy_defect, codazzi_defect,
-    matrix_field, pmc_multiplier, special_fields,
+    MultiplierError, MultiplierSpec, antiholomorphy_defect, matrix_field,
+    pmc_multiplier, special_fields,
 )
 from willmore.surface import (BranchData, catalog_surface, conformal_factor,
                               frame_and_gauss)
+
+from oracles import codazzi_defect
 
 RNG = np.random.default_rng(99)
 

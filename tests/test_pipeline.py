@@ -43,7 +43,7 @@ def test_analyze_level_runs_each_stage_once(name, monkeypatch):
     # grad H and grad n are the only gradients these two modules take
     _count(monkeypatch, calls, "grad_H", grad, curvature)
     _count(monkeypatch, calls, "grad_n", grad, surface)
-    pipeline.analyze_level(ONE_PASS_CONFIGS[name],
+    pipeline.analyze_level(pipeline.resolve(ONE_PASS_CONFIGS[name]),
                            PolarGrid(1e-3, 1.0, 96, 64))
     assert calls == {"flux": 1, "strong_residual": 1, "pmc_multiplier": 1,
                      "grad_H": 1, "grad_n": 1}
@@ -65,8 +65,10 @@ def test_verify_system_takes_four_divergences(monkeypatch):
 
     monkeypatch.setattr(pipeline, "verify_system", counted_verify)
     pipeline.analyze_level(
-        {"surface": {"name": "inverted_catenoid", "ambient_dim": 8}},
-        PolarGrid(1e-3, 1.0, 48, 32), with_potentials=True)
+        pipeline.resolve({"surface": {"name": "inverted_catenoid",
+                                      "ambient_dim": 8},
+                          "with_potentials": True}),
+        PolarGrid(1e-3, 1.0, 48, 32))
     assert calls == {"verify_system": 1, "div": 4, "dtheta": 8}
 
 
@@ -81,10 +83,30 @@ def test_csv_level_differentiates_once(tmp_path, monkeypatch,
     calls = Counter()
     _count(monkeypatch, calls, "grad", grad, surface)
     pipeline.analyze_level(
-        {"surface": {"csv": str(path)},
-         "tolerances": {"defect_threshold": 0.1}},
-        grid, with_potentials=with_potentials)
+        pipeline.resolve({"surface": {"csv": str(path)},
+                          "tolerances": {"defect_threshold": 0.1},
+                          "with_potentials": with_potentials}),
+        grid)
     assert calls == {"grad": 4}
+
+
+def test_run_pipeline_resolves_config_once(monkeypatch):
+    # three levels: one resolve, and no level sees the raw config
+    calls, received = Counter(), []
+    _count(monkeypatch, calls, "resolve", pipeline.resolve, pipeline)
+    for fn in (pipeline.level_geometry, pipeline.analyze_level):
+        def seen(settings, grid, fn=fn):
+            received.append((fn.__name__, settings))
+            return fn(settings, grid)
+        monkeypatch.setattr(pipeline, fn.__name__, seen)
+    pipeline.run_pipeline({
+        "surface": {"name": "inverted_catenoid"},
+        "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 24, "n_theta": 32},
+        "levels": 3, "with_expansion": False})
+    assert calls == {"resolve": 1}
+    assert Counter(name for name, _ in received) == {"level_geometry": 3,
+                                                     "analyze_level": 3}
+    assert all(isinstance(s, pipeline.Settings) for _, s in received)
 
 
 def test_degenerate_windings_reported_as_nan():

@@ -169,7 +169,7 @@ def test_synthetic_potentials_finite():
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field = catalog_surface(
         "synthetic_th4",
-        {"theta0": 2, "a": 1, "ambient_dim": 4,
+        {"theta0": 2, "a": 1,
          "E_a": [0, 0, 0.5, 0], "gamma0": [0, 0, 0.2, 0]}, grid, 4)
     frame = conformal_factor(field)
     frame = frame_and_gauss(field, frame, defect_threshold=2.0)

@@ -4,12 +4,14 @@ import pytest
 from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.multivec import MultiVec, hodge_star, inner, wedge
-from willmore.pipeline import build_field
+from willmore.pipeline import build_field, resolve
 from willmore.surface import (
     SurfaceError, catalog_surface, conformal_factor, frame_and_gauss,
-    from_chart, from_samples, inverted_chart, load_samples_csv,
-    rotated_chart, save_samples_csv, synthetic_th4_coefficients, CATALOG,
+    from_chart, from_samples, load_samples_csv, save_samples_csv,
+    synthetic_th4_coefficients, CATALOG,
 )
+
+from oracles import inverted_chart, rotated_chart
 
 GEOMETRIC = ["plane", "branched_plane", "sphere_stereographic", "catenoid_end",
              "inverted_catenoid", "cylinder_cmc", "clifford_torus_patch"]
@@ -203,7 +205,8 @@ def test_surface_json_and_csv_round_trip(tmp_path):
     doc = {"name": "sphere_stereographic", "params": {"R": 1.0},
            "grid": {"r_min": 0.05, "r_max": 1.0, "n_r": 24, "n_theta": 32},
            "ambient_dim": 3}
-    field = build_field({"surface": doc}, PolarGrid.from_json(doc["grid"]))
+    field = build_field(resolve({"surface": doc}),
+                        PolarGrid.from_json(doc["grid"]))
     assert field.phi.shape == (24, 32, 3)
     path = tmp_path / "samples.csv"
     save_samples_csv(field, path)
