@@ -125,17 +125,19 @@ def classify(report: ResidueReport, spec: Optional[MultiplierSpec],
                           diagnostics)
 
 
-def pmc_detect(out: dict, report: Optional[ResidueReport] = None,
+def pmc_detect(defect: float, antiholomorphy_defect: float,
+               report: Optional[ResidueReport] = None,
                threshold: float = 5e-3, tol_zero: float = 1e-6) -> dict:
     """Parallelism test |pi_n grad H| with the residue cross-check.
 
-    ``out`` is the result of ``multiplier.pmc_multiplier``.  A surface
-    flagged parallel-mean-curvature must also show vanishing residues;
-    disagreement is reported, not silently resolved.
+    ``defect`` is the parallelism defect of ``residual.equation`` and
+    ``antiholomorphy_defect`` that of ``multiplier.pmc_multiplier``.  A
+    surface flagged parallel-mean-curvature must also show vanishing
+    residues; disagreement is reported, not silently resolved.
     """
-    is_pmc = bool(out["pmc_defect"] < threshold)
-    result = {"pmc": is_pmc, "defect": out["pmc_defect"],
-              "antiholomorphy_defect": out["antiholomorphy_defect"]}
+    is_pmc = bool(defect < threshold)
+    result = {"pmc": is_pmc, "defect": defect,
+              "antiholomorphy_defect": antiholomorphy_defect}
     if is_pmc and report is not None:
         gate = _zero_gate(tol_zero, report.rho_spread)
         residues_zero = (np.linalg.norm(report.beta0) <= gate

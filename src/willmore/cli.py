@@ -25,7 +25,8 @@ with its stage named, before any work.  ``residues`` and ``fit`` run
 ``analyze`` (without potentials; ``residues`` also without expansions) and
 print its last level, and ``energy`` runs the last level's stages up to the
 energy, with the same settings; ``classify`` re-derives the verdict with
-the report's saved config, and ``--tol-zero`` replaces its ``tol_zero``.
+the report's saved config.  ``--tol-zero`` replaces ``tol_zero`` on the
+two commands whose output reads it, ``analyze`` and ``classify``.
 """
 
 from __future__ import annotations
@@ -168,7 +169,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("residues", help="residue extraction only")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol-zero", dest="tol_zero", type=float, default=None)
     p.set_defaults(fn=cmd_residues)
 
     p = sub.add_parser("energy", help="Willmore energy of the sampled annulus")
@@ -178,7 +178,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("fit", help="asymptotic expansion fit")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol-zero", dest="tol_zero", type=float, default=None)
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("classify", help="re-classify from a saved report")

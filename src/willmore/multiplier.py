@@ -22,9 +22,8 @@ from numbers import Real
 
 import numpy as np
 
-from willmore.grid import PolarGrid, annulus_norms, dot, dz
-from willmore.surface import (BranchData, FrameField, ImmersionField,
-                              normal_projector)
+from willmore.grid import annulus_norms, dot, dz
+from willmore.surface import BranchData, FrameField, ImmersionField
 
 
 class MultiplierError(ValueError):
@@ -111,32 +110,6 @@ def matrix_field(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def antiholomorphy_defect(spec: MultiplierSpec, grid: PolarGrid,
-                          discrete: bool = False) -> float:
-    """Relative norm of dz f (vanishes for a function of zbar alone).
-
-    With analytic sampling (the default) f is evaluated on coordinate jets
-    and the defect sits at rounding level; ``discrete=True`` instead applies
-    the grid stencils to the sampled values, which is discretization-limited.
-    """
-    if discrete:
-        f = spec.evaluate(grid.z)
-        scale = max(float(np.max(np.abs(f))), 1e-30)
-        return annulus_norms(grid, dz(grid, f))["max"] / scale
-    from willmore.jets import Jet
-    xj, yj = Jet.seed(grid.x, grid.y)
-    zb = xj - 1j * yj  # conjugate coordinate jet
-    out = Jet.const(np.zeros_like(grid.x, dtype=complex))
-    if not spec.zero:
-        out = out + spec.a_mu * zb ** spec.mu
-        for d, c in enumerate(spec.f0):
-            if c != 0:
-                out = out + c * zb ** d
-    dz_f = 0.5 * (out.fx - 1j * out.fy)
-    scale = max(float(np.max(np.abs(out.f))), 1e-30)
-    return float(np.max(np.abs(dz_f))) / scale
-
-
 @dataclass(eq=False)
 class SpecialFields:
     F_mu: np.ndarray        # (n_r, n_theta, m) complex
@@ -198,10 +171,10 @@ def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
 def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
     """Multiplier induced by parallel mean curvature, f = sign 2 e^{2 lam} H.H0*.
 
-    Returns the sampled field, its anti-holomorphy defect (discrete dz norm,
-    relative), and the parallelism defect |pi_n grad H| relative to |grad H|.
-    The sign convention is configurable; +1 balances the strong-form equation
-    when pi_n grad H = 0.
+    Returns the sampled field and its anti-holomorphy defect (discrete dz
+    norm, relative).  The sign convention is configurable; +1 balances the
+    strong-form equation when pi_n grad H = 0, which ``residual.equation``
+    measures as its parallelism defect.
     """
     grid = frame.grid
     hdot = dot(curv.H, np.conj(curv.H0))
@@ -209,13 +182,4 @@ def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
 
     scale = max(float(np.max(np.abs(f_pmc))), 1e-30)
     dz_defect = annulus_norms(grid, dz(grid, f_pmc))["max"] / scale
-
-    gx, gy = curv.dH
-    pi_n = normal_projector(frame)
-    px, py = pi_n(gx), pi_n(gy)
-    num = np.sqrt(dot(px, px) + dot(py, py))
-    den = np.sqrt(dot(gx, gx) + dot(gy, gy))
-    floor = max(float(np.max(den)), float(np.max(np.abs(curv.H))), 1e-30)
-    pmc_defect = annulus_norms(grid, num)["max"] / floor
-    return {"f_pmc": f_pmc, "antiholomorphy_defect": dz_defect,
-            "pmc_defect": pmc_defect}
+    return {"f_pmc": f_pmc, "antiholomorphy_defect": dz_defect}

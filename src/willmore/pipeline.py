@@ -1,14 +1,16 @@
-"""End-to-end analysis: surface -> curvature -> multiplier -> flux ->
-residues -> potentials (optional) -> expansion -> classification.
+"""End-to-end analysis: surface -> curvature -> multiplier -> equation
+(strong form and flux) -> residues -> potentials (optional) -> expansion ->
+classification.
 
 ``resolve`` reads a config once, before any work, into a frozen
 ``Settings``: the surface entry, the level grids, the tolerances, the
 multiplier and the ``regular``, ``with_potentials`` and ``with_expansion``
-flags.  A malformed or unknown entry fails there, as a ``PipelineError``
-that names its stage.  ``run_pipeline`` resolves its config, executes the
-chain on every refinement level with those settings, aggregates convergence
-orders, and writes a versioned JSON report plus CSV radial profiles.  Any
-stage failure is re-raised with the stage named.
+flags.  A malformed or unknown entry, or a grid over ``MAX_NODES`` nodes,
+fails there, as a ``PipelineError`` that names its stage.  ``run_pipeline``
+resolves its config, executes the chain on every refinement level with
+those settings, aggregates convergence orders, and writes a versioned JSON
+report plus CSV radial profiles.  Any stage failure is re-raised with the
+stage named.
 
 Report files (schema_version 1):
     report.json            config, per-level records, convergence orders,
@@ -42,7 +44,7 @@ from willmore.grid import (PolarGrid, circle_mean, dot, fit_order, integrate,
 from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
 from willmore.multivec import MAX_DIM, MIN_DIM
 from willmore.potentials import potentials_SR, solve_gG, verify_system
-from willmore.residual import equivalence_check, flux, strong_residual
+from willmore.residual import equation
 from willmore.residues import (ResidueReport, branch_order, first_residue,
                                modified_residue, potential_L, second_residue,
                                tangent_vector, w_field)
@@ -55,6 +57,11 @@ SCHEMA_VERSION = 1
 #: the top-level config keys; any other key is refused at stage ``config``
 CONFIG_KEYS = ("surface", "grid", "levels", "multiplier", "tolerances",
                "regular", "with_potentials", "with_expansion")
+
+#: the most nodes any level's grid may have: 43 times the 385x256 grid, and
+#: five levels of the default 96x64 grid; a larger grid or deeper refinement
+#: is refused before any work
+MAX_NODES = 2 ** 22
 
 
 class PipelineError(RuntimeError):
@@ -78,8 +85,9 @@ def _refuse(stage: str, message: str) -> NoReturn:
 
 
 def _is_integer(v) -> bool:
+    # an int is never converted: float() overflows past 1e308
     return (not isinstance(v, bool) and isinstance(v, Real)
-            and float(v).is_integer())
+            and (isinstance(v, int) or float(v).is_integer()))
 
 
 @dataclass(frozen=True)
@@ -124,6 +132,25 @@ def _surface_entry(surf) -> dict:
     return {"name": surf["name"], "params": params, "ambient_dim": int(m)}
 
 
+def _base_grid(doc) -> PolarGrid:
+    """The config's grid entry, refused rather than coerced: the counts
+    must be integers, the radii real numbers, and the grid within
+    ``MAX_NODES``."""
+    if isinstance(doc, dict):
+        for key in ("n_r", "n_theta"):
+            if key in doc and not _is_integer(doc[key]):
+                _refuse("grid", f"{key} must be an integer, got {doc[key]!r}")
+        for key in ("r_min", "r_max"):
+            v = doc.get(key, 1.0)
+            if isinstance(v, bool) or not isinstance(v, Real):
+                _refuse("grid", f"{key} must be a real number, got {v!r}")
+    grid = _stage("grid", PolarGrid.from_json, doc)
+    if grid.n_r * grid.n_theta > MAX_NODES:
+        _refuse("grid", f"a {grid.n_r}x{grid.n_theta} grid exceeds the "
+                f"budget of {MAX_NODES} nodes")
+    return grid
+
+
 def _multiplier(doc) -> tuple[Optional[MultiplierSpec], str, int]:
     """(spec, mode, pmc sign) of the config's multiplier entry."""
     if doc is None or doc == "zero":
@@ -153,8 +180,8 @@ def resolve(config) -> Settings:
     # the two defaults below still follow the catalog name as given
     name = config["surface"].get("name")
 
-    grids = [_stage("grid", PolarGrid.from_json, config["grid"])
-             if "grid" in config else PolarGrid(1e-3, 1.0, 96, 64)]
+    grids = [_base_grid(config["grid"]) if "grid" in config
+             else PolarGrid(1e-3, 1.0, 96, 64)]
     n_levels = config.get("levels", 1)
     if not _is_integer(n_levels) or n_levels < 1:
         _refuse("levels", f"levels must be a positive integer, got "
@@ -164,6 +191,11 @@ def resolve(config) -> Settings:
                 "levels = 1")
     for _ in range(int(n_levels) - 1):
         grids.append(grids[-1].refined())
+        fine = grids[-1]
+        if fine.n_r * fine.n_theta > MAX_NODES:
+            _refuse("levels", f"levels = {n_levels} refines the grid to "
+                    f"{fine.n_r}x{fine.n_theta} nodes or more, over the "
+                    f"budget of {MAX_NODES}")
 
     tol = {"tol_zero": 1e-6, "defect_threshold": 1e-6,
            "pmc_threshold": 5e-3, "winding_gate": 0.2}
@@ -262,19 +294,15 @@ def analyze_level(settings: Settings,
         f_field = _stage("multiplier", spec.evaluate, grid.z)
         level["multiplier"] = {"mode": mult_mode,
                                "spec": spec.to_json() if spec else None}
-    f_arg = f_field if np.any(f_field) else None
 
-    sr = _stage("strong_residual", strong_residual, curv, frame, f_arg,
-                0.1, 0.9)
-    level["strong_norms"] = sr["norms"]
-    fl = _stage("flux", flux, curv, frame, f_arg, field)
-    level["div_norms"] = fl.div_norms(0.1, 0.9)
+    eq = _stage("equation", equation, curv, frame, f_field, field, 0.1, 0.9)
+    fl = eq.flux
+    level["strong_norms"] = eq.norms["strong"]
+    level["div_norms"] = eq.norms["div"]
     rms = lambda f: np.sqrt(circle_mean(dot(f, f)))  # both fields are real
-    level["residual_profile"] = {"r": grid.r, "strong_rms": rms(sr["field"]),
+    level["residual_profile"] = {"r": grid.r, "strong_rms": rms(eq.strong),
                                  "div_rms": rms(fl.div_defect)}
-    eq = _stage("equivalence", equivalence_check, sr["field"], fl, curv, frame,
-                f_arg, field, 0.1, 0.9)
-    level["equivalence_norms"] = eq["identity_norms"]
+    level["equivalence_norms"] = eq.norms["identity"]
 
     fr = _stage("first_residue", first_residue, fl)
     beta0 = fr["beta0"]
@@ -314,7 +342,8 @@ def analyze_level(settings: Settings,
         diagnostics={"per_circle_beta0": fr["per_circle"],
                      "circle_radii": fr["radii"],
                      "winding_raw": srw.raw})
-    level["pmc_detect"] = _stage("pmc_detect", pmc_detect, pmc, report,
+    level["pmc_detect"] = _stage("pmc_detect", pmc_detect, eq.pmc_defect,
+                                 pmc["antiholomorphy_defect"], report,
                                  tol["pmc_threshold"], tol["tol_zero"])
 
     if settings.with_potentials:

@@ -1,4 +1,4 @@
-"""Constrained Willmore equation in strong and divergence form.
+"""Constrained Willmore equation in strong and divergence form, in one pass.
 
 Strong form residual (zero exactly for a constrained Willmore immersion;
 reduces to the classical Delta_g H + 2 H (H^2 - K) = 0 in codimension one):
@@ -16,17 +16,19 @@ vanishes, and the two sides obey the pointwise algebraic identity
 
     strong form = -(e^{-2 lam} / 2) div X_raw
 
-for every conformal immersion (solution or not); ``equivalence_check``
-verifies it discretely, together with dz(e^{-2 lam} f dz Phi) = H0 f / 2.
-The circulation of X_raw over any centered circle is 4 pi beta0, and
+for every conformal immersion (solution or not).  The circulation of X_raw
+over any centered circle is 4 pi beta0, and
 X = X_raw - 2 beta0 grad log|x| (``FluxField.corrected``) has vanishing
 circulation, consistently with the mean curvature growing like
 -beta0 log|z| at the puncture.
 
-grad H and grad n are read from the caches ``CurvatureField.dH`` and
-``FrameField.dn``, so the strong form, the flux and the parallelism test
-share one derivative of each.  The flux is built once, without beta0, and
-``equivalence_check`` combines the strong field and flux the caller holds.
+``equation`` evaluates both forms of a level at once: it forms e^{2 lam}
+and pi_n grad H once, and returns the strong-form field, the flux (built
+once, without beta0), the annulus norms of the strong form, of div X_raw
+and of the gap in the identity above, and the parallelism defect
+|pi_n grad H| / max(|grad H|, |H|).  grad H and grad n are read from the
+caches ``CurvatureField.dH`` and ``FrameField.dn``; pi_n grad H lives only
+inside the pass and is released before the flux divergence.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import PolarGrid, annulus_norms, div, dot, dz
+from willmore.grid import PolarGrid, annulus_norms, div, dot
 from willmore.multiplier import matrix_field
 from willmore.multivec import MultiVec, hodge_star, wedge
 from willmore.surface import FrameField, ImmersionField, normal_projector
@@ -49,9 +51,6 @@ class FluxField:
     raw: np.ndarray                 # (2, n_r, n_theta, m), no beta0 correction
     div_defect: np.ndarray          # div raw per node, (n_r, n_theta, m)
 
-    def div_norms(self, r_lo=None, r_hi=None) -> dict:
-        return annulus_norms(self.grid, self.div_defect, r_lo, r_hi)
-
     def corrected(self, beta0) -> np.ndarray:
         """X = raw - 2 beta0 grad log|x|, the flux with vanishing circulation."""
         beta0 = np.asarray(beta0, dtype=float)
@@ -61,77 +60,69 @@ class FluxField:
                          self.raw[1] - 2.0 * beta0 * grid.y[..., None] / r2])
 
 
+@dataclass(eq=False)
+class Equation:
+    """Both forms of the equation on one level and their checks."""
+
+    strong: np.ndarray              # strong-form residual, (n_r, n_theta, m)
+    flux: FluxField
+    norms: dict     # annulus norms: "strong", "div" (div X_raw), "identity"
+    pmc_defect: float               # |pi_n grad H| / max(|grad H|, |H|)
+
+
 def _star_wedge_with_H(comp: np.ndarray, H: np.ndarray) -> np.ndarray:
     m = H.shape[-1]
     nv = MultiVec(m, m - 2, comp)
     return hodge_star(wedge(nv, MultiVec.vector(m, H))).coeffs
 
 
-def strong_residual(curv: CurvatureField, frame: FrameField,
-                    f_field: Optional[np.ndarray] = None,
-                    r_lo=None, r_hi=None) -> dict:
-    """Nodewise strong-form residual and its annulus norms."""
-    grid = curv.grid
-    pi_n = normal_projector(frame)
-    Hx, Hy = curv.dH
-    e2l = np.exp(2.0 * frame.lam)[..., None]
-    lap_perp = pi_n(div(grid, pi_n(Hx), pi_n(Hy))) / e2l
-    cross = 2.0 * np.real(dot(curv.H, np.conj(curv.H0))[..., None] * curv.H0)
-    res = lap_perp + cross
-    if f_field is not None:
-        res = res - np.real(curv.H0 * f_field[..., None]) / e2l
-    return {"field": res, "norms": annulus_norms(grid, res, r_lo, r_hi)}
+def equation(curv: CurvatureField, frame: FrameField,
+             f: Optional[np.ndarray] = None,
+             field: Optional[ImmersionField] = None,
+             r_lo=None, r_hi=None) -> Equation:
+    """The strong form, the flux X_raw and their checks, with multiplier f.
 
-
-def flux(curv: CurvatureField, frame: FrameField,
-         f_field: Optional[np.ndarray] = None,
-         field: Optional[ImmersionField] = None) -> FluxField:
-    """Divergence-form flux X_raw and its divergence.
-
-    The multiplier term uses M_f of ``f_field`` and grad Phi of ``field``.
-    With f == 0 it is skipped entirely, so the flux reduces bitwise to the
-    plain Willmore flux.
+    The multiplier terms use M_f of ``f`` and grad Phi of ``field``.  With
+    f absent or identically zero they are skipped, so both forms reduce
+    bitwise to the plain Willmore equation.  The norms are taken over the
+    annulus [r_lo, r_hi].
     """
     grid = curv.grid
-    pi_n = normal_projector(frame)
+    if f is not None and not np.any(f):
+        f = None
+    if f is not None and field is None:
+        raise ValueError("the immersion field is needed for the M_f term")
+    e2l = np.exp(2.0 * frame.lam)[..., None]
     Hx, Hy = curv.dH
-    nx, ny = frame.dn
-    raw_x = Hx - 3.0 * pi_n(Hx) + _star_wedge_with_H(-ny, curv.H)
-    raw_y = Hy - 3.0 * pi_n(Hy) + _star_wedge_with_H(nx, curv.H)
+    pi_n = normal_projector(frame)
+    px, py = pi_n(Hx), pi_n(Hy)
 
-    if f_field is not None and np.any(f_field):
-        if field is None:
-            raise ValueError("the immersion field is needed for the M_f term")
-        M_f = matrix_field(f_field)
+    num = np.sqrt(dot(px, px) + dot(py, py))
+    den = np.sqrt(dot(Hx, Hx) + dot(Hy, Hy))
+    floor = max(float(np.max(den)), float(np.max(np.abs(curv.H))), 1e-30)
+    pmc_defect = annulus_norms(grid, num)["max"] / floor
+
+    strong = (pi_n(div(grid, px, py)) / e2l
+              + 2.0 * np.real(dot(curv.H, np.conj(curv.H0))[..., None]
+                              * curv.H0))
+    nx, ny = frame.dn
+    raw_x = Hx - 3.0 * px + _star_wedge_with_H(-ny, curv.H)
+    raw_y = Hy - 3.0 * py + _star_wedge_with_H(nx, curv.H)
+    del px, py
+    if f is not None:
+        strong = strong - np.real(curv.H0 * f[..., None]) / e2l
+        M_f = matrix_field(f)
         perp = (-field.d1[1], field.d1[0])  # grad_perp Phi
-        e2l = np.exp(2.0 * frame.lam)[..., None]
         raw_x = raw_x + (M_f[..., 0, 0, None] * perp[0]
                          + M_f[..., 0, 1, None] * perp[1]) / e2l
         raw_y = raw_y + (M_f[..., 1, 0, None] * perp[0]
                          + M_f[..., 1, 1, None] * perp[1]) / e2l
 
     raw = np.stack([raw_x, raw_y])
-    return FluxField(grid, raw, div(grid, raw[0], raw[1]))
-
-
-def equivalence_check(strong: np.ndarray, fl: FluxField,
-                      curv: CurvatureField, frame: FrameField,
-                      f_field: Optional[np.ndarray],
-                      field: Optional[ImmersionField],
-                      r_lo, r_hi) -> dict:
-    """Discrete defect of strong form + (e^{-2 lam}/2) div X_raw, and of the
-    anti-holomorphy identity dz(e^{-2 lam} f dz Phi) = H0 f / 2.
-
-    ``strong`` is the field of ``strong_residual`` and ``fl`` the flux of
-    ``flux``, both built with the same multiplier ``f_field``.
-    """
-    grid = curv.grid
-    e2l = np.exp(2.0 * frame.lam)[..., None]
+    del raw_x, raw_y
+    fl = FluxField(grid, raw, div(grid, raw[0], raw[1]))
     gap = strong + 0.5 * fl.div_defect / e2l
-    out = {"identity_norms": annulus_norms(grid, gap, r_lo, r_hi)}
-    if f_field is not None and field is not None and np.any(f_field):
-        dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
-        lhs = dz(grid, f_field[..., None] * dz_phi / e2l)
-        rhs = 0.5 * curv.H0 * f_field[..., None]
-        out["antiholomorphy_norms"] = annulus_norms(grid, lhs - rhs, r_lo, r_hi)
-    return out
+    norms = {"strong": annulus_norms(grid, strong, r_lo, r_hi),
+             "div": annulus_norms(grid, fl.div_defect, r_lo, r_hi),
+             "identity": annulus_norms(grid, gap, r_lo, r_hi)}
+    return Equation(strong, fl, norms, pmc_defect)

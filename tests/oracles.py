@@ -1,9 +1,11 @@
 """Closed-form oracles, chart transforms, curvature norms and identity
-cross-checks that only the tests use."""
+cross-checks that only the tests use, among them both anti-holomorphy
+checks of the multiplier."""
 
 import numpy as np
 
 from willmore.grid import annulus_norms, dot, dz, dzbar, laplacian
+from willmore.jets import Jet
 from willmore.surface import normal_projector
 
 
@@ -96,3 +98,42 @@ def codazzi_defect(curv, frame) -> float:
     rhs = dot(curv.H, dzH) + dot(curv.H0, dzbH)
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-30)
     return annulus_norms(grid, lhs - rhs)["max"] / scale
+
+
+def antiholomorphy_defect(spec, grid, discrete: bool = False) -> float:
+    """Relative norm of dz f (vanishes for a function of zbar alone).
+
+    With analytic sampling (the default) f is evaluated on coordinate jets
+    and the defect sits at rounding level; ``discrete=True`` instead applies
+    the grid stencils to the sampled values, which is discretization-limited.
+    """
+    if discrete:
+        f = spec.evaluate(grid.z)
+        scale = max(float(np.max(np.abs(f))), 1e-30)
+        return annulus_norms(grid, dz(grid, f))["max"] / scale
+    xj, yj = Jet.seed(grid.x, grid.y)
+    zb = xj - 1j * yj  # conjugate coordinate jet
+    out = Jet.const(np.zeros_like(grid.x, dtype=complex))
+    if not spec.zero:
+        out = out + spec.a_mu * zb ** spec.mu
+        for d, c in enumerate(spec.f0):
+            if c != 0:
+                out = out + c * zb ** d
+    dz_f = 0.5 * (out.fx - 1j * out.fy)
+    scale = max(float(np.max(np.abs(out.f))), 1e-30)
+    return float(np.max(np.abs(dz_f))) / scale
+
+
+def antiholomorphy_identity_norms(curv, frame, f_field, field,
+                                  r_lo=None, r_hi=None) -> dict:
+    """Annulus norms of dz(e^{-2 lam} f dz Phi) - H0 f / 2.
+
+    Since H0 = 2 dz(e^{-2 lam} dz Phi), the identity holds exactly when
+    dz f = 0, i.e. for an anti-holomorphic multiplier.
+    """
+    grid = curv.grid
+    e2l = np.exp(2.0 * frame.lam)[..., None]
+    dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
+    lhs = dz(grid, f_field[..., None] * dz_phi / e2l)
+    rhs = 0.5 * curv.H0 * f_field[..., None]
+    return annulus_norms(grid, lhs - rhs, r_lo, r_hi)

@@ -18,7 +18,7 @@ from willmore.multiplier import MultiplierSpec, pmc_multiplier
 from willmore.multivec import MultiVec, hodge_star, inner, wedge
 from willmore.pipeline import run_pipeline
 from willmore.potentials import potentials_SR, solve_gG, verify_system
-from willmore.residual import FluxField, flux, strong_residual
+from willmore.residual import FluxField, equation
 from willmore.residues import branch_order, first_residue, potential_L
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
 
@@ -123,10 +123,9 @@ def test_criterion_3_willmore_verification():
             f_field = None
             if with_f:
                 f_field = pmc_multiplier(curv, frame)["f_pmc"]
-            strongs.append(strong_residual(curv, frame, f_field,
-                                           0.1, 0.9)["norms"]["rms"])
-            divs.append(flux(curv, frame, f_field,
-                             field=field).div_norms(0.1, 0.9)["rms"])
+            norms = equation(curv, frame, f_field, field, 0.1, 0.9).norms
+            strongs.append(norms["strong"]["rms"])
+            divs.append(norms["div"]["rms"])
             hs.append(grid.ds)
         for label, errs in (("strong", strongs), ("div", divs)):
             if max(errs) < 1e-9:
@@ -161,7 +160,7 @@ def test_criterion_4_first_residue():
     # plane: zero
     grid = PolarGrid(0.02, 1.0, 64, 64)
     field, frame, curv = analyzed("plane", {}, grid)
-    zero = first_residue(flux(curv, frame))
+    zero = first_residue(equation(curv, frame).flux)
     assert np.max(np.abs(zero["beta0"])) < 1e-12
 
     # inverted catenoid: nonzero, rho-independent, 3 significant digits
@@ -170,7 +169,7 @@ def test_criterion_4_first_residue():
         grid = PolarGrid(1e-3, 1.0, n_r, 64)
         field, frame, curv = analyzed("inverted_catenoid", {}, grid)
         circles = np.linspace(int(0.3 * n_r), int(0.5 * n_r), 5).astype(int)
-        out = first_residue(flux(curv, frame), circles=circles)
+        out = first_residue(equation(curv, frame).flux, circles=circles)
         vals.append(out["beta0"])
         if n_r == 1024:
             assert out["rho_spread"] < 1e-6
@@ -278,7 +277,7 @@ def test_criterion_7_potential_identities():
             grid = PolarGrid(r_min, 1.0, n, 64)
             field, frame, curv = analyzed(name, {}, grid)
             curv = curvature(field, frame)
-            fl = flux(curv, frame)
+            fl = equation(curv, frame).flux
             beta0 = first_residue(fl)["beta0"]
             L, _ = potential_L(fl, beta0)
             pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))

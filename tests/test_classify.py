@@ -6,6 +6,7 @@ from willmore.classify import VERDICTS, classify, decide, pmc_detect
 from willmore.curvature import curvature
 from willmore.grid import PolarGrid
 from willmore.multiplier import MultiplierSpec, pmc_multiplier
+from willmore.residual import equation
 from willmore.residues import ResidueReport
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
 
@@ -121,7 +122,8 @@ def test_pmc_detect_on_catalog():
         field = catalog_surface(name, params, grid, 3)
         frame = frame_and_gauss(field, conformal_factor(field))
         curv = curvature(field, frame)
-        out = pmc_detect(pmc_multiplier(curv, frame))
+        out = pmc_detect(equation(curv, frame).pmc_defect,
+                         pmc_multiplier(curv, frame)["antiholomorphy_defect"])
         assert out["pmc"] == expect, name
 
 
@@ -131,11 +133,12 @@ def test_pmc_detect_cross_checks_residues():
     frame = frame_and_gauss(field, conformal_factor(field))
     curv = curvature(field, frame)
     rep = make_report(theta0=1)
-    pmc = pmc_multiplier(curv, frame)
-    out = pmc_detect(pmc, rep)
+    pmc = (equation(curv, frame).pmc_defect,
+           pmc_multiplier(curv, frame)["antiholomorphy_defect"])
+    out = pmc_detect(*pmc, rep)
     assert out["pmc"] and out["residues_vanish"]
     bad = make_report(theta0=1, beta0=[0, 0, 2.0], spread=1e-8)
-    out2 = pmc_detect(pmc, bad)
+    out2 = pmc_detect(*pmc, bad)
     assert "conflict" in out2
 
 

@@ -237,6 +237,14 @@ def test_malformed_levels_named_before_work(monkeypatch, levels):
                              "params": {"ambient_dim": 4}}}),
     ("surface", {"surface": {"csv": 5}}),
     ("surface", {"surface": {"name": ["plane"]}}),
+    ("grid", {"grid": {**PLANE["grid"], "n_r": 48.7}}),
+    ("grid", {"grid": {**PLANE["grid"], "n_theta": 64.9}}),
+    ("grid", {"grid": {**PLANE["grid"], "r_min": "0.01"}}),
+    ("grid", {"grid": {**PLANE["grid"], "r_max": True}}),
+    ("grid", {"grid": {**PLANE["grid"], "n_r": 100_000}}),
+    ("levels", {"levels": 12}),
+    ("levels", {"levels": 10 ** 400}),
+    ("grid", {"grid": {**PLANE["grid"], "n_r": 10 ** 400}}),
 ])
 def test_malformed_config_named_before_work(monkeypatch, stage, entry):
     _no_level_work(monkeypatch)
@@ -289,6 +297,15 @@ def test_malformed_grid_exit_code(tmp_path, capsys):
     assert main(["analyze", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "stage 'grid'" in err and "n_r, n_theta" in err
+
+
+@pytest.mark.parametrize("command", ["residues", "fit"])
+def test_tol_zero_refused_where_unread(tmp_path, command):
+    # neither command prints anything that reads tol_zero
+    cfg = write_config(tmp_path, PLANE)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", cfg, "--tol-zero", "5"])
+    assert err.value.code == 2
 
 
 def test_tol_zero_override_on_malformed_tolerances_exit_code(tmp_path,

@@ -31,22 +31,43 @@ def _count(monkeypatch, calls, key, fn, *modules):
         monkeypatch.setattr(mod, fn.__name__, counted, raising=False)
 
 
+def _count_projections(monkeypatch, calls, *modules):
+    """Count every application of a ``normal_projector`` built in
+    ``modules``."""
+    make = surface.normal_projector
+
+    def counted_projector(frame):
+        project = make(frame)
+
+        def counted(v):
+            calls["project"] += 1
+            return project(v)
+        return counted
+    for mod in modules:
+        monkeypatch.setattr(mod, "normal_projector", counted_projector,
+                            raising=False)
+
+
 @pytest.mark.parametrize("name", sorted(ONE_PASS_CONFIGS))
 def test_analyze_level_runs_each_stage_once(name, monkeypatch):
     calls = Counter()
     # patched where defined too, so a call from inside another stage counts
-    _count(monkeypatch, calls, "flux", residual.flux, pipeline, residual)
-    _count(monkeypatch, calls, "strong_residual", residual.strong_residual,
-           pipeline, residual)
+    _count(monkeypatch, calls, "equation", residual.equation, pipeline,
+           residual)
     _count(monkeypatch, calls, "pmc_multiplier", multiplier.pmc_multiplier,
            pipeline, multiplier)
     # grad H and grad n are the only gradients these two modules take
     _count(monkeypatch, calls, "grad_H", grad, curvature)
     _count(monkeypatch, calls, "grad_n", grad, surface)
+    # pi_n of the three second derivatives in curvature, and pi_n H_x,
+    # pi_n H_y and pi_n div(pi_n grad H) in the equation pass
+    _count_projections(monkeypatch, calls, curvature, residual, multiplier)
+    # f's anti-holomorphy defect is the level's only dz
+    _count(monkeypatch, calls, "dz", g.dz, g, multiplier, residual)
     pipeline.analyze_level(pipeline.resolve(ONE_PASS_CONFIGS[name]),
                            PolarGrid(1e-3, 1.0, 96, 64))
-    assert calls == {"flux": 1, "strong_residual": 1, "pmc_multiplier": 1,
-                     "grad_H": 1, "grad_n": 1}
+    assert calls == {"equation": 1, "pmc_multiplier": 1, "grad_H": 1,
+                     "grad_n": 1, "project": 6, "dz": 1}
 
 
 def test_verify_system_takes_four_divergences(monkeypatch):

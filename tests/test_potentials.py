@@ -6,7 +6,7 @@ from willmore.grid import PolarGrid
 from willmore.curvature import curvature
 from willmore.potentials import (_solve_modes, potentials_SR, solve_gG,
                                  verify_system)
-from willmore.residual import flux
+from willmore.residual import equation
 from willmore.residues import first_residue, potential_L
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
 
@@ -89,7 +89,7 @@ def test_solve_gG_residual_refines_inverted_catenoid():
     for n in (48, 96, 192):
         grid = PolarGrid(1e-3, 1.0, n, 64)
         field, frame, curv = analyzed("inverted_catenoid", grid)
-        beta0 = first_residue(flux(curv, frame))["beta0"]
+        beta0 = first_residue(equation(curv, frame).flux)["beta0"]
         pot_g, _ = solve_gG(beta0, field)
         d1 = field.d1
         r2 = (grid.rr ** 2)[..., None]
@@ -107,7 +107,7 @@ def test_solve_gG_residual_refines_inverted_catenoid():
 def test_outer_dirichlet_condition():
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field, frame, curv = analyzed("inverted_catenoid", grid)
-    beta0 = first_residue(flux(curv, frame))["beta0"]
+    beta0 = first_residue(equation(curv, frame).flux)["beta0"]
     pot_g, pot_G = solve_gG(beta0, field)
     assert np.max(np.abs(pot_g[-1])) < 1e-12
     assert np.max(np.abs(pot_G[-1])) < 1e-12
@@ -115,7 +115,7 @@ def test_outer_dirichlet_condition():
 
 def full_chain(name, grid, m=3):
     field, frame, curv = analyzed(name, grid)
-    fl = flux(curv, frame)
+    fl = equation(curv, frame).flux
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
     pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
@@ -174,7 +174,7 @@ def test_synthetic_potentials_finite():
     frame = conformal_factor(field)
     frame = frame_and_gauss(field, frame, defect_threshold=2.0)
     curv = curvature(field, frame)
-    fl = flux(curv, frame)
+    fl = equation(curv, frame).flux
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
     pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
@@ -198,7 +198,7 @@ def test_conservative_system_codimension_two():
         frame = frame_and_gauss(field, conformal_factor(field))
         curv = curv_fn(field, frame)
         f_field = pmc_multiplier(curv, frame)["f_pmc"]
-        fl = flux(curv, frame, f_field, field=field)
+        fl = equation(curv, frame, f_field, field).flux
         beta0 = first_residue(fl)["beta0"]
         L, _ = potential_L(fl, beta0)
         pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))

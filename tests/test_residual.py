@@ -4,11 +4,11 @@ from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
 from willmore.multiplier import pmc_multiplier
-from willmore.residual import equivalence_check, flux, strong_residual
+from willmore.residual import equation
 from willmore.surface import (CATALOG, catalog_surface, conformal_factor,
                               frame_and_gauss, from_chart)
 
-from oracles import inverted_chart
+from oracles import antiholomorphy_identity_norms, inverted_chart
 
 LEVELS = ((32, 32), (64, 64), (128, 128))
 
@@ -28,21 +28,20 @@ def sweep(name, params=None, m=3, with_pmc_multiplier=False):
         f_field = None
         if with_pmc_multiplier:
             f_field = pmc_multiplier(curv, frame)["f_pmc"]
-        sr = strong_residual(curv, frame, f_field, r_lo=0.1, r_hi=0.9)
-        strongs.append(sr["norms"]["rms"])
-        fl = flux(curv, frame, f_field, field=field)
-        divs.append(fl.div_norms(0.1, 0.9)["rms"])
-        eqs.append(equivalence_check(sr["field"], fl, curv, frame, f_field,
-                                     field, 0.1, 0.9)["identity_norms"]["rms"])
+        norms = equation(curv, frame, f_field, field, 0.1, 0.9).norms
+        strongs.append(norms["strong"]["rms"])
+        divs.append(norms["div"]["rms"])
+        eqs.append(norms["identity"]["rms"])
         hs.append(grid.ds)
     return strongs, divs, eqs, hs
 
 
 def test_plane_zero_everything():
     field, frame, curv = setup("plane")
-    assert strong_residual(curv, frame)["norms"]["max"] == 0.0
-    fl = flux(curv, frame)
-    assert fl.div_norms()["max"] == 0.0
+    eq = equation(curv, frame)
+    assert eq.norms["strong"]["max"] == 0.0
+    fl = eq.flux
+    assert eq.norms["div"]["max"] == 0.0
     assert np.max(np.abs(fl.raw)) == 0.0
 
 
@@ -92,10 +91,9 @@ def test_antiholomorphy_identity_with_multiplier():
     grid = PolarGrid(0.1, 0.9999, 96, 96)
     field, frame, curv = setup("cylinder_cmc", {"radius": 0.75}, grid)
     f_field = pmc_multiplier(curv, frame)["f_pmc"]
-    out = equivalence_check(strong_residual(curv, frame, f_field)["field"],
-                            flux(curv, frame, f_field, field),
-                            curv, frame, f_field, field, 0.1, 0.9)
-    assert out["antiholomorphy_norms"]["rms"] < 1e-4
+    norms = antiholomorphy_identity_norms(curv, frame, f_field, field,
+                                          0.1, 0.9)
+    assert norms["rms"] < 1e-4
 
 
 def test_planted_flux_divergence():
@@ -122,7 +120,7 @@ def test_planted_flux_divergence():
 def test_flux_beta0_subtraction_kills_circulation():
     grid = PolarGrid(1e-3, 0.9999, 96, 64)
     field, frame, curv = setup("inverted_catenoid", grid=grid)
-    fl = flux(curv, frame)
+    fl = equation(curv, frame).flux
     beta0 = g.circulation(grid, fl.raw[0], fl.raw[1]) / (4 * np.pi)
     b0 = beta0[20:70].mean(axis=0)
     assert np.linalg.norm(b0) > 1.0  # nonzero first residue
@@ -135,9 +133,9 @@ def test_flux_beta0_subtraction_kills_circulation():
 def test_zero_multiplier_is_bitwise_willmore_flux():
     grid = PolarGrid(0.1, 0.9999, 48, 64)
     field, frame, curv = setup("sphere_stereographic", grid=grid)
-    a = flux(curv, frame)
+    a = equation(curv, frame).flux
     zero_f = np.zeros((grid.n_r, grid.n_theta), dtype=complex)
-    b = flux(curv, frame, f_field=zero_f, field=field)
+    b = equation(curv, frame, zero_f, field).flux
     assert np.array_equal(a.raw, b.raw)
 
 
@@ -161,12 +159,10 @@ def test_equivalence_on_synthetic_with_multiplier():
         frame = frame_and_gauss(field, conformal, defect_threshold=1.0)
         curv = curvature(field, frame)
         f_field = spec.evaluate(grid.z)
-        out = equivalence_check(
-            strong_residual(curv, frame, f_field)["field"],
-            flux(curv, frame, f_field, field), curv, frame, f_field,
-            field, 0.05, 0.4)
-        return (out["identity_norms"]["rms"],
-                out["antiholomorphy_norms"]["rms"], defect)
+        gap = equation(curv, frame, f_field, field, 0.05, 0.4).norms
+        anti = antiholomorphy_identity_norms(curv, frame, f_field, field,
+                                             0.05, 0.4)
+        return gap["identity"]["rms"], anti["rms"], defect
 
     gap1, anti1, defect1 = gap_for(1.0)
     gap2, anti2, defect2 = gap_for(0.1)
@@ -191,6 +187,7 @@ def test_moebius_invariance_smoke():
         field = from_chart(chart, grid, 3)
         frame = frame_and_gauss(field, conformal_factor(field))
         curv = curvature(field, frame)
-        errs.append(strong_residual(curv, frame, r_lo=0.1, r_hi=0.9)["norms"]["rms"])
+        errs.append(equation(curv, frame, r_lo=0.1, r_hi=0.9)
+                    .norms["strong"]["rms"])
         hs.append(grid.ds)
     assert g.fit_order(hs, errs) >= 1.8

@@ -5,7 +5,7 @@ from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
 from willmore.multiplier import MultiplierSpec
-from willmore.residual import FluxField, flux
+from willmore.residual import FluxField, equation
 from willmore.residues import (
     ResidueError, ResidueReport, _cumtheta, branch_order, first_residue,
     integrate_curl_potential, modified_residue, pole_order_range, potential_L,
@@ -163,7 +163,7 @@ def test_first_residue_plane_zero():
     grid = PolarGrid(0.02, 1.0, 64, 64)
     field = catalog_surface("plane", {}, grid, 3)
     frame, _ = analyzed_frame(field)
-    out = first_residue(flux(curvature(field, frame), frame))
+    out = first_residue(equation(curvature(field, frame), frame).flux)
     assert np.max(np.abs(out["beta0"])) < 1e-12
     assert out["rho_spread"] < 1e-12
 
@@ -174,7 +174,7 @@ def test_first_residue_inverted_catenoid_stable():
         grid = PolarGrid(1e-3, 1.0, n_r, n_theta)
         field = catalog_surface("inverted_catenoid", {}, grid, 3)
         frame, _ = analyzed_frame(field)
-        out = first_residue(flux(curvature(field, frame), frame))
+        out = first_residue(equation(curvature(field, frame), frame).flux)
         vals.append(out["beta0"])
         assert out["rho_spread"] < 5e-3
     a, b = (np.linalg.norm(v) for v in vals)
@@ -230,10 +230,10 @@ def test_modified_residue_cancels_multiplier_circulation():
     frame, br = analyzed_frame(field)
     curv = curvature(field, frame)
     td = tangent_vector(field, frame, br)
-    b_plain = first_residue(flux(curv, frame))["beta0"]
+    b_plain = first_residue(equation(curv, frame).flux)["beta0"]
     f_field = spec.evaluate(grid.z)
-    b_with_f = first_residue(flux(curv, frame, f_field,
-                                  field=field))["beta0"]
+    b_with_f = first_residue(equation(curv, frame, f_field,
+                                      field).flux)["beta0"]
     assert np.linalg.norm(b_with_f - b_plain) > 0.1  # the flux does shift
     g0 = modified_residue(b_with_f, theta0, spec, td.A, br.u0)
     assert np.linalg.norm(g0 - b_plain) < 1e-3
@@ -254,7 +254,7 @@ def test_second_residue_with_log_multiplier():
     curv = curvature(field, frame)
     td = tangent_vector(field, frame, br)
     f_field = spec.evaluate(grid.z)
-    fl = flux(curv, frame, f_field, field=field)
+    fl = equation(curv, frame, f_field, field).flux
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
     sf = special_fields(spec, br, td.A, field, frame.lam)
@@ -308,7 +308,7 @@ def test_potential_L_defect_refines_on_inverted_catenoid():
         field = catalog_surface("inverted_catenoid", {}, grid, 3)
         frame, _ = analyzed_frame(field)
         curv = curvature(field, frame)
-        fl = flux(curv, frame)
+        fl = equation(curv, frame).flux
         beta0 = first_residue(fl)["beta0"]
         _, defect = potential_L(fl, beta0)
         defs.append(defect["relative_defect"])
@@ -365,7 +365,7 @@ def test_gauge_invariance_of_gamma():
                              "gamma0": [0, 0, 0.2, 0]}, grid, 4)
     frame, br = analyzed_frame(field)
     curv = curvature(field, frame)
-    fl = flux(curv, frame)
+    fl = equation(curv, frame).flux
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
     sr1 = second_residue(w_field(L, curv.H, beta0, None, grid), grid)
@@ -391,7 +391,7 @@ def test_synthetic_pipeline_recovers_gamma(theta0, a):
     frame, br = analyzed_frame(field)
     assert br.theta0 == theta0
     curv = curvature(field, frame)
-    fl = flux(curv, frame)
+    fl = equation(curv, frame).flux
     out = first_residue(fl)
     L, _ = potential_L(fl, out["beta0"])
     W = w_field(L, curv.H, out["beta0"], None, grid)
@@ -421,7 +421,7 @@ def test_rotation_equivariance():
         field = from_chart(chart, grid, m)
         frame, br = analyzed_frame(field)
         curv = curvature(field, frame)
-        fl = flux(curv, frame)
+        fl = equation(curv, frame).flux
         out = first_residue(fl)
         td = tangent_vector(field, frame, br)
         L, _ = potential_L(fl, out["beta0"])
