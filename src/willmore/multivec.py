@@ -79,15 +79,16 @@ def _wedge_table(m: int, p: int, q: int):
 
 @lru_cache(maxsize=None)
 def _star_table(m: int, k: int):
+    # star e_I = sgn[I] e_{I^c}; inv[pos(I^c)] = pos(I), so the star gathers
     full = (1 << m) - 1
     out_pos = _positions(m, m - k)
-    idx = np.empty(comb(m, k), dtype=np.intp)
-    sgn = np.empty(comb(m, k), dtype=np.int64)
+    inv = np.empty(comb(m, k), dtype=np.intp)
+    sgn = np.empty(comb(m, k), dtype=np.int8)
     for i, mask in enumerate(_masks(m, k)):
         compl = full ^ mask
-        idx[i] = out_pos[compl]
+        inv[out_pos[compl]] = i
         sgn[i] = _wedge_sign(mask, compl)
-    return idx, sgn
+    return inv, sgn
 
 
 @lru_cache(maxsize=None)
@@ -255,10 +256,10 @@ def wedge(a: MultiVec, b: MultiVec) -> MultiVec:
 def hodge_star(a: MultiVec) -> MultiVec:
     """Hodge dual for the standard orientation: star e_I = sign(I, I^c) e_{I^c}."""
     m, k = a.ambient_dim, a.grade
-    idx, sgn = _star_table(m, k)
-    out = np.zeros(a.coeffs.shape[:-1] + (comb(m, m - k),), dtype=a.coeffs.dtype)
-    out[..., idx] = a.coeffs * sgn
-    return MultiVec(m, m - k, out)
+    inv, sgn = _star_table(m, k)
+    # np.take keeps C order; [..., inv] would put the component axis
+    # outermost, and the rounding of later FFTs depends on the layout
+    return MultiVec(m, m - k, np.take(a.coeffs * sgn, inv, axis=-1))
 
 
 def interior(gamma: MultiVec, beta: MultiVec) -> MultiVec:

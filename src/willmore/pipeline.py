@@ -284,7 +284,7 @@ def analyze_level(settings: Settings,
     level["A_isotropy_defect"] = td.isotropy_defect
     level["A_normal_defect"] = td.normal_defect
 
-    pmc = _stage("pmc_multiplier", pmc_multiplier, curv, frame, pmc_sign)
+    pmc = _stage("pmc_multiplier", pmc_multiplier, curv, pmc_sign)
     if mult_mode == "pmc":
         f_field = pmc["f_pmc"]
         level["multiplier"] = {"mode": "pmc", "sign": pmc_sign,
@@ -296,13 +296,14 @@ def analyze_level(settings: Settings,
                                "spec": spec.to_json() if spec else None}
 
     eq = _stage("equation", equation, curv, frame, f_field, field, 0.1, 0.9)
-    fl = eq.flux
+    fl, pmc_defect = eq.flux, eq.pmc_defect
     level["strong_norms"] = eq.norms["strong"]
     level["div_norms"] = eq.norms["div"]
     rms = lambda f: np.sqrt(circle_mean(dot(f, f)))  # both fields are real
     level["residual_profile"] = {"r": grid.r, "strong_rms": rms(eq.strong),
                                  "div_rms": rms(fl.div_defect)}
     level["equivalence_norms"] = eq.norms["identity"]
+    del eq  # the strong-form field is read only above
 
     fr = _stage("first_residue", first_residue, fl)
     beta0 = fr["beta0"]
@@ -318,7 +319,7 @@ def analyze_level(settings: Settings,
     F_mu = None
     if spec is not None and not spec.is_zero:
         sf = _stage("special_fields", special_fields, spec, br, td.A, field,
-                    frame.lam)
+                    curv.e2l)
         F_mu = sf.F_mu
         level["special_fields_mismatch"] = sf.mismatch
     W = _stage("w_field", w_field, L, curv.H, beta0, F_mu, grid)
@@ -342,7 +343,7 @@ def analyze_level(settings: Settings,
         diagnostics={"per_circle_beta0": fr["per_circle"],
                      "circle_radii": fr["radii"],
                      "winding_raw": srw.raw})
-    level["pmc_detect"] = _stage("pmc_detect", pmc_detect, eq.pmc_defect,
+    level["pmc_detect"] = _stage("pmc_detect", pmc_detect, pmc_defect,
                                  pmc["antiholomorphy_defect"], report,
                                  tol["pmc_threshold"], tol["tol_zero"])
 

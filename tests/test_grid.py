@@ -188,3 +188,46 @@ def test_refined_grid_halves_spacing():
     fine = gr.refined()
     assert fine.ds == pytest.approx(gr.ds / 2)
     assert fine.n_theta == 2 * gr.n_theta
+
+
+BAND_OPS = {
+    "ds": lambda gr, f, h: g.ds(gr, f),
+    "dr": lambda gr, f, h: g.dr(gr, f),
+    "dtheta": lambda gr, f, h: g.dtheta(gr, f),
+    "laplacian": lambda gr, f, h: g.laplacian(gr, f),
+    "grad_x": lambda gr, f, h: g.grad(gr, f)[0],
+    "grad_y": lambda gr, f, h: g.grad(gr, f)[1],
+    "div": g.div,
+}
+
+
+@pytest.mark.parametrize("op", sorted(BAND_OPS))
+@pytest.mark.parametrize("n_r, n_theta, lo, hi, trim", [
+    (191, 128, 0.15, 0.85, 0.1),   # the system check's annulus, fine level
+    (96, 64, 0.15, 0.85, 0.1),
+    (48, 32, 0.19, 0.21, 0.1),     # one annulus row, padded to four
+    (48, 32, None, None, 0.0),     # the band is the whole grid
+])
+@pytest.mark.parametrize("trailing, is_complex",
+                         [((), False), ((3,), True), ((28,), False)])
+def test_band_operators_match_the_full_grid(op, n_r, n_theta, lo, hi, trim,
+                                            trailing, is_complex):
+    gr = PolarGrid(1e-3, 1.0, n_r, n_theta)
+    band = gr.band(lo, hi, trim)
+    f, h = _smooth(gr, trailing, 5), _smooth(gr, trailing, 6)
+    if is_complex:
+        f = f + 1j * _smooth(gr, trailing, 7)
+    full = BAND_OPS[op](gr, f, h)
+    got = BAND_OPS[op](band, f[band.rows], h[band.rows])
+    rows = band.rows.start + band.keep
+    mask = g.annulus_mask(gr, lo, hi, trim)
+    assert np.array_equal(rows, np.flatnonzero(mask))
+    assert band.ds == gr.ds
+    assert np.array_equal(got[band.keep], full[rows])
+    assert band.norms(got) == g.annulus_norms(gr, full, lo, hi, trim)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 0.51), (0.9, 0.2)])
+def test_band_of_an_empty_annulus_is_refused(lo, hi):
+    with pytest.raises(ValueError, match=f"annulus \\[{lo}, {hi}\\]"):
+        make_grid().band(lo, hi)

@@ -72,15 +72,24 @@ def test_analyze_level_runs_each_stage_once(name, monkeypatch):
 
 def test_verify_system_takes_four_divergences(monkeypatch):
     # grad g, grad G and grad n arrive cached; the four divergences take one
-    # angular derivative per input (8) and no full gradient
+    # angular derivative per input (8) and no full gradient, each on the
+    # rows of the reported annulus [0.15, 0.85] and one halo row only
     calls = Counter()
     verify = potentials.verify_system
+    grid = PolarGrid(1e-3, 1.0, 48, 32)
+    band = grid.band(0.15, 0.85)
+    div_rows = []
+
+    def div(grid, vx, vy):
+        calls["div"] += 1
+        div_rows.extend((grid.n_r, vx.shape[0], vy.shape[0]))
+        return g.div(grid, vx, vy)
 
     def counted_verify(*args, **kwargs):
         calls["verify_system"] += 1
         with monkeypatch.context() as inside:
             _count(inside, calls, "grad", grad, potentials, g)
-            _count(inside, calls, "div", g.div, potentials)
+            inside.setattr(potentials, "div", div)
             _count(inside, calls, "dtheta", g.dtheta, g)
             return verify(*args, **kwargs)
 
@@ -89,8 +98,10 @@ def test_verify_system_takes_four_divergences(monkeypatch):
         pipeline.resolve({"surface": {"name": "inverted_catenoid",
                                       "ambient_dim": 8},
                           "with_potentials": True}),
-        PolarGrid(1e-3, 1.0, 48, 32))
+        grid)
     assert calls == {"verify_system": 1, "div": 4, "dtheta": 8}
+    assert band.n_r < grid.n_r // 4
+    assert div_rows == [band.n_r] * 12
 
 
 @pytest.mark.parametrize("with_potentials", [False, True])

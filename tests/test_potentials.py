@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
+from willmore.multivec import MultiVec
 from willmore.potentials import (_solve_modes, potentials_SR, solve_gG,
                                  verify_system)
 from willmore.residual import equation
@@ -163,6 +166,31 @@ def test_conservative_system_residuals_refine(name):
             f"{name} {key}: {vals} (order {order:.2f})"
 
 
+def test_verify_system_reads_only_its_band():
+    # every input row outside the annulus and its halo is NaN, and the
+    # norms come out unchanged: they rest on the band's rows alone
+    grid = PolarGrid(1e-3, 1.0, 96, 64)
+    field, frame, _, pots = full_chain("inverted_catenoid", grid)
+    want = verify_system(pots, frame, field, 0.15, 0.85)
+    rows = grid.band(0.15, 0.85).rows
+    assert rows.stop - rows.start < grid.n_r // 4
+
+    def blank(a, axis=0):
+        keep = (slice(None),) * axis + (rows,)
+        out = np.full_like(a, np.nan)
+        out[keep] = a[keep]
+        return out
+
+    pair = lambda fields: tuple(blank(v) for v in fields)
+    pots = replace(pots, v_S=pair(pots.v_S), v_R=pair(pots.v_R),
+                   dg=pair(pots.dg), dG=pair(pots.dG))
+    dn = pair(frame.dn)
+    frame = replace(frame, n=MultiVec(3, 1, blank(frame.n.coeffs)))
+    frame.dn = dn                 # fills the cache, as grad(n) would
+    field = replace(field, d1=blank(field.d1, 1), d2=blank(field.d2, 1))
+    assert verify_system(pots, frame, field, 0.15, 0.85) == want
+
+
 def test_synthetic_potentials_finite():
     # the template is not an exact solution, so the curl defects bottom out
     # at its non-solution floor; S and R must still come out finite
@@ -197,7 +225,7 @@ def test_conservative_system_codimension_two():
                                 grid, 4)
         frame = frame_and_gauss(field, conformal_factor(field))
         curv = curv_fn(field, frame)
-        f_field = pmc_multiplier(curv, frame)["f_pmc"]
+        f_field = pmc_multiplier(curv)["f_pmc"]
         fl = equation(curv, frame, f_field, field).flux
         beta0 = first_residue(fl)["beta0"]
         L, _ = potential_L(fl, beta0)
