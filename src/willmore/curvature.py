@@ -7,8 +7,7 @@ evaluated un-projected as H = e^{-2 lam} Lap Phi / 2 (its tangential part is
 a conformality diagnostic), and the Weingarten vector as
 H0 = 2 e^{-2 lam} (dzz Phi - 2 dz(lam) dz Phi).  The Gauss curvature comes
 from <h11, h22> - <h12, h12>, which feeds the Liouville residual
-Lap u + e^{2 lam} K.  ``CurvatureField`` keeps e^{2 lam} and H . conj(H0),
-which the multiplier, the equation and the Liouville residual all read.
+Lap u + e^{2 lam} K.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ class CurvatureField:
     H0: np.ndarray         # complex normal vector per node
     K: np.ndarray
     energy_density: np.ndarray  # |H|^2 e^{2 lam}
-    e2l: np.ndarray        # e^{2 lam}, formed once for every reader
-    hdot: np.ndarray       # H . conj(H0) per node
 
     @cached_property
     def dH(self) -> tuple[np.ndarray, np.ndarray]:
@@ -64,8 +61,7 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
 
     K = dot(h11, h22) - dot(h12, h12)
     density = dot(H, H) * e2l[..., 0]
-    return CurvatureField(field.grid, frame.lam, h11, h12, h22, H, H0, K,
-                          density, e2l[..., 0], dot(H, np.conj(H0)))
+    return CurvatureField(field.grid, frame.lam, h11, h12, h22, H, H0, K, density)
 
 
 def willmore_energy(curv: CurvatureField, r_lo=None, r_hi=None) -> float:
@@ -83,13 +79,12 @@ def gauss_bonnet_check(curv: CurvatureField, branch: BranchData,
     """Liouville residual Lap u + e^{2 lam} K on the annulus.
 
     This is the computable local form of the Gauss-Bonnet identity; u is
-    the regular conformal part of the branch-order analysis.  The residual
-    is formed only on the annulus rows and one halo row on each side.
+    the regular conformal part of the branch-order analysis, formed on
+    ``PolarGrid.band(r_lo, r_hi)``.
     """
     band = curv.grid.band(r_lo, r_hi)
-    rows = band.rows
-    return band.norms(laplacian(band, branch.u[rows])
-                      + curv.e2l[rows] * curv.K[rows])
+    u, lam, K = (a[band.rows] for a in (branch.u, curv.lam, curv.K))
+    return band.norms(laplacian(band, u) + np.exp(2.0 * lam) * K)
 
 
 def delta_profile(frame: FrameField) -> dict:

@@ -13,12 +13,10 @@ derivatives its result keeps: ``div`` differentiates v_x in x and v_y in y
 (never the discarded half of two gradients), and the Wirtinger derivatives
 ``dz``/``dzbar`` are formed directly from the polar ones as
 e^{-+i theta}(d_r -+ (i/r) d_theta)/2.  ``dot`` is the one contraction over
-the trailing (ambient) axis: bilinear, no conjugation.  A ``RowBand``
-(``PolarGrid.band``) holds the rows of one annulus plus a halo row on each
-side, sliced from the grid's own tables, for stages that report only that
-annulus; every operator on it matches the full grid bit for bit on the
-annulus rows.  ``jsonable`` is the one converter of arrays and complex
-numbers to JSON values, used by every report writer.
+the trailing (ambient) axis: bilinear, no conjugation.  ``PolarGrid.band``
+is the view of one annulus for stages that report only that annulus.
+``jsonable`` is the one converter of arrays and complex numbers to JSON
+values, used by every report writer.
 
 Field arrays are shaped (n_r, n_theta, ...) with arbitrary trailing axes.
 """
@@ -114,35 +112,33 @@ class PolarGrid:
         return PolarGrid(float(d["r_min"]), float(d.get("r_max", 1.0)),
                          int(d["n_r"]), int(d["n_theta"]))
 
-    def band(self, r_lo=None, r_hi=None, trim: float = 0.1) -> "RowBand":
-        """The rows of ``annulus_mask(self, r_lo, r_hi, trim)`` plus one halo
-        row on each side (at least four rows, for the one-sided second
-        difference), clipped to the grid."""
-        rows = np.flatnonzero(annulus_mask(self, r_lo, r_hi, trim))
+    def band(self, r_lo=None, r_hi=None) -> "RowBand":
+        """The rows of ``annulus_mask(self, r_lo, r_hi)`` plus one halo row
+        on each side (at least four rows, for the one-sided second
+        difference); the trimmed rims keep the band inside the grid."""
+        rows = np.flatnonzero(annulus_mask(self, r_lo, r_hi))
         if rows.size == 0:
-            raise ValueError(f"no grid circle in the annulus [{r_lo}, {r_hi}] "
-                             f"trimmed by {trim}")
-        lo = max(int(rows[0]) - 1, 0)
-        hi = min(max(int(rows[-1]) + 2, lo + 4), self.n_r)
-        return RowBand(self, lo, hi, rows - lo)
+            raise ValueError(f"no grid circle in the annulus [{r_lo}, {r_hi}]")
+        lo = int(rows[0]) - 1
+        return RowBand(self, lo, max(int(rows[-1]) + 2, lo + 4), rows - lo)
 
 
 class RowBand(PolarGrid):
     """Rows lo..hi-1 of a parent grid, for stages that keep only an annulus.
 
-    Its s, r, rr, cos_t, sin_t, x and y are slices of the parent's tables
-    and its ds is the parent's, so every operator gives the parent's values
-    bit for bit on each row whose radial stencil stays inside the band (a
-    fresh PolarGrid over the same radii differs in the last bit).  ``keep``
-    indexes the annulus rows within the band; the radial stencils are
-    one-sided on the band's end rows, which are read but never kept.
+    Its s, r, rr, cos_t and sin_t (the tables the operators read) are slices
+    of the parent's and its ds is the parent's, so every operator gives the
+    parent's values bit for bit on each row whose radial stencil stays inside
+    the band; a fresh PolarGrid over the same radii differs in the last bit.
+    ``keep`` indexes the annulus rows within the band; the band's end rows
+    are read by the stencils but never kept.
     """
 
     def __init__(self, parent: PolarGrid, lo: int, hi: int, keep: np.ndarray):
         self.parent, self.rows, self.keep = parent, slice(lo, hi), keep
         self.r_min, self.r_max = float(parent.r[lo]), float(parent.r[hi - 1])
         self.n_r, self.n_theta = hi - lo, parent.n_theta
-        for name in ("s", "r", "rr", "cos_t", "sin_t", "x", "y"):
+        for name in ("s", "r", "rr", "cos_t", "sin_t"):
             self.__dict__[name] = getattr(parent, name)[self.rows]
 
     @property

@@ -22,8 +22,8 @@ from numbers import Real
 
 import numpy as np
 
-from willmore.grid import annulus_norms, dz
-from willmore.surface import BranchData, ImmersionField
+from willmore.grid import annulus_norms, dot, dz
+from willmore.surface import BranchData, FrameField, ImmersionField
 
 
 class MultiplierError(ValueError):
@@ -119,9 +119,8 @@ class SpecialFields:
 
 
 def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
-                   field: ImmersionField, e2l: np.ndarray) -> SpecialFields:
-    """F_mu and J with e^{-2 lam} f dz(Phi) = dzbar(F_mu) + J, where e2l is
-    the conformal factor e^{2 lam} (``CurvatureField.e2l``).
+                   field: ImmersionField, lam: np.ndarray) -> SpecialFields:
+    """F_mu and J with e^{-2 lam} f dz(Phi) = dzbar(F_mu) + J.
 
     J is evaluated two ways: as the defining difference, and through the
     centered branch representation
@@ -141,7 +140,7 @@ def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
     theta0, u0 = branch.theta0, branch.u0
     A = np.asarray(A, dtype=complex)
     dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
-    e2lam = e2l[..., None]
+    e2lam = np.exp(2.0 * lam)[..., None]
 
     mu = spec.mu
     head = 0.5 * theta0 * np.exp(-2.0 * u0) * spec.a_mu * A[None, None, :]
@@ -169,7 +168,7 @@ def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
     return SpecialFields(F_mu, J, J_series, mismatch)
 
 
-def pmc_multiplier(curv, sign: int = +1) -> dict:
+def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
     """Multiplier induced by parallel mean curvature, f = sign 2 e^{2 lam} H.H0*.
 
     Returns the sampled field and its anti-holomorphy defect (discrete dz
@@ -177,8 +176,9 @@ def pmc_multiplier(curv, sign: int = +1) -> dict:
     strong-form equation when pi_n grad H = 0, which ``residual.equation``
     measures as its parallelism defect.
     """
-    grid = curv.grid
-    f_pmc = sign * 2.0 * curv.e2l * curv.hdot
+    grid = frame.grid
+    hdot = dot(curv.H, np.conj(curv.H0))
+    f_pmc = sign * 2.0 * np.exp(2.0 * frame.lam) * hdot
 
     scale = max(float(np.max(np.abs(f_pmc))), 1e-30)
     dz_defect = annulus_norms(grid, dz(grid, f_pmc))["max"] / scale

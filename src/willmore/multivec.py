@@ -79,7 +79,6 @@ def _wedge_table(m: int, p: int, q: int):
 
 @lru_cache(maxsize=None)
 def _star_table(m: int, k: int):
-    # star e_I = sgn[I] e_{I^c}; inv[pos(I^c)] = pos(I), so the star gathers
     full = (1 << m) - 1
     out_pos = _positions(m, m - k)
     inv = np.empty(comb(m, k), dtype=np.intp)

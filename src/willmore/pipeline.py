@@ -284,7 +284,7 @@ def analyze_level(settings: Settings,
     level["A_isotropy_defect"] = td.isotropy_defect
     level["A_normal_defect"] = td.normal_defect
 
-    pmc = _stage("pmc_multiplier", pmc_multiplier, curv, pmc_sign)
+    pmc = _stage("pmc_multiplier", pmc_multiplier, curv, frame, pmc_sign)
     if mult_mode == "pmc":
         f_field = pmc["f_pmc"]
         level["multiplier"] = {"mode": "pmc", "sign": pmc_sign,
@@ -319,7 +319,7 @@ def analyze_level(settings: Settings,
     F_mu = None
     if spec is not None and not spec.is_zero:
         sf = _stage("special_fields", special_fields, spec, br, td.A, field,
-                    curv.e2l)
+                    frame.lam)
         F_mu = sf.F_mu
         level["special_fields_mismatch"] = sf.mismatch
     W = _stage("w_field", w_field, L, curv.H, beta0, F_mu, grid)

@@ -17,11 +17,7 @@ conservative conformal Willmore system and the closing identity
 -2 Lap Phi = (grad S - grad_perp g) . grad_perp Phi
              - (grad R - grad_perp G) . grad_perp Phi (first-order
 contraction in the second pairing), all with the exterior-algebra
-operators.  It reports norms over an annulus only, so it evaluates the
-residuals on the annulus rows plus one halo row on each side
-(``PolarGrid.band``), which the second-order radial stencil reads; the
-angular transforms act row by row, so the norms are those of the
-full-grid evaluation bit for bit.
+operators, on the annulus rows plus a halo row (``PolarGrid.band``).
 """
 
 from __future__ import annotations
@@ -173,9 +169,7 @@ def verify_system(pots: PotentialSet, frame: FrameField,
                   field: ImmersionField, r_lo=None, r_hi=None) -> dict:
     """Annulus norms of the conservative system and the -2 Lap Phi identity.
 
-    Every residual is formed only on the rows of the trimmed annulus
-    [r_lo, r_hi] plus one halo row on each side: the full-grid inputs are
-    sliced to that band, and the norms are taken over its annulus rows.
+    Evaluated on the rows of ``PolarGrid.band(r_lo, r_hi)``.
     The gradients of S and R enter through their defining curl fields
     (grad_perp S and grad_perp R are known exactly up to the reported loop
     defect), so each residual costs a single discrete derivative.  The five
@@ -186,12 +180,11 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     operator-convention mismatch in the cited statements).
     """
     grid = field.grid.band(r_lo, r_hi)
-    rows = grid.rows
-    cut = lambda pair: tuple(v[rows] for v in pair)
+    cut = lambda pair: tuple(v[grid.rows] for v in pair)
     m = field.ambient_dim
     s_bullR, s_dotS, s_bullG, s_sng, s_phi = -1, -1, -1, -1, +1
     k = frame.n.grade
-    sn = hodge_star(MultiVec(m, k, frame.n.coeffs[rows]))   # 2-vector field
+    sn = hodge_star(MultiVec(m, k, frame.n.coeffs[grid.rows]))  # 2-vector
     # the star is a signed permutation, so grad(star n) = star(grad n)
     sn_x, sn_y = (hodge_star(MultiVec(m, k, d)).coeffs for d in cut(frame.dn))
     mk2 = lambda c: MultiVec(m, 2, c)
@@ -204,8 +197,7 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     Rx, Ry = perp_R[1], -perp_R[0]
     lap_S = div(grid, perp_S[1], -perp_S[0])
     lap_R = div(grid, perp_R[1], -perp_R[0])
-    gx, gy = cut(pots.dg)
-    Gx, Gy = cut(pots.dG)
+    (gx, gy), (Gx, Gy) = cut(pots.dg), cut(pots.dG)
     perp_g = (-gy, gx)
     perp_G = (-Gy, Gx)
 
@@ -230,7 +222,7 @@ def verify_system(pots: PotentialSet, frame: FrameField,
 
     # -2 Lap Phi = (grad S - perp grad g) . perp grad Phi
     #              + s5 (grad R - perp grad G) bullet perp grad Phi
-    d1, d2 = field.d1[:, rows], field.d2[:, rows]
+    d1, d2 = field.d1[:, grid.rows], field.d2[:, grid.rows]
     perp_phi = (-d1[1], d1[0])
     t_scal = ((Sx - perp_g[0])[..., None] * perp_phi[0]
               + (Sy - perp_g[1])[..., None] * perp_phi[1])

@@ -22,14 +22,13 @@ X = X_raw - 2 beta0 grad log|x| (``FluxField.corrected``) has vanishing
 circulation, consistently with the mean curvature growing like
 -beta0 log|z| at the puncture.
 
-``equation`` evaluates both forms of a level at once: it reads e^{2 lam}
-and H.H0* from ``CurvatureField``, forms pi_n grad H once, and returns the
-strong-form field, the flux (built once, without beta0), the annulus norms
-of the strong form, of div X_raw and of the gap in the identity above, and
-the parallelism defect |pi_n grad H| / max(|grad H|, |H|).  grad H and
-grad n are read from the caches ``CurvatureField.dH`` and
-``FrameField.dn``; pi_n grad H lives only inside the pass and is released
-before the flux divergence.
+``equation`` evaluates both forms of a level at once: it forms e^{2 lam}
+and pi_n grad H once, and returns the strong-form field, the flux (built
+once, without beta0), the annulus norms of the strong form, of div X_raw
+and of the gap in the identity above, and the parallelism defect
+|pi_n grad H| / max(|grad H|, |H|).  grad H and grad n are read from the
+caches ``CurvatureField.dH`` and ``FrameField.dn``; pi_n grad H lives only
+inside the pass and is released before the flux divergence.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def equation(curv: CurvatureField, frame: FrameField,
         f = None
     if f is not None and field is None:
         raise ValueError("the immersion field is needed for the M_f term")
-    e2l = curv.e2l[..., None]
+    e2l = np.exp(2.0 * frame.lam)[..., None]
     Hx, Hy = curv.dH
     pi_n = normal_projector(frame)
     px, py = pi_n(Hx), pi_n(Hy)
@@ -104,7 +103,8 @@ def equation(curv: CurvatureField, frame: FrameField,
     pmc_defect = annulus_norms(grid, num)["max"] / floor
 
     strong = (pi_n(div(grid, px, py)) / e2l
-              + 2.0 * np.real(curv.hdot[..., None] * curv.H0))
+              + 2.0 * np.real(dot(curv.H, np.conj(curv.H0))[..., None]
+                              * curv.H0))
     nx, ny = frame.dn
     raw_x = Hx - 3.0 * px + _star_wedge_with_H(-ny, curv.H)
     raw_y = Hy - 3.0 * py + _star_wedge_with_H(nx, curv.H)

@@ -122,7 +122,7 @@ def test_criterion_3_willmore_verification():
             field, frame, curv = analyzed(name, params, grid)
             f_field = None
             if with_f:
-                f_field = pmc_multiplier(curv)["f_pmc"]
+                f_field = pmc_multiplier(curv, frame)["f_pmc"]
             norms = equation(curv, frame, f_field, field, 0.1, 0.9).norms
             strongs.append(norms["strong"]["rms"])
             divs.append(norms["div"]["rms"])

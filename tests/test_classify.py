@@ -123,7 +123,7 @@ def test_pmc_detect_on_catalog():
         frame = frame_and_gauss(field, conformal_factor(field))
         curv = curvature(field, frame)
         out = pmc_detect(equation(curv, frame).pmc_defect,
-                         pmc_multiplier(curv)["antiholomorphy_defect"])
+                         pmc_multiplier(curv, frame)["antiholomorphy_defect"])
         assert out["pmc"] == expect, name
 
 
@@ -134,7 +134,7 @@ def test_pmc_detect_cross_checks_residues():
     curv = curvature(field, frame)
     rep = make_report(theta0=1)
     pmc = (equation(curv, frame).pmc_defect,
-           pmc_multiplier(curv)["antiholomorphy_defect"])
+           pmc_multiplier(curv, frame)["antiholomorphy_defect"])
     out = pmc_detect(*pmc, rep)
     assert out["pmc"] and out["residues_vanish"]
     bad = make_report(theta0=1, beta0=[0, 0, 2.0], spread=1e-8)

@@ -202,29 +202,29 @@ BAND_OPS = {
 
 
 @pytest.mark.parametrize("op", sorted(BAND_OPS))
-@pytest.mark.parametrize("n_r, n_theta, lo, hi, trim", [
-    (191, 128, 0.15, 0.85, 0.1),   # the system check's annulus, fine level
-    (96, 64, 0.15, 0.85, 0.1),
-    (48, 32, 0.19, 0.21, 0.1),     # one annulus row, padded to four
-    (48, 32, None, None, 0.0),     # the band is the whole grid
+@pytest.mark.parametrize("n_r, n_theta, lo, hi", [
+    (191, 128, 0.15, 0.85),   # the system check's annulus, fine level
+    (96, 64, 0.15, 0.85),
+    (48, 32, 0.19, 0.21),     # one annulus row, padded to four
+    (48, 32, None, None),     # the whole grid less its trimmed rims
 ])
 @pytest.mark.parametrize("trailing, is_complex",
                          [((), False), ((3,), True), ((28,), False)])
-def test_band_operators_match_the_full_grid(op, n_r, n_theta, lo, hi, trim,
+def test_band_operators_match_the_full_grid(op, n_r, n_theta, lo, hi,
                                             trailing, is_complex):
     gr = PolarGrid(1e-3, 1.0, n_r, n_theta)
-    band = gr.band(lo, hi, trim)
+    band = gr.band(lo, hi)
     f, h = _smooth(gr, trailing, 5), _smooth(gr, trailing, 6)
     if is_complex:
         f = f + 1j * _smooth(gr, trailing, 7)
     full = BAND_OPS[op](gr, f, h)
     got = BAND_OPS[op](band, f[band.rows], h[band.rows])
     rows = band.rows.start + band.keep
-    mask = g.annulus_mask(gr, lo, hi, trim)
+    mask = g.annulus_mask(gr, lo, hi)
     assert np.array_equal(rows, np.flatnonzero(mask))
     assert band.ds == gr.ds
     assert np.array_equal(got[band.keep], full[rows])
-    assert band.norms(got) == g.annulus_norms(gr, full, lo, hi, trim)
+    assert band.norms(got) == g.annulus_norms(gr, full, lo, hi)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.5, 0.51), (0.9, 0.2)])

@@ -100,8 +100,7 @@ def test_special_fields_zero_multiplier():
     field = catalog_surface("branched_plane", {"theta0": 2}, grid, 3)
     frame, br = _branch_frame(field, 2, np.log(2.0))
     sf = special_fields(MultiplierSpec.zero_spec(), br,
-                        np.array([1, 1j, 0]), field,
-                        np.exp(2.0 * frame.lam))
+                        np.array([1, 1j, 0]), field, frame.lam)
     assert not np.any(sf.F_mu) and not np.any(sf.J)
 
 
@@ -115,7 +114,7 @@ def test_special_fields_branched_plane_J_vanishes():
     frame, br = _branch_frame(field, theta0, u0)
     for mu in (-1, 0, theta0 - 2, 2):
         spec = MultiplierSpec(mu=mu, a_mu=1.3 - 0.4j)
-        sf = special_fields(spec, br, A, field, np.exp(2.0 * frame.lam))
+        sf = special_fields(spec, br, A, field, frame.lam)
         assert np.max(np.abs(sf.J)) < 1e-10, f"mu={mu}"
         assert sf.mismatch < 1e-10
 
@@ -129,7 +128,7 @@ def test_special_fields_log_branch_case():
     u0 = float(np.log(theta0))
     frame, br = _branch_frame(field, theta0, u0)
     spec = MultiplierSpec(mu=mu, a_mu=2.0)
-    sf = special_fields(spec, br, A, field, np.exp(2.0 * frame.lam))
+    sf = special_fields(spec, br, A, field, frame.lam)
     expect = (0.5 * theta0 * np.exp(-2 * u0) * 2.0 * A[None, None, :]
               * 2.0 * np.log(grid.rr)[..., None])
     assert np.allclose(sf.F_mu, expect, atol=1e-12)
@@ -153,7 +152,7 @@ def test_special_fields_synthetic_log_branch_two_routes():
         u = lam - (theta0 - 1) * np.log(grid.rr)
         u0 = float(u[0, 0])
         br = BranchData(theta0, theta0 - 1.0, u, u0)
-        sf = special_fields(spec, br, A, field, np.exp(2.0 * lam))
+        sf = special_fields(spec, br, A, field, lam)
         # logarithmic template: angular mean of |F_mu| grows like |log r|
         prof = g.circle_mean(np.abs(sf.F_mu[..., 0]))
         assert prof[0] > 2.0 * prof[-2]
@@ -177,7 +176,7 @@ def test_special_fields_decay_rate():
     br = BranchData(theta0, theta0 - 1.0, u, float(u[0, 0]))
     spec = MultiplierSpec(mu=mu, a_mu=1.0)
     A = np.array([1.0, 1j, 0.0])
-    sf = special_fields(spec, br, A, field, np.exp(2.0 * lam))
+    sf = special_fields(spec, br, A, field, lam)
     prof = np.sqrt(g.circle_mean(np.sum(np.abs(sf.J) ** 2, axis=-1)))
     sel = grid.r < 0.1
     slope = g.fit_order(grid.r[sel], prof[sel])
@@ -193,7 +192,7 @@ def _pmc_setup(name, params=None, m=3, grid=None):
 
 def test_pmc_multiplier_sphere_trivial():
     frame, curv = _pmc_setup("sphere_stereographic")
-    out = pmc_multiplier(curv)
+    out = pmc_multiplier(curv, frame)
     assert np.max(np.abs(out["f_pmc"])) < 1e-12
     # grad H is discrete, so parallelism holds to stencil accuracy
     assert equation(curv, frame).pmc_defect < 5e-3
@@ -201,18 +200,18 @@ def test_pmc_multiplier_sphere_trivial():
 
 def test_pmc_multiplier_catenoid_trivial():
     frame, curv = _pmc_setup("catenoid_end")
-    assert np.max(np.abs(pmc_multiplier(curv)["f_pmc"])) < 1e-8
+    assert np.max(np.abs(pmc_multiplier(curv, frame)["f_pmc"])) < 1e-8
 
 
 def test_pmc_multiplier_cylinder():
     rho = 0.75
     frame, curv = _pmc_setup("cylinder_cmc", {"radius": rho})
-    out = pmc_multiplier(curv)
+    out = pmc_multiplier(curv, frame)
     assert np.allclose(out["f_pmc"], -1.0 / (2 * rho ** 2), atol=1e-9)
     assert out["antiholomorphy_defect"] < 1e-8
     assert equation(curv, frame).pmc_defect < 5e-3
     # the opposite sign convention stays available
-    flipped = pmc_multiplier(curv, sign=-1)
+    flipped = pmc_multiplier(curv, frame, sign=-1)
     assert np.allclose(flipped["f_pmc"], 1.0 / (2 * rho ** 2), atol=1e-9)
 
 

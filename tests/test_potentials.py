@@ -225,7 +225,7 @@ def test_conservative_system_codimension_two():
                                 grid, 4)
         frame = frame_and_gauss(field, conformal_factor(field))
         curv = curv_fn(field, frame)
-        f_field = pmc_multiplier(curv)["f_pmc"]
+        f_field = pmc_multiplier(curv, frame)["f_pmc"]
         fl = equation(curv, frame, f_field, field).flux
         beta0 = first_residue(fl)["beta0"]
         L, _ = potential_L(fl, beta0)

@@ -27,7 +27,7 @@ def sweep(name, params=None, m=3, with_pmc_multiplier=False):
         field, frame, curv = setup(name, params, grid, m)
         f_field = None
         if with_pmc_multiplier:
-            f_field = pmc_multiplier(curv)["f_pmc"]
+            f_field = pmc_multiplier(curv, frame)["f_pmc"]
         norms = equation(curv, frame, f_field, field, 0.1, 0.9).norms
         strongs.append(norms["strong"]["rms"])
         divs.append(norms["div"]["rms"])
@@ -90,7 +90,7 @@ def test_clifford_torus_with_pmc_multiplier():
 def test_antiholomorphy_identity_with_multiplier():
     grid = PolarGrid(0.1, 0.9999, 96, 96)
     field, frame, curv = setup("cylinder_cmc", {"radius": 0.75}, grid)
-    f_field = pmc_multiplier(curv)["f_pmc"]
+    f_field = pmc_multiplier(curv, frame)["f_pmc"]
     norms = antiholomorphy_identity_norms(curv, frame, f_field, field,
                                           0.1, 0.9)
     assert norms["rms"] < 1e-4

@@ -257,7 +257,7 @@ def test_second_residue_with_log_multiplier():
     fl = equation(curv, frame, f_field, field).flux
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
-    sf = special_fields(spec, br, td.A, field, curv.e2l)
+    sf = special_fields(spec, br, td.A, field, frame.lam)
     W = w_field(L, curv.H, beta0, sf.F_mu, grid)
     sr = second_residue(W, grid)
     assert sr.a == a
