@@ -301,9 +301,9 @@ def analyze_level(settings: Settings,
     level["div_norms"] = eq.norms["div"]
     rms = lambda f: np.sqrt(circle_mean(dot(f, f)))  # both fields are real
     level["residual_profile"] = {"r": grid.r, "strong_rms": rms(eq.strong),
-                                 "div_rms": rms(fl.div_defect)}
+                                 "div_rms": rms(eq.div_defect)}
     level["equivalence_norms"] = eq.norms["identity"]
-    del eq  # the strong-form field is read only above
+    del eq  # the strong-form and divergence fields are read only above
 
     fr = _stage("first_residue", first_residue, fl)
     beta0 = fr["beta0"]

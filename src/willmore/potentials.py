@@ -5,9 +5,9 @@ g and G solve Poisson problems driven by Gamma = 2 beta0 log|x|,
     Lap g = grad(Gamma) . grad(Phi),   Lap G = grad(Gamma) ^ grad(Phi),
 
 with zero Dirichlet data on the outer grid circle; the puncture side closes
-with the bounded-solution (decaying-mode) condition, mode by angular mode,
-on the exponential radial grid.  S (scalar) and R (2-vector valued) are
-curl potentials of
+with the bounded-solution (decaying-mode) condition on each angular mode,
+and all modes are solved together in one sweep over the exponential radial
+grid.  S (scalar) and R (2-vector valued) are curl potentials of
 
     grad_perp S = L . grad_perp(Phi) - grad g,
     grad_perp R = L ^ grad_perp(Phi) - 2 H ^ grad(Phi) - grad G,
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from willmore.curvature import CurvatureField
 from willmore.grid import PolarGrid, div, dot, grad
@@ -62,7 +61,9 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
     Angular Fourier decomposition; per mode the radial problem
     u'' - k^2 u = e^{2s} rhs_k closes with u'(s_min) = |k| u(s_min), which
     kills the inward-growing homogeneous branch (the unique bounded
-    extension across the excluded disk).
+    extension across the excluded disk).  Every mode is eliminated in the
+    same sweep over the rows: inward from the outer row, writing
+    u_i = alpha_i u_{i-1} + beta_i, then the Robin row for u_0, then outward.
     """
     if np.iscomplexobj(rhs):
         return _solve_modes(grid, rhs.real) + 1j * _solve_modes(grid, rhs.imag)
@@ -71,48 +72,37 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
     rhat = np.fft.rfft(rhs, axis=1)
     n_modes = rhat.shape[1]
     src = np.exp(2.0 * grid.s)[:, None, None] * rhat.reshape(n_r, n_modes, -1)
-    ncomp = src.shape[-1]
-    out = np.zeros_like(src)
+    k = np.arange(n_modes, dtype=float)[:, None]   # irfft supplies k < 0
     h2_12 = h * h / 12.0
-    for col in range(n_modes):
-        ak = float(col)   # mode k = col >= 0; irfft supplies k < 0
-        kk = ak * ak
-        # Numerov rows (fourth order): (1 - h^2 k^2/12)(u_{i-1} + u_{i+1})
-        #   - (2 + 10 h^2 k^2/12) u_i = h^2/12 (f_{i-1} + 10 f_i + f_{i+1})
-        ab = np.zeros((5, n_r), dtype=complex)
-        b = np.zeros((n_r, ncomp), dtype=complex)
-        off = 1.0 - h2_12 * kk
-        # banded layout (1 sub, 3 super): ab[3 + i - j, j] = A[i, j]
-        ab[3, 1:-1] = -(2.0 + 10.0 * h2_12 * kk)   # diag
-        ab[2, 2:] = off                            # super (col i+1)
-        ab[4, :-2] = off                           # sub (col i-1)
-        b[1:-1] = h2_12 * (src[:-2, col] + 10.0 * src[1:-1, col] + src[2:, col])
-        # inner row, fourth-order one-sided Robin u'(s0) = k u(s0):
-        # (-25 - 12 h k) u_0 + 48 u_1 - 36 u_2 + 16 u_3 - 3 u_4 = 0
-        ab[3, 0] = -25.0 - 12.0 * h * ak
-        ab[2, 1] = 48.0
-        ab[1, 2] = -36.0
-        ab[0, 3] = 16.0
-        # the -3 u_4 entry falls outside bandwidth (1, 3); eliminate it with
-        # the Numerov row at i = 3: u_2 - (...) u_3 + u_4 = rhs_3 / off
-        diag3 = (2.0 + 10.0 * h2_12 * kk) / off
-        rhs3 = h2_12 * (src[2, col] + 10.0 * src[3, col] + src[4, col]) / off
-        # u_4 = rhs3 + diag3 u_3 - u_2, so -3 u_4 folds into cols 2, 3
-        ab[1, 2] += 3.0
-        ab[0, 3] += -3.0 * diag3
-        b[0] = 3.0 * rhs3
-        # outer row: u_{n-1} = 0
-        ab[3, -1] = 1.0
-        ab[4, -2] = 0.0
-        b[-1] = 0.0
-        try:
-            sol = solve_banded((1, 3), ab, b)
-        except np.linalg.LinAlgError as exc:
-            raise PotentialError(f"resonant radial mode k = {col}: {exc}")
-        if not np.all(np.isfinite(sol)):
-            raise PotentialError(f"singular radial solve at mode k = {col}")
-        out[:, col] = sol
-    return np.fft.irfft(out, n_theta, axis=1).reshape(rhs.shape)
+    # Numerov rows (fourth order), 0 < i < n_r - 1:
+    #   off (u_{i-1} + u_{i+1}) - diag u_i = h^2/12 (f_{i-1} + 10 f_i + f_{i+1})
+    off = 1.0 - h2_12 * k * k
+    diag = 2.0 + 10.0 * h2_12 * k * k
+    b = h2_12 * (src[:-2] + 10.0 * src[1:-1] + src[2:])
+    # inward from u_{n-1} = 0 (alpha = beta = 0 on the outer row); the rows
+    # are diagonally dominant, so the sweep needs no pivoting
+    alpha = np.zeros((n_r, n_modes, 1))
+    u = np.zeros_like(src)                          # beta, then the solution
+    for i in range(n_r - 2, 0, -1):
+        piv = diag - off * alpha[i + 1]
+        alpha[i] = off / piv
+        u[i] = (off * u[i + 1] - b[i - 1]) / piv
+    # inner row, fourth-order one-sided Robin u'(s0) = k u(s0):
+    # (-25 - 12 h k) u_0 + 48 u_1 - 36 u_2 + 16 u_3 - 3 u_4 = 0,
+    # with u_j = a_j u_0 + c_j from the sweep
+    a, c = 1.0, 0.0
+    lhs, acc = -25.0 - 12.0 * h * k, 0.0
+    for j, w in enumerate((48.0, -36.0, 16.0, -3.0), start=1):
+        a, c = alpha[j] * a, alpha[j] * c + u[j]
+        lhs, acc = lhs + w * a, acc + w * c
+    u[0] = -acc / lhs
+    for i in range(1, n_r):
+        u[i] += alpha[i] * u[i - 1]
+    bad = ~np.all(np.isfinite(u), axis=(0, 2))
+    if np.any(bad):
+        raise PotentialError(
+            f"singular radial solve at mode k = {int(np.argmax(bad))}")
+    return np.fft.irfft(u, n_theta, axis=1).reshape(rhs.shape)
 
 
 def solve_gG(beta0: np.ndarray,

@@ -49,7 +49,6 @@ from willmore.surface import FrameField, ImmersionField, normal_projector
 class FluxField:
     grid: PolarGrid
     raw: np.ndarray                 # (2, n_r, n_theta, m), no beta0 correction
-    div_defect: np.ndarray          # div raw per node, (n_r, n_theta, m)
 
     def corrected(self, beta0) -> np.ndarray:
         """X = raw - 2 beta0 grad log|x|, the flux with vanishing circulation."""
@@ -65,6 +64,7 @@ class Equation:
     """Both forms of the equation on one level and their checks."""
 
     strong: np.ndarray              # strong-form residual, (n_r, n_theta, m)
+    div_defect: np.ndarray          # div X_raw per node, (n_r, n_theta, m)
     flux: FluxField
     norms: dict     # annulus norms: "strong", "div" (div X_raw), "identity"
     pmc_defect: float               # |pi_n grad H| / max(|grad H|, |H|)
@@ -120,9 +120,10 @@ def equation(curv: CurvatureField, frame: FrameField,
 
     raw = np.stack([raw_x, raw_y])
     del raw_x, raw_y
-    fl = FluxField(grid, raw, div(grid, raw[0], raw[1]))
-    gap = strong + 0.5 * fl.div_defect / e2l
+    div_defect = div(grid, raw[0], raw[1])
+    gap = strong + 0.5 * div_defect / e2l
     norms = {"strong": annulus_norms(grid, strong, r_lo, r_hi),
-             "div": annulus_norms(grid, fl.div_defect, r_lo, r_hi),
+             "div": annulus_norms(grid, div_defect, r_lo, r_hi),
              "identity": annulus_norms(grid, gap, r_lo, r_hi)}
-    return Equation(strong, fl, norms, pmc_defect)
+    return Equation(strong, div_defect, FluxField(grid, raw), norms,
+                    pmc_defect)

@@ -159,19 +159,15 @@ def modified_residue(beta0: np.ndarray, theta0: int, spec: MultiplierSpec,
 # curl potentials by path integration
 # ---------------------------------------------------------------------------
 
-def _cumtrapz(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # trapezoid steps with a gradient correction; telescopes to fourth order
-    take = lambda sl: np.take(vals, sl, axis=axis)
-    hi = take(range(1, vals.shape[axis]))
-    lo = take(range(0, vals.shape[axis] - 1))
-    dv = np.gradient(vals, h, axis=axis)
-    dhi = np.take(dv, range(1, vals.shape[axis]), axis=axis)
-    dlo = np.take(dv, range(0, vals.shape[axis] - 1), axis=axis)
-    mids = 0.5 * h * (hi + lo) - h * h / 12.0 * (dhi - dlo)
-    out = np.cumsum(mids, axis=axis)
-    pad = [(0, 0)] * vals.ndim
-    pad[axis] = (1, 0)
-    return np.pad(out, pad)
+def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
+    # trapezoid steps along axis 0 with a gradient correction; telescopes to
+    # fourth order
+    dv = np.gradient(vals, h, axis=0)
+    mids = 0.5 * h * (vals[1:] + vals[:-1]) - h * h / 12.0 * (dv[1:] - dv[:-1])
+    out = np.empty(vals.shape, dtype=mids.dtype)
+    out[0] = 0.0
+    np.cumsum(mids, axis=0, out=out[1:])
+    return out
 
 
 def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,17 +214,15 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
     dP_ds = rr * (-s * vx + c * vy)          # r * (V . e_theta)
     dP_dth = -rr * (c * vx + s * vy)         # -r * (V . e_r)
 
-    radial = _cumtrapz(dP_ds[:, 0], grid.ds, axis=0)
+    radial = _cumtrapz(dP_ds, grid.ds)
     radial = radial - radial[-1]             # zero at the outer basepoint
     angular, holo = _cumtheta(dP_dth, grid.n_theta)
-    P = radial[:, None] + angular
+    P = radial[:, :1] + angular              # inward along theta = 0
     holo_profile = np.abs(holo).reshape(grid.n_r, -1).max(axis=1)
     holonomy = float(np.max(holo_profile))
 
     # independent path family: angular at the outer rim, then radial inward
-    radial_all = _cumtrapz(dP_ds, grid.ds, axis=0)
-    radial_all = radial_all - radial_all[-1]
-    P_alt = angular[-1][None, ...] + radial_all
+    P_alt = angular[-1][None, ...] + radial
     gap = np.abs(P - P_alt)
     mismatch_profile = gap.reshape(grid.n_r, -1).max(axis=1)
     mismatch = float(np.max(mismatch_profile))

@@ -9,7 +9,6 @@ from itertools import product
 from math import comb
 
 import numpy as np
-from willmore import grid as g
 from willmore.classify import VERDICTS, classify, decide
 from willmore.curvature import curvature, delta_profile, willmore_energy
 from willmore.expansion import fit_H, fit_phi, verify_constants
@@ -152,7 +151,7 @@ def test_criterion_4_first_residue():
     vx = 2 * beta0 * grid.x[..., None] / r2 - py
     vy = 2 * beta0 * grid.y[..., None] / r2 + px
     raw = np.stack([vx, vy])
-    fl = FluxField(grid, raw, g.div(grid, vx, vy))
+    fl = FluxField(grid, raw)
     out = first_residue(fl)
     assert np.max(np.abs(out["beta0"] - beta0)) < 1e-10
     assert out["rho_spread"] < 1e-6

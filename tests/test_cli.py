@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -385,3 +387,15 @@ def test_rescale_invariance_of_classification():
     assert doc1["residues"]["gamma"] == doc2["residues"]["gamma"]
     assert (doc1["classification"]["verdict"]
             == doc2["classification"]["verdict"])
+
+
+def test_entry_points_load_no_scipy():
+    # the package needs numpy alone; a scipy import would be paid in start-up
+    # time and memory by every run
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import willmore.cli, willmore.pipeline; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -7,8 +7,8 @@ from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
 from willmore.multivec import MultiVec
-from willmore.potentials import (_solve_modes, potentials_SR, solve_gG,
-                                 verify_system)
+from willmore.potentials import (PotentialError, _solve_modes, potentials_SR,
+                                 solve_gG, verify_system)
 from willmore.residual import equation
 from willmore.residues import first_residue, potential_L
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
@@ -71,6 +71,35 @@ def test_mode_solver_convergence_order():
         errs.append(np.max(np.abs(_solve_modes(grid, rhs) - mode_oracle(grid, 3))))
         hs.append(grid.ds)
     assert g.fit_order(hs, errs) >= 3.0
+
+
+@pytest.mark.parametrize("r_min, n_r, n_theta", [(1e-3, 96, 64), (0.05, 48, 32)])
+def test_mode_solver_satisfies_discrete_rows(r_min, n_r, n_theta):
+    # per mode: every Numerov row, the 5-point Robin row and u = 0 at r_max
+    grid = PolarGrid(r_min, 1.0, n_r, n_theta)
+    rhs = np.random.default_rng(5).standard_normal((n_r, n_theta, 2))
+    u = _solve_modes(grid, rhs)
+    uh = np.fft.rfft(u, axis=1)
+    fh = np.exp(2.0 * grid.s)[:, None, None] * np.fft.rfft(rhs, axis=1)
+    h, k = grid.ds, np.arange(uh.shape[1])[:, None]
+    c = h * h / 12.0
+    load = c * (fh[:-2] + 10.0 * fh[1:-1] + fh[2:])
+    numerov = ((1.0 - c * k * k) * (uh[:-2] + uh[2:])
+               - (2.0 + 10.0 * c * k * k) * uh[1:-1] - load)
+    robin = ((-25.0 - 12.0 * h * k) * uh[0] + 48.0 * uh[1] - 36.0 * uh[2]
+             + 16.0 * uh[3] - 3.0 * uh[4])
+    scale = np.max(np.abs(load))
+    assert np.max(np.abs(numerov)) < 1e-10 * scale
+    assert np.max(np.abs(robin)) < 1e-10 * scale
+    assert np.max(np.abs(u[-1])) < 1e-10 * scale
+
+
+def test_mode_solver_names_nonfinite_mode():
+    grid = PolarGrid(0.05, 1.0, 48, 32)
+    rhs = np.ones((48, 32))
+    rhs[10, 3] = np.nan
+    with pytest.raises(PotentialError, match=r"mode k = \d+"):
+        _solve_modes(grid, rhs)
 
 
 def analyzed(name, grid, m=3):

@@ -147,7 +147,7 @@ def _planted_flux(grid, beta0, m=3):
     vx = 2 * beta0 * grid.x[..., None] / r2 - py
     vy = 2 * beta0 * grid.y[..., None] / r2 + px
     raw = np.stack([vx, vy])
-    return FluxField(grid, raw, g.div(grid, vx, vy))
+    return FluxField(grid, raw)
 
 
 def test_first_residue_planted_recovery():
