@@ -6,7 +6,10 @@ written in ordinary arithmetic on seeded jets produces machine-precision
 gradients and Hessians, which is how every catalog surface exposes exact
 derivative samples.  Values may be real or complex arrays; complex entries
 are treated componentwise (the derivatives are with respect to the two real
-coordinates, so conj / real / imag act slotwise).
+coordinates, so conj / real / imag act slotwise).  Slots broadcast like
+numpy operands and may carry a trailing ambient axis.  A non-``Jet`` factor
+of ``*`` is a constant: it scales the six slots, skipping the product rule,
+and numpy operands on the left defer to the jet.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 class Jet:
     __slots__ = ("f", "fx", "fy", "fxx", "fxy", "fyy")
+    __array_ufunc__ = None  # numpy operands defer to __rmul__ / __radd__
 
     def __init__(self, f, fx=0.0, fy=0.0, fxx=0.0, fxy=0.0, fyy=0.0):
         self.f = f
@@ -31,10 +35,6 @@ class Jet:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return (Jet(x, 1.0, 0.0), Jet(y, 0.0, 1.0))
-
-    @staticmethod
-    def const(c):
-        return Jet(c)
 
     def _wrap(self, other):
         return other if isinstance(other, Jet) else Jet(other)
@@ -58,7 +58,8 @@ class Jet:
         return self._wrap(o) + (-self)
 
     def __mul__(self, o):
-        o = self._wrap(o)
+        if not isinstance(o, Jet):
+            return self._map(lambda s: s * o)
         return Jet(
             self.f * o.f,
             self.fx * o.f + self.f * o.fx,

@@ -23,7 +23,6 @@ Report files (schema_version 1):
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ from willmore.residues import (ResidueReport, branch_order, first_residue,
                                tangent_vector, w_field)
 from willmore.surface import (REGULAR_ENTRIES, catalog_surface,
                               conformal_factor, frame_and_gauss,
-                              load_samples_csv)
+                              load_samples_csv, write_csv)
 
 SCHEMA_VERSION = 1
 
@@ -395,7 +394,7 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
                        regular=settings.regular,
                        tol_zero=settings.tolerances["tol_zero"])
 
-    doc = {
+    doc = jsonable({
         "schema_version": SCHEMA_VERSION,
         "config": config,
         "elapsed_seconds": time.time() - t0,
@@ -403,40 +402,28 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
         "convergence": convergence,
         "residues": report.to_json(),
         "classification": verdict.to_json(),
-    }
-    doc = jsonable(doc)
+    })
 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "report.json", "w") as fh:
-            json.dump(doc, fh, indent=1)
+            fh.write(json.dumps(doc, indent=1))
         _write_profiles(out, final)
     return doc
 
 
-def _write_csv(path: Path, header: list, columns: list) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([repr(float(v)) for v in row])
-
-
 def _write_profiles(out: Path, level: dict) -> None:
-    dp = level["delta_profile"]
-    _write_csv(out / "delta_profile.csv", ["r", "delta"],
-               [dp["r"], dp["delta"]])
-    abs_mean = np.asarray(level["w_profile"]["abs_mean"])
-    m = abs_mean.shape[-1]
-    _write_csv(out / "w_profile.csv",
-               ["r"] + [f"abs_W_{j + 1}" for j in range(m)],
-               [level["w_profile"]["r"]] + list(abs_mean.T))
-    _write_csv(out / "energy_profile.csv", ["r", "energy_density"],
-               [dp["r"], level["energy_profile"]])
-    rp = level["residual_profile"]
-    _write_csv(out / "residual_profile.csv", ["r", "strong_rms", "div_rms"],
-               [rp["r"], rp["strong_rms"], rp["div_rms"]])
+    dp, rp, wp = level["delta_profile"], level["residual_profile"], level["w_profile"]
+    abs_mean = np.asarray(wp["abs_mean"])
+    write_csv(out / "delta_profile.csv", ["r", "delta"], [dp["r"], dp["delta"]])
+    write_csv(out / "w_profile.csv",
+              ["r"] + [f"abs_W_{j + 1}" for j in range(abs_mean.shape[-1])],
+              [wp["r"]] + list(abs_mean.T))
+    write_csv(out / "energy_profile.csv", ["r", "energy_density"],
+              [dp["r"], level["energy_profile"]])
+    write_csv(out / "residual_profile.csv", ["r", "strong_rms", "div_rms"],
+              [rp["r"], rp["strong_rms"], rp["div_rms"]])
 
 
 def exit_code(doc: dict) -> int:

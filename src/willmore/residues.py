@@ -303,7 +303,7 @@ def second_residue(W: np.ndarray, grid: PolarGrid, gate: float = 0.2,
     """
     m = W.shape[-1]
     hi = max(int(0.25 * grid.n_r), 6)
-    idx = np.unique(np.linspace(2, hi, 4).astype(int))
+    idx = sorted(set(np.linspace(2, hi, 4).astype(int).tolist()))  # no numpy.ma
     amp = np.array([[np.mean(np.abs(W[i, :, j])) for j in range(m)]
                     for i in idx])
     raw = np.full((len(idx), m), np.nan)

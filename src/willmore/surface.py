@@ -5,9 +5,10 @@ stereographic sphere, catenoid end, inverted catenoid, CMC cylinder,
 Clifford torus patch) plus a synthetic branch-point template with planted
 expansion coefficients.  Every catalog chart is written in ordinary
 arithmetic over jets, so sampled fields come with machine-precision first
-and second derivatives.  Imported CSV samples are differentiated once, at
-load, with the grid stencils (``from_samples``); every stage then reads the
-derivatives the field carries.
+and second derivatives, written once into one (6, n_r, n_theta, m) array
+whose C-contiguous views are phi, d1 and d2 (``from_chart``).  Imported CSV
+samples are differentiated once, at load, with the grid stencils
+(``from_samples``); every stage then reads the derivatives the field carries.
 """
 
 from __future__ import annotations
@@ -60,12 +61,11 @@ def from_chart(chart: Callable, grid: PolarGrid, m: int) -> ImmersionField:
     comps = chart(xj, yj)
     if len(comps) != m:
         raise SurfaceError(f"chart returned {len(comps)} components, expected {m}")
-    stack = lambda attr: np.stack([np.broadcast_to(getattr(c, attr), grid.x.shape)
-                                   for c in comps], axis=-1).astype(float)
-    phi = stack("f")
-    d1 = np.stack([stack("fx"), stack("fy")])
-    d2 = np.stack([stack("fxx"), stack("fxy"), stack("fyy")])
-    return ImmersionField(grid, m, phi, d1, d2)
+    slots = np.empty((6,) + grid.x.shape + (m,))
+    for s, name in enumerate(Jet.__slots__):
+        for k, c in enumerate(comps):
+            slots[s, ..., k] = getattr(c, name)
+    return ImmersionField(grid, m, slots[0], slots[1:3], slots[3:])
 
 
 def from_samples(grid: PolarGrid, phi: np.ndarray) -> ImmersionField:
@@ -180,10 +180,31 @@ def _as_complex_vec(v, m, name):
     return a
 
 
+_ZERO = Jet(0.0)  # pads the charts that live in a lower-dimensional subspace
+
+
+def _real_sum(terms, m):
+    """Components of sum_t Re(v_t J_t) for length-m vectors v_t and jets J_t,
+    added one slot at a time into one zeroed (6, ..., m) array (so an exactly
+    vanishing sum is +0); the m returned jets have views of it as slots."""
+    out = np.zeros((6,) + np.shape(terms[0][1].f) + (m,))
+    for v, jet in terms:
+        for s, name in enumerate(Jet.__slots__):
+            out[s] += np.multiply.outer(getattr(jet, name), v).real
+    return [Jet(*out[..., k]) for k in range(m)]
+
+
+def _direction(params, m):
+    """The direction A of z^theta0: given, or scale * (e1 + i e2)."""
+    if "A" in params:
+        return _as_complex_vec(params["A"], m, "A")
+    scale = float(params.get("scale", 1.0))
+    return np.array([scale, 1j * scale] + [0.0] * (m - 2), dtype=complex)
+
+
 def _plane(params, m):
     def chart(x, y):
-        zero = Jet.const(np.zeros_like(np.asarray(x.f)))
-        return [x, y] + [zero] * (m - 2)
+        return [x, y] + [_ZERO] * (m - 2)
     return chart
 
 
@@ -191,18 +212,12 @@ def _branched_plane(params, m):
     theta0 = int(params.get("theta0", 2))
     if theta0 < 1:
         raise SurfaceError("theta0 must be a positive integer")
-    if "A" in params:
-        A = _as_complex_vec(params["A"], m, "A")
-    else:
-        scale = float(params.get("scale", 1.0))
-        A = np.zeros(m, dtype=complex)
-        A[0], A[1] = scale, 1j * scale
+    A = _direction(params, m)
     if abs(A @ A) > 1e-12 * max(1.0, np.sum(np.abs(A) ** 2)):
         raise SurfaceError("branched plane needs an isotropic direction: A.A = 0")
 
     def chart(x, y):
-        w = (x + 1j * y) ** theta0
-        return [(Jet.const(A[k]) * w).real for k in range(m)]
+        return _real_sum([(A, (x + 1j * y) ** theta0)], m)
     return chart
 
 
@@ -212,8 +227,7 @@ def _sphere_stereographic(params, m):
     def chart(x, y):
         den = x * x + y * y + 1.0
         return ([2.0 * R * x / den, 2.0 * R * y / den,
-                 R * (x * x + y * y - 1.0) / den]
-                + [Jet.const(np.zeros_like(np.asarray(x.f)))] * (m - 3))
+                 R * (x * x + y * y - 1.0) / den] + [_ZERO] * (m - 3))
     return chart
 
 
@@ -229,8 +243,7 @@ def _catenoid_end(params, m):
     scale = float(params.get("scale", 1.0))
 
     def chart(x, y):
-        X = _catenoid_xyz(x, y, scale)
-        return X + [Jet.const(np.zeros_like(np.asarray(x.f)))] * (m - 3)
+        return _catenoid_xyz(x, y, scale) + [_ZERO] * (m - 3)
     return chart
 
 
@@ -240,8 +253,7 @@ def _inverted_catenoid(params, m):
     def chart(x, y):
         X = _catenoid_xyz(x, y, scale)
         norm2 = X[0] * X[0] + X[1] * X[1] + X[2] * X[2]
-        return ([Xi / norm2 for Xi in X]
-                + [Jet.const(np.zeros_like(np.asarray(x.f)))] * (m - 3))
+        return [Xi / norm2 for Xi in X] + [_ZERO] * (m - 3)
     return chart
 
 
@@ -252,7 +264,7 @@ def _cylinder_cmc(params, m):
 
     def chart(x, y):
         return ([rho * jets.cos(y / rho), rho * jets.sin(y / rho), x]
-                + [Jet.const(np.zeros_like(np.asarray(x.f)))] * (m - 3))
+                + [_ZERO] * (m - 3))
     return chart
 
 
@@ -264,8 +276,7 @@ def _clifford_torus_patch(params, m):
 
     def chart(x, y):
         return ([c * jets.cos(a * x), c * jets.sin(a * x),
-                 c * jets.cos(a * y), c * jets.sin(a * y)]
-                + [Jet.const(np.zeros_like(np.asarray(x.f)))] * (m - 4))
+                 c * jets.cos(a * y), c * jets.sin(a * y)] + [_ZERO] * (m - 4))
     return chart
 
 
@@ -275,12 +286,7 @@ def synthetic_th4_coefficients(params, m):
     a = int(params.get("a", 0))
     if theta0 < 1 or not 0 <= a <= theta0 - 1:
         raise SurfaceError("need theta0 >= 1 and 0 <= a <= theta0 - 1")
-    if "A" in params:
-        A = _as_complex_vec(params["A"], m, "A")
-    else:
-        scale = float(params.get("scale", 1.0))
-        A = np.zeros(m, dtype=complex)
-        A[0], A[1] = scale, 1j * scale
+    A = _direction(params, m)
     if abs(A @ A) > 1e-12 * np.sum(np.abs(A) ** 2):
         raise SurfaceError("planted A must be isotropic (A.A = 0)")
     B = [_as_complex_vec(b, m, "B_j") for b in params.get("B", [])]
@@ -289,13 +295,11 @@ def synthetic_th4_coefficients(params, m):
         B.append(np.zeros(m, dtype=complex))
     if len(B) > nb:
         raise SurfaceError(f"at most theta0 - a = {nb} subleading vectors B_j")
-    E_a = _as_complex_vec(params["E_a"], m, "E_a") if "E_a" in params \
-        else np.zeros(m, dtype=complex)
+    E_a = _as_complex_vec(params.get("E_a", [0j] * m), m, "E_a")
     gamma0 = np.asarray(params.get("gamma0", np.zeros(m)), dtype=float)
     if gamma0.shape != (m,):
         raise SurfaceError(f"gamma0 must have {m} components")
-    xi = _as_complex_vec(params["xi"], m, "xi") if "xi" in params \
-        else np.zeros(m, dtype=complex)
+    xi = _as_complex_vec(params.get("xi", [0j] * m), m, "xi")
     # the pole and log coefficients live in the normal space at the origin
     for vec, nm in ((E_a.real, "Re E_a"), (E_a.imag, "Im E_a"), (gamma0, "gamma0")):
         for t in (A.real, A.imag):
@@ -312,22 +316,25 @@ def synthetic_th4_coefficients(params, m):
 def _synthetic_th4(params, m):
     c = synthetic_th4_coefficients(params, m)
     theta0, a = c["theta0"], c["a"]
+    # the coefficient of each power of z; all-zero B_j are skipped
+    coef = {theta0: c["A"]}
+    coef.update((theta0 + j, Bj) for j, Bj in enumerate(c["B"], start=1)
+                if np.any(Bj))
+    xi = c["xi"] if np.any(c["xi"]) else None
+    last = 2 * theta0 - a + 1 if xi is not None else max(coef)
 
     def chart(x, y):
-        z = x + 1j * y
-        r2 = x * x + y * y
-        hol = [Jet.const(c["A"][k]) * z ** theta0 for k in range(m)]
-        for j, Bj in enumerate(c["B"], start=1):
-            zp = z ** (theta0 + j)
-            hol = [h + Jet.const(Bj[k]) * zp for k, h in enumerate(hol)]
-        pole = z ** (theta0 - a) * z.conj() ** theta0
-        hol = [h + Jet.const(c["C_pole"][k]) * pole for k, h in enumerate(hol)]
-        if np.any(c["xi"]):
+        z = [None, x + 1j * y]
+        while len(z) <= last:  # z**(n + 1) = z**n * z, the order of **
+            z.append(z[-1] * z[1])
+        terms = [(v, z[n]) for n, v in coef.items()]
+        terms.append((c["C_pole"], z[theta0 - a] * z[theta0].conj()))
+        if xi is not None:
             # planted remainder at the expansion's decay order 2 theta0 - a + 1
-            rem = z ** (2 * theta0 - a + 1)
-            hol = [h + Jet.const(c["xi"][k]) * rem for k, h in enumerate(hol)]
+            terms.append((xi, z[last]))
+        r2 = x * x + y * y
         logterm = r2 ** theta0 * (0.5 * theta0 * jets.log(r2) - 1.0)
-        return [hol[k].real - c["C_log"][k] * logterm for k in range(m)]
+        return _real_sum(terms + [(-c["C_log"], logterm)], m)
     return chart
 
 
@@ -360,15 +367,20 @@ def catalog_surface(name: str, params: Optional[dict], grid: PolarGrid,
 # CSV interface
 # ---------------------------------------------------------------------------
 
-def save_samples_csv(field: ImmersionField, path) -> None:
-    m = field.ambient_dim
+def write_csv(path, header: list, columns: list) -> None:
+    """``csv.writer``'s bytes: float reprs need no quoting; lines end in CRLF."""
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    lines = [",".join(header)] + [",".join(map(repr, row))
+                                  for row in zip(*columns)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "theta"] + [f"phi_{k + 1}" for k in range(m)])
-        for i, r in enumerate(field.grid.r):
-            for j, th in enumerate(field.grid.theta):
-                writer.writerow([repr(float(r)), repr(float(th))]
-                                + [repr(float(v)) for v in field.phi[i, j]])
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def save_samples_csv(field: ImmersionField, path) -> None:
+    g, m = field.grid, field.ambient_dim
+    write_csv(path, ["r", "theta"] + [f"phi_{k + 1}" for k in range(m)],
+              [np.repeat(g.r, g.n_theta), np.tile(g.theta, g.n_r)]
+              + list(field.phi.reshape(-1, m).T))
 
 
 def load_samples_csv(path) -> ImmersionField:

@@ -4,9 +4,10 @@ checks of the multiplier."""
 
 import numpy as np
 
+from willmore import jets
 from willmore.grid import annulus_norms, dot, dz, dzbar, laplacian
 from willmore.jets import Jet
-from willmore.surface import normal_projector
+from willmore.surface import normal_projector, synthetic_th4_coefficients
 
 
 def radial_log_laplacian_oracle(theta0: int, n: int = 4000) -> dict:
@@ -113,7 +114,7 @@ def antiholomorphy_defect(spec, grid, discrete: bool = False) -> float:
         return annulus_norms(grid, dz(grid, f))["max"] / scale
     xj, yj = Jet.seed(grid.x, grid.y)
     zb = xj - 1j * yj  # conjugate coordinate jet
-    out = Jet.const(np.zeros_like(grid.x, dtype=complex))
+    out = Jet(np.zeros_like(grid.x, dtype=complex))
     if not spec.zero:
         out = out + spec.a_mu * zb ** spec.mu
         for d, c in enumerate(spec.f0):
@@ -137,3 +138,27 @@ def antiholomorphy_identity_norms(curv, frame, f_field, field,
     lhs = dz(grid, f_field[..., None] * dz_phi / e2l)
     rhs = 0.5 * curv.H0 * f_field[..., None]
     return annulus_norms(grid, lhs - rhs, r_lo, r_hi)
+
+
+def synthetic_th4_per_component(params, m):
+    """The planted template chart evaluated one component at a time with
+    full product-rule jets, as ``surface`` evaluated it before it applied
+    the coefficient vectors slot by slot."""
+    c = synthetic_th4_coefficients(params, m)
+    theta0, a = c["theta0"], c["a"]
+
+    def chart(x, y):
+        z = x + 1j * y
+        r2 = x * x + y * y
+        hol = [Jet(c["A"][k]) * z ** theta0 for k in range(m)]
+        for j, Bj in enumerate(c["B"], start=1):
+            zp = z ** (theta0 + j)
+            hol = [h + Jet(Bj[k]) * zp for k, h in enumerate(hol)]
+        pole = z ** (theta0 - a) * z.conj() ** theta0
+        hol = [h + Jet(c["C_pole"][k]) * pole for k, h in enumerate(hol)]
+        if np.any(c["xi"]):
+            rem = z ** (2 * theta0 - a + 1)
+            hol = [h + Jet(c["xi"][k]) * rem for k, h in enumerate(hol)]
+        logterm = r2 ** theta0 * (0.5 * theta0 * jets.log(r2) - 1.0)
+        return [hol[k].real - c["C_log"][k] * logterm for k in range(m)]
+    return chart

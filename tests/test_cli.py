@@ -399,3 +399,22 @@ def test_entry_points_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_run_pipeline_imports_no_numpy_ma():
+    # numpy.ma costs about 20 ms of every cold start; no stage needs it
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    config = {"surface": {"name": "synthetic_th4", "ambient_dim": 4,
+                          "params": {"theta0": 2, "a": 1,
+                                     "E_a": [0, 0, 0.2, 0.1j],
+                                     "gamma0": [0, 0, 0.5, 0]}},
+              "grid": {"r_min": 0.01, "r_max": 1.0, "n_r": 48, "n_theta": 32},
+              "with_potentials": True}
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from willmore.pipeline import run_pipeline; "
+            f"run_pipeline({config!r}); "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -91,3 +91,34 @@ def test_division_and_negative_power():
     b = 1.0 / (x * x + y * y)
     for s in ("f", "fx", "fy", "fxx", "fxy", "fyy"):
         assert np.isclose(getattr(a, s), getattr(b, s), rtol=1e-12)
+
+
+def _product_rule(jet, c):
+    return jet * Jet(c)
+
+
+def test_constant_scaling_matches_product_rule():
+    # a constant has zero derivative slots, so scaling the six slots gives
+    # the values the product rule gives with Jet.const
+    jx, jy = Jet.seed(RNG.standard_normal(12), RNG.standard_normal(12))
+    u = (jx + 1j * jy) ** 3 + jets.exp(jx * jy)
+    v = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
+    column = u._map(lambda s: np.asarray(s)[..., None])  # trailing ambient axis
+    for jet, c in ((u, -1.7), (u, 0.3 - 2.1j), (column, v)):
+        for scaled in (jet * c, c * jet):
+            want = _product_rule(jet, c)
+            for s in Jet.__slots__:
+                assert np.array_equal(getattr(scaled, s), getattr(want, s))
+    assert column.f.shape == (12, 1) and (column * v).fxy.shape == (12, 4)
+
+
+def test_numpy_operands_on_the_left_defer_to_the_jet():
+    jx, _ = Jet.seed(np.array([0.5, -1.0]), np.array([0.2, 0.1]))
+    a = np.array([1.0, 2.0])
+    for left in (np.float64(2.5), np.complex128(1 - 1j), a):
+        for out in (left * jx, left + jx):
+            assert isinstance(out, Jet)
+    prod, total = a * jx, a + jx
+    assert np.array_equal(prod.f, a * jx.f)
+    assert np.array_equal(prod.fx, a * jx.fx)
+    assert np.array_equal(total.f, a + jx.f) and total.fx == jx.fx

@@ -155,3 +155,19 @@ def test_degenerate_windings_reported_as_nan():
         assert degenerate.any()
         assert np.all(np.isnan(raw[:, degenerate]))
         assert np.all(np.isfinite(raw[:, ~degenerate]))
+
+
+def test_profile_csv_bytes_match_csv_writer(tmp_path):
+    import csv
+    r = np.geomspace(1e-3, 1.0, 7)
+    cols = [r, list(np.sin(r) * 1e-300), [1, 2, 3, -0.0, np.nan, np.inf, 5e17],
+            np.float32([0.1] * 7)]
+    header = ["r", "abs_W_1", "abs_W_2", "abs_W_3"]
+    surface.write_csv(tmp_path / "got.csv", header, cols)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*cols):
+            w.writerow([repr(float(v)) for v in row])
+    assert ((tmp_path / "got.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())

@@ -11,7 +11,7 @@ from willmore.surface import (
     synthetic_th4_coefficients, CATALOG,
 )
 
-from oracles import inverted_chart, rotated_chart
+from oracles import inverted_chart, rotated_chart, synthetic_th4_per_component
 
 GEOMETRIC = ["plane", "branched_plane", "sphere_stereographic", "catenoid_end",
              "inverted_catenoid", "cylinder_cmc", "clifford_torus_patch"]
@@ -100,7 +100,7 @@ def test_frame_rejects_nonconformal():
 
     def skew_chart(x, y):
         from willmore.jets import Jet
-        zero = Jet.const(np.zeros_like(np.asarray(x.f)))
+        zero = Jet(np.zeros_like(np.asarray(x.f)))
         return [x + 0.5 * y, y, zero]
 
     field = from_chart(skew_chart, grid, 3)
@@ -169,6 +169,48 @@ def test_synthetic_template_coefficients_and_defect():
     inner = defect[: grid.n_r // 4].max()
     outer = defect[-grid.n_r // 4:].max()
     assert inner < 0.02 * max(outer, 1e-12) or inner < 1e-8
+
+
+def _planted(theta0, a, m, with_B, with_xi, rng):
+    params = {"theta0": theta0, "a": a}
+    if m == 4:  # pole and log terms in the normal plane (e3, e4) of A
+        params["E_a"] = [0, 0, 0.2 + 0.1j, -0.15 + 0.12j]
+        params["gamma0"] = [0, 0, 0.6, -0.5]
+    pair = lambda: (rng.standard_normal(m) + 1j * rng.standard_normal(m)).tolist()
+    if with_B:  # a live B_1, then all-zero vectors
+        params["B"] = [pair()] + [[0j] * m] * (theta0 - a - 1)
+    if with_xi:
+        params["xi"] = pair()
+    return params
+
+
+@pytest.mark.parametrize("theta0", [1, 2, 3, 4])
+def test_synthetic_chart_matches_per_component_oracle_bitwise(theta0):
+    # the slotwise vector chart reproduces the product-rule chart to the
+    # last bit, signed zeros included
+    rng = np.random.default_rng(theta0)
+    grid = PolarGrid(r_min=0.01, n_r=24, n_theta=32)
+    for a in range(theta0):
+        for m in (3, 4):
+            for with_B in (False, True):
+                for with_xi in (False, True):
+                    params = _planted(theta0, a, m, with_B, with_xi, rng)
+                    new = catalog_surface("synthetic_th4", params, grid, m)
+                    old = from_chart(synthetic_th4_per_component(params, m),
+                                     grid, m)
+                    for name in ("phi", "d1", "d2"):
+                        got, want = getattr(new, name), getattr(old, name)
+                        assert np.array_equal(got.view(np.int64),
+                                              want.view(np.int64)), \
+                            (name, a, m, with_B, with_xi)
+
+
+@pytest.mark.parametrize("name", GEOMETRIC + ["synthetic_th4"])
+def test_chart_fields_are_c_contiguous(name):
+    # the rounding of the angular FFTs depends on the memory layout
+    field = build(name)
+    for arr in (field.phi, field.d1, field.d2):
+        assert arr.flags.c_contiguous
 
 
 def test_synthetic_rejects_tangential_pole():
