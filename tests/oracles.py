@@ -141,9 +141,9 @@ def antiholomorphy_identity_norms(curv, frame, f_field, field,
 
 
 def synthetic_th4_per_component(params, m):
-    """The planted template chart evaluated one component at a time with
-    full product-rule jets, as ``surface`` evaluated it before it applied
-    the coefficient vectors slot by slot."""
+    """The planted template chart evaluated one component at a time, each
+    coefficient entering as a constant jet through the product rule: the
+    reference that ``surface``'s slot-by-slot chart must match bit for bit."""
     c = synthetic_th4_coefficients(params, m)
     theta0, a = c["theta0"], c["a"]
 

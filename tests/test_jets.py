@@ -93,20 +93,16 @@ def test_division_and_negative_power():
         assert np.isclose(getattr(a, s), getattr(b, s), rtol=1e-12)
 
 
-def _product_rule(jet, c):
-    return jet * Jet(c)
-
-
 def test_constant_scaling_matches_product_rule():
     # a constant has zero derivative slots, so scaling the six slots gives
-    # the values the product rule gives with Jet.const
+    # the values the product rule gives with the constant jet Jet(c)
     jx, jy = Jet.seed(RNG.standard_normal(12), RNG.standard_normal(12))
     u = (jx + 1j * jy) ** 3 + jets.exp(jx * jy)
     v = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
     column = u._map(lambda s: np.asarray(s)[..., None])  # trailing ambient axis
     for jet, c in ((u, -1.7), (u, 0.3 - 2.1j), (column, v)):
         for scaled in (jet * c, c * jet):
-            want = _product_rule(jet, c)
+            want = jet * Jet(c)
             for s in Jet.__slots__:
                 assert np.array_equal(getattr(scaled, s), getattr(want, s))
     assert column.f.shape == (12, 1) and (column * v).fxy.shape == (12, 4)
