@@ -13,11 +13,10 @@ Lap u + e^{2 lam} K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from willmore.grid import PolarGrid, dot, grad, integrate, laplacian
+from willmore.grid import PolarGrid, dot, integrate, laplacian
 from willmore.surface import (BranchData, FrameField, ImmersionField,
                               normal_projector)
 
@@ -26,31 +25,33 @@ from willmore.surface import (BranchData, FrameField, ImmersionField,
 class CurvatureField:
     grid: PolarGrid
     lam: np.ndarray
-    h11: np.ndarray
-    h12: np.ndarray
-    h22: np.ndarray
     H: np.ndarray          # real normal vector per node (un-projected evaluation)
     H0: np.ndarray         # complex normal vector per node
     K: np.ndarray
     energy_density: np.ndarray  # |H|^2 e^{2 lam}
 
-    @cached_property
-    def dH(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dH/dx, dH/dy), computed once and shared by every consumer."""
-        return grad(self.grid, self.H)
-
 
 def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
+    """H, H0, K and the energy density of a level.  The h_ij that K is read
+    from are temporaries: h12 is released before h11 and h22 are formed."""
     p1, p2 = field.d1[0], field.d1[1]
     pxx, pxy, pyy = field.d2[0], field.d2[1], field.d2[2]
     e2l = np.exp(2.0 * frame.lam)[..., None]
     pi_n = normal_projector(frame)
 
-    h11 = pi_n(pxx) / e2l
-    h12 = pi_n(pxy) / e2l
-    h22 = pi_n(pyy) / e2l
+    def h(ij):  # h11, h12, h22 for ij = 0, 1, 2
+        out = pi_n(field.d2[ij])
+        out /= e2l
+        return out
 
-    H = 0.5 * (pxx + pyy) / e2l
+    h12 = h(1)
+    K = -dot(h12, h12)                      # -b + a is a - b, bit for bit
+    del h12
+    K += dot(h(0), h(2))
+
+    H = pxx + pyy
+    H *= 0.5
+    H /= e2l
 
     dz_phi = 0.5 * (p1 - 1j * p2)
     dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
@@ -59,9 +60,8 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
     dz_lam = 0.5 * (lam_x - 1j * lam_y)
     H0 = 2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi) / e2l
 
-    K = dot(h11, h22) - dot(h12, h12)
     density = dot(H, H) * e2l[..., 0]
-    return CurvatureField(field.grid, frame.lam, h11, h12, h22, H, H0, K, density)
+    return CurvatureField(field.grid, frame.lam, H, H0, K, density)
 
 
 def willmore_energy(curv: CurvatureField, r_lo=None, r_hi=None) -> float:

@@ -8,8 +8,9 @@ derivative samples.  Values may be real or complex arrays; complex entries
 are treated componentwise (the derivatives are with respect to the two real
 coordinates, so conj / real / imag act slotwise).  Slots broadcast like
 numpy operands and may carry a trailing ambient axis.  A non-``Jet`` factor
-of ``*`` is a constant: it scales the six slots, skipping the product rule,
-and numpy operands on the left defer to the jet.
+of ``*`` or divisor of ``/`` is a constant: it scales the six slots (by its
+reciprocal for ``/``), skipping the product rule, and numpy operands on the
+left defer to the jet.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = self._wrap(o)
+        if not isinstance(o, Jet):
+            return self * (1.0 / o)
         return self * o._reciprocal()
 
     def __rtruediv__(self, o):

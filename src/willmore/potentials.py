@@ -143,8 +143,16 @@ def potentials_SR(L: np.ndarray, field: ImmersionField, curv: CurvatureField,
     bmv = lambda v: MultiVec.vector(m, v)
     Lw = bmv(L)
     Hw = bmv(curv.H)
-    v_r = (wedge(Lw, bmv(perp[0])).coeffs - 2.0 * wedge(Hw, bmv(d1[0])).coeffs - Gx,
-           wedge(Lw, bmv(perp[1])).coeffs - 2.0 * wedge(Hw, bmv(d1[1])).coeffs - Gy)
+    v_r = []
+    for p, d, Gd in zip(perp, d1, (Gx, Gy)):  # built in place, one at a time
+        v = wedge(Lw, bmv(p)).coeffs
+        h = wedge(Hw, bmv(d)).coeffs
+        h *= 2.0
+        v -= h
+        del h
+        v -= Gd
+        v_r.append(v)
+    v_r = tuple(v_r)
     S, dS = integrate_curl_potential(grid, v_s[0], v_s[1])
     R, dR = integrate_curl_potential(grid, v_r[0], v_r[1])
     return PotentialSet(g, G, S, R, v_s, v_r, (gx, gy), (Gx, Gy),

@@ -26,9 +26,11 @@ circulation, consistently with the mean curvature growing like
 and pi_n grad H once, and returns the strong-form field, the flux (built
 once, without beta0), the annulus norms of the strong form, of div X_raw
 and of the gap in the identity above, and the parallelism defect
-|pi_n grad H| / max(|grad H|, |H|).  grad H and grad n are read from the
-caches ``CurvatureField.dH`` and ``FrameField.dn``; pi_n grad H lives only
-inside the pass and is released before the flux divergence.
+|pi_n grad H| / max(|grad H|, |H|).  The pass takes grad H itself (it is
+its only reader) and reads grad n from the cache ``FrameField.dn``; grad H
+and pi_n grad H live only inside the pass and are released before the flux
+divergence.  Both flux components are assembled in place in one (2, ...)
+buffer.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import PolarGrid, annulus_norms, div, dot
+from willmore.grid import PolarGrid, annulus_norms, div, dot, grad
 from willmore.multiplier import matrix_field
 from willmore.multivec import MultiVec, hodge_star, wedge
 from willmore.surface import FrameField, ImmersionField, normal_projector
@@ -55,8 +57,12 @@ class FluxField:
         beta0 = np.asarray(beta0, dtype=float)
         grid = self.grid
         r2 = (grid.rr ** 2)[..., None]
-        return np.stack([self.raw[0] - 2.0 * beta0 * grid.x[..., None] / r2,
-                         self.raw[1] - 2.0 * beta0 * grid.y[..., None] / r2])
+        out = np.empty_like(self.raw)
+        for k, coord in enumerate((grid.x, grid.y)):
+            np.multiply(2.0 * beta0, coord[..., None], out=out[k])
+            out[k] /= r2
+            np.subtract(self.raw[k], out[k], out=out[k])
+        return out
 
 
 @dataclass(eq=False)
@@ -93,7 +99,7 @@ def equation(curv: CurvatureField, frame: FrameField,
     if f is not None and field is None:
         raise ValueError("the immersion field is needed for the M_f term")
     e2l = np.exp(2.0 * frame.lam)[..., None]
-    Hx, Hy = curv.dH
+    Hx, Hy = grad(grid, curv.H)
     pi_n = normal_projector(frame)
     px, py = pi_n(Hx), pi_n(Hy)
 
@@ -102,24 +108,24 @@ def equation(curv: CurvatureField, frame: FrameField,
     floor = max(float(np.max(den)), float(np.max(np.abs(curv.H))), 1e-30)
     pmc_defect = annulus_norms(grid, num)["max"] / floor
 
-    strong = (pi_n(div(grid, px, py)) / e2l
-              + 2.0 * np.real(dot(curv.H, np.conj(curv.H0))[..., None]
-                              * curv.H0))
+    strong = pi_n(div(grid, px, py))
+    strong /= e2l
+    strong += 2.0 * np.real(dot(curv.H, np.conj(curv.H0))[..., None] * curv.H0)
     nx, ny = frame.dn
-    raw_x = Hx - 3.0 * px + _star_wedge_with_H(-ny, curv.H)
-    raw_y = Hy - 3.0 * py + _star_wedge_with_H(nx, curv.H)
-    del px, py
+    raw = np.empty((2,) + Hx.shape)
+    np.subtract(Hx, 3.0 * px, out=raw[0])
+    raw[0] += _star_wedge_with_H(-ny, curv.H)
+    np.subtract(Hy, 3.0 * py, out=raw[1])
+    raw[1] += _star_wedge_with_H(nx, curv.H)
+    del Hx, Hy, px, py
     if f is not None:
-        strong = strong - np.real(curv.H0 * f[..., None]) / e2l
+        strong -= np.real(curv.H0 * f[..., None]) / e2l
         M_f = matrix_field(f)
         perp = (-field.d1[1], field.d1[0])  # grad_perp Phi
-        raw_x = raw_x + (M_f[..., 0, 0, None] * perp[0]
-                         + M_f[..., 0, 1, None] * perp[1]) / e2l
-        raw_y = raw_y + (M_f[..., 1, 0, None] * perp[0]
-                         + M_f[..., 1, 1, None] * perp[1]) / e2l
+        for k in range(2):
+            raw[k] += (M_f[..., k, 0, None] * perp[0]
+                       + M_f[..., k, 1, None] * perp[1]) / e2l
 
-    raw = np.stack([raw_x, raw_y])
-    del raw_x, raw_y
     div_defect = div(grid, raw[0], raw[1])
     gap = strong + 0.5 * div_defect / e2l
     norms = {"strong": annulus_norms(grid, strong, r_lo, r_hi),

@@ -28,13 +28,19 @@ class ResidueError(ValueError):
     pass
 
 
+def _inner_rows(grid: PolarGrid) -> slice:
+    """The inner circles ``radial_extrapolate`` reads."""
+    return slice(0, max(6, grid.n_r // 6))
+
+
 def radial_extrapolate(grid: PolarGrid, rings: np.ndarray):
     """Value at r = 0 from a least-squares quadratic in r on inner circles.
 
-    ``rings`` has shape (n_r, ...); the radii are normalized before fitting
-    so the design stays conditioned on strongly graded grids.
+    ``rings`` has shape (n, ...) with at least the ``_inner_rows`` of the
+    grid; the radii are normalized before fitting so the design stays
+    conditioned on strongly graded grids.
     """
-    n = max(6, grid.n_r // 6)
+    n = _inner_rows(grid).stop
     r = grid.r[:n]
     rho = r / r[-1]
     design = np.stack([rho ** k for k in range(3)], axis=1)
@@ -68,7 +74,8 @@ def branch_order(frame: FrameField) -> BranchData:
 
 def gauss_map_limit(frame: FrameField) -> MultiVec:
     """Unit Gauss map extrapolated to the puncture."""
-    coeffs = radial_extrapolate(frame.grid, circle_mean(frame.n.coeffs))
+    rows = _inner_rows(frame.grid)
+    coeffs = radial_extrapolate(frame.grid, circle_mean(frame.n.coeffs[rows]))
     coeffs = coeffs / np.linalg.norm(coeffs)
     return MultiVec(frame.n.ambient_dim, frame.n.grade, coeffs)
 
@@ -103,8 +110,9 @@ def tangent_vector(field: ImmersionField, frame: FrameField,
                    branch: BranchData) -> TangentData:
     """A = (2/theta0) lim z^{1-theta0} dz(Phi), by circle-mean extrapolation."""
     grid = field.grid
-    dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
-    w = grid.z[..., None] ** (1 - branch.theta0) * dz_phi
+    rows = _inner_rows(grid)
+    dz_phi = 0.5 * (field.d1[0, rows] - 1j * field.d1[1, rows])
+    w = grid.z[rows, :, None] ** (1 - branch.theta0) * dz_phi
     rings = circle_mean(w)
     A = 2.0 / branch.theta0 * radial_extrapolate(grid, rings)
     if not np.all(np.isfinite(A)):
@@ -161,12 +169,20 @@ def modified_residue(beta0: np.ndarray, theta0: int, spec: MultiplierSpec,
 
 def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
     # trapezoid steps along axis 0 with a gradient correction; telescopes to
-    # fourth order
+    # fourth order.  The correction is formed in the output before the
+    # midpoint sums, so one step-sized temporary is alive at a time.
     dv = np.gradient(vals, h, axis=0)
-    mids = 0.5 * h * (vals[1:] + vals[:-1]) - h * h / 12.0 * (dv[1:] - dv[:-1])
-    out = np.empty(vals.shape, dtype=mids.dtype)
+    out = np.empty(vals.shape, dtype=dv.dtype)
+    mids = out[1:]
+    np.subtract(dv[1:], dv[:-1], out=mids)
+    del dv
+    mids *= h * h / 12.0
+    half = np.add(vals[1:], vals[:-1])
+    half *= 0.5 * h
+    np.subtract(half, mids, out=mids)
+    del half
     out[0] = 0.0
-    np.cumsum(mids, axis=0, out=out[1:])
+    np.cumsum(mids, axis=0, out=mids)
     return out
 
 
@@ -190,10 +206,12 @@ def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     if n_theta % 2 == 0:
         mask[n_theta // 2] = 0.0  # drop the unpaired Nyquist mode
         k[n_theta // 2] = 1.0
-    weight = (mask / (1j * k)).reshape(shape)
-    prim = np.fft.irfft(fh * weight, n_theta, axis=1)
+    fh *= (mask / (1j * k)).reshape(shape)
+    out = np.fft.irfft(fh, n_theta, axis=1)
+    del fh
+    out -= out[:, :1].copy()
     theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
-    out = prim - prim[:, :1] + mean * theta.reshape(shape)
+    out += mean * theta.reshape(shape)
     holonomy = 2.0 * np.pi * mean[:, 0]
     return out, holonomy
 
@@ -206,30 +224,45 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
     antiderivative).  Works for scalar node fields or fields with trailing
     axes.  The loop defect combines the worst angular holonomy with the
     mismatch against the independent angular-then-radial path family.
+    The radial sums, the angular antiderivative and the path gap are built
+    in place, each radial quantity in the one buffer, so at most four
+    input-sized arrays are alive besides the inputs.
     """
     shape_pad = (1,) * (vx.ndim - 2)
     c = grid.cos_t.reshape(grid.cos_t.shape + shape_pad)
     s = grid.sin_t.reshape(grid.sin_t.shape + shape_pad)
     rr = grid.rr.reshape(grid.rr.shape + shape_pad)
-    dP_ds = rr * (-s * vx + c * vy)          # r * (V . e_theta)
-    dP_dth = -rr * (c * vx + s * vy)         # -r * (V . e_r)
-
+    dP_ds = np.multiply(-s, vx)              # r * (V . e_theta)
+    dP_ds += c * vy
+    dP_ds *= rr
     radial = _cumtrapz(dP_ds, grid.ds)
-    radial = radial - radial[-1]             # zero at the outer basepoint
-    angular, holo = _cumtheta(dP_dth, grid.n_theta)
-    P = radial[:, :1] + angular              # inward along theta = 0
+    del dP_ds
+    radial -= radial[-1].copy()              # zero at the outer basepoint
+
+    dP_dth = np.multiply(c, vx)              # -r * (V . e_r)
+    dP_dth += s * vy
+    dP_dth *= -rr
+    P, holo = _cumtheta(dP_dth, grid.n_theta)
+    rim = P[-1].copy()
+    P += radial[:, :1]                       # inward along theta = 0
     holo_profile = np.abs(holo).reshape(grid.n_r, -1).max(axis=1)
     holonomy = float(np.max(holo_profile))
 
-    # independent path family: angular at the outer rim, then radial inward
-    P_alt = angular[-1][None, ...] + radial
-    gap = np.abs(P - P_alt)
+    # independent path family: angular at the outer rim, then radial inward;
+    # the gap to it is formed in the radial buffer
+    gap = radial
+    gap += rim
+    np.subtract(P, gap, out=gap)
+    np.abs(gap, out=gap)
     mismatch_profile = gap.reshape(grid.n_r, -1).max(axis=1)
     mismatch = float(np.max(mismatch_profile))
+    del radial, gap
     # scale: the potential itself or the work done along a full circle,
     # whichever is larger (P can be small through cancellation)
-    circle_work = float(np.max(np.mean(np.abs(dP_dth), axis=1)) * 2.0 * np.pi)
-    scale = max(float(np.max(np.abs(P))), circle_work, 1e-300)
+    circle_work = float(np.max(np.mean(np.abs(dP_dth, out=dP_dth), axis=1))
+                        * 2.0 * np.pi)
+    del dP_dth
+    scale = max(float(max(P.max(), -P.min())), circle_work, 1e-300)
     defect = max(holonomy, mismatch)
     return P, {"holonomy": holonomy, "holonomy_profile": holo_profile,
                "path_mismatch": mismatch,

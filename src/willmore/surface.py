@@ -390,8 +390,12 @@ def load_samples_csv(path) -> ImmersionField:
         m = len(header) - 2
         rows = [[float(v) for v in row] for row in reader]
     data = np.asarray(rows)
-    r_vals = np.unique(data[:, 0])
-    th_vals = np.unique(data[:, 1])
+    if not np.all(np.isfinite(data[:, :2])):
+        raise SurfaceError("CSV node coordinates must be finite")
+    # the sorted distinct radii and angles (np.unique would import numpy.ma)
+    r_vals, th_vals = (np.sort(data[:, k]) for k in (0, 1))
+    r_vals, th_vals = (v[np.append(True, v[1:] != v[:-1])]
+                       for v in (r_vals, th_vals))
     n_r, n_theta = len(r_vals), len(th_vals)
     if n_r * n_theta != len(rows):
         raise SurfaceError("CSV nodes do not form a full polar grid")

@@ -39,11 +39,15 @@ def H_norm(curv) -> np.ndarray:
     return np.linalg.norm(curv.H, axis=-1)
 
 
-def bending_energy_density(curv) -> np.ndarray:
-    """|II|^2_g in the induced metric times the area factor e^{2 lam}."""
-    sq = (np.sum(curv.h11 ** 2, axis=-1) + 2.0 * np.sum(curv.h12 ** 2, axis=-1)
-          + np.sum(curv.h22 ** 2, axis=-1))
-    return sq * np.exp(2.0 * curv.lam)
+def bending_energy_density(field, frame) -> np.ndarray:
+    """|II|^2_g in the induced metric times the area factor e^{2 lam}, from
+    h_ij = e^{-2 lam} pi_n (d2 Phi / dx_i dx_j)."""
+    pi_n = normal_projector(frame)
+    e2l = np.exp(2.0 * frame.lam)
+    h11, h12, h22 = (pi_n(d) / e2l[..., None] for d in field.d2)
+    sq = (np.sum(h11 ** 2, axis=-1) + 2.0 * np.sum(h12 ** 2, axis=-1)
+          + np.sum(h22 ** 2, axis=-1))
+    return sq * e2l
 
 
 def inverted_chart(chart, center):

@@ -10,7 +10,9 @@ import pytest
 from willmore import pipeline
 from willmore.cli import main
 from willmore.pipeline import run_pipeline, PipelineError
-from willmore.surface import load_samples_csv
+from willmore.grid import PolarGrid
+from willmore.surface import (catalog_surface, load_samples_csv,
+                              save_samples_csv)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -401,15 +403,9 @@ def test_entry_points_load_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_run_pipeline_imports_no_numpy_ma():
-    # numpy.ma costs about 20 ms of every cold start; no stage needs it
+def _numpy_ma_after_run(config) -> str:
+    """numpy.ma modules loaded by one run_pipeline call in a fresh process."""
     src = str(Path(pipeline.__file__).resolve().parents[1])
-    config = {"surface": {"name": "synthetic_th4", "ambient_dim": 4,
-                          "params": {"theta0": 2, "a": 1,
-                                     "E_a": [0, 0, 0.2, 0.1j],
-                                     "gamma0": [0, 0, 0.5, 0]}},
-              "grid": {"r_min": 0.01, "r_max": 1.0, "n_r": 48, "n_theta": 32},
-              "with_potentials": True}
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "from willmore.pipeline import run_pipeline; "
             f"run_pipeline({config!r}); "
@@ -417,4 +413,25 @@ def test_run_pipeline_imports_no_numpy_ma():
             "if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_run_pipeline_imports_no_numpy_ma():
+    # numpy.ma costs about 20 ms of every cold start; no stage needs it
+    config = {"surface": {"name": "synthetic_th4", "ambient_dim": 4,
+                          "params": {"theta0": 2, "a": 1,
+                                     "E_a": [0, 0, 0.2, 0.1j],
+                                     "gamma0": [0, 0, 0.5, 0]}},
+              "grid": {"r_min": 0.01, "r_max": 1.0, "n_r": 48, "n_theta": 32},
+              "with_potentials": True}
+    assert _numpy_ma_after_run(config) == "[]"
+
+
+def test_csv_run_imports_no_numpy_ma(tmp_path):
+    # the CSV loader dedupes the node coordinates without np.unique
+    path = tmp_path / "samples.csv"
+    save_samples_csv(catalog_surface("inverted_catenoid", {},
+                                     PolarGrid(1e-3, 1.0, 48, 32), 3), path)
+    assert _numpy_ma_after_run({"surface": {"csv": str(path)},
+                                "tolerances": {"defect_threshold": 0.1},
+                                "with_potentials": True}) == "[]"

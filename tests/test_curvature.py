@@ -81,7 +81,8 @@ def test_energy_identity_gauss_map_vs_fundamental_form():
             frame = frame_and_gauss(field, conformal_factor(field))
             curv = curvature(field, frame)
             a = g.integrate(grid, gauss_map_energy_density(frame), 0.1, 0.9)
-            b = g.integrate(grid, bending_energy_density(curv), 0.1, 0.9)
+            b = g.integrate(grid, bending_energy_density(field, frame),
+                            0.1, 0.9)
             gaps.append(abs(a - b) / max(abs(b), 1.0))
             hs.append(grid.ds)
         assert gaps[-1] < 2e-3, name

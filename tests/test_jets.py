@@ -108,6 +108,28 @@ def test_constant_scaling_matches_product_rule():
     assert column.f.shape == (12, 1) and (column * v).fxy.shape == (12, 4)
 
 
+def test_constant_division_matches_reciprocal_jet():
+    # dividing by a constant scales the slots by 1 / c; the reciprocal jet
+    # of Jet(c) gives the same values through the product rule.  Where a
+    # jet's zero derivative slots are +0, as on the seeded jets a chart
+    # divides, the signs of the zeros agree too for a positive divisor; the
+    # product rule adds f * (-0) terms, so with a negative divisor or a -0
+    # slot the reciprocal path's zero takes the sign of the value instead
+    jx, jy = Jet.seed(RNG.standard_normal(12), RNG.standard_normal(12))
+    for jet in (jx, jy, jx * jy, jets.exp(jx * jy), jets.sin(jy)):
+        for c in (0.7, 3.0, -2.5):
+            got, want = jet / c, jet * Jet(c)._reciprocal()
+            for s in Jet.__slots__:
+                a, b = np.broadcast_arrays(getattr(got, s), getattr(want, s))
+                assert np.array_equal(a, b)
+                slot = getattr(jet, s)
+                keep = np.broadcast_to(~(np.signbit(slot) & (slot == 0)),
+                                       a.shape)
+                if c > 0:
+                    assert np.array_equal(np.signbit(a[keep]),
+                                          np.signbit(b[keep]))
+
+
 def test_numpy_operands_on_the_left_defer_to_the_jet():
     jx, _ = Jet.seed(np.array([0.5, -1.0]), np.array([0.2, 0.1]))
     a = np.array([1.0, 2.0])

@@ -57,7 +57,7 @@ def test_analyze_level_runs_each_stage_once(name, monkeypatch):
     _count(monkeypatch, calls, "pmc_multiplier", multiplier.pmc_multiplier,
            pipeline, multiplier)
     # grad H and grad n are the only gradients these two modules take
-    _count(monkeypatch, calls, "grad_H", grad, curvature)
+    _count(monkeypatch, calls, "grad_H", grad, residual)
     _count(monkeypatch, calls, "grad_n", grad, surface)
     # pi_n of the three second derivatives in curvature, and pi_n H_x,
     # pi_n H_y and pi_n div(pi_n grad H) in the equation pass

@@ -256,3 +256,17 @@ def test_surface_json_and_csv_round_trip(tmp_path):
     assert loaded.grid.n_r == 24 and loaded.grid.n_theta == 32
     assert np.allclose(loaded.phi, field.phi, atol=1e-12)
     assert np.array_equal(loaded.d1, np.stack(g.grad(loaded.grid, loaded.phi)))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_non_finite_coordinate_refused(tmp_path, bad):
+    grid = PolarGrid(0.05, 1.0, 24, 32)
+    path = tmp_path / "samples.csv"
+    save_samples_csv(catalog_surface("plane", {}, grid, 3), path)
+    lines = path.read_text().splitlines()
+    for col in (0, 1):
+        row = lines[5].split(",")
+        row[col] = bad
+        path.write_text("\n".join(lines[:5] + [",".join(row)] + lines[6:]))
+        with pytest.raises(SurfaceError, match="finite"):
+            load_samples_csv(path)
