@@ -53,12 +53,22 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
     H *= 0.5
     H /= e2l
 
-    dz_phi = 0.5 * (p1 - 1j * p2)
-    dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
+    # H0 is built in place, with one complex vector field besides it alive
     lam_x = (dot(p1, pxx) + dot(p2, pxy))[..., None] / (2.0 * e2l)
     lam_y = (dot(p1, pxy) + dot(p2, pyy))[..., None] / (2.0 * e2l)
     dz_lam = 0.5 * (lam_x - 1j * lam_y)
-    H0 = 2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi) / e2l
+    dz_phi = np.multiply(1j, p2)
+    np.subtract(p1, dz_phi, out=dz_phi)
+    dz_phi *= 0.5
+    H0 = (2.0 * dz_lam) * dz_phi
+    del dz_phi
+    dzz_phi = np.multiply(2j, pxy)
+    np.subtract(pxx - pyy, dzz_phi, out=dzz_phi)
+    dzz_phi *= 0.25
+    np.subtract(dzz_phi, H0, out=H0)
+    del dzz_phi
+    H0 *= 2.0
+    H0 /= e2l
 
     density = dot(H, H) * e2l[..., 0]
     return CurvatureField(field.grid, frame.lam, H, H0, K, density)

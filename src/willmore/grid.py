@@ -169,14 +169,16 @@ def dtheta(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
     k[n // 2] = 0.0  # drop the unpaired Nyquist mode for odd derivatives
     shape = [1, n // 2 + 1] + [1] * (f.ndim - 2)
     fh = np.fft.rfft(f, axis=1)
-    return np.fft.irfft(fh * (1j * k).reshape(shape), n, axis=1)
+    fh *= (1j * k).reshape(shape)
+    return np.fft.irfft(fh, n, axis=1)
 
 
 def ds(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
     """Second-order d/ds (s = log r) along axis 0, one-sided at the ends."""
     h = grid.ds
     out = np.empty_like(f, dtype=np.result_type(f, float))
-    out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2 * h
     out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
     out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
     return out
@@ -193,29 +195,58 @@ def dss(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
 
 
 def dr(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
-    return ds(grid, f) / _trail(grid.rr, f)
+    out = ds(grid, f)
+    out /= _trail(grid.rr, f)
+    return out
+
+
+def _dtheta_over_r(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
+    out = dtheta(grid, f)
+    out /= _trail(grid.rr, f)
+    return out
 
 
 def grad(grid: PolarGrid, f: np.ndarray):
-    """Cartesian gradient (d/dx1, d/dx2) of a node field."""
+    """Cartesian gradient (d/dx1, d/dx2) of a node field.
+
+    Each product is formed in place once its polar factor has been read
+    for the last time, so four field-sized arrays are alive at most.
+    """
     fr = dr(grid, f)
-    ft_over_r = dtheta(grid, f) / _trail(grid.rr, f)
+    ft_over_r = _dtheta_over_r(grid, f)
     c = _trail(grid.cos_t, f)
     s = _trail(grid.sin_t, f)
-    return c * fr - s * ft_over_r, s * fr + c * ft_over_r
+    gy = c * ft_over_r
+    ft_over_r *= s
+    gx = c * fr
+    gx -= ft_over_r
+    del ft_over_r
+    fr *= s
+    fr += gy                                  # s fr + c ft / r
+    return gx, fr
 
 
 def div(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """d vx/dx1 + d vy/dx2; equal to grad(vx)[0] + grad(vy)[1] bit for bit.
 
     The x-term is finished before vy is differentiated, so only one pair of
-    polar derivatives is alive at a time.
+    polar derivatives is alive at a time; each is scaled in place.
     """
     c = _trail(grid.cos_t, vx)
     s = _trail(grid.sin_t, vx)
-    rr = _trail(grid.rr, vx)
-    out = c * dr(grid, vx) - s * (dtheta(grid, vx) / rr)
-    return out + (s * dr(grid, vy) + c * (dtheta(grid, vy) / rr))
+    out = dr(grid, vx)
+    out *= c
+    t = _dtheta_over_r(grid, vx)
+    t *= s
+    out -= t
+    t = dr(grid, vy)
+    t *= s
+    u = _dtheta_over_r(grid, vy)
+    u *= c
+    t += u
+    del u
+    out += t
+    return out
 
 
 def laplacian(grid: PolarGrid, f: np.ndarray) -> np.ndarray:

@@ -314,6 +314,7 @@ def analyze_level(settings: Settings,
 
     L, ldef = _stage("potential_L", potential_L, fl, beta0)
     level["loop_defect"] = ldef
+    del fl  # the flux is read only by the two residue stages above
 
     F_mu = None
     if spec is not None and not spec.is_zero:
@@ -335,6 +336,7 @@ def analyze_level(settings: Settings,
         "r": grid.r,
         "abs_mean": np.stack([circle_mean(np.abs(W[..., j]))
                               for j in range(W.shape[-1])], axis=-1)}
+    del W  # read only by the winding stage and the profile above
 
     report = ResidueReport(
         br.theta0, br.u0, td.A, beta0, fr["rho_spread"], gamma0,
@@ -349,6 +351,7 @@ def analyze_level(settings: Settings,
     if settings.with_potentials:
         g, G = _stage("solve_gG", solve_gG, beta0, field)
         pots = _stage("potentials_SR", potentials_SR, L, field, curv, g, G)
+        del L, g, G  # L is read last here; g and G live on in pots
         level["potential_loop_defects"] = pots.loop_defects
         level["system_residuals"] = _stage("verify_system", verify_system,
                                            pots, frame, field, 0.15, 0.85)

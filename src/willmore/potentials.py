@@ -69,20 +69,27 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
         return _solve_modes(grid, rhs.real) + 1j * _solve_modes(grid, rhs.imag)
     n_r, n_theta = grid.n_r, grid.n_theta
     h = grid.ds
-    rhat = np.fft.rfft(rhs, axis=1)
-    n_modes = rhat.shape[1]
-    src = np.exp(2.0 * grid.s)[:, None, None] * rhat.reshape(n_r, n_modes, -1)
+    src = np.fft.rfft(rhs, axis=1)
+    n_modes = src.shape[1]
+    src = src.reshape(n_r, n_modes, -1)
+    src *= np.exp(2.0 * grid.s)[:, None, None]
     k = np.arange(n_modes, dtype=float)[:, None]   # irfft supplies k < 0
     h2_12 = h * h / 12.0
     # Numerov rows (fourth order), 0 < i < n_r - 1:
     #   off (u_{i-1} + u_{i+1}) - diag u_i = h^2/12 (f_{i-1} + 10 f_i + f_{i+1})
     off = 1.0 - h2_12 * k * k
     diag = 2.0 + 10.0 * h2_12 * k * k
-    b = h2_12 * (src[:-2] + 10.0 * src[1:-1] + src[2:])
+    b = np.multiply(10.0, src[1:-1])
+    np.add(src[:-2], b, out=b)
+    b += src[2:]
+    b *= h2_12
     # inward from u_{n-1} = 0 (alpha = beta = 0 on the outer row); the rows
-    # are diagonally dominant, so the sweep needs no pivoting
+    # are diagonally dominant, so the sweep needs no pivoting.  u (beta, then
+    # the solution) takes over the source's buffer: every row but the outer
+    # one is written before it is read
     alpha = np.zeros((n_r, n_modes, 1))
-    u = np.zeros_like(src)                          # beta, then the solution
+    u = src
+    u[-1] = 0.0
     for i in range(n_r - 2, 0, -1):
         piv = diag - off * alpha[i + 1]
         alpha[i] = off / piv
@@ -121,7 +128,8 @@ def solve_gG(beta0: np.ndarray,
     gam_y = 2.0 * grid.y[..., None] * beta0 / r2[..., None]
     rhs_g = dot(gam_x, d1[0]) + dot(gam_y, d1[1])
     bmv = lambda v: MultiVec.vector(m, v)
-    rhs_G = (wedge(bmv(gam_x), bmv(d1[0])) + wedge(bmv(gam_y), bmv(d1[1]))).coeffs
+    rhs_G = wedge(bmv(gam_x), bmv(d1[0])).coeffs
+    rhs_G += wedge(bmv(gam_y), bmv(d1[1])).coeffs
     return _solve_modes(grid, rhs_g), _solve_modes(grid, rhs_G)
 
 

@@ -99,6 +99,13 @@ def equation(curv: CurvatureField, frame: FrameField,
     if f is not None and field is None:
         raise ValueError("the immersion field is needed for the M_f term")
     e2l = np.exp(2.0 * frame.lam)[..., None]
+    # the flux is summed in place, its star(grad_perp n ^ H) terms first
+    # (a + b is b + a, bit for bit), so that their exterior-algebra
+    # temporaries are gone before grad H and pi_n grad H are formed
+    nx, ny = frame.dn
+    raw = np.empty((2,) + curv.H.shape)
+    raw[0] = _star_wedge_with_H(ny, -curv.H)  # (-a) b is a (-b), bit for bit
+    raw[1] = _star_wedge_with_H(nx, curv.H)
     Hx, Hy = grad(grid, curv.H)
     pi_n = normal_projector(frame)
     px, py = pi_n(Hx), pi_n(Hy)
@@ -108,16 +115,13 @@ def equation(curv: CurvatureField, frame: FrameField,
     floor = max(float(np.max(den)), float(np.max(np.abs(curv.H))), 1e-30)
     pmc_defect = annulus_norms(grid, num)["max"] / floor
 
+    raw[0] += Hx - 3.0 * px
+    raw[1] += Hy - 3.0 * py
+    del Hx, Hy
     strong = pi_n(div(grid, px, py))
+    del px, py
     strong /= e2l
     strong += 2.0 * np.real(dot(curv.H, np.conj(curv.H0))[..., None] * curv.H0)
-    nx, ny = frame.dn
-    raw = np.empty((2,) + Hx.shape)
-    np.subtract(Hx, 3.0 * px, out=raw[0])
-    raw[0] += _star_wedge_with_H(-ny, curv.H)
-    np.subtract(Hy, 3.0 * py, out=raw[1])
-    raw[1] += _star_wedge_with_H(nx, curv.H)
-    del Hx, Hy, px, py
     if f is not None:
         strong -= np.real(curv.H0 * f[..., None]) / e2l
         M_f = matrix_field(f)
@@ -125,6 +129,7 @@ def equation(curv: CurvatureField, frame: FrameField,
         for k in range(2):
             raw[k] += (M_f[..., k, 0, None] * perp[0]
                        + M_f[..., k, 1, None] * perp[1]) / e2l
+        del M_f, perp
 
     div_defect = div(grid, raw[0], raw[1])
     gap = strong + 0.5 * div_defect / e2l

@@ -189,15 +189,17 @@ def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
 def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     """Spectral antiderivative along axis 1, normalized to 0 at theta = 0.
 
-    Returns the antiderivative samples and the per-circle holonomy
-    2 pi mean(f) picked up over one full loop (the non-periodic part).
+    Writes the antiderivative samples over ``vals`` and returns them with
+    the per-circle holonomy 2 pi mean(f) picked up over one full loop (the
+    non-periodic part).
     """
     if np.iscomplexobj(vals):
-        re, holo_re = _cumtheta(vals.real, n_theta)
-        im, holo_im = _cumtheta(vals.imag, n_theta)
-        return re + 1j * im, holo_re + 1j * holo_im
+        holo_re = _cumtheta(vals.real, n_theta)[1]
+        holo_im = _cumtheta(vals.imag, n_theta)[1]
+        return vals, holo_re + 1j * holo_im
     mean = np.mean(vals, axis=1, keepdims=True)
-    fh = np.fft.rfft(vals - mean, axis=1)
+    vals -= mean
+    fh = np.fft.rfft(vals, axis=1)
     k = np.arange(n_theta // 2 + 1, dtype=float)
     shape = (-1,) + (1,) * (vals.ndim - 2)   # along axis 1
     mask = np.ones(len(k))
@@ -207,13 +209,12 @@ def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
         mask[n_theta // 2] = 0.0  # drop the unpaired Nyquist mode
         k[n_theta // 2] = 1.0
     fh *= (mask / (1j * k)).reshape(shape)
-    out = np.fft.irfft(fh, n_theta, axis=1)
+    np.fft.irfft(fh, n_theta, axis=1, out=vals)
     del fh
-    out -= out[:, :1].copy()
+    vals -= vals[:, :1].copy()
     theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
-    out += mean * theta.reshape(shape)
-    holonomy = 2.0 * np.pi * mean[:, 0]
-    return out, holonomy
+    vals += mean * theta.reshape(shape)
+    return vals, 2.0 * np.pi * mean[:, 0]
 
 
 def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
@@ -224,9 +225,10 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
     antiderivative).  Works for scalar node fields or fields with trailing
     axes.  The loop defect combines the worst angular holonomy with the
     mismatch against the independent angular-then-radial path family.
-    The radial sums, the angular antiderivative and the path gap are built
-    in place, each radial quantity in the one buffer, so at most four
-    input-sized arrays are alive besides the inputs.
+    Each quantity is built in place and released once read: the angular
+    antiderivative over its integrand, the other path family and the gap
+    over the radial sums, so at most three input-sized arrays are alive
+    besides the inputs.
     """
     shape_pad = (1,) * (vx.ndim - 2)
     c = grid.cos_t.reshape(grid.cos_t.shape + shape_pad)
@@ -242,7 +244,10 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
     dP_dth = np.multiply(c, vx)              # -r * (V . e_r)
     dP_dth += s * vy
     dP_dth *= -rr
-    P, holo = _cumtheta(dP_dth, grid.n_theta)
+    # scale: the potential itself or the work done along a full circle,
+    # whichever is larger (P can be small through cancellation)
+    circle_work = float(np.max(np.mean(np.abs(dP_dth), axis=1)) * 2.0 * np.pi)
+    P, holo = _cumtheta(dP_dth, grid.n_theta)  # written over dP_dth
     rim = P[-1].copy()
     P += radial[:, :1]                       # inward along theta = 0
     holo_profile = np.abs(holo).reshape(grid.n_r, -1).max(axis=1)
@@ -257,11 +262,6 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
     mismatch_profile = gap.reshape(grid.n_r, -1).max(axis=1)
     mismatch = float(np.max(mismatch_profile))
     del radial, gap
-    # scale: the potential itself or the work done along a full circle,
-    # whichever is larger (P can be small through cancellation)
-    circle_work = float(np.max(np.mean(np.abs(dP_dth, out=dP_dth), axis=1))
-                        * 2.0 * np.pi)
-    del dP_dth
     scale = max(float(max(P.max(), -P.min())), circle_work, 1e-300)
     defect = max(holonomy, mismatch)
     return P, {"holonomy": holonomy, "holonomy_profile": holo_profile,
