@@ -7,7 +7,9 @@ evaluated un-projected as H = e^{-2 lam} Lap Phi / 2 (its tangential part is
 a conformality diagnostic), and the Weingarten vector as
 H0 = 2 e^{-2 lam} (dzz Phi - 2 dz(lam) dz Phi).  The Gauss curvature comes
 from <h11, h22> - <h12, h12>, which feeds the Liouville residual
-Lap u + e^{2 lam} K.
+Lap u + e^{2 lam} K.  ``CurvatureField`` keeps H, H0, K and the energy
+density only: the h_ij are temporaries of K, and grad H is taken by the
+equation pass, its only reader.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
     del h12
     K += dot(h(0), h(2))
 
-    H = pxx + pyy
-    H *= 0.5
+    H = 0.5 * (pxx + pyy)
     H /= e2l
 
     # H0 is built in place, with one complex vector field besides it alive

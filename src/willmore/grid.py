@@ -194,36 +194,36 @@ def dss(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def _times(a: np.ndarray, k) -> np.ndarray:
+    """a * k written over a (a fresh derivative that nothing else holds)."""
+    return np.multiply(a, k, out=a)
+
+
+def _over_r(grid: PolarGrid, a: np.ndarray) -> np.ndarray:
+    """a / r written over a, as ``_times``."""
+    return np.divide(a, _trail(grid.rr, a), out=a)
+
+
 def dr(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
-    out = ds(grid, f)
-    out /= _trail(grid.rr, f)
-    return out
-
-
-def _dtheta_over_r(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
-    out = dtheta(grid, f)
-    out /= _trail(grid.rr, f)
-    return out
+    return _over_r(grid, ds(grid, f))
 
 
 def grad(grid: PolarGrid, f: np.ndarray):
     """Cartesian gradient (d/dx1, d/dx2) of a node field.
 
-    Each product is formed in place once its polar factor has been read
-    for the last time, so four field-sized arrays are alive at most.
+    Both results are allocated before the angular derivative and finished
+    in place, so at most four field-sized arrays are alive and the
+    temporaries are the last to be allocated.
     """
-    fr = dr(grid, f)
-    ft_over_r = _dtheta_over_r(grid, f)
     c = _trail(grid.cos_t, f)
     s = _trail(grid.sin_t, f)
-    gy = c * ft_over_r
-    ft_over_r *= s
-    gx = c * fr
-    gx -= ft_over_r
-    del ft_over_r
-    fr *= s
-    fr += gy                                  # s fr + c ft / r
-    return gx, fr
+    gx = dr(grid, f)
+    gy = s * gx
+    _times(gx, c)
+    ft_over_r = _over_r(grid, dtheta(grid, f))
+    gx -= s * ft_over_r                       # c fr - s ft / r
+    gy += _times(ft_over_r, c)                # s fr + c ft / r
+    return gx, gy
 
 
 def div(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
@@ -234,18 +234,11 @@ def div(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """
     c = _trail(grid.cos_t, vx)
     s = _trail(grid.sin_t, vx)
-    out = dr(grid, vx)
-    out *= c
-    t = _dtheta_over_r(grid, vx)
-    t *= s
-    out -= t
-    t = dr(grid, vy)
-    t *= s
-    u = _dtheta_over_r(grid, vy)
-    u *= c
-    t += u
-    del u
-    out += t
+    out = _times(dr(grid, vx), c)
+    out -= _times(_over_r(grid, dtheta(grid, vx)), s)
+    y = _times(dr(grid, vy), s)
+    y += _times(_over_r(grid, dtheta(grid, vy)), c)
+    out += y
     return out
 
 

@@ -351,7 +351,7 @@ def analyze_level(settings: Settings,
     if settings.with_potentials:
         g, G = _stage("solve_gG", solve_gG, beta0, field)
         pots = _stage("potentials_SR", potentials_SR, L, field, curv, g, G)
-        del L, g, G  # L is read last here; g and G live on in pots
+        del L  # read last here
         level["potential_loop_defects"] = pots.loop_defects
         level["system_residuals"] = _stage("verify_system", verify_system,
                                            pots, frame, field, 0.15, 0.85)

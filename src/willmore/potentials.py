@@ -197,34 +197,35 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     mk1 = lambda c: MultiVec.vector(m, c)
 
     # grad_perp S = v_S and grad_perp R = v_R by construction, so
-    # grad S = rot(v_S) and Lap S = d1(v_S_2) - d2(v_S_1)
+    # grad S = rot(v_S) and Lap S = d1(v_S_2) - d2(v_S_1); each residual's
+    # norms are taken, and its terms released, before the next is formed
     perp_S, perp_R = cut(pots.v_S), cut(pots.v_R)
     Sx, Sy = perp_S[1], -perp_S[0]
     Rx, Ry = perp_R[1], -perp_R[0]
-    lap_S = div(grid, perp_S[1], -perp_S[0])
-    lap_R = div(grid, perp_R[1], -perp_R[0])
     (gx, gy), (Gx, Gy) = cut(pots.dg), cut(pots.dG)
     perp_g = (-gy, gx)
     perp_G = (-Gy, Gx)
 
     # -Lap S = grad(star n) . perp grad R + div((star n) . grad G)
     dot_R = (inner(mk2(sn_x), mk2(perp_R[0])) + inner(mk2(sn_y), mk2(perp_R[1])))
-    w1 = inner(sn, mk2(Gx))
-    w2 = inner(sn, mk2(Gy))
-    div_w = div(grid, w1, w2)
-    res_S = -lap_S - dot_R - div_w
+    div_w = div(grid, inner(sn, mk2(Gx)), inner(sn, mk2(Gy)))
+    norms = {"sysS": grid.norms(-div(grid, Sx, Sy) - dot_R - div_w)}
+    del dot_R, div_w
 
     # -Lap R = s1 grad(star n) bullet perp grad R - grad(star n) perp grad S
     #          + div(s3 (star n) bullet grad G + s4 (star n) grad g)
+    div_f = div(grid,
+                s_bullG * bullet(sn, mk2(Gx)).coeffs
+                + s_sng * sn.coeffs * gx[..., None],
+                s_bullG * bullet(sn, mk2(Gy)).coeffs
+                + s_sng * sn.coeffs * gy[..., None])
     bull_R = (bullet(mk2(sn_x), mk2(perp_R[0])).coeffs
               + bullet(mk2(sn_y), mk2(perp_R[1])).coeffs)
     dot_S = sn_x * perp_S[0][..., None] + sn_y * perp_S[1][..., None]
-    f1 = (s_bullG * bullet(sn, mk2(Gx)).coeffs
-          + s_sng * sn.coeffs * gx[..., None])
-    f2 = (s_bullG * bullet(sn, mk2(Gy)).coeffs
-          + s_sng * sn.coeffs * gy[..., None])
-    div_f = div(grid, f1, f2)
-    res_R = -lap_R - s_bullR * bull_R + s_dotS * dot_S - div_f
+    del sn, sn_x, sn_y
+    norms["sysR"] = grid.norms(-div(grid, Rx, Ry) - s_bullR * bull_R
+                               + s_dotS * dot_S - div_f)
+    del div_f, bull_R, dot_S
 
     # -2 Lap Phi = (grad S - perp grad g) . perp grad Phi
     #              + s5 (grad R - perp grad G) bullet perp grad Phi
@@ -234,7 +235,6 @@ def verify_system(pots: PotentialSet, frame: FrameField,
               + (Sy - perp_g[1])[..., None] * perp_phi[1])
     t_bull = (bullet(mk2(Rx - perp_G[0]), mk1(perp_phi[0])).coeffs
               + bullet(mk2(Ry - perp_G[1]), mk1(perp_phi[1])).coeffs)
-    res_phi = -2.0 * (d2[0] + d2[2]) - t_scal - s_phi * t_bull
-
-    return {"sysS": grid.norms(res_S), "sysR": grid.norms(res_R),
-            "delphi": grid.norms(res_phi)}
+    norms["delphi"] = grid.norms(-2.0 * (d2[0] + d2[2]) - t_scal
+                                 - s_phi * t_bull)
+    return norms

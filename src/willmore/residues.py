@@ -169,12 +169,11 @@ def modified_residue(beta0: np.ndarray, theta0: int, spec: MultiplierSpec,
 
 def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
     # trapezoid steps along axis 0 with a gradient correction; telescopes to
-    # fourth order.  The correction is formed in the output before the
-    # midpoint sums, so one step-sized temporary is alive at a time.
+    # fourth order.  The correction is formed in the output, and the
+    # gradient released, before the midpoint sums
     dv = np.gradient(vals, h, axis=0)
     out = np.empty(vals.shape, dtype=dv.dtype)
-    mids = out[1:]
-    np.subtract(dv[1:], dv[:-1], out=mids)
+    mids = np.subtract(dv[1:], dv[:-1], out=out[1:])
     del dv
     mids *= h * h / 12.0
     half = np.add(vals[1:], vals[:-1])
@@ -253,12 +252,10 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
     holo_profile = np.abs(holo).reshape(grid.n_r, -1).max(axis=1)
     holonomy = float(np.max(holo_profile))
 
-    # independent path family: angular at the outer rim, then radial inward;
-    # the gap to it is formed in the radial buffer
-    gap = radial
-    gap += rim
-    np.subtract(P, gap, out=gap)
-    np.abs(gap, out=gap)
+    # independent path family: angular at the outer rim, then radial inward,
+    # and the gap to it, both formed in the radial buffer
+    radial += rim
+    gap = np.abs(np.subtract(P, radial, out=radial), out=radial)
     mismatch_profile = gap.reshape(grid.n_r, -1).max(axis=1)
     mismatch = float(np.max(mismatch_profile))
     del radial, gap
