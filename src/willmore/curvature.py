@@ -34,42 +34,27 @@ class CurvatureField:
 
 
 def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
-    """H, H0, K and the energy density of a level.  The h_ij that K is read
-    from are temporaries: h12 is released before h11 and h22 are formed."""
+    """H, H0, K and the energy density of a level; the h_ij are temporaries
+    of K."""
     p1, p2 = field.d1[0], field.d1[1]
     pxx, pxy, pyy = field.d2[0], field.d2[1], field.d2[2]
     e2l = np.exp(2.0 * frame.lam)[..., None]
     pi_n = normal_projector(frame)
 
-    def h(ij):  # h11, h12, h22 for ij = 0, 1, 2
-        out = pi_n(field.d2[ij])
-        out /= e2l
-        return out
+    h11 = pi_n(pxx) / e2l
+    h12 = pi_n(pxy) / e2l
+    h22 = pi_n(pyy) / e2l
+    K = dot(h11, h22) - dot(h12, h12)
+    del h11, h12, h22
 
-    h12 = h(1)
-    K = -dot(h12, h12)                      # -b + a is a - b, bit for bit
-    del h12
-    K += dot(h(0), h(2))
+    H = 0.5 * (pxx + pyy) / e2l
 
-    H = 0.5 * (pxx + pyy)
-    H /= e2l
-
-    # H0 is built in place, with one complex vector field besides it alive
+    dz_phi = 0.5 * (p1 - 1j * p2)
+    dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
     lam_x = (dot(p1, pxx) + dot(p2, pxy))[..., None] / (2.0 * e2l)
     lam_y = (dot(p1, pxy) + dot(p2, pyy))[..., None] / (2.0 * e2l)
     dz_lam = 0.5 * (lam_x - 1j * lam_y)
-    dz_phi = np.multiply(1j, p2)
-    np.subtract(p1, dz_phi, out=dz_phi)
-    dz_phi *= 0.5
-    H0 = (2.0 * dz_lam) * dz_phi
-    del dz_phi
-    dzz_phi = np.multiply(2j, pxy)
-    np.subtract(pxx - pyy, dzz_phi, out=dzz_phi)
-    dzz_phi *= 0.25
-    np.subtract(dzz_phi, H0, out=H0)
-    del dzz_phi
-    H0 *= 2.0
-    H0 /= e2l
+    H0 = 2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi) / e2l
 
     density = dot(H, H) * e2l[..., 0]
     return CurvatureField(field.grid, frame.lam, H, H0, K, density)

@@ -177,8 +177,7 @@ def ds(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
     """Second-order d/ds (s = log r) along axis 0, one-sided at the ends."""
     h = grid.ds
     out = np.empty_like(f, dtype=np.result_type(f, float))
-    np.subtract(f[2:], f[:-2], out=out[1:-1])
-    out[1:-1] /= 2 * h
+    out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
     out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
     out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
     return out
@@ -194,52 +193,30 @@ def dss(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times(a: np.ndarray, k) -> np.ndarray:
-    """a * k written over a (a fresh derivative that nothing else holds)."""
-    return np.multiply(a, k, out=a)
-
-
-def _over_r(grid: PolarGrid, a: np.ndarray) -> np.ndarray:
-    """a / r written over a, as ``_times``."""
-    return np.divide(a, _trail(grid.rr, a), out=a)
-
-
 def dr(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
-    return _over_r(grid, ds(grid, f))
+    return ds(grid, f) / _trail(grid.rr, f)
 
 
 def grad(grid: PolarGrid, f: np.ndarray):
-    """Cartesian gradient (d/dx1, d/dx2) of a node field.
-
-    Both results are allocated before the angular derivative and finished
-    in place, so at most four field-sized arrays are alive and the
-    temporaries are the last to be allocated.
-    """
+    """Cartesian gradient (d/dx1, d/dx2) of a node field."""
+    fr = dr(grid, f)
+    ft_over_r = dtheta(grid, f) / _trail(grid.rr, f)
     c = _trail(grid.cos_t, f)
     s = _trail(grid.sin_t, f)
-    gx = dr(grid, f)
-    gy = s * gx
-    _times(gx, c)
-    ft_over_r = _over_r(grid, dtheta(grid, f))
-    gx -= s * ft_over_r                       # c fr - s ft / r
-    gy += _times(ft_over_r, c)                # s fr + c ft / r
-    return gx, gy
+    return c * fr - s * ft_over_r, s * fr + c * ft_over_r
 
 
 def div(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """d vx/dx1 + d vy/dx2; equal to grad(vx)[0] + grad(vy)[1] bit for bit.
 
     The x-term is finished before vy is differentiated, so only one pair of
-    polar derivatives is alive at a time; each is scaled in place.
+    polar derivatives is alive at a time.
     """
     c = _trail(grid.cos_t, vx)
     s = _trail(grid.sin_t, vx)
-    out = _times(dr(grid, vx), c)
-    out -= _times(_over_r(grid, dtheta(grid, vx)), s)
-    y = _times(dr(grid, vy), s)
-    y += _times(_over_r(grid, dtheta(grid, vy)), c)
-    out += y
-    return out
+    rr = _trail(grid.rr, vx)
+    out = c * dr(grid, vx) - s * (dtheta(grid, vx) / rr)
+    return out + (s * dr(grid, vy) + c * (dtheta(grid, vy) / rr))
 
 
 def laplacian(grid: PolarGrid, f: np.ndarray) -> np.ndarray:

@@ -163,7 +163,6 @@ def _apply_bilinear(table, a: np.ndarray, b: np.ndarray, dim_out: int) -> np.nda
             out[io] -= a[ia] * b[ib]
         else:
             out[io] += s * (a[ia] * b[ib])
-    del a, b  # before the copy back to the trailing-component layout
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 

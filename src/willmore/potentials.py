@@ -69,27 +69,20 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
         return _solve_modes(grid, rhs.real) + 1j * _solve_modes(grid, rhs.imag)
     n_r, n_theta = grid.n_r, grid.n_theta
     h = grid.ds
-    src = np.fft.rfft(rhs, axis=1)
-    n_modes = src.shape[1]
-    src = src.reshape(n_r, n_modes, -1)
-    src *= np.exp(2.0 * grid.s)[:, None, None]
+    rhat = np.fft.rfft(rhs, axis=1)
+    n_modes = rhat.shape[1]
+    src = np.exp(2.0 * grid.s)[:, None, None] * rhat.reshape(n_r, n_modes, -1)
     k = np.arange(n_modes, dtype=float)[:, None]   # irfft supplies k < 0
     h2_12 = h * h / 12.0
     # Numerov rows (fourth order), 0 < i < n_r - 1:
     #   off (u_{i-1} + u_{i+1}) - diag u_i = h^2/12 (f_{i-1} + 10 f_i + f_{i+1})
     off = 1.0 - h2_12 * k * k
     diag = 2.0 + 10.0 * h2_12 * k * k
-    b = np.multiply(10.0, src[1:-1])
-    np.add(src[:-2], b, out=b)
-    b += src[2:]
-    b *= h2_12
+    b = h2_12 * (src[:-2] + 10.0 * src[1:-1] + src[2:])
     # inward from u_{n-1} = 0 (alpha = beta = 0 on the outer row); the rows
-    # are diagonally dominant, so the sweep needs no pivoting.  u (beta, then
-    # the solution) takes over the source's buffer: every row but the outer
-    # one is written before it is read
+    # are diagonally dominant, so the sweep needs no pivoting
     alpha = np.zeros((n_r, n_modes, 1))
-    u = src
-    u[-1] = 0.0
+    u = np.zeros_like(src)                          # beta, then the solution
     for i in range(n_r - 2, 0, -1):
         piv = diag - off * alpha[i + 1]
         alpha[i] = off / piv
@@ -128,8 +121,7 @@ def solve_gG(beta0: np.ndarray,
     gam_y = 2.0 * grid.y[..., None] * beta0 / r2[..., None]
     rhs_g = dot(gam_x, d1[0]) + dot(gam_y, d1[1])
     bmv = lambda v: MultiVec.vector(m, v)
-    rhs_G = wedge(bmv(gam_x), bmv(d1[0])).coeffs
-    rhs_G += wedge(bmv(gam_y), bmv(d1[1])).coeffs
+    rhs_G = (wedge(bmv(gam_x), bmv(d1[0])) + wedge(bmv(gam_y), bmv(d1[1]))).coeffs
     return _solve_modes(grid, rhs_g), _solve_modes(grid, rhs_G)
 
 
@@ -151,16 +143,8 @@ def potentials_SR(L: np.ndarray, field: ImmersionField, curv: CurvatureField,
     bmv = lambda v: MultiVec.vector(m, v)
     Lw = bmv(L)
     Hw = bmv(curv.H)
-    v_r = []
-    for p, d, Gd in zip(perp, d1, (Gx, Gy)):  # built in place, one at a time
-        v = wedge(Lw, bmv(p)).coeffs
-        h = wedge(Hw, bmv(d)).coeffs
-        h *= 2.0
-        v -= h
-        del h
-        v -= Gd
-        v_r.append(v)
-    v_r = tuple(v_r)
+    v_r = (wedge(Lw, bmv(perp[0])).coeffs - 2.0 * wedge(Hw, bmv(d1[0])).coeffs - Gx,
+           wedge(Lw, bmv(perp[1])).coeffs - 2.0 * wedge(Hw, bmv(d1[1])).coeffs - Gy)
     S, dS = integrate_curl_potential(grid, v_s[0], v_s[1])
     R, dR = integrate_curl_potential(grid, v_r[0], v_r[1])
     return PotentialSet(g, G, S, R, v_s, v_r, (gx, gy), (Gx, Gy),

@@ -57,12 +57,8 @@ class FluxField:
         beta0 = np.asarray(beta0, dtype=float)
         grid = self.grid
         r2 = (grid.rr ** 2)[..., None]
-        out = np.empty_like(self.raw)
-        for k, coord in enumerate((grid.x, grid.y)):
-            np.multiply(2.0 * beta0, coord[..., None], out=out[k])
-            out[k] /= r2
-            np.subtract(self.raw[k], out[k], out=out[k])
-        return out
+        return np.stack([self.raw[0] - 2.0 * beta0 * grid.x[..., None] / r2,
+                         self.raw[1] - 2.0 * beta0 * grid.y[..., None] / r2])
 
 
 @dataclass(eq=False)
