@@ -42,7 +42,7 @@ from willmore.grid import (PolarGrid, circle_mean, dot, fit_order, integrate,
                            jsonable)
 from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
 from willmore.multivec import MAX_DIM, MIN_DIM
-from willmore.potentials import potentials_SR, solve_gG, verify_system
+from willmore.potentials import potential_set, verify_system
 from willmore.residual import equation
 from willmore.residues import (ResidueReport, branch_order, first_residue,
                                modified_residue, potential_L, second_residue,
@@ -303,6 +303,10 @@ def analyze_level(settings: Settings,
                                  "div_rms": rms(eq.div_defect)}
     level["equivalence_norms"] = eq.norms["identity"]
     del eq  # the strong-form and divergence fields are read only above
+    if settings.with_potentials:  # the system check reads band rows only
+        band = grid.band(0.15, 0.85)
+        dn_band = tuple(d[band.rows].copy() for d in frame.dn)
+    del frame.dn  # grad n: the equation pass was its last full-grid reader
 
     fr = _stage("first_residue", first_residue, fl)
     beta0 = fr["beta0"]
@@ -349,12 +353,11 @@ def analyze_level(settings: Settings,
                                  tol["pmc_threshold"], tol["tol_zero"])
 
     if settings.with_potentials:
-        g, G = _stage("solve_gG", solve_gG, beta0, field)
-        pots = _stage("potentials_SR", potentials_SR, L, field, curv, g, G)
+        pots = _stage("potentials", potential_set, L, beta0, field, curv, band)
         del L  # read last here
         level["potential_loop_defects"] = pots.loop_defects
         level["system_residuals"] = _stage("verify_system", verify_system,
-                                           pots, frame, field, 0.15, 0.85)
+                                           pots, frame, field, dn_band)
 
     if settings.with_expansion:
         fit = _stage("fit_phi", fit_phi, field, br.theta0, srw.a, br.u0)

@@ -18,6 +18,8 @@ conservative conformal Willmore system and the closing identity
              - (grad R - grad_perp G) . grad_perp Phi (first-order
 contraction in the second pairing), all with the exterior-algebra
 operators, on the annulus rows plus a halo row (``PolarGrid.band``).
+``potential_set`` keeps S, R and, of the rest, only the band rows that
+``verify_system`` reads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import comb
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import PolarGrid, div, dot, grad
+from willmore.grid import PolarGrid, RowBand, div, dot, grad
 from willmore.multivec import MultiVec, bullet, hodge_star, inner, wedge
 from willmore.residues import integrate_curl_potential
 from willmore.surface import FrameField, ImmersionField
@@ -40,14 +42,13 @@ class PotentialError(ValueError):
 
 @dataclass(eq=False)
 class PotentialSet:
-    g: np.ndarray                      # scalar field
-    G: np.ndarray                      # 2-vector coefficients per node
-    S: np.ndarray
-    R: np.ndarray                      # 2-vector coefficients per node
-    v_S: tuple                         # defining field grad_perp S
-    v_R: tuple                         # defining field grad_perp R
-    dg: tuple                          # grad g, taken once for v_S
-    dG: tuple                          # grad G, taken once for v_R
+    band: RowBand                      # the rows ``verify_system`` reads
+    S: np.ndarray                      # scalar field, full grid
+    R: np.ndarray                      # 2-vector coefficients, full grid
+    v_S: tuple                         # grad_perp S on the band rows
+    v_R: tuple                         # grad_perp R on the band rows
+    dg: tuple                          # grad g on the band rows
+    dG: tuple                          # grad G on the band rows
     loop_defects: dict                 # path-integration defects of S, R
 
 
@@ -69,9 +70,9 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
         return _solve_modes(grid, rhs.real) + 1j * _solve_modes(grid, rhs.imag)
     n_r, n_theta = grid.n_r, grid.n_theta
     h = grid.ds
-    rhat = np.fft.rfft(rhs, axis=1)
-    n_modes = rhat.shape[1]
-    src = np.exp(2.0 * grid.s)[:, None, None] * rhat.reshape(n_r, n_modes, -1)
+    n_modes = n_theta // 2 + 1
+    src = np.fft.rfft(rhs, axis=1).reshape(n_r, n_modes, -1)
+    src *= np.exp(2.0 * grid.s)[:, None, None]
     k = np.arange(n_modes, dtype=float)[:, None]   # irfft supplies k < 0
     h2_12 = h * h / 12.0
     # Numerov rows (fourth order), 0 < i < n_r - 1:
@@ -82,7 +83,8 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
     # inward from u_{n-1} = 0 (alpha = beta = 0 on the outer row); the rows
     # are diagonally dominant, so the sweep needs no pivoting
     alpha = np.zeros((n_r, n_modes, 1))
-    u = np.zeros_like(src)                          # beta, then the solution
+    u = src                      # beta, then the solution; b has read src
+    u[-1] = 0.0
     for i in range(n_r - 2, 0, -1):
         piv = diag - off * alpha[i + 1]
         alpha[i] = off / piv
@@ -129,26 +131,28 @@ def solve_gG(beta0: np.ndarray,
 # curl potentials S, R
 # ---------------------------------------------------------------------------
 
-def potentials_SR(L: np.ndarray, field: ImmersionField, curv: CurvatureField,
-                  g: np.ndarray, G: np.ndarray) -> PotentialSet:
-    """S and R from the flux potential L and the solutions g, G of
-    ``solve_gG``; returns the complete set."""
-    grid = field.grid
-    m = field.ambient_dim
-    d1 = field.d1
+def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
+                  curv: CurvatureField, band: RowBand) -> PotentialSet:
+    """g and G (``solve_gG``), then S and R from the flux potential L; the
+    set keeps the rows of ``band`` (a ``PolarGrid.band``) for checking."""
+    grid, d1 = field.grid, field.d1
     perp = (-d1[1], d1[0])
-    gx, gy = grad(grid, g)
-    Gx, Gy = grad(grid, G)
-    v_s = (dot(L, perp[0]) - gx, dot(L, perp[1]) - gy)
-    bmv = lambda v: MultiVec.vector(m, v)
-    Lw = bmv(L)
-    Hw = bmv(curv.H)
-    v_r = (wedge(Lw, bmv(perp[0])).coeffs - 2.0 * wedge(Hw, bmv(d1[0])).coeffs - Gx,
-           wedge(Lw, bmv(perp[1])).coeffs - 2.0 * wedge(Hw, bmv(d1[1])).coeffs - Gy)
+    cut = lambda pair: tuple(v[band.rows].copy() for v in pair)
+    g, G = solve_gG(beta0, field)
+    dg = grad(grid, g)
+    v_s = (dot(L, perp[0]) - dg[0], dot(L, perp[1]) - dg[1])
     S, dS = integrate_curl_potential(grid, v_s[0], v_s[1])
+    v_s, dg = cut(v_s), cut(dg)
+    v_r = grad(grid, G)              # grad G, until v_R is formed over it
+    del G
+    dG = cut(v_r)
+    bmv = lambda v: MultiVec.vector(field.ambient_dim, v)
+    Lw, Hw = bmv(L), bmv(curv.H)
+    for p, d, out in zip(perp, d1, v_r):
+        np.subtract(wedge(Lw, bmv(p)).coeffs - 2.0 * wedge(Hw, bmv(d)).coeffs,
+                    out, out=out)
     R, dR = integrate_curl_potential(grid, v_r[0], v_r[1])
-    return PotentialSet(g, G, S, R, v_s, v_r, (gx, gy), (Gx, Gy),
-                        {"S": dS, "R": dR})
+    return PotentialSet(band, S, R, v_s, cut(v_r), dg, dG, {"S": dS, "R": dR})
 
 
 # ---------------------------------------------------------------------------
@@ -156,39 +160,37 @@ def potentials_SR(L: np.ndarray, field: ImmersionField, curv: CurvatureField,
 # ---------------------------------------------------------------------------
 
 def verify_system(pots: PotentialSet, frame: FrameField,
-                  field: ImmersionField, r_lo=None, r_hi=None) -> dict:
+                  field: ImmersionField, dn: tuple) -> dict:
     """Annulus norms of the conservative system and the -2 Lap Phi identity.
 
-    Evaluated on the rows of ``PolarGrid.band(r_lo, r_hi)``.
+    Evaluated on the rows of ``pots.band``, the only rows it reads of
+    ``frame.n`` and of the field's derivatives; ``dn`` is grad n on them.
     The gradients of S and R enter through their defining curl fields
     (grad_perp S and grad_perp R are known exactly up to the reported loop
     defect), so each residual costs a single discrete derivative.  The five
     signs (s1 .. s5 below) carry the orientation of the contraction terms
     relative to the printed system; they are the ones under which every
-    residual is refinement-convergent with this package's Hodge-star and
-    first-order-contraction conventions (see the ledger note on the
-    operator-convention mismatch in the cited statements).
+    residual is refinement-convergent with this package's Hodge star
+    (star e_I = sign(I, I^c) e_{I^c}) and first-order contraction
+    (``bullet``), whose conventions differ from the cited statements'.
     """
-    grid = field.grid.band(r_lo, r_hi)
-    cut = lambda pair: tuple(v[grid.rows] for v in pair)
+    grid = pots.band
     m = field.ambient_dim
     s_bullR, s_dotS, s_bullG, s_sng, s_phi = -1, -1, -1, -1, +1
     k = frame.n.grade
     sn = hodge_star(MultiVec(m, k, frame.n.coeffs[grid.rows]))  # 2-vector
     # the star is a signed permutation, so grad(star n) = star(grad n)
-    sn_x, sn_y = (hodge_star(MultiVec(m, k, d)).coeffs for d in cut(frame.dn))
+    sn_x, sn_y = (hodge_star(MultiVec(m, k, d)).coeffs for d in dn)
     mk2 = lambda c: MultiVec(m, 2, c)
     mk1 = lambda c: MultiVec.vector(m, c)
 
     # grad_perp S = v_S and grad_perp R = v_R by construction, so
     # grad S = rot(v_S) and Lap S = d1(v_S_2) - d2(v_S_1); each residual's
     # norms are taken, and its terms released, before the next is formed
-    perp_S, perp_R = cut(pots.v_S), cut(pots.v_R)
+    perp_S, perp_R = pots.v_S, pots.v_R
     Sx, Sy = perp_S[1], -perp_S[0]
     Rx, Ry = perp_R[1], -perp_R[0]
-    (gx, gy), (Gx, Gy) = cut(pots.dg), cut(pots.dG)
-    perp_g = (-gy, gx)
-    perp_G = (-Gy, Gx)
+    (gx, gy), (Gx, Gy) = pots.dg, pots.dG
 
     # -Lap S = grad(star n) . perp grad R + div((star n) . grad G)
     dot_R = (inner(mk2(sn_x), mk2(perp_R[0])) + inner(mk2(sn_y), mk2(perp_R[1])))
@@ -215,10 +217,10 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     #              + s5 (grad R - perp grad G) bullet perp grad Phi
     d1, d2 = field.d1[:, grid.rows], field.d2[:, grid.rows]
     perp_phi = (-d1[1], d1[0])
-    t_scal = ((Sx - perp_g[0])[..., None] * perp_phi[0]
-              + (Sy - perp_g[1])[..., None] * perp_phi[1])
-    t_bull = (bullet(mk2(Rx - perp_G[0]), mk1(perp_phi[0])).coeffs
-              + bullet(mk2(Ry - perp_G[1]), mk1(perp_phi[1])).coeffs)
+    t_scal = ((Sx + gy)[..., None] * perp_phi[0]
+              + (Sy - gx)[..., None] * perp_phi[1])
+    t_bull = (bullet(mk2(Rx + Gy), mk1(perp_phi[0])).coeffs
+              + bullet(mk2(Ry - Gx), mk1(perp_phi[1])).coeffs)
     norms["delphi"] = grid.norms(-2.0 * (d2[0] + d2[2]) - t_scal
                                  - s_phi * t_bull)
     return norms

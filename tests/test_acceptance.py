@@ -16,7 +16,7 @@ from willmore.grid import PolarGrid, fit_order
 from willmore.multiplier import MultiplierSpec, pmc_multiplier
 from willmore.multivec import MultiVec, hodge_star, inner, wedge
 from willmore.pipeline import run_pipeline
-from willmore.potentials import potentials_SR, solve_gG, verify_system
+from willmore.potentials import potential_set, verify_system
 from willmore.residual import FluxField, equation
 from willmore.residues import branch_order, first_residue, potential_L
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
@@ -279,8 +279,9 @@ def test_criterion_7_potential_identities():
             fl = equation(curv, frame).flux
             beta0 = first_residue(fl)["beta0"]
             L, _ = potential_L(fl, beta0)
-            pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
-            out = verify_system(pots, frame, field, band[0], band[1])
+            pots = potential_set(L, beta0, field, curv, grid.band(*band))
+            dn = tuple(d[pots.band.rows] for d in frame.dn)
+            out = verify_system(pots, frame, field, dn)
             for key in res:
                 res[key].append(out[key]["rms"])
             hs.append(grid.ds)

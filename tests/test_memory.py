@@ -4,8 +4,10 @@ tracemalloc sees every numpy data buffer, so the peak of a call measures
 how many field-sized arrays it keeps alive at once.  The bounds are
 multiples of one input field's bytes: the in-place curl-potential
 integration peaks near 3.1 of its inputs (8.0 when every path quantity
-had its own array), and a whole codim-6 level near 16 of its 28-component
-fields (23 when h_ij, grad H and the flux temporaries were all kept).
+had its own array), and a whole codim-6 level near 11.8 of its
+28-component fields (23 when h_ij, grad H and the flux temporaries were
+all kept; 15.8 while g, G, grad G, v_R and grad n stayed on the full grid
+after their stages).
 """
 
 import tracemalloc
@@ -14,9 +16,12 @@ from dataclasses import fields
 import numpy as np
 
 from willmore import pipeline
-from willmore.curvature import CurvatureField
+from willmore.curvature import CurvatureField, curvature
 from willmore.grid import PolarGrid
-from willmore.residues import integrate_curl_potential
+from willmore.potentials import PotentialSet, potential_set
+from willmore.residual import equation
+from willmore.residues import first_residue, integrate_curl_potential, potential_L
+from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
 
 
 def traced_peak(fn, *args) -> int:
@@ -48,7 +53,26 @@ def test_codim6_level_peak():
     pipeline.analyze_level(settings, grid)  # grid caches, algebra tables
     field_bytes = grid.n_r * grid.n_theta * 28 * 8
     assert traced_peak(pipeline.analyze_level, settings, grid) \
-        < 18 * field_bytes
+        < 13 * field_bytes
+
+
+def test_potential_set_keeps_only_its_band():
+    # g and G die inside the stage; the fields verify_system reads are
+    # copies of the band's rows, not views that pin the full grid
+    assert not {f.name for f in fields(PotentialSet)} & {"g", "G"}
+    grid = PolarGrid(1e-3, 1.0, 48, 32)
+    field = catalog_surface("inverted_catenoid", {}, grid, 4)
+    frame = frame_and_gauss(field, conformal_factor(field))
+    curv = curvature(field, frame)
+    fl = equation(curv, frame).flux
+    beta0 = first_residue(fl)["beta0"]
+    L, _ = potential_L(fl, beta0)
+    band = grid.band(0.15, 0.85)
+    pots = potential_set(L, beta0, field, curv, band)
+    assert pots.band is band
+    for v in pots.v_S + pots.v_R + pots.dg + pots.dG:
+        assert v.shape[:2] == (band.n_r, grid.n_theta)
+        assert v.base is None
 
 
 def test_curvature_field_keeps_no_second_fundamental_form():

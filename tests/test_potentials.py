@@ -7,7 +7,7 @@ from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
 from willmore.multivec import MultiVec
-from willmore.potentials import (PotentialError, _solve_modes, potentials_SR,
+from willmore.potentials import (PotentialError, _solve_modes, potential_set,
                                  solve_gG, verify_system)
 from willmore.residual import equation
 from willmore.residues import first_residue, potential_L
@@ -145,13 +145,18 @@ def test_outer_dirichlet_condition():
     assert np.max(np.abs(pot_G[-1])) < 1e-12
 
 
-def full_chain(name, grid, m=3):
+def full_chain(name, grid, band=(0.15, 0.85)):
     field, frame, curv = analyzed(name, grid)
     fl = equation(curv, frame).flux
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
-    pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
+    pots = potential_set(L, beta0, field, curv, grid.band(*band))
     return field, frame, curv, pots
+
+
+def band_dn(pots, frame):
+    """grad n on the set's band rows, as ``verify_system`` takes it."""
+    return tuple(d[pots.band.rows] for d in frame.dn)
 
 
 def test_plane_potentials_constant():
@@ -182,8 +187,8 @@ def test_conservative_system_residuals_refine(name):
     hs = []
     for n in (48, 96, 192):
         grid = PolarGrid(r_min, 1.0, n, 64)
-        field, frame, curv, pots = full_chain(name, grid)
-        out = verify_system(pots, frame, field, r_lo=lo, r_hi=hi)
+        field, frame, curv, pots = full_chain(name, grid, (lo, hi))
+        out = verify_system(pots, frame, field, band_dn(pots, frame))
         for key in res:
             res[key].append(out[key]["rms"])
         hs.append(grid.ds)
@@ -200,8 +205,9 @@ def test_verify_system_reads_only_its_band():
     # norms come out unchanged: they rest on the band's rows alone
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field, frame, _, pots = full_chain("inverted_catenoid", grid)
-    want = verify_system(pots, frame, field, 0.15, 0.85)
-    rows = grid.band(0.15, 0.85).rows
+    dn = band_dn(pots, frame)
+    want = verify_system(pots, frame, field, dn)
+    rows = pots.band.rows
     assert rows.stop - rows.start < grid.n_r // 4
 
     def blank(a, axis=0):
@@ -210,14 +216,11 @@ def test_verify_system_reads_only_its_band():
         out[keep] = a[keep]
         return out
 
-    pair = lambda fields: tuple(blank(v) for v in fields)
-    pots = replace(pots, v_S=pair(pots.v_S), v_R=pair(pots.v_R),
-                   dg=pair(pots.dg), dG=pair(pots.dG))
-    dn = pair(frame.dn)
+    # the set and dn hold band rows only; n and the derivatives of Phi are
+    # full-grid inputs
     frame = replace(frame, n=MultiVec(3, 1, blank(frame.n.coeffs)))
-    frame.dn = dn                 # fills the cache, as grad(n) would
     field = replace(field, d1=blank(field.d1, 1), d2=blank(field.d2, 1))
-    assert verify_system(pots, frame, field, 0.15, 0.85) == want
+    assert verify_system(pots, frame, field, dn) == want
 
 
 def test_synthetic_potentials_finite():
@@ -234,7 +237,7 @@ def test_synthetic_potentials_finite():
     fl = equation(curv, frame).flux
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
-    pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
+    pots = potential_set(L, beta0, field, curv, grid.band(0.15, 0.85))
     assert np.all(np.isfinite(pots.S))
     assert np.all(np.isfinite(pots.R))
     assert np.isfinite(pots.loop_defects["S"]["defect"])
@@ -258,8 +261,8 @@ def test_conservative_system_codimension_two():
         fl = equation(curv, frame, f_field, field).flux
         beta0 = first_residue(fl)["beta0"]
         L, _ = potential_L(fl, beta0)
-        pots = potentials_SR(L, field, curv, *solve_gG(beta0, field))
-        out = verify_system(pots, frame, field, 0.15, 0.85)
+        pots = potential_set(L, beta0, field, curv, grid.band(0.15, 0.85))
+        out = verify_system(pots, frame, field, band_dn(pots, frame))
         for key in res:
             res[key].append(out[key]["rms"])
         hs.append(grid.ds)
