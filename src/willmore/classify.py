@@ -21,6 +21,11 @@ import numpy as np
 from willmore.multiplier import MultiplierSpec
 from willmore.residues import ResidueReport, pole_order_range
 
+#: default ``tol_zero``, the floor of the residue zero gate
+TOL_ZERO = 1e-6
+#: default ``pmc_threshold``: the largest parallelism defect read as pmc
+PMC_THRESHOLD = 5e-3
+
 VERDICTS = (
     "smooth",
     "c_theta_plus_one_alpha",
@@ -89,13 +94,13 @@ def decide(theta0: int, a: int, gamma0_zero: bool, gamma_zero: bool,
         "C^{2,alpha} in the worst case"], exponent
 
 
-def classify(report: ResidueReport, spec: Optional[MultiplierSpec],
+def classify(report: ResidueReport, spec: MultiplierSpec,
              pmc: bool = False, regular: bool = False,
-             tol_zero: float = 1e-6) -> Classification:
+             tol_zero: float = TOL_ZERO) -> Classification:
     gate = _zero_gate(tol_zero, report.rho_spread)
     gamma0_zero = bool(np.linalg.norm(report.gamma0) <= gate)
     gamma_zero = bool(np.all(np.asarray(report.gamma) == 0))
-    mu = None if spec is None or spec.is_zero else spec.mu
+    mu = None if spec.zero else spec.mu
     lo, hi = pole_order_range(report.theta0, spec)
     range_ok = lo <= report.a <= hi
     verdict, citations, exponent = decide(
@@ -127,7 +132,8 @@ def classify(report: ResidueReport, spec: Optional[MultiplierSpec],
 
 def pmc_detect(defect: float, antiholomorphy_defect: float,
                report: Optional[ResidueReport] = None,
-               threshold: float = 5e-3, tol_zero: float = 1e-6) -> dict:
+               threshold: float = PMC_THRESHOLD,
+               tol_zero: float = TOL_ZERO) -> dict:
     """Parallelism test |pi_n grad H| with the residue cross-check.
 
     ``defect`` is the parallelism defect of ``residual.equation`` and

@@ -16,8 +16,12 @@ Configs are JSON documents:
                            "zero": false} | {"mode": "pmc", "sign": 1},
      "levels": 1, "regular": bool, "with_potentials": false,
      "with_expansion": true,
-     "tolerances": {"tol_zero": 1e-6, "defect_threshold": 1e-6,
-                    "pmc_threshold": 5e-3, "winding_gate": 0.2}}
+     "tolerances": {"tol_zero": ..., "defect_threshold": ...,
+                    "pmc_threshold": ..., "winding_gate": ...}}
+
+A ``"zero": true`` spec is the zero multiplier, as null is; pmc mode also
+classifies against it.  Each tolerance defaults to a constant of the module
+that applies it: ``classify``, ``surface`` or ``residues``.
 
 Every command reads its config (after its flags) through
 ``pipeline.resolve``, so an unknown key or a malformed entry is refused,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from willmore.grid import PolarGrid, dot, integrate, laplacian
+from willmore.grid import PolarGrid, annulus_mask, dot, integrate, laplacian
 from willmore.surface import (BranchData, FrameField, ImmersionField,
                               normal_projector)
 
@@ -96,8 +96,7 @@ def weingarten_constant(curv: CurvatureField, frame: FrameField) -> float:
     re, im = curv.H0.real, curv.H0.imag
     lhs = np.exp(curv.lam) * np.sqrt(dot(re, re) + dot(im, im))
     rhs = frame.dn_norm
-    k = max(2, int(round(0.1 * curv.grid.n_r)))
-    sl = slice(k, -k)
+    sl = annulus_mask(curv.grid)
     ratio = lhs[sl] / np.maximum(rhs[sl], 1e-30)
     keep = rhs[sl] > 1e-12 * max(float(np.max(rhs)), 1e-30)
     return float(np.max(ratio[keep])) if np.any(keep) else 0.0

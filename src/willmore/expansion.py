@@ -16,7 +16,7 @@ exponents come from log-log slopes of the residual circle norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,8 @@ class ExpansionError(ValueError):
 
 @dataclass(eq=False)
 class ExpansionFit:
+    """What ``fit_phi`` measured; ``to_json`` reports every field."""
+
     A: np.ndarray                     # complex (m,)
     B: list                           # complex (m,) per order 1..theta0-a
     E_a: np.ndarray                   # complex (m,), from the pole column
@@ -43,11 +45,9 @@ class ExpansionFit:
     fit_residual: float = 0.0
     condition_number: float = 1.0
     at_floor: bool = False
-    diagnostics: dict = dfield(default_factory=dict)
 
     def to_json(self) -> dict:
-        return jsonable({f.name: getattr(self, f.name) for f in fields(self)
-                         if f.name != "diagnostics"})
+        return jsonable({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _weighted_lstsq(design: np.ndarray, targets: np.ndarray,
@@ -70,7 +70,7 @@ def _weighted_lstsq(design: np.ndarray, targets: np.ndarray,
     return coef, cond, resid
 
 
-def _residual_slope(grid: PolarGrid, resid_nodes: np.ndarray, sel: np.ndarray,
+def _residual_slope(grid: PolarGrid, resid_nodes: np.ndarray, sel: slice,
                     scale: float):
     """Log-log slope of residual circle norms, ignoring rounding-floor rows."""
     prof = np.sqrt(circle_mean(np.sum(resid_nodes ** 2, axis=-1)))
@@ -86,31 +86,28 @@ def _residual_slope(grid: PolarGrid, resid_nodes: np.ndarray, sel: np.ndarray,
     return fit_order(radii, prof[keep]), False
 
 
+def _fit_rows(grid: PolarGrid) -> slice:
+    """The inner third of the circles, where both expansions are fitted."""
+    return slice(0, max(8, int(round(1.0 / 3.0 * grid.n_r))))
+
+
 def fit_phi(field: ImmersionField, theta0: int, a: int, u0: float) -> ExpansionFit:
     """Componentwise weighted fit of the immersion expansion on inner annuli."""
     grid = field.grid
     m = field.ambient_dim
-    n_fit = max(8, int(round(1.0 / 3.0 * grid.n_r)))
-    sel = np.zeros(grid.n_r, dtype=bool)
-    sel[:n_fit] = True
+    sel = _fit_rows(grid)
 
     z = grid.z[sel].ravel()
     r = np.abs(z)
     cols = []
-    labels = []
     for k in range(0, theta0 - a + 1):
         zp = z ** (theta0 + k)
         cols += [zp.real, zp.imag]
-        labels += [f"re z^{theta0 + k}", f"im z^{theta0 + k}"]
     pole = r ** (2 * theta0) * z ** float(-a)
     cols.append(pole.real)
-    labels.append("re pole")
     if a != 0:
         cols.append(pole.imag)
-        labels.append("im pole")
-    logcol = -(r ** (2 * theta0)) * (theta0 * np.log(r) - 1.0)
-    cols.append(logcol)
-    labels.append("log")
+    cols.append(-(r ** (2 * theta0)) * (theta0 * np.log(r) - 1.0))
     design = np.stack(cols, axis=1)
 
     weights = r ** float(-2 * theta0)
@@ -135,15 +132,14 @@ def fit_phi(field: ImmersionField, theta0: int, a: int, u0: float) -> ExpansionF
     gamma0_fit = 2.0 * theta0 ** 3 * np.exp(-2.0 * u0) * C_vec
 
     # un-weighted residual per node for the decay profile
-    resid_nodes = resid.reshape(n_fit, grid.n_theta, m)
+    resid_nodes = resid.reshape(-1, grid.n_theta, m)
     slope, at_floor = _residual_slope(grid, resid_nodes, sel,
                                       float(np.max(np.abs(targets))))
     rms = float(np.sqrt(np.mean((resid * weights[:, None]) ** 2)))
     return ExpansionFit(A, B, E_a, C_vec, C_ta, gamma0_fit,
                         remainder_exponent_phi=slope,
                         fit_residual=rms, condition_number=cond,
-                        at_floor=at_floor,
-                        diagnostics={"columns": labels, "n_annuli": n_fit})
+                        at_floor=at_floor)
 
 
 def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
@@ -156,31 +152,22 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
         raise ExpansionError(f"pole order a = {a} outside [0, theta0 - 1]")
     grid = curv.grid
     m = curv.H.shape[-1]
-    n_fit = max(8, int(round(1.0 / 3.0 * grid.n_r)))
-    sel = np.zeros(grid.n_r, dtype=bool)
-    sel[:n_fit] = True
+    sel = _fit_rows(grid)
 
     z = grid.z[sel].ravel()
     r = np.abs(z)
-    cols, labels = [], []
     zp = z ** float(-a)
-    cols.append(zp.real)
-    labels.append("re pole")
+    cols = [zp.real]
     if a != 0:
         cols.append(zp.imag)
-        labels.append("im pole")
     cols.append(-np.log(r))
-    labels.append("log")
     for k in range(1, 3):
         zq = z ** float(k - a)
         cols.append(zq.real)
-        labels.append(f"nuis re z^{k - a}")
         if k - a != 0:
             cols.append(zq.imag)
-            labels.append(f"nuis im z^{k - a}")
             # the remainder also carries rotation-invariant radial content
             cols.append(r ** float(k - a))
-            labels.append(f"nuis |z|^{k - a}")
     design = np.stack(cols, axis=1)
 
     weights = r ** float(a)
@@ -197,7 +184,7 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
     # eta is the gap to the structural part alone; the nuisance content is
     # part of the remainder whose decay the exponent measures
     eta = targets - design[:, :n_struct] @ coef[:n_struct]
-    eta_nodes = eta.reshape(n_fit, grid.n_theta, m)
+    eta_nodes = eta.reshape(-1, grid.n_theta, m)
     slope, at_floor = _residual_slope(grid, eta_nodes, sel,
                                       float(np.max(np.abs(targets))))
     return {"E_a": E_a, "gamma0": gamma0, "eta_exponent": slope,

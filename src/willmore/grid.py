@@ -60,10 +60,6 @@ class PolarGrid:
     def ds(self) -> float:
         return (np.log(self.r_max) - np.log(self.r_min)) / (self.n_r - 1)
 
-    @property
-    def dtheta(self) -> float:
-        return 2.0 * np.pi / self.n_theta
-
     @cached_property
     def rr(self) -> np.ndarray:
         """Radius per node, shape (n_r, n_theta)."""

@@ -126,19 +126,9 @@ class Jet:
         return self._map(np.conj)
 
 
-def exp(u: Jet) -> Jet:
-    e = np.exp(u.f)
-    return u._compose(e, e, e)
-
-
 def log(u: Jet) -> Jet:
     inv = 1.0 / u.f
     return u._compose(np.log(u.f), inv, -inv * inv)
-
-
-def sqrt(u: Jet) -> Jet:
-    s = np.sqrt(u.f)
-    return u._compose(s, 0.5 / s, -0.25 / (s * u.f))
 
 
 def sin(u: Jet) -> Jet:
@@ -148,10 +138,3 @@ def sin(u: Jet) -> Jet:
 def cos(u: Jet) -> Jet:
     return u._compose(np.cos(u.f), -np.sin(u.f), -np.cos(u.f))
 
-
-def sinh(u: Jet) -> Jet:
-    return u._compose(np.sinh(u.f), np.cosh(u.f), np.sinh(u.f))
-
-
-def cosh(u: Jet) -> Jet:
-    return u._compose(np.cosh(u.f), np.sinh(u.f), np.cosh(u.f))

@@ -58,10 +58,6 @@ class MultiplierSpec:
     def zero_spec() -> "MultiplierSpec":
         return MultiplierSpec(zero=True)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.zero
-
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         if self.zero:
             return np.zeros_like(np.asarray(z), dtype=complex)
@@ -112,9 +108,10 @@ def matrix_field(f: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SpecialFields:
+    """F_mu, J and the annulus max of J's gap to its series form."""
+
     F_mu: np.ndarray        # (n_r, n_theta, m) complex
-    J: np.ndarray           # from the defining difference
-    J_series: np.ndarray    # from the branch-data representation
+    J: np.ndarray
     mismatch: float
 
 
@@ -127,16 +124,10 @@ def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
     a_mu zbar^{mu+1-theta0} [z^{1-theta0} e^{-2u} dz(Phi) - (theta0/2) e^{-2 u0} A]
     plus the smooth tail contribution e^{-2 lam} f0 dz(Phi), with theta0, u
     and u0 from ``branch``.  The reported mismatch is the annulus max of
-    their difference.
+    their difference.  A zero spec gives zero fields.
     """
     grid = field.grid
-    m = field.ambient_dim
     z = grid.z[..., None]
-    shape = (grid.n_r, grid.n_theta, m)
-    if spec.is_zero:
-        zeros = np.zeros(shape, dtype=complex)
-        return SpecialFields(zeros, zeros.copy(), zeros.copy(), 0.0)
-
     theta0, u0 = branch.theta0, branch.u0
     A = np.asarray(A, dtype=complex)
     dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
@@ -165,7 +156,7 @@ def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
         J_series = J_series + e2lam ** (-1) * tail * dz_phi
 
     mismatch = annulus_norms(grid, J - J_series)["max"]
-    return SpecialFields(F_mu, J, J_series, mismatch)
+    return SpecialFields(F_mu, J, mismatch)
 
 
 def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:

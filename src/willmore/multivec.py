@@ -157,12 +157,10 @@ def _apply_bilinear(table, a: np.ndarray, b: np.ndarray, dim_out: int) -> np.nda
     b = np.moveaxis(b, -1, 0).copy()
     out = np.zeros((dim_out,) + lead, dtype=np.result_type(a, b))
     for ia, ib, io, s in table:
-        if s == 1:
+        if s == 1:  # every table holds signs only
             out[io] += a[ia] * b[ib]
-        elif s == -1:
-            out[io] -= a[ia] * b[ib]
         else:
-            out[io] += s * (a[ia] * b[ib])
+            out[io] -= a[ia] * b[ib]
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 

@@ -33,7 +33,7 @@ from typing import Mapping, NoReturn, Optional
 
 import numpy as np
 
-from willmore.classify import classify, pmc_detect
+from willmore.classify import PMC_THRESHOLD, TOL_ZERO, classify, pmc_detect
 from willmore.curvature import (curvature, delta_profile, gauss_bonnet_check,
                                 gauss_map_energy_density, weingarten_constant,
                                 willmore_energy)
@@ -44,12 +44,12 @@ from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
 from willmore.multivec import MAX_DIM, MIN_DIM
 from willmore.potentials import potential_set, verify_system
 from willmore.residual import equation
-from willmore.residues import (ResidueReport, branch_order, first_residue,
-                               modified_residue, potential_L, second_residue,
-                               tangent_vector, w_field)
-from willmore.surface import (REGULAR_ENTRIES, catalog_surface,
-                              conformal_factor, frame_and_gauss,
-                              load_samples_csv, write_csv)
+from willmore.residues import (WINDING_GATE, ResidueReport, branch_order,
+                               first_residue, modified_residue, potential_L,
+                               second_residue, tangent_vector, w_field)
+from willmore.surface import (DEFECT_THRESHOLD, REGULAR_ENTRIES,
+                              catalog_surface, conformal_factor,
+                              frame_and_gauss, load_samples_csv, write_csv)
 
 SCHEMA_VERSION = 1
 
@@ -95,15 +95,15 @@ class Settings:
 
     ``surface`` is ``{"csv": path}`` or ``{"name", "params",
     "ambient_dim"}``; ``grids`` are the refinement levels, coarsest first;
-    ``spec`` is None in pmc mode, where ``pmc_sign`` applies.
+    ``pmc_sign`` is None unless the run is in pmc mode, where ``spec`` is
+    the zero spec.
     """
 
     surface: Mapping
     grids: tuple[PolarGrid, ...]
     tolerances: Mapping[str, float]
-    spec: Optional[MultiplierSpec]
-    mult_mode: str
-    pmc_sign: int
+    spec: MultiplierSpec
+    pmc_sign: Optional[int]
     regular: bool
     with_potentials: bool
     with_expansion: bool
@@ -150,10 +150,10 @@ def _base_grid(doc) -> PolarGrid:
     return grid
 
 
-def _multiplier(doc) -> tuple[Optional[MultiplierSpec], str, int]:
-    """(spec, mode, pmc sign) of the config's multiplier entry."""
+def _multiplier(doc) -> tuple[MultiplierSpec, Optional[int]]:
+    """(spec, pmc sign or None) of the config's multiplier entry."""
     if doc is None or doc == "zero":
-        return MultiplierSpec.zero_spec(), "zero", +1
+        return MultiplierSpec.zero_spec(), None
     if not isinstance(doc, dict):
         _refuse("multiplier", "multiplier must be null, a spec or "
                 f"{{'mode': 'pmc'}}, got {doc!r}")
@@ -161,8 +161,8 @@ def _multiplier(doc) -> tuple[Optional[MultiplierSpec], str, int]:
         sign = doc.get("sign", +1)
         if isinstance(sign, bool) or sign not in (1, -1):
             _refuse("multiplier", f"pmc sign must be +1 or -1, got {sign!r}")
-        return None, "pmc", int(sign)
-    return _stage("multiplier", MultiplierSpec.from_json, doc), "spec", +1
+        return MultiplierSpec.zero_spec(), int(sign)
+    return _stage("multiplier", MultiplierSpec.from_json, doc), None
 
 
 def resolve(config) -> Settings:
@@ -196,8 +196,8 @@ def resolve(config) -> Settings:
                     f"{fine.n_r}x{fine.n_theta} nodes or more, over the "
                     f"budget of {MAX_NODES}")
 
-    tol = {"tol_zero": 1e-6, "defect_threshold": 1e-6,
-           "pmc_threshold": 5e-3, "winding_gate": 0.2}
+    tol = {"tol_zero": TOL_ZERO, "defect_threshold": DEFECT_THRESHOLD,
+           "pmc_threshold": PMC_THRESHOLD, "winding_gate": WINDING_GATE}
     if name == "synthetic_th4":
         # the planted template is conformal only asymptotically; its outer
         # rows carry an O(1) defect by construction. The measured defect is
@@ -210,7 +210,7 @@ def resolve(config) -> Settings:
         _refuse("tolerances", f"tolerances may set {', '.join(tol)} to "
                 f"finite non-negative numbers, got {given!r}")
     tol.update(given)
-    spec, mult_mode, pmc_sign = _multiplier(config.get("multiplier"))
+    spec, pmc_sign = _multiplier(config.get("multiplier"))
 
     flags = {"regular": config.get("regular", name in REGULAR_ENTRIES),
              "with_potentials": config.get("with_potentials", False),
@@ -219,7 +219,7 @@ def resolve(config) -> Settings:
         if not isinstance(value, bool):
             _refuse(key, f"{key} must be true or false, got {value!r}")
     return Settings(MappingProxyType(surface), tuple(grids),
-                    MappingProxyType(tol), spec, mult_mode, pmc_sign, **flags)
+                    MappingProxyType(tol), spec, pmc_sign, **flags)
 
 
 def build_field(settings: Settings, grid: PolarGrid):
@@ -258,8 +258,7 @@ def analyze_level(settings: Settings,
                   grid: PolarGrid) -> tuple[dict, ResidueReport]:
     """One refinement level of the full chain: the level record and the
     level's residues."""
-    tol, spec = settings.tolerances, settings.spec
-    mult_mode, pmc_sign = settings.mult_mode, settings.pmc_sign
+    tol, spec, pmc_sign = settings.tolerances, settings.spec, settings.pmc_sign
     level, field, frame, br, curv = level_geometry(settings, grid)
     grid = field.grid
     # the Gauss-map energy is recorded, never silently rescaled away
@@ -283,16 +282,16 @@ def analyze_level(settings: Settings,
     level["A_isotropy_defect"] = td.isotropy_defect
     level["A_normal_defect"] = td.normal_defect
 
-    pmc = _stage("pmc_multiplier", pmc_multiplier, curv, frame, pmc_sign)
-    if mult_mode == "pmc":
+    pmc = _stage("pmc_multiplier", pmc_multiplier, curv, frame, pmc_sign or 1)
+    if pmc_sign is not None:
         f_field = pmc["f_pmc"]
         level["multiplier"] = {"mode": "pmc", "sign": pmc_sign,
                                "antiholomorphy_defect":
                                    pmc["antiholomorphy_defect"]}
     else:
         f_field = _stage("multiplier", spec.evaluate, grid.z)
-        level["multiplier"] = {"mode": mult_mode,
-                               "spec": spec.to_json() if spec else None}
+        level["multiplier"] = {"mode": "zero" if spec.zero else "spec",
+                               "spec": spec.to_json()}
 
     eq = _stage("equation", equation, curv, frame, f_field, field, 0.1, 0.9)
     fl, pmc_defect = eq.flux, eq.pmc_defect
@@ -321,17 +320,14 @@ def analyze_level(settings: Settings,
     del fl  # the flux is read only by the two residue stages above
 
     F_mu = None
-    if spec is not None and not spec.is_zero:
+    if not spec.zero:
         sf = _stage("special_fields", special_fields, spec, br, td.A, field,
                     frame.lam)
         F_mu = sf.F_mu
         level["special_fields_mismatch"] = sf.mismatch
     W = _stage("w_field", w_field, L, curv.H, beta0, F_mu, grid)
-    # phase noise on the winding circles: local holonomy + path mismatch of L
-    inner = max(4, grid.n_r // 4)
-    noise = 0.5 * float(np.max(ldef["noise_profile"][:inner]))
     srw = _stage("second_residue", second_residue, W, grid,
-                 gate=tol["winding_gate"], noise_floor=noise)
+                 tol["winding_gate"], ldef["noise_profile"])
     level["gamma"] = srw.gamma
     level["a"] = srw.a
     level["winding_raw"] = srw.raw
@@ -394,7 +390,7 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
             np.asarray(levels[-1]["beta0"]) - np.asarray(levels[-2]["beta0"])))
 
     final, report = runs[-1]
-    pmc_flag = bool(settings.mult_mode == "pmc"
+    pmc_flag = bool(settings.pmc_sign is not None
                     and final["pmc_detect"]["pmc"])
     verdict = classify(report, settings.spec, pmc=pmc_flag,
                        regular=settings.regular,

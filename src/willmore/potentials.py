@@ -66,8 +66,6 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
     same sweep over the rows: inward from the outer row, writing
     u_i = alpha_i u_{i-1} + beta_i, then the Robin row for u_0, then outward.
     """
-    if np.iscomplexobj(rhs):
-        return _solve_modes(grid, rhs.real) + 1j * _solve_modes(grid, rhs.imag)
     n_r, n_theta = grid.n_r, grid.n_theta
     h = grid.ds
     n_modes = n_theta // 2 + 1

@@ -24,6 +24,10 @@ from willmore.residual import FluxField
 from willmore.surface import BranchData, FrameField, ImmersionField
 
 
+#: default ``winding_gate``: how far a raw winding may sit from its integer
+WINDING_GATE = 0.2
+
+
 class ResidueError(ValueError):
     pass
 
@@ -158,7 +162,7 @@ def modified_residue(beta0: np.ndarray, theta0: int, spec: MultiplierSpec,
     test suite pins by comparing against the multiplier-free flux.
     """
     beta0 = np.asarray(beta0, dtype=float)
-    if spec is None or spec.is_zero or spec.mu != theta0 - 2:
+    if spec.zero or spec.mu != theta0 - 2:
         return beta0.copy()
     return beta0 - 0.5 * theta0 * np.exp(-2.0 * u0) * np.real(spec.a_mu * np.asarray(A))
 
@@ -192,10 +196,6 @@ def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     the per-circle holonomy 2 pi mean(f) picked up over one full loop (the
     non-periodic part).
     """
-    if np.iscomplexobj(vals):
-        holo_re = _cumtheta(vals.real, n_theta)[1]
-        holo_im = _cumtheta(vals.imag, n_theta)[1]
-        return vals, holo_re + 1j * holo_im
     mean = np.mean(vals, axis=1, keepdims=True)
     vals -= mean
     fh = np.fft.rfft(vals, axis=1)
@@ -314,8 +314,8 @@ def _winding(values: np.ndarray) -> float:
     return float(np.sum(steps) * n / (n - 1) / (2.0 * np.pi))
 
 
-def second_residue(W: np.ndarray, grid: PolarGrid, gate: float = 0.2,
-                   noise_floor: float = 0.0) -> SecondResidue:
+def second_residue(W: np.ndarray, grid: PolarGrid, gate: float = WINDING_GATE,
+                   noise_profile: Optional[np.ndarray] = None) -> SecondResidue:
     """Componentwise winding numbers gamma_j = -winding(W_j) on small circles.
 
     Four circles are drawn from the innermost quartile of radii where the
@@ -324,13 +324,16 @@ def second_residue(W: np.ndarray, grid: PolarGrid, gate: float = 0.2,
     that vanish at the puncture carry no pole and no usable phase; they are
     flagged degenerate with gamma_j = 0 by convention.  Vanishing is
     detected by a modulus below 1e-7 relative to the largest component,
-    by a modulus below the absolute ``noise_floor`` (callers pass the loop
-    defect of the potential reconstruction, below which phases are noise),
-    or by the circle-mean modulus decaying toward the puncture (log-log
-    slope >= 1/2), since a meromorphic E_j with E_j(0) != 0 or a pole can
-    only stay level or grow inward.  A degenerate component's raw windings
-    are NaN: its phase is noise, not a measurement.
+    by a modulus below 3x the noise floor (half the largest entry of L's
+    ``noise_profile``, its holonomy plus path mismatch, on the inner
+    max(4, n_r // 4) circles; 0 without one), or by the circle-mean modulus
+    decaying toward the puncture (log-log slope >= 1/2), since a meromorphic
+    E_j with E_j(0) != 0 or a pole can only stay level or grow inward.  A
+    degenerate component's raw windings are NaN: its phase is noise, not a
+    measurement.
     """
+    noise_floor = 0.0 if noise_profile is None else \
+        0.5 * float(np.max(noise_profile[:max(4, grid.n_r // 4)]))
     m = W.shape[-1]
     hi = max(int(0.25 * grid.n_r), 6)
     idx = sorted(set(np.linspace(2, hi, 4).astype(int).tolist()))  # no numpy.ma
@@ -379,9 +382,9 @@ def second_residue(W: np.ndarray, grid: PolarGrid, gate: float = 0.2,
                          raw, degenerate, grid.r[idx])
 
 
-def pole_order_range(theta0: int, spec: Optional[MultiplierSpec]) -> tuple[int, int]:
+def pole_order_range(theta0: int, spec: MultiplierSpec) -> tuple[int, int]:
     """Admissible [lo, hi] for a = max_j gamma_j given the multiplier order."""
-    if spec is None or spec.is_zero:
+    if spec.zero:
         return 0, theta0 - 1
     return max(0, theta0 - spec.mu - 2), theta0 - 1
 

@@ -26,6 +26,10 @@ from willmore.jets import Jet
 from willmore.multivec import MultiVec, hodge_star, wedge
 
 
+#: default ``defect_threshold``: the largest conformal defect a frame accepts
+DEFECT_THRESHOLD = 1e-6
+
+
 class SurfaceError(ValueError):
     pass
 
@@ -85,11 +89,10 @@ def from_samples(grid: PolarGrid, phi: np.ndarray) -> ImmersionField:
 
 @dataclass(eq=False)
 class FrameField:
-    """Conformal parameter and defect, orthonormal frame and Gauss map."""
+    """Conformal parameter, orthonormal frame and Gauss map."""
 
     grid: PolarGrid
     lam: np.ndarray
-    defect: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     n: MultiVec
@@ -121,7 +124,7 @@ def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frame_and_gauss(field: ImmersionField, conformal: tuple,
-                    defect_threshold: float = 1e-6) -> FrameField:
+                    defect_threshold: float = DEFECT_THRESHOLD) -> FrameField:
     """Orthonormal tangent frame and the Gauss map n = star(e1 ^ e2).
 
     ``conformal`` is the (lam, defect) pair of ``conformal_factor``; the
@@ -143,7 +146,7 @@ def frame_and_gauss(field: ImmersionField, conformal: tuple,
     n = hodge_star(wedge(MultiVec.vector(m, e1), MultiVec.vector(m, e2)))
     nn = np.sqrt(dot(n.coeffs, n.coeffs))[..., None]
     n = MultiVec(m, m - 2, n.coeffs / nn)
-    return FrameField(field.grid, lam, defect, e1, e2, n)
+    return FrameField(field.grid, lam, e1, e2, n)
 
 
 @dataclass(eq=False)

@@ -3,11 +3,16 @@
     PYTHONPATH=src python tests/report_bytes.py write DIR
     python tests/report_bytes.py compare A B
 
-``write`` runs eleven configs through ``run_pipeline``: the benchmark
+``write`` runs thirteen configs through ``run_pipeline``: the benchmark
 workloads fine_m3, codim6_potentials, branch_th3 and pmc_cylinder at seeds
-1 and 2 (from ``perfbench/workloads.make_case``) and the three golden
-configs of ``test_golden_reports.py``.  Each run writes ``DIR/<name>/``:
-its ``report.json`` without ``elapsed_seconds`` and its four profile CSVs.
+1 and 2 (from ``perfbench/workloads.make_case``), the three golden configs
+of ``test_golden_reports.py``, a spec multiplier at the order
+mu = theta0 - 2 with an ``f0`` tail, and a CSV run.  Each run writes
+``DIR/<name>/``: its ``report.json`` without ``elapsed_seconds`` and its
+four profile CSVs.  The CSV run first samples ``CSV_CHART`` into its
+directory as ``samples.csv``; every run works inside its directory, so the
+CSV config names that file by a relative path and records the same config
+in every tree.
 ``compare`` lists every file that differs between two such directories, or
 exists in only one, and exits 1 if there is any.
 
@@ -18,6 +23,7 @@ named ``test_*`` so that pytest does not collect it.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import sys
@@ -27,9 +33,12 @@ HERE = Path(__file__).resolve().parent
 WORKLOADS = ("fine_m3", "codim6_potentials", "branch_th3", "pmc_cylinder")
 SEEDS = (1, 2)
 
+#: the chart, ambient dimension and grid sampled for the CSV run
+CSV_CHART = ("sphere_stereographic", 3, (1e-2, 1.0, 48, 32))
+
 
 def configs() -> dict:
-    """Run name -> ``run_pipeline`` config, for the eleven runs."""
+    """Run name -> ``run_pipeline`` config, for the thirteen runs."""
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     sys.path.insert(0, str(HERE))
     from test_golden_reports import CONFIGS
@@ -37,16 +46,35 @@ def configs() -> dict:
     runs = {f"{name}-seed{seed}": make_case(name, seed).config
             for name in WORKLOADS for seed in SEEDS}
     runs.update(CONFIGS)
+    # theta0 = mu + 2: the modified-residue correction, F_mu and the tail
+    runs["branched_plane_spec"] = {
+        "surface": {"name": "branched_plane", "params": {"theta0": 2}},
+        "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 48, "n_theta": 32},
+        "multiplier": {"mu": 0, "a_mu": [0.5, -0.25],
+                       "f0": [[0.0, 0.0], [0.2, 0.1]]}}
+    # the defect gate of test_cli's CSV round trip: stencil-limited samples
+    runs["sphere_csv"] = {"surface": {"csv": "samples.csv"},
+                          "tolerances": {"defect_threshold": 1e-2}}
     return runs
 
 
 def write(out: Path) -> None:
+    from willmore.grid import PolarGrid
     from willmore.pipeline import run_pipeline
+    from willmore.surface import catalog_surface, save_samples_csv
+    out = out.resolve()
     for name, config in configs().items():
-        doc = run_pipeline(copy.deepcopy(config), out / name)
+        run_dir = out / name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        if "csv" in config["surface"]:
+            chart, m, grid = CSV_CHART
+            save_samples_csv(catalog_surface(chart, {}, PolarGrid(*grid), m),
+                             run_dir / config["surface"]["csv"])
+        with contextlib.chdir(run_dir):
+            doc = run_pipeline(copy.deepcopy(config), ".")
         doc.pop("elapsed_seconds")
-        (out / name / "report.json").write_text(json.dumps(doc, indent=1))
-        print(f"wrote {out / name}")
+        (run_dir / "report.json").write_text(json.dumps(doc, indent=1))
+        print(f"wrote {run_dir}")
 
 
 def compare(a: Path, b: Path) -> list[str]:

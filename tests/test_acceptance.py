@@ -322,7 +322,7 @@ def test_criterion_8_classifier():
          "c_theta_plus_one_alpha"),
         (rep(theta0=1), MultiplierSpec(mu=-1, a_mu=1.0), False, True,
          "regular_point_c2alpha"),
-        (rep(theta0=1), None, True, False, "smooth"),
+        (rep(theta0=1), MultiplierSpec.zero_spec(), True, False, "smooth"),
         (rep(theta0=1), MultiplierSpec(mu=0, a_mu=1.0), False, True,
          "regular_point_smooth"),
         (rep(theta0=1, beta0=(0, 0, 2.0), spread=1e-4),

@@ -62,7 +62,7 @@ def test_scenario_regular_smooth():
 
 def test_scenario_pmc_smooth():
     rep = make_report(theta0=2, a=0)
-    out = classify(rep, None, pmc=True)
+    out = classify(rep, MultiplierSpec.zero_spec(), pmc=True)
     assert out.verdict == "smooth"
     assert any("parallel" in c for c in out.citations)
 
@@ -110,7 +110,7 @@ def test_zero_gate_uses_spread():
 
 def test_pmc_conflict_reported():
     rep = make_report(theta0=1, beta0=[0, 0, 2.0], spread=1e-6)
-    out = classify(rep, None, pmc=True)
+    out = classify(rep, MultiplierSpec.zero_spec(), pmc=True)
     assert out.verdict == "smooth"  # the flag wins, but the conflict is loud
     assert "pmc_residue_conflict" in out.diagnostics
 

@@ -11,6 +11,7 @@ from willmore import pipeline
 from willmore.cli import main
 from willmore.pipeline import run_pipeline, PipelineError
 from willmore.grid import PolarGrid
+from willmore.multiplier import MultiplierSpec
 from willmore.surface import (catalog_surface, load_samples_csv,
                               save_samples_csv)
 
@@ -281,7 +282,7 @@ def test_readme_documents_every_config_key():
 def test_pmc_sign_accepts_plus_or_minus_one(sign):
     s = pipeline.resolve({**PLANE,
                           "multiplier": {"mode": "pmc", "sign": sign}})
-    assert (s.spec, s.mult_mode, s.pmc_sign) == (None, "pmc", sign)
+    assert (s.spec, s.pmc_sign) == (MultiplierSpec.zero_spec(), sign)
 
 
 @pytest.mark.parametrize("grid", [

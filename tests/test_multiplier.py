@@ -86,7 +86,7 @@ def test_json_round_trip():
     doc = json.dumps(spec.to_json())
     back = MultiplierSpec.from_json(doc)
     assert back == spec
-    assert MultiplierSpec.from_json({"zero": True}).is_zero
+    assert MultiplierSpec.from_json({"zero": True}).zero
 
 
 def _branch_frame(field, theta0, u0):

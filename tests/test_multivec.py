@@ -13,8 +13,8 @@ from itertools import combinations
 
 from willmore.multivec import (
     AlgebraError, MultiVec, bullet, hodge_star, inner, interior, wedge,
-    _apply_bilinear, _bullet_table, _masks, _positions, _wedge_sign,
-    _wedge_table,
+    _apply_bilinear, _bullet_table, _interior_table, _masks, _positions,
+    _wedge_sign, _wedge_table,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -311,6 +311,21 @@ def test_wedge_sign_parity():
 
 
 # -- coefficient-major kernel -------------------------------------------------
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_every_table_holds_signs_only(m):
+    # _apply_bilinear adds or subtracts each term: it has no scaled branch
+    tables = []
+    for p in range(m + 1):
+        for q in range(m + 1):
+            if p + q <= m:
+                tables.append(_wedge_table(m, p, q))
+            if p <= q:
+                tables.append(_interior_table(m, q, p))
+            if p >= 1 and q >= 1 and p + q - 2 <= m:
+                tables.append(_bullet_table(m, p, q))
+    assert {s for table in tables for *_, s in table} == {1, -1}
+
 
 def _bilinear_reference(table, a, b, dim_out):
     """Per-entry loop on the trailing coefficient axis, in table order."""

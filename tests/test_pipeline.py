@@ -2,6 +2,7 @@
 reports what it measured, not noise."""
 
 import importlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -160,6 +161,21 @@ def test_degenerate_windings_reported_as_nan():
         assert degenerate.any()
         assert np.all(np.isnan(raw[:, degenerate]))
         assert np.all(np.isfinite(raw[:, ~degenerate]))
+
+
+def test_recorded_mode_follows_the_spec_not_its_spelling():
+    # a spec flagged zero is the zero multiplier: it records mode "zero",
+    # and everything but the config equals the null run's report
+    def run(mult):
+        doc = pipeline.run_pipeline({
+            "surface": {"name": "inverted_catenoid"},
+            "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 24, "n_theta": 32},
+            "multiplier": mult, "with_expansion": False})
+        del doc["config"], doc["elapsed_seconds"]
+        return doc
+    flagged = run({"zero": True})
+    assert flagged["levels"][0]["multiplier"]["mode"] == "zero"
+    assert json.dumps(flagged) == json.dumps(run(None))
 
 
 def test_profile_csv_bytes_match_csv_writer(tmp_path):

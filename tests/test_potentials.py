@@ -43,17 +43,6 @@ def test_mode_solver_matches_closed_form(k):
     assert np.max(np.abs(u - mode_oracle(grid, k))) < 1e-8
 
 
-def test_mode_solver_complex_input_matches_closed_form():
-    # real and imaginary parts carry different modes and must not mix
-    grid = PolarGrid(0.05, 1.0, 192, 64)
-    rhs = (grid.rr ** 3 * np.cos(3 * grid.tt)
-           + 0.5j * grid.rr ** 7 * np.cos(7 * grid.tt))
-    u = _solve_modes(grid, rhs)
-    want = mode_oracle(grid, 3) + 1j * mode_oracle(grid, 7, 0.5)
-    assert np.iscomplexobj(u)
-    assert np.max(np.abs(u - want)) < 1e-8
-
-
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_dtheta_complex_input_matches_closed_form(k):
     grid = PolarGrid(0.05, 1.0, 192, 64)

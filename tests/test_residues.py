@@ -29,7 +29,7 @@ def analyzed_frame(field):
 
 # -- angular antiderivative ---------------------------------------------------
 
-@pytest.mark.parametrize("z", [1.0, 0.7 - 1.3j])
+@pytest.mark.parametrize("z", [1.0, -2.5])
 def test_cumtheta_on_trig_polynomial(z):
     # the Nyquist term has no paired mode and no antiderivative: it is dropped
     grid = PolarGrid(0.05, 1.0, 24, 64)
@@ -202,7 +202,6 @@ def test_modified_residue_indicator():
     assert np.array_equal(g_miss, beta0)
     expect = beta0 - 0.5 * 2 * np.exp(-0.6) * np.real((2.0 + 1.0j) * A)
     assert np.allclose(g_hit, expect, atol=1e-14)
-    assert np.array_equal(modified_residue(beta0, 2, None, A, 0.3), beta0)
     assert np.array_equal(
         modified_residue(beta0, 2, MultiplierSpec.zero_spec(), A, 0.3), beta0)
 
@@ -342,8 +341,27 @@ def test_degenerate_windings_are_nan():
     assert np.all(np.isfinite(sr.raw[:, 0])) and np.all(np.isnan(sr.raw[:, 1]))
     # noise-dominated W: every component degenerate, every winding NaN
     noise = RNG.normal(size=W.shape) + 1j * RNG.normal(size=W.shape)
-    sr = second_residue(1e-9 * noise, grid, noise_floor=1e-6)
+    sr = second_residue(1e-9 * noise, grid,
+                        noise_profile=np.full(grid.n_r, 2e-6))
     assert np.all(sr.degenerate) and np.all(np.isnan(sr.raw))
+
+
+def test_noise_floor_reads_the_inner_quarter_of_the_profile():
+    # the floor is half the largest noise_profile entry on the inner
+    # max(4, n_r // 4) circles; a component under 3x the floor is degenerate
+    grid = PolarGrid(0.01, 1.0, 64, 64)
+    W = np.empty((grid.n_r, grid.n_theta, 2), dtype=complex)
+    W[..., 0] = grid.z ** -1
+    W[..., 1] = 1e-3
+    inner = grid.n_r // 4
+    edge = np.zeros(grid.n_r)
+    edge[inner - 1] = 1e-3       # 3 x 0.5e-3 above the second component
+    sr = second_residue(W, grid, noise_profile=edge)
+    assert list(sr.degenerate) == [False, True] and list(sr.gamma) == [1, 0]
+    beyond = np.zeros(grid.n_r)
+    beyond[inner:] = 1.0
+    sr = second_residue(W, grid, noise_profile=beyond)
+    assert not np.any(sr.degenerate) and list(sr.gamma) == [1, 0]
 
 
 def test_winding_gate_rejects_non_integer():
@@ -401,7 +419,7 @@ def test_synthetic_pipeline_recovers_gamma(theta0, a):
     assert np.array_equal(sr.gamma, expect)
     live = ~sr.degenerate
     assert np.nanmax(np.abs(sr.raw[:, live] - np.rint(sr.raw[:, live]))) < 0.05
-    lo, hi = pole_order_range(theta0, None)
+    lo, hi = pole_order_range(theta0, MultiplierSpec.zero_spec())
     assert lo <= sr.a <= hi
 
 
@@ -457,11 +475,11 @@ def test_report_serialization():
         lo, hi = pole_order_range(report.theta0, spec)
         return not lo <= report.a <= hi
 
-    assert not range_violation(rep, None)
+    assert not range_violation(rep, MultiplierSpec.zero_spec())
     assert not range_violation(rep, spec)
     bad = ResidueReport(2, 0.1, rep.A, rep.beta0, 0.0, rep.gamma0,
                         np.array([0, 0, 2]), 2, {})
-    assert range_violation(bad, None)          # a = 2 > theta0 - 1 = 1
+    assert range_violation(bad, MultiplierSpec.zero_spec())  # a = 2 > 1
     # mu = -1 with theta0 = 2 forces a >= 1: a = 0 violates
     low = ResidueReport(2, 0.1, rep.A, rep.beta0, 0.0, rep.gamma0,
                         np.zeros(3, dtype=int), 0, {})
