@@ -131,8 +131,7 @@ def classify(report: ResidueReport, spec: MultiplierSpec,
 
 
 def pmc_detect(defect: float, antiholomorphy_defect: float,
-               report: Optional[ResidueReport] = None,
-               threshold: float = PMC_THRESHOLD,
+               report: ResidueReport, threshold: float = PMC_THRESHOLD,
                tol_zero: float = TOL_ZERO) -> dict:
     """Parallelism test |pi_n grad H| with the residue cross-check.
 
@@ -144,7 +143,7 @@ def pmc_detect(defect: float, antiholomorphy_defect: float,
     is_pmc = bool(defect < threshold)
     result = {"pmc": is_pmc, "defect": defect,
               "antiholomorphy_defect": antiholomorphy_defect}
-    if is_pmc and report is not None:
+    if is_pmc:
         gate = _zero_gate(tol_zero, report.rho_spread)
         residues_zero = (np.linalg.norm(report.beta0) <= gate
                          and np.all(np.asarray(report.gamma) == 0))

@@ -138,11 +138,16 @@ def cmd_classify(args) -> int:
 
     with open(args.report) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a report is a JSON mapping, got {type(doc).__name__}")
+    try:
+        report = ResidueReport.from_json(doc["residues"])
+    except KeyError as exc:
+        raise ValueError(f"the report has no {exc} entry") from exc
     settings = resolve(_apply_overrides(doc.get("config", {}), args))
     # pmc is measured on the last level, so it is read from the report
     cond = doc.get("classification", {}).get("conditions", {})
-    verdict = classify(ResidueReport.from_json(doc["residues"]),
-                       settings.spec, pmc=bool(cond.get("pmc", False)),
+    verdict = classify(report, settings.spec, pmc=bool(cond.get("pmc", False)),
                        regular=settings.regular,
                        tol_zero=settings.tolerances["tol_zero"])
     out = verdict.to_json()

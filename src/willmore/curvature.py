@@ -60,9 +60,9 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
     return CurvatureField(field.grid, frame.lam, H, H0, K, density)
 
 
-def willmore_energy(curv: CurvatureField, r_lo=None, r_hi=None) -> float:
-    """Integral of |H|^2 over the annulus in the induced area element."""
-    return integrate(curv.grid, curv.energy_density, r_lo, r_hi)
+def willmore_energy(curv: CurvatureField) -> float:
+    """Integral of |H|^2 over the grid annulus in the induced area element."""
+    return integrate(curv.grid, curv.energy_density)
 
 
 def gauss_map_energy_density(frame: FrameField) -> np.ndarray:
@@ -70,15 +70,14 @@ def gauss_map_energy_density(frame: FrameField) -> np.ndarray:
     return frame.dn_norm ** 2
 
 
-def gauss_bonnet_check(curv: CurvatureField, branch: BranchData,
-                       r_lo=None, r_hi=None) -> dict:
-    """Liouville residual Lap u + e^{2 lam} K on the annulus.
+def gauss_bonnet_check(curv: CurvatureField, branch: BranchData) -> dict:
+    """Liouville residual Lap u + e^{2 lam} K on the rim-trimmed grid.
 
     This is the computable local form of the Gauss-Bonnet identity; u is
     the regular conformal part of the branch-order analysis, formed on
-    ``PolarGrid.band(r_lo, r_hi)``.
+    ``PolarGrid.band()``.
     """
-    band = curv.grid.band(r_lo, r_hi)
+    band = curv.grid.band()
     u, lam, K = (a[band.rows] for a in (branch.u, curv.lam, curv.K))
     return band.norms(laplacian(band, u) + np.exp(2.0 * lam) * K)
 

@@ -192,8 +192,7 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
 
 
 def verify_constants(fit: ExpansionFit, theta0: int, a: int, u0: float,
-                     gamma0: np.ndarray,
-                     E_a_from_H: Optional[np.ndarray] = None) -> dict:
+                     gamma0: np.ndarray, E_a_from_H: np.ndarray) -> dict:
     """Defects of the closed-form constants against the fitted coefficients.
 
     C = e^{2u0} gamma0 / (2 theta0^3): the cubic power is the one consistent
@@ -203,16 +202,15 @@ def verify_constants(fit: ExpansionFit, theta0: int, a: int, u0: float,
     out = {}
     expect_C = np.exp(2.0 * u0) / (2.0 * theta0 ** 3) * np.asarray(gamma0)
     out["C_defect"] = float(np.linalg.norm(fit.C_vec - expect_C))
-    if E_a_from_H is not None:
-        expect_Cta = (np.exp(2.0 * u0) / (2.0 * theta0 * (theta0 - a))
-                      * np.asarray(E_a_from_H))
-        if a == 0:
-            # |z|^{2 theta0} z^0 is real: only the real part is identifiable
-            out["C_theta_a_defect"] = float(
-                np.linalg.norm(fit.C_theta_a.real - expect_Cta.real))
-            out["C_theta_a_partial"] = True
-        else:
-            out["C_theta_a_defect"] = float(
-                np.linalg.norm(fit.C_theta_a - expect_Cta))
-            out["C_theta_a_partial"] = False
+    expect_Cta = (np.exp(2.0 * u0) / (2.0 * theta0 * (theta0 - a))
+                  * np.asarray(E_a_from_H))
+    if a == 0:
+        # |z|^{2 theta0} z^0 is real: only the real part is identifiable
+        out["C_theta_a_defect"] = float(
+            np.linalg.norm(fit.C_theta_a.real - expect_Cta.real))
+        out["C_theta_a_partial"] = True
+    else:
+        out["C_theta_a_defect"] = float(
+            np.linalg.norm(fit.C_theta_a - expect_Cta))
+        out["C_theta_a_partial"] = False
     return out

@@ -15,8 +15,10 @@ derivatives its result keeps: ``div`` differentiates v_x in x and v_y in y
 e^{-+i theta}(d_r -+ (i/r) d_theta)/2.  ``dot`` is the one contraction over
 the trailing (ambient) axis: bilinear, no conjugation.  ``PolarGrid.band``
 is the view of one annulus for stages that report only that annulus.
-``jsonable`` is the one converter of arrays and complex numbers to JSON
-values, used by every report writer.
+``annulus_mask`` always trims 10% of the rows at each rim, so every
+annulus norm stays off the one-sided stencils; ``integrate`` reads every
+row.  ``jsonable`` is the one converter of arrays and complex numbers to
+JSON values, used by every report writer.
 
 Field arrays are shaped (n_r, n_theta, ...) with arbitrary trailing axes.
 """
@@ -31,10 +33,12 @@ import numpy as np
 
 @dataclass(eq=False)
 class PolarGrid:
-    r_min: float
+    """The defaults are the grid a config without ``grid`` runs on."""
+
+    r_min: float = 1e-3
     r_max: float = 1.0
-    n_r: int = 64
-    n_theta: int = 128
+    n_r: int = 96
+    n_theta: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.r_min < self.r_max <= 1.0:
@@ -105,8 +109,9 @@ class PolarGrid:
         missing = sorted({"r_min", "n_r", "n_theta"} - set(d))
         if missing:
             raise ValueError(f"grid is missing {', '.join(missing)}")
-        return PolarGrid(float(d["r_min"]), float(d.get("r_max", 1.0)),
-                         int(d["n_r"]), int(d["n_theta"]))
+        r_max = float(d.get("r_max", PolarGrid.r_max))
+        return PolarGrid(float(d["r_min"]), r_max, int(d["n_r"]),
+                         int(d["n_theta"]))
 
     def band(self, r_lo=None, r_hi=None) -> "RowBand":
         """The rows of ``annulus_mask(self, r_lo, r_hi)`` plus one halo row
@@ -256,22 +261,21 @@ def circulation(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     return 2.0 * np.pi * _trail(grid.r[:, None], vx)[:, 0] * circle_mean(nu_dot)
 
 
-def annulus_mask(grid: PolarGrid, r_lo=None, r_hi=None, trim: float = 0.1) -> np.ndarray:
-    """Radial index mask; trims a fraction of indices at both radial rims."""
+def annulus_mask(grid: PolarGrid, r_lo=None, r_hi=None) -> np.ndarray:
+    """Radial index mask of [r_lo, r_hi] (the whole grid by default), less
+    10% of the rows (at least two) at each rim."""
     lo = grid.r_min if r_lo is None else r_lo
     hi = grid.r_max if r_hi is None else r_hi
     mask = (grid.r >= lo) & (grid.r <= hi)
-    if trim > 0:
-        k = max(2, int(round(trim * grid.n_r)))
-        mask[:k] = False
-        mask[-k:] = False
+    k = max(2, int(round(0.1 * grid.n_r)))
+    mask[:k] = False
+    mask[-k:] = False
     return mask
 
 
-def annulus_norms(grid: PolarGrid, f: np.ndarray, r_lo=None, r_hi=None,
-                  trim: float = 0.1) -> dict:
-    """Max and rms of |f| over the (trimmed) annulus; trailing axes pooled."""
-    return _norms(np.asarray(f)[annulus_mask(grid, r_lo, r_hi, trim)])
+def annulus_norms(grid: PolarGrid, f: np.ndarray, r_lo=None, r_hi=None) -> dict:
+    """Max and rms of |f| over ``annulus_mask``'s rows; trailing axes pooled."""
+    return _norms(np.asarray(f)[annulus_mask(grid, r_lo, r_hi)])
 
 
 def _norms(rows: np.ndarray) -> dict:
@@ -281,23 +285,21 @@ def _norms(rows: np.ndarray) -> dict:
     return {"max": float(np.max(vals)), "rms": float(np.sqrt(np.mean(vals ** 2)))}
 
 
-def integrate(grid: PolarGrid, f: np.ndarray, r_lo=None, r_hi=None) -> float:
-    """Integral of a scalar node field over an annulus, dx = r^2 ds dtheta.
+def integrate(grid: PolarGrid, f: np.ndarray) -> float:
+    """Integral of a scalar node field over the whole grid annulus,
+    dx = r^2 ds dtheta, reading every row.
 
     Periodic trapezoid in theta; endpoint-corrected trapezoid in s
     (fourth order for smooth radial profiles).
     """
-    mask = annulus_mask(grid, r_lo, r_hi, trim=0.0)
-    s = grid.s[mask]
-    ring = np.mean(f[mask], axis=1) * 2.0 * np.pi * np.exp(2.0 * s)
+    s = grid.s
+    ring = np.mean(f, axis=1) * 2.0 * np.pi * np.exp(2.0 * s)
     total = float(np.trapezoid(ring, s))
-    if len(s) >= 6:
-        h = s[1] - s[0]
-        w = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
-        d_lo = float(w @ ring[:5])
-        d_hi = float(-w @ ring[-1:-6:-1])
-        total -= h * h / 12.0 * (d_hi - d_lo)
-    return total
+    h = s[1] - s[0]
+    w = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
+    d_lo = float(w @ ring[:5])
+    d_hi = float(-w @ ring[-1:-6:-1])
+    return total - h * h / 12.0 * (d_hi - d_lo)
 
 
 def fit_order(hs, errs) -> float:

@@ -6,11 +6,15 @@ written in ordinary arithmetic on seeded jets produces machine-precision
 gradients and Hessians, which is how every catalog surface exposes exact
 derivative samples.  Values may be real or complex arrays; complex entries
 are treated componentwise (the derivatives are with respect to the two real
-coordinates, so conj / real / imag act slotwise).  Slots broadcast like
-numpy operands and may carry a trailing ambient axis.  A non-``Jet`` factor
-of ``*`` or divisor of ``/`` is a constant: it scales the six slots (by its
-reciprocal for ``/``), skipping the product rule, and numpy operands on the
-left defer to the jet.
+coordinates, so ``conj`` acts slotwise).  Slots broadcast like numpy
+operands and may carry a trailing ambient axis.
+
+The arithmetic is what the catalog charts write: ``+`` and ``*`` with a
+jet or a constant on either side, ``-`` and ``/`` with the jet on the left,
+positive integer powers, and ``log``, ``sin`` and ``cos``.  A non-``Jet``
+factor of ``*`` or divisor of ``/`` is a constant: it scales the six slots
+(by its reciprocal for ``/``), skipping the product rule, and numpy
+operands on the left defer to the jet.
 """
 
 from __future__ import annotations
@@ -55,9 +59,6 @@ class Jet:
     def __sub__(self, o):
         return self + (-self._wrap(o))
 
-    def __rsub__(self, o):
-        return self._wrap(o) + (-self)
-
     def __mul__(self, o):
         if not isinstance(o, Jet):
             return self._map(lambda s: s * o)
@@ -77,24 +78,18 @@ class Jet:
             return self * (1.0 / o)
         return self * o._reciprocal()
 
-    def __rtruediv__(self, o):
-        return self._wrap(o) * self._reciprocal()
-
     def _reciprocal(self):
         inv = 1.0 / self.f
         return self._compose(inv, -inv * inv, 2 * inv * inv * inv)
 
     def __pow__(self, n):
-        if n == 0:
-            return Jet(np.ones_like(self.f))
-        if isinstance(n, int) and n > 0:
-            # exact for negative / zero bases too
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out
-        u = self.f
-        return self._compose(u ** n, n * u ** (n - 1), n * (n - 1) * u ** (n - 2))
+        """Repeated products, exact for negative and zero bases too."""
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"jets take positive integer powers, got {n!r}")
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
     # -- chain rule for a scalar function g with g', g'' evaluated at f ------
 
@@ -113,14 +108,6 @@ class Jet:
     def _map(self, fn):
         return Jet(fn(self.f), fn(self.fx), fn(self.fy),
                    fn(self.fxx), fn(self.fxy), fn(self.fyy))
-
-    @property
-    def real(self):
-        return self._map(np.real)
-
-    @property
-    def imag(self):
-        return self._map(np.imag)
 
     def conj(self):
         return self._map(np.conj)

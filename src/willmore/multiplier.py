@@ -16,7 +16,6 @@ e^{-2 lam} f dz(Phi) = dzbar(F_mu) + J.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from numbers import Real
 
@@ -78,9 +77,7 @@ class MultiplierSpec:
                 "zero": self.zero}
 
     @staticmethod
-    def from_json(doc) -> "MultiplierSpec":
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
+    def from_json(doc: dict) -> "MultiplierSpec":
         if doc.get("zero", False):
             return MultiplierSpec.zero_spec()
         mu, am = doc["mu"], doc["a_mu"]

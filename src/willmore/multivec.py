@@ -18,7 +18,9 @@ Operations: wedge product, Hodge star (standard orientation of R^m),
 interior multiplication ``interior(gamma, beta)`` defined by duality
 <gamma . beta, alpha> = <gamma, beta ^ alpha>, and the first-order
 contraction ``bullet`` defined inductively from the interior product.
-The inner product is bilinear (no complex conjugation).
+The inner product is bilinear (no complex conjugation).  Besides these,
+a ``MultiVec`` adds to one of equal grade; any other linear operation
+(scaling, negation, norms, basis elements) acts on ``coeffs`` directly.
 """
 
 from __future__ import annotations
@@ -185,31 +187,12 @@ class MultiVec:
                 f"got shape {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(m: int, k: int, lead_shape: tuple = (), dtype=float) -> "MultiVec":
-        return MultiVec(m, k, np.zeros(lead_shape + (comb(m, k),), dtype=dtype))
-
     @staticmethod
     def vector(m: int, components: np.ndarray) -> "MultiVec":
         components = np.asarray(components)
         if components.shape[-1] != m:
             raise AlgebraError(f"vector needs {m} components")
         return MultiVec(m, 1, components)
-
-    @staticmethod
-    def basis(m: int, indices: tuple[int, ...]) -> "MultiVec":
-        """Basis element e_{i1} ^ ... ^ e_{ik} for strictly increasing indices."""
-        if list(indices) != sorted(set(indices)):
-            raise AlgebraError("basis indices must be strictly increasing")
-        k = len(indices)
-        mask = sum(1 << (i - 1) for i in indices)
-        c = np.zeros(comb(m, k))
-        c[_positions(m, k)[mask]] = 1.0
-        return MultiVec(m, k, c)
-
-    # -- helpers -----------------------------------------------------------
 
     def _like(self, other: "MultiVec"):
         if self.ambient_dim != other.ambient_dim:
@@ -220,23 +203,6 @@ class MultiVec:
         if self.grade != other.grade:
             raise AlgebraError("grade mismatch in addition")
         return MultiVec(self.ambient_dim, self.grade, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "MultiVec") -> "MultiVec":
-        self._like(other)
-        if self.grade != other.grade:
-            raise AlgebraError("grade mismatch in subtraction")
-        return MultiVec(self.ambient_dim, self.grade, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "MultiVec":
-        return MultiVec(self.ambient_dim, self.grade, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "MultiVec":
-        return MultiVec(self.ambient_dim, self.grade, -self.coeffs)
-
-    def norm(self) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=-1))
 
 
 def wedge(a: MultiVec, b: MultiVec) -> MultiVec:

@@ -180,7 +180,7 @@ def resolve(config) -> Settings:
     name = config["surface"].get("name")
 
     grids = [_base_grid(config["grid"]) if "grid" in config
-             else PolarGrid(1e-3, 1.0, 96, 64)]
+             else PolarGrid()]
     n_levels = config.get("levels", 1)
     if not _is_integer(n_levels) or n_levels < 1:
         _refuse("levels", f"levels must be a positive integer, got "
@@ -293,7 +293,7 @@ def analyze_level(settings: Settings,
         level["multiplier"] = {"mode": "zero" if spec.zero else "spec",
                                "spec": spec.to_json()}
 
-    eq = _stage("equation", equation, curv, frame, f_field, field, 0.1, 0.9)
+    eq = _stage("equation", equation, curv, frame, f_field, field)
     fl, pmc_defect = eq.flux, eq.pmc_defect
     level["strong_norms"] = eq.norms["strong"]
     level["div_norms"] = eq.norms["div"]
@@ -327,7 +327,7 @@ def analyze_level(settings: Settings,
         level["special_fields_mismatch"] = sf.mismatch
     W = _stage("w_field", w_field, L, curv.H, beta0, F_mu, grid)
     srw = _stage("second_residue", second_residue, W, grid,
-                 tol["winding_gate"], ldef["noise_profile"])
+                 ldef["noise_profile"], tol["winding_gate"])
     level["gamma"] = srw.gamma
     level["a"] = srw.a
     level["winding_raw"] = srw.raw

@@ -24,8 +24,9 @@ circulation, consistently with the mean curvature growing like
 
 ``equation`` evaluates both forms of a level at once: it forms e^{2 lam}
 and pi_n grad H once, and returns the strong-form field, the flux (built
-once, without beta0), the annulus norms of the strong form, of div X_raw
-and of the gap in the identity above, and the parallelism defect
+once, without beta0), the norms of the strong form, of div X_raw and of
+the gap in the identity above over ``NORM_ANNULUS``, and the parallelism
+defect
 |pi_n grad H| / max(|grad H|, |H|).  The pass takes grad H itself (it is
 its only reader) and reads grad n from the cache ``FrameField.dn``; grad H
 and pi_n grad H live only inside the pass and are released before the flux
@@ -45,6 +46,10 @@ from willmore.grid import PolarGrid, annulus_norms, div, dot, grad
 from willmore.multiplier import matrix_field
 from willmore.multivec import MultiVec, hodge_star, wedge
 from willmore.surface import FrameField, ImmersionField, normal_projector
+
+#: the annulus [r_lo, r_hi] of the equation's norms (``annulus_mask`` also
+#: trims 10% of the rows at each rim)
+NORM_ANNULUS = (0.1, 0.9)
 
 
 @dataclass(eq=False)
@@ -68,7 +73,7 @@ class Equation:
     strong: np.ndarray              # strong-form residual, (n_r, n_theta, m)
     div_defect: np.ndarray          # div X_raw per node, (n_r, n_theta, m)
     flux: FluxField
-    norms: dict     # annulus norms: "strong", "div" (div X_raw), "identity"
+    norms: dict     # NORM_ANNULUS norms: "strong", "div" (div X_raw), "identity"
     pmc_defect: float               # |pi_n grad H| / max(|grad H|, |H|)
 
 
@@ -80,14 +85,13 @@ def _star_wedge_with_H(comp: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 def equation(curv: CurvatureField, frame: FrameField,
              f: Optional[np.ndarray] = None,
-             field: Optional[ImmersionField] = None,
-             r_lo=None, r_hi=None) -> Equation:
+             field: Optional[ImmersionField] = None) -> Equation:
     """The strong form, the flux X_raw and their checks, with multiplier f.
 
     The multiplier terms use M_f of ``f`` and grad Phi of ``field``.  With
     f absent or identically zero they are skipped, so both forms reduce
-    bitwise to the plain Willmore equation.  The norms are taken over the
-    annulus [r_lo, r_hi].
+    bitwise to the plain Willmore equation.  The norms are taken over
+    ``NORM_ANNULUS``.
     """
     grid = curv.grid
     if f is not None and not np.any(f):
@@ -129,8 +133,8 @@ def equation(curv: CurvatureField, frame: FrameField,
 
     div_defect = div(grid, raw[0], raw[1])
     gap = strong + 0.5 * div_defect / e2l
-    norms = {"strong": annulus_norms(grid, strong, r_lo, r_hi),
-             "div": annulus_norms(grid, div_defect, r_lo, r_hi),
-             "identity": annulus_norms(grid, gap, r_lo, r_hi)}
+    norms = {"strong": annulus_norms(grid, strong, *NORM_ANNULUS),
+             "div": annulus_norms(grid, div_defect, *NORM_ANNULUS),
+             "identity": annulus_norms(grid, gap, *NORM_ANNULUS)}
     return Equation(strong, div_defect, FluxField(grid, raw), norms,
                     pmc_defect)

@@ -133,15 +133,11 @@ def tangent_vector(field: ImmersionField, frame: FrameField,
 # first and modified residues
 # ---------------------------------------------------------------------------
 
-def first_residue(fl: FluxField, circles: Optional[np.ndarray] = None) -> dict:
-    """beta0 = circulation / 4 pi per circle; mean and rho-spread reported."""
-    if circles is None:
-        lo, hi = int(0.25 * fl.grid.n_r), int(0.75 * fl.grid.n_r)
-        if hi - lo < 5:
-            raise ResidueError("grid too coarse to place residue circles")
-        circles = np.linspace(lo, hi, 5).astype(int)
-    if len(circles) < 3:
-        raise ResidueError("need at least 3 circles strictly inside the grid")
+def first_residue(fl: FluxField) -> dict:
+    """beta0 = circulation / 4 pi per circle on 5 circles spread over the
+    rows at 25-75% of the grid; mean and rho-spread reported."""
+    n_r = fl.grid.n_r  # at least 16, so the 5 circles are distinct
+    circles = np.linspace(int(0.25 * n_r), int(0.75 * n_r), 5).astype(int)
     all_beta = circulation(fl.grid, fl.raw[0], fl.raw[1]) / (4.0 * np.pi)
     table = all_beta[circles]
     beta0 = table.mean(axis=0)
@@ -314,8 +310,8 @@ def _winding(values: np.ndarray) -> float:
     return float(np.sum(steps) * n / (n - 1) / (2.0 * np.pi))
 
 
-def second_residue(W: np.ndarray, grid: PolarGrid, gate: float = WINDING_GATE,
-                   noise_profile: Optional[np.ndarray] = None) -> SecondResidue:
+def second_residue(W: np.ndarray, grid: PolarGrid, noise_profile: np.ndarray,
+                   gate: float = WINDING_GATE) -> SecondResidue:
     """Componentwise winding numbers gamma_j = -winding(W_j) on small circles.
 
     Four circles are drawn from the innermost quartile of radii where the
@@ -326,14 +322,13 @@ def second_residue(W: np.ndarray, grid: PolarGrid, gate: float = WINDING_GATE,
     detected by a modulus below 1e-7 relative to the largest component,
     by a modulus below 3x the noise floor (half the largest entry of L's
     ``noise_profile``, its holonomy plus path mismatch, on the inner
-    max(4, n_r // 4) circles; 0 without one), or by the circle-mean modulus
+    max(4, n_r // 4) circles), or by the circle-mean modulus
     decaying toward the puncture (log-log slope >= 1/2), since a meromorphic
     E_j with E_j(0) != 0 or a pole can only stay level or grow inward.  A
     degenerate component's raw windings are NaN: its phase is noise, not a
     measurement.
     """
-    noise_floor = 0.0 if noise_profile is None else \
-        0.5 * float(np.max(noise_profile[:max(4, grid.n_r // 4)]))
+    noise_floor = 0.5 * float(np.max(noise_profile[:max(4, grid.n_r // 4)]))
     m = W.shape[-1]
     hi = max(int(0.25 * grid.n_r), 6)
     idx = sorted(set(np.linspace(2, hi, 4).astype(int).tolist()))  # no numpy.ma

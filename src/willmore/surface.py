@@ -23,7 +23,7 @@ import numpy as np
 from willmore import jets
 from willmore.grid import PolarGrid, dot, grad
 from willmore.jets import Jet
-from willmore.multivec import MultiVec, hodge_star, wedge
+from willmore.multivec import MAX_DIM, MIN_DIM, MultiVec, hodge_star, wedge
 
 
 #: default ``defect_threshold``: the largest conformal defect a frame accepts
@@ -389,9 +389,13 @@ def save_samples_csv(field: ImmersionField, path) -> None:
 def load_samples_csv(path) -> ImmersionField:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        m = len(header) - 2
+        m = len(next(reader, [])) - 2
+        if not MIN_DIM <= m <= MAX_DIM:
+            raise SurfaceError(f"CSV has {m + 2} columns: need r, theta and "
+                               f"{MIN_DIM} to {MAX_DIM} coordinates")
         rows = [[float(v) for v in row] for row in reader]
+    if not rows:
+        raise SurfaceError("CSV has a header but no sample rows")
     data = np.asarray(rows)
     if not np.all(np.isfinite(data[:, :2])):
         raise SurfaceError("CSV node coordinates must be finite")

@@ -118,12 +118,15 @@ def antiholomorphy_defect(spec, grid, discrete: bool = False) -> float:
         return annulus_norms(grid, dz(grid, f))["max"] / scale
     xj, yj = Jet.seed(grid.x, grid.y)
     zb = xj - 1j * yj  # conjugate coordinate jet
+    one = Jet(np.ones_like(grid.x))
+    # jets take positive powers only: zbar^0 is 1 and zbar^-1 is 1 / zbar
+    power = lambda d: one / zb if d == -1 else one if d == 0 else zb ** d
     out = Jet(np.zeros_like(grid.x, dtype=complex))
     if not spec.zero:
-        out = out + spec.a_mu * zb ** spec.mu
+        out = out + spec.a_mu * power(spec.mu)
         for d, c in enumerate(spec.f0):
             if c != 0:
-                out = out + c * zb ** d
+                out = out + c * power(d)
     dz_f = 0.5 * (out.fx - 1j * out.fy)
     scale = max(float(np.max(np.abs(out.f))), 1e-30)
     return float(np.max(np.abs(dz_f))) / scale
@@ -164,5 +167,6 @@ def synthetic_th4_per_component(params, m):
             rem = z ** (2 * theta0 - a + 1)
             hol = [h + Jet(c["xi"][k]) * rem for k, h in enumerate(hol)]
         logterm = r2 ** theta0 * (0.5 * theta0 * jets.log(r2) - 1.0)
-        return [hol[k].real - c["C_log"][k] * logterm for k in range(m)]
+        return [hol[k]._map(np.real) - c["C_log"][k] * logterm
+                for k in range(m)]
     return chart

@@ -123,7 +123,8 @@ def test_pmc_detect_on_catalog():
         frame = frame_and_gauss(field, conformal_factor(field))
         curv = curvature(field, frame)
         out = pmc_detect(equation(curv, frame).pmc_defect,
-                         pmc_multiplier(curv, frame)["antiholomorphy_defect"])
+                         pmc_multiplier(curv, frame)["antiholomorphy_defect"],
+                         make_report(theta0=1))
         assert out["pmc"] == expect, name
 
 

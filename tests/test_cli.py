@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from willmore import pipeline
+from willmore import pipeline, surface
 from willmore.cli import main
 from willmore.pipeline import run_pipeline, PipelineError
 from willmore.grid import PolarGrid
@@ -116,6 +116,19 @@ def test_classify_from_saved_report(tmp_path, capsys):
     gate = json.loads(capsys.readouterr().out)["conditions"]["zero_gate"]
     spread = json.loads(Path(report).read_text())["residues"]["rho_spread"]
     assert gate == 10.0 * spread < 1e-6
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"config": PLANE}, "the report has no 'residues' entry"),
+    ({"config": PLANE, "residues": {"theta0": 1}},
+     "the report has no 'u0' entry"),
+    ([PLANE], "a report is a JSON mapping, got list"),
+])
+def test_classify_malformed_report_named(tmp_path, capsys, doc, message):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    assert main(["classify", "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def analyze_report(tmp_path, cfg, capsys) -> dict:
@@ -342,6 +355,33 @@ def test_csv_too_coarse_for_stencil_named(tmp_path):
                       "tolerances": {"defect_threshold": 0.1}})
     assert err.value.stage == "surface"
     assert "too coarse" in str(err.value)
+
+
+@pytest.mark.parametrize("m", [2, 9])
+def test_csv_column_count_refused_at_surface(tmp_path, m):
+    # r, theta and m coordinates of a plane; m outside [3, 8] is refused
+    # when the samples load, before any derived field is formed
+    path = tmp_path / "samples.csv"
+    grid = PolarGrid(1e-3, 1.0, 24, 32)
+    phi = np.zeros((grid.n_r, grid.n_theta, m))
+    phi[..., 0], phi[..., 1] = grid.x, grid.y
+    surface.write_csv(path, ["r", "theta"] + [f"phi_{k + 1}" for k in range(m)],
+                      [np.repeat(grid.r, grid.n_theta),
+                       np.tile(grid.theta, grid.n_r)]
+                      + list(phi.reshape(-1, m).T))
+    with pytest.raises(PipelineError, match=f"{m + 2} columns") as err:
+        run_pipeline({"surface": {"csv": str(path)}})
+    assert err.value.stage == "surface"
+    assert isinstance(err.value.cause, surface.SurfaceError)
+
+
+def test_csv_without_rows_refused_at_surface(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("r,theta,phi_1,phi_2,phi_3\r\n")
+    with pytest.raises(PipelineError, match="no sample rows") as err:
+        run_pipeline({"surface": {"csv": str(path)}})
+    assert err.value.stage == "surface"
+    assert isinstance(err.value.cause, surface.SurfaceError)
 
 
 def test_csv_roundtrip_through_pipeline(tmp_path):

@@ -142,7 +142,8 @@ def test_verify_constants_zero_gamma0():
               "gamma0": np.zeros(4)}
     field, frame, br = prepared(params)
     fit = fit_phi(field, 2, 1, br.u0)
-    vc = verify_constants(fit, 2, 1, br.u0, np.zeros(4))
+    hf = fit_H(curvature(field, frame), 2, 1, br.u0)
+    vc = verify_constants(fit, 2, 1, br.u0, np.zeros(4), hf["E_a"])
     # gamma0 = 0: the defect reduces to |C_vec| itself, expected ~ 0
     assert vc["C_defect"] == pytest.approx(np.linalg.norm(fit.C_vec))
     assert vc["C_defect"] < 1e-8

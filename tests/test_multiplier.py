@@ -83,7 +83,7 @@ def test_sampled_f_is_antiholomorphic():
 
 def test_json_round_trip():
     spec = MultiplierSpec(mu=1, a_mu=2.0 - 1.0j, f0=(0, 0, 0.5 + 0.25j))
-    doc = json.dumps(spec.to_json())
+    doc = json.loads(json.dumps(spec.to_json()))
     back = MultiplierSpec.from_json(doc)
     assert back == spec
     assert MultiplierSpec.from_json({"zero": True}).zero

@@ -29,7 +29,10 @@ def rand_mv(m, k, lead=(), integer=False):
 
 
 def e(m, *idx):
-    return MultiVec.basis(m, idx)
+    """Basis element e_{i1} ^ ... ^ e_{ik}, indices strictly increasing."""
+    c = np.zeros(comb(m, len(idx)), dtype=int)
+    c[_positions(m, len(idx))[sum(1 << (i - 1) for i in idx)]] = 1
+    return MultiVec(m, len(idx), c)
 
 
 # -- wedge ------------------------------------------------------------------
@@ -49,8 +52,8 @@ def test_wedge_hand_expansion():
     # (e1 + e2) ^ (e1 - e2) = -2 e12
     m = 4
     a = e(m, 1) + e(m, 2)
-    b = e(m, 1) - e(m, 2)
-    expect = -2.0 * e(m, 1, 2).coeffs
+    b = MultiVec(m, 1, e(m, 1).coeffs - e(m, 2).coeffs)
+    expect = -2 * e(m, 1, 2).coeffs
     assert np.array_equal(wedge(a, b).coeffs, expect)
 
 
@@ -225,7 +228,7 @@ def _bullet_right_to_left(alpha, mask_b, grade_b):
             rest_mv = e(m, i) if rest_mv is None else wedge(rest_mv, e(m, i))
     t2 = wedge(interior(alpha, e(m, idx)), rest_mv)
     if qr % 2:
-        t2 = -t2
+        t2 = MultiVec(m, t2.grade, -t2.coeffs)
     return t1 + t2
 
 
@@ -260,12 +263,12 @@ def test_bullet_hand_case_m4():
     # and a case with nonzero value: (e1 ^ e3) bullet (e1 ^ e2)
     b = bullet(e(m, 1, 3), e(m, 1, 2))
     # (e13 . e1) ^ e2 - (e13 . e2) ^ e1 = e3 ^ e2 - 0 = -e23
-    assert np.array_equal(b.coeffs, (-e(m, 2, 3)).coeffs)
+    assert np.array_equal(b.coeffs, -e(m, 2, 3).coeffs)
 
 
 def test_bullet_zero_right_slot():
     a = rand_mv(4, 2)
-    z = MultiVec.zero(4, 2)
+    z = MultiVec(4, 2, np.zeros(6))
     assert not np.any(bullet(a, z).coeffs)
 
 

@@ -110,6 +110,20 @@ def test_verify_system_takes_four_divergences(monkeypatch):
     assert div_rows == [band.n_r] * 12
 
 
+def test_report_norms_are_the_equation_norms():
+    # the equation owns the annulus of its norms: the library call and the
+    # report agree to the bit
+    settings = pipeline.resolve(ONE_PASS_CONFIGS["zero_multiplier"])
+    _, _, frame, _, curv = pipeline.level_geometry(settings,
+                                                   settings.grids[0])
+    norms = residual.equation(curv, frame).norms
+    doc = pipeline.run_pipeline(ONE_PASS_CONFIGS["zero_multiplier"])
+    level = doc["levels"][0]
+    assert level["strong_norms"] == norms["strong"]
+    assert level["div_norms"] == norms["div"]
+    assert level["equivalence_norms"] == norms["identity"]
+
+
 @pytest.mark.parametrize("with_potentials", [False, True])
 def test_csv_level_differentiates_once(tmp_path, monkeypatch,
                                        with_potentials):

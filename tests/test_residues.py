@@ -182,13 +182,6 @@ def test_first_residue_inverted_catenoid_stable():
     assert abs(a - b) / b < 1e-3  # stable to 3 significant digits
 
 
-def test_first_residue_needs_circles():
-    grid = PolarGrid(0.02, 1.0, 64, 64)
-    fl = _planted_flux(grid, np.zeros(3))
-    with pytest.raises(ResidueError):
-        first_residue(fl, circles=np.array([10, 20]))
-
-
 # -- modified residue ---------------------------------------------------------
 
 def test_modified_residue_indicator():
@@ -255,10 +248,10 @@ def test_second_residue_with_log_multiplier():
     f_field = spec.evaluate(grid.z)
     fl = equation(curv, frame, f_field, field).flux
     beta0 = first_residue(fl)["beta0"]
-    L, _ = potential_L(fl, beta0)
+    L, ldef = potential_L(fl, beta0)
     sf = special_fields(spec, br, td.A, field, frame.lam)
     W = w_field(L, curv.H, beta0, sf.F_mu, grid)
-    sr = second_residue(W, grid)
+    sr = second_residue(W, grid, ldef["noise_profile"])
     assert sr.a == a
     assert list(sr.gamma[2:]) == [a, a]
     live = ~sr.degenerate
@@ -323,7 +316,7 @@ def test_winding_exact_on_monomials():
     W[..., 0] = (2.0 + 1.0j) * grid.z ** -3
     W[..., 1] = 0.7
     W[..., 2] = 1e-12
-    sr = second_residue(W, grid)
+    sr = second_residue(W, grid, np.zeros(grid.n_r))
     assert list(sr.gamma) == [3, 0, 0]
     assert sr.a == 3
     assert sr.degenerate[2] and not sr.degenerate[0]
@@ -336,13 +329,12 @@ def test_degenerate_windings_are_nan():
     W = np.empty((grid.n_r, grid.n_theta, 2), dtype=complex)
     W[..., 0] = grid.z ** -1
     W[..., 1] = 1e-12 * np.exp(0.3j)
-    sr = second_residue(W, grid)
+    sr = second_residue(W, grid, np.zeros(grid.n_r))
     assert list(sr.degenerate) == [False, True]
     assert np.all(np.isfinite(sr.raw[:, 0])) and np.all(np.isnan(sr.raw[:, 1]))
     # noise-dominated W: every component degenerate, every winding NaN
     noise = RNG.normal(size=W.shape) + 1j * RNG.normal(size=W.shape)
-    sr = second_residue(1e-9 * noise, grid,
-                        noise_profile=np.full(grid.n_r, 2e-6))
+    sr = second_residue(1e-9 * noise, grid, np.full(grid.n_r, 2e-6))
     assert np.all(sr.degenerate) and np.all(np.isnan(sr.raw))
 
 
@@ -356,11 +348,11 @@ def test_noise_floor_reads_the_inner_quarter_of_the_profile():
     inner = grid.n_r // 4
     edge = np.zeros(grid.n_r)
     edge[inner - 1] = 1e-3       # 3 x 0.5e-3 above the second component
-    sr = second_residue(W, grid, noise_profile=edge)
+    sr = second_residue(W, grid, edge)
     assert list(sr.degenerate) == [False, True] and list(sr.gamma) == [1, 0]
     beyond = np.zeros(grid.n_r)
     beyond[inner:] = 1.0
-    sr = second_residue(W, grid, noise_profile=beyond)
+    sr = second_residue(W, grid, beyond)
     assert not np.any(sr.degenerate) and list(sr.gamma) == [1, 0]
 
 
@@ -370,7 +362,7 @@ def test_winding_gate_rejects_non_integer():
     # half-integer winding: |z|^{1/2} phase structure
     W[..., 0] = np.exp(0.5j * grid.tt) * (1.0 + 0.0j)
     with pytest.raises(ResidueError):
-        second_residue(W, grid)
+        second_residue(W, grid, np.zeros(grid.n_r))
 
 
 def test_gauge_invariance_of_gamma():
@@ -385,10 +377,12 @@ def test_gauge_invariance_of_gamma():
     curv = curvature(field, frame)
     fl = equation(curv, frame).flux
     beta0 = first_residue(fl)["beta0"]
-    L, _ = potential_L(fl, beta0)
-    sr1 = second_residue(w_field(L, curv.H, beta0, None, grid), grid)
+    L, ldef = potential_L(fl, beta0)
+    noise = ldef["noise_profile"]
+    sr1 = second_residue(w_field(L, curv.H, beta0, None, grid), grid, noise)
     shift = RNG.standard_normal(4)
-    sr2 = second_residue(w_field(L + shift, curv.H, beta0, None, grid), grid)
+    sr2 = second_residue(w_field(L + shift, curv.H, beta0, None, grid), grid,
+                         noise)
     assert np.array_equal(sr1.gamma, sr2.gamma)
 
 
@@ -413,7 +407,8 @@ def test_synthetic_pipeline_recovers_gamma(theta0, a):
     out = first_residue(fl)
     L, _ = potential_L(fl, out["beta0"])
     W = w_field(L, curv.H, out["beta0"], None, grid)
-    sr = second_residue(W, grid)
+    # no noise floor, so every component of E_a has a measured winding
+    sr = second_residue(W, grid, np.zeros(grid.n_r))
     assert sr.a == a
     expect = np.where(np.abs(E) > 0, a, 0)
     assert np.array_equal(sr.gamma, expect)
@@ -442,8 +437,9 @@ def test_rotation_equivariance():
         fl = equation(curv, frame).flux
         out = first_residue(fl)
         td = tangent_vector(field, frame, br)
-        L, _ = potential_L(fl, out["beta0"])
-        sr = second_residue(w_field(L, curv.H, out["beta0"], None, grid), grid)
+        L, ldef = potential_L(fl, out["beta0"])
+        sr = second_residue(w_field(L, curv.H, out["beta0"], None, grid), grid,
+                            ldef["noise_profile"])
         return br, td, out, sr
 
     base = CATALOG["synthetic_th4"](dict(params), m)
