@@ -140,6 +140,10 @@ def cmd_classify(args) -> int:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"a report is a JSON mapping, got {type(doc).__name__}")
+    for key in ("residues", "classification"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValueError(f"the report's {key!r} entry is a JSON mapping, "
+                             f"got {type(doc[key]).__name__}")
     try:
         report = ResidueReport.from_json(doc["residues"])
     except KeyError as exc:

@@ -18,9 +18,8 @@ Operations: wedge product, Hodge star (standard orientation of R^m),
 interior multiplication ``interior(gamma, beta)`` defined by duality
 <gamma . beta, alpha> = <gamma, beta ^ alpha>, and the first-order
 contraction ``bullet`` defined inductively from the interior product.
-The inner product is bilinear (no complex conjugation).  Besides these,
-a ``MultiVec`` adds to one of equal grade; any other linear operation
-(scaling, negation, norms, basis elements) acts on ``coeffs`` directly.
+The inner product is bilinear (no complex conjugation).  Linear
+operations (sums, scaling, negation, norms) act on ``coeffs`` directly.
 """
 
 from __future__ import annotations
@@ -197,12 +196,6 @@ class MultiVec:
     def _like(self, other: "MultiVec"):
         if self.ambient_dim != other.ambient_dim:
             raise AlgebraError("ambient dimension mismatch")
-
-    def __add__(self, other: "MultiVec") -> "MultiVec":
-        self._like(other)
-        if self.grade != other.grade:
-            raise AlgebraError("grade mismatch in addition")
-        return MultiVec(self.ambient_dim, self.grade, self.coeffs + other.coeffs)
 
 
 def wedge(a: MultiVec, b: MultiVec) -> MultiVec:

@@ -7,7 +7,9 @@ g and G solve Poisson problems driven by Gamma = 2 beta0 log|x|,
 with zero Dirichlet data on the outer grid circle; the puncture side closes
 with the bounded-solution (decaying-mode) condition on each angular mode,
 and all modes are solved together in one sweep over the exponential radial
-grid.  S (scalar) and R (2-vector valued) are curl potentials of
+grid.  As beta0 is constant, one m-component solve of Lap U = (2/r) d_r Phi
+gives g = beta0 . U and G = beta0 ^ U.  S (scalar) and R (2-vector valued)
+are curl potentials of
 
     grad_perp S = L . grad_perp(Phi) - grad g,
     grad_perp R = L ^ grad_perp(Phi) - 2 H ^ grad(Phi) - grad G,
@@ -18,8 +20,8 @@ conservative conformal Willmore system and the closing identity
              - (grad R - grad_perp G) . grad_perp Phi (first-order
 contraction in the second pairing), all with the exterior-algebra
 operators, on the annulus rows plus a halo row (``PolarGrid.band``).
-``potential_set`` keeps S, R and, of the rest, only the band rows that
-``verify_system`` reads.
+``potential_set`` builds R in m // 2 blocks of at most m components and
+keeps S, R and, of the rest, only the band rows ``verify_system`` reads.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import numpy as np
 
 from willmore.curvature import CurvatureField
 from willmore.grid import PolarGrid, RowBand, div, dot, grad
-from willmore.multivec import MultiVec, bullet, hodge_star, inner, wedge
+from willmore.multivec import (MultiVec, _apply_bilinear, _wedge_table, bullet,
+                               hodge_star, inner)
 from willmore.residues import integrate_curl_potential
 from willmore.surface import FrameField, ImmersionField
 
@@ -105,24 +108,15 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(u, n_theta, axis=1).reshape(rhs.shape)
 
 
-def solve_gG(beta0: np.ndarray,
-             field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
-    """(g, G), the potentials of the log source Gamma = 2 beta0 log|x|
-    (zero if beta0 is)."""
+def solve_gG(beta0: np.ndarray, field: ImmersionField) -> np.ndarray:
+    """U with g = beta0 . U and G = beta0 ^ U (zero if beta0 is): one
+    m-component solve of Lap U = w = (2/r) d_r Phi."""
     grid = field.grid
-    m = field.ambient_dim
-    beta0 = np.asarray(beta0, dtype=float)
-    d1 = field.d1
     if not np.any(beta0):
-        return (np.zeros((grid.n_r, grid.n_theta)),
-                np.zeros((grid.n_r, grid.n_theta, comb(m, 2))))
-    r2 = grid.rr ** 2
-    gam_x = 2.0 * grid.x[..., None] * beta0 / r2[..., None]
-    gam_y = 2.0 * grid.y[..., None] * beta0 / r2[..., None]
-    rhs_g = dot(gam_x, d1[0]) + dot(gam_y, d1[1])
-    bmv = lambda v: MultiVec.vector(m, v)
-    rhs_G = (wedge(bmv(gam_x), bmv(d1[0])) + wedge(bmv(gam_y), bmv(d1[1]))).coeffs
-    return _solve_modes(grid, rhs_g), _solve_modes(grid, rhs_G)
+        return np.zeros((grid.n_r, grid.n_theta, field.ambient_dim))
+    w = ((2.0 * grid.x / grid.rr ** 2)[..., None] * field.d1[0]
+         + (2.0 * grid.y / grid.rr ** 2)[..., None] * field.d1[1])
+    return _solve_modes(grid, w)
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +125,37 @@ def solve_gG(beta0: np.ndarray,
 
 def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
                   curv: CurvatureField, band: RowBand) -> PotentialSet:
-    """g and G (``solve_gG``), then S and R from the flux potential L; the
-    set keeps the rows of ``band`` (a ``PolarGrid.band``) for checking."""
-    grid, d1 = field.grid, field.d1
-    perp = (-d1[1], d1[0])
+    """grad g and grad G from U (``solve_gG``), then S and R from the flux
+    potential L; the set keeps the rows of ``band`` (a ``PolarGrid.band``)."""
+    grid, d1, m = field.grid, field.d1, field.ambient_dim
     cut = lambda pair: tuple(v[band.rows].copy() for v in pair)
-    g, G = solve_gG(beta0, field)
-    dg = grad(grid, g)
-    v_s = (dot(L, perp[0]) - dg[0], dot(L, perp[1]) - dg[1])
+    dU = grad(grid, solve_gG(beta0, field))
+    dg = (dot(dU[0], beta0), dot(dU[1], beta0))
+    # grad_perp Phi = (-Phi_y, Phi_x); -(a . b) is a . (-b) bit for bit
+    v_s = (-dot(L, d1[1]) - dg[0], dot(L, d1[0]) - dg[1])
     S, dS = integrate_curl_potential(grid, v_s[0], v_s[1])
     v_s, dg = cut(v_s), cut(dg)
-    v_r = grad(grid, G)              # grad G, until v_R is formed over it
-    del G
-    dG = cut(v_r)
-    bmv = lambda v: MultiVec.vector(field.ambient_dim, v)
-    Lw, Hw = bmv(L), bmv(curv.H)
-    for p, d, out in zip(perp, d1, v_r):
-        np.subtract(wedge(Lw, bmv(p)).coeffs - 2.0 * wedge(Hw, bmv(d)).coeffs,
-                    out, out=out)
-    R, dR = integrate_curl_potential(grid, v_r[0], v_r[1])
-    return PotentialSet(band, S, R, v_s, cut(v_r), dg, dG, {"S": dS, "R": dR})
+    n2 = comb(m, 2)
+    width = n2 // (m // 2)
+    R = np.empty((grid.n_r, grid.n_theta, n2))
+    v_r, dG = ([np.empty(dg[0].shape + (n2,)) for _ in d1] for _ in range(2))
+    parts = []
+    for lo in range(0, n2, width):
+        cols = slice(lo, lo + width)
+        # the table cut to the block's outputs: the wedge's slice, bitwise
+        table = tuple((a, b, o - lo, sg) for a, b, o, sg
+                      in _wedge_table(m, 1, 1) if lo <= o < lo + width)
+        wb = lambda a, b: _apply_bilinear(table, a, b, width)
+        # L ^ grad_perp Phi - 2 H ^ grad Phi - grad G (exact sign, doubling)
+        v = [sign * wb(L, d1[1 - k]) - 2.0 * wb(curv.H, d1[k])
+             - wb(beta0, dU[k]) for k, sign in ((0, -1.0), (1, 1.0))]
+        for k in (0, 1):
+            dG[k][..., cols] = wb(beta0, dU[k][band.rows])
+            v_r[k][..., cols] = v[k][band.rows]
+        R[..., cols], dR = integrate_curl_potential(grid, *v, parts)
+        del v                      # before the next block's terms are formed
+    return PotentialSet(band, S, R, v_s, tuple(v_r), dg, tuple(dG),
+                        {"S": dS, "R": dR})
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,8 @@ def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, 2.0 * np.pi * mean[:, 0]
 
 
-def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
+def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray,
+                             parts: Optional[list] = None):
     """P with grad_perp P = (vx, vy), fixed to 0 at the outer basepoint.
 
     Paths run radially inward along theta = 0 (corrected cumulative
@@ -220,6 +221,8 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
     antiderivative).  Works for scalar node fields or fields with trailing
     axes.  The loop defect combines the worst angular holonomy with the
     mismatch against the independent angular-then-radial path family.
+    For a field integrated in blocks of its last axis, the list ``parts``
+    collects each block's profiles and scale, and the defect is the worst.
     Each quantity is built in place and released once read: the angular
     antiderivative over its integrand, the other path family and the gap
     over the radial sums, so at most three input-sized arrays are alive
@@ -246,21 +249,23 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
     rim = P[-1].copy()
     P += radial[:, :1]                       # inward along theta = 0
     holo_profile = np.abs(holo).reshape(grid.n_r, -1).max(axis=1)
-    holonomy = float(np.max(holo_profile))
 
     # independent path family: angular at the outer rim, then radial inward,
     # and the gap to it, both formed in the radial buffer
     radial += rim
     gap = np.abs(np.subtract(P, radial, out=radial), out=radial)
     mismatch_profile = gap.reshape(grid.n_r, -1).max(axis=1)
-    mismatch = float(np.max(mismatch_profile))
     del radial, gap
     scale = max(float(max(P.max(), -P.min())), circle_work, 1e-300)
+    parts = [] if parts is None else parts
+    parts.append((holo_profile, mismatch_profile, scale))
+    holo, mism = (np.max([p[i] for p in parts], axis=0) for i in (0, 1))
+    holonomy, mismatch = float(np.max(holo)), float(np.max(mism))
     defect = max(holonomy, mismatch)
-    return P, {"holonomy": holonomy, "holonomy_profile": holo_profile,
-               "path_mismatch": mismatch,
-               "noise_profile": holo_profile + mismatch_profile,
-               "defect": defect, "relative_defect": defect / scale}
+    return P, {"holonomy": holonomy, "holonomy_profile": holo,
+               "path_mismatch": mismatch, "noise_profile": holo + mism,
+               "defect": defect,
+               "relative_defect": defect / max(p[2] for p in parts)}
 
 
 def potential_L(fl: FluxField, beta0) -> tuple[np.ndarray, dict]:

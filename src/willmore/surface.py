@@ -394,6 +394,9 @@ def load_samples_csv(path) -> ImmersionField:
             raise SurfaceError(f"CSV has {m + 2} columns: need r, theta and "
                                f"{MIN_DIM} to {MAX_DIM} coordinates")
         rows = [[float(v) for v in row] for row in reader]
+    for i, row in enumerate(rows, 2):      # line 1 is the header
+        if len(row) != m + 2:
+            raise SurfaceError(f"CSV line {i}: {len(row)} fields, not {m + 2}")
     if not rows:
         raise SurfaceError("CSV has a header but no sample rows")
     data = np.asarray(rows)

@@ -7,6 +7,8 @@ import numpy as np
 from willmore import jets
 from willmore.grid import annulus_norms, dot, dz, dzbar, laplacian
 from willmore.jets import Jet
+from willmore.multivec import MultiVec, wedge
+from willmore.potentials import _solve_modes
 from willmore.surface import normal_projector, synthetic_th4_coefficients
 
 
@@ -170,3 +172,19 @@ def synthetic_th4_per_component(params, m):
         return [hol[k]._map(np.real) - c["C_log"][k] * logterm
                 for k in range(m)]
     return chart
+
+
+def gG_per_component(beta0, field):
+    """(g, G) solved from their own sources, one Poisson problem per
+    component: Lap g = grad(Gamma) . grad(Phi) and
+    Lap G = grad(Gamma) ^ grad(Phi) with Gamma = 2 beta0 log|x|, assembled
+    from the two components of grad(Gamma) as written."""
+    grid, d1, m = field.grid, field.d1, field.ambient_dim
+    r2 = grid.rr ** 2
+    gam_x = 2.0 * grid.x[..., None] * beta0 / r2[..., None]
+    gam_y = 2.0 * grid.y[..., None] * beta0 / r2[..., None]
+    rhs_g = dot(gam_x, d1[0]) + dot(gam_y, d1[1])
+    bmv = lambda v: MultiVec.vector(m, v)
+    rhs_G = (wedge(bmv(gam_x), bmv(d1[0])).coeffs
+             + wedge(bmv(gam_y), bmv(d1[1])).coeffs)
+    return _solve_modes(grid, rhs_g), _solve_modes(grid, rhs_G)

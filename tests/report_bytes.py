@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/report_bytes.py write DIR
     python tests/report_bytes.py compare A B
+    PYTHONPATH=src python tests/report_bytes.py compare --rel A B
 
 ``write`` runs thirteen configs through ``run_pipeline``: the benchmark
 workloads fine_m3, codim6_potentials, branch_th3 and pmc_cylinder at seeds
@@ -14,7 +15,13 @@ directory as ``samples.csv``; every run works inside its directory, so the
 CSV config names that file by a relative path and records the same config
 in every tree.
 ``compare`` lists every file that differs between two such directories, or
-exists in only one, and exits 1 if there is any.
+exists in only one, and exits 1 if there is any.  ``compare --rel`` holds
+every file to the rule of ``test_golden_reports.py`` instead of byte
+equality (ints, strings and bools exact, floats within
+1e-8 max(|a|, |b|) + 1e-12, the raw winding of a degenerate component not
+compared; CSV cells are read as floats), prints the worst relative float
+difference per file and the first breaches, and exits 1 if any file breaks
+the rule or exists on one side only.
 
 To check a change, write DIR once with ``src`` of the old tree on
 ``PYTHONPATH`` and once with the new one, then compare.  The file is not
@@ -26,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -87,6 +95,43 @@ def compare(a: Path, b: Path) -> list[str]:
                   or (a / p).read_bytes() != (b / p).read_bytes())
 
 
+def _read(path: Path):
+    """A report as ``test_golden_reports`` compares it, or a CSV's cells."""
+    from test_golden_reports import _blank_noise
+    if path.suffix == ".json":
+        return _blank_noise(json.loads(path.read_text()))
+    cell = lambda v: v if v.isidentifier() else float(v)
+    return [[cell(v) for v in line.split(",")]
+            for line in path.read_text().splitlines()]
+
+
+def _floats(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for v in doc:
+            yield from _floats(v)
+    elif isinstance(doc, float) and math.isfinite(doc):
+        yield doc
+
+
+def compare_rel(a: Path, b: Path) -> tuple[dict, list[str]]:
+    """Worst relative float difference per file, and the rule's breaches."""
+    sys.path.insert(0, str(HERE))
+    from test_golden_reports import mismatches
+    files = lambda root: {p.relative_to(root) for p in root.rglob("*")
+                          if p.is_file()}
+    in_a, in_b = files(a), files(b)
+    worst, bad = {}, [f"{p}: on one side only" for p in sorted(in_a ^ in_b)]
+    for p in sorted(in_a & in_b):
+        want, got = _read(a / p), _read(b / p)
+        bad += [f"{p}{m}" for m in mismatches(got, want)]
+        worst[str(p)] = max((abs(x - y) / max(abs(x), abs(y)) for x, y
+                             in zip(_floats(want), _floats(got)) if x != y),
+                            default=0.0)
+    return worst, bad
+
+
 def main(argv) -> int:
     if len(argv) == 2 and argv[0] == "write":
         write(Path(argv[1]))
@@ -94,6 +139,12 @@ def main(argv) -> int:
     if len(argv) == 3 and argv[0] == "compare":
         bad = compare(Path(argv[1]), Path(argv[2]))
         print("\n".join(bad) if bad else "all files identical")
+        return 1 if bad else 0
+    if len(argv) == 4 and argv[:2] == ["compare", "--rel"]:
+        worst, bad = compare_rel(Path(argv[2]), Path(argv[3]))
+        for name, rel in worst.items():
+            print(f"{name}  worst relative difference {rel:.3g}")
+        print("\n".join(bad[:20]) if bad else "all files within the rule")
         return 1 if bad else 0
     print(__doc__, file=sys.stderr)
     return 2

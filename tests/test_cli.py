@@ -123,6 +123,10 @@ def test_classify_from_saved_report(tmp_path, capsys):
     ({"config": PLANE, "residues": {"theta0": 1}},
      "the report has no 'u0' entry"),
     ([PLANE], "a report is a JSON mapping, got list"),
+    ({"config": PLANE, "residues": [1]},
+     "the report's 'residues' entry is a JSON mapping, got list"),
+    ({"config": PLANE, "residues": {}, "classification": [1]},
+     "the report's 'classification' entry is a JSON mapping, got list"),
 ])
 def test_classify_malformed_report_named(tmp_path, capsys, doc, message):
     report = tmp_path / "report.json"
@@ -379,6 +383,22 @@ def test_csv_without_rows_refused_at_surface(tmp_path):
     path = tmp_path / "samples.csv"
     path.write_text("r,theta,phi_1,phi_2,phi_3\r\n")
     with pytest.raises(PipelineError, match="no sample rows") as err:
+        run_pipeline({"surface": {"csv": str(path)}})
+    assert err.value.stage == "surface"
+    assert isinstance(err.value.cause, surface.SurfaceError)
+
+
+def test_csv_short_row_refused_at_surface(tmp_path):
+    # one row of a saved 24 x 32 plane cut to four fields: the refusal
+    # names the line and the header's field count
+    path = tmp_path / "samples.csv"
+    save_samples_csv(catalog_surface("plane", {}, PolarGrid(1e-3, 1.0, 24, 32),
+                                     3), path)
+    lines = path.read_text().splitlines()
+    lines[7] = ",".join(lines[7].split(",")[:4])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PipelineError, match="CSV line 8: 4 fields, not 5") \
+            as err:
         run_pipeline({"surface": {"csv": str(path)}})
     assert err.value.stage == "surface"
     assert isinstance(err.value.cause, surface.SurfaceError)

@@ -4,10 +4,11 @@ tracemalloc sees every numpy data buffer, so the peak of a call measures
 how many field-sized arrays it keeps alive at once.  The bounds are
 multiples of one input field's bytes: the in-place curl-potential
 integration peaks near 3.1 of its inputs (8.0 when every path quantity
-had its own array), and a whole codim-6 level near 11.8 of its
+had its own array), and a whole codim-6 level near 9.5 of its
 28-component fields (23 when h_ij, grad H and the flux temporaries were
 all kept; 15.8 while g, G, grad G, v_R and grad n stayed on the full grid
-after their stages).
+after their stages; 11.8 while g and G took 1 + C(m, 2) Poisson solves and
+grad_perp R was formed 28 components wide).
 """
 
 import tracemalloc
@@ -53,7 +54,7 @@ def test_codim6_level_peak():
     pipeline.analyze_level(settings, grid)  # grid caches, algebra tables
     field_bytes = grid.n_r * grid.n_theta * 28 * 8
     assert traced_peak(pipeline.analyze_level, settings, grid) \
-        < 13 * field_bytes
+        < 11 * field_bytes
 
 
 def test_potential_set_keeps_only_its_band():

@@ -28,6 +28,11 @@ def rand_mv(m, k, lead=(), integer=False):
     return MultiVec(m, k, c)
 
 
+def add(a, b):
+    """a + b of equal grade, on the coefficients."""
+    return MultiVec(a.ambient_dim, a.grade, a.coeffs + b.coeffs)
+
+
 def e(m, *idx):
     """Basis element e_{i1} ^ ... ^ e_{ik}, indices strictly increasing."""
     c = np.zeros(comb(m, len(idx)), dtype=int)
@@ -51,7 +56,7 @@ def test_wedge_antisymmetry_of_vectors():
 def test_wedge_hand_expansion():
     # (e1 + e2) ^ (e1 - e2) = -2 e12
     m = 4
-    a = e(m, 1) + e(m, 2)
+    a = add(e(m, 1), e(m, 2))
     b = MultiVec(m, 1, e(m, 1).coeffs - e(m, 2).coeffs)
     expect = -2 * e(m, 1, 2).coeffs
     assert np.array_equal(wedge(a, b).coeffs, expect)
@@ -188,10 +193,10 @@ def test_interior_bilinear(m):
     p = int(RNG.integers(0, q + 1))
     g1, g2 = rand_mv(m, q, integer=True), rand_mv(m, q, integer=True)
     b1, b2 = rand_mv(m, p, integer=True), rand_mv(m, p, integer=True)
-    assert np.array_equal(interior(g1 + g2, b1).coeffs,
-                          (interior(g1, b1) + interior(g2, b1)).coeffs)
-    assert np.array_equal(interior(g1, b1 + b2).coeffs,
-                          (interior(g1, b1) + interior(g1, b2)).coeffs)
+    assert np.array_equal(interior(add(g1, g2), b1).coeffs,
+                          add(interior(g1, b1), interior(g2, b1)).coeffs)
+    assert np.array_equal(interior(g1, add(b1, b2)).coeffs,
+                          add(interior(g1, b1), interior(g1, b2)).coeffs)
 
 
 def test_interior_invalid_grades():
@@ -229,7 +234,7 @@ def _bullet_right_to_left(alpha, mask_b, grade_b):
     t2 = wedge(interior(alpha, e(m, idx)), rest_mv)
     if qr % 2:
         t2 = MultiVec(m, t2.grade, -t2.coeffs)
-    return t1 + t2
+    return add(t1, t2)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -276,10 +281,10 @@ def test_bullet_bilinear():
     m = 5
     a1, a2 = rand_mv(m, 2, integer=True), rand_mv(m, 2, integer=True)
     b1, b2 = rand_mv(m, 2, integer=True), rand_mv(m, 2, integer=True)
-    assert np.array_equal(bullet(a1 + a2, b1).coeffs,
-                          (bullet(a1, b1) + bullet(a2, b1)).coeffs)
-    assert np.array_equal(bullet(a1, b1 + b2).coeffs,
-                          (bullet(a1, b1) + bullet(a1, b2)).coeffs)
+    assert np.array_equal(bullet(add(a1, a2), b1).coeffs,
+                          add(bullet(a1, b1), bullet(a2, b1)).coeffs)
+    assert np.array_equal(bullet(a1, add(b1, b2)).coeffs,
+                          add(bullet(a1, b1), bullet(a1, b2)).coeffs)
 
 
 def test_bullet_invalid_grade_raises():

@@ -6,12 +6,16 @@ import pytest
 from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
-from willmore.multivec import MultiVec
+from willmore import potentials
+from willmore.multivec import MultiVec, wedge
 from willmore.potentials import (PotentialError, _solve_modes, potential_set,
                                  solve_gG, verify_system)
 from willmore.residual import equation
-from willmore.residues import first_residue, potential_L
+from willmore.residues import (first_residue, integrate_curl_potential,
+                               potential_L)
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
+
+from oracles import gG_per_component
 
 
 def mode_oracle(grid, k, c=1.0):
@@ -98,11 +102,21 @@ def analyzed(name, grid, m=3):
     return field, frame, curv
 
 
-def test_zero_beta0_gives_zero_potentials():
+def gG(beta0, field):
+    """g = beta0 . U and G = beta0 ^ U from ``solve_gG``'s U."""
+    U = solve_gG(beta0, field)
+    m = field.ambient_dim
+    return (g.dot(U, beta0),
+            wedge(MultiVec.vector(m, beta0), MultiVec.vector(m, U)).coeffs)
+
+
+def test_zero_beta0_gives_zero_potentials(monkeypatch):
     grid = PolarGrid(0.05, 1.0, 48, 64)
     field, _, _ = analyzed("sphere_stereographic", grid)
-    pot_g, pot_G = solve_gG(np.zeros(3), field)
+    monkeypatch.setattr(potentials, "_solve_modes", None)   # no solve at all
+    pot_g, pot_G = gG(np.zeros(3), field)
     assert not np.any(pot_g) and not np.any(pot_G)
+    assert pot_g.shape == (48, 64) and pot_G.shape == (48, 64, 3)
 
 
 def test_solve_gG_residual_refines_inverted_catenoid():
@@ -111,7 +125,7 @@ def test_solve_gG_residual_refines_inverted_catenoid():
         grid = PolarGrid(1e-3, 1.0, n, 64)
         field, frame, curv = analyzed("inverted_catenoid", grid)
         beta0 = first_residue(equation(curv, frame).flux)["beta0"]
-        pot_g, _ = solve_gG(beta0, field)
+        pot_g, _ = gG(beta0, field)
         d1 = field.d1
         r2 = (grid.rr ** 2)[..., None]
         gx = 2 * grid.x[..., None] * beta0 / r2
@@ -129,9 +143,73 @@ def test_outer_dirichlet_condition():
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field, frame, curv = analyzed("inverted_catenoid", grid)
     beta0 = first_residue(equation(curv, frame).flux)["beta0"]
-    pot_g, pot_G = solve_gG(beta0, field)
+    pot_g, pot_G = gG(beta0, field)
     assert np.max(np.abs(pot_g[-1])) < 1e-12
     assert np.max(np.abs(pot_G[-1])) < 1e-12
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_gG_from_U_matches_per_component_sources(m):
+    # the 1 + C(m, 2) source components of g and G, each solved on its own,
+    # against beta0 . U and beta0 ^ U from the one m-component solve
+    grid = PolarGrid(1e-3, 1.0, 48, 32)
+    field, frame, curv = analyzed("inverted_catenoid", grid, m)
+    beta0 = first_residue(equation(curv, frame).flux)["beta0"]
+    assert np.any(beta0)
+    for got, want in zip(gG(beta0, field), gG_per_component(beta0, field)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_potential_set_solves_once_for_m_components(monkeypatch, m):
+    grid = PolarGrid(1e-3, 1.0, 48, 32)
+    field, frame, curv = analyzed("inverted_catenoid", grid, m)
+    fl = equation(curv, frame).flux
+    beta0 = first_residue(fl)["beta0"]
+    L, _ = potential_L(fl, beta0)
+    calls = {"solve": [], "grad": 0}
+
+    def solve(grid, rhs):
+        calls["solve"].append(rhs.shape)
+        return _solve_modes(grid, rhs)
+
+    def grad(grid, f):
+        calls["grad"] += 1
+        return g.grad(grid, f)
+
+    monkeypatch.setattr(potentials, "_solve_modes", solve)
+    monkeypatch.setattr(potentials, "grad", grad)
+    potential_set(L, beta0, field, curv, grid.band(0.15, 0.85))
+    assert calls == {"solve": [(48, 32, m)], "grad": 1}
+
+
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_blocked_R_is_one_unblocked_integration(m):
+    # v_R formed with the full wedges and integrated in one call gives the
+    # blocked R, the band rows of v_R and grad G, and the loop defects bit
+    # for bit
+    grid = PolarGrid(1e-3, 1.0, 48, 32)
+    field, frame, curv = analyzed("inverted_catenoid", grid, m)
+    fl = equation(curv, frame).flux
+    beta0 = first_residue(fl)["beta0"]
+    L, _ = potential_L(fl, beta0)
+    band = grid.band(0.15, 0.85)
+    pots = potential_set(L, beta0, field, curv, band)
+    bmv = lambda v: MultiVec.vector(m, v)
+    dU = g.grad(grid, solve_gG(beta0, field))
+    d1 = field.d1
+    dG = [wedge(bmv(beta0), bmv(du)).coeffs for du in dU]
+    v_R = [(wedge(bmv(L), bmv(p)).coeffs
+            - 2.0 * wedge(bmv(curv.H), bmv(d)).coeffs - dG_k)
+           for p, d, dG_k in zip((-d1[1], d1[0]), d1, dG)]
+    R, defects = integrate_curl_potential(grid, *v_R)
+    assert np.array_equal(pots.R, R)
+    for got, want in zip(pots.v_R + pots.dG, v_R + dG):
+        assert np.array_equal(got, want[band.rows])
+    got = pots.loop_defects["R"]
+    assert got.keys() == defects.keys()
+    for key, want in defects.items():
+        assert np.array_equal(got[key], want), key
 
 
 def full_chain(name, grid, band=(0.15, 0.85)):
