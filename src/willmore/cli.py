@@ -144,13 +144,16 @@ def cmd_classify(args) -> int:
         if not isinstance(doc.get(key, {}), dict):
             raise ValueError(f"the report's {key!r} entry is a JSON mapping, "
                              f"got {type(doc[key]).__name__}")
+    # pmc is measured on the last level, so it is read from the report
+    cond = doc.get("classification", {}).get("conditions", {})
+    if not isinstance(cond, dict):
+        raise ValueError("the report's 'classification.conditions' entry is "
+                         f"a JSON mapping, got {type(cond).__name__}")
     try:
         report = ResidueReport.from_json(doc["residues"])
     except KeyError as exc:
         raise ValueError(f"the report has no {exc} entry") from exc
     settings = resolve(_apply_overrides(doc.get("config", {}), args))
-    # pmc is measured on the last level, so it is read from the report
-    cond = doc.get("classification", {}).get("conditions", {})
     verdict = classify(report, settings.spec, pmc=bool(cond.get("pmc", False)),
                        regular=settings.regular,
                        tol_zero=settings.tolerances["tol_zero"])

@@ -1,15 +1,16 @@
 """Second fundamental form, mean and Weingarten curvature, energy, diagnostics.
 
 Conventions on a conformal chart with parameter lam and unit frame e1, e2:
-the frame-scaled second fundamental form vectors are
-h_ij = e^{-2 lam} pi_n (d2 Phi / dx_i dx_j); the mean curvature vector is
-evaluated un-projected as H = e^{-2 lam} Lap Phi / 2 (its tangential part is
-a conformality diagnostic), and the Weingarten vector as
+the frame-scaled second fundamental form vectors are h_ij = e^{-2 lam} II_ij,
+with II = pi_n d2 Phi formed once by ``frame_and_gauss``; the mean curvature
+vector is evaluated un-projected as H = e^{-2 lam} Lap Phi / 2 (its
+tangential part is a conformality diagnostic), and the Weingarten vector as
 H0 = 2 e^{-2 lam} (dzz Phi - 2 dz(lam) dz Phi).  The Gauss curvature comes
 from <h11, h22> - <h12, h12>, which feeds the Liouville residual
 Lap u + e^{2 lam} K.  ``CurvatureField`` keeps H, H0, K and the energy
 density only: the h_ij are temporaries of K, and grad H is taken by the
-equation pass, its only reader.
+equation pass, its only reader.  |grad n| of the Gauss map comes from II
+as well (``FrameField.dn_norm``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from willmore.grid import PolarGrid, annulus_mask, dot, integrate, laplacian
-from willmore.surface import (BranchData, FrameField, ImmersionField,
-                              normal_projector)
+from willmore.surface import BranchData, FrameField, ImmersionField
 
 
 @dataclass(eq=False)
@@ -34,16 +34,12 @@ class CurvatureField:
 
 
 def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
-    """H, H0, K and the energy density of a level; the h_ij are temporaries
-    of K."""
+    """H, H0, K and the energy density of a level; the h_ij = II e^{-2 lam}
+    of ``frame.II`` are temporaries of K."""
     p1, p2 = field.d1[0], field.d1[1]
     pxx, pxy, pyy = field.d2[0], field.d2[1], field.d2[2]
     e2l = np.exp(2.0 * frame.lam)[..., None]
-    pi_n = normal_projector(frame)
-
-    h11 = pi_n(pxx) / e2l
-    h12 = pi_n(pxy) / e2l
-    h22 = pi_n(pyy) / e2l
+    h11, h12, h22 = frame.II / e2l
     K = dot(h11, h22) - dot(h12, h12)
     del h11, h12, h22
 
@@ -66,7 +62,8 @@ def willmore_energy(curv: CurvatureField) -> float:
 
 
 def gauss_map_energy_density(frame: FrameField) -> np.ndarray:
-    """|grad n|^2 from the sampled Gauss map (flat measure)."""
+    """|grad n|^2 of the Gauss map n = star(e1 ^ e2) (flat measure), from
+    the frame's second fundamental form."""
     return frame.dn_norm ** 2
 
 
@@ -97,5 +94,8 @@ def weingarten_constant(curv: CurvatureField, frame: FrameField) -> float:
     rhs = frame.dn_norm
     sl = annulus_mask(curv.grid)
     ratio = lhs[sl] / np.maximum(rhs[sl], 1e-30)
-    keep = rhs[sl] > 1e-12 * max(float(np.max(rhs)), 1e-30)
+    # nodes at rounding level, relative to the largest |grad n| or in the
+    # scale-free r |grad n| (a flat chart's), hold no ratio
+    floor = np.maximum(1e-12 * float(np.max(rhs)), 1e-12 / curv.grid.rr[sl])
+    keep = rhs[sl] > floor
     return float(np.max(ratio[keep])) if np.any(keep) else 0.0

@@ -14,12 +14,12 @@ contiguous planes, then hands the result back in the (*lead, coefficient)
 layout.  Terms are summed in table order, so the result does not depend on
 the layout.
 
-Operations: wedge product, Hodge star (standard orientation of R^m),
-interior multiplication ``interior(gamma, beta)`` defined by duality
-<gamma . beta, alpha> = <gamma, beta ^ alpha>, and the first-order
-contraction ``bullet`` defined inductively from the interior product.
-The inner product is bilinear (no complex conjugation).  Linear
-operations (sums, scaling, negation, norms) act on ``coeffs`` directly.
+Operations: wedge product and the first-order contraction ``bullet``,
+defined inductively from the interior product
+<gamma . beta, alpha> = <gamma, beta ^ alpha>.  The inner product is
+bilinear (no complex conjugation).  Linear operations (sums, scaling,
+negation, norms) act on ``coeffs`` directly.  Only ``potentials`` uses
+these operators; the Hodge star and the interior product are test oracles.
 """
 
 from __future__ import annotations
@@ -75,33 +75,6 @@ def _wedge_table(m: int, p: int, q: int):
             if ma & mb:
                 continue
             table.append((ia, ib, out_pos[ma | mb], _wedge_sign(ma, mb)))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _star_table(m: int, k: int):
-    full = (1 << m) - 1
-    out_pos = _positions(m, m - k)
-    inv = np.empty(comb(m, k), dtype=np.intp)
-    sgn = np.empty(comb(m, k), dtype=np.int8)
-    for i, mask in enumerate(_masks(m, k)):
-        compl = full ^ mask
-        inv[out_pos[compl]] = i
-        sgn[i] = _wedge_sign(mask, compl)
-    return inv, sgn
-
-
-@lru_cache(maxsize=None)
-def _interior_table(m: int, q: int, p: int):
-    # e_I . e_J = sign(J, I\J) e_{I\J} when J subset of I, else 0
-    out_pos = _positions(m, q - p)
-    table = []
-    for ia, mi in enumerate(_masks(m, q)):
-        for ib, mj in enumerate(_masks(m, p)):
-            if mj & ~mi:
-                continue
-            rest = mi ^ mj
-            table.append((ia, ib, out_pos[rest], _wedge_sign(mj, rest)))
     return tuple(table)
 
 
@@ -209,31 +182,10 @@ def wedge(a: MultiVec, b: MultiVec) -> MultiVec:
     return MultiVec(m, k, _apply_bilinear(table, a.coeffs, b.coeffs, comb(m, k)))
 
 
-def hodge_star(a: MultiVec) -> MultiVec:
-    """Hodge dual for the standard orientation: star e_I = sign(I, I^c) e_{I^c}."""
-    m, k = a.ambient_dim, a.grade
-    inv, sgn = _star_table(m, k)
-    # np.take keeps C order; [..., inv] would put the component axis
-    # outermost, and the rounding of later FFTs depends on the layout
-    return MultiVec(m, m - k, np.take(a.coeffs * sgn, inv, axis=-1))
-
-
-def interior(gamma: MultiVec, beta: MultiVec) -> MultiVec:
-    """Interior multiplication, <gamma . beta, alpha> = <gamma, beta ^ alpha>."""
-    gamma._like(beta)
-    if gamma.grade < beta.grade:
-        raise AlgebraError(
-            f"interior needs grade(gamma) >= grade(beta), got {gamma.grade} < {beta.grade}")
-    m = gamma.ambient_dim
-    k = gamma.grade - beta.grade
-    table = _interior_table(m, gamma.grade, beta.grade)
-    return MultiVec(m, k, _apply_bilinear(table, gamma.coeffs, beta.coeffs, comb(m, k)))
-
-
 def bullet(alpha: MultiVec, beta: MultiVec) -> MultiVec:
     """First-order contraction.
 
-    Equals ``interior`` when beta is a 1-vector, and satisfies
+    Equals the interior product when beta is a 1-vector, and satisfies
     alpha . (beta ^ gamma) = (alpha . beta) ^ gamma + (-1)^{pq} (alpha . gamma) ^ beta.
     Result grade is grade(alpha) + grade(beta) - 2.
     """

@@ -302,10 +302,6 @@ def analyze_level(settings: Settings,
                                  "div_rms": rms(eq.div_defect)}
     level["equivalence_norms"] = eq.norms["identity"]
     del eq  # the strong-form and divergence fields are read only above
-    if settings.with_potentials:  # the system check reads band rows only
-        band = grid.band(0.15, 0.85)
-        dn_band = tuple(d[band.rows].copy() for d in frame.dn)
-    del frame.dn  # grad n: the equation pass was its last full-grid reader
 
     fr = _stage("first_residue", first_residue, fl)
     beta0 = fr["beta0"]
@@ -349,11 +345,12 @@ def analyze_level(settings: Settings,
                                  tol["pmc_threshold"], tol["tol_zero"])
 
     if settings.with_potentials:
-        pots = _stage("potentials", potential_set, L, beta0, field, curv, band)
+        pots = _stage("potentials", potential_set, L, beta0, field, curv,
+                      grid.band(0.15, 0.85))  # the rows verify_system reads
         del L  # read last here
         level["potential_loop_defects"] = pots.loop_defects
         level["system_residuals"] = _stage("verify_system", verify_system,
-                                           pots, frame, field, dn_band)
+                                           pots, frame, field)
 
     if settings.with_expansion:
         fit = _stage("fit_phi", fit_phi, field, br.theta0, srw.a, br.u0)

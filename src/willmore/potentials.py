@@ -18,8 +18,10 @@ reconstructed by path integration.  ``verify_system`` evaluates the
 conservative conformal Willmore system and the closing identity
 -2 Lap Phi = (grad S - grad_perp g) . grad_perp Phi
              - (grad R - grad_perp G) . grad_perp Phi (first-order
-contraction in the second pairing), all with the exterior-algebra
-operators, on the annulus rows plus a halo row (``PolarGrid.band``).
+contraction in the second pairing) on the annulus rows plus a halo row
+(``PolarGrid.band``), with star n = e1 ^ e2 and its derivatives formed from
+the frame there.  This is the only module that runs the exterior-algebra
+operators of ``multivec``.
 ``potential_set`` builds R in m // 2 blocks of at most m components and
 keeps S, R and, of the rest, only the band rows ``verify_system`` reads.
 """
@@ -34,7 +36,7 @@ import numpy as np
 from willmore.curvature import CurvatureField
 from willmore.grid import PolarGrid, RowBand, div, dot, grad
 from willmore.multivec import (MultiVec, _apply_bilinear, _wedge_table, bullet,
-                               hodge_star, inner)
+                               inner, wedge)
 from willmore.residues import integrate_curl_potential
 from willmore.surface import FrameField, ImmersionField
 
@@ -163,11 +165,12 @@ def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
 # ---------------------------------------------------------------------------
 
 def verify_system(pots: PotentialSet, frame: FrameField,
-                  field: ImmersionField, dn: tuple) -> dict:
+                  field: ImmersionField) -> dict:
     """Annulus norms of the conservative system and the -2 Lap Phi identity.
 
-    Evaluated on the rows of ``pots.band``, the only rows it reads of
-    ``frame.n`` and of the field's derivatives; ``dn`` is grad n on them.
+    Evaluated on the rows of ``pots.band``, the only rows it reads of the
+    frame and of the field's derivatives, where star n = e1 ^ e2 and
+    d_i(e1 ^ e2) = nu1_i ^ e2 + e1 ^ nu2_i (``FrameField.nu``) are formed.
     The gradients of S and R enter through their defining curl fields
     (grad_perp S and grad_perp R are known exactly up to the reported loop
     defect), so each residual costs a single discrete derivative.  The five
@@ -180,12 +183,13 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     grid = pots.band
     m = field.ambient_dim
     s_bullR, s_dotS, s_bullG, s_sng, s_phi = -1, -1, -1, -1, +1
-    k = frame.n.grade
-    sn = hodge_star(MultiVec(m, k, frame.n.coeffs[grid.rows]))  # 2-vector
-    # the star is a signed permutation, so grad(star n) = star(grad n)
-    sn_x, sn_y = (hodge_star(MultiVec(m, k, d)).coeffs for d in dn)
     mk2 = lambda c: MultiVec(m, 2, c)
     mk1 = lambda c: MultiVec.vector(m, c)
+    w11 = lambda a, b: wedge(mk1(a), mk1(b)).coeffs
+    e1, e2 = frame.e1[grid.rows], frame.e2[grid.rows]
+    sn = mk2(w11(e1, e2))  # star n
+    sn_x, sn_y = (w11(nu1, e2) + w11(e1, nu2)
+                  for nu1, nu2 in (frame.nu(i, grid.rows) for i in (0, 1)))
 
     # grad_perp S = v_S and grad_perp R = v_R by construction, so
     # grad S = rot(v_S) and Lap S = d1(v_S_2) - d2(v_S_1); each residual's

@@ -26,12 +26,10 @@ circulation, consistently with the mean curvature growing like
 and pi_n grad H once, and returns the strong-form field, the flux (built
 once, without beta0), the norms of the strong form, of div X_raw and of
 the gap in the identity above over ``NORM_ANNULUS``, and the parallelism
-defect
-|pi_n grad H| / max(|grad H|, |H|).  The pass takes grad H itself (it is
-its only reader) and reads grad n from the cache ``FrameField.dn``; grad H
-and pi_n grad H live only inside the pass and are released before the flux
-divergence.  Both flux components are assembled in place in one (2, ...)
-buffer.
+defect |pi_n grad H| / max(|grad H|, |H|).  n is never formed: the term
+star(grad_perp n ^ H) comes from the frame (``star_dn_wedge``), and grad H,
+which the pass takes itself, and pi_n grad H are released before the flux
+divergence.  Both flux components are assembled in one (2, ...) buffer.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ import numpy as np
 from willmore.curvature import CurvatureField
 from willmore.grid import PolarGrid, annulus_norms, div, dot, grad
 from willmore.multiplier import matrix_field
-from willmore.multivec import MultiVec, hodge_star, wedge
 from willmore.surface import FrameField, ImmersionField, normal_projector
 
 #: the annulus [r_lo, r_hi] of the equation's norms (``annulus_mask`` also
@@ -77,10 +74,14 @@ class Equation:
     pmc_defect: float               # |pi_n grad H| / max(|grad H|, |H|)
 
 
-def _star_wedge_with_H(comp: np.ndarray, H: np.ndarray) -> np.ndarray:
-    m = H.shape[-1]
-    nv = MultiVec(m, m - 2, comp)
-    return hodge_star(wedge(nv, MultiVec.vector(m, H))).coeffs
+def star_dn_wedge(frame: FrameField, H: np.ndarray, i: int) -> np.ndarray:
+    """star(d_i n ^ H) = <nu1, H> e2 - <e2, H> nu1 + <e1, H> nu2 - <nu2, H> e1
+    with nu_a = pi_n d_i e_a (``FrameField.nu``): exact algebra for
+    n = star(e1 ^ e2), which assumes no conformality."""
+    (nu1, nu2), e1, e2 = frame.nu(i), frame.e1, frame.e2
+    out = dot(nu1, H)[..., None] * e2 - dot(e2, H)[..., None] * nu1
+    out += dot(e1, H)[..., None] * nu2 - dot(nu2, H)[..., None] * e1
+    return out
 
 
 def equation(curv: CurvatureField, frame: FrameField,
@@ -100,12 +101,9 @@ def equation(curv: CurvatureField, frame: FrameField,
         raise ValueError("the immersion field is needed for the M_f term")
     e2l = np.exp(2.0 * frame.lam)[..., None]
     # the flux is summed in place, its star(grad_perp n ^ H) terms first
-    # (a + b is b + a, bit for bit), so that their exterior-algebra
-    # temporaries are gone before grad H and pi_n grad H are formed
-    nx, ny = frame.dn
     raw = np.empty((2,) + curv.H.shape)
-    raw[0] = _star_wedge_with_H(ny, -curv.H)  # (-a) b is a (-b), bit for bit
-    raw[1] = _star_wedge_with_H(nx, curv.H)
+    raw[0] = star_dn_wedge(frame, -curv.H, 1)  # grad_perp n = (-d_y n, d_x n)
+    raw[1] = star_dn_wedge(frame, curv.H, 0)
     Hx, Hy = grad(grid, curv.H)
     pi_n = normal_projector(frame)
     px, py = pi_n(Hx), pi_n(Hy)

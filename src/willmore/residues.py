@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from willmore.grid import PolarGrid, circle_mean, circulation, jsonable
-from willmore.multivec import MultiVec, hodge_star, interior
 from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField
 from willmore.surface import BranchData, FrameField, ImmersionField
@@ -76,31 +75,18 @@ def branch_order(frame: FrameField) -> BranchData:
     return BranchData(theta0, slope, u, u0)
 
 
-def gauss_map_limit(frame: FrameField) -> MultiVec:
-    """Unit Gauss map extrapolated to the puncture."""
-    rows = _inner_rows(frame.grid)
-    coeffs = radial_extrapolate(frame.grid, circle_mean(frame.n.coeffs[rows]))
-    coeffs = coeffs / np.linalg.norm(coeffs)
-    return MultiVec(frame.n.ambient_dim, frame.n.grade, coeffs)
-
-
 def tangent_projector_at_origin(frame: FrameField):
-    """pi_T onto the tangent plane at 0, built from the Gauss map limit.
-
-    For a unit decomposable 2-vector T, pi_T(v) = -T . (T . v) with . the
-    interior product; T here is the Hodge dual of the extrapolated n.
+    """pi_T onto the tangent plane at 0: T = e1 ^ e2, held as the matrix
+    W = e1 e2^T - e2 e1^T, extrapolated by circle means to W0 and scaled to
+    a unit 2-vector (|W0|_F = sqrt 2); for unit decomposable T, pi_T = W0^T W0.
     """
-    n0 = gauss_map_limit(frame)
-    T = hodge_star(n0)
-
-    def project(v: np.ndarray) -> np.ndarray:
-        m = frame.n.ambient_dim
-        if np.iscomplexobj(v):
-            return project(v.real) + 1j * project(v.imag)
-        mv = MultiVec.vector(m, v)
-        return -interior(T, interior(T, mv)).coeffs
-
-    return project
+    rows = _inner_rows(frame.grid)
+    e1, e2 = frame.e1[rows], frame.e2[rows]
+    M = np.swapaxes(e1, 1, 2) @ e2 / frame.grid.n_theta  # circle mean e1 e2^T
+    W0 = radial_extrapolate(frame.grid, M - np.swapaxes(M, 1, 2))
+    W0 *= np.sqrt(2.0) / np.linalg.norm(W0)
+    P = W0.T @ W0  # symmetric
+    return lambda v: v @ P
 
 
 @dataclass(eq=False)
@@ -410,11 +396,21 @@ class ResidueReport:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ResidueReport":
-        """The report that ``to_json`` wrote as ``doc``."""
+        """The report that ``to_json`` wrote as ``doc``; an entry of the
+        wrong form raises ValueError naming its key."""
+        def get(key, read, form):
+            try:
+                return read(doc[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"the report's residues entry {key!r} is "
+                                 f"not {form}") from None
+        arr = lambda t: lambda v: np.asarray(v, dtype=t)
+        pairs = lambda v: np.array([complex(re, im) for re, im in v])
+        num, nums = (float, "a number"), (arr(float), "a list of numbers")
         return cls(
-            int(doc["theta0"]), float(doc["u0"]),
-            np.array([complex(re, im) for re, im in doc["A"]]),
-            np.asarray(doc["beta0"], dtype=float), float(doc["rho_spread"]),
-            np.asarray(doc["gamma0"], dtype=float),
-            np.asarray(doc["gamma"], dtype=int), int(doc["a"]),
+            get("theta0", int, "an integer"), get("u0", *num),
+            get("A", pairs, "a list of [re, im] pairs"), get("beta0", *nums),
+            get("rho_spread", *num), get("gamma0", *nums),
+            get("gamma", arr(int), "a list of integers"),
+            get("a", int, "an integer"),
             {k: np.asarray(v) for k, v in doc.get("diagnostics", {}).items()})

@@ -23,7 +23,7 @@ import numpy as np
 from willmore import jets
 from willmore.grid import PolarGrid, dot, grad
 from willmore.jets import Jet
-from willmore.multivec import MAX_DIM, MIN_DIM, MultiVec, hodge_star, wedge
+from willmore.multivec import MAX_DIM, MIN_DIM
 
 
 #: default ``defect_threshold``: the largest conformal defect a frame accepts
@@ -89,24 +89,31 @@ def from_samples(grid: PolarGrid, phi: np.ndarray) -> ImmersionField:
 
 @dataclass(eq=False)
 class FrameField:
-    """Conformal parameter, orthonormal frame and Gauss map."""
+    """Conformal parameter, orthonormal frame and second fundamental form.
+
+    II stacks pi_n of (Phi_xx, Phi_xy, Phi_yy); ``gram`` stacks the
+    Gram-Schmidt data |Phi_x|, <Phi_y, e1> and |t2| (t2 = Phi_y - <Phi_y, e1>
+    e1) that turn II into nu (``nu``).  The Gauss map n = star(e1 ^ e2) is
+    never formed: d_i n = star(nu1_i ^ e2 + e1 ^ nu2_i).
+    """
 
     grid: PolarGrid
     lam: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
-    n: MultiVec
+    II: np.ndarray          # (3, n_r, n_theta, m)
+    gram: np.ndarray        # (3, n_r, n_theta, 1)
 
-    @cached_property
-    def dn(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dn/dx, dn/dy) of the Gauss map coefficients, computed once."""
-        return grad(self.grid, self.n.coeffs)
+    def nu(self, i: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(pi_n d_i e1, pi_n d_i e2) on ``rows``; i = 0 is x, 1 is y."""
+        a, c, b = self.gram[:, rows]
+        nu1 = self.II[i, rows] / a
+        return nu1, (self.II[i + 1, rows] - c * nu1) / b
 
     @cached_property
     def dn_norm(self) -> np.ndarray:
-        """|grad n| per node, from the cached gradient ``dn``."""
-        gx, gy = self.dn
-        return np.sqrt(dot(gx, gx) + dot(gy, gy))
+        """|grad n| per node: |grad n|^2 = sum_i |nu1_i|^2 + |nu2_i|^2."""
+        return np.sqrt(sum(dot(v, v) for i in (0, 1) for v in self.nu(i)))
 
 
 def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
@@ -125,28 +132,30 @@ def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
 
 def frame_and_gauss(field: ImmersionField, conformal: tuple,
                     defect_threshold: float = DEFECT_THRESHOLD) -> FrameField:
-    """Orthonormal tangent frame and the Gauss map n = star(e1 ^ e2).
+    """Orthonormal tangent frame and the second fundamental form II.
 
     ``conformal`` is the (lam, defect) pair of ``conformal_factor``; the
     frame is refused when the defect exceeds ``defect_threshold``.  e1
     follows d Phi/dx1; e2 is Gram-Schmidt orthonormalized against e1 so the
     frame stays exactly orthonormal when the chart is only conformal to
-    rounding.
+    rounding.  II = pi_n d2 Phi is formed once, for every reader of the
+    curvature and of the Gauss map's derivatives.
     """
     lam, defect = conformal
     worst = float(np.max(defect))
     if worst > defect_threshold:
         raise SurfaceError(
             f"conformal defect {worst:.3e} exceeds threshold {defect_threshold:.1e}")
-    p1, p2 = field.d1[0], field.d1[1]
-    e1 = p1 / np.sqrt(dot(p1, p1))[..., None]
-    t2 = p2 - dot(p2, e1)[..., None] * e1
-    e2 = t2 / np.sqrt(dot(t2, t2))[..., None]
-    m = field.ambient_dim
-    n = hodge_star(wedge(MultiVec.vector(m, e1), MultiVec.vector(m, e2)))
-    nn = np.sqrt(dot(n.coeffs, n.coeffs))[..., None]
-    n = MultiVec(m, m - 2, n.coeffs / nn)
-    return FrameField(field.grid, lam, e1, e2, n)
+    p1, p2, d2 = field.d1[0], field.d1[1], field.d2
+    a = np.sqrt(dot(p1, p1))[..., None]
+    e1 = p1 / a
+    c = dot(p2, e1)[..., None]
+    t2 = p2 - c * e1
+    b = np.sqrt(dot(t2, t2))[..., None]
+    e2 = t2 / b
+    II = d2 - dot(d2, e1)[..., None] * e1
+    II -= dot(d2, e2)[..., None] * e2
+    return FrameField(field.grid, lam, e1, e2, II, np.stack([a, c, b]))
 
 
 @dataclass(eq=False)

@@ -1,13 +1,19 @@
 """Closed-form oracles, chart transforms, curvature norms and identity
 cross-checks that only the tests use, among them both anti-holomorphy
-checks of the multiplier."""
+checks of the multiplier, the Hodge star and interior product of the
+exterior algebra, and the Gauss map n = star(e1 ^ e2) with the two forms
+of the flux term star(grad n ^ H) that the frame form replaced."""
+
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from willmore import jets
-from willmore.grid import annulus_norms, dot, dz, dzbar, laplacian
+from willmore.grid import annulus_norms, dot, dz, dzbar, grad, laplacian
 from willmore.jets import Jet
-from willmore.multivec import MultiVec, wedge
+from willmore.multivec import (AlgebraError, MultiVec, _apply_bilinear,
+                               _masks, _positions, _wedge_sign, wedge)
 from willmore.potentials import _solve_modes
 from willmore.surface import normal_projector, synthetic_th4_coefficients
 
@@ -188,3 +194,90 @@ def gG_per_component(beta0, field):
     rhs_G = (wedge(bmv(gam_x), bmv(d1[0])).coeffs
              + wedge(bmv(gam_y), bmv(d1[1])).coeffs)
     return _solve_modes(grid, rhs_g), _solve_modes(grid, rhs_G)
+
+
+# ---------------------------------------------------------------------------
+# Hodge star and interior product
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _star_table(m: int, k: int):
+    full = (1 << m) - 1
+    out_pos = _positions(m, m - k)
+    inv = np.empty(comb(m, k), dtype=np.intp)
+    sgn = np.empty(comb(m, k), dtype=np.int8)
+    for i, mask in enumerate(_masks(m, k)):
+        compl = full ^ mask
+        inv[out_pos[compl]] = i
+        sgn[i] = _wedge_sign(mask, compl)
+    return inv, sgn
+
+
+@lru_cache(maxsize=None)
+def _interior_table(m: int, q: int, p: int):
+    # e_I . e_J = sign(J, I\J) e_{I\J} when J subset of I, else 0
+    out_pos = _positions(m, q - p)
+    table = []
+    for ia, mi in enumerate(_masks(m, q)):
+        for ib, mj in enumerate(_masks(m, p)):
+            if mj & ~mi:
+                continue
+            rest = mi ^ mj
+            table.append((ia, ib, out_pos[rest], _wedge_sign(mj, rest)))
+    return tuple(table)
+
+
+def hodge_star(a: MultiVec) -> MultiVec:
+    """Hodge dual for the standard orientation: star e_I = sign(I, I^c) e_{I^c}."""
+    m, k = a.ambient_dim, a.grade
+    inv, sgn = _star_table(m, k)
+    # np.take keeps C order; [..., inv] would put the component axis
+    # outermost, and the rounding of later FFTs depends on the layout
+    return MultiVec(m, m - k, np.take(a.coeffs * sgn, inv, axis=-1))
+
+
+def interior(gamma: MultiVec, beta: MultiVec) -> MultiVec:
+    """Interior multiplication, <gamma . beta, alpha> = <gamma, beta ^ alpha>."""
+    gamma._like(beta)
+    if gamma.grade < beta.grade:
+        raise AlgebraError(
+            f"interior needs grade(gamma) >= grade(beta), got {gamma.grade} < {beta.grade}")
+    m = gamma.ambient_dim
+    k = gamma.grade - beta.grade
+    table = _interior_table(m, gamma.grade, beta.grade)
+    return MultiVec(m, k, _apply_bilinear(table, gamma.coeffs, beta.coeffs, comb(m, k)))
+
+
+# ---------------------------------------------------------------------------
+# the Gauss map and the flux term star(grad n ^ H)
+# ---------------------------------------------------------------------------
+
+def gauss_map(frame) -> MultiVec:
+    """n = star(e1 ^ e2) of a ``FrameField``, normalized per node."""
+    m = frame.e1.shape[-1]
+    vec = lambda v: MultiVec.vector(m, v)
+    n = hodge_star(wedge(vec(frame.e1), vec(frame.e2))).coeffs
+    return MultiVec(m, m - 2, n / np.sqrt(dot(n, n))[..., None])
+
+
+def star_dn_wedge_algebra(frame, H, i) -> np.ndarray:
+    """star(d_i n ^ H) with the exterior-algebra operators, from the exact
+    derivative d_i n = star(nu1_i ^ e2 + e1 ^ nu2_i)."""
+    m = H.shape[-1]
+    vec = lambda v: MultiVec.vector(m, v)
+    nu1, nu2 = frame.nu(i)
+    d = (wedge(vec(nu1), vec(frame.e2)).coeffs
+         + wedge(vec(frame.e1), vec(nu2)).coeffs)
+    return hodge_star(wedge(hodge_star(MultiVec(m, 2, d)), vec(H))).coeffs
+
+
+def stencil_dn(frame) -> tuple:
+    """(d_x n, d_y n): the grid stencils applied to the sampled Gauss map."""
+    return grad(frame.grid, gauss_map(frame).coeffs)
+
+
+def star_dn_wedge_stencil(dn_i, H) -> np.ndarray:
+    """star(d_i n ^ H) from a stencil derivative ``dn_i`` of the Gauss map."""
+    m = H.shape[-1]
+    dn = MultiVec(m, m - 2, dn_i)
+    return hodge_star(wedge(dn, MultiVec.vector(m, H))).coeffs

@@ -19,9 +19,12 @@ exists in only one, and exits 1 if there is any.  ``compare --rel`` holds
 every file to the rule of ``test_golden_reports.py`` instead of byte
 equality (ints, strings and bools exact, floats within
 1e-8 max(|a|, |b|) + 1e-12, the raw winding of a degenerate component not
-compared; CSV cells are read as floats), prints the worst relative float
-difference per file and the first breaches, and exits 1 if any file breaks
-the rule or exists on one side only.
+compared; CSV cells are read as floats), prints the worst relative
+difference among floats more than 1e-12 apart per file, then per key path
+(the file name and the path inside it, array indices collapsed to ``[]``,
+over every run, with the run where the worst one sits), then the first
+breaches, and exits 1 if any file breaks the rule or exists on one side
+only.
 
 To check a change, write DIR once with ``src`` of the old tree on
 ``PYTHONPATH`` and once with the new one, then compare.  The file is not
@@ -96,41 +99,52 @@ def compare(a: Path, b: Path) -> list[str]:
 
 
 def _read(path: Path):
-    """A report as ``test_golden_reports`` compares it, or a CSV's cells."""
+    """A report as ``test_golden_reports`` compares it, or a CSV's columns
+    by their header names."""
     from test_golden_reports import _blank_noise
     if path.suffix == ".json":
         return _blank_noise(json.loads(path.read_text()))
-    cell = lambda v: v if v.isidentifier() else float(v)
-    return [[cell(v) for v in line.split(",")]
-            for line in path.read_text().splitlines()]
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return {name: [float(row[k]) for row in rows]
+            for k, name in enumerate(header)}
 
 
-def _floats(doc):
-    if isinstance(doc, dict):
-        doc = list(doc.values())
-    if isinstance(doc, list):
-        for v in doc:
-            yield from _floats(v)
-    elif isinstance(doc, float) and math.isfinite(doc):
-        yield doc
+def _diffs(want, got, path=""):
+    """(key path, relative difference) of every pair of finite floats that
+    differ by more than the rule's absolute term, array indices collapsed to
+    ``[]`` in the path."""
+    from test_golden_reports import ABS
+    if isinstance(want, dict) and isinstance(got, dict):
+        for k in want.keys() & got.keys():
+            yield from _diffs(want[k], got[k], f"{path}.{k}")
+    elif isinstance(want, list) and isinstance(got, list):
+        for x, y in zip(want, got):
+            yield from _diffs(x, y, path + "[]")
+    elif (isinstance(want, float) and isinstance(got, float)
+          and math.isfinite(want) and math.isfinite(got)
+          and abs(want - got) > ABS):
+        yield path, abs(want - got) / max(abs(want), abs(got))
 
 
-def compare_rel(a: Path, b: Path) -> tuple[dict, list[str]]:
-    """Worst relative float difference per file, and the rule's breaches."""
+def compare_rel(a: Path, b: Path) -> tuple[dict, dict, list[str]]:
+    """Worst relative float difference per file and per key path (file
+    name and the path inside it, over every run), and the rule's breaches."""
     sys.path.insert(0, str(HERE))
     from test_golden_reports import mismatches
     files = lambda root: {p.relative_to(root) for p in root.rglob("*")
                           if p.is_file()}
     in_a, in_b = files(a), files(b)
-    worst, bad = {}, [f"{p}: on one side only" for p in sorted(in_a ^ in_b)]
+    worst, keys = {}, {}
+    bad = [f"{p}: on one side only" for p in sorted(in_a ^ in_b)]
     for p in sorted(in_a & in_b):
         want, got = _read(a / p), _read(b / p)
         bad += [f"{p}{m}" for m in mismatches(got, want)]
-        worst[str(p)] = max((abs(x - y) / max(abs(x), abs(y)) for x, y
-                             in zip(_floats(want), _floats(got)) if x != y),
-                            default=0.0)
-    return worst, bad
-
+        worst[str(p)] = 0.0
+        for path, rel in _diffs(want, got, p.name):
+            worst[str(p)] = max(worst[str(p)], rel)
+            if rel > keys.get(path, (0.0,))[0]:
+                keys[path] = (rel, str(p.parent))
+    return worst, keys, bad
 
 def main(argv) -> int:
     if len(argv) == 2 and argv[0] == "write":
@@ -141,9 +155,11 @@ def main(argv) -> int:
         print("\n".join(bad) if bad else "all files identical")
         return 1 if bad else 0
     if len(argv) == 4 and argv[:2] == ["compare", "--rel"]:
-        worst, bad = compare_rel(Path(argv[2]), Path(argv[3]))
+        worst, keys, bad = compare_rel(Path(argv[2]), Path(argv[3]))
         for name, rel in worst.items():
             print(f"{name}  worst relative difference {rel:.3g}")
+        for path, (rel, run) in sorted(keys.items()):
+            print(f"{path}  worst relative difference {rel:.3g} in {run}")
         print("\n".join(bad[:20]) if bad else "all files within the rule")
         return 1 if bad else 0
     print(__doc__, file=sys.stderr)

@@ -118,6 +118,13 @@ def test_classify_from_saved_report(tmp_path, capsys):
     assert gate == 10.0 * spread < 1e-6
 
 
+# the residues of a flat plane as ``ResidueReport.to_json`` writes them
+PLANE_RESIDUES = {"theta0": 1, "u0": 0.0, "A": [[1.0, 0.0], [0.0, 1.0],
+                                                [0.0, 0.0]],
+                  "beta0": [0.0] * 3, "rho_spread": 0.0, "gamma0": [0.0] * 3,
+                  "gamma": [0] * 3, "a": 0}
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"config": PLANE}, "the report has no 'residues' entry"),
     ({"config": PLANE, "residues": {"theta0": 1}},
@@ -127,6 +134,14 @@ def test_classify_from_saved_report(tmp_path, capsys):
      "the report's 'residues' entry is a JSON mapping, got list"),
     ({"config": PLANE, "residues": {}, "classification": [1]},
      "the report's 'classification' entry is a JSON mapping, got list"),
+    ({"config": PLANE, "residues": PLANE_RESIDUES,
+      "classification": {"conditions": [1]}},
+     "the report's 'classification.conditions' entry is a JSON mapping, "
+     "got list"),
+    ({"config": PLANE, "residues": {**PLANE_RESIDUES, "A": [1, 0, 0]}},
+     "the report's residues entry 'A' is not a list of [re, im] pairs"),
+    ({"config": PLANE, "residues": {**PLANE_RESIDUES, "theta0": "x"}},
+     "the report's residues entry 'theta0' is not an integer"),
 ])
 def test_classify_malformed_report_named(tmp_path, capsys, doc, message):
     report = tmp_path / "report.json"

@@ -188,6 +188,15 @@ def test_weingarten_constant_bounded_by_two():
         assert 0 < c <= 2.0 + 1e-6, (name, c)
 
 
+def test_weingarten_constant_zero_on_flat_chart():
+    # the branched plane's |grad n| is rounding noise (r |grad n| ~ 1e-16),
+    # so no node holds a ratio and the constant stays 0
+    grid = PolarGrid(1e-3, 1.0, 48, 32)
+    _, frame, curv = setup("branched_plane", {"theta0": 2}, grid)
+    assert np.max(grid.rr * frame.dn_norm) < 1e-13
+    assert weingarten_constant(curv, frame) == 0.0
+
+
 def test_liouville_route_cross_validates_K():
     # -Lap u e^{-2 lam} agrees with the det(II) Gauss curvature
     errs, hs = [], []

@@ -1,8 +1,9 @@
 """Golden-report regression: three small runs against checked-in reports.
 
-The reports under ``tests/golden/`` were written by ``run_pipeline`` before
-the exterior-algebra and FFT kernels were reworked; kernel changes may move
-floats by rounding only.  Integers, strings, bools and non-finite floats
+The reports under ``tests/golden/`` were last written by ``run_pipeline``
+when the flux term star(grad n ^ H) and |grad n| moved from stencil
+derivatives of the Gauss map to the frame's second fundamental form; kernel
+changes may move floats by rounding only.  Integers, strings, bools and non-finite floats
 must match exactly; every other float must satisfy
 |a - b| <= 1e-8 max(|a|, |b|) + 1e-12.  The one exception is the raw winding
 of a component flagged ``winding_degenerate``: such a component has no pole,

@@ -4,11 +4,12 @@ tracemalloc sees every numpy data buffer, so the peak of a call measures
 how many field-sized arrays it keeps alive at once.  The bounds are
 multiples of one input field's bytes: the in-place curl-potential
 integration peaks near 3.1 of its inputs (8.0 when every path quantity
-had its own array), and a whole codim-6 level near 9.5 of its
+had its own array), and a whole codim-6 level near 8.9 of its
 28-component fields (23 when h_ij, grad H and the flux temporaries were
 all kept; 15.8 while g, G, grad G, v_R and grad n stayed on the full grid
 after their stages; 11.8 while g and G took 1 + C(m, 2) Poisson solves and
-grad_perp R was formed 28 components wide).
+grad_perp R was formed 28 components wide; 9.5 while the Gauss map and its
+stencil gradient were formed).
 """
 
 import tracemalloc

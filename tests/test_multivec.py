@@ -12,10 +12,14 @@ from math import comb
 from itertools import combinations
 
 from willmore.multivec import (
-    AlgebraError, MultiVec, bullet, hodge_star, inner, interior, wedge,
-    _apply_bilinear, _bullet_table, _interior_table, _masks, _positions,
-    _wedge_sign, _wedge_table,
+    AlgebraError, MultiVec, bullet, inner, wedge,
+    _apply_bilinear, _bullet_table, _masks, _positions, _wedge_sign,
+    _wedge_table,
 )
+
+# the Hodge star and the interior product are reference operators of the
+# tests; their own tests stay here, beside the algebra they check
+from oracles import _interior_table, hodge_star, interior
 
 RNG = np.random.default_rng(20240811)
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from willmore import grid as g
-from willmore import multiplier, pipeline, potentials, residual, surface
+from willmore import (multiplier, multivec, pipeline, potentials, residual,
+                      surface)
 from willmore.grid import PolarGrid, grad
 
 # the package exports the function ``curvature``, which shadows the module
@@ -20,8 +21,8 @@ ONE_PASS_CONFIGS = {
                                  "params": {"radius": 0.75}},
                      "multiplier": {"mode": "pmc"}},
     "zero_multiplier": {"surface": {"name": "inverted_catenoid"}},
-    # the level drops grad n after the equation pass; the system check must
-    # not take it again
+    # the system check forms d(e1 ^ e2) from the frame's II, with no
+    # gradient
     "codim6_potentials": {"surface": {"name": "inverted_catenoid",
                                       "ambient_dim": 8},
                           "with_potentials": True},
@@ -62,24 +63,38 @@ def test_analyze_level_runs_each_stage_once(name, monkeypatch):
            residual)
     _count(monkeypatch, calls, "pmc_multiplier", multiplier.pmc_multiplier,
            pipeline, multiplier)
-    # grad H and grad n are the only gradients these two modules take
+    # grad H is the only gradient the equation pass takes
     _count(monkeypatch, calls, "grad_H", grad, residual)
-    _count(monkeypatch, calls, "grad_n", grad, surface)
-    # pi_n of the three second derivatives in curvature, and pi_n H_x,
-    # pi_n H_y and pi_n div(pi_n grad H) in the equation pass
+    # pi_n H_x, pi_n H_y and pi_n div(pi_n grad H) in the equation pass;
+    # curvature reads the frame's II = pi_n d2 Phi
     _count_projections(monkeypatch, calls, curvature, residual, multiplier)
     # f's anti-holomorphy defect is the level's only dz
     _count(monkeypatch, calls, "dz", g.dz, g, multiplier, residual)
     pipeline.analyze_level(pipeline.resolve(ONE_PASS_CONFIGS[name]),
                            PolarGrid(1e-3, 1.0, 96, 64))
     assert calls == {"equation": 1, "pmc_multiplier": 1, "grad_H": 1,
-                     "grad_n": 1, "project": 6, "dz": 1}
+                     "project": 3, "dz": 1}
+
+
+@pytest.mark.parametrize("with_potentials", [False, True])
+def test_exterior_algebra_only_with_potentials(monkeypatch, with_potentials):
+    # the flux and |grad n| come from the frame: only the potentials stage
+    # runs the exterior-algebra kernel
+    calls = Counter()
+    _count(monkeypatch, calls, "bilinear", multivec._apply_bilinear,
+           multivec, potentials)
+    pipeline.run_pipeline({
+        "surface": {"name": "inverted_catenoid", "ambient_dim": 8},
+        "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 48, "n_theta": 32},
+        "with_potentials": with_potentials})
+    assert (calls["bilinear"] > 0) == with_potentials
 
 
 def test_verify_system_takes_four_divergences(monkeypatch):
-    # grad g, grad G and grad n arrive cached; the four divergences take one
-    # angular derivative per input (8) and no full gradient, each on the
-    # rows of the reported annulus [0.15, 0.85] and one halo row only
+    # grad g and grad G arrive cached and d(e1 ^ e2) comes from the frame;
+    # the four divergences take one angular derivative per input (8) and no
+    # full gradient, each on the rows of the reported annulus [0.15, 0.85]
+    # and one halo row only
     calls = Counter()
     verify = potentials.verify_system
     grid = PolarGrid(1e-3, 1.0, 48, 32)
@@ -127,7 +142,8 @@ def test_report_norms_are_the_equation_norms():
 @pytest.mark.parametrize("with_potentials", [False, True])
 def test_csv_level_differentiates_once(tmp_path, monkeypatch,
                                        with_potentials):
-    # grad Phi and its second derivatives (3 calls) at load, grad n (1)
+    # grad Phi and its second derivatives (3 calls) at load, and no
+    # gradient of the Gauss map
     grid = PolarGrid(1e-3, 1.0, 48, 32)
     path = tmp_path / "samples.csv"
     surface.save_samples_csv(
@@ -139,7 +155,7 @@ def test_csv_level_differentiates_once(tmp_path, monkeypatch,
                           "tolerances": {"defect_threshold": 0.1},
                           "with_potentials": with_potentials}),
         grid)
-    assert calls == {"grad": 4}
+    assert calls == {"grad": 3}
 
 
 def test_run_pipeline_resolves_config_once(monkeypatch):

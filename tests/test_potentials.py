@@ -221,11 +221,6 @@ def full_chain(name, grid, band=(0.15, 0.85)):
     return field, frame, curv, pots
 
 
-def band_dn(pots, frame):
-    """grad n on the set's band rows, as ``verify_system`` takes it."""
-    return tuple(d[pots.band.rows] for d in frame.dn)
-
-
 def test_plane_potentials_constant():
     grid = PolarGrid(0.05, 1.0, 48, 64)
     field, frame, curv, pots = full_chain("plane", grid)
@@ -255,7 +250,7 @@ def test_conservative_system_residuals_refine(name):
     for n in (48, 96, 192):
         grid = PolarGrid(r_min, 1.0, n, 64)
         field, frame, curv, pots = full_chain(name, grid, (lo, hi))
-        out = verify_system(pots, frame, field, band_dn(pots, frame))
+        out = verify_system(pots, frame, field)
         for key in res:
             res[key].append(out[key]["rms"])
         hs.append(grid.ds)
@@ -272,8 +267,7 @@ def test_verify_system_reads_only_its_band():
     # norms come out unchanged: they rest on the band's rows alone
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field, frame, _, pots = full_chain("inverted_catenoid", grid)
-    dn = band_dn(pots, frame)
-    want = verify_system(pots, frame, field, dn)
+    want = verify_system(pots, frame, field)
     rows = pots.band.rows
     assert rows.stop - rows.start < grid.n_r // 4
 
@@ -283,11 +277,12 @@ def test_verify_system_reads_only_its_band():
         out[keep] = a[keep]
         return out
 
-    # the set and dn hold band rows only; n and the derivatives of Phi are
-    # full-grid inputs
-    frame = replace(frame, n=MultiVec(3, 1, blank(frame.n.coeffs)))
+    # the set holds band rows only; the frame (e1, e2, II and its
+    # Gram-Schmidt data) and the derivatives of Phi are full-grid inputs
+    frame = replace(frame, e1=blank(frame.e1), e2=blank(frame.e2),
+                    II=blank(frame.II, 1), gram=blank(frame.gram, 1))
     field = replace(field, d1=blank(field.d1, 1), d2=blank(field.d2, 1))
-    assert verify_system(pots, frame, field, dn) == want
+    assert verify_system(pots, frame, field) == want
 
 
 def test_synthetic_potentials_finite():
@@ -329,7 +324,7 @@ def test_conservative_system_codimension_two():
         beta0 = first_residue(fl)["beta0"]
         L, _ = potential_L(fl, beta0)
         pots = potential_set(L, beta0, field, curv, grid.band(0.15, 0.85))
-        out = verify_system(pots, frame, field, band_dn(pots, frame))
+        out = verify_system(pots, frame, field)
         for key in res:
             res[key].append(out[key]["rms"])
         hs.append(grid.ds)

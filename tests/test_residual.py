@@ -1,14 +1,16 @@
 import numpy as np
+import pytest
 
 from willmore import grid as g
-from willmore.grid import PolarGrid
+from willmore.grid import PolarGrid, dot
 from willmore.curvature import curvature
 from willmore.multiplier import pmc_multiplier
-from willmore.residual import equation
+from willmore.residual import equation, star_dn_wedge
 from willmore.surface import (CATALOG, catalog_surface, conformal_factor,
                               frame_and_gauss, from_chart)
 
-from oracles import antiholomorphy_identity_norms, inverted_chart
+from oracles import (antiholomorphy_identity_norms, inverted_chart,
+                     star_dn_wedge_algebra, star_dn_wedge_stencil, stencil_dn)
 
 LEVELS = ((32, 32), (64, 64), (128, 128))
 
@@ -193,3 +195,57 @@ def test_moebius_invariance_smoke():
         errs.append(equation(curv, frame).norms["strong"]["rms"])
         hs.append(grid.ds)
     assert g.fit_order(hs, errs) >= 1.8
+
+
+# every catalog chart, one of them at m = 8; synthetic_th4 is not conformal
+FLUX_CHARTS = {
+    "plane": (3, None), "branched_plane": (3, None),
+    "sphere_stereographic": (3, None), "catenoid_end": (3, None),
+    "inverted_catenoid": (8, None), "cylinder_cmc": (3, None),
+    "clifford_torus_patch": (4, None),
+    "synthetic_th4": (4, {"theta0": 3, "a": 1,
+                          "E_a": [[0.0, 0.0], [0.0, 0.0],
+                                  [0.2, 0.1], [-0.15, 0.12]],
+                          "gamma0": [0.0, 0.0, 0.6, -0.5]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLUX_CHARTS))
+def test_flux_term_frame_form(name):
+    # star(d_i n ^ H) from the frame equals the exterior-algebra product of
+    # the exact d_i n node by node; its gap to the stencil form
+    # star(grad n ^ H), and the gap in |grad n|, fall at the stencil's order
+    m, params = FLUX_CHARTS[name]
+    term_gaps, norm_gaps = [], []
+    for n_r in (48, 96, 192):
+        grid = PolarGrid(1e-3, 1.0, n_r, 64)
+        field = catalog_surface(name, params, grid, m)
+        frame = frame_and_gauss(field, conformal_factor(field),
+                                defect_threshold=2.0)
+        H = curvature(field, frame).H
+        dn = stencil_dn(frame)
+        got = np.stack([star_dn_wedge(frame, H, i) for i in (0, 1)])
+        want = np.stack([star_dn_wedge_algebra(frame, H, i) for i in (0, 1)])
+        old = np.stack([star_dn_wedge_stencil(dn[i], H) for i in (0, 1)])
+        scale = max(float(np.max(np.abs(got))), 1e-300)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+        stencil_norm = np.sqrt(dot(dn[0], dn[0]) + dot(dn[1], dn[1]))
+        if name in ("plane", "branched_plane"):
+            # n is constant: |grad n| and the term sit at rounding level
+            assert np.max(grid.rr * frame.dn_norm) < 1e-13
+            assert np.max(grid.rr * stencil_norm) < 1e-13
+            assert scale < 1e-13
+            continue
+        gap = lambda a: g.annulus_norms(grid, np.linalg.norm(a, axis=-1))
+        term_gaps.append(max(gap(got[i] - old[i])["max"]
+                             for i in (0, 1)) / scale)
+        norm_gaps.append(g.annulus_norms(grid, stencil_norm - frame.dn_norm)
+                         ["max"] / float(np.max(frame.dn_norm)))
+    falls = lambda gaps: all(a >= 3.5 * b for a, b in zip(gaps, gaps[1:]))
+    if name in ("plane", "branched_plane"):
+        return
+    assert falls(norm_gaps), norm_gaps
+    if name == "catenoid_end":  # minimal: H, and so the term, is noise
+        assert scale < 1e-12
+    else:
+        assert falls(term_gaps), term_gaps

@@ -3,7 +3,7 @@ import pytest
 
 from willmore import grid as g
 from willmore.grid import PolarGrid
-from willmore.multivec import MultiVec, hodge_star, inner, wedge
+from willmore.multivec import MultiVec, wedge
 from willmore.pipeline import build_field, resolve
 from willmore.surface import (
     SurfaceError, catalog_surface, conformal_factor, frame_and_gauss,
@@ -11,7 +11,8 @@ from willmore.surface import (
     synthetic_th4_coefficients, CATALOG,
 )
 
-from oracles import inverted_chart, rotated_chart, synthetic_th4_per_component
+from oracles import (gauss_map, hodge_star, inverted_chart, rotated_chart,
+                     synthetic_th4_per_component)
 
 GEOMETRIC = ["plane", "branched_plane", "sphere_stereographic", "catenoid_end",
              "inverted_catenoid", "cylinder_cmc", "clifford_torus_patch"]
@@ -67,10 +68,14 @@ def test_sphere_conformal_factor_closed_form():
 def test_sphere_normal_is_radial():
     field = build("sphere_stereographic", {"R": 1.0})
     frame = frame_and_gauss(field, conformal_factor(field))
-    # m = 3: n = star(e1 ^ e2) is already a 1-vector, the sphere normal up to sign
+    # m = 3: n = star(e1 ^ e2) is already a 1-vector, the sphere normal up
+    # to sign, and II = pi_n d2 Phi lies along it
     radial = field.phi / np.linalg.norm(field.phi, axis=-1, keepdims=True)
-    align = np.abs(np.sum(frame.n.coeffs * radial, axis=-1))
+    align = np.abs(np.sum(gauss_map(frame).coeffs * radial, axis=-1))
     assert np.min(align) > 1 - 1e-10
+    II = frame.II
+    tang = II - np.sum(II * radial, axis=-1, keepdims=True) * radial
+    assert np.max(np.abs(tang)) < 1e-10 * np.max(np.abs(II))
 
 
 def test_plane_gauss_map_constant():
@@ -78,7 +83,11 @@ def test_plane_gauss_map_constant():
     frame = frame_and_gauss(field, conformal_factor(field))
     expect = np.zeros(3)
     expect[2] = 1.0
-    assert np.allclose(np.abs(frame.n.coeffs @ expect), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(gauss_map(frame).coeffs @ expect), 1.0,
+                       atol=1e-12)
+    # the constant map has no derivative: II and |grad n| vanish
+    assert np.max(np.abs(frame.II)) < 1e-12
+    assert np.max(frame.dn_norm) < 1e-12
 
 
 @pytest.mark.parametrize("name", GEOMETRIC)
@@ -86,13 +95,19 @@ def test_hodge_frame_identities_nodewise(name):
     field = build(name)
     frame = frame_and_gauss(field, conformal_factor(field))
     m = field.ambient_dim
-    assert np.max(np.abs(np.linalg.norm(frame.n.coeffs, axis=-1) - 1.0)) < 1e-12
     e1 = MultiVec.vector(m, frame.e1)
     e2 = MultiVec.vector(m, frame.e2)
-    lhs = hodge_star(wedge(frame.n, e1))
+    n = gauss_map(frame)
+    raw = hodge_star(wedge(e1, e2)).coeffs  # unit without normalizing
+    assert np.max(np.abs(np.linalg.norm(raw, axis=-1) - 1.0)) < 1e-12
+    lhs = hodge_star(wedge(n, e1))
     assert np.max(np.abs(lhs.coeffs - frame.e2)) < 1e-9
-    lhs2 = hodge_star(wedge(frame.n, e2))
+    lhs2 = hodge_star(wedge(n, e2))
     assert np.max(np.abs(lhs2.coeffs + frame.e1)) < 1e-9
+    # II is normal: pi_n d2 Phi has no part along e1 or e2
+    scale = max(float(np.max(np.abs(field.d2))), 1.0)
+    for e in (frame.e1, frame.e2):
+        assert np.max(np.abs(np.sum(frame.II * e, axis=-1))) < 1e-12 * scale
 
 
 def test_frame_rejects_nonconformal():
