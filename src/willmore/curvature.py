@@ -27,8 +27,8 @@ from willmore.surface import BranchData, FrameField, ImmersionField
 class CurvatureField:
     grid: PolarGrid
     lam: np.ndarray
-    H: np.ndarray          # real normal vector per node (un-projected evaluation)
-    H0: np.ndarray         # complex normal vector per node
+    H: np.ndarray          # (m, n_r, n_theta) real, un-projected evaluation
+    H0: np.ndarray         # (m, n_r, n_theta) complex
     K: np.ndarray
     energy_density: np.ndarray  # |H|^2 e^{2 lam}
 
@@ -38,7 +38,7 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
     of ``frame.II`` are temporaries of K."""
     p1, p2 = field.d1[0], field.d1[1]
     pxx, pxy, pyy = field.d2[0], field.d2[1], field.d2[2]
-    e2l = np.exp(2.0 * frame.lam)[..., None]
+    e2l = np.exp(2.0 * frame.lam)
     h11, h12, h22 = frame.II / e2l
     K = dot(h11, h22) - dot(h12, h12)
     del h11, h12, h22
@@ -47,12 +47,12 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
 
     dz_phi = 0.5 * (p1 - 1j * p2)
     dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
-    lam_x = (dot(p1, pxx) + dot(p2, pxy))[..., None] / (2.0 * e2l)
-    lam_y = (dot(p1, pxy) + dot(p2, pyy))[..., None] / (2.0 * e2l)
+    lam_x = (dot(p1, pxx) + dot(p2, pxy)) / (2.0 * e2l)
+    lam_y = (dot(p1, pxy) + dot(p2, pyy)) / (2.0 * e2l)
     dz_lam = 0.5 * (lam_x - 1j * lam_y)
     H0 = 2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi) / e2l
 
-    density = dot(H, H) * e2l[..., 0]
+    density = dot(H, H) * e2l
     return CurvatureField(field.grid, frame.lam, H, H0, K, density)
 
 
@@ -82,7 +82,7 @@ def gauss_bonnet_check(curv: CurvatureField, branch: BranchData) -> dict:
 def delta_profile(frame: FrameField) -> dict:
     """delta(r) = r max_theta |grad n| per circle, plus int delta^2 dr/r."""
     gn = frame.dn_norm
-    delta = frame.grid.r * np.max(gn, axis=1)
+    delta = frame.grid.r * np.max(gn, axis=-1)
     total = float(np.trapezoid(delta ** 2, frame.grid.s))
     return {"r": frame.grid.r, "delta": delta, "square_integral": total}
 

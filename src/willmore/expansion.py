@@ -111,7 +111,7 @@ def fit_phi(field: ImmersionField, theta0: int, a: int, u0: float) -> ExpansionF
     design = np.stack(cols, axis=1)
 
     weights = r ** float(-2 * theta0)
-    targets = field.phi[sel].reshape(-1, m)
+    targets = field.phi[:, sel].reshape(m, -1).T  # one row per node
     coef, cond, resid = _weighted_lstsq(design, targets, weights)
 
     def complex_pair(i):
@@ -151,7 +151,7 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
     if a >= theta0:
         raise ExpansionError(f"pole order a = {a} outside [0, theta0 - 1]")
     grid = curv.grid
-    m = curv.H.shape[-1]
+    m = curv.H.shape[0]
     sel = _fit_rows(grid)
 
     z = grid.z[sel].ravel()
@@ -171,7 +171,7 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
     design = np.stack(cols, axis=1)
 
     weights = r ** float(a)
-    targets = curv.H[sel].reshape(-1, m)
+    targets = curv.H[:, sel].reshape(m, -1).T  # one row per node
     coef, cond, resid = _weighted_lstsq(design, targets, weights)
 
     n_struct = (1 if a == 0 else 2) + 1

@@ -13,20 +13,23 @@ derivatives its result keeps: ``div`` differentiates v_x in x and v_y in y
 (never the discarded half of two gradients), and the Wirtinger derivatives
 ``dz``/``dzbar`` are formed directly from the polar ones as
 e^{-+i theta}(d_r -+ (i/r) d_theta)/2.  ``dot`` is the one contraction over
-the trailing (ambient) axis: bilinear, no conjugation.  ``PolarGrid.band``
+the leading (ambient) axis: bilinear, no conjugation.  ``PolarGrid.band``
 is the view of one annulus for stages that report only that annulus.
 ``annulus_mask`` always trims 10% of the rows at each rim, so every
 annulus norm stays off the one-sided stencils; ``integrate`` reads every
 row.  ``jsonable`` is the one converter of arrays and complex numbers to
-JSON values, used by every report writer.
+JSON values, used by every report writer, and ``is_integer`` the one test
+of an integral JSON value, used by every reader.
 
-Field arrays are shaped (n_r, n_theta, ...) with arbitrary trailing axes.
+Field arrays are shaped (..., n_r, n_theta): ambient, coefficient and
+derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -148,62 +151,58 @@ class RowBand(PolarGrid):
 
     def norms(self, f: np.ndarray) -> dict:
         """Max and rms of |f| over the band's annulus rows."""
-        return _norms(np.asarray(f)[self.keep])
-
-
-def _trail(a: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """Broadcast a (n_r, n_theta) factor over the trailing axes of field."""
-    return a.reshape(a.shape + (1,) * (field.ndim - 2))
+        return _norms(np.asarray(f)[..., self.keep, :])
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Contraction over the last axis, sum_i a_i b_i (no conjugation)."""
-    return np.einsum("...i,...i->...", a, b)
+    """Contraction over axis 0, sum_i a_i b_i (no conjugation)."""
+    return np.einsum("i...,i...->...", a, b)
 
 
 def dtheta(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
-    """Spectral d/dtheta along axis 1."""
+    """Spectral d/dtheta along axis -1."""
     if np.iscomplexobj(f):
         return dtheta(grid, f.real) + 1j * dtheta(grid, f.imag)
     n = grid.n_theta
     k = np.arange(n // 2 + 1, dtype=float)
     k[n // 2] = 0.0  # drop the unpaired Nyquist mode for odd derivatives
-    shape = [1, n // 2 + 1] + [1] * (f.ndim - 2)
-    fh = np.fft.rfft(f, axis=1)
-    fh *= (1j * k).reshape(shape)
-    return np.fft.irfft(fh, n, axis=1)
+    fh = np.fft.rfft(f, axis=-1)
+    fh *= 1j * k
+    return np.fft.irfft(fh, n, axis=-1)
 
 
 def ds(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
-    """Second-order d/ds (s = log r) along axis 0, one-sided at the ends."""
+    """Second-order d/ds (s = log r) along axis -2, one-sided at the ends."""
     h = grid.ds
+    f = np.moveaxis(f, -2, 0)  # a view: the rows are whole planes
     out = np.empty_like(f, dtype=np.result_type(f, float))
-    out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2 * h
     out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
     out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-    return out
+    return np.moveaxis(out, 0, -2)
 
 
 def dss(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
-    """Second-order d2/ds2 along axis 0."""
+    """Second-order d2/ds2 along axis -2."""
     h2 = grid.ds ** 2
+    f = np.moveaxis(f, -2, 0)
     out = np.empty_like(f, dtype=np.result_type(f, float))
     out[1:-1] = (f[2:] - 2 * f[1:-1] + f[:-2]) / h2
     out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
     out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
-    return out
+    return np.moveaxis(out, 0, -2)
 
 
 def dr(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
-    return ds(grid, f) / _trail(grid.rr, f)
+    return ds(grid, f) / grid.rr
 
 
 def grad(grid: PolarGrid, f: np.ndarray):
     """Cartesian gradient (d/dx1, d/dx2) of a node field."""
     fr = dr(grid, f)
-    ft_over_r = dtheta(grid, f) / _trail(grid.rr, f)
-    c = _trail(grid.cos_t, f)
-    s = _trail(grid.sin_t, f)
+    ft_over_r = dtheta(grid, f) / grid.rr
+    c, s = grid.cos_t, grid.sin_t
     return c * fr - s * ft_over_r, s * fr + c * ft_over_r
 
 
@@ -213,9 +212,7 @@ def div(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     The x-term is finished before vy is differentiated, so only one pair of
     polar derivatives is alive at a time.
     """
-    c = _trail(grid.cos_t, vx)
-    s = _trail(grid.sin_t, vx)
-    rr = _trail(grid.rr, vx)
+    c, s, rr = grid.cos_t, grid.sin_t, grid.rr
     out = c * dr(grid, vx) - s * (dtheta(grid, vx) / rr)
     return out + (s * dr(grid, vy) + c * (dtheta(grid, vy) / rr))
 
@@ -223,7 +220,7 @@ def div(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
 def laplacian(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
     """Polar-exponential Laplacian e^{-2s} (f_ss + f_thth)."""
     ftt = dtheta(grid, dtheta(grid, f))
-    return (dss(grid, f) + ftt) / _trail(grid.rr ** 2, f)
+    return (dss(grid, f) + ftt) / grid.rr ** 2
 
 
 def _wirtinger(grid: PolarGrid, f: np.ndarray, sign: int) -> np.ndarray:
@@ -231,9 +228,9 @@ def _wirtinger(grid: PolarGrid, f: np.ndarray, sign: int) -> np.ndarray:
     e^{sign i theta} (d_r + sign (i/r) d_theta) / 2."""
     out = dtheta(grid, f).astype(complex, copy=False)
     out *= sign * 1j
-    out /= _trail(grid.rr, f)
+    out /= grid.rr
     out += dr(grid, f)
-    out *= _trail(0.5 * (grid.cos_t[:1] + (sign * 1j) * grid.sin_t[:1]), f)
+    out *= 0.5 * (grid.cos_t[:1] + (sign * 1j) * grid.sin_t[:1])
     return out
 
 
@@ -250,15 +247,14 @@ def dzbar(grid: PolarGrid, f: np.ndarray) -> np.ndarray:
 
 def circle_mean(f: np.ndarray) -> np.ndarray:
     """Average over the angular axis; exact on trigonometric polynomials."""
-    return np.mean(f, axis=1)
+    return np.mean(f, axis=-1)
 
 
 def circulation(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Outward flux integral of (vx, vy) through each grid circle."""
-    c = _trail(grid.cos_t, vx)
-    s = _trail(grid.sin_t, vx)
-    nu_dot = c * vx + s * vy
-    return 2.0 * np.pi * _trail(grid.r[:, None], vx)[:, 0] * circle_mean(nu_dot)
+    """Outward flux integral of (vx, vy) through each grid circle, shape
+    (..., n_r)."""
+    nu_dot = grid.cos_t * vx + grid.sin_t * vy
+    return 2.0 * np.pi * grid.r * circle_mean(nu_dot)
 
 
 def annulus_mask(grid: PolarGrid, r_lo=None, r_hi=None) -> np.ndarray:
@@ -274,14 +270,14 @@ def annulus_mask(grid: PolarGrid, r_lo=None, r_hi=None) -> np.ndarray:
 
 
 def annulus_norms(grid: PolarGrid, f: np.ndarray, r_lo=None, r_hi=None) -> dict:
-    """Max and rms of |f| over ``annulus_mask``'s rows; trailing axes pooled."""
-    return _norms(np.asarray(f)[annulus_mask(grid, r_lo, r_hi)])
+    """Max and rms of |f| over ``annulus_mask``'s rows; leading axes pooled."""
+    return _norms(np.asarray(f)[..., annulus_mask(grid, r_lo, r_hi), :])
 
 
 def _norms(rows: np.ndarray) -> dict:
     vals = np.abs(rows)
     if vals.ndim > 2:
-        vals = np.sqrt(np.sum(vals ** 2, axis=tuple(range(2, vals.ndim))))
+        vals = np.sqrt(np.sum(vals ** 2, axis=tuple(range(vals.ndim - 2))))
     return {"max": float(np.max(vals)), "rms": float(np.sqrt(np.mean(vals ** 2)))}
 
 
@@ -293,7 +289,7 @@ def integrate(grid: PolarGrid, f: np.ndarray) -> float:
     (fourth order for smooth radial profiles).
     """
     s = grid.s
-    ring = np.mean(f, axis=1) * 2.0 * np.pi * np.exp(2.0 * s)
+    ring = circle_mean(f) * 2.0 * np.pi * np.exp(2.0 * s)
     total = float(np.trapezoid(ring, s))
     h = s[1] - s[0]
     w = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
@@ -310,6 +306,13 @@ def fit_order(hs, errs) -> float:
     if keep.sum() < 2:
         return np.inf
     return float(np.polyfit(np.log(hs[keep]), np.log(errs[keep]), 1)[0])
+
+
+def is_integer(v) -> bool:
+    """Whether a JSON value is an integer: no fraction, and not a bool."""
+    # an int is never converted: float() overflows past 1e308
+    return (not isinstance(v, bool) and isinstance(v, Real)
+            and (isinstance(v, int) or float(v).is_integer()))
 
 
 def jsonable(v):

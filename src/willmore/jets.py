@@ -7,7 +7,8 @@ gradients and Hessians, which is how every catalog surface exposes exact
 derivative samples.  Values may be real or complex arrays; complex entries
 are treated componentwise (the derivatives are with respect to the two real
 coordinates, so ``conj`` acts slotwise).  Slots broadcast like numpy
-operands and may carry a trailing ambient axis.
+operands; the charts give each ambient component its own jet, whose slots
+are (n_r, n_theta) planes of one (6, m, n_r, n_theta) array.
 
 The arithmetic is what the catalog charts write: ``+`` and ``*`` with a
 jet or a constant on either side, ``-`` and ``/`` with the jet on the left,

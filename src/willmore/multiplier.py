@@ -93,21 +93,16 @@ class MultiplierSpec:
 
 
 def matrix_field(f: np.ndarray) -> np.ndarray:
-    """Per-node M_f, shape (..., 2, 2); symmetric trace-free by construction."""
+    """Per-node M_f, shape (2, 2, ...); symmetric trace-free by construction."""
     re, im = f.real, f.imag
-    out = np.empty(f.shape + (2, 2))
-    out[..., 0, 0] = -im
-    out[..., 0, 1] = re
-    out[..., 1, 0] = re
-    out[..., 1, 1] = im
-    return out
+    return np.array([[-im, re], [re, im]])
 
 
 @dataclass(eq=False)
 class SpecialFields:
     """F_mu, J and the annulus max of J's gap to its series form."""
 
-    F_mu: np.ndarray        # (n_r, n_theta, m) complex
+    F_mu: np.ndarray        # (m, n_r, n_theta) complex
     J: np.ndarray
     mismatch: float
 
@@ -124,26 +119,26 @@ def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
     their difference.  A zero spec gives zero fields.
     """
     grid = field.grid
-    z = grid.z[..., None]
+    z = grid.z
     theta0, u0 = branch.theta0, branch.u0
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A, dtype=complex)[:, None, None]
     dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
-    e2lam = np.exp(2.0 * lam)[..., None]
+    e2lam = np.exp(2.0 * lam)
 
     mu = spec.mu
-    head = 0.5 * theta0 * np.exp(-2.0 * u0) * spec.a_mu * A[None, None, :]
+    head = 0.5 * theta0 * np.exp(-2.0 * u0) * spec.a_mu * A
     if mu == theta0 - 2:
         F_mu = head * 2.0 * np.log(np.abs(z))
     else:
         F_mu = head * np.conj(z) ** (mu + 2 - theta0) / (mu + 2 - theta0)
     dzbar_F = head * np.conj(z) ** (mu + 1 - theta0)
 
-    f = spec.evaluate(grid.z)[..., None]
+    f = spec.evaluate(z)
     lhs = e2lam ** (-1) * f * dz_phi
     J = lhs - dzbar_F
 
-    bracket = (z ** (1 - theta0) * np.exp(-2.0 * branch.u)[..., None] * dz_phi
-               - 0.5 * theta0 * np.exp(-2.0 * u0) * A[None, None, :])
+    bracket = (z ** (1 - theta0) * np.exp(-2.0 * branch.u) * dz_phi
+               - 0.5 * theta0 * np.exp(-2.0 * u0) * A)
     J_series = spec.a_mu * np.conj(z) ** (mu + 1 - theta0) * bracket
     if spec.f0:
         tail = np.zeros_like(f)

@@ -2,17 +2,16 @@
 
 A grade-k multivector is stored as one coefficient per strictly increasing
 k-subset of {1..m}, with subsets ordered lexicographically.  Coefficient
-arrays may carry arbitrary leading axes, so a ``MultiVec`` doubles as a
-field of multivectors sampled on a grid; all operations broadcast over the
-leading axes.  With integer coefficient arrays every operation is exact,
-since the structure constants are the integers +-1.
+arrays are coefficient-major, (C(m, k), ...): the trailing axes may be the
+(n_r, n_theta) grid, so a ``MultiVec`` doubles as a field of multivectors
+sampled on a grid, and all operations broadcast over them.  With integer
+coefficient arrays every operation is exact, since the structure constants
+are the integers +-1.
 
 The bilinear products run over a table of (left, right, out, sign) terms.
-The kernel works coefficient-major: it copies each operand once to a
-(coefficient, *lead) layout, so every term multiplies and accumulates whole
-contiguous planes, then hands the result back in the (*lead, coefficient)
-layout.  Terms are summed in table order, so the result does not depend on
-the layout.
+Each coefficient is a contiguous plane, so every term multiplies and
+accumulates whole planes in place, with no copy of either operand.  Terms
+are summed in table order.
 
 Operations: wedge product and the first-order contraction ``bullet``,
 defined inductively from the interior product
@@ -126,16 +125,14 @@ def _bullet_table(m: int, p: int, q: int):
 
 def _apply_bilinear(table, a: np.ndarray, b: np.ndarray, dim_out: int) -> np.ndarray:
     # coefficient-major: each term reads and writes whole contiguous planes
-    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    a = np.moveaxis(a, -1, 0).copy()
-    b = np.moveaxis(b, -1, 0).copy()
-    out = np.zeros((dim_out,) + lead, dtype=np.result_type(a, b))
+    trail = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.zeros((dim_out,) + trail, dtype=np.result_type(a, b))
     for ia, ib, io, s in table:
         if s == 1:  # every table holds signs only
             out[io] += a[ia] * b[ib]
         else:
             out[io] -= a[ia] * b[ib]
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ class MultiVec:
 
     ambient_dim: int
     grade: int
-    coeffs: np.ndarray  # shape (..., comb(m, k))
+    coeffs: np.ndarray  # shape (comb(m, k), ...)
 
     def __post_init__(self):
         m, k = self.ambient_dim, self.grade
@@ -153,7 +150,7 @@ class MultiVec:
         if not 0 <= k <= m:
             raise AlgebraError(f"grade {k} outside [0, {m}]")
         c = np.asarray(self.coeffs)
-        if c.shape[-1:] != (comb(m, k),):
+        if c.shape[:1] != (comb(m, k),):
             raise AlgebraError(
                 f"expected {comb(m, k)} coefficients for grade {k} in R^{m}, "
                 f"got shape {c.shape}")
@@ -162,7 +159,7 @@ class MultiVec:
     @staticmethod
     def vector(m: int, components: np.ndarray) -> "MultiVec":
         components = np.asarray(components)
-        if components.shape[-1] != m:
+        if components.shape[:1] != (m,):
             raise AlgebraError(f"vector needs {m} components")
         return MultiVec(m, 1, components)
 

@@ -39,7 +39,7 @@ from willmore.curvature import (curvature, delta_profile, gauss_bonnet_check,
                                 willmore_energy)
 from willmore.expansion import fit_H, fit_phi, verify_constants
 from willmore.grid import (PolarGrid, circle_mean, dot, fit_order, integrate,
-                           jsonable)
+                           is_integer, jsonable)
 from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
 from willmore.multivec import MAX_DIM, MIN_DIM
 from willmore.potentials import potential_set, verify_system
@@ -83,12 +83,6 @@ def _refuse(stage: str, message: str) -> NoReturn:
     raise PipelineError(stage, ValueError(message))
 
 
-def _is_integer(v) -> bool:
-    # an int is never converted: float() overflows past 1e308
-    return (not isinstance(v, bool) and isinstance(v, Real)
-            and (isinstance(v, int) or float(v).is_integer()))
-
-
 @dataclass(frozen=True)
 class Settings:
     """What a config asks of a run, checked once by ``resolve``.
@@ -125,7 +119,7 @@ def _surface_entry(surf) -> dict:
     if not isinstance(params, dict) or "ambient_dim" in params:
         _refuse("surface", "params must be a mapping without ambient_dim "
                 f"(set it on the surface), got {params!r}")
-    if not _is_integer(m) or not MIN_DIM <= m <= MAX_DIM:
+    if not is_integer(m) or not MIN_DIM <= m <= MAX_DIM:
         _refuse("surface", f"ambient_dim must be an integer in [{MIN_DIM}, "
                 f"{MAX_DIM}], got {m!r}")
     return {"name": surf["name"], "params": params, "ambient_dim": int(m)}
@@ -137,7 +131,7 @@ def _base_grid(doc) -> PolarGrid:
     ``MAX_NODES``."""
     if isinstance(doc, dict):
         for key in ("n_r", "n_theta"):
-            if key in doc and not _is_integer(doc[key]):
+            if key in doc and not is_integer(doc[key]):
                 _refuse("grid", f"{key} must be an integer, got {doc[key]!r}")
         for key in ("r_min", "r_max"):
             v = doc.get(key, 1.0)
@@ -182,7 +176,7 @@ def resolve(config) -> Settings:
     grids = [_base_grid(config["grid"]) if "grid" in config
              else PolarGrid()]
     n_levels = config.get("levels", 1)
-    if not _is_integer(n_levels) or n_levels < 1:
+    if not is_integer(n_levels) or n_levels < 1:
         _refuse("levels", f"levels must be a positive integer, got "
                 f"{n_levels!r}")
     if "csv" in surface and n_levels > 1:
@@ -328,10 +322,8 @@ def analyze_level(settings: Settings,
     level["a"] = srw.a
     level["winding_raw"] = srw.raw
     level["winding_degenerate"] = srw.degenerate
-    level["w_profile"] = {
-        "r": grid.r,
-        "abs_mean": np.stack([circle_mean(np.abs(W[..., j]))
-                              for j in range(W.shape[-1])], axis=-1)}
+    level["w_profile"] = {"r": grid.r,  # one row per circle
+                          "abs_mean": circle_mean(np.abs(W)).T}
     del W  # read only by the winding stage and the profile above
 
     report = ResidueReport(

@@ -24,6 +24,7 @@ the frame there.  This is the only module that runs the exterior-algebra
 operators of ``multivec``.
 ``potential_set`` builds R in m // 2 blocks of at most m components and
 keeps S, R and, of the rest, only the band rows ``verify_system`` reads.
+Fields are (components, n_r, n_theta): a block of R is a run of planes.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class PotentialError(ValueError):
 @dataclass(eq=False)
 class PotentialSet:
     band: RowBand                      # the rows ``verify_system`` reads
-    S: np.ndarray                      # scalar field, full grid
-    R: np.ndarray                      # 2-vector coefficients, full grid
+    S: np.ndarray                      # scalar field, (n_r, n_theta)
+    R: np.ndarray                      # 2-vector, (C(m, 2), n_r, n_theta)
     v_S: tuple                         # grad_perp S on the band rows
     v_R: tuple                         # grad_perp R on the band rows
     dg: tuple                          # grad g on the band rows
@@ -74,7 +75,8 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
     n_r, n_theta = grid.n_r, grid.n_theta
     h = grid.ds
     n_modes = n_theta // 2 + 1
-    src = np.fft.rfft(rhs, axis=1).reshape(n_r, n_modes, -1)
+    # rows lead for the sweep: each row is one (n_modes, components) plane
+    src = np.fft.rfft(rhs, axis=-1).reshape(-1, n_r, n_modes).transpose(1, 2, 0)
     src *= np.exp(2.0 * grid.s)[:, None, None]
     k = np.arange(n_modes, dtype=float)[:, None]   # irfft supplies k < 0
     h2_12 = h * h / 12.0
@@ -107,7 +109,7 @@ def _solve_modes(grid: PolarGrid, rhs: np.ndarray) -> np.ndarray:
     if np.any(bad):
         raise PotentialError(
             f"singular radial solve at mode k = {int(np.argmax(bad))}")
-    return np.fft.irfft(u, n_theta, axis=1).reshape(rhs.shape)
+    return np.fft.irfft(u.transpose(2, 0, 1), n_theta, axis=-1).reshape(rhs.shape)
 
 
 def solve_gG(beta0: np.ndarray, field: ImmersionField) -> np.ndarray:
@@ -115,9 +117,9 @@ def solve_gG(beta0: np.ndarray, field: ImmersionField) -> np.ndarray:
     m-component solve of Lap U = w = (2/r) d_r Phi."""
     grid = field.grid
     if not np.any(beta0):
-        return np.zeros((grid.n_r, grid.n_theta, field.ambient_dim))
-    w = ((2.0 * grid.x / grid.rr ** 2)[..., None] * field.d1[0]
-         + (2.0 * grid.y / grid.rr ** 2)[..., None] * field.d1[1])
+        return np.zeros(field.phi.shape)
+    w = ((2.0 * grid.x / grid.rr ** 2) * field.d1[0]
+         + (2.0 * grid.y / grid.rr ** 2) * field.d1[1])
     return _solve_modes(grid, w)
 
 
@@ -130,7 +132,7 @@ def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
     """grad g and grad G from U (``solve_gG``), then S and R from the flux
     potential L; the set keeps the rows of ``band`` (a ``PolarGrid.band``)."""
     grid, d1, m = field.grid, field.d1, field.ambient_dim
-    cut = lambda pair: tuple(v[band.rows].copy() for v in pair)
+    cut = lambda pair: tuple(v[..., band.rows, :].copy() for v in pair)
     dU = grad(grid, solve_gG(beta0, field))
     dg = (dot(dU[0], beta0), dot(dU[1], beta0))
     # grad_perp Phi = (-Phi_y, Phi_x); -(a . b) is a . (-b) bit for bit
@@ -139,8 +141,8 @@ def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
     v_s, dg = cut(v_s), cut(dg)
     n2 = comb(m, 2)
     width = n2 // (m // 2)
-    R = np.empty((grid.n_r, grid.n_theta, n2))
-    v_r, dG = ([np.empty(dg[0].shape + (n2,)) for _ in d1] for _ in range(2))
+    R = np.empty((n2, grid.n_r, grid.n_theta))
+    v_r, dG = ([np.empty((n2,) + dg[0].shape) for _ in d1] for _ in range(2))
     parts = []
     for lo in range(0, n2, width):
         cols = slice(lo, lo + width)
@@ -152,9 +154,9 @@ def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
         v = [sign * wb(L, d1[1 - k]) - 2.0 * wb(curv.H, d1[k])
              - wb(beta0, dU[k]) for k, sign in ((0, -1.0), (1, 1.0))]
         for k in (0, 1):
-            dG[k][..., cols] = wb(beta0, dU[k][band.rows])
-            v_r[k][..., cols] = v[k][band.rows]
-        R[..., cols], dR = integrate_curl_potential(grid, *v, parts)
+            dG[k][cols] = wb(beta0, dU[k][:, band.rows])
+            v_r[k][cols] = v[k][:, band.rows]
+        R[cols], dR = integrate_curl_potential(grid, *v, parts)
         del v                      # before the next block's terms are formed
     return PotentialSet(band, S, R, v_s, tuple(v_r), dg, tuple(dG),
                         {"S": dS, "R": dR})
@@ -186,7 +188,7 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     mk2 = lambda c: MultiVec(m, 2, c)
     mk1 = lambda c: MultiVec.vector(m, c)
     w11 = lambda a, b: wedge(mk1(a), mk1(b)).coeffs
-    e1, e2 = frame.e1[grid.rows], frame.e2[grid.rows]
+    e1, e2 = frame.e1[:, grid.rows], frame.e2[:, grid.rows]
     sn = mk2(w11(e1, e2))  # star n
     sn_x, sn_y = (w11(nu1, e2) + w11(e1, nu2)
                   for nu1, nu2 in (frame.nu(i, grid.rows) for i in (0, 1)))
@@ -208,13 +210,11 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     # -Lap R = s1 grad(star n) bullet perp grad R - grad(star n) perp grad S
     #          + div(s3 (star n) bullet grad G + s4 (star n) grad g)
     div_f = div(grid,
-                s_bullG * bullet(sn, mk2(Gx)).coeffs
-                + s_sng * sn.coeffs * gx[..., None],
-                s_bullG * bullet(sn, mk2(Gy)).coeffs
-                + s_sng * sn.coeffs * gy[..., None])
+                s_bullG * bullet(sn, mk2(Gx)).coeffs + s_sng * sn.coeffs * gx,
+                s_bullG * bullet(sn, mk2(Gy)).coeffs + s_sng * sn.coeffs * gy)
     bull_R = (bullet(mk2(sn_x), mk2(perp_R[0])).coeffs
               + bullet(mk2(sn_y), mk2(perp_R[1])).coeffs)
-    dot_S = sn_x * perp_S[0][..., None] + sn_y * perp_S[1][..., None]
+    dot_S = sn_x * perp_S[0] + sn_y * perp_S[1]
     del sn, sn_x, sn_y
     norms["sysR"] = grid.norms(-div(grid, Rx, Ry) - s_bullR * bull_R
                                + s_dotS * dot_S - div_f)
@@ -222,10 +222,9 @@ def verify_system(pots: PotentialSet, frame: FrameField,
 
     # -2 Lap Phi = (grad S - perp grad g) . perp grad Phi
     #              + s5 (grad R - perp grad G) bullet perp grad Phi
-    d1, d2 = field.d1[:, grid.rows], field.d2[:, grid.rows]
+    d1, d2 = field.d1[..., grid.rows, :], field.d2[..., grid.rows, :]
     perp_phi = (-d1[1], d1[0])
-    t_scal = ((Sx + gy)[..., None] * perp_phi[0]
-              + (Sy - gx)[..., None] * perp_phi[1])
+    t_scal = (Sx + gy) * perp_phi[0] + (Sy - gx) * perp_phi[1]
     t_bull = (bullet(mk2(Rx + Gy), mk1(perp_phi[0])).coeffs
               + bullet(mk2(Ry - Gx), mk1(perp_phi[1])).coeffs)
     norms["delphi"] = grid.norms(-2.0 * (d2[0] + d2[2]) - t_scal

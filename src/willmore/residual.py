@@ -29,7 +29,7 @@ the gap in the identity above over ``NORM_ANNULUS``, and the parallelism
 defect |pi_n grad H| / max(|grad H|, |H|).  n is never formed: the term
 star(grad_perp n ^ H) comes from the frame (``star_dn_wedge``), and grad H,
 which the pass takes itself, and pi_n grad H are released before the flux
-divergence.  Both flux components are assembled in one (2, ...) buffer.
+divergence.  Both flux components are assembled in one (2, m, ...) buffer.
 """
 
 from __future__ import annotations
@@ -52,35 +52,36 @@ NORM_ANNULUS = (0.1, 0.9)
 @dataclass(eq=False)
 class FluxField:
     grid: PolarGrid
-    raw: np.ndarray                 # (2, n_r, n_theta, m), no beta0 correction
+    raw: np.ndarray                 # (2, m, n_r, n_theta), no beta0 correction
 
     def corrected(self, beta0) -> np.ndarray:
         """X = raw - 2 beta0 grad log|x|, the flux with vanishing circulation."""
-        beta0 = np.asarray(beta0, dtype=float)
+        twice = 2.0 * np.asarray(beta0, dtype=float)[..., None, None]
         grid = self.grid
-        r2 = (grid.rr ** 2)[..., None]
-        return np.stack([self.raw[0] - 2.0 * beta0 * grid.x[..., None] / r2,
-                         self.raw[1] - 2.0 * beta0 * grid.y[..., None] / r2])
+        r2 = grid.rr ** 2
+        return np.stack([self.raw[0] - twice * grid.x / r2,
+                         self.raw[1] - twice * grid.y / r2])
 
 
 @dataclass(eq=False)
 class Equation:
     """Both forms of the equation on one level and their checks."""
 
-    strong: np.ndarray              # strong-form residual, (n_r, n_theta, m)
-    div_defect: np.ndarray          # div X_raw per node, (n_r, n_theta, m)
+    strong: np.ndarray              # strong-form residual, (m, n_r, n_theta)
+    div_defect: np.ndarray          # div X_raw per node, (m, n_r, n_theta)
     flux: FluxField
     norms: dict     # NORM_ANNULUS norms: "strong", "div" (div X_raw), "identity"
     pmc_defect: float               # |pi_n grad H| / max(|grad H|, |H|)
 
 
-def star_dn_wedge(frame: FrameField, H: np.ndarray, i: int) -> np.ndarray:
+def star_dn_wedge(frame: FrameField, H: np.ndarray, eH: tuple,
+                  i: int) -> np.ndarray:
     """star(d_i n ^ H) = <nu1, H> e2 - <e2, H> nu1 + <e1, H> nu2 - <nu2, H> e1
-    with nu_a = pi_n d_i e_a (``FrameField.nu``): exact algebra for
-    n = star(e1 ^ e2), which assumes no conformality."""
+    with nu_a = pi_n d_i e_a (``FrameField.nu``) and eH = (<e1, H>, <e2, H>):
+    exact algebra for n = star(e1 ^ e2), which assumes no conformality."""
     (nu1, nu2), e1, e2 = frame.nu(i), frame.e1, frame.e2
-    out = dot(nu1, H)[..., None] * e2 - dot(e2, H)[..., None] * nu1
-    out += dot(e1, H)[..., None] * nu2 - dot(nu2, H)[..., None] * e1
+    out = dot(nu1, H) * e2 - eH[1] * nu1
+    out += eH[0] * nu2 - dot(nu2, H) * e1
     return out
 
 
@@ -99,11 +100,14 @@ def equation(curv: CurvatureField, frame: FrameField,
         f = None
     if f is not None and field is None:
         raise ValueError("the immersion field is needed for the M_f term")
-    e2l = np.exp(2.0 * frame.lam)[..., None]
-    # the flux is summed in place, its star(grad_perp n ^ H) terms first
+    e2l = np.exp(2.0 * frame.lam)
+    # the flux is summed in place, its star(grad_perp n ^ H) terms first:
+    # grad_perp n = (-d_y n, d_x n), and negation is exact
     raw = np.empty((2,) + curv.H.shape)
-    raw[0] = star_dn_wedge(frame, -curv.H, 1)  # grad_perp n = (-d_y n, d_x n)
-    raw[1] = star_dn_wedge(frame, curv.H, 0)
+    eH = dot(frame.e1, curv.H), dot(frame.e2, curv.H)  # once per level
+    np.negative(star_dn_wedge(frame, curv.H, eH, 1), out=raw[0])
+    raw[1] = star_dn_wedge(frame, curv.H, eH, 0)
+    del eH
     Hx, Hy = grad(grid, curv.H)
     pi_n = normal_projector(frame)
     px, py = pi_n(Hx), pi_n(Hy)
@@ -113,20 +117,19 @@ def equation(curv: CurvatureField, frame: FrameField,
     floor = max(float(np.max(den)), float(np.max(np.abs(curv.H))), 1e-30)
     pmc_defect = annulus_norms(grid, num)["max"] / floor
 
-    raw[0] += Hx - 3.0 * px
-    raw[1] += Hy - 3.0 * py
+    raw[0] += np.subtract(Hx, 3.0 * px, out=Hx)  # grad H dies here
+    raw[1] += np.subtract(Hy, 3.0 * py, out=Hy)
     del Hx, Hy
     strong = pi_n(div(grid, px, py))
     del px, py
     strong /= e2l
-    strong += 2.0 * np.real(dot(curv.H, np.conj(curv.H0))[..., None] * curv.H0)
+    strong += 2.0 * np.real(dot(curv.H, np.conj(curv.H0)) * curv.H0)
     if f is not None:
-        strong -= np.real(curv.H0 * f[..., None]) / e2l
+        strong -= np.real(curv.H0 * f) / e2l
         M_f = matrix_field(f)
         perp = (-field.d1[1], field.d1[0])  # grad_perp Phi
         for k in range(2):
-            raw[k] += (M_f[..., k, 0, None] * perp[0]
-                       + M_f[..., k, 1, None] * perp[1]) / e2l
+            raw[k] += (M_f[k, 0] * perp[0] + M_f[k, 1] * perp[1]) / e2l
         del M_f, perp
 
     div_defect = div(grid, raw[0], raw[1])

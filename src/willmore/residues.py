@@ -8,6 +8,9 @@ modified residue gamma0 when the multiplier order hits mu = theta0 - 2;
 path integration of the corrected flux produces the potential L; and the
 winding numbers of W = (i/2) L + H + beta0 log|z| + F_mu / 2 around small
 circles are the second residue gamma with pole order a = max_j gamma_j.
+Fields are (m, n_r, n_theta) and circle reductions (m, n_r); the report's
+per-circle tables (``per_circle_beta0``, ``winding_raw``) keep one row per
+circle.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from willmore.grid import PolarGrid, circle_mean, circulation, jsonable
+from willmore.grid import (PolarGrid, circle_mean, circulation, is_integer,
+                           jsonable)
 from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField
 from willmore.surface import BranchData, FrameField, ImmersionField
@@ -81,8 +85,9 @@ def tangent_projector_at_origin(frame: FrameField):
     a unit 2-vector (|W0|_F = sqrt 2); for unit decomposable T, pi_T = W0^T W0.
     """
     rows = _inner_rows(frame.grid)
-    e1, e2 = frame.e1[rows], frame.e2[rows]
-    M = np.swapaxes(e1, 1, 2) @ e2 / frame.grid.n_theta  # circle mean e1 e2^T
+    e1, e2 = frame.e1[:, rows], frame.e2[:, rows]
+    # circle mean e1 e2^T per row, (rows, m, m)
+    M = np.moveaxis(e1, 0, 1) @ np.moveaxis(e2, 0, 2) / frame.grid.n_theta
     W0 = radial_extrapolate(frame.grid, M - np.swapaxes(M, 1, 2))
     W0 *= np.sqrt(2.0) / np.linalg.norm(W0)
     P = W0.T @ W0  # symmetric
@@ -101,9 +106,9 @@ def tangent_vector(field: ImmersionField, frame: FrameField,
     """A = (2/theta0) lim z^{1-theta0} dz(Phi), by circle-mean extrapolation."""
     grid = field.grid
     rows = _inner_rows(grid)
-    dz_phi = 0.5 * (field.d1[0, rows] - 1j * field.d1[1, rows])
-    w = grid.z[rows, :, None] ** (1 - branch.theta0) * dz_phi
-    rings = circle_mean(w)
+    dz_phi = 0.5 * (field.d1[0, :, rows] - 1j * field.d1[1, :, rows])
+    w = grid.z[rows] ** (1 - branch.theta0) * dz_phi
+    rings = circle_mean(w).T
     A = 2.0 / branch.theta0 * radial_extrapolate(grid, rings)
     if not np.all(np.isfinite(A)):
         raise ResidueError("tangent-vector extrapolation diverged")
@@ -125,7 +130,7 @@ def first_residue(fl: FluxField) -> dict:
     n_r = fl.grid.n_r  # at least 16, so the 5 circles are distinct
     circles = np.linspace(int(0.25 * n_r), int(0.75 * n_r), 5).astype(int)
     all_beta = circulation(fl.grid, fl.raw[0], fl.raw[1]) / (4.0 * np.pi)
-    table = all_beta[circles]
+    table = all_beta[:, circles].T  # one row per circle
     beta0 = table.mean(axis=0)
     spread = float(np.max(np.linalg.norm(table - beta0, axis=-1)))
     return {"beta0": beta0, "rho_spread": spread,
@@ -154,11 +159,12 @@ def modified_residue(beta0: np.ndarray, theta0: int, spec: MultiplierSpec,
 # ---------------------------------------------------------------------------
 
 def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
-    # trapezoid steps along axis 0 with a gradient correction; telescopes to
-    # fourth order.  The correction is formed in the output, and the
+    # trapezoid steps along axis -2 with a gradient correction; telescopes
+    # to fourth order.  The correction is formed in the output, and the
     # gradient released, before the midpoint sums
-    dv = np.gradient(vals, h, axis=0)
-    out = np.empty(vals.shape, dtype=dv.dtype)
+    dv = np.moveaxis(np.gradient(vals, h, axis=-2), -2, 0)
+    vals = np.moveaxis(vals, -2, 0)  # views: the rows are whole planes
+    out = np.empty_like(vals, dtype=dv.dtype)
     mids = np.subtract(dv[1:], dv[:-1], out=out[1:])
     del dv
     mids *= h * h / 12.0
@@ -168,34 +174,33 @@ def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
     del half
     out[0] = 0.0
     np.cumsum(mids, axis=0, out=mids)
-    return out
+    return np.moveaxis(out, 0, -2)
 
 
 def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral antiderivative along axis 1, normalized to 0 at theta = 0.
+    """Spectral antiderivative along axis -1, normalized to 0 at theta = 0.
 
     Writes the antiderivative samples over ``vals`` and returns them with
     the per-circle holonomy 2 pi mean(f) picked up over one full loop (the
-    non-periodic part).
+    non-periodic part), shape (..., n_r).
     """
-    mean = np.mean(vals, axis=1, keepdims=True)
+    mean = np.mean(vals, axis=-1, keepdims=True)
     vals -= mean
-    fh = np.fft.rfft(vals, axis=1)
+    fh = np.fft.rfft(vals, axis=-1)
     k = np.arange(n_theta // 2 + 1, dtype=float)
-    shape = (-1,) + (1,) * (vals.ndim - 2)   # along axis 1
     mask = np.ones(len(k))
     mask[0] = 0.0
     k[0] = 1.0
     if n_theta % 2 == 0:
         mask[n_theta // 2] = 0.0  # drop the unpaired Nyquist mode
         k[n_theta // 2] = 1.0
-    fh *= (mask / (1j * k)).reshape(shape)
-    np.fft.irfft(fh, n_theta, axis=1, out=vals)
+    fh *= mask / (1j * k)
+    np.fft.irfft(fh, n_theta, axis=-1, out=vals)
     del fh
-    vals -= vals[:, :1].copy()
+    vals -= vals[..., :1].copy()
     theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
-    vals += mean * theta.reshape(shape)
-    return vals, 2.0 * np.pi * mean[:, 0]
+    vals += mean * theta
+    return vals, 2.0 * np.pi * mean[..., 0]
 
 
 def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray,
@@ -204,43 +209,40 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray,
 
     Paths run radially inward along theta = 0 (corrected cumulative
     trapezoid in log r), then angularly around each circle (spectral
-    antiderivative).  Works for scalar node fields or fields with trailing
+    antiderivative).  Works for scalar node fields or fields with leading
     axes.  The loop defect combines the worst angular holonomy with the
     mismatch against the independent angular-then-radial path family.
-    For a field integrated in blocks of its last axis, the list ``parts``
+    For a field integrated in blocks of its first axis, the list ``parts``
     collects each block's profiles and scale, and the defect is the worst.
     Each quantity is built in place and released once read: the angular
     antiderivative over its integrand, the other path family and the gap
     over the radial sums, so at most three input-sized arrays are alive
     besides the inputs.
     """
-    shape_pad = (1,) * (vx.ndim - 2)
-    c = grid.cos_t.reshape(grid.cos_t.shape + shape_pad)
-    s = grid.sin_t.reshape(grid.sin_t.shape + shape_pad)
-    rr = grid.rr.reshape(grid.rr.shape + shape_pad)
+    c, s, rr = grid.cos_t, grid.sin_t, grid.rr
     dP_ds = np.multiply(-s, vx)              # r * (V . e_theta)
     dP_ds += c * vy
     dP_ds *= rr
     radial = _cumtrapz(dP_ds, grid.ds)
     del dP_ds
-    radial -= radial[-1].copy()              # zero at the outer basepoint
+    radial -= radial[..., -1:, :].copy()     # zero at the outer basepoint
 
     dP_dth = np.multiply(c, vx)              # -r * (V . e_r)
     dP_dth += s * vy
     dP_dth *= -rr
     # scale: the potential itself or the work done along a full circle,
     # whichever is larger (P can be small through cancellation)
-    circle_work = float(np.max(np.mean(np.abs(dP_dth), axis=1)) * 2.0 * np.pi)
+    circle_work = float(np.max(np.mean(np.abs(dP_dth), axis=-1)) * 2.0 * np.pi)
     P, holo = _cumtheta(dP_dth, grid.n_theta)  # written over dP_dth
-    rim = P[-1].copy()
-    P += radial[:, :1]                       # inward along theta = 0
-    holo_profile = np.abs(holo).reshape(grid.n_r, -1).max(axis=1)
+    rim = P[..., -1:, :].copy()
+    P += radial[..., :1]                     # inward along theta = 0
+    holo_profile = np.abs(holo).reshape(-1, grid.n_r).max(axis=0)
 
     # independent path family: angular at the outer rim, then radial inward,
     # and the gap to it, both formed in the radial buffer
     radial += rim
     gap = np.abs(np.subtract(P, radial, out=radial), out=radial)
-    mismatch_profile = gap.reshape(grid.n_r, -1).max(axis=1)
+    mismatch_profile = gap.max(axis=-1).reshape(-1, grid.n_r).max(axis=0)
     del radial, gap
     scale = max(float(max(P.max(), -P.min())), circle_work, 1e-300)
     parts = [] if parts is None else parts
@@ -273,7 +275,7 @@ def w_field(L: np.ndarray, H: np.ndarray, beta0: np.ndarray,
     the real part of F_mu / 2 then cancel at the order mu = theta0 - 2,
     leaving the pole of the meromorphic part exposed.
     """
-    W = 0.5j * L + H + np.asarray(beta0) * np.log(grid.rr)[..., None]
+    W = 0.5j * L + H + np.asarray(beta0)[..., None, None] * np.log(grid.rr)
     if F_mu is not None:
         W = W - 0.5 * F_mu
     return W
@@ -320,16 +322,16 @@ def second_residue(W: np.ndarray, grid: PolarGrid, noise_profile: np.ndarray,
     measurement.
     """
     noise_floor = 0.5 * float(np.max(noise_profile[:max(4, grid.n_r // 4)]))
-    m = W.shape[-1]
+    m = W.shape[0]
     hi = max(int(0.25 * grid.n_r), 6)
     idx = sorted(set(np.linspace(2, hi, 4).astype(int).tolist()))  # no numpy.ma
-    amp = np.array([[np.mean(np.abs(W[i, :, j])) for j in range(m)]
+    amp = np.array([[np.mean(np.abs(W[j, i])) for j in range(m)]
                     for i in idx])
     raw = np.full((len(idx), m), np.nan)
     for ci, i in enumerate(idx):
         for j in range(m):
             if amp[ci, j] > 0:
-                raw[ci, j] = -_winding(W[i, :, j])
+                raw[ci, j] = -_winding(W[j, i])
     gamma = np.zeros(m, dtype=int)
     degenerate = np.zeros(m, dtype=bool)
     scale = float(np.max(amp))
@@ -404,13 +406,18 @@ class ResidueReport:
             except (TypeError, ValueError):
                 raise ValueError(f"the report's residues entry {key!r} is "
                                  f"not {form}") from None
-        arr = lambda t: lambda v: np.asarray(v, dtype=t)
+        def integer(v):
+            if not is_integer(v):
+                raise ValueError
+            return int(v)
+        floats = lambda v: np.asarray(v, dtype=float)
         pairs = lambda v: np.array([complex(re, im) for re, im in v])
-        num, nums = (float, "a number"), (arr(float), "a list of numbers")
+        num, nums = (float, "a number"), (floats, "a list of numbers")
         return cls(
-            get("theta0", int, "an integer"), get("u0", *num),
+            get("theta0", integer, "an integer"), get("u0", *num),
             get("A", pairs, "a list of [re, im] pairs"), get("beta0", *nums),
             get("rho_spread", *num), get("gamma0", *nums),
-            get("gamma", arr(int), "a list of integers"),
-            get("a", int, "an integer"),
+            get("gamma", lambda v: np.array([integer(x) for x in v], int),
+                "a list of integers"),
+            get("a", integer, "an integer"),
             {k: np.asarray(v) for k, v in doc.get("diagnostics", {}).items()})

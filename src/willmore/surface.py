@@ -5,10 +5,11 @@ stereographic sphere, catenoid end, inverted catenoid, CMC cylinder,
 Clifford torus patch) plus a synthetic branch-point template with planted
 expansion coefficients.  Every catalog chart is written in ordinary
 arithmetic over jets, so sampled fields come with machine-precision first
-and second derivatives, written once into one (6, n_r, n_theta, m) array
+and second derivatives, written once into one (6, m, n_r, n_theta) array
 whose C-contiguous views are phi, d1 and d2 (``from_chart``).  Imported CSV
 samples are differentiated once, at load, with the grid stencils
 (``from_samples``); every stage then reads the derivatives the field carries.
+A CSV keeps one row per node, r-major: its reader and writer transpose.
 """
 
 from __future__ import annotations
@@ -42,18 +43,18 @@ class SurfaceError(ValueError):
 class ImmersionField:
     """Samples of an immersion on a polar grid with their derivatives.
 
-    phi has shape (n_r, n_theta, m); d1 stacks (d/dx1, d/dx2) and d2 stacks
-    (d2/dx1dx1, d2/dx1dx2, d2/dx2dx2) along a leading axis.
+    ``slots`` has shape (6, m, n_r, n_theta): phi (m, n_r, n_theta), then
+    d1, which stacks (d/dx1, d/dx2), and d2, which stacks (d2/dx1dx1,
+    d2/dx1dx2, d2/dx2dx2), each along its leading axis.
     """
 
     grid: PolarGrid
-    ambient_dim: int
-    phi: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    slots: np.ndarray
 
     def __post_init__(self):
-        if self.phi.shape != (self.grid.n_r, self.grid.n_theta, self.ambient_dim):
+        self.phi, self.d1, self.d2 = self.slots[0], self.slots[1:3], self.slots[3:]
+        self.ambient_dim = len(self.phi)
+        if self.phi.shape[1:] != (self.grid.n_r, self.grid.n_theta):
             raise SurfaceError(f"phi shape {self.phi.shape} does not match grid")
         if not np.all(np.isfinite(self.phi)):
             raise SurfaceError("immersion samples must be finite")
@@ -65,22 +66,21 @@ def from_chart(chart: Callable, grid: PolarGrid, m: int) -> ImmersionField:
     comps = chart(xj, yj)
     if len(comps) != m:
         raise SurfaceError(f"chart returned {len(comps)} components, expected {m}")
-    slots = np.empty((6,) + grid.x.shape + (m,))
+    slots = np.empty((6, m) + grid.x.shape)
     for s, name in enumerate(Jet.__slots__):
         for k, c in enumerate(comps):
-            slots[s, ..., k] = getattr(c, name)
-    return ImmersionField(grid, m, slots[0], slots[1:3], slots[3:])
+            slots[s, k] = getattr(c, name)
+    return ImmersionField(grid, slots)
 
 
 def from_samples(grid: PolarGrid, phi: np.ndarray) -> ImmersionField:
-    """Bare samples, differentiated once with the grid stencils."""
+    """Bare samples (m, n_r, n_theta), differentiated once with the grid
+    stencils."""
     if grid.n_r < 20:
         raise SurfaceError("grid too coarse for the second-derivative stencil")
-    d1 = np.stack(grad(grid, phi))
-    gxx, gxy = grad(grid, d1[0])
-    _, gyy = grad(grid, d1[1])
-    return ImmersionField(grid, phi.shape[-1], phi, d1,
-                          np.stack([gxx, gxy, gyy]))
+    d1 = grad(grid, phi)
+    d2 = (*grad(grid, d1[0]), grad(grid, d1[1])[1])
+    return ImmersionField(grid, np.stack((phi, *d1, *d2)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +101,14 @@ class FrameField:
     lam: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
-    II: np.ndarray          # (3, n_r, n_theta, m)
-    gram: np.ndarray        # (3, n_r, n_theta, 1)
+    II: np.ndarray          # (3, m, n_r, n_theta)
+    gram: np.ndarray        # (3, n_r, n_theta)
 
     def nu(self, i: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(pi_n d_i e1, pi_n d_i e2) on ``rows``; i = 0 is x, 1 is y."""
         a, c, b = self.gram[:, rows]
-        nu1 = self.II[i, rows] / a
-        return nu1, (self.II[i + 1, rows] - c * nu1) / b
+        nu1 = self.II[i, :, rows] / a
+        return nu1, (self.II[i + 1, :, rows] - c * nu1) / b
 
     @cached_property
     def dn_norm(self) -> np.ndarray:
@@ -119,8 +119,8 @@ class FrameField:
 def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
     """lam = log(|grad Phi| / sqrt(2)) and the per-node conformality defect."""
     p1, p2 = field.d1[0], field.d1[1]
-    n1 = np.linalg.norm(p1, axis=-1)
-    n2 = np.linalg.norm(p2, axis=-1)
+    n1 = np.sqrt(dot(p1, p1))
+    n2 = np.sqrt(dot(p2, p2))
     e2lam = 0.5 * (n1 ** 2 + n2 ** 2)
     if np.any(e2lam == 0.0):
         raise SurfaceError("degenerate sample: |grad Phi| vanishes at a node")
@@ -147,14 +147,16 @@ def frame_and_gauss(field: ImmersionField, conformal: tuple,
         raise SurfaceError(
             f"conformal defect {worst:.3e} exceeds threshold {defect_threshold:.1e}")
     p1, p2, d2 = field.d1[0], field.d1[1], field.d2
-    a = np.sqrt(dot(p1, p1))[..., None]
+    a = np.sqrt(dot(p1, p1))
     e1 = p1 / a
-    c = dot(p2, e1)[..., None]
+    c = dot(p2, e1)
     t2 = p2 - c * e1
-    b = np.sqrt(dot(t2, t2))[..., None]
+    b = np.sqrt(dot(t2, t2))
     e2 = t2 / b
-    II = d2 - dot(d2, e1)[..., None] * e1
-    II -= dot(d2, e2)[..., None] * e2
+    II = np.empty_like(d2)
+    for v, out in zip(d2, II):
+        np.subtract(v, dot(v, e1) * e1, out=out)
+        out -= dot(v, e2) * e2
     return FrameField(field.grid, lam, e1, e2, II, np.stack([a, c, b]))
 
 
@@ -170,11 +172,11 @@ class BranchData:
 
 
 def normal_projector(frame: FrameField):
-    """Returns pi_n acting on (n_r, n_theta, m) vector fields."""
+    """Returns pi_n acting on (m, n_r, n_theta) vector fields."""
     e1, e2 = frame.e1, frame.e2
 
     def project(v):
-        return v - dot(v, e1)[..., None] * e1 - dot(v, e2)[..., None] * e2
+        return v - dot(v, e1) * e1 - dot(v, e2) * e2
 
     return project
 
@@ -197,13 +199,14 @@ _ZERO = Jet(0.0)  # pads the charts that live in a lower-dimensional subspace
 
 def _real_sum(terms, m):
     """Components of sum_t Re(v_t J_t) for length-m vectors v_t and jets J_t,
-    added one slot at a time into one zeroed (6, ..., m) array (so an exactly
+    added one slot at a time into one zeroed (6, m, ...) array (so an exactly
     vanishing sum is +0); the m returned jets have views of it as slots."""
-    out = np.zeros((6,) + np.shape(terms[0][1].f) + (m,))
+    out = np.zeros((6, m) + np.shape(terms[0][1].f))
     for v, jet in terms:
+        v = np.reshape(v, (m,) + (1,) * (out.ndim - 2))
         for s, name in enumerate(Jet.__slots__):
-            out[s] += np.multiply.outer(getattr(jet, name), v).real
-    return [Jet(*out[..., k]) for k in range(m)]
+            out[s] += (v * getattr(jet, name)).real
+    return [Jet(*out[:, k]) for k in range(m)]
 
 
 def _direction(params, m):
@@ -392,7 +395,7 @@ def save_samples_csv(field: ImmersionField, path) -> None:
     g, m = field.grid, field.ambient_dim
     write_csv(path, ["r", "theta"] + [f"phi_{k + 1}" for k in range(m)],
               [np.repeat(g.r, g.n_theta), np.tile(g.theta, g.n_r)]
-              + list(field.phi.reshape(-1, m).T))
+              + list(field.phi.reshape(m, -1)))
 
 
 def load_samples_csv(path) -> ImmersionField:
@@ -422,9 +425,9 @@ def load_samples_csv(path) -> ImmersionField:
     if not (np.allclose(grid.r, r_vals, rtol=1e-9)
             and np.allclose(grid.theta, th_vals, rtol=1e-9, atol=1e-12)):
         raise SurfaceError("CSV nodes are not exponential-polar")
-    phi = np.full((n_r, n_theta, m), np.nan)
+    phi = np.full((m, n_r, n_theta), np.nan)
     ri = {float(v): i for i, v in enumerate(r_vals)}
     ti = {float(v): i for i, v in enumerate(th_vals)}
     for row in rows:
-        phi[ri[row[0]], ti[row[1]]] = row[2:]
+        phi[:, ri[row[0]], ti[row[1]]] = row[2:]
     return from_samples(grid, phi)

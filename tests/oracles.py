@@ -44,7 +44,7 @@ def radial_log_laplacian_oracle(theta0: int, n: int = 4000) -> dict:
 
 def H_norm(curv) -> np.ndarray:
     """|H| per node of a ``CurvatureField``."""
-    return np.linalg.norm(curv.H, axis=-1)
+    return np.linalg.norm(curv.H, axis=0)
 
 
 def bending_energy_density(field, frame) -> np.ndarray:
@@ -52,9 +52,9 @@ def bending_energy_density(field, frame) -> np.ndarray:
     h_ij = e^{-2 lam} pi_n (d2 Phi / dx_i dx_j)."""
     pi_n = normal_projector(frame)
     e2l = np.exp(2.0 * frame.lam)
-    h11, h12, h22 = (pi_n(d) / e2l[..., None] for d in field.d2)
-    sq = (np.sum(h11 ** 2, axis=-1) + 2.0 * np.sum(h12 ** 2, axis=-1)
-          + np.sum(h22 ** 2, axis=-1))
+    h11, h12, h22 = (pi_n(d) / e2l for d in field.d2)
+    sq = (np.sum(h11 ** 2, axis=0) + 2.0 * np.sum(h12 ** 2, axis=0)
+          + np.sum(h22 ** 2, axis=0))
     return sq * e2l
 
 
@@ -87,8 +87,8 @@ def tangential_H_defect(curv, frame) -> float:
     """max |pi_T H| / max(|H|, eps): vanishes on exactly conformal input."""
     pi_n = normal_projector(frame)
     tang = curv.H - pi_n(curv.H)
-    scale = max(float(np.max(np.linalg.norm(curv.H, axis=-1))), 1e-30)
-    return float(np.max(np.linalg.norm(tang, axis=-1))) / scale
+    scale = max(float(np.max(np.linalg.norm(curv.H, axis=0))), 1e-30)
+    return float(np.max(np.linalg.norm(tang, axis=0))) / scale
 
 
 def gauss_curvature_from_liouville(curv, branch) -> np.ndarray:
@@ -148,10 +148,10 @@ def antiholomorphy_identity_norms(curv, frame, f_field, field,
     dz f = 0, i.e. for an anti-holomorphic multiplier.
     """
     grid = curv.grid
-    e2l = np.exp(2.0 * frame.lam)[..., None]
+    e2l = np.exp(2.0 * frame.lam)
     dz_phi = 0.5 * (field.d1[0] - 1j * field.d1[1])
-    lhs = dz(grid, f_field[..., None] * dz_phi / e2l)
-    rhs = 0.5 * curv.H0 * f_field[..., None]
+    lhs = dz(grid, f_field * dz_phi / e2l)
+    rhs = 0.5 * curv.H0 * f_field
     return annulus_norms(grid, lhs - rhs, r_lo, r_hi)
 
 
@@ -187,8 +187,9 @@ def gG_per_component(beta0, field):
     from the two components of grad(Gamma) as written."""
     grid, d1, m = field.grid, field.d1, field.ambient_dim
     r2 = grid.rr ** 2
-    gam_x = 2.0 * grid.x[..., None] * beta0 / r2[..., None]
-    gam_y = 2.0 * grid.y[..., None] * beta0 / r2[..., None]
+    beta0 = np.asarray(beta0)[:, None, None]
+    gam_x = 2.0 * grid.x * beta0 / r2
+    gam_y = 2.0 * grid.y * beta0 / r2
     rhs_g = dot(gam_x, d1[0]) + dot(gam_y, d1[1])
     bmv = lambda v: MultiVec.vector(m, v)
     rhs_G = (wedge(bmv(gam_x), bmv(d1[0])).coeffs
@@ -231,9 +232,8 @@ def hodge_star(a: MultiVec) -> MultiVec:
     """Hodge dual for the standard orientation: star e_I = sign(I, I^c) e_{I^c}."""
     m, k = a.ambient_dim, a.grade
     inv, sgn = _star_table(m, k)
-    # np.take keeps C order; [..., inv] would put the component axis
-    # outermost, and the rounding of later FFTs depends on the layout
-    return MultiVec(m, m - k, np.take(a.coeffs * sgn, inv, axis=-1))
+    sgn = sgn.reshape(sgn.shape + (1,) * (a.coeffs.ndim - 1))
+    return MultiVec(m, m - k, (a.coeffs * sgn)[inv])
 
 
 def interior(gamma: MultiVec, beta: MultiVec) -> MultiVec:
@@ -254,16 +254,16 @@ def interior(gamma: MultiVec, beta: MultiVec) -> MultiVec:
 
 def gauss_map(frame) -> MultiVec:
     """n = star(e1 ^ e2) of a ``FrameField``, normalized per node."""
-    m = frame.e1.shape[-1]
+    m = frame.e1.shape[0]
     vec = lambda v: MultiVec.vector(m, v)
     n = hodge_star(wedge(vec(frame.e1), vec(frame.e2))).coeffs
-    return MultiVec(m, m - 2, n / np.sqrt(dot(n, n))[..., None])
+    return MultiVec(m, m - 2, n / np.sqrt(dot(n, n)))
 
 
 def star_dn_wedge_algebra(frame, H, i) -> np.ndarray:
     """star(d_i n ^ H) with the exterior-algebra operators, from the exact
     derivative d_i n = star(nu1_i ^ e2 + e1 ^ nu2_i)."""
-    m = H.shape[-1]
+    m = H.shape[0]
     vec = lambda v: MultiVec.vector(m, v)
     nu1, nu2 = frame.nu(i)
     d = (wedge(vec(nu1), vec(frame.e2)).coeffs
@@ -278,6 +278,6 @@ def stencil_dn(frame) -> tuple:
 
 def star_dn_wedge_stencil(dn_i, H) -> np.ndarray:
     """star(d_i n ^ H) from a stencil derivative ``dn_i`` of the Gauss map."""
-    m = H.shape[-1]
+    m = H.shape[0]
     dn = MultiVec(m, m - 2, dn_i)
     return hodge_star(wedge(dn, MultiVec.vector(m, H))).coeffs

@@ -145,11 +145,11 @@ def test_criterion_4_first_residue():
     # planted flux: beta0 recovered to 1e-10 with spread < 1e-6 on 5 circles
     grid = PolarGrid(0.02, 1.0, 64, 64)
     beta0 = np.array([0.8, -1.3, 2.2])
-    px = np.stack([3 * (grid.z ** 2).real, grid.y, (2 * grid.z).imag], -1)
-    py = np.stack([-3 * (grid.z ** 2).imag, grid.x, (2 * grid.z).real], -1)
-    r2 = (grid.rr ** 2)[..., None]
-    vx = 2 * beta0 * grid.x[..., None] / r2 - py
-    vy = 2 * beta0 * grid.y[..., None] / r2 + px
+    px = np.stack([3 * (grid.z ** 2).real, grid.y, (2 * grid.z).imag])
+    py = np.stack([-3 * (grid.z ** 2).imag, grid.x, (2 * grid.z).real])
+    r2 = grid.rr ** 2
+    vx = 2 * beta0[:, None, None] * grid.x / r2 - py
+    vy = 2 * beta0[:, None, None] * grid.y / r2 + px
     raw = np.stack([vx, vy])
     fl = FluxField(grid, raw)
     out = first_residue(fl)
@@ -171,7 +171,8 @@ def test_criterion_4_first_residue():
         field, frame, curv = analyzed("inverted_catenoid", {}, grid)
         fl = equation(curv, frame).flux
         circles = np.linspace(int(0.3 * n_r), int(0.5 * n_r), 5).astype(int)
-        table = circulation(grid, fl.raw[0], fl.raw[1])[circles] / (4 * np.pi)
+        table = (circulation(grid, fl.raw[0], fl.raw[1])[:, circles].T
+                 / (4 * np.pi))
         vals.append(table.mean(axis=0))
         if n_r == 1024:
             assert np.max(np.linalg.norm(table - vals[-1], axis=-1)) < 1e-6

@@ -47,7 +47,7 @@ def test_generate_writes_csv(tmp_path):
     out = tmp_path / "samples.csv"
     assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
     field = load_samples_csv(out)
-    assert field.phi.shape == (48, 64, 3)
+    assert field.phi.shape == (3, 48, 64)
 
 
 def test_analyze_plane(tmp_path, capsys):
@@ -142,12 +142,36 @@ PLANE_RESIDUES = {"theta0": 1, "u0": 0.0, "A": [[1.0, 0.0], [0.0, 1.0],
      "the report's residues entry 'A' is not a list of [re, im] pairs"),
     ({"config": PLANE, "residues": {**PLANE_RESIDUES, "theta0": "x"}},
      "the report's residues entry 'theta0' is not an integer"),
+    # non-integral or bool residues are refused, not truncated
+    ({"config": PLANE, "residues": {**PLANE_RESIDUES, "theta0": 1.9, "a": 0.5,
+                                    "gamma": [0.7, 0, 0]}},
+     "the report's residues entry 'theta0' is not an integer"),
+    ({"config": PLANE, "residues": {**PLANE_RESIDUES, "a": 0.5}},
+     "the report's residues entry 'a' is not an integer"),
+    ({"config": PLANE, "residues": {**PLANE_RESIDUES, "gamma": [0.7, 0, 0]}},
+     "the report's residues entry 'gamma' is not a list of integers"),
+    ({"config": PLANE, "residues": {**PLANE_RESIDUES, "theta0": True}},
+     "the report's residues entry 'theta0' is not an integer"),
+    ({"config": PLANE, "residues": {**PLANE_RESIDUES, "a": False}},
+     "the report's residues entry 'a' is not an integer"),
+    ({"config": PLANE, "residues": {**PLANE_RESIDUES, "gamma": [0, True, 0]}},
+     "the report's residues entry 'gamma' is not a list of integers"),
 ])
 def test_classify_malformed_report_named(tmp_path, capsys, doc, message):
     report = tmp_path / "report.json"
     report.write_text(json.dumps(doc))
     assert main(["classify", "--report", str(report)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_classify_reads_integral_floats(tmp_path, capsys):
+    # 1.0 is the integer 1: only a fraction is refused
+    doc = {"config": PLANE, "residues": {**PLANE_RESIDUES, "theta0": 1.0,
+                                         "a": 0.0, "gamma": [0.0, 0, 0]}}
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    assert main(["classify", "--report", str(report)]) == 0
+    assert "regular_point_smooth" in capsys.readouterr().out
 
 
 def analyze_report(tmp_path, cfg, capsys) -> dict:

@@ -47,7 +47,7 @@ def test_cylinder_cmc_curvatures():
     rho = 0.75
     _, _, curv = setup("cylinder_cmc", {"radius": rho})
     assert np.max(np.abs(H_norm(curv) - 1.0 / (2 * rho))) < 1e-10
-    h0 = np.linalg.norm(curv.H0, axis=-1)
+    h0 = np.linalg.norm(curv.H0, axis=0)
     assert np.max(np.abs(h0 - 1.0 / (2 * rho))) < 1e-10
     assert np.max(np.abs(curv.K)) < 1e-10
 
@@ -96,7 +96,7 @@ def test_weingarten_bounded_by_gauss_map_gradient():
     # e^lam |H0| <= 2 |grad n| nodewise away from the rims
     for name in ("sphere_stereographic", "inverted_catenoid", "cylinder_cmc"):
         _, frame, curv = setup(name)
-        lhs = np.exp(curv.lam) * np.abs(np.linalg.norm(curv.H0, axis=-1))
+        lhs = np.exp(curv.lam) * np.abs(np.linalg.norm(curv.H0, axis=0))
         rhs = frame.dn_norm
         sl = slice(5, -5)
         assert np.max((lhs[sl] - 2.0 * rhs[sl])) < 1e-6, name

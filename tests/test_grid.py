@@ -3,6 +3,7 @@ import pytest
 
 from willmore import grid as g
 from willmore.grid import PolarGrid
+from willmore.residues import integrate_curl_potential
 
 
 def make_grid(n_r=48, n_theta=64, r_min=0.05):
@@ -128,13 +129,14 @@ def test_divergence_free_planted_field():
     assert g.fit_order(hs, errs) >= 1.9
 
 
-def _smooth(gr, trailing, seed):
-    """A smooth field: four polynomials/harmonics with random weights per
-    trailing component."""
-    basis = np.stack([gr.x, gr.y ** 2, gr.x * gr.y, gr.rr * np.cos(3 * gr.tt)],
-                     axis=-1)
-    w = np.random.default_rng(seed).standard_normal((4,) + trailing)
-    return np.tensordot(basis, w, axes=1)
+def _smooth(gr, lead, seed):
+    """A smooth field of shape lead + (n_r, n_theta): four
+    polynomials/harmonics with random weights per component.  The extra
+    axes lead, as the ambient axis of every field does; the tests below
+    call them ``trailing`` only to keep their ids."""
+    basis = np.stack([gr.x, gr.y ** 2, gr.x * gr.y, gr.rr * np.cos(3 * gr.tt)])
+    w = np.random.default_rng(seed).standard_normal(lead + (4,))
+    return np.tensordot(w, basis, axes=1)
 
 
 @pytest.mark.parametrize("trailing", [(), (28,)])
@@ -160,13 +162,14 @@ def test_polar_wirtinger_matches_cartesian(is_complex):
 @pytest.mark.parametrize("m", [3, 8, 28])
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_dot_is_the_trailing_axis_sum(m, is_complex):
+    # dot contracts the ambient axis, which leads in every field
     rng = np.random.default_rng(m)
-    a, b = rng.standard_normal((2, 6, 5, m))
+    a, b = rng.standard_normal((2, m, 6, 5))
     if is_complex:
         a = a + 1j * rng.standard_normal(a.shape)
         b = b - 1j * rng.standard_normal(b.shape)
-    expect = np.sum(a * b, axis=-1)  # bilinear: no conjugate
-    bound = 2 * m * np.finfo(float).eps * np.sum(np.abs(a * b), axis=-1)
+    expect = np.sum(a * b, axis=0)  # bilinear: no conjugate
+    bound = 2 * m * np.finfo(float).eps * np.sum(np.abs(a * b), axis=0)
     assert np.all(np.abs(g.dot(a, b) - expect) <= bound)
 
 
@@ -218,12 +221,12 @@ def test_band_operators_match_the_full_grid(op, n_r, n_theta, lo, hi,
     if is_complex:
         f = f + 1j * _smooth(gr, trailing, 7)
     full = BAND_OPS[op](gr, f, h)
-    got = BAND_OPS[op](band, f[band.rows], h[band.rows])
+    got = BAND_OPS[op](band, f[..., band.rows, :], h[..., band.rows, :])
     rows = band.rows.start + band.keep
     mask = g.annulus_mask(gr, lo, hi)
     assert np.array_equal(rows, np.flatnonzero(mask))
     assert band.ds == gr.ds
-    assert np.array_equal(got[band.keep], full[rows])
+    assert np.array_equal(got[..., band.keep, :], full[..., rows, :])
     assert band.norms(got) == g.annulus_norms(gr, full, lo, hi)
 
 
@@ -231,3 +234,71 @@ def test_band_operators_match_the_full_grid(op, n_r, n_theta, lo, hi,
 def test_band_of_an_empty_annulus_is_refused(lo, hi):
     with pytest.raises(ValueError, match=f"annulus \\[{lo}, {hi}\\]"):
         make_grid().band(lo, hi)
+
+
+# -- the layout contract: components lead, the grid axes are last ------------
+
+LAYOUT_OPS = {
+    "dtheta": lambda gr, f, h: g.dtheta(gr, f),
+    "ds": lambda gr, f, h: g.ds(gr, f),
+    "dss": lambda gr, f, h: g.dss(gr, f),
+    "grad_x": lambda gr, f, h: g.grad(gr, f)[0],
+    "grad_y": lambda gr, f, h: g.grad(gr, f)[1],
+    "div": g.div,
+    "laplacian": lambda gr, f, h: g.laplacian(gr, f),
+    "dz": lambda gr, f, h: g.dz(gr, f),
+    "circulation": g.circulation,
+    "integrate_curl_potential":
+        lambda gr, f, h: integrate_curl_potential(gr, f, h)[0],
+}
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("op", sorted(LAYOUT_OPS))
+@pytest.mark.parametrize("lead, on_band", [((3,), False), ((8,), False),
+                                           ((2,), True)])
+def test_stacked_operators_act_plane_by_plane(op, lead, on_band):
+    # a stacked (m, n_r, n_theta) field, or a (2, n_r, n_theta) slice of the
+    # annulus rows of a band, gives each plane exactly what the plane alone
+    # gives
+    gr = PolarGrid(1e-3, 1.0, 96, 64)
+    f, h = _smooth(gr, lead, 8), _smooth(gr, lead, 9)
+    if on_band:
+        gr = gr.band(0.15, 0.85)
+        f, h = f[..., gr.rows, :], h[..., gr.rows, :]
+    got = LAYOUT_OPS[op](gr, f, h)
+    want = np.stack([LAYOUT_OPS[op](gr, a, b) for a, b in zip(f, h)])
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("m", [3, 8, 28])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_dot_is_the_explicit_sum_over_axis_0(m, is_complex):
+    rng = np.random.default_rng(m)
+    a, b = rng.standard_normal((2, m, 96, 64))
+    if is_complex:
+        a = a + 1j * rng.standard_normal(a.shape)
+        b = b - 1j * rng.standard_normal(b.shape)
+    assert _same_bits(g.dot(a, b), _explicit_sum(a, b))
+    # a constant vector against a field, as beta0 against grad U
+    assert _same_bits(g.dot(a, b[:, 0, 0]), _explicit_sum(a, b[:, 0, 0]))
+
+
+def _explicit_sum(a, b):
+    """sum_i a_i b_i, accumulated in the order i = 0, 1, ...; complex
+    products are written out in real arithmetic, since numpy's complex
+    ``*`` may fuse its multiply-adds."""
+    if not np.iscomplexobj(a):
+        out = a[0] * b[0]
+        for x, y in zip(a[1:], b[1:]):
+            out += x * y
+        return out
+    out = np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]), complex)
+    for x, y in zip(a, b):
+        out.real += x.real * y.real - x.imag * y.imag
+        out.imag += x.real * y.imag + x.imag * y.real
+    return out

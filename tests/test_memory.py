@@ -40,7 +40,7 @@ def traced_peak(fn, *args) -> int:
 
 def test_curl_potential_peak_is_three_inputs():
     grid = PolarGrid(1e-3, 1.0, 96, 64)
-    vx, vy = np.random.default_rng(7).standard_normal((2, 96, 64, 28))
+    vx, vy = np.random.default_rng(7).standard_normal((2, 28, 96, 64))
     integrate_curl_potential(grid, vx, vy)  # the grid's trig tables
     assert traced_peak(integrate_curl_potential, grid, vx, vy) \
         < 3.5 * vx.nbytes
@@ -73,7 +73,7 @@ def test_potential_set_keeps_only_its_band():
     pots = potential_set(L, beta0, field, curv, band)
     assert pots.band is band
     for v in pots.v_S + pots.v_R + pots.dg + pots.dG:
-        assert v.shape[:2] == (band.n_r, grid.n_theta)
+        assert v.shape[-2:] == (band.n_r, grid.n_theta)
         assert v.base is None
 
 

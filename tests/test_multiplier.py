@@ -67,8 +67,8 @@ def test_matrix_symmetric_trace_free():
     for _ in range(5):
         spec = rand_spec()
         M = matrix_field(spec.evaluate(grid.z))
-        assert np.allclose(M, np.swapaxes(M, -1, -2))
-        assert np.allclose(np.trace(M, axis1=-2, axis2=-1), 0.0)
+        assert np.allclose(M, np.swapaxes(M, 0, 1))
+        assert np.allclose(np.trace(M, axis1=0, axis2=1), 0.0)
 
 
 def test_sampled_f_is_antiholomorphic():
@@ -129,8 +129,8 @@ def test_special_fields_log_branch_case():
     frame, br = _branch_frame(field, theta0, u0)
     spec = MultiplierSpec(mu=mu, a_mu=2.0)
     sf = special_fields(spec, br, A, field, frame.lam)
-    expect = (0.5 * theta0 * np.exp(-2 * u0) * 2.0 * A[None, None, :]
-              * 2.0 * np.log(grid.rr)[..., None])
+    expect = (0.5 * theta0 * np.exp(-2 * u0) * 2.0 * A[:, None, None]
+              * 2.0 * np.log(grid.rr))
     assert np.allclose(sf.F_mu, expect, atol=1e-12)
 
 
@@ -154,7 +154,7 @@ def test_special_fields_synthetic_log_branch_two_routes():
         br = BranchData(theta0, theta0 - 1.0, u, u0)
         sf = special_fields(spec, br, A, field, lam)
         # logarithmic template: angular mean of |F_mu| grows like |log r|
-        prof = g.circle_mean(np.abs(sf.F_mu[..., 0]))
+        prof = g.circle_mean(np.abs(sf.F_mu[0]))
         assert prof[0] > 2.0 * prof[-2]
         mism.append(sf.mismatch)
         hs.append(grid.ds)
@@ -177,7 +177,7 @@ def test_special_fields_decay_rate():
     spec = MultiplierSpec(mu=mu, a_mu=1.0)
     A = np.array([1.0, 1j, 0.0])
     sf = special_fields(spec, br, A, field, lam)
-    prof = np.sqrt(g.circle_mean(np.sum(np.abs(sf.J) ** 2, axis=-1)))
+    prof = np.sqrt(g.circle_mean(np.sum(np.abs(sf.J) ** 2, axis=0)))
     sel = grid.r < 0.1
     slope = g.fit_order(grid.r[sel], prof[sel])
     assert slope >= mu + 2 - theta0 - 0.1

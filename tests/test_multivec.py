@@ -26,9 +26,9 @@ RNG = np.random.default_rng(20240811)
 
 def rand_mv(m, k, lead=(), integer=False):
     if integer:
-        c = RNG.integers(-9, 10, size=lead + (comb(m, k),))
+        c = RNG.integers(-9, 10, size=(comb(m, k),) + lead)
     else:
-        c = RNG.standard_normal(lead + (comb(m, k),))
+        c = RNG.standard_normal((comb(m, k),) + lead)
     return MultiVec(m, k, c)
 
 
@@ -149,10 +149,10 @@ def test_star_matches_the_basis_loop(m):
     full = (1 << m) - 1
     for k in range(0, m + 1):
         a = rand_mv(m, k, lead=(5, 4))
-        want = np.zeros((5, 4, comb(m, m - k)))
+        want = np.zeros((comb(m, m - k), 5, 4))
         for i, mask in enumerate(_masks(m, k)):
             j = _positions(m, m - k)[full ^ mask]
-            want[..., j] = _wedge_sign(mask, full ^ mask) * a.coeffs[..., i]
+            want[j] = _wedge_sign(mask, full ^ mask) * a.coeffs[i]
         got = hodge_star(a).coeffs
         assert np.array_equal(got, want) and got.flags.c_contiguous
 
@@ -303,9 +303,10 @@ def test_field_broadcasting():
     a = rand_mv(m, 1, lead=(6, 5))
     b = rand_mv(m, 2, lead=(5,))
     w = wedge(a, b)
-    assert w.coeffs.shape == (6, 5, comb(m, 3))
-    single = wedge(MultiVec(m, 1, a.coeffs[2, 3]), MultiVec(m, 2, b.coeffs[3]))
-    assert np.allclose(w.coeffs[2, 3], single.coeffs)
+    assert w.coeffs.shape == (comb(m, 3), 6, 5)
+    single = wedge(MultiVec(m, 1, a.coeffs[:, 2, 3]),
+                   MultiVec(m, 2, b.coeffs[:, 3]))
+    assert np.allclose(w.coeffs[:, 2, 3], single.coeffs)
 
 
 def test_complex_coefficients_supported():
@@ -340,24 +341,24 @@ def test_every_table_holds_signs_only(m):
 
 
 def _bilinear_reference(table, a, b, dim_out):
-    """Per-entry loop on the trailing coefficient axis, in table order."""
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (dim_out,)
+    """Per-entry loop on the leading coefficient axis, in table order."""
+    shape = (dim_out,) + np.broadcast_shapes(a.shape[1:], b.shape[1:])
     out = np.zeros(shape, dtype=np.result_type(a, b))
     for ia, ib, io, s in table:
         if s == 1:
-            out[..., io] += a[..., ia] * b[..., ib]
+            out[io] += a[ia] * b[ib]
         elif s == -1:
-            out[..., io] -= a[..., ia] * b[..., ib]
+            out[io] -= a[ia] * b[ib]
         else:
-            out[..., io] += s * (a[..., ia] * b[..., ib])
+            out[io] += s * (a[ia] * b[ib])
     return out
 
 
 @pytest.mark.parametrize("table, a_shape, b_shape, dim_out, complex_a", [
-    (_bullet_table(8, 2, 2), (19, 12, 28), (19, 12, 28), 28, False),
-    (_bullet_table(8, 2, 1), (28,), (19, 12, 8), 8, False),
-    (_wedge_table(8, 1, 1), (19, 12, 8), (19, 1, 8), 28, True),
-    (_bullet_table(3, 2, 2), (19, 12, 3), (19, 12, 3), 3, True),
+    (_bullet_table(8, 2, 2), (28, 19, 12), (28, 19, 12), 28, False),
+    (_bullet_table(8, 2, 1), (28,), (8, 19, 12), 8, False),
+    (_wedge_table(8, 1, 1), (8, 19, 12), (8, 19, 1), 28, True),
+    (_bullet_table(3, 2, 2), (3, 19, 12), (3, 19, 12), 3, True),
 ])
 def test_apply_bilinear_matches_entry_loop(table, a_shape, b_shape, dim_out,
                                            complex_a):

@@ -70,11 +70,13 @@ def test_mode_solver_convergence_order():
 def test_mode_solver_satisfies_discrete_rows(r_min, n_r, n_theta):
     # per mode: every Numerov row, the 5-point Robin row and u = 0 at r_max
     grid = PolarGrid(r_min, 1.0, n_r, n_theta)
-    rhs = np.random.default_rng(5).standard_normal((n_r, n_theta, 2))
+    rhs = np.random.default_rng(5).standard_normal((2, n_r, n_theta))
     u = _solve_modes(grid, rhs)
-    uh = np.fft.rfft(u, axis=1)
-    fh = np.exp(2.0 * grid.s)[:, None, None] * np.fft.rfft(rhs, axis=1)
-    h, k = grid.ds, np.arange(uh.shape[1])[:, None]
+    # rows first: (n_r, 2, modes)
+    uh = np.moveaxis(np.fft.rfft(u, axis=-1), -2, 0)
+    fh = (np.exp(2.0 * grid.s)[:, None, None]
+          * np.moveaxis(np.fft.rfft(rhs, axis=-1), -2, 0))
+    h, k = grid.ds, np.arange(uh.shape[-1])
     c = h * h / 12.0
     load = c * (fh[:-2] + 10.0 * fh[1:-1] + fh[2:])
     numerov = ((1.0 - c * k * k) * (uh[:-2] + uh[2:])
@@ -84,7 +86,7 @@ def test_mode_solver_satisfies_discrete_rows(r_min, n_r, n_theta):
     scale = np.max(np.abs(load))
     assert np.max(np.abs(numerov)) < 1e-10 * scale
     assert np.max(np.abs(robin)) < 1e-10 * scale
-    assert np.max(np.abs(u[-1])) < 1e-10 * scale
+    assert np.max(np.abs(u[:, -1])) < 1e-10 * scale
 
 
 def test_mode_solver_names_nonfinite_mode():
@@ -116,7 +118,7 @@ def test_zero_beta0_gives_zero_potentials(monkeypatch):
     monkeypatch.setattr(potentials, "_solve_modes", None)   # no solve at all
     pot_g, pot_G = gG(np.zeros(3), field)
     assert not np.any(pot_g) and not np.any(pot_G)
-    assert pot_g.shape == (48, 64) and pot_G.shape == (48, 64, 3)
+    assert pot_g.shape == (48, 64) and pot_G.shape == (3, 48, 64)
 
 
 def test_solve_gG_residual_refines_inverted_catenoid():
@@ -127,10 +129,10 @@ def test_solve_gG_residual_refines_inverted_catenoid():
         beta0 = first_residue(equation(curv, frame).flux)["beta0"]
         pot_g, _ = gG(beta0, field)
         d1 = field.d1
-        r2 = (grid.rr ** 2)[..., None]
-        gx = 2 * grid.x[..., None] * beta0 / r2
-        gy = 2 * grid.y[..., None] * beta0 / r2
-        rhs = np.sum(gx * d1[0] + gy * d1[1], axis=-1)
+        r2 = grid.rr ** 2
+        gx = 2 * grid.x * beta0[:, None, None] / r2
+        gy = 2 * grid.y * beta0[:, None, None] / r2
+        rhs = np.sum(gx * d1[0] + gy * d1[1], axis=0)
         res = g.laplacian(grid, pot_g) - rhs
         errs.append(g.annulus_norms(grid, res, 0.1, 0.9)["rms"]
                     / max(1.0, g.annulus_norms(grid, rhs, 0.1, 0.9)["rms"]))
@@ -145,7 +147,7 @@ def test_outer_dirichlet_condition():
     beta0 = first_residue(equation(curv, frame).flux)["beta0"]
     pot_g, pot_G = gG(beta0, field)
     assert np.max(np.abs(pot_g[-1])) < 1e-12
-    assert np.max(np.abs(pot_G[-1])) < 1e-12
+    assert np.max(np.abs(pot_G[:, -1])) < 1e-12
 
 
 @pytest.mark.parametrize("m", [4, 8])
@@ -180,7 +182,7 @@ def test_potential_set_solves_once_for_m_components(monkeypatch, m):
     monkeypatch.setattr(potentials, "_solve_modes", solve)
     monkeypatch.setattr(potentials, "grad", grad)
     potential_set(L, beta0, field, curv, grid.band(0.15, 0.85))
-    assert calls == {"solve": [(48, 32, m)], "grad": 1}
+    assert calls == {"solve": [(m, 48, 32)], "grad": 1}
 
 
 @pytest.mark.parametrize("m", [3, 4, 8])
@@ -205,7 +207,7 @@ def test_blocked_R_is_one_unblocked_integration(m):
     R, defects = integrate_curl_potential(grid, *v_R)
     assert np.array_equal(pots.R, R)
     for got, want in zip(pots.v_R + pots.dG, v_R + dG):
-        assert np.array_equal(got, want[band.rows])
+        assert np.array_equal(got, want[:, band.rows])
     got = pots.loop_defects["R"]
     assert got.keys() == defects.keys()
     for key, want in defects.items():
@@ -225,7 +227,7 @@ def test_plane_potentials_constant():
     grid = PolarGrid(0.05, 1.0, 48, 64)
     field, frame, curv, pots = full_chain("plane", grid)
     assert np.ptp(pots.S) < 1e-12
-    assert np.ptp(pots.R.reshape(-1, pots.R.shape[-1]), axis=0).max() < 1e-12
+    assert np.ptp(pots.R.reshape(pots.R.shape[0], -1), axis=1).max() < 1e-12
 
 
 def test_sphere_loop_mismatch_refines():
@@ -279,9 +281,11 @@ def test_verify_system_reads_only_its_band():
 
     # the set holds band rows only; the frame (e1, e2, II and its
     # Gram-Schmidt data) and the derivatives of Phi are full-grid inputs
-    frame = replace(frame, e1=blank(frame.e1), e2=blank(frame.e2),
-                    II=blank(frame.II, 1), gram=blank(frame.gram, 1))
-    field = replace(field, d1=blank(field.d1, 1), d2=blank(field.d2, 1))
+    frame = replace(frame, e1=blank(frame.e1, 1), e2=blank(frame.e2, 1),
+                    II=blank(frame.II, 2), gram=blank(frame.gram, 1))
+    slots = field.slots.copy()
+    slots[1:] = blank(slots[1:], 2)     # phi must stay finite
+    field = replace(field, slots=slots)
     assert verify_system(pots, frame, field) == want
 
 

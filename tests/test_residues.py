@@ -139,13 +139,11 @@ def _planted_flux(grid, beta0, m=3):
     psi components: Re(z^3), x y, Im(z^2); exact gradients
     (3 Re z^2, -3 Im z^2), (y, x), (Im 2z, Re 2z).
     """
-    px = np.stack([3 * (grid.z ** 2).real, grid.y, (2 * grid.z).imag],
-                  axis=-1)[..., :m]
-    py = np.stack([-3 * (grid.z ** 2).imag, grid.x, (2 * grid.z).real],
-                  axis=-1)[..., :m]
-    r2 = (grid.rr ** 2)[..., None]
-    vx = 2 * beta0 * grid.x[..., None] / r2 - py
-    vy = 2 * beta0 * grid.y[..., None] / r2 + px
+    px = np.stack([3 * (grid.z ** 2).real, grid.y, (2 * grid.z).imag])[:m]
+    py = np.stack([-3 * (grid.z ** 2).imag, grid.x, (2 * grid.z).real])[:m]
+    r2 = grid.rr ** 2
+    vx = 2 * beta0[:, None, None] * grid.x / r2 - py
+    vy = 2 * beta0[:, None, None] * grid.y / r2 + px
     raw = np.stack([vx, vy])
     return FluxField(grid, raw)
 
@@ -262,7 +260,7 @@ def test_second_residue_with_log_multiplier():
 
 def test_potential_zero_field():
     grid = PolarGrid(0.02, 1.0, 64, 64)
-    z = np.zeros((grid.n_r, grid.n_theta, 3))
+    z = np.zeros((3, grid.n_r, grid.n_theta))
     P, defect = integrate_curl_potential(grid, z, z)
     assert np.max(np.abs(P)) == 0.0
     assert defect["defect"] == 0.0
@@ -312,10 +310,10 @@ def test_potential_L_defect_refines_on_inverted_catenoid():
 
 def test_winding_exact_on_monomials():
     grid = PolarGrid(0.01, 1.0, 64, 64)
-    W = np.empty((grid.n_r, grid.n_theta, 3), dtype=complex)
-    W[..., 0] = (2.0 + 1.0j) * grid.z ** -3
-    W[..., 1] = 0.7
-    W[..., 2] = 1e-12
+    W = np.empty((3, grid.n_r, grid.n_theta), dtype=complex)
+    W[0] = (2.0 + 1.0j) * grid.z ** -3
+    W[1] = 0.7
+    W[2] = 1e-12
     sr = second_residue(W, grid, np.zeros(grid.n_r))
     assert list(sr.gamma) == [3, 0, 0]
     assert sr.a == 3
@@ -326,9 +324,9 @@ def test_winding_exact_on_monomials():
 def test_degenerate_windings_are_nan():
     # a component without a pole has no measured winding, only phase noise
     grid = PolarGrid(0.01, 1.0, 64, 64)
-    W = np.empty((grid.n_r, grid.n_theta, 2), dtype=complex)
-    W[..., 0] = grid.z ** -1
-    W[..., 1] = 1e-12 * np.exp(0.3j)
+    W = np.empty((2, grid.n_r, grid.n_theta), dtype=complex)
+    W[0] = grid.z ** -1
+    W[1] = 1e-12 * np.exp(0.3j)
     sr = second_residue(W, grid, np.zeros(grid.n_r))
     assert list(sr.degenerate) == [False, True]
     assert np.all(np.isfinite(sr.raw[:, 0])) and np.all(np.isnan(sr.raw[:, 1]))
@@ -342,9 +340,9 @@ def test_noise_floor_reads_the_inner_quarter_of_the_profile():
     # the floor is half the largest noise_profile entry on the inner
     # max(4, n_r // 4) circles; a component under 3x the floor is degenerate
     grid = PolarGrid(0.01, 1.0, 64, 64)
-    W = np.empty((grid.n_r, grid.n_theta, 2), dtype=complex)
-    W[..., 0] = grid.z ** -1
-    W[..., 1] = 1e-3
+    W = np.empty((2, grid.n_r, grid.n_theta), dtype=complex)
+    W[0] = grid.z ** -1
+    W[1] = 1e-3
     inner = grid.n_r // 4
     edge = np.zeros(grid.n_r)
     edge[inner - 1] = 1e-3       # 3 x 0.5e-3 above the second component
@@ -358,9 +356,9 @@ def test_noise_floor_reads_the_inner_quarter_of_the_profile():
 
 def test_winding_gate_rejects_non_integer():
     grid = PolarGrid(0.01, 1.0, 64, 64)
-    W = np.empty((grid.n_r, grid.n_theta, 1), dtype=complex)
+    W = np.empty((1, grid.n_r, grid.n_theta), dtype=complex)
     # half-integer winding: |z|^{1/2} phase structure
-    W[..., 0] = np.exp(0.5j * grid.tt) * (1.0 + 0.0j)
+    W[0] = np.exp(0.5j * grid.tt) * (1.0 + 0.0j)
     with pytest.raises(ResidueError):
         second_residue(W, grid, np.zeros(grid.n_r))
 
@@ -380,7 +378,7 @@ def test_gauge_invariance_of_gamma():
     L, ldef = potential_L(fl, beta0)
     noise = ldef["noise_profile"]
     sr1 = second_residue(w_field(L, curv.H, beta0, None, grid), grid, noise)
-    shift = RNG.standard_normal(4)
+    shift = RNG.standard_normal(4)[:, None, None]
     sr2 = second_residue(w_field(L + shift, curv.H, beta0, None, grid), grid,
                          noise)
     assert np.array_equal(sr1.gamma, sr2.gamma)

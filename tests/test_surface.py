@@ -70,11 +70,11 @@ def test_sphere_normal_is_radial():
     frame = frame_and_gauss(field, conformal_factor(field))
     # m = 3: n = star(e1 ^ e2) is already a 1-vector, the sphere normal up
     # to sign, and II = pi_n d2 Phi lies along it
-    radial = field.phi / np.linalg.norm(field.phi, axis=-1, keepdims=True)
-    align = np.abs(np.sum(gauss_map(frame).coeffs * radial, axis=-1))
+    radial = field.phi / np.linalg.norm(field.phi, axis=0, keepdims=True)
+    align = np.abs(np.sum(gauss_map(frame).coeffs * radial, axis=0))
     assert np.min(align) > 1 - 1e-10
     II = frame.II
-    tang = II - np.sum(II * radial, axis=-1, keepdims=True) * radial
+    tang = II - np.sum(II * radial, axis=1, keepdims=True) * radial
     assert np.max(np.abs(tang)) < 1e-10 * np.max(np.abs(II))
 
 
@@ -83,7 +83,7 @@ def test_plane_gauss_map_constant():
     frame = frame_and_gauss(field, conformal_factor(field))
     expect = np.zeros(3)
     expect[2] = 1.0
-    assert np.allclose(np.abs(gauss_map(frame).coeffs @ expect), 1.0,
+    assert np.allclose(np.abs(g.dot(gauss_map(frame).coeffs, expect)), 1.0,
                        atol=1e-12)
     # the constant map has no derivative: II and |grad n| vanish
     assert np.max(np.abs(frame.II)) < 1e-12
@@ -99,7 +99,7 @@ def test_hodge_frame_identities_nodewise(name):
     e2 = MultiVec.vector(m, frame.e2)
     n = gauss_map(frame)
     raw = hodge_star(wedge(e1, e2)).coeffs  # unit without normalizing
-    assert np.max(np.abs(np.linalg.norm(raw, axis=-1) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(raw, axis=0) - 1.0)) < 1e-12
     lhs = hodge_star(wedge(n, e1))
     assert np.max(np.abs(lhs.coeffs - frame.e2)) < 1e-9
     lhs2 = hodge_star(wedge(n, e2))
@@ -107,7 +107,7 @@ def test_hodge_frame_identities_nodewise(name):
     # II is normal: pi_n d2 Phi has no part along e1 or e2
     scale = max(float(np.max(np.abs(field.d2))), 1.0)
     for e in (frame.e1, frame.e2):
-        assert np.max(np.abs(np.sum(frame.II * e, axis=-1))) < 1e-12 * scale
+        assert np.max(np.abs(np.sum(frame.II * e, axis=1))) < 1e-12 * scale
 
 
 def test_frame_rejects_nonconformal():
@@ -128,7 +128,7 @@ def test_branch_scaling_law(theta0):
     # circle means of log|grad Phi| against log r have slope theta0 - 1
     field = build("branched_plane", {"theta0": theta0})
     d1 = field.d1
-    mag = np.linalg.norm(d1[0], axis=-1) ** 2 + np.linalg.norm(d1[1], axis=-1) ** 2
+    mag = np.linalg.norm(d1[0], axis=0) ** 2 + np.linalg.norm(d1[1], axis=0) ** 2
     ring = np.log(np.sqrt(g.circle_mean(mag)))
     s = field.grid.s
     inner_third = slice(0, field.grid.n_r // 3)
@@ -142,7 +142,7 @@ def test_analytic_monomial_derivative_exact():
     dz_phi = 0.5 * (d1[0] - 1j * d1[1])
     z = field.grid.z
     A = np.array([1.0, 1j, 0.0])
-    expect = 2.0 * A[None, None, :] * z[..., None] ** 3
+    expect = 2.0 * A[:, None, None] * z ** 3
     assert np.max(np.abs(dz_phi - expect)) < 1e-10
 
 
@@ -163,7 +163,7 @@ def test_discrete_derivatives_converge_order_two():
 def test_second_derivatives_available():
     field = build("inverted_catenoid")
     h = field.d2
-    assert h.shape == (3, field.grid.n_r, field.grid.n_theta, 3)
+    assert h.shape == (3, 3, field.grid.n_r, field.grid.n_theta)
     assert np.all(np.isfinite(h))
 
 
@@ -243,8 +243,8 @@ def test_inverted_plane_is_sphere_like():
     _, defect = conformal_factor(field)
     assert np.max(defect) < 1e-10
     # image lies on the sphere |p - c'|^2 = 1/16 with c' = (0,0,-1/4) + center adj
-    p = field.phi - np.array([0, 0, -0.25])
-    rad = np.linalg.norm(p, axis=-1)
+    p = field.phi - np.array([0, 0, -0.25])[:, None, None]
+    rad = np.linalg.norm(p, axis=0)
     assert np.max(np.abs(rad - 0.25)) < 1e-12
 
 
@@ -255,7 +255,7 @@ def test_rotated_chart_rotates_samples():
     base = CATALOG["sphere_stereographic"]({}, 3)
     field = from_chart(base, grid, 3)
     rot = from_chart(rotated_chart(base, q), grid, 3)
-    assert np.allclose(rot.phi, field.phi @ q.T, atol=1e-12)
+    assert np.allclose(rot.phi, np.tensordot(q, field.phi, 1), atol=1e-12)
 
 
 def test_surface_json_and_csv_round_trip(tmp_path):
@@ -264,12 +264,22 @@ def test_surface_json_and_csv_round_trip(tmp_path):
            "ambient_dim": 3}
     field = build_field(resolve({"surface": doc}),
                         PolarGrid.from_json(doc["grid"]))
-    assert field.phi.shape == (24, 32, 3)
+    assert field.phi.shape == (3, 24, 32)
     path = tmp_path / "samples.csv"
     save_samples_csv(field, path)
+    # one line per node, r-major and theta-minor, the coordinates in order
+    header, *lines = path.read_bytes().decode().split("\r\n")[:-1]
+    assert header == "r,theta,phi_1,phi_2,phi_3"
+    assert len(lines) == 24 * 32
+    grid = field.grid
+    for n, line in enumerate(lines):
+        i, j = divmod(n, 32)
+        assert line == ",".join(map(repr, [float(grid.r[i]),
+                                           float(grid.theta[j])]
+                                    + field.phi[:, i, j].tolist()))
     loaded = load_samples_csv(path)
     assert loaded.grid.n_r == 24 and loaded.grid.n_theta == 32
-    assert np.allclose(loaded.phi, field.phi, atol=1e-12)
+    assert np.array_equal(loaded.phi, field.phi)  # repr round-trips
     assert np.array_equal(loaded.d1, np.stack(g.grad(loaded.grid, loaded.phi)))
 
 
