@@ -29,7 +29,9 @@ with its stage named, before any work.  ``residues`` and ``fit`` run
 ``analyze`` (without potentials; ``residues`` also without expansions) and
 print its last level, and ``energy`` runs the last level's stages up to the
 energy, with the same settings; ``classify`` re-derives the verdict with
-the report's saved config.  ``--tol-zero`` replaces ``tol_zero`` on the
+the report's saved config.  A config or report that is not JSON is
+refused with its file and the position named (a config at stage
+``config``).  ``--tol-zero`` replaces ``tol_zero`` on the
 two commands whose output reads it, ``analyze`` and ``classify``.
 """
 
@@ -41,9 +43,23 @@ import sys
 from pathlib import Path
 
 
-def _load_config(path) -> dict:
+def _read_json(path):
+    """The JSON document in the file ``path``; a malformed one is refused
+    with the file and the position named."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_config(path) -> dict:
+    from willmore.pipeline import PipelineError
+
+    try:
+        return _read_json(path)
+    except ValueError as exc:
+        raise PipelineError("config", exc) from exc
 
 
 def _apply_overrides(config, args) -> dict:
@@ -136,8 +152,7 @@ def cmd_classify(args) -> int:
     from willmore.pipeline import exit_code, resolve
     from willmore.residues import ResidueReport
 
-    with open(args.report) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.report)
     if not isinstance(doc, dict):
         raise ValueError(f"a report is a JSON mapping, got {type(doc).__name__}")
     for key in ("residues", "classification"):

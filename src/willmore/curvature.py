@@ -9,8 +9,10 @@ H0 = 2 e^{-2 lam} (dzz Phi - 2 dz(lam) dz Phi).  The Gauss curvature comes
 from <h11, h22> - <h12, h12>, which feeds the Liouville residual
 Lap u + e^{2 lam} K.  ``CurvatureField`` keeps H, H0, K and the energy
 density only: the h_ij are temporaries of K, and grad H is taken by the
-equation pass, its only reader.  |grad n| of the Gauss map comes from II
-as well (``FrameField.dn_norm``).
+equation pass, its only reader.  Every term is per node, so ``curvature``
+writes its outputs row block by row block (``PolarGrid.blocks``, no halo)
+and its temporaries stay block-sized.  |grad n| of the Gauss map comes
+from II as well (``FrameField.dn_norm``).
 """
 
 from __future__ import annotations
@@ -34,26 +36,32 @@ class CurvatureField:
 
 
 def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
-    """H, H0, K and the energy density of a level; the h_ij = II e^{-2 lam}
-    of ``frame.II`` are temporaries of K."""
-    p1, p2 = field.d1[0], field.d1[1]
-    pxx, pxy, pyy = field.d2[0], field.d2[1], field.d2[2]
-    e2l = np.exp(2.0 * frame.lam)
-    h11, h12, h22 = frame.II / e2l
-    K = dot(h11, h22) - dot(h12, h12)
-    del h11, h12, h22
+    """H, H0, K and the energy density of a level, block by block; the
+    h_ij = II e^{-2 lam} of ``frame.II`` are temporaries of K."""
+    grid, m = field.grid, field.ambient_dim
+    H = np.empty(field.phi.shape)
+    H0 = np.empty(field.phi.shape, dtype=complex)
+    K, density = np.empty(grid.rr.shape), np.empty(grid.rr.shape)
+    for band in grid.blocks(m * grid.n_theta * 8, 0):
+        r = band.rows
+        p1, p2 = field.d1[:, :, r]
+        pxx, pxy, pyy = field.d2[:, :, r]
+        e2l = np.exp(2.0 * frame.lam[r])
+        h11, h12, h22 = frame.II[:, :, r] / e2l
+        np.subtract(dot(h11, h22), dot(h12, h12), out=K[r])
+        del h11, h12, h22
 
-    H = 0.5 * (pxx + pyy) / e2l
+        Hb = np.divide(0.5 * (pxx + pyy), e2l, out=H[:, r])
 
-    dz_phi = 0.5 * (p1 - 1j * p2)
-    dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
-    lam_x = (dot(p1, pxx) + dot(p2, pxy)) / (2.0 * e2l)
-    lam_y = (dot(p1, pxy) + dot(p2, pyy)) / (2.0 * e2l)
-    dz_lam = 0.5 * (lam_x - 1j * lam_y)
-    H0 = 2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi) / e2l
+        dz_phi = 0.5 * (p1 - 1j * p2)
+        dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
+        lam_x = (dot(p1, pxx) + dot(p2, pxy)) / (2.0 * e2l)
+        lam_y = (dot(p1, pxy) + dot(p2, pyy)) / (2.0 * e2l)
+        dz_lam = 0.5 * (lam_x - 1j * lam_y)
+        np.divide(2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi), e2l, out=H0[:, r])
 
-    density = dot(H, H) * e2l
-    return CurvatureField(field.grid, frame.lam, H, H0, K, density)
+        np.multiply(dot(Hb, Hb), e2l, out=density[r])
+    return CurvatureField(grid, frame.lam, H, H0, K, density)
 
 
 def willmore_energy(curv: CurvatureField) -> float:

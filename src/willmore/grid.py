@@ -14,7 +14,11 @@ derivatives its result keeps: ``div`` differentiates v_x in x and v_y in y
 ``dz``/``dzbar`` are formed directly from the polar ones as
 e^{-+i theta}(d_r -+ (i/r) d_theta)/2.  ``dot`` is the one contraction over
 the leading (ambient) axis: bilinear, no conjugation.  ``PolarGrid.band``
-is the view of one annulus for stages that report only that annulus.
+is the view of one annulus for stages that report only that annulus, and
+``PolarGrid.blocks`` cuts the grid into row blocks of about
+``BLOCK_BYTES`` of m-vector field rows, so that the per-node passes of a
+level (``curvature``, ``residual.equation``) run on arrays that stay in a
+core's cache; a block's halo rows feed its radial stencils and are not kept.
 ``annulus_mask`` always trims 10% of the rows at each rim, so every
 annulus norm stays off the one-sided stencils; ``integrate`` reads every
 row.  ``jsonable`` is the one converter of arrays and complex numbers to
@@ -32,6 +36,10 @@ from functools import cached_property
 from numbers import Real
 
 import numpy as np
+
+#: bytes of m-vector field rows in one block of ``PolarGrid.blocks``: the
+#: few block-sized fields a pass keeps alive fit a 2 MB per-core L2 cache
+BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(eq=False)
@@ -126,6 +134,24 @@ class PolarGrid:
         lo = int(rows[0]) - 1
         return RowBand(self, lo, max(int(rows[-1]) + 2, lo + 4), rows - lo)
 
+    def blocks(self, row_bytes: int, halo: int):
+        """RowBands that cover the rows in order, each of equal share of at
+        most max(4, BLOCK_BYTES // row_bytes) own rows, plus up to ``halo``
+        rows on each side inside the grid.
+
+        ``keep`` is the slice of a band's own rows, ``RowBand.kept`` their
+        rows in the grid; the halo rows are computed but not kept.  With
+        ``halo`` at least the depth of a pass's chained radial stencils,
+        every kept row equals the whole grid's value bit for bit (a block
+        keeps at least 3 rows, which the one-sided stencils at the grid's
+        ends read).  A grid that fits is one band over all its rows.
+        """
+        n = -(-self.n_r // max(4, BLOCK_BYTES // row_bytes))
+        edges = [k * self.n_r // n for k in range(n + 1)]
+        for a, b in zip(edges, edges[1:]):
+            lo, hi = max(a - halo, 0), min(b + halo, self.n_r)
+            yield RowBand(self, lo, hi, slice(a - lo, b - lo))
+
 
 class RowBand(PolarGrid):
     """Rows lo..hi-1 of a parent grid, for stages that keep only an annulus.
@@ -134,8 +160,8 @@ class RowBand(PolarGrid):
     of the parent's and its ds is the parent's, so every operator gives the
     parent's values bit for bit on each row whose radial stencil stays inside
     the band; a fresh PolarGrid over the same radii differs in the last bit.
-    ``keep`` indexes the annulus rows within the band; the band's end rows
-    are read by the stencils but never kept.
+    ``keep`` indexes the annulus rows (or a block's own rows) within the
+    band; the band's end rows are read by the stencils but never kept.
     """
 
     def __init__(self, parent: PolarGrid, lo: int, hi: int, keep: np.ndarray):
@@ -148,6 +174,12 @@ class RowBand(PolarGrid):
     @property
     def ds(self) -> float:
         return self.parent.ds
+
+    @property
+    def kept(self) -> slice:
+        """The parent's rows of a block's ``keep`` slice."""
+        lo = self.rows.start
+        return slice(lo + self.keep.start, lo + self.keep.stop)
 
     def norms(self, f: np.ndarray) -> dict:
         """Max and rms of |f| over the band's annulus rows."""
@@ -250,11 +282,13 @@ def circle_mean(f: np.ndarray) -> np.ndarray:
     return np.mean(f, axis=-1)
 
 
-def circulation(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Outward flux integral of (vx, vy) through each grid circle, shape
-    (..., n_r)."""
-    nu_dot = grid.cos_t * vx + grid.sin_t * vy
-    return 2.0 * np.pi * grid.r * circle_mean(nu_dot)
+def circulation(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray,
+                rows=slice(None)) -> np.ndarray:
+    """Outward flux integral of (vx, vy) through the grid circles ``rows``
+    (every circle by default), shape (..., n_rows)."""
+    nu_dot = (grid.cos_t[rows] * vx[..., rows, :]
+              + grid.sin_t[rows] * vy[..., rows, :])
+    return 2.0 * np.pi * grid.r[rows] * circle_mean(nu_dot)
 
 
 def annulus_mask(grid: PolarGrid, r_lo=None, r_hi=None) -> np.ndarray:

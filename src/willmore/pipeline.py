@@ -38,7 +38,7 @@ from willmore.curvature import (curvature, delta_profile, gauss_bonnet_check,
                                 gauss_map_energy_density, weingarten_constant,
                                 willmore_energy)
 from willmore.expansion import fit_H, fit_phi, verify_constants
-from willmore.grid import (PolarGrid, circle_mean, dot, fit_order, integrate,
+from willmore.grid import (PolarGrid, circle_mean, fit_order, integrate,
                            is_integer, jsonable)
 from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
 from willmore.multivec import MAX_DIM, MIN_DIM
@@ -269,6 +269,7 @@ def analyze_level(settings: Settings,
     level["delta_profile"] = {"r": prof["r"], "delta": prof["delta"]}
     level["energy_profile"] = circle_mean(curv.energy_density)
     level["liouville"] = _stage("gauss_bonnet", gauss_bonnet_check, curv, br)
+    del curv.K, curv.energy_density  # read last by the two stages above
     level["weingarten_constant"] = weingarten_constant(curv, frame)
 
     td = _stage("tangent_vector", tangent_vector, field, frame, br)
@@ -288,14 +289,17 @@ def analyze_level(settings: Settings,
                                "spec": spec.to_json()}
 
     eq = _stage("equation", equation, curv, frame, f_field, field)
-    fl, pmc_defect = eq.flux, eq.pmc_defect
+    del curv.H0  # read last by the equation pass
+    if not settings.with_potentials:
+        del frame  # read last by the equation pass, unless by verify_system
+    fl, pmc_defect, sq = eq.flux, eq.pmc_defect, eq.squares
     level["strong_norms"] = eq.norms["strong"]
     level["div_norms"] = eq.norms["div"]
-    rms = lambda f: np.sqrt(circle_mean(dot(f, f)))  # both fields are real
-    level["residual_profile"] = {"r": grid.r, "strong_rms": rms(eq.strong),
-                                 "div_rms": rms(eq.div_defect)}
+    level["residual_profile"] = {
+        "r": grid.r, "strong_rms": np.sqrt(circle_mean(sq["strong"])),
+        "div_rms": np.sqrt(circle_mean(sq["div"]))}
     level["equivalence_norms"] = eq.norms["identity"]
-    del eq  # the strong-form and divergence fields are read only above
+    del eq, sq  # the squared norms are read only above
 
     fr = _stage("first_residue", first_residue, fl)
     beta0 = fr["beta0"]
@@ -312,7 +316,7 @@ def analyze_level(settings: Settings,
     F_mu = None
     if not spec.zero:
         sf = _stage("special_fields", special_fields, spec, br, td.A, field,
-                    frame.lam)
+                    curv.lam)
         F_mu = sf.F_mu
         level["special_fields_mismatch"] = sf.mismatch
     W = _stage("w_field", w_field, L, curv.H, beta0, F_mu, grid)

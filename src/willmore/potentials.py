@@ -188,10 +188,11 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     mk2 = lambda c: MultiVec(m, 2, c)
     mk1 = lambda c: MultiVec.vector(m, c)
     w11 = lambda a, b: wedge(mk1(a), mk1(b)).coeffs
-    e1, e2 = frame.e1[:, grid.rows], frame.e2[:, grid.rows]
+    frame = frame.on(grid)
+    e1, e2 = frame.e1, frame.e2
     sn = mk2(w11(e1, e2))  # star n
     sn_x, sn_y = (w11(nu1, e2) + w11(e1, nu2)
-                  for nu1, nu2 in (frame.nu(i, grid.rows) for i in (0, 1)))
+                  for nu1, nu2 in (frame.nu(i) for i in (0, 1)))
 
     # grad_perp S = v_S and grad_perp R = v_R by construction, so
     # grad S = rot(v_S) and Lap S = d1(v_S_2) - d2(v_S_1); each residual's

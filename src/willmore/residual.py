@@ -23,13 +23,17 @@ circulation, consistently with the mean curvature growing like
 -beta0 log|z| at the puncture.
 
 ``equation`` evaluates both forms of a level at once: it forms e^{2 lam}
-and pi_n grad H once, and returns the strong-form field, the flux (built
-once, without beta0), the norms of the strong form, of div X_raw and of
-the gap in the identity above over ``NORM_ANNULUS``, and the parallelism
-defect |pi_n grad H| / max(|grad H|, |H|).  n is never formed: the term
-star(grad_perp n ^ H) comes from the frame (``star_dn_wedge``), and grad H,
-which the pass takes itself, and pi_n grad H are released before the flux
-divergence.  Both flux components are assembled in one (2, m, ...) buffer.
+and pi_n grad H once, and returns the flux (built once, without beta0),
+the per-node squared norms dot(f, f) of the strong form, of div X_raw and
+of the gap in the identity above, their norms over ``NORM_ANNULUS``, and
+the parallelism defect |pi_n grad H| / max(|grad H|, |H|).  The strong
+form and div X_raw themselves are never kept for the whole level: the
+pass runs in row blocks of ``PolarGrid.blocks`` with a halo of two rows
+(grad H, then the divergences), so its temporaries stay cache-sized.  n is
+never formed: the term star(grad_perp n ^ H) comes from the frame
+(``star_dn_wedge``), and grad H, which the pass takes itself, and
+pi_n grad H are released before the flux divergence.  Both flux
+components are assembled in one (2, m, ...) buffer.
 """
 
 from __future__ import annotations
@@ -65,12 +69,17 @@ class FluxField:
 
 @dataclass(eq=False)
 class Equation:
-    """Both forms of the equation on one level and their checks."""
+    """Both forms of the equation on one level and their checks.
 
-    strong: np.ndarray              # strong-form residual, (m, n_r, n_theta)
-    div_defect: np.ndarray          # div X_raw per node, (m, n_r, n_theta)
+    ``squares`` holds dot(f, f) per node, shape (n_r, n_theta), of the
+    strong form ("strong"), of div X_raw ("div") and of the identity gap
+    ("identity"); ``norms`` are the ``NORM_ANNULUS`` norms of the same
+    three, whose pooled |f| is sqrt(dot(f, f)).
+    """
+
     flux: FluxField
-    norms: dict     # NORM_ANNULUS norms: "strong", "div" (div X_raw), "identity"
+    squares: dict
+    norms: dict
     pmc_defect: float               # |pi_n grad H| / max(|grad H|, |H|)
 
 
@@ -92,50 +101,69 @@ def equation(curv: CurvatureField, frame: FrameField,
 
     The multiplier terms use M_f of ``f`` and grad Phi of ``field``.  With
     f absent or identically zero they are skipped, so both forms reduce
-    bitwise to the plain Willmore equation.  The norms are taken over
-    ``NORM_ANNULUS``.
+    bitwise to the plain Willmore equation.  The pass runs row block by
+    row block (``PolarGrid.blocks``) with two halo rows, for grad H and
+    then the divergences; a level that fits one block writes its flux in
+    place.  The norms are taken over ``NORM_ANNULUS``.
     """
     grid = curv.grid
     if f is not None and not np.any(f):
         f = None
     if f is not None and field is None:
         raise ValueError("the immersion field is needed for the M_f term")
-    e2l = np.exp(2.0 * frame.lam)
-    # the flux is summed in place, its star(grad_perp n ^ H) terms first:
-    # grad_perp n = (-d_y n, d_x n), and negation is exact
+    m, n_theta = curv.H.shape[0], grid.n_theta
     raw = np.empty((2,) + curv.H.shape)
-    eH = dot(frame.e1, curv.H), dot(frame.e2, curv.H)  # once per level
-    np.negative(star_dn_wedge(frame, curv.H, eH, 1), out=raw[0])
-    raw[1] = star_dn_wedge(frame, curv.H, eH, 0)
-    del eH
-    Hx, Hy = grad(grid, curv.H)
-    pi_n = normal_projector(frame)
-    px, py = pi_n(Hx), pi_n(Hy)
+    squares = {key: np.empty(grid.rr.shape)
+               for key in ("strong", "div", "identity")}
+    num = np.empty(grid.rr.shape)  # |pi_n grad H|
+    floor = 1e-30                  # max(|grad H|, |H|)
+    for band in grid.blocks(m * n_theta * 8, 2):
+        rows, kept, k = band.rows, band.kept, (slice(None), band.keep)
+        rb = raw if band.n_r == grid.n_r else np.empty(
+            (2, m, band.n_r, n_theta))
+        fr = frame.on(band)
+        H, H0 = curv.H[:, rows], curv.H0[:, rows]
+        e2l = np.exp(2.0 * fr.lam)
+        # the flux is summed in place, its star(grad_perp n ^ H) terms
+        # first: grad_perp n = (-d_y n, d_x n), and negation is exact
+        eH = dot(fr.e1, H), dot(fr.e2, H)
+        np.negative(star_dn_wedge(fr, H, eH, 1), out=rb[0])
+        rb[1] = star_dn_wedge(fr, H, eH, 0)
+        del eH
+        Hx, Hy = grad(band, H)
+        pi_n = normal_projector(fr)
+        px, py = pi_n(Hx), pi_n(Hy)
 
-    num = np.sqrt(dot(px, px) + dot(py, py))
-    den = np.sqrt(dot(Hx, Hx) + dot(Hy, Hy))
-    floor = max(float(np.max(den)), float(np.max(np.abs(curv.H))), 1e-30)
+        num[kept] = np.sqrt(dot(px[k], px[k]) + dot(py[k], py[k]))
+        den = np.sqrt(dot(Hx[k], Hx[k]) + dot(Hy[k], Hy[k]))
+        floor = max(floor, float(np.max(den)), float(np.max(np.abs(H[k]))))
+
+        rb[0] += np.subtract(Hx, 3.0 * px, out=Hx)  # grad H dies here
+        rb[1] += np.subtract(Hy, 3.0 * py, out=Hy)
+        del Hx, Hy
+        strong = pi_n(div(band, px, py))
+        del px, py
+        strong /= e2l
+        strong += 2.0 * np.real(dot(H, np.conj(H0)) * H0)
+        if f is not None:
+            fb = f[rows]
+            strong -= np.real(H0 * fb) / e2l
+            M_f = matrix_field(fb)
+            d1 = field.d1[:, :, rows]
+            perp = (-d1[1], d1[0])  # grad_perp Phi
+            for i in range(2):
+                rb[i] += (M_f[i, 0] * perp[0] + M_f[i, 1] * perp[1]) / e2l
+            del M_f, perp
+
+        div_defect = div(band, rb[0], rb[1])
+        gap = strong + 0.5 * div_defect / e2l
+        for key, v in (("strong", strong), ("div", div_defect),
+                       ("identity", gap)):
+            squares[key][kept] = dot(v[k], v[k])
+        del strong, div_defect, gap
+        if rb is not raw:
+            raw[:, :, kept] = rb[:, :, band.keep]
+    norms = {key: annulus_norms(grid, np.sqrt(sq), *NORM_ANNULUS)
+             for key, sq in squares.items()}
     pmc_defect = annulus_norms(grid, num)["max"] / floor
-
-    raw[0] += np.subtract(Hx, 3.0 * px, out=Hx)  # grad H dies here
-    raw[1] += np.subtract(Hy, 3.0 * py, out=Hy)
-    del Hx, Hy
-    strong = pi_n(div(grid, px, py))
-    del px, py
-    strong /= e2l
-    strong += 2.0 * np.real(dot(curv.H, np.conj(curv.H0)) * curv.H0)
-    if f is not None:
-        strong -= np.real(curv.H0 * f) / e2l
-        M_f = matrix_field(f)
-        perp = (-field.d1[1], field.d1[0])  # grad_perp Phi
-        for k in range(2):
-            raw[k] += (M_f[k, 0] * perp[0] + M_f[k, 1] * perp[1]) / e2l
-        del M_f, perp
-
-    div_defect = div(grid, raw[0], raw[1])
-    gap = strong + 0.5 * div_defect / e2l
-    norms = {"strong": annulus_norms(grid, strong, *NORM_ANNULUS),
-             "div": annulus_norms(grid, div_defect, *NORM_ANNULUS),
-             "identity": annulus_norms(grid, gap, *NORM_ANNULUS)}
-    return Equation(strong, div_defect, FluxField(grid, raw), norms,
-                    pmc_defect)
+    return Equation(FluxField(grid, raw), squares, norms, pmc_defect)

@@ -129,8 +129,8 @@ def first_residue(fl: FluxField) -> dict:
     rows at 25-75% of the grid; mean and rho-spread reported."""
     n_r = fl.grid.n_r  # at least 16, so the 5 circles are distinct
     circles = np.linspace(int(0.25 * n_r), int(0.75 * n_r), 5).astype(int)
-    all_beta = circulation(fl.grid, fl.raw[0], fl.raw[1]) / (4.0 * np.pi)
-    table = all_beta[:, circles].T  # one row per circle
+    table = (circulation(fl.grid, fl.raw[0], fl.raw[1], circles)
+             / (4.0 * np.pi)).T  # one row per circle
     beta0 = table.mean(axis=0)
     spread = float(np.max(np.linalg.norm(table - beta0, axis=-1)))
     return {"beta0": beta0, "rho_spread": spread,
@@ -257,9 +257,14 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray,
 
 
 def potential_L(fl: FluxField, beta0) -> tuple[np.ndarray, dict]:
-    """L with grad_perp L = X, the flux corrected by the first residue beta0."""
-    X = fl.corrected(beta0)
-    return integrate_curl_potential(fl.grid, X[0], X[1])
+    """L with grad_perp L = X, the flux corrected by the first residue beta0,
+    integrated one component at a time."""
+    L, parts = np.empty(fl.raw.shape[1:]), []
+    for j, b in enumerate(np.broadcast_to(beta0, len(L))):
+        X = FluxField(fl.grid, fl.raw[:, j]).corrected(b)
+        L[j], defects = integrate_curl_potential(fl.grid, X[0], X[1], parts)
+        del X
+    return L, defects
 
 
 # ---------------------------------------------------------------------------

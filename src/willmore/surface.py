@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from willmore import jets
-from willmore.grid import PolarGrid, dot, grad
+from willmore.grid import PolarGrid, RowBand, dot, grad
 from willmore.jets import Jet
 from willmore.multivec import MAX_DIM, MIN_DIM
 
@@ -104,11 +104,17 @@ class FrameField:
     II: np.ndarray          # (3, m, n_r, n_theta)
     gram: np.ndarray        # (3, n_r, n_theta)
 
-    def nu(self, i: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(pi_n d_i e1, pi_n d_i e2) on ``rows``; i = 0 is x, 1 is y."""
-        a, c, b = self.gram[:, rows]
-        nu1 = self.II[i, :, rows] / a
-        return nu1, (self.II[i + 1, :, rows] - c * nu1) / b
+    def on(self, band: RowBand) -> "FrameField":
+        """The frame on ``band``'s rows, as views, with the band as grid."""
+        r = band.rows
+        return FrameField(band, self.lam[r], self.e1[:, r], self.e2[:, r],
+                          self.II[:, :, r], self.gram[:, r])
+
+    def nu(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(pi_n d_i e1, pi_n d_i e2); i = 0 is x, 1 is y."""
+        a, c, b = self.gram
+        nu1 = self.II[i] / a
+        return nu1, (self.II[i + 1] - c * nu1) / b
 
     @cached_property
     def dn_norm(self) -> np.ndarray:

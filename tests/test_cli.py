@@ -208,6 +208,19 @@ def test_unknown_surface_names_stage(tmp_path, capsys, command):
     assert "stage 'surface'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "energy", "classify"])
+def test_truncated_json_names_file_and_position(tmp_path, capsys, command):
+    path = tmp_path / "doc.json"
+    path.write_text('{"surface": ')
+    flag = "--report" if command == "classify" else "--config"
+    assert main([command, flag, str(path)]) == 1
+    message = (f"{path} is not valid JSON: Expecting value: line 1 column 13 "
+               "(char 12)")
+    if command != "classify":
+        message = f"stage 'config' failed: {message}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # two refinement levels: every command reports the last one
 INVCAT_TWO_LEVELS = {
     "surface": {"name": "inverted_catenoid", "ambient_dim": 3},

@@ -9,7 +9,11 @@ had its own array), and a whole codim-6 level near 8.9 of its
 all kept; 15.8 while g, G, grad G, v_R and grad n stayed on the full grid
 after their stages; 11.8 while g and G took 1 + C(m, 2) Poisson solves and
 grad_perp R was formed 28 components wide; 9.5 while the Gauss map and its
-stencil gradient were formed).
+stencil gradient were formed).  A pmc-mode m = 3 level of 191x256 nodes,
+which splits into three row blocks, peaks near 23.5 of its 3-component
+fields (26.4 while curvature and the equation pass ran on the whole grid
+at once and the level kept the strong-form and divergence fields, the
+frame and H0 until its end).
 """
 
 import tracemalloc
@@ -56,6 +60,19 @@ def test_codim6_level_peak():
     field_bytes = grid.n_r * grid.n_theta * 28 * 8
     assert traced_peak(pipeline.analyze_level, settings, grid) \
         < 11 * field_bytes
+
+
+def test_pmc_level_peak_in_row_blocks():
+    settings = pipeline.resolve({
+        "surface": {"name": "cylinder_cmc", "params": {"radius": 0.75}},
+        "multiplier": {"mode": "pmc"},
+        "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 191, "n_theta": 256}})
+    grid = settings.grids[0]
+    assert len(list(grid.blocks(3 * grid.n_theta * 8, 2))) == 3
+    pipeline.analyze_level(settings, grid)  # grid caches
+    field_bytes = grid.n_r * grid.n_theta * 3 * 8
+    assert traced_peak(pipeline.analyze_level, settings, grid) \
+        < 25 * field_bytes
 
 
 def test_potential_set_keeps_only_its_band():

@@ -4,7 +4,7 @@ import pytest
 from willmore import grid as g
 from willmore.grid import PolarGrid, dot
 from willmore.curvature import curvature
-from willmore.multiplier import pmc_multiplier
+from willmore.multiplier import MultiplierSpec, pmc_multiplier
 from willmore.residual import equation, star_dn_wedge
 from willmore.surface import (CATALOG, catalog_surface, conformal_factor,
                               frame_and_gauss, from_chart)
@@ -146,8 +146,6 @@ def test_equivalence_on_synthetic_with_multiplier():
     # divergence gap is conformality-limited for the synthetic template, so
     # it scales linearly with the planted coefficient size (and hence with
     # the template's conformality defect) instead of with h
-    from willmore.multiplier import MultiplierSpec
-
     def gap_for(scale_c, n=96):
         params = {"theta0": 2, "a": 1,
                   "E_a": [[0.05 * scale_c, 0.02 * scale_c] if j == 2
@@ -162,9 +160,15 @@ def test_equivalence_on_synthetic_with_multiplier():
         curv = curvature(field, frame)
         f_field = spec.evaluate(grid.z)
         eq = equation(curv, frame, f_field, field)
-        e2l = np.exp(2.0 * frame.lam)
-        gap = g.annulus_norms(grid, eq.strong + 0.5 * eq.div_defect / e2l,
-                              0.05, 0.4)
+        # the gap |strong + (e^{-2 lam} / 2) div X_raw| per node lies
+        # between the difference and the sum of the two terms' lengths
+        gap_node = np.sqrt(eq.squares["identity"])
+        strong = np.sqrt(eq.squares["strong"])
+        half_div = 0.5 * np.sqrt(eq.squares["div"]) / np.exp(2.0 * frame.lam)
+        slack = 1e-10 * (strong + half_div)
+        assert np.all(gap_node <= strong + half_div + slack)
+        assert np.all(gap_node >= np.abs(strong - half_div) - slack)
+        gap = g.annulus_norms(grid, gap_node, 0.05, 0.4)
         anti = antiholomorphy_identity_norms(curv, frame, f_field, field,
                                              0.05, 0.4)
         return gap["rms"], anti["rms"], defect
@@ -180,6 +184,45 @@ def test_equivalence_on_synthetic_with_multiplier():
         anti.append(a_)
         hs.append(np.log(0.5 / 0.01) / (n - 1))
     assert g.fit_order(hs, anti) >= 1.8
+
+
+def _level_passes(field, frame, multiplier):
+    curv = curvature(field, frame)
+    f = None
+    if multiplier == "spec":
+        spec = MultiplierSpec(mu=0, a_mu=0.5 + 0.2j, f0=(0, 0.3, -0.1j))
+        f = spec.evaluate(field.grid.z)
+    elif multiplier == "pmc":
+        f = pmc_multiplier(curv, frame)["f_pmc"]
+    return curv, equation(curv, frame, f, field)
+
+
+@pytest.mark.parametrize("multiplier", ["zero", "spec", "pmc"])
+@pytest.mark.parametrize("budget", [1, 48 * 1024])  # 4-row and 32-row blocks
+def test_row_blocks_equal_one_block(monkeypatch, multiplier, budget):
+    grid = PolarGrid(1e-3, 1.0, 96, 64)
+    field = catalog_surface("inverted_catenoid", {}, grid, 3)
+    frame = frame_and_gauss(field, conformal_factor(field))
+    row_bytes = 3 * grid.n_theta * 8
+    assert len(list(grid.blocks(row_bytes, 2))) == 1
+    curv, eq = _level_passes(field, frame, multiplier)
+
+    monkeypatch.setattr(g, "BLOCK_BYTES", budget)
+    bands = list(grid.blocks(row_bytes, 2))
+    assert len(bands) >= 3
+    assert bands[0].rows.start == 0 and bands[-1].rows.stop == grid.n_r
+    curv_b, eq_b = _level_passes(field, frame, multiplier)
+    # whole arrays: the rows next to both grid ends, read through the
+    # one-sided stencils, and the rows next to every block edge
+    for name in ("lam", "H", "H0", "K", "energy_density"):
+        assert np.array_equal(getattr(curv_b, name), getattr(curv, name))
+    assert np.array_equal(eq_b.flux.raw, eq.flux.raw)
+    assert eq_b.squares.keys() == eq.squares.keys()
+    for key, sq in eq.squares.items():
+        assert np.array_equal(eq_b.squares[key], sq)
+    assert eq_b.norms == eq.norms
+    assert eq_b.pmc_defect == eq.pmc_defect
+    assert eq.norms["div"]["max"] > 0.0 and eq.pmc_defect > 0.0
 
 
 def test_moebius_invariance_smoke():
