@@ -42,7 +42,7 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
     H = np.empty(field.phi.shape)
     H0 = np.empty(field.phi.shape, dtype=complex)
     K, density = np.empty(grid.rr.shape), np.empty(grid.rr.shape)
-    for band in grid.blocks(m * grid.n_theta * 8, 0):
+    for band in grid.blocks(m, 0):
         r = band.rows
         p1, p2 = field.d1[:, :, r]
         pxx, pxy, pyy = field.d2[:, :, r]

@@ -125,19 +125,20 @@ class PolarGrid:
                          int(d["n_theta"]))
 
     def band(self, r_lo=None, r_hi=None) -> "RowBand":
-        """The rows of ``annulus_mask(self, r_lo, r_hi)`` plus one halo row
-        on each side (at least four rows, for the one-sided second
-        difference); the trimmed rims keep the band inside the grid."""
+        """The rows of ``annulus_mask(self, r_lo, r_hi)`` (contiguous) plus
+        one halo row on each side (at least four rows, for the one-sided
+        second difference); the trimmed rims keep the band inside the grid."""
         rows = np.flatnonzero(annulus_mask(self, r_lo, r_hi))
         if rows.size == 0:
             raise ValueError(f"no grid circle in the annulus [{r_lo}, {r_hi}]")
         lo = int(rows[0]) - 1
-        return RowBand(self, lo, max(int(rows[-1]) + 2, lo + 4), rows - lo)
+        return RowBand(self, lo, max(int(rows[-1]) + 2, lo + 4),
+                       slice(1, rows.size + 1))
 
-    def blocks(self, row_bytes: int, halo: int):
+    def blocks(self, m: int, halo: int):
         """RowBands that cover the rows in order, each of equal share of at
-        most max(4, BLOCK_BYTES // row_bytes) own rows, plus up to ``halo``
-        rows on each side inside the grid.
+        most max(4, BLOCK_BYTES // row bytes) own rows of an m-vector
+        field, plus up to ``halo`` rows on each side inside the grid.
 
         ``keep`` is the slice of a band's own rows, ``RowBand.kept`` their
         rows in the grid; the halo rows are computed but not kept.  With
@@ -146,7 +147,7 @@ class PolarGrid:
         keeps at least 3 rows, which the one-sided stencils at the grid's
         ends read).  A grid that fits is one band over all its rows.
         """
-        n = -(-self.n_r // max(4, BLOCK_BYTES // row_bytes))
+        n = -(-self.n_r // max(4, BLOCK_BYTES // (m * self.n_theta * 8)))
         edges = [k * self.n_r // n for k in range(n + 1)]
         for a, b in zip(edges, edges[1:]):
             lo, hi = max(a - halo, 0), min(b + halo, self.n_r)
@@ -160,11 +161,11 @@ class RowBand(PolarGrid):
     of the parent's and its ds is the parent's, so every operator gives the
     parent's values bit for bit on each row whose radial stencil stays inside
     the band; a fresh PolarGrid over the same radii differs in the last bit.
-    ``keep`` indexes the annulus rows (or a block's own rows) within the
-    band; the band's end rows are read by the stencils but never kept.
+    ``keep`` is the slice of the annulus rows (or a block's own rows) within
+    the band; the band's end rows are read by the stencils but never kept.
     """
 
-    def __init__(self, parent: PolarGrid, lo: int, hi: int, keep: np.ndarray):
+    def __init__(self, parent: PolarGrid, lo: int, hi: int, keep: slice):
         self.parent, self.rows, self.keep = parent, slice(lo, hi), keep
         self.r_min, self.r_max = float(parent.r[lo]), float(parent.r[hi - 1])
         self.n_r, self.n_theta = hi - lo, parent.n_theta
@@ -177,7 +178,7 @@ class RowBand(PolarGrid):
 
     @property
     def kept(self) -> slice:
-        """The parent's rows of a block's ``keep`` slice."""
+        """The parent's rows of ``keep``."""
         lo = self.rows.start
         return slice(lo + self.keep.start, lo + self.keep.stop)
 

@@ -21,7 +21,7 @@ from numbers import Real
 
 import numpy as np
 
-from willmore.grid import annulus_norms, dot, dz
+from willmore.grid import annulus_norms, dot, dz, is_integer
 from willmore.surface import BranchData, FrameField, ImmersionField
 
 
@@ -78,18 +78,42 @@ class MultiplierSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "MultiplierSpec":
-        if doc.get("zero", False):
+        """The spec ``to_json`` wrote as ``doc``; a missing, unknown or
+        malformed entry raises MultiplierError naming its key."""
+        keys = ("mu", "a_mu", "f0", "zero")
+        unknown = sorted(map(str, set(doc) - set(keys)))
+        if unknown:
+            raise MultiplierError(f"unknown multiplier keys "
+                                  f"{', '.join(unknown)}; accepted keys: "
+                                  f"{', '.join(keys)}")
+        zero = doc.get("zero", False)
+        if not isinstance(zero, bool):
+            raise MultiplierError(f"zero must be true or false, got {zero!r}")
+        if zero:
             return MultiplierSpec.zero_spec()
-        mu, am = doc["mu"], doc["a_mu"]
-        if (isinstance(mu, bool) or not isinstance(mu, Real)
-                or not float(mu).is_integer()):
+        missing = [k for k in ("mu", "a_mu") if k not in doc]
+        if missing:
+            raise MultiplierError(f"the multiplier spec needs "
+                                  f"{' and '.join(missing)}")
+        mu, f0 = doc["mu"], doc.get("f0", [])
+        if not is_integer(mu):
             raise MultiplierError("multiplier order mu must be an integer, "
                                   f"got {mu!r}")
-        return MultiplierSpec(
-            mu=int(mu),
-            a_mu=complex(am[0], am[1]),
-            f0=tuple(complex(c[0], c[1]) for c in doc.get("f0", [])),
-        )
+        if not isinstance(f0, list):
+            raise MultiplierError(f"f0 must be a list of [re, im] pairs, "
+                                  f"got {f0!r}")
+        return MultiplierSpec(mu=int(mu), a_mu=_complex("a_mu", doc["a_mu"]),
+                              f0=tuple(_complex("f0", c) for c in f0))
+
+
+def _complex(key: str, v) -> complex:
+    """The complex number of a JSON [re, im] pair of finite numbers."""
+    if not (isinstance(v, list) and len(v) == 2 and all(
+            not isinstance(x, bool) and isinstance(x, Real) and np.isfinite(x)
+            for x in v)):
+        raise MultiplierError(f"{key} takes [re, im] pairs of finite "
+                              f"numbers, got {v!r}")
+    return complex(v[0], v[1])
 
 
 def matrix_field(f: np.ndarray) -> np.ndarray:

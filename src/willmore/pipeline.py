@@ -151,7 +151,13 @@ def _multiplier(doc) -> tuple[MultiplierSpec, Optional[int]]:
     if not isinstance(doc, dict):
         _refuse("multiplier", "multiplier must be null, a spec or "
                 f"{{'mode': 'pmc'}}, got {doc!r}")
-    if doc.get("mode") == "pmc":
+    if "mode" in doc:
+        if doc["mode"] != "pmc":
+            _refuse("multiplier", f"mode must be 'pmc', got {doc['mode']!r}")
+        unknown = sorted(map(str, set(doc) - {"mode", "sign"}))
+        if unknown:
+            _refuse("multiplier", f"unknown pmc multiplier keys "
+                    f"{', '.join(unknown)}; accepted keys: mode, sign")
         sign = doc.get("sign", +1)
         if isinstance(sign, bool) or sign not in (1, -1):
             _refuse("multiplier", f"pmc sign must be +1 or -1, got {sign!r}")
@@ -289,9 +295,7 @@ def analyze_level(settings: Settings,
                                "spec": spec.to_json()}
 
     eq = _stage("equation", equation, curv, frame, f_field, field)
-    del curv.H0  # read last by the equation pass
-    if not settings.with_potentials:
-        del frame  # read last by the equation pass, unless by verify_system
+    del curv.H0, frame  # read last by the equation pass
     fl, pmc_defect, sq = eq.flux, eq.pmc_defect, eq.squares
     level["strong_norms"] = eq.norms["strong"]
     level["div_norms"] = eq.norms["div"]
@@ -346,7 +350,7 @@ def analyze_level(settings: Settings,
         del L  # read last here
         level["potential_loop_defects"] = pots.loop_defects
         level["system_residuals"] = _stage("verify_system", verify_system,
-                                           pots, frame, field)
+                                           pots, field)
 
     if settings.with_expansion:
         fit = _stage("fit_phi", fit_phi, field, br.theta0, srw.a, br.u0)

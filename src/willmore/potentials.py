@@ -20,10 +20,10 @@ conservative conformal Willmore system and the closing identity
              - (grad R - grad_perp G) . grad_perp Phi (first-order
 contraction in the second pairing) on the annulus rows plus a halo row
 (``PolarGrid.band``), with star n = e1 ^ e2 and its derivatives formed from
-the frame there.  This is the only module that runs the exterior-algebra
-operators of ``multivec``.
-``potential_set`` builds R in m // 2 blocks of at most m components and
-keeps S, R and, of the rest, only the band rows ``verify_system`` reads.
+a frame built there.  This is the only module that runs the exterior-algebra
+operators of ``multivec``.  ``potential_set`` builds R in m // 2 blocks of at
+most m components, merges their loop defects, and keeps S, R and, of the
+rest, only the band rows ``verify_system`` reads.
 Fields are (components, n_r, n_theta): a block of R is a run of planes.
 """
 
@@ -38,8 +38,8 @@ from willmore.curvature import CurvatureField
 from willmore.grid import PolarGrid, RowBand, div, dot, grad
 from willmore.multivec import (MultiVec, _apply_bilinear, _wedge_table, bullet,
                                inner, wedge)
-from willmore.residues import integrate_curl_potential
-from willmore.surface import FrameField, ImmersionField
+from willmore.residues import integrate_curl_potential, loop_defects
+from willmore.surface import ImmersionField, conformal_factor, frame_and_gauss
 
 
 class PotentialError(ValueError):
@@ -137,7 +137,7 @@ def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
     dg = (dot(dU[0], beta0), dot(dU[1], beta0))
     # grad_perp Phi = (-Phi_y, Phi_x); -(a . b) is a . (-b) bit for bit
     v_s = (-dot(L, d1[1]) - dg[0], dot(L, d1[0]) - dg[1])
-    S, dS = integrate_curl_potential(grid, v_s[0], v_s[1])
+    S, part_S = integrate_curl_potential(grid, v_s[0], v_s[1])
     v_s, dg = cut(v_s), cut(dg)
     n2 = comb(m, 2)
     width = n2 // (m // 2)
@@ -156,23 +156,24 @@ def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
         for k in (0, 1):
             dG[k][cols] = wb(beta0, dU[k][:, band.rows])
             v_r[k][cols] = v[k][:, band.rows]
-        R[cols], dR = integrate_curl_potential(grid, *v, parts)
+        R[cols], part = integrate_curl_potential(grid, *v)
+        parts.append(part)
         del v                      # before the next block's terms are formed
     return PotentialSet(band, S, R, v_s, tuple(v_r), dg, tuple(dG),
-                        {"S": dS, "R": dR})
+                        {"S": loop_defects(part_S), "R": loop_defects(*parts)})
 
 
 # ---------------------------------------------------------------------------
 # conservative system residuals
 # ---------------------------------------------------------------------------
 
-def verify_system(pots: PotentialSet, frame: FrameField,
-                  field: ImmersionField) -> dict:
+def verify_system(pots: PotentialSet, field: ImmersionField) -> dict:
     """Annulus norms of the conservative system and the -2 Lap Phi identity.
 
-    Evaluated on the rows of ``pots.band``, the only rows it reads of the
-    frame and of the field's derivatives, where star n = e1 ^ e2 and
-    d_i(e1 ^ e2) = nu1_i ^ e2 + e1 ^ nu2_i (``FrameField.nu``) are formed.
+    Evaluated on the rows of ``pots.band``, the only rows of the field it
+    reads, where it rebuilds the level's frame (with no second defect gate;
+    every term is per node, so bit for bit) and forms star n = e1 ^ e2 and
+    d_i(e1 ^ e2) = nu1_i ^ e2 + e1 ^ nu2_i (``FrameField.nu``).
     The gradients of S and R enter through their defining curl fields
     (grad_perp S and grad_perp R are known exactly up to the reported loop
     defect), so each residual costs a single discrete derivative.  The five
@@ -182,13 +183,13 @@ def verify_system(pots: PotentialSet, frame: FrameField,
     (star e_I = sign(I, I^c) e_{I^c}) and first-order contraction
     (``bullet``), whose conventions differ from the cited statements'.
     """
-    grid = pots.band
-    m = field.ambient_dim
+    grid, m = pots.band, field.ambient_dim
+    field = ImmersionField(grid, field.slots[:, :, grid.rows])
+    frame = frame_and_gauss(field, conformal_factor(field), np.inf)
     s_bullR, s_dotS, s_bullG, s_sng, s_phi = -1, -1, -1, -1, +1
     mk2 = lambda c: MultiVec(m, 2, c)
     mk1 = lambda c: MultiVec.vector(m, c)
     w11 = lambda a, b: wedge(mk1(a), mk1(b)).coeffs
-    frame = frame.on(grid)
     e1, e2 = frame.e1, frame.e2
     sn = mk2(w11(e1, e2))  # star n
     sn_x, sn_y = (w11(nu1, e2) + w11(e1, nu2)
@@ -223,7 +224,7 @@ def verify_system(pots: PotentialSet, frame: FrameField,
 
     # -2 Lap Phi = (grad S - perp grad g) . perp grad Phi
     #              + s5 (grad R - perp grad G) bullet perp grad Phi
-    d1, d2 = field.d1[..., grid.rows, :], field.d2[..., grid.rows, :]
+    d1, d2 = field.d1, field.d2
     perp_phi = (-d1[1], d1[0])
     t_scal = (Sx + gy) * perp_phi[0] + (Sy - gx) * perp_phi[1]
     t_bull = (bullet(mk2(Rx + Gy), mk1(perp_phi[0])).coeffs

@@ -33,7 +33,8 @@ pass runs in row blocks of ``PolarGrid.blocks`` with a halo of two rows
 never formed: the term star(grad_perp n ^ H) comes from the frame
 (``star_dn_wedge``), and grad H, which the pass takes itself, and
 pi_n grad H are released before the flux divergence.  Both flux
-components are assembled in one (2, m, ...) buffer.
+components of a block are summed in one (2, m, ...) buffer, whose kept
+rows are copied into the level's flux.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def equation(curv: CurvatureField, frame: FrameField,
     f absent or identically zero they are skipped, so both forms reduce
     bitwise to the plain Willmore equation.  The pass runs row block by
     row block (``PolarGrid.blocks``) with two halo rows, for grad H and
-    then the divergences; a level that fits one block writes its flux in
-    place.  The norms are taken over ``NORM_ANNULUS``.
+    then the divergences, and copies each block's kept rows of the flux
+    into the level's.  The norms are taken over ``NORM_ANNULUS``.
     """
     grid = curv.grid
     if f is not None and not np.any(f):
@@ -117,10 +118,9 @@ def equation(curv: CurvatureField, frame: FrameField,
                for key in ("strong", "div", "identity")}
     num = np.empty(grid.rr.shape)  # |pi_n grad H|
     floor = 1e-30                  # max(|grad H|, |H|)
-    for band in grid.blocks(m * n_theta * 8, 2):
+    for band in grid.blocks(m, 2):
         rows, kept, k = band.rows, band.kept, (slice(None), band.keep)
-        rb = raw if band.n_r == grid.n_r else np.empty(
-            (2, m, band.n_r, n_theta))
+        rb = np.empty((2, m, band.n_r, n_theta))
         fr = frame.on(band)
         H, H0 = curv.H[:, rows], curv.H0[:, rows]
         e2l = np.exp(2.0 * fr.lam)
@@ -161,8 +161,7 @@ def equation(curv: CurvatureField, frame: FrameField,
                        ("identity", gap)):
             squares[key][kept] = dot(v[k], v[k])
         del strong, div_defect, gap
-        if rb is not raw:
-            raw[:, :, kept] = rb[:, :, band.keep]
+        raw[:, :, kept] = rb[:, :, band.keep]
     norms = {key: annulus_norms(grid, np.sqrt(sq), *NORM_ANNULUS)
              for key, sq in squares.items()}
     pmc_defect = annulus_norms(grid, num)["max"] / floor

@@ -203,18 +203,17 @@ def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, 2.0 * np.pi * mean[..., 0]
 
 
-def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray,
-                             parts: Optional[list] = None):
-    """P with grad_perp P = (vx, vy), fixed to 0 at the outer basepoint.
+def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray):
+    """P with grad_perp P = (vx, vy), fixed to 0 at the outer basepoint, and
+    its part of the loop defect (``loop_defects``).
 
     Paths run radially inward along theta = 0 (corrected cumulative
     trapezoid in log r), then angularly around each circle (spectral
     antiderivative).  Works for scalar node fields or fields with leading
-    axes.  The loop defect combines the worst angular holonomy with the
-    mismatch against the independent angular-then-radial path family.
-    For a field integrated in blocks of its first axis, the list ``parts``
-    collects each block's profiles and scale, and the defect is the worst.
-    Each quantity is built in place and released once read: the angular
+    axes.  The part is the per-circle profiles, worst over the leading
+    axes, of the angular holonomy and of the mismatch against the
+    independent angular-then-radial path family, and P's scale.  Each
+    quantity is built in place and released once read: the angular
     antiderivative over its integrand, the other path family and the gap
     over the radial sums, so at most three input-sized arrays are alive
     besides the inputs.
@@ -245,26 +244,28 @@ def integrate_curl_potential(grid: PolarGrid, vx: np.ndarray, vy: np.ndarray,
     mismatch_profile = gap.max(axis=-1).reshape(-1, grid.n_r).max(axis=0)
     del radial, gap
     scale = max(float(max(P.max(), -P.min())), circle_work, 1e-300)
-    parts = [] if parts is None else parts
-    parts.append((holo_profile, mismatch_profile, scale))
+    return P, (holo_profile, mismatch_profile, scale)
+
+
+def loop_defects(*parts) -> dict:
+    """The loop defect of a potential integrated in one or more parts of
+    ``integrate_curl_potential``: the worst holonomy and path mismatch over
+    the parts, with their profiles, relative to the largest scale."""
     holo, mism = (np.max([p[i] for p in parts], axis=0) for i in (0, 1))
     holonomy, mismatch = float(np.max(holo)), float(np.max(mism))
     defect = max(holonomy, mismatch)
-    return P, {"holonomy": holonomy, "holonomy_profile": holo,
-               "path_mismatch": mismatch, "noise_profile": holo + mism,
-               "defect": defect,
-               "relative_defect": defect / max(p[2] for p in parts)}
+    return {"holonomy": holonomy, "holonomy_profile": holo,
+            "path_mismatch": mismatch, "noise_profile": holo + mism,
+            "defect": defect,
+            "relative_defect": defect / max(p[2] for p in parts)}
 
 
 def potential_L(fl: FluxField, beta0) -> tuple[np.ndarray, dict]:
-    """L with grad_perp L = X, the flux corrected by the first residue beta0,
-    integrated one component at a time."""
-    L, parts = np.empty(fl.raw.shape[1:]), []
-    for j, b in enumerate(np.broadcast_to(beta0, len(L))):
-        X = FluxField(fl.grid, fl.raw[:, j]).corrected(b)
-        L[j], defects = integrate_curl_potential(fl.grid, X[0], X[1], parts)
-        del X
-    return L, defects
+    """L with grad_perp L = X, the flux corrected by the first residue
+    beta0, and its loop defects."""
+    X = fl.corrected(beta0)
+    L, part = integrate_curl_potential(fl.grid, X[0], X[1])
+    return L, loop_defects(part)
 
 
 # ---------------------------------------------------------------------------

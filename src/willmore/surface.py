@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from willmore import jets
-from willmore.grid import PolarGrid, RowBand, dot, grad
+from willmore.grid import PolarGrid, RowBand, dot, grad, is_integer
 from willmore.jets import Jet
 from willmore.multivec import MAX_DIM, MIN_DIM
 
@@ -215,6 +215,14 @@ def _real_sum(terms, m):
     return [Jet(*out[:, k]) for k in range(m)]
 
 
+def _integer(params, key, default):
+    """The integer param ``key``, refused rather than truncated."""
+    v = params.get(key, default)
+    if not is_integer(v):
+        raise SurfaceError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _direction(params, m):
     """The direction A of z^theta0: given, or scale * (e1 + i e2)."""
     if "A" in params:
@@ -230,7 +238,7 @@ def _plane(params, m):
 
 
 def _branched_plane(params, m):
-    theta0 = int(params.get("theta0", 2))
+    theta0 = _integer(params, "theta0", 2)
     if theta0 < 1:
         raise SurfaceError("theta0 must be a positive integer")
     A = _direction(params, m)
@@ -303,8 +311,7 @@ def _clifford_torus_patch(params, m):
 
 def synthetic_th4_coefficients(params, m):
     """Resolve the planted template data (A, B_j, E_a, gamma0, u0, C's)."""
-    theta0 = int(params.get("theta0", 2))
-    a = int(params.get("a", 0))
+    theta0, a = _integer(params, "theta0", 2), _integer(params, "a", 0)
     if theta0 < 1 or not 0 <= a <= theta0 - 1:
         raise SurfaceError("need theta0 >= 1 and 0 <= a <= theta0 - 1")
     A = _direction(params, m)
@@ -370,6 +377,18 @@ CATALOG = {
     "synthetic_th4": _synthetic_th4,
 }
 
+#: the params each catalog entry reads; any other key is refused
+CATALOG_PARAMS = {
+    "plane": (),
+    "branched_plane": ("theta0", "A", "scale"),
+    "sphere_stereographic": ("R",),
+    "catenoid_end": ("scale",),
+    "inverted_catenoid": ("scale",),
+    "cylinder_cmc": ("radius",),
+    "clifford_torus_patch": ("scale",),
+    "synthetic_th4": ("theta0", "a", "A", "scale", "B", "E_a", "gamma0", "xi"),
+}
+
 #: entries whose equation extends across the origin (no branch, no flux there)
 REGULAR_ENTRIES = {"plane", "sphere_stereographic", "cylinder_cmc",
                    "clifford_torus_patch"}
@@ -380,7 +399,12 @@ def catalog_surface(name: str, params: Optional[dict], grid: PolarGrid,
     if name not in CATALOG:
         raise SurfaceError(f"unknown catalog surface {name!r}; "
                            f"choices: {sorted(CATALOG)}")
-    chart = CATALOG[name](params or {}, ambient_dim)
+    params, accepted = params or {}, CATALOG_PARAMS[name]
+    unknown = sorted(map(str, set(params) - set(accepted)))
+    if unknown:
+        raise SurfaceError(f"unknown {name} params {', '.join(unknown)}; "
+                           f"accepted: {', '.join(accepted) or 'none'}")
+    chart = CATALOG[name](params, ambient_dim)
     return from_chart(chart, grid, ambient_dim)
 
 

@@ -284,7 +284,7 @@ def test_criterion_7_potential_identities():
             beta0 = first_residue(fl)["beta0"]
             L, _ = potential_L(fl, beta0)
             pots = potential_set(L, beta0, field, curv, grid.band(*band))
-            out = verify_system(pots, frame, field)
+            out = verify_system(pots, field)
             for key in res:
                 res[key].append(out[key]["rms"])
             hs.append(grid.ds)

@@ -327,6 +327,45 @@ def test_malformed_config_named_before_work(monkeypatch, stage, entry):
     assert err.value.stage == stage
 
 
+@pytest.mark.parametrize("entry, key", [
+    ({"a_mu": [1.0, 0.0]}, "mu"),
+    ({"mu": 0}, "a_mu"),
+    ({"mode": "bogus"}, "mode"),
+    ({"mu": 0, "a_mu": 5}, "a_mu"),
+    ({"mu": 0, "a_mu": [1.0, 0.0, 0.0]}, "a_mu"),
+    ({"mu": 0, "a_mu": [float("nan"), 0.0]}, "a_mu"),
+    ({"mu": 0, "a_mu": [1.0, float("inf")]}, "a_mu"),
+    ({"mu": 1, "a_mu": [1.0, 0.0], "f0": [1]}, "f0"),
+    ({"mu": 0, "a_mu": [1.0, 0.0], "f0": [[0.0, 0.0], [True, 0.0]]}, "f0"),
+    ({"mu": 1, "a_mu": [1.0, 0.0], "f0": {"2": [1.0, 0.0]}}, "f0"),
+    ({"zero": "yes"}, "zero"),
+    ({"zero": 1}, "zero"),
+    ({"zero": "false", "mu": 0, "a_mu": [1.0, 0.0]}, "zero"),
+    ({"mu": 0, "a_mu": [1.0, 0.0], "a_nu": [1.0, 0.0]}, "a_nu"),
+    ({"mode": "pmc", "sgn": -1}, "sgn"),
+])
+def test_malformed_multiplier_entry_names_its_key(monkeypatch, entry, key):
+    _no_level_work(monkeypatch)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline({**PLANE, "multiplier": entry})
+    assert err.value.stage == "multiplier"
+    assert re.search(rf"\b{key}\b", str(err.value)), str(err.value)
+
+
+@pytest.mark.parametrize("surf, key", [
+    ({"name": "branched_plane", "params": {"theta0": 2.5}}, "theta0"),
+    ({"name": "synthetic_th4", "params": {"theta0": 3, "a": 1.5},
+      "ambient_dim": 4}, "a"),
+    ({"name": "cylinder_cmc", "params": {"radus": 0.6}}, "radus"),
+    ({"name": "inverted_catenoid", "params": {"scael": 2}}, "scael"),
+])
+def test_malformed_catalog_params_refused_at_surface(surf, key):
+    with pytest.raises(PipelineError) as err:
+        run_pipeline({**PLANE, "surface": surf})
+    assert err.value.stage == "surface"
+    assert re.search(rf"\b{key}\b", str(err.value)), str(err.value)
+
+
 def test_unknown_key_lists_accepted_keys():
     with pytest.raises(PipelineError) as err:
         pipeline.resolve({**PLANE, "levles": 2})

@@ -4,12 +4,13 @@ tracemalloc sees every numpy data buffer, so the peak of a call measures
 how many field-sized arrays it keeps alive at once.  The bounds are
 multiples of one input field's bytes: the in-place curl-potential
 integration peaks near 3.1 of its inputs (8.0 when every path quantity
-had its own array), and a whole codim-6 level near 8.9 of its
+had its own array), and a whole codim-6 level near 7.7 of its
 28-component fields (23 when h_ij, grad H and the flux temporaries were
 all kept; 15.8 while g, G, grad G, v_R and grad n stayed on the full grid
 after their stages; 11.8 while g and G took 1 + C(m, 2) Poisson solves and
 grad_perp R was formed 28 components wide; 9.5 while the Gauss map and its
-stencil gradient were formed).  A pmc-mode m = 3 level of 191x256 nodes,
+stencil gradient were formed; 8.4 while the level's frame lived on for
+verify_system).  A pmc-mode m = 3 level of 191x256 nodes,
 which splits into three row blocks, peaks near 23.5 of its 3-component
 fields (26.4 while curvature and the equation pass ran on the whole grid
 at once and the level kept the strong-form and divergence fields, the
@@ -17,6 +18,7 @@ frame and H0 until its end).
 """
 
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -59,7 +61,32 @@ def test_codim6_level_peak():
     pipeline.analyze_level(settings, grid)  # grid caches, algebra tables
     field_bytes = grid.n_r * grid.n_theta * 28 * 8
     assert traced_peak(pipeline.analyze_level, settings, grid) \
-        < 11 * field_bytes
+        < 8 * field_bytes
+
+
+def test_frame_is_dead_when_potential_set_runs(monkeypatch):
+    # verify_system builds its frame on its band from the field, so the
+    # level's frame dies after the equation pass in every mode
+    refs, alive = [], []
+
+    def frame(*args):
+        out = frame_and_gauss(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    def potentials(*args):
+        alive.append(refs[0]() is not None)
+        return potential_set(*args)
+
+    monkeypatch.setattr(pipeline, "frame_and_gauss", frame)
+    monkeypatch.setattr(pipeline, "potential_set", potentials)
+    settings = pipeline.resolve({
+        "surface": {"name": "inverted_catenoid", "ambient_dim": 4},
+        "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 48, "n_theta": 32},
+        "with_potentials": True, "with_expansion": False})
+    level, _ = pipeline.analyze_level(settings, settings.grids[0])
+    assert len(refs) == 1 and alive == [False]
+    assert level["system_residuals"].keys() == {"sysS", "sysR", "delphi"}
 
 
 def test_pmc_level_peak_in_row_blocks():
@@ -68,7 +95,7 @@ def test_pmc_level_peak_in_row_blocks():
         "multiplier": {"mode": "pmc"},
         "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 191, "n_theta": 256}})
     grid = settings.grids[0]
-    assert len(list(grid.blocks(3 * grid.n_theta * 8, 2))) == 3
+    assert len(list(grid.blocks(3, 2))) == 3
     pipeline.analyze_level(settings, grid)  # grid caches
     field_bytes = grid.n_r * grid.n_theta * 3 * 8
     assert traced_peak(pipeline.analyze_level, settings, grid) \

@@ -12,8 +12,9 @@ from willmore.potentials import (PotentialError, _solve_modes, potential_set,
                                  solve_gG, verify_system)
 from willmore.residual import equation
 from willmore.residues import (first_residue, integrate_curl_potential,
-                               potential_L)
-from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
+                               loop_defects, potential_L)
+from willmore.surface import (ImmersionField, catalog_surface,
+                              conformal_factor, frame_and_gauss)
 
 from oracles import gG_per_component
 
@@ -204,7 +205,8 @@ def test_blocked_R_is_one_unblocked_integration(m):
     v_R = [(wedge(bmv(L), bmv(p)).coeffs
             - 2.0 * wedge(bmv(curv.H), bmv(d)).coeffs - dG_k)
            for p, d, dG_k in zip((-d1[1], d1[0]), d1, dG)]
-    R, defects = integrate_curl_potential(grid, *v_R)
+    R, part = integrate_curl_potential(grid, *v_R)
+    defects = loop_defects(part)
     assert np.array_equal(pots.R, R)
     for got, want in zip(pots.v_R + pots.dG, v_R + dG):
         assert np.array_equal(got, want[:, band.rows])
@@ -252,7 +254,7 @@ def test_conservative_system_residuals_refine(name):
     for n in (48, 96, 192):
         grid = PolarGrid(r_min, 1.0, n, 64)
         field, frame, curv, pots = full_chain(name, grid, (lo, hi))
-        out = verify_system(pots, frame, field)
+        out = verify_system(pots, field)
         for key in res:
             res[key].append(out[key]["rms"])
         hs.append(grid.ds)
@@ -269,9 +271,15 @@ def test_verify_system_reads_only_its_band():
     # norms come out unchanged: they rest on the band's rows alone
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field, frame, _, pots = full_chain("inverted_catenoid", grid)
-    want = verify_system(pots, frame, field)
+    want = verify_system(pots, field)
     rows = pots.band.rows
     assert rows.stop - rows.start < grid.n_r // 4
+    # the frame built from the band's rows is the level's frame there
+    on_band = ImmersionField(pots.band, field.slots[:, :, rows])
+    built = frame_and_gauss(on_band, conformal_factor(on_band), np.inf)
+    for name in ("lam", "e1", "e2", "II", "gram"):
+        got, level = getattr(built, name), getattr(frame.on(pots.band), name)
+        assert got.tobytes() == np.ascontiguousarray(level).tobytes(), name
 
     def blank(a, axis=0):
         keep = (slice(None),) * axis + (rows,)
@@ -279,14 +287,12 @@ def test_verify_system_reads_only_its_band():
         out[keep] = a[keep]
         return out
 
-    # the set holds band rows only; the frame (e1, e2, II and its
-    # Gram-Schmidt data) and the derivatives of Phi are full-grid inputs
-    frame = replace(frame, e1=blank(frame.e1, 1), e2=blank(frame.e2, 1),
-                    II=blank(frame.II, 2), gram=blank(frame.gram, 1))
+    # the set holds band rows only; the derivatives of Phi, from which the
+    # frame is built on the band, are full-grid inputs
     slots = field.slots.copy()
     slots[1:] = blank(slots[1:], 2)     # phi must stay finite
     field = replace(field, slots=slots)
-    assert verify_system(pots, frame, field) == want
+    assert verify_system(pots, field) == want
 
 
 def test_synthetic_potentials_finite():
@@ -328,7 +334,7 @@ def test_conservative_system_codimension_two():
         beta0 = first_residue(fl)["beta0"]
         L, _ = potential_L(fl, beta0)
         pots = potential_set(L, beta0, field, curv, grid.band(0.15, 0.85))
-        out = verify_system(pots, frame, field)
+        out = verify_system(pots, field)
         for key in res:
             res[key].append(out[key]["rms"])
         hs.append(grid.ds)

@@ -203,12 +203,11 @@ def test_row_blocks_equal_one_block(monkeypatch, multiplier, budget):
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field = catalog_surface("inverted_catenoid", {}, grid, 3)
     frame = frame_and_gauss(field, conformal_factor(field))
-    row_bytes = 3 * grid.n_theta * 8
-    assert len(list(grid.blocks(row_bytes, 2))) == 1
+    assert len(list(grid.blocks(3, 2))) == 1
     curv, eq = _level_passes(field, frame, multiplier)
 
     monkeypatch.setattr(g, "BLOCK_BYTES", budget)
-    bands = list(grid.blocks(row_bytes, 2))
+    bands = list(grid.blocks(3, 2))
     assert len(bands) >= 3
     assert bands[0].rows.start == 0 and bands[-1].rows.stop == grid.n_r
     curv_b, eq_b = _level_passes(field, frame, multiplier)

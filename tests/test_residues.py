@@ -8,8 +8,8 @@ from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField, equation
 from willmore.residues import (
     ResidueError, ResidueReport, _cumtheta, branch_order, first_residue,
-    integrate_curl_potential, modified_residue, pole_order_range, potential_L,
-    radial_extrapolate, second_residue, tangent_vector, w_field,
+    integrate_curl_potential, loop_defects, modified_residue, pole_order_range,
+    potential_L, radial_extrapolate, second_residue, tangent_vector, w_field,
 )
 from willmore.surface import (catalog_surface, conformal_factor,
                               frame_and_gauss, from_chart, CATALOG)
@@ -261,7 +261,8 @@ def test_second_residue_with_log_multiplier():
 def test_potential_zero_field():
     grid = PolarGrid(0.02, 1.0, 64, 64)
     z = np.zeros((3, grid.n_r, grid.n_theta))
-    P, defect = integrate_curl_potential(grid, z, z)
+    P, part = integrate_curl_potential(grid, z, z)
+    defect = loop_defects(part)
     assert np.max(np.abs(P)) == 0.0
     assert defect["defect"] == 0.0
 
@@ -273,7 +274,8 @@ def test_potential_planted_stream_function():
         psi = (grid.z ** 3).real + grid.x * grid.y
         px = 3 * (grid.z ** 2).real + grid.y
         py = -3 * (grid.z ** 2).imag + grid.x
-        P, defect = integrate_curl_potential(grid, -py, px)
+        P, part = integrate_curl_potential(grid, -py, px)
+        defect = loop_defects(part)
         errs.append(np.max(np.abs(P - (psi - psi[-1, 0]))))
         hs.append(grid.ds)
         assert defect["holonomy"] < 1e-12
@@ -289,6 +291,28 @@ def test_potential_requires_beta0_subtraction():
     assert defect["holonomy"] < 1e-12
     _, raw_defect = potential_L(fl, 0)
     assert abs(raw_defect["holonomy"] - 4 * np.pi * 2.2) < 1e-10
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_potential_L_is_the_per_component_integration(m):
+    # one call over all m components gives each component's own L, and the
+    # loop defects of the m parts merged, bit for bit
+    grid = PolarGrid(1e-3, 1.0, 48, 32)
+    field = catalog_surface("inverted_catenoid", {}, grid, m)
+    frame, _ = analyzed_frame(field)
+    fl = equation(curvature(field, frame), frame).flux
+    beta0 = first_residue(fl)["beta0"]
+    L, defects = potential_L(fl, beta0)
+    parts = []
+    for j in range(m):
+        X = FluxField(grid, fl.raw[:, j]).corrected(beta0[j])
+        L_j, part = integrate_curl_potential(grid, X[0], X[1])
+        assert L[j].tobytes() == L_j.tobytes(), j
+        parts.append(part)
+    want = loop_defects(*parts)
+    assert defects.keys() == want.keys()
+    for key, v in want.items():
+        assert np.asarray(defects[key]).tobytes() == np.asarray(v).tobytes(), key
 
 
 def test_potential_L_defect_refines_on_inverted_catenoid():

@@ -8,7 +8,7 @@ from willmore.pipeline import build_field, resolve
 from willmore.surface import (
     SurfaceError, catalog_surface, conformal_factor, frame_and_gauss,
     from_chart, from_samples, load_samples_csv, save_samples_csv,
-    synthetic_th4_coefficients, CATALOG,
+    synthetic_th4_coefficients, CATALOG, CATALOG_PARAMS,
 )
 
 from oracles import (gauss_map, hodge_star, inverted_chart, rotated_chart,
@@ -32,6 +32,27 @@ def build(name, params=None, grid=None, m=None):
 def test_unknown_name_raises():
     with pytest.raises(SurfaceError):
         build("moebius_strip")
+
+
+@pytest.mark.parametrize("name, params, key", [
+    ("branched_plane", {"theta0": 2.5}, "theta0"),
+    ("branched_plane", {"theta0": True}, "theta0"),
+    ("synthetic_th4", {"theta0": 3, "a": 1.5}, "a"),
+    ("synthetic_th4", {"theta0": "3"}, "theta0"),
+    ("plane", {"scale": 2.0}, "scale"),
+    ("sphere_stereographic", {"radius": 2.0}, "radius"),
+])
+def test_malformed_catalog_params_name_their_key(name, params, key):
+    with pytest.raises(SurfaceError, match=rf"\b{key}\b"):
+        build(name, params, m=4)
+
+
+def test_integral_params_and_accepted_keys():
+    # an integral float is its integer; every entry lists the keys it reads
+    assert set(CATALOG_PARAMS) == set(CATALOG)
+    want = build("synthetic_th4", {"theta0": 3, "a": 1}, m=4)
+    got = build("synthetic_th4", {"theta0": 3.0, "a": 1.0}, m=4)
+    assert got.slots.tobytes() == want.slots.tobytes()
 
 
 def test_plane_lambda_and_defect():
