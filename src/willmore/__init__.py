@@ -6,7 +6,7 @@ the local asymptotic expansions of the immersion and its mean curvature, and
 classifies point removability.
 """
 
-from willmore.multivec import MultiVec, wedge, bullet, inner
+from willmore.multivec import MultiVec
 from willmore.grid import PolarGrid
 from willmore.surface import (ImmersionField, FrameField, catalog_surface,
                               conformal_factor, frame_and_gauss)
@@ -14,8 +14,7 @@ from willmore.curvature import CurvatureField, curvature, willmore_energy
 from willmore.multiplier import MultiplierSpec
 
 __all__ = [
-    "MultiVec", "wedge", "bullet", "inner",
-    "PolarGrid", "ImmersionField", "FrameField", "catalog_surface",
+    "MultiVec", "PolarGrid", "ImmersionField", "FrameField", "catalog_surface",
     "conformal_factor", "frame_and_gauss", "CurvatureField", "curvature",
     "willmore_energy", "MultiplierSpec",
 ]

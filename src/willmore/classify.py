@@ -13,7 +13,7 @@ both gates are reported next to the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 from typing import Optional
 
 import numpy as np
@@ -46,10 +46,7 @@ class Classification:
     diagnostics: dict = dfield(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {"verdict": self.verdict, "conditions": self.conditions,
-                "citations": self.citations,
-                "sobolev_exponent": self.sobolev_exponent,
-                "diagnostics": self.diagnostics}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _zero_gate(tol_zero: float, spread: float) -> float:

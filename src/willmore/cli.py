@@ -8,20 +8,11 @@ Subcommands:
     fit        expansion fit only
     classify   re-derive the verdict from a saved report.json
 
-Configs are JSON documents:
-    {"surface": {"name": ..., "params": {...}, "ambient_dim": m}
-                | {"csv": path},
-     "grid": {"r_min": ..., "r_max": ..., "n_r": ..., "n_theta": ...},
-     "multiplier": null | {"mu": ..., "a_mu": [re, im], "f0": [[re, im], ...],
-                           "zero": false} | {"mode": "pmc", "sign": 1},
-     "levels": 1, "regular": bool, "with_potentials": false,
-     "with_expansion": true,
-     "tolerances": {"tol_zero": ..., "defect_threshold": ...,
-                    "pmc_threshold": ..., "winding_gate": ...}}
-
-A ``"zero": true`` spec is the zero multiplier, as null is; pmc mode also
-classifies against it.  Each tolerance defaults to a constant of the module
-that applies it: ``classify``, ``surface`` or ``residues``.
+Configs are JSON documents.  Their keys, each with its form and default,
+are the tables ``pipeline.CONFIG_KEYS`` (with ``SURFACE_KEYS``,
+``TOLERANCE_KEYS`` and ``PMC_KEYS``), ``grid.GRID_KEYS``,
+``multiplier.SPEC_KEYS`` and ``surface.CATALOG_PARAMS``; README's Config
+section lists them.
 
 Every command reads its config (after its flags) through
 ``pipeline.resolve``, so an unknown key or a malformed entry is refused,
@@ -177,44 +168,36 @@ def cmd_classify(args) -> int:
     return exit_code({"classification": out})
 
 
+_CONFIG = {"--config": {"required": True}}
+#: each command's help, handler and flags
+COMMANDS = {
+    "generate": ("sample a catalog surface to CSV", cmd_generate,
+                 {**_CONFIG, "--out": {"required": True}}),
+    "analyze": ("full pipeline with report", cmd_analyze,
+                {**_CONFIG, "--levels": {"type": int}, "--out": {},
+                 "--tol-zero": {"type": float},
+                 "--with-potentials": {"action": "store_true"}}),
+    "residues": ("residue extraction only", cmd_residues,
+                 {**_CONFIG, "--out": {}}),
+    "energy": ("Willmore energy of the sampled annulus", cmd_energy, _CONFIG),
+    "fit": ("asymptotic expansion fit", cmd_fit, {**_CONFIG, "--out": {}}),
+    "classify": ("re-classify from a saved report", cmd_classify,
+                 {"--report": {"required": True},
+                  "--tol-zero": {"type": float}}),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="willmore",
         description="Branch-point analysis of conformal immersions: "
                     "residues, expansions, removability")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="sample a catalog surface to CSV")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("analyze", help="full pipeline with report")
-    p.add_argument("--config", required=True)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--tol-zero", dest="tol_zero", type=float, default=None)
-    p.add_argument("--with-potentials", action="store_true")
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("residues", help="residue extraction only")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_residues)
-
-    p = sub.add_parser("energy", help="Willmore energy of the sampled annulus")
-    p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_energy)
-
-    p = sub.add_parser("fit", help="asymptotic expansion fit")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_fit)
-
-    p = sub.add_parser("classify", help="re-classify from a saved report")
-    p.add_argument("--report", required=True)
-    p.add_argument("--tol-zero", dest="tol_zero", type=float, default=None)
-    p.set_defaults(fn=cmd_classify)
+    for name, (help_text, fn, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
     try:

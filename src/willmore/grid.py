@@ -22,8 +22,8 @@ core's cache; a block's halo rows feed its radial stencils and are not kept.
 ``annulus_mask`` always trims 10% of the rows at each rim, so every
 annulus norm stays off the one-sided stencils; ``integrate`` reads every
 row.  ``jsonable`` is the one converter of arrays and complex numbers to
-JSON values, used by every report writer, and ``is_integer`` the one test
-of an integral JSON value, used by every reader.
+JSON values, used by every report writer, and ``read_json`` the one reader
+of JSON entries, each against its ``Form`` in its reader's table of keys.
 
 Field arrays are shaped (..., n_r, n_theta): ambient, coefficient and
 derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
@@ -31,15 +31,103 @@ derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
 
 from __future__ import annotations
 
+import cmath
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
+from numbers import Complex, Real
 
 import numpy as np
 
 #: bytes of m-vector field rows in one block of ``PolarGrid.blocks``: the
 #: few block-sized fields a pass keeps alive fit a 2 MB per-core L2 cache
 BLOCK_BYTES = 512 * 1024
+
+
+# -- JSON entries ---------------------------------------------------------------
+
+def is_integer(v) -> bool:
+    """Whether a JSON value is an integer: no fraction, and not a bool."""
+    # an int is never converted: float() overflows past 1e308
+    return (not isinstance(v, bool) and isinstance(v, Real)
+            and (isinstance(v, int) or float(v).is_integer()))
+
+
+def _finite(v, kind=Real) -> bool:
+    """Whether a JSON value is a finite number of ``kind``, not a bool."""
+    try:
+        return (not isinstance(v, bool) and isinstance(v, kind)
+                and cmath.isfinite(v))
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _is_list(v) -> bool:
+    """Whether a value is a JSON list, or from Python a tuple or an array."""
+    return (isinstance(v, (list, tuple))
+            or (isinstance(v, np.ndarray) and v.ndim > 0))
+
+
+#: a form of JSON entry: what a refusal calls it, whether a value has it,
+#: and the value kept of one that has
+Form = namedtuple("Form", "what accepts convert", defaults=[lambda v: v])
+
+
+def listof(form: Form, what: str) -> Form:
+    """The form of a list of values of ``form``, called ``what``."""
+    return Form(what, lambda v: _is_list(v) and all(map(form.accepts, v)),
+                lambda v: [form.convert(x) for x in v])
+
+
+INTEGER = Form("an integer", is_integer, int)
+REAL = Form("a finite number", _finite, float)
+NON_NEGATIVE = Form("a finite non-negative number",
+                    lambda v: _finite(v) and v >= 0, float)
+BOOL = Form("true or false", lambda v: isinstance(v, bool))
+STRING = Form("a string", lambda v: isinstance(v, str))
+MAPPING = Form("a mapping", lambda v: isinstance(v, dict))
+PAIR = Form("an [re, im] pair of finite numbers",
+            lambda v: _is_list(v) and len(v) == 2 and all(map(_finite, v)),
+            lambda v: complex(*v))
+#: a catalog param's complex number; a complex one, too, from Python
+COMPLEX = Form("a finite number or an [re, im] pair of them",
+               lambda v: PAIR.accepts(v) or _finite(v, Complex),
+               lambda v: complex(*v) if _is_list(v) else complex(v))
+INTEGERS = listof(INTEGER, "a list of integers")
+REALS = listof(REAL, "a list of finite numbers")
+PAIRS = listof(PAIR, "a list of [re, im] pairs")
+COMPLEXES = listof(COMPLEX, "a list of [re, im] pairs or finite numbers")
+#: the default of a key that an entry must have
+REQUIRED = object()
+
+
+def read_json(doc, table: dict, where: str,
+              error=lambda message, key: ValueError(message),
+              missing: str = "{where} is missing {keys}") -> dict:
+    """The entries of the JSON mapping ``doc`` (called ``where``) by the
+    keys of ``table``, each read as its form, or its default when absent.
+
+    In this order, a ``doc`` that is not a mapping, an unknown key, an entry
+    not of its form and a missing key (default ``REQUIRED``; the message
+    ``missing``, of all the missing ``keys`` or the first, ``key``) raise
+    ``error(message, key)``, with the key at fault or None.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be a mapping, got {doc!r}", None)
+    unknown = sorted(map(str, set(doc) - set(table)))
+    if unknown:
+        raise error(f"unknown keys {', '.join(unknown)} in {where}; "
+                    f"accepted keys: {', '.join(table) or 'none'}", None)
+    out = {}
+    for key, (form, default) in table.items():
+        if key in doc and not form.accepts(doc[key]):
+            raise error(f"{where} entry {key!r} is not {form.what}", key)
+        out[key] = form.convert(doc[key]) if key in doc else default
+    absent = [key for key, v in out.items() if v is REQUIRED]
+    if absent:
+        raise error(missing.format(where=where, keys=", ".join(absent),
+                                   key=absent[0]), absent[0])
+    return out
 
 
 @dataclass(eq=False)
@@ -112,17 +200,11 @@ class PolarGrid:
                          (self.n_r - 1) * 2 + 1, self.n_theta * 2)
 
     def to_json(self) -> dict:
-        return {"r_min": self.r_min, "r_max": self.r_max,
-                "n_r": self.n_r, "n_theta": self.n_theta}
+        return {key: getattr(self, key) for key in GRID_KEYS}
 
     @staticmethod
-    def from_json(d: dict) -> "PolarGrid":
-        missing = sorted({"r_min", "n_r", "n_theta"} - set(d))
-        if missing:
-            raise ValueError(f"grid is missing {', '.join(missing)}")
-        r_max = float(d.get("r_max", PolarGrid.r_max))
-        return PolarGrid(float(d["r_min"]), r_max, int(d["n_r"]),
-                         int(d["n_theta"]))
+    def from_json(doc) -> "PolarGrid":
+        return PolarGrid(**read_json(doc, GRID_KEYS, "the grid"))
 
     def band(self, r_lo=None, r_hi=None) -> "RowBand":
         """The rows of ``annulus_mask(self, r_lo, r_hi)`` (contiguous) plus
@@ -152,6 +234,11 @@ class PolarGrid:
         for a, b in zip(edges, edges[1:]):
             lo, hi = max(a - halo, 0), min(b + halo, self.n_r)
             yield RowBand(self, lo, hi, slice(a - lo, b - lo))
+
+
+#: the keys of a grid entry, read by ``PolarGrid.from_json``
+GRID_KEYS = {"r_min": (REAL, REQUIRED), "r_max": (REAL, PolarGrid.r_max),
+             "n_r": (INTEGER, REQUIRED), "n_theta": (INTEGER, REQUIRED)}
 
 
 class RowBand(PolarGrid):
@@ -341,13 +428,6 @@ def fit_order(hs, errs) -> float:
     if keep.sum() < 2:
         return np.inf
     return float(np.polyfit(np.log(hs[keep]), np.log(errs[keep]), 1)[0])
-
-
-def is_integer(v) -> bool:
-    """Whether a JSON value is an integer: no fraction, and not a bool."""
-    # an int is never converted: float() overflows past 1e308
-    return (not isinstance(v, bool) and isinstance(v, Real)
-            and (isinstance(v, int) or float(v).is_integer()))
 
 
 def jsonable(v):

@@ -16,12 +16,12 @@ e^{-2 lam} f dz(Phi) = dzbar(F_mu) + J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from numbers import Real
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from willmore.grid import annulus_norms, dot, dz, is_integer
+from willmore.grid import (BOOL, INTEGER, PAIR, PAIRS, REQUIRED, annulus_norms,
+                           dot, dz, jsonable, read_json)
 from willmore.surface import BranchData, FrameField, ImmersionField
 
 
@@ -71,49 +71,31 @@ class MultiplierSpec:
     # -- JSON wire format ----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"mu": self.mu,
-                "a_mu": [self.a_mu.real, self.a_mu.imag],
-                "f0": [[c.real, c.imag] for c in self.f0],
-                "zero": self.zero}
+        return jsonable({f.name: getattr(self, f.name) for f in fields(self)})
 
     @staticmethod
-    def from_json(doc: dict) -> "MultiplierSpec":
+    def from_json(doc) -> "MultiplierSpec":
         """The spec ``to_json`` wrote as ``doc``; a missing, unknown or
-        malformed entry raises MultiplierError naming its key."""
-        keys = ("mu", "a_mu", "f0", "zero")
-        unknown = sorted(map(str, set(doc) - set(keys)))
-        if unknown:
-            raise MultiplierError(f"unknown multiplier keys "
-                                  f"{', '.join(unknown)}; accepted keys: "
-                                  f"{', '.join(keys)}")
-        zero = doc.get("zero", False)
-        if not isinstance(zero, bool):
-            raise MultiplierError(f"zero must be true or false, got {zero!r}")
-        if zero:
-            return MultiplierSpec.zero_spec()
-        missing = [k for k in ("mu", "a_mu") if k not in doc]
-        if missing:
-            raise MultiplierError(f"the multiplier spec needs "
-                                  f"{' and '.join(missing)}")
-        mu, f0 = doc["mu"], doc.get("f0", [])
-        if not is_integer(mu):
-            raise MultiplierError("multiplier order mu must be an integer, "
-                                  f"got {mu!r}")
-        if not isinstance(f0, list):
-            raise MultiplierError(f"f0 must be a list of [re, im] pairs, "
-                                  f"got {f0!r}")
-        return MultiplierSpec(mu=int(mu), a_mu=_complex("a_mu", doc["a_mu"]),
-                              f0=tuple(_complex("f0", c) for c in f0))
+        malformed entry raises MultiplierError naming its key, and so does
+        a zero spec with an order or a coefficient."""
+        table = SPEC_KEYS
+        if isinstance(doc, dict) and doc.get("zero") is True:
+            table = {**SPEC_KEYS, "mu": (INTEGER, 0), "a_mu": (PAIR, 0j)}
+        e = read_json(doc, table, "the multiplier spec",
+                      lambda msg, key: MultiplierError(msg))
+        if not e["zero"]:
+            return MultiplierSpec(e["mu"], e["a_mu"], tuple(e["f0"]))
+        for key in ("mu", "a_mu", "f0"):
+            if np.any(e[key]):
+                raise MultiplierError(f"a zero spec cannot set {key!r}, got "
+                                      f"{doc[key]!r}")
+        return MultiplierSpec.zero_spec()
 
 
-def _complex(key: str, v) -> complex:
-    """The complex number of a JSON [re, im] pair of finite numbers."""
-    if not (isinstance(v, list) and len(v) == 2 and all(
-            not isinstance(x, bool) and isinstance(x, Real) and np.isfinite(x)
-            for x in v)):
-        raise MultiplierError(f"{key} takes [re, im] pairs of finite "
-                              f"numbers, got {v!r}")
-    return complex(v[0], v[1])
+#: the keys of a spec: ``mu`` and ``a_mu`` are required, unless ``zero``
+#: is true, where they default to the zero spec's
+SPEC_KEYS = {"mu": (INTEGER, REQUIRED), "a_mu": (PAIR, REQUIRED),
+             "f0": (PAIRS, ()), "zero": (BOOL, False)}
 
 
 def matrix_field(f: np.ndarray) -> np.ndarray:

@@ -2,11 +2,9 @@
 (strong form and flux) -> residues -> potentials (optional) -> expansion ->
 classification.
 
-``resolve`` reads a config once, before any work, into a frozen
-``Settings``: the surface entry, the level grids, the tolerances, the
-multiplier and the ``regular``, ``with_potentials`` and ``with_expansion``
-flags.  A malformed or unknown entry, or a grid over ``MAX_NODES`` nodes,
-fails there, as a ``PipelineError`` that names its stage.  ``run_pipeline``
+``resolve`` reads a config once, before any work, by its key tables into a
+frozen ``Settings``; a malformed or unknown entry, or a grid over
+``MAX_NODES`` nodes, fails there with its stage named.  ``run_pipeline``
 resolves its config, executes the chain on every refinement level with
 those settings, aggregates convergence orders, and writes a versioned JSON
 report plus CSV radial profiles.  Any stage failure is re-raised with the
@@ -26,7 +24,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from numbers import Real
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NoReturn, Optional
@@ -38,8 +35,9 @@ from willmore.curvature import (curvature, delta_profile, gauss_bonnet_check,
                                 gauss_map_energy_density, weingarten_constant,
                                 willmore_energy)
 from willmore.expansion import fit_H, fit_phi, verify_constants
-from willmore.grid import (PolarGrid, circle_mean, fit_order, integrate,
-                           is_integer, jsonable)
+from willmore.grid import (BOOL, INTEGER, MAPPING, NON_NEGATIVE, REQUIRED,
+                           STRING, Form, PolarGrid, circle_mean, fit_order,
+                           integrate, is_integer, jsonable, read_json)
 from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
 from willmore.multivec import MAX_DIM, MIN_DIM
 from willmore.potentials import potential_set, verify_system
@@ -53,9 +51,34 @@ from willmore.surface import (DEFECT_THRESHOLD, REGULAR_ENTRIES,
 
 SCHEMA_VERSION = 1
 
-#: the top-level config keys; any other key is refused at stage ``config``
-CONFIG_KEYS = ("surface", "grid", "levels", "multiplier", "tolerances",
-               "regular", "with_potentials", "with_expansion")
+#: the top-level config keys with their forms and defaults; an unknown key is
+#: refused at stage ``config``, a malformed entry at the stage of its key
+CONFIG_KEYS = {
+    "surface": (MAPPING, REQUIRED), "grid": (MAPPING, None),
+    "levels": (INTEGER, 1),
+    "multiplier": (Form('null, "zero", a spec or a pmc entry',
+                        lambda v: v is None or v == "zero"
+                        or isinstance(v, dict)), None),
+    "tolerances": (MAPPING, {}), "regular": (BOOL, None),
+    "with_potentials": (BOOL, False), "with_expansion": (BOOL, True)}
+
+#: a surface entry: a CSV path, or a catalog chart and its ambient dimension
+SURFACE_KEYS = {"csv": (STRING, None), "name": (STRING, None),
+                "params": (MAPPING, {}),
+                "ambient_dim": (Form(f"an integer in [{MIN_DIM}, {MAX_DIM}]",
+                                     lambda v: is_integer(v)
+                                     and MIN_DIM <= v <= MAX_DIM, int), 3)}
+
+#: the tolerances, each defaulting to a constant of the module that applies it
+TOLERANCE_KEYS = {"tol_zero": (NON_NEGATIVE, TOL_ZERO),
+                  "defect_threshold": (NON_NEGATIVE, DEFECT_THRESHOLD),
+                  "pmc_threshold": (NON_NEGATIVE, PMC_THRESHOLD),
+                  "winding_gate": (NON_NEGATIVE, WINDING_GATE)}
+
+#: a pmc multiplier entry
+PMC_KEYS = {"mode": (Form("'pmc'", lambda v: v == "pmc"), REQUIRED),
+            "sign": (Form("+1 or -1", lambda v: not isinstance(v, bool)
+                          and v in (1, -1), int), 1)}
 
 #: the most nodes any level's grid may have: 43 times the 385x256 grid, and
 #: five levels of the default 96x64 grid; a larger grid or deeper refinement
@@ -103,123 +126,71 @@ class Settings:
     with_expansion: bool
 
 
-def _surface_entry(surf) -> dict:
+def _surface_entry(surf: dict) -> dict:
     """The checked surface entry: a CSV path, or a catalog name with its
     params and ambient dimension."""
-    if not isinstance(surf, dict) or not ("csv" in surf or "name" in surf):
-        _refuse("surface", "surface must be a mapping with a name or a csv, "
-                f"got {surf!r}")
-    if "csv" in surf:
-        if not isinstance(surf["csv"], str):
-            _refuse("surface", f"csv must be a path, got {surf['csv']!r}")
-        return {"csv": surf["csv"]}
-    if not isinstance(surf["name"], str):
-        _refuse("surface", f"name must be a string, got {surf['name']!r}")
-    params, m = surf.get("params", {}), surf.get("ambient_dim", 3)
-    if not isinstance(params, dict) or "ambient_dim" in params:
-        _refuse("surface", "params must be a mapping without ambient_dim "
-                f"(set it on the surface), got {params!r}")
-    if not is_integer(m) or not MIN_DIM <= m <= MAX_DIM:
-        _refuse("surface", f"ambient_dim must be an integer in [{MIN_DIM}, "
-                f"{MAX_DIM}], got {m!r}")
-    return {"name": surf["name"], "params": params, "ambient_dim": int(m)}
-
-
-def _base_grid(doc) -> PolarGrid:
-    """The config's grid entry, refused rather than coerced: the counts
-    must be integers, the radii real numbers, and the grid within
-    ``MAX_NODES``."""
-    if isinstance(doc, dict):
-        for key in ("n_r", "n_theta"):
-            if key in doc and not is_integer(doc[key]):
-                _refuse("grid", f"{key} must be an integer, got {doc[key]!r}")
-        for key in ("r_min", "r_max"):
-            v = doc.get(key, 1.0)
-            if isinstance(v, bool) or not isinstance(v, Real):
-                _refuse("grid", f"{key} must be a real number, got {v!r}")
-    grid = _stage("grid", PolarGrid.from_json, doc)
-    if grid.n_r * grid.n_theta > MAX_NODES:
-        _refuse("grid", f"a {grid.n_r}x{grid.n_theta} grid exceeds the "
-                f"budget of {MAX_NODES} nodes")
-    return grid
+    entry = _stage("surface", read_json, surf, SURFACE_KEYS, "the surface")
+    csv = entry.pop("csv")
+    if csv is not None:
+        return {"csv": csv}
+    if entry["name"] is None:
+        _refuse("surface", f"surface needs a name or a csv, got {surf!r}")
+    if "ambient_dim" in entry["params"]:
+        _refuse("surface", "set ambient_dim on the surface, not in params")
+    return entry
 
 
 def _multiplier(doc) -> tuple[MultiplierSpec, Optional[int]]:
     """(spec, pmc sign or None) of the config's multiplier entry."""
     if doc is None or doc == "zero":
         return MultiplierSpec.zero_spec(), None
-    if not isinstance(doc, dict):
-        _refuse("multiplier", "multiplier must be null, a spec or "
-                f"{{'mode': 'pmc'}}, got {doc!r}")
-    if "mode" in doc:
-        if doc["mode"] != "pmc":
-            _refuse("multiplier", f"mode must be 'pmc', got {doc['mode']!r}")
-        unknown = sorted(map(str, set(doc) - {"mode", "sign"}))
-        if unknown:
-            _refuse("multiplier", f"unknown pmc multiplier keys "
-                    f"{', '.join(unknown)}; accepted keys: mode, sign")
-        sign = doc.get("sign", +1)
-        if isinstance(sign, bool) or sign not in (1, -1):
-            _refuse("multiplier", f"pmc sign must be +1 or -1, got {sign!r}")
-        return MultiplierSpec.zero_spec(), int(sign)
-    return _stage("multiplier", MultiplierSpec.from_json, doc), None
+    if "mode" not in doc:
+        return _stage("multiplier", MultiplierSpec.from_json, doc), None
+    pmc = _stage("multiplier", read_json, doc, PMC_KEYS, "the pmc multiplier")
+    return MultiplierSpec.zero_spec(), pmc["sign"]
 
 
 def resolve(config) -> Settings:
     """The settings of ``config``; a malformed or unknown entry fails here,
     before any work, with the stage named after its key (``config`` for
     the keys themselves)."""
-    if not isinstance(config, dict):
-        _refuse("config", f"config must be a mapping, got {config!r}")
-    unknown = sorted(map(str, set(config) - set(CONFIG_KEYS)))
-    if unknown:
-        _refuse("config", f"unknown keys {', '.join(unknown)}; accepted "
-                f"keys: {', '.join(CONFIG_KEYS)}")
-    surface = _surface_entry(config.get("surface"))
+    c = read_json(config, CONFIG_KEYS, "the config", lambda msg, key:
+                  PipelineError(key or "config", ValueError(msg)))
+    surface = _surface_entry(c["surface"])
     # the two defaults below still follow the catalog name as given
-    name = config["surface"].get("name")
+    name = surface.get("name")
 
-    grids = [_base_grid(config["grid"]) if "grid" in config
-             else PolarGrid()]
-    n_levels = config.get("levels", 1)
-    if not is_integer(n_levels) or n_levels < 1:
-        _refuse("levels", f"levels must be a positive integer, got "
-                f"{n_levels!r}")
+    n_levels = c["levels"]
+    if n_levels < 1:
+        _refuse("levels", f"levels must be a positive integer, got {n_levels}")
     if "csv" in surface and n_levels > 1:
         _refuse("surface", "CSV-imported samples cannot be refined; use "
                 "levels = 1")
-    for _ in range(int(n_levels) - 1):
-        grids.append(grids[-1].refined())
-        fine = grids[-1]
-        if fine.n_r * fine.n_theta > MAX_NODES:
-            _refuse("levels", f"levels = {n_levels} refines the grid to "
-                    f"{fine.n_r}x{fine.n_theta} nodes or more, over the "
-                    f"budget of {MAX_NODES}")
+    grids = [PolarGrid() if c["grid"] is None
+             else _stage("grid", PolarGrid.from_json, c["grid"])]
+    for level in range(n_levels):
+        if level:
+            grids.append(grids[-1].refined())
+        g = grids[-1]
+        if g.n_r * g.n_theta > MAX_NODES:
+            _refuse("levels" if level else "grid", f"level {level + 1} of "
+                    f"{n_levels} has a {g.n_r}x{g.n_theta} grid, over the "
+                    f"budget of {MAX_NODES} nodes")
 
-    tol = {"tol_zero": TOL_ZERO, "defect_threshold": DEFECT_THRESHOLD,
-           "pmc_threshold": PMC_THRESHOLD, "winding_gate": WINDING_GATE}
+    tol_keys = TOLERANCE_KEYS
     if name == "synthetic_th4":
         # the planted template is conformal only asymptotically; its outer
         # rows carry an O(1) defect by construction. The measured defect is
         # still recorded in every level of the report.
-        tol["defect_threshold"] = 2.0
-    given = config.get("tolerances", {})
-    if not isinstance(given, dict) or any(
-            k not in tol or isinstance(v, bool) or not isinstance(v, Real)
-            or not 0.0 <= v < float("inf") for k, v in given.items()):
-        _refuse("tolerances", f"tolerances may set {', '.join(tol)} to "
-                f"finite non-negative numbers, got {given!r}")
-    tol.update(given)
-    spec, pmc_sign = _multiplier(config.get("multiplier"))
-
-    flags = {"regular": config.get("regular", name in REGULAR_ENTRIES),
-             "with_potentials": config.get("with_potentials", False),
-             "with_expansion": config.get("with_expansion", True)}
-    for key, value in flags.items():
-        if not isinstance(value, bool):
-            _refuse(key, f"{key} must be true or false, got {value!r}")
+        tol_keys = {**tol_keys, "defect_threshold": (NON_NEGATIVE, 2.0)}
+    tol = _stage("tolerances", read_json, c["tolerances"], tol_keys,
+                 "the tolerances")
+    spec, pmc_sign = _multiplier(c["multiplier"])
+    regular = (name in REGULAR_ENTRIES if c["regular"] is None
+               else c["regular"])
     return Settings(MappingProxyType(surface), tuple(grids),
-                    MappingProxyType(tol), spec, pmc_sign, **flags)
+                    MappingProxyType(tol), spec, pmc_sign, regular,
+                    c["with_potentials"], c["with_expansion"])
 
 
 def build_field(settings: Settings, grid: PolarGrid):
@@ -245,9 +216,7 @@ def level_geometry(settings: Settings, grid: PolarGrid):
                    settings.tolerances["defect_threshold"])
 
     br = _stage("branch_order", branch_order, frame)
-    level["theta0"] = br.theta0
-    level["slope_raw"] = br.slope
-    level["u0"] = br.u0
+    level.update(theta0=br.theta0, slope_raw=br.slope, u0=br.u0)
 
     curv = _stage("curvature", curvature, field, frame)
     level["willmore_energy"] = _stage("energy", willmore_energy, curv)
@@ -264,8 +233,7 @@ def analyze_level(settings: Settings,
     # the Gauss-map energy is recorded, never silently rescaled away
     gm_energy = _stage("gauss_map_energy", integrate, grid,
                        gauss_map_energy_density(frame))
-    level["gauss_map_energy"] = gm_energy
-    level["warnings"] = []
+    level.update(gauss_map_energy=gm_energy, warnings=[])
     if gm_energy > 4.0 * np.pi:
         level["warnings"].append(
             f"Gauss-map energy {gm_energy:.3f} exceeds 4 pi: the smallness "
@@ -279,9 +247,8 @@ def analyze_level(settings: Settings,
     level["weingarten_constant"] = weingarten_constant(curv, frame)
 
     td = _stage("tangent_vector", tangent_vector, field, frame, br)
-    level["A"] = td.A
-    level["A_isotropy_defect"] = td.isotropy_defect
-    level["A_normal_defect"] = td.normal_defect
+    level.update(A=td.A, A_isotropy_defect=td.isotropy_defect,
+                 A_normal_defect=td.normal_defect)
 
     pmc = _stage("pmc_multiplier", pmc_multiplier, curv, frame, pmc_sign or 1)
     if pmc_sign is not None:
@@ -297,8 +264,7 @@ def analyze_level(settings: Settings,
     eq = _stage("equation", equation, curv, frame, f_field, field)
     del curv.H0, frame  # read last by the equation pass
     fl, pmc_defect, sq = eq.flux, eq.pmc_defect, eq.squares
-    level["strong_norms"] = eq.norms["strong"]
-    level["div_norms"] = eq.norms["div"]
+    level.update(strong_norms=eq.norms["strong"], div_norms=eq.norms["div"])
     level["residual_profile"] = {
         "r": grid.r, "strong_rms": np.sqrt(circle_mean(sq["strong"])),
         "div_rms": np.sqrt(circle_mean(sq["div"]))}
@@ -307,8 +273,7 @@ def analyze_level(settings: Settings,
 
     fr = _stage("first_residue", first_residue, fl)
     beta0 = fr["beta0"]
-    level["beta0"] = beta0
-    level["rho_spread"] = fr["rho_spread"]
+    level.update(beta0=beta0, rho_spread=fr["rho_spread"])
     gamma0 = _stage("modified_residue", modified_residue, beta0, br.theta0,
                     spec, td.A, br.u0)
     level["gamma0"] = gamma0
@@ -326,10 +291,8 @@ def analyze_level(settings: Settings,
     W = _stage("w_field", w_field, L, curv.H, beta0, F_mu, grid)
     srw = _stage("second_residue", second_residue, W, grid,
                  ldef["noise_profile"], tol["winding_gate"])
-    level["gamma"] = srw.gamma
-    level["a"] = srw.a
-    level["winding_raw"] = srw.raw
-    level["winding_degenerate"] = srw.degenerate
+    level.update(gamma=srw.gamma, a=srw.a, winding_raw=srw.raw,
+                 winding_degenerate=srw.degenerate)
     level["w_profile"] = {"r": grid.r,  # one row per circle
                           "abs_mean": circle_mean(np.abs(W)).T}
     del W  # read only by the winding stage and the profile above
@@ -376,8 +339,7 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
 
     convergence = {}
     if len(levels) >= 2:
-        hs = [lv["grid"]["n_r"] for lv in levels]
-        hs = [1.0 / h for h in hs]
+        hs = [1.0 / lv["grid"]["n_r"] for lv in levels]
         for key, label in (("strong_norms", "strong_order"),
                            ("div_norms", "div_order"),
                            ("equivalence_norms", "equivalence_order")):

@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from willmore.grid import (PolarGrid, circle_mean, circulation, is_integer,
-                           jsonable)
+from willmore.grid import (INTEGER, INTEGERS, MAPPING, PAIRS, REAL, REALS,
+                           REQUIRED, PolarGrid, circle_mean, circulation,
+                           jsonable, read_json)
 from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField
 from willmore.surface import BranchData, FrameField, ImmersionField
@@ -404,26 +405,20 @@ class ResidueReport:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ResidueReport":
-        """The report that ``to_json`` wrote as ``doc``; an entry of the
-        wrong form raises ValueError naming its key."""
-        def get(key, read, form):
-            try:
-                return read(doc[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"the report's residues entry {key!r} is "
-                                 f"not {form}") from None
-        def integer(v):
-            if not is_integer(v):
-                raise ValueError
-            return int(v)
-        floats = lambda v: np.asarray(v, dtype=float)
-        pairs = lambda v: np.array([complex(re, im) for re, im in v])
-        num, nums = (float, "a number"), (floats, "a list of numbers")
-        return cls(
-            get("theta0", integer, "an integer"), get("u0", *num),
-            get("A", pairs, "a list of [re, im] pairs"), get("beta0", *nums),
-            get("rho_spread", *num), get("gamma0", *nums),
-            get("gamma", lambda v: np.array([integer(x) for x in v], int),
-                "a list of integers"),
-            get("a", integer, "an integer"),
-            {k: np.asarray(v) for k, v in doc.get("diagnostics", {}).items()})
+        """The report that ``to_json`` wrote as ``doc``; a missing entry or
+        one of the wrong form raises ValueError naming its key."""
+        e = read_json(doc, RESIDUE_KEYS, "the report's residues",
+                      missing="the report has no {key!r} entry")
+        e["diagnostics"] = {k: np.asarray(v)
+                            for k, v in e["diagnostics"].items()}
+        # the lists of numbers, integers and pairs as arrays
+        return cls(**{k: np.array(v) if isinstance(v, list) else v
+                      for k, v in e.items()})
+
+
+#: the entries of a saved report's residues (``ResidueReport.from_json``)
+RESIDUE_KEYS = {"theta0": (INTEGER, REQUIRED), "u0": (REAL, REQUIRED),
+                "A": (PAIRS, REQUIRED), "beta0": (REALS, REQUIRED),
+                "rho_spread": (REAL, REQUIRED), "gamma0": (REALS, REQUIRED),
+                "gamma": (INTEGERS, REQUIRED), "a": (INTEGER, REQUIRED),
+                "diagnostics": (MAPPING, {})}

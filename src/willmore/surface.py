@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from willmore import jets
-from willmore.grid import PolarGrid, RowBand, dot, grad, is_integer
+from willmore.grid import (COMPLEXES, INTEGER, REAL, REALS, PolarGrid,
+                           RowBand, dot, grad, listof, read_json)
 from willmore.jets import Jet
 from willmore.multivec import MAX_DIM, MIN_DIM
 
@@ -191,13 +192,18 @@ def normal_projector(frame: FrameField):
 # catalog charts
 # ---------------------------------------------------------------------------
 
-def _as_complex_vec(v, m, name):
-    a = np.asarray(v, dtype=complex)
-    if a.shape == (m, 2) and not np.iscomplexobj(np.asarray(v)):
-        a = a[:, 0] + 1j * a[:, 1]  # JSON wire format: [re, im] pairs
-    if a.shape != (m,):
-        raise SurfaceError(f"{name} must have {m} complex components")
-    return a
+def _params(name: str, params) -> dict:
+    """The params of catalog entry ``name``, read as ``CATALOG_PARAMS``."""
+    return read_json({} if params is None else params, CATALOG_PARAMS[name],
+                     f"the {name} params", lambda msg, key: SurfaceError(msg))
+
+
+def _vector(v, m: int, key: str, dtype=complex) -> np.ndarray:
+    """The m-vector param ``key``, given as ``v``; zero when absent."""
+    v = np.zeros(m, dtype) if v is None else np.array(v, dtype)
+    if len(v) != m:
+        raise SurfaceError(f"{key} must have {m} components, got {len(v)}")
+    return v
 
 
 _ZERO = Jet(0.0)  # pads the charts that live in a lower-dimensional subspace
@@ -215,33 +221,28 @@ def _real_sum(terms, m):
     return [Jet(*out[:, k]) for k in range(m)]
 
 
-def _integer(params, key, default):
-    """The integer param ``key``, refused rather than truncated."""
-    v = params.get(key, default)
-    if not is_integer(v):
-        raise SurfaceError(f"{key} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _direction(params, m):
+def _direction(p, m):
     """The direction A of z^theta0: given, or scale * (e1 + i e2)."""
-    if "A" in params:
-        return _as_complex_vec(params["A"], m, "A")
-    scale = float(params.get("scale", 1.0))
+    if p["A"] is not None:
+        return _vector(p["A"], m, "A")
+    scale = p["scale"]
     return np.array([scale, 1j * scale] + [0.0] * (m - 2), dtype=complex)
 
 
 def _plane(params, m):
+    _params("plane", params)
+
     def chart(x, y):
         return [x, y] + [_ZERO] * (m - 2)
     return chart
 
 
 def _branched_plane(params, m):
-    theta0 = _integer(params, "theta0", 2)
+    p = _params("branched_plane", params)
+    theta0 = p["theta0"]
     if theta0 < 1:
         raise SurfaceError("theta0 must be a positive integer")
-    A = _direction(params, m)
+    A = _direction(p, m)
     if abs(A @ A) > 1e-12 * max(1.0, np.sum(np.abs(A) ** 2)):
         raise SurfaceError("branched plane needs an isotropic direction: A.A = 0")
 
@@ -251,7 +252,7 @@ def _branched_plane(params, m):
 
 
 def _sphere_stereographic(params, m):
-    R = float(params.get("R", 1.0))
+    R = _params("sphere_stereographic", params)["R"]
 
     def chart(x, y):
         den = x * x + y * y + 1.0
@@ -269,7 +270,7 @@ def _catenoid_xyz(x, y, scale):
 
 
 def _catenoid_end(params, m):
-    scale = float(params.get("scale", 1.0))
+    scale = _params("catenoid_end", params)["scale"]
 
     def chart(x, y):
         return _catenoid_xyz(x, y, scale) + [_ZERO] * (m - 3)
@@ -277,7 +278,7 @@ def _catenoid_end(params, m):
 
 
 def _inverted_catenoid(params, m):
-    scale = float(params.get("scale", 1.0))
+    scale = _params("inverted_catenoid", params)["scale"]
 
     def chart(x, y):
         X = _catenoid_xyz(x, y, scale)
@@ -287,7 +288,7 @@ def _inverted_catenoid(params, m):
 
 
 def _cylinder_cmc(params, m):
-    rho = float(params.get("radius", 0.75))
+    rho = _params("cylinder_cmc", params)["radius"]
     if rho <= 0:
         raise SurfaceError("cylinder radius must be positive")
 
@@ -300,7 +301,7 @@ def _cylinder_cmc(params, m):
 def _clifford_torus_patch(params, m):
     if m < 4:
         raise SurfaceError("the Clifford torus needs ambient dimension >= 4")
-    a = float(params.get("scale", 2.0 * np.pi))
+    a = _params("clifford_torus_patch", params)["scale"]
     c = 1.0 / np.sqrt(2.0)
 
     def chart(x, y):
@@ -311,23 +312,20 @@ def _clifford_torus_patch(params, m):
 
 def synthetic_th4_coefficients(params, m):
     """Resolve the planted template data (A, B_j, E_a, gamma0, u0, C's)."""
-    theta0, a = _integer(params, "theta0", 2), _integer(params, "a", 0)
+    p = _params("synthetic_th4", params)
+    theta0, a = p["theta0"], p["a"]
     if theta0 < 1 or not 0 <= a <= theta0 - 1:
         raise SurfaceError("need theta0 >= 1 and 0 <= a <= theta0 - 1")
-    A = _direction(params, m)
+    A = _direction(p, m)
     if abs(A @ A) > 1e-12 * np.sum(np.abs(A) ** 2):
         raise SurfaceError("planted A must be isotropic (A.A = 0)")
-    B = [_as_complex_vec(b, m, "B_j") for b in params.get("B", [])]
-    nb = theta0 - a
-    while len(B) < nb:
-        B.append(np.zeros(m, dtype=complex))
+    B, nb = [_vector(b, m, "B") for b in p["B"]], theta0 - a
     if len(B) > nb:
         raise SurfaceError(f"at most theta0 - a = {nb} subleading vectors B_j")
-    E_a = _as_complex_vec(params.get("E_a", [0j] * m), m, "E_a")
-    gamma0 = np.asarray(params.get("gamma0", np.zeros(m)), dtype=float)
-    if gamma0.shape != (m,):
-        raise SurfaceError(f"gamma0 must have {m} components")
-    xi = _as_complex_vec(params.get("xi", [0j] * m), m, "xi")
+    B += [np.zeros(m, dtype=complex) for _ in range(nb - len(B))]
+    E_a = _vector(p["E_a"], m, "E_a")
+    gamma0 = _vector(p["gamma0"], m, "gamma0", float)
+    xi = _vector(p["xi"], m, "xi")
     # the pole and log coefficients live in the normal space at the origin
     for vec, nm in ((E_a.real, "Re E_a"), (E_a.imag, "Im E_a"), (gamma0, "gamma0")):
         for t in (A.real, A.imag):
@@ -377,16 +375,24 @@ CATALOG = {
     "synthetic_th4": _synthetic_th4,
 }
 
-#: the params each catalog entry reads; any other key is refused
+#: the params each catalog entry reads, each with its form and default (an
+#: absent direction A is scale * (e1 + i e2), an absent vector zero); any
+#: other key is refused
 CATALOG_PARAMS = {
-    "plane": (),
-    "branched_plane": ("theta0", "A", "scale"),
-    "sphere_stereographic": ("R",),
-    "catenoid_end": ("scale",),
-    "inverted_catenoid": ("scale",),
-    "cylinder_cmc": ("radius",),
-    "clifford_torus_patch": ("scale",),
-    "synthetic_th4": ("theta0", "a", "A", "scale", "B", "E_a", "gamma0", "xi"),
+    "plane": {},
+    "branched_plane": {"theta0": (INTEGER, 2), "A": (COMPLEXES, None),
+                       "scale": (REAL, 1.0)},
+    "sphere_stereographic": {"R": (REAL, 1.0)},
+    "catenoid_end": {"scale": (REAL, 1.0)},
+    "inverted_catenoid": {"scale": (REAL, 1.0)},
+    "cylinder_cmc": {"radius": (REAL, 0.75)},
+    "clifford_torus_patch": {"scale": (REAL, 2.0 * np.pi)},
+    "synthetic_th4": {"theta0": (INTEGER, 2), "a": (INTEGER, 0),
+                      "A": (COMPLEXES, None), "scale": (REAL, 1.0),
+                      "B": (listof(COMPLEXES, "a list of lists of complex "
+                                   "numbers"), ()),
+                      "E_a": (COMPLEXES, None), "gamma0": (REALS, None),
+                      "xi": (COMPLEXES, None)},
 }
 
 #: entries whose equation extends across the origin (no branch, no flux there)
@@ -399,13 +405,7 @@ def catalog_surface(name: str, params: Optional[dict], grid: PolarGrid,
     if name not in CATALOG:
         raise SurfaceError(f"unknown catalog surface {name!r}; "
                            f"choices: {sorted(CATALOG)}")
-    params, accepted = params or {}, CATALOG_PARAMS[name]
-    unknown = sorted(map(str, set(params) - set(accepted)))
-    if unknown:
-        raise SurfaceError(f"unknown {name} params {', '.join(unknown)}; "
-                           f"accepted: {', '.join(accepted) or 'none'}")
-    chart = CATALOG[name](params, ambient_dim)
-    return from_chart(chart, grid, ambient_dim)
+    return from_chart(CATALOG[name](params, ambient_dim), grid, ambient_dim)
 
 
 # ---------------------------------------------------------------------------

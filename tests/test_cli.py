@@ -10,8 +10,9 @@ import pytest
 from willmore import pipeline, surface
 from willmore.cli import main
 from willmore.pipeline import run_pipeline, PipelineError
-from willmore.grid import PolarGrid
-from willmore.multiplier import MultiplierSpec
+from willmore.grid import GRID_KEYS, PolarGrid
+from willmore.multiplier import SPEC_KEYS, MultiplierSpec
+from willmore.residues import RESIDUE_KEYS
 from willmore.surface import (catalog_surface, load_samples_csv,
                               save_samples_csv)
 
@@ -384,6 +385,20 @@ def test_readme_documents_every_config_key():
         with pytest.raises(PipelineError) as err:
             pipeline.resolve({key: object()})
         assert err.value.stage != "config", key
+
+
+def test_readme_documents_every_key_table():
+    # the rows of the entry and chart tables under "Entry keys"
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("#### Entry keys", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, re.M))
+    tables = {"surface": pipeline.SURFACE_KEYS, "grid": GRID_KEYS,
+              "tolerances": pipeline.TOLERANCE_KEYS, "multiplier": SPEC_KEYS,
+              "pmc": pipeline.PMC_KEYS, "residues": RESIDUE_KEYS,
+              **surface.CATALOG_PARAMS}
+    assert documented == {(entry, key) for entry, table in tables.items()
+                          for key in table}
+    assert all(f"| `{chart}` |" in section for chart in surface.CATALOG)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

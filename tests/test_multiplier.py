@@ -89,6 +89,16 @@ def test_json_round_trip():
     assert MultiplierSpec.from_json({"zero": True}).zero
 
 
+def test_zero_spec_json_round_trip():
+    # the spec that to_json writes, and the shortest zero spec
+    written = MultiplierSpec.zero_spec().to_json()
+    assert written == {"mu": 0, "a_mu": [0.0, 0.0], "f0": [], "zero": True}
+    for doc in (written, {"zero": True}):
+        spec = MultiplierSpec.from_json(json.loads(json.dumps(doc)))
+        assert spec == MultiplierSpec.zero_spec()
+        assert spec.to_json() == written
+
+
 def _branch_frame(field, theta0, u0):
     frame = frame_and_gauss(field, conformal_factor(field))
     u = frame.lam - (theta0 - 1) * np.log(field.grid.rr)

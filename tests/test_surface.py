@@ -281,10 +281,9 @@ def test_rotated_chart_rotates_samples():
 
 def test_surface_json_and_csv_round_trip(tmp_path):
     doc = {"name": "sphere_stereographic", "params": {"R": 1.0},
-           "grid": {"r_min": 0.05, "r_max": 1.0, "n_r": 24, "n_theta": 32},
            "ambient_dim": 3}
-    field = build_field(resolve({"surface": doc}),
-                        PolarGrid.from_json(doc["grid"]))
+    field = build_field(resolve({"surface": doc}), PolarGrid.from_json(
+        {"r_min": 0.05, "r_max": 1.0, "n_r": 24, "n_theta": 32}))
     assert field.phi.shape == (3, 24, 32)
     path = tmp_path / "samples.csv"
     save_samples_csv(field, path)
