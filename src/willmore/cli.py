@@ -159,7 +159,9 @@ def cmd_classify(args) -> int:
         report = ResidueReport.from_json(doc["residues"])
     except KeyError as exc:
         raise ValueError(f"the report has no {exc} entry") from exc
-    settings = resolve(_apply_overrides(doc.get("config", {}), args))
+    if "config" not in doc:
+        raise ValueError("the report has no 'config' entry")
+    settings = resolve(_apply_overrides(doc["config"], args))
     verdict = classify(report, settings.spec, pmc=bool(cond.get("pmc", False)),
                        regular=settings.regular,
                        tol_zero=settings.tolerances["tol_zero"])

@@ -7,17 +7,20 @@ vector is evaluated un-projected as H = e^{-2 lam} Lap Phi / 2 (its
 tangential part is a conformality diagnostic), and the Weingarten vector as
 H0 = 2 e^{-2 lam} (dzz Phi - 2 dz(lam) dz Phi).  The Gauss curvature comes
 from <h11, h22> - <h12, h12>, which feeds the Liouville residual
-Lap u + e^{2 lam} K.  ``CurvatureField`` keeps H, H0, K and the energy
-density only: the h_ij are temporaries of K, and grad H is taken by the
-equation pass, its only reader.  Every term is per node, so ``curvature``
-writes its outputs row block by row block (``PolarGrid.blocks``, no halo)
-and its temporaries stay block-sized.  |grad n| of the Gauss map comes
-from II as well (``FrameField.dn_norm``).
+Lap u + e^{2 lam} K.  Every term is per node, so ``curvature`` is a kernel
+over the rows of its frame: a level runs it once per row block
+(``pipeline.level_pass``) and keeps H, K, the energy density, |grad n| of
+the Gauss map (from the frame's nu) and e^lam |H0|, while H0 lives only
+in the block, for the multiplier and the equation pass.  The h_ij are
+temporaries of K, and grad H is taken by the equation pass, its only
+reader.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -27,41 +30,51 @@ from willmore.surface import BranchData, FrameField, ImmersionField
 
 @dataclass(eq=False)
 class CurvatureField:
+    """The curvature of a grid's or a row block's nodes; a level's keeps no
+    H0, whose readers run per block."""
+
     grid: PolarGrid
     lam: np.ndarray
     H: np.ndarray          # (m, n_r, n_theta) real, un-projected evaluation
-    H0: np.ndarray         # (m, n_r, n_theta) complex
     K: np.ndarray
     energy_density: np.ndarray  # |H|^2 e^{2 lam}
+    dn_norm: np.ndarray    # |grad n| of the Gauss map
+    eH0_norm: np.ndarray   # e^lam |H0|
+    H0: Optional[np.ndarray] = None  # (m, n_r, n_theta) complex
+
+    @cached_property
+    def hdot(self) -> np.ndarray:
+        """H.H0* per node, for the multiplier and the equation's cross term."""
+        return dot(self.H, np.conj(self.H0))
 
 
 def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
-    """H, H0, K and the energy density of a level, block by block; the
-    h_ij = II e^{-2 lam} of ``frame.II`` are temporaries of K."""
-    grid, m = field.grid, field.ambient_dim
-    H = np.empty(field.phi.shape)
-    H0 = np.empty(field.phi.shape, dtype=complex)
-    K, density = np.empty(grid.rr.shape), np.empty(grid.rr.shape)
-    for band in grid.blocks(m, 0):
-        r = band.rows
-        p1, p2 = field.d1[:, :, r]
-        pxx, pxy, pyy = field.d2[:, :, r]
-        e2l = np.exp(2.0 * frame.lam[r])
-        h11, h12, h22 = frame.II[:, :, r] / e2l
-        np.subtract(dot(h11, h22), dot(h12, h12), out=K[r])
-        del h11, h12, h22
+    """H, H0, K, the energy density, |grad n| and e^lam |H0| on the rows of
+    ``frame``; the h_ij = II e^{-2 lam} of ``frame.II`` are temporaries of
+    K, and |grad n|^2 = sum_i |nu1_i|^2 + |nu2_i|^2 (``FrameField.nu``)."""
+    p1, p2 = field.d1
+    pxx, pxy, pyy = field.d2
+    e2l = frame.e2l
+    h11, h12, h22 = frame.II / e2l
+    K = np.subtract(dot(h11, h22), dot(h12, h12))
+    del h11, h12, h22
 
-        Hb = np.divide(0.5 * (pxx + pyy), e2l, out=H[:, r])
+    H = np.divide(0.5 * (pxx + pyy), e2l)
 
-        dz_phi = 0.5 * (p1 - 1j * p2)
-        dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
-        lam_x = (dot(p1, pxx) + dot(p2, pxy)) / (2.0 * e2l)
-        lam_y = (dot(p1, pxy) + dot(p2, pyy)) / (2.0 * e2l)
-        dz_lam = 0.5 * (lam_x - 1j * lam_y)
-        np.divide(2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi), e2l, out=H0[:, r])
+    dz_phi = 0.5 * (p1 - 1j * p2)
+    dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
+    lam_x = (dot(p1, pxx) + dot(p2, pxy)) / (2.0 * e2l)
+    lam_y = (dot(p1, pxy) + dot(p2, pyy)) / (2.0 * e2l)
+    dz_lam = 0.5 * (lam_x - 1j * lam_y)
+    H0 = np.divide(2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi), e2l)
+    del dz_phi, dzz_phi
 
-        np.multiply(dot(Hb, Hb), e2l, out=density[r])
-    return CurvatureField(grid, frame.lam, H, H0, K, density)
+    density = np.multiply(dot(H, H), e2l)
+    dn_norm = np.sqrt(sum(dot(v, v) for pair in frame.nu for v in pair))
+    re, im = H0.real, H0.imag
+    eH0_norm = np.exp(frame.lam) * np.sqrt(dot(re, re) + dot(im, im))
+    return CurvatureField(frame.grid, frame.lam, H, K, density, dn_norm,
+                          eH0_norm, H0)
 
 
 def willmore_energy(curv: CurvatureField) -> float:
@@ -69,10 +82,10 @@ def willmore_energy(curv: CurvatureField) -> float:
     return integrate(curv.grid, curv.energy_density)
 
 
-def gauss_map_energy_density(frame: FrameField) -> np.ndarray:
+def gauss_map_energy_density(curv: CurvatureField) -> np.ndarray:
     """|grad n|^2 of the Gauss map n = star(e1 ^ e2) (flat measure), from
     the frame's second fundamental form."""
-    return frame.dn_norm ** 2
+    return curv.dn_norm ** 2
 
 
 def gauss_bonnet_check(curv: CurvatureField, branch: BranchData) -> dict:
@@ -87,19 +100,17 @@ def gauss_bonnet_check(curv: CurvatureField, branch: BranchData) -> dict:
     return band.norms(laplacian(band, u) + np.exp(2.0 * lam) * K)
 
 
-def delta_profile(frame: FrameField) -> dict:
+def delta_profile(curv: CurvatureField) -> dict:
     """delta(r) = r max_theta |grad n| per circle, plus int delta^2 dr/r."""
-    gn = frame.dn_norm
-    delta = frame.grid.r * np.max(gn, axis=-1)
-    total = float(np.trapezoid(delta ** 2, frame.grid.s))
-    return {"r": frame.grid.r, "delta": delta, "square_integral": total}
+    grid = curv.grid
+    delta = grid.r * np.max(curv.dn_norm, axis=-1)
+    total = float(np.trapezoid(delta ** 2, grid.s))
+    return {"r": grid.r, "delta": delta, "square_integral": total}
 
 
-def weingarten_constant(curv: CurvatureField, frame: FrameField) -> float:
+def weingarten_constant(curv: CurvatureField) -> float:
     """Measured best constant in e^lam |H0| <= c |grad n| (c <= 2 expected)."""
-    re, im = curv.H0.real, curv.H0.imag
-    lhs = np.exp(curv.lam) * np.sqrt(dot(re, re) + dot(im, im))
-    rhs = frame.dn_norm
+    lhs, rhs = curv.eH0_norm, curv.dn_norm
     sl = annulus_mask(curv.grid)
     ratio = lhs[sl] / np.maximum(rhs[sl], 1e-30)
     # nodes at rounding level, relative to the largest |grad n| or in the

@@ -16,9 +16,10 @@ e^{-+i theta}(d_r -+ (i/r) d_theta)/2.  ``dot`` is the one contraction over
 the leading (ambient) axis: bilinear, no conjugation.  ``PolarGrid.band``
 is the view of one annulus for stages that report only that annulus, and
 ``PolarGrid.blocks`` cuts the grid into row blocks of about
-``BLOCK_BYTES`` of m-vector field rows, so that the per-node passes of a
-level (``curvature``, ``residual.equation``) run on arrays that stay in a
-core's cache; a block's halo rows feed its radial stencils and are not kept.
+``BLOCK_BYTES`` of m-vector field rows, so that a level's one pass over
+its frame, curvature, multiplier and equation (``pipeline.level_pass``)
+runs on arrays that stay in a core's cache; a block's halo rows feed its
+radial stencils and are not kept.
 ``annulus_mask`` always trims 10% of the rows at each rim, so every
 annulus norm stays off the one-sided stencils; ``integrate`` reads every
 row.  ``jsonable`` is the one converter of arrays and complex numbers to

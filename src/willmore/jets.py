@@ -120,9 +120,11 @@ def log(u: Jet) -> Jet:
 
 
 def sin(u: Jet) -> Jet:
-    return u._compose(np.sin(u.f), np.cos(u.f), -np.sin(u.f))
+    s, c = np.sin(u.f), np.cos(u.f)
+    return u._compose(s, c, -s)
 
 
 def cos(u: Jet) -> Jet:
-    return u._compose(np.cos(u.f), -np.sin(u.f), -np.cos(u.f))
+    c, s = np.cos(u.f), np.sin(u.f)
+    return u._compose(c, -s, -c)
 

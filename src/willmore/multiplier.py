@@ -20,8 +20,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from willmore.grid import (BOOL, INTEGER, PAIR, PAIRS, REQUIRED, annulus_norms,
-                           dot, dz, jsonable, read_json)
+from willmore.grid import (BOOL, INTEGER, PAIR, PAIRS, REQUIRED, PolarGrid,
+                           annulus_mask, annulus_norms, dz, jsonable,
+                           read_json)
 from willmore.surface import BranchData, FrameField, ImmersionField
 
 
@@ -160,15 +161,20 @@ def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
 def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
     """Multiplier induced by parallel mean curvature, f = sign 2 e^{2 lam} H.H0*.
 
-    Returns the sampled field and its anti-holomorphy defect (discrete dz
-    norm, relative).  The sign convention is configurable; +1 balances the
-    strong-form equation when pi_n grad H = 0, which ``residual.equation``
-    measures as its parallelism defect.
+    Returns the sampled field on the rows of ``curv`` (``f_pmc``) and the
+    per-circle maxima of |f_pmc| (``abs_max``) and of its discrete
+    |dz f_pmc| (``dz_max``), from which ``antiholomorphy_defect`` reads the
+    defect of a level that ran in row blocks.  The sign convention is
+    configurable; +1 balances the strong-form equation when pi_n grad H = 0,
+    which ``residual.equation`` measures as its parallelism defect.
     """
-    grid = frame.grid
-    hdot = dot(curv.H, np.conj(curv.H0))
-    f_pmc = sign * 2.0 * np.exp(2.0 * frame.lam) * hdot
+    f_pmc = sign * 2.0 * frame.e2l * curv.hdot
+    return {"f_pmc": f_pmc, "abs_max": np.max(np.abs(f_pmc), axis=-1),
+            "dz_max": np.max(np.abs(dz(curv.grid, f_pmc)), axis=-1)}
 
-    scale = max(float(np.max(np.abs(f_pmc))), 1e-30)
-    dz_defect = annulus_norms(grid, dz(grid, f_pmc))["max"] / scale
-    return {"f_pmc": f_pmc, "antiholomorphy_defect": dz_defect}
+
+def antiholomorphy_defect(grid: PolarGrid, pmc: dict) -> float:
+    """The annulus max of |dz f_pmc| relative to the grid's max |f_pmc|,
+    from the per-circle maxima of ``pmc_multiplier``."""
+    scale = max(float(np.max(pmc["abs_max"])), 1e-30)
+    return float(np.max(pmc["dz_max"][annulus_mask(grid)])) / scale

@@ -8,7 +8,8 @@ frozen ``Settings``; a malformed or unknown entry, or a grid over
 resolves its config, executes the chain on every refinement level with
 those settings, aggregates convergence orders, and writes a versioned JSON
 report plus CSV radial profiles.  Any stage failure is re-raised with the
-stage named.
+stage named.  Each level runs its frame, curvature, multiplier and
+equation in one pass over its row blocks (``level_pass``).
 
 Report files (schema_version 1):
     report.json            config, per-level records, convergence orders,
@@ -31,23 +32,25 @@ from typing import Mapping, NoReturn, Optional
 import numpy as np
 
 from willmore.classify import PMC_THRESHOLD, TOL_ZERO, classify, pmc_detect
-from willmore.curvature import (curvature, delta_profile, gauss_bonnet_check,
-                                gauss_map_energy_density, weingarten_constant,
-                                willmore_energy)
+from willmore.curvature import (CurvatureField, curvature, delta_profile,
+                                gauss_bonnet_check, gauss_map_energy_density,
+                                weingarten_constant, willmore_energy)
 from willmore.expansion import fit_H, fit_phi, verify_constants
 from willmore.grid import (BOOL, INTEGER, MAPPING, NON_NEGATIVE, REQUIRED,
                            STRING, Form, PolarGrid, circle_mean, fit_order,
                            integrate, is_integer, jsonable, read_json)
-from willmore.multiplier import MultiplierSpec, pmc_multiplier, special_fields
+from willmore.multiplier import (MultiplierSpec, antiholomorphy_defect,
+                                 pmc_multiplier, special_fields)
 from willmore.multivec import MAX_DIM, MIN_DIM
 from willmore.potentials import potential_set, verify_system
-from willmore.residual import equation
+from willmore.residual import Equation, FluxField, equation
 from willmore.residues import (WINDING_GATE, ResidueReport, branch_order,
                                first_residue, modified_residue, potential_L,
                                second_residue, tangent_vector, w_field)
 from willmore.surface import (DEFECT_THRESHOLD, REGULAR_ENTRIES,
-                              catalog_surface, conformal_factor,
-                              frame_and_gauss, load_samples_csv, write_csv)
+                              catalog_chart, catalog_surface, check_conformal,
+                              conformal_factor, frame_and_gauss,
+                              load_samples_csv, write_csv)
 
 SCHEMA_VERSION = 1
 
@@ -137,6 +140,9 @@ def _surface_entry(surf: dict) -> dict:
         _refuse("surface", f"surface needs a name or a csv, got {surf!r}")
     if "ambient_dim" in entry["params"]:
         _refuse("surface", "set ambient_dim on the surface, not in params")
+    # the chart's params and domain, checked on no grid
+    _stage("surface", catalog_chart, entry["name"], entry["params"],
+           entry["ambient_dim"])
     return entry
 
 
@@ -202,25 +208,76 @@ def build_field(settings: Settings, grid: PolarGrid):
                            surf["ambient_dim"])
 
 
+def level_pass(settings: Settings, field, conformal: tuple):
+    """``(curv, pmc, eq)`` of a level, from one pass over its row blocks
+    (``PolarGrid.blocks``, two halo rows: grad H, then the divergences).
+
+    Each block builds its frame from the field's rows and runs the kernels
+    ``curvature``, ``pmc_multiplier`` and ``equation`` on it; every term is
+    per node or a stencil inside the halo, so each kept row equals a
+    one-block pass bit for bit.  The level keeps the blocks' own rows of
+    what later stages read: no H0, no f_pmc, per-circle maxima.
+    """
+    grid, m = field.grid, field.ambient_dim
+    lam, defect = conformal
+    spec, sign = settings.spec, settings.pmc_sign
+    plane = lambda *lead: np.empty(lead + grid.rr.shape)
+    curv = CurvatureField(grid, lam, plane(m), *(plane() for _ in range(4)))
+    pmc = {"abs_max": np.empty(grid.n_r), "dz_max": np.empty(grid.n_r)}
+    eq = Equation(FluxField(grid, plane(2, m)),
+                  {key: plane() for key in ("strong", "div", "identity")},
+                  np.empty(grid.n_r), np.empty(grid.n_r))
+    for band in grid.blocks(m, 2):
+        rows, keep, kept = band.rows, band.keep, band.kept
+        part = field.on(band)
+        frame = _stage("frame_and_gauss", frame_and_gauss, part,
+                       (lam[rows], defect[rows]), np.inf)
+        cb = _stage("curvature", curvature, part, frame)
+        del frame.II, frame.gram  # read last by curvature, with nu
+        for key in ("H", "K", "energy_density", "dn_norm", "eH0_norm"):
+            getattr(curv, key)[..., kept, :] = getattr(cb, key)[..., keep, :]
+        del cb.K, cb.energy_density, cb.dn_norm, cb.eH0_norm  # kept above
+
+        pb = _stage("pmc_multiplier", pmc_multiplier, cb, frame, sign or 1)
+        for key in ("abs_max", "dz_max"):
+            pmc[key][kept] = pb[key][keep]
+        if sign is not None:
+            f = pb["f_pmc"]
+        elif not spec.zero:
+            f = _stage("multiplier", spec.evaluate, band.z)
+        else:
+            f = None
+        del pb
+
+        eb = _stage("equation", equation, cb, frame, f, part)
+        del part, frame, cb, f  # before the next block's are formed
+        eq.flux.raw[..., kept, :] = eb.flux.raw[..., keep, :]
+        for key, sq in eb.squares.items():
+            eq.squares[key][kept] = sq[keep]
+        eq.parallel[kept], eq.scale[kept] = eb.parallel[keep], eb.scale[keep]
+        del eb
+    return curv, pmc, eq
+
+
 def level_geometry(settings: Settings, grid: PolarGrid):
-    """Surface, frame, branch order, curvature and Willmore energy of a level.
+    """Surface, branch order, the level pass and Willmore energy of a level.
 
     Returns the level record begun here and what the rest of the level
-    reads: ``(level, field, frame, branch, curv)``.
+    reads: ``(level, field, branch, curv, pmc, eq)`` (``level_pass``).
     """
     field = _stage("surface", build_field, settings, grid)
     conformal = _stage("conformal_factor", conformal_factor, field)
     level = {"grid": field.grid.to_json(),
-             "conformal_defect": float(np.max(conformal[1]))}
-    frame = _stage("frame_and_gauss", frame_and_gauss, field, conformal,
-                   settings.tolerances["defect_threshold"])
+             "conformal_defect": _stage(
+                 "frame_and_gauss", check_conformal, conformal[1],
+                 settings.tolerances["defect_threshold"])}
 
-    br = _stage("branch_order", branch_order, frame)
+    br = _stage("branch_order", branch_order, field.grid, conformal[0])
     level.update(theta0=br.theta0, slope_raw=br.slope, u0=br.u0)
 
-    curv = _stage("curvature", curvature, field, frame)
+    curv, pmc, eq = level_pass(settings, field, conformal)
     level["willmore_energy"] = _stage("energy", willmore_energy, curv)
-    return level, field, frame, br, curv
+    return level, field, br, curv, pmc, eq
 
 
 def analyze_level(settings: Settings,
@@ -228,47 +285,43 @@ def analyze_level(settings: Settings,
     """One refinement level of the full chain: the level record and the
     level's residues."""
     tol, spec, pmc_sign = settings.tolerances, settings.spec, settings.pmc_sign
-    level, field, frame, br, curv = level_geometry(settings, grid)
+    level, field, br, curv, pmc, eq = level_geometry(settings, grid)
     grid = field.grid
     # the Gauss-map energy is recorded, never silently rescaled away
     gm_energy = _stage("gauss_map_energy", integrate, grid,
-                       gauss_map_energy_density(frame))
+                       gauss_map_energy_density(curv))
     level.update(gauss_map_energy=gm_energy, warnings=[])
     if gm_energy > 4.0 * np.pi:
         level["warnings"].append(
             f"Gauss-map energy {gm_energy:.3f} exceeds 4 pi: the smallness "
             "normalization behind the asymptotics is not met on this annulus")
-    prof = _stage("delta_profile", delta_profile, frame)
+    prof = _stage("delta_profile", delta_profile, curv)
     level["delta_square_integral"] = prof["square_integral"]
     level["delta_profile"] = {"r": prof["r"], "delta": prof["delta"]}
     level["energy_profile"] = circle_mean(curv.energy_density)
     level["liouville"] = _stage("gauss_bonnet", gauss_bonnet_check, curv, br)
     del curv.K, curv.energy_density  # read last by the two stages above
-    level["weingarten_constant"] = weingarten_constant(curv, frame)
+    level["weingarten_constant"] = weingarten_constant(curv)
+    del curv.dn_norm, curv.eH0_norm  # read last by the stages above
 
-    td = _stage("tangent_vector", tangent_vector, field, frame, br)
+    td = _stage("tangent_vector", tangent_vector, field, br)
     level.update(A=td.A, A_isotropy_defect=td.isotropy_defect,
                  A_normal_defect=td.normal_defect)
 
-    pmc = _stage("pmc_multiplier", pmc_multiplier, curv, frame, pmc_sign or 1)
+    anti = antiholomorphy_defect(grid, pmc)
     if pmc_sign is not None:
-        f_field = pmc["f_pmc"]
         level["multiplier"] = {"mode": "pmc", "sign": pmc_sign,
-                               "antiholomorphy_defect":
-                                   pmc["antiholomorphy_defect"]}
+                               "antiholomorphy_defect": anti}
     else:
-        f_field = _stage("multiplier", spec.evaluate, grid.z)
         level["multiplier"] = {"mode": "zero" if spec.zero else "spec",
                                "spec": spec.to_json()}
 
-    eq = _stage("equation", equation, curv, frame, f_field, field)
-    del curv.H0, frame  # read last by the equation pass
-    fl, pmc_defect, sq = eq.flux, eq.pmc_defect, eq.squares
-    level.update(strong_norms=eq.norms["strong"], div_norms=eq.norms["div"])
+    fl, pmc_defect, sq, norms = eq.flux, eq.pmc_defect, eq.squares, eq.norms
+    level.update(strong_norms=norms["strong"], div_norms=norms["div"])
     level["residual_profile"] = {
         "r": grid.r, "strong_rms": np.sqrt(circle_mean(sq["strong"])),
         "div_rms": np.sqrt(circle_mean(sq["div"]))}
-    level["equivalence_norms"] = eq.norms["identity"]
+    level["equivalence_norms"] = norms["identity"]
     del eq, sq  # the squared norms are read only above
 
     fr = _stage("first_residue", first_residue, fl)
@@ -304,7 +357,7 @@ def analyze_level(settings: Settings,
                      "circle_radii": fr["radii"],
                      "winding_raw": srw.raw})
     level["pmc_detect"] = _stage("pmc_detect", pmc_detect, pmc_defect,
-                                 pmc["antiholomorphy_defect"], report,
+                                 anti, report,
                                  tol["pmc_threshold"], tol["tol_zero"])
 
     if settings.with_potentials:

@@ -21,9 +21,10 @@ conservative conformal Willmore system and the closing identity
 contraction in the second pairing) on the annulus rows plus a halo row
 (``PolarGrid.band``), with star n = e1 ^ e2 and its derivatives formed from
 a frame built there.  This is the only module that runs the exterior-algebra
-operators of ``multivec``.  ``potential_set`` builds R in m // 2 blocks of at
-most m components, merges their loop defects, and keeps S, R and, of the
-rest, only the band rows ``verify_system`` reads.
+operators of ``multivec``.  ``potential_set`` integrates R in m // 2 blocks
+of at most m components and merges their loop defects; it keeps S, R's
+loop defects (R itself has no reader) and, of the rest, only the band rows
+``verify_system`` reads.
 Fields are (components, n_r, n_theta): a block of R is a run of planes.
 """
 
@@ -50,7 +51,6 @@ class PotentialError(ValueError):
 class PotentialSet:
     band: RowBand                      # the rows ``verify_system`` reads
     S: np.ndarray                      # scalar field, (n_r, n_theta)
-    R: np.ndarray                      # 2-vector, (C(m, 2), n_r, n_theta)
     v_S: tuple                         # grad_perp S on the band rows
     v_R: tuple                         # grad_perp R on the band rows
     dg: tuple                          # grad g on the band rows
@@ -129,8 +129,9 @@ def solve_gG(beta0: np.ndarray, field: ImmersionField) -> np.ndarray:
 
 def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
                   curv: CurvatureField, band: RowBand) -> PotentialSet:
-    """grad g and grad G from U (``solve_gG``), then S and R from the flux
-    potential L; the set keeps the rows of ``band`` (a ``PolarGrid.band``)."""
+    """grad g and grad G from U (``solve_gG``), then S and the loop defects
+    of R from the flux potential L; the set keeps the rows of ``band`` (a
+    ``PolarGrid.band``)."""
     grid, d1, m = field.grid, field.d1, field.ambient_dim
     cut = lambda pair: tuple(v[..., band.rows, :].copy() for v in pair)
     dU = grad(grid, solve_gG(beta0, field))
@@ -141,7 +142,6 @@ def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
     v_s, dg = cut(v_s), cut(dg)
     n2 = comb(m, 2)
     width = n2 // (m // 2)
-    R = np.empty((n2, grid.n_r, grid.n_theta))
     v_r, dG = ([np.empty((n2,) + dg[0].shape) for _ in d1] for _ in range(2))
     parts = []
     for lo in range(0, n2, width):
@@ -156,10 +156,9 @@ def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
         for k in (0, 1):
             dG[k][cols] = wb(beta0, dU[k][:, band.rows])
             v_r[k][cols] = v[k][:, band.rows]
-        R[cols], part = integrate_curl_potential(grid, *v)
-        parts.append(part)
+        parts.append(integrate_curl_potential(grid, *v)[1])
         del v                      # before the next block's terms are formed
-    return PotentialSet(band, S, R, v_s, tuple(v_r), dg, tuple(dG),
+    return PotentialSet(band, S, v_s, tuple(v_r), dg, tuple(dG),
                         {"S": loop_defects(part_S), "R": loop_defects(*parts)})
 
 
@@ -184,7 +183,7 @@ def verify_system(pots: PotentialSet, field: ImmersionField) -> dict:
     (``bullet``), whose conventions differ from the cited statements'.
     """
     grid, m = pots.band, field.ambient_dim
-    field = ImmersionField(grid, field.slots[:, :, grid.rows])
+    field = field.on(grid)
     frame = frame_and_gauss(field, conformal_factor(field), np.inf)
     s_bullR, s_dotS, s_bullG, s_sng, s_phi = -1, -1, -1, -1, +1
     mk2 = lambda c: MultiVec(m, 2, c)
@@ -192,8 +191,8 @@ def verify_system(pots: PotentialSet, field: ImmersionField) -> dict:
     w11 = lambda a, b: wedge(mk1(a), mk1(b)).coeffs
     e1, e2 = frame.e1, frame.e2
     sn = mk2(w11(e1, e2))  # star n
-    sn_x, sn_y = (w11(nu1, e2) + w11(e1, nu2)
-                  for nu1, nu2 in (frame.nu(i) for i in (0, 1)))
+    sn_x, sn_y = (w11(nu1, e2) + w11(e1, nu2) for nu1, nu2 in frame.nu)
+    del frame, e1, e2  # and the frame's II and nu
 
     # grad_perp S = v_S and grad_perp R = v_R by construction, so
     # grad S = rot(v_S) and Lap S = d1(v_S_2) - d2(v_S_1); each residual's

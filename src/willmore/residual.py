@@ -22,19 +22,22 @@ X = X_raw - 2 beta0 grad log|x| (``FluxField.corrected``) has vanishing
 circulation, consistently with the mean curvature growing like
 -beta0 log|z| at the puncture.
 
-``equation`` evaluates both forms of a level at once: it forms e^{2 lam}
-and pi_n grad H once, and returns the flux (built once, without beta0),
-the per-node squared norms dot(f, f) of the strong form, of div X_raw and
-of the gap in the identity above, their norms over ``NORM_ANNULUS``, and
-the parallelism defect |pi_n grad H| / max(|grad H|, |H|).  The strong
-form and div X_raw themselves are never kept for the whole level: the
-pass runs in row blocks of ``PolarGrid.blocks`` with a halo of two rows
-(grad H, then the divergences), so its temporaries stay cache-sized.  n is
-never formed: the term star(grad_perp n ^ H) comes from the frame
-(``star_dn_wedge``), and grad H, which the pass takes itself, and
-pi_n grad H are released before the flux divergence.  Both flux
-components of a block are summed in one (2, m, ...) buffer, whose kept
-rows are copied into the level's flux.
+``equation`` evaluates both forms at once, per node on the rows of its
+frame: a level runs it once per row block (``pipeline.level_pass``, with
+two halo rows: grad H, then the divergences) and keeps each block's own
+rows.  It reads e^{2 lam} and nu from the frame and H.H0* from the
+curvature, each formed once per block, and returns the flux (built once,
+without beta0), the per-node squared norms dot(f, f) of the strong form,
+of div X_raw and of the gap in the identity above, and the per-circle
+maxima of |pi_n grad H| and of max(|grad H|, |H|); from these
+``Equation`` takes the
+norms over ``NORM_ANNULUS`` and the parallelism defect
+|pi_n grad H| / max(|grad H|, |H|).  The strong form and div X_raw
+themselves are never kept.  n is never formed: the term
+star(grad_perp n ^ H) comes from the frame (``star_dn_wedge``), and
+grad H, which the pass takes itself, and pi_n grad H are released before
+the flux divergence.  Both flux components are summed in one
+(2, m, ...) buffer.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from typing import Optional
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import PolarGrid, annulus_norms, div, dot, grad
+from willmore.grid import (PolarGrid, annulus_mask, annulus_norms, div, dot,
+                           grad)
 from willmore.multiplier import matrix_field
 from willmore.surface import FrameField, ImmersionField, normal_projector
 
@@ -60,28 +64,45 @@ class FluxField:
     raw: np.ndarray                 # (2, m, n_r, n_theta), no beta0 correction
 
     def corrected(self, beta0) -> np.ndarray:
-        """X = raw - 2 beta0 grad log|x|, the flux with vanishing circulation."""
+        """X = raw - 2 beta0 grad log|x|, the flux with vanishing circulation,
+        subtracted in place in one copy of the raw flux."""
         twice = 2.0 * np.asarray(beta0, dtype=float)[..., None, None]
         grid = self.grid
         r2 = grid.rr ** 2
-        return np.stack([self.raw[0] - twice * grid.x / r2,
-                         self.raw[1] - twice * grid.y / r2])
+        X = self.raw.copy()
+        X[0] -= twice * grid.x / r2
+        X[1] -= twice * grid.y / r2
+        return X
 
 
 @dataclass(eq=False)
 class Equation:
-    """Both forms of the equation on one level and their checks.
+    """Both forms of the equation on a grid's or a row block's nodes.
 
     ``squares`` holds dot(f, f) per node, shape (n_r, n_theta), of the
     strong form ("strong"), of div X_raw ("div") and of the identity gap
-    ("identity"); ``norms`` are the ``NORM_ANNULUS`` norms of the same
-    three, whose pooled |f| is sqrt(dot(f, f)).
+    ("identity"); ``parallel`` and ``scale`` hold per circle the max of
+    |pi_n grad H| and of max(|grad H|, |H|).  ``norms`` are the
+    ``NORM_ANNULUS`` norms of the three squares, whose pooled |f| is
+    sqrt(dot(f, f)), and ``pmc_defect`` the annulus max of |pi_n grad H|
+    over the largest scale.
     """
 
     flux: FluxField
     squares: dict
-    norms: dict
-    pmc_defect: float               # |pi_n grad H| / max(|grad H|, |H|)
+    parallel: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def norms(self) -> dict:
+        return {key: annulus_norms(self.flux.grid, np.sqrt(sq), *NORM_ANNULUS)
+                for key, sq in self.squares.items()}
+
+    @property
+    def pmc_defect(self) -> float:
+        floor = max(1e-30, float(np.max(self.scale)))
+        rows = annulus_mask(self.flux.grid)
+        return float(np.max(self.parallel[rows])) / floor
 
 
 def star_dn_wedge(frame: FrameField, H: np.ndarray, eH: tuple,
@@ -89,7 +110,7 @@ def star_dn_wedge(frame: FrameField, H: np.ndarray, eH: tuple,
     """star(d_i n ^ H) = <nu1, H> e2 - <e2, H> nu1 + <e1, H> nu2 - <nu2, H> e1
     with nu_a = pi_n d_i e_a (``FrameField.nu``) and eH = (<e1, H>, <e2, H>):
     exact algebra for n = star(e1 ^ e2), which assumes no conformality."""
-    (nu1, nu2), e1, e2 = frame.nu(i), frame.e1, frame.e2
+    (nu1, nu2), e1, e2 = frame.nu[i], frame.e1, frame.e2
     out = dot(nu1, H) * e2 - eH[1] * nu1
     out += eH[0] * nu2 - dot(nu2, H) * e1
     return out
@@ -98,71 +119,53 @@ def star_dn_wedge(frame: FrameField, H: np.ndarray, eH: tuple,
 def equation(curv: CurvatureField, frame: FrameField,
              f: Optional[np.ndarray] = None,
              field: Optional[ImmersionField] = None) -> Equation:
-    """The strong form, the flux X_raw and their checks, with multiplier f.
+    """The strong form, the flux X_raw and their checks, with multiplier f,
+    on the rows of ``curv`` (radial stencils one-sided at its end rows).
 
     The multiplier terms use M_f of ``f`` and grad Phi of ``field``.  With
-    f absent or identically zero they are skipped, so both forms reduce
-    bitwise to the plain Willmore equation.  The pass runs row block by
-    row block (``PolarGrid.blocks``) with two halo rows, for grad H and
-    then the divergences, and copies each block's kept rows of the flux
-    into the level's.  The norms are taken over ``NORM_ANNULUS``.
+    f absent or identically zero on these rows they are skipped, so both
+    forms reduce bitwise to the plain Willmore equation.
     """
     grid = curv.grid
     if f is not None and not np.any(f):
         f = None
     if f is not None and field is None:
         raise ValueError("the immersion field is needed for the M_f term")
-    m, n_theta = curv.H.shape[0], grid.n_theta
-    raw = np.empty((2,) + curv.H.shape)
-    squares = {key: np.empty(grid.rr.shape)
-               for key in ("strong", "div", "identity")}
-    num = np.empty(grid.rr.shape)  # |pi_n grad H|
-    floor = 1e-30                  # max(|grad H|, |H|)
-    for band in grid.blocks(m, 2):
-        rows, kept, k = band.rows, band.kept, (slice(None), band.keep)
-        rb = np.empty((2, m, band.n_r, n_theta))
-        fr = frame.on(band)
-        H, H0 = curv.H[:, rows], curv.H0[:, rows]
-        e2l = np.exp(2.0 * fr.lam)
-        # the flux is summed in place, its star(grad_perp n ^ H) terms
-        # first: grad_perp n = (-d_y n, d_x n), and negation is exact
-        eH = dot(fr.e1, H), dot(fr.e2, H)
-        np.negative(star_dn_wedge(fr, H, eH, 1), out=rb[0])
-        rb[1] = star_dn_wedge(fr, H, eH, 0)
-        del eH
-        Hx, Hy = grad(band, H)
-        pi_n = normal_projector(fr)
-        px, py = pi_n(Hx), pi_n(Hy)
+    H, H0, e2l = curv.H, curv.H0, frame.e2l
+    raw = np.empty((2,) + H.shape)
+    # the flux is summed in place, its star(grad_perp n ^ H) terms first:
+    # grad_perp n = (-d_y n, d_x n), and negation is exact
+    eH = dot(frame.e1, H), dot(frame.e2, H)
+    np.negative(star_dn_wedge(frame, H, eH, 1), out=raw[0])
+    raw[1] = star_dn_wedge(frame, H, eH, 0)
+    del eH, frame.nu  # nu is read last here; a later read forms it again
+    Hx, Hy = grad(grid, H)
+    pi_n = normal_projector(frame)
+    px, py = pi_n(Hx), pi_n(Hy)
 
-        num[kept] = np.sqrt(dot(px[k], px[k]) + dot(py[k], py[k]))
-        den = np.sqrt(dot(Hx[k], Hx[k]) + dot(Hy[k], Hy[k]))
-        floor = max(floor, float(np.max(den)), float(np.max(np.abs(H[k]))))
+    parallel = np.max(np.sqrt(dot(px, px) + dot(py, py)), axis=-1)
+    scale = np.maximum(np.max(np.sqrt(dot(Hx, Hx) + dot(Hy, Hy)), axis=-1),
+                       np.max(np.abs(H), axis=(0, -1)))
 
-        rb[0] += np.subtract(Hx, 3.0 * px, out=Hx)  # grad H dies here
-        rb[1] += np.subtract(Hy, 3.0 * py, out=Hy)
-        del Hx, Hy
-        strong = pi_n(div(band, px, py))
-        del px, py
-        strong /= e2l
-        strong += 2.0 * np.real(dot(H, np.conj(H0)) * H0)
-        if f is not None:
-            fb = f[rows]
-            strong -= np.real(H0 * fb) / e2l
-            M_f = matrix_field(fb)
-            d1 = field.d1[:, :, rows]
-            perp = (-d1[1], d1[0])  # grad_perp Phi
-            for i in range(2):
-                rb[i] += (M_f[i, 0] * perp[0] + M_f[i, 1] * perp[1]) / e2l
-            del M_f, perp
+    raw[0] += np.subtract(Hx, 3.0 * px, out=Hx)  # grad H dies here
+    raw[1] += np.subtract(Hy, 3.0 * py, out=Hy)
+    del Hx, Hy
+    strong = pi_n(div(grid, px, py))
+    del px, py
+    strong /= e2l
+    strong += 2.0 * np.real(curv.hdot * H0)
+    if f is not None:
+        strong -= np.real(H0 * f) / e2l
+        M_f = matrix_field(f)
+        d1 = field.d1
+        perp = (-d1[1], d1[0])  # grad_perp Phi
+        for i in range(2):
+            raw[i] += (M_f[i, 0] * perp[0] + M_f[i, 1] * perp[1]) / e2l
+        del M_f, perp
 
-        div_defect = div(band, rb[0], rb[1])
-        gap = strong + 0.5 * div_defect / e2l
-        for key, v in (("strong", strong), ("div", div_defect),
-                       ("identity", gap)):
-            squares[key][kept] = dot(v[k], v[k])
-        del strong, div_defect, gap
-        raw[:, :, kept] = rb[:, :, band.keep]
-    norms = {key: annulus_norms(grid, np.sqrt(sq), *NORM_ANNULUS)
-             for key, sq in squares.items()}
-    pmc_defect = annulus_norms(grid, num)["max"] / floor
-    return Equation(FluxField(grid, raw), squares, norms, pmc_defect)
+    div_defect = div(grid, raw[0], raw[1])
+    gap = strong + 0.5 * div_defect / e2l
+    squares = {key: dot(v, v) for key, v in (("strong", strong),
+                                              ("div", div_defect),
+                                              ("identity", gap))}
+    return Equation(FluxField(grid, raw), squares, parallel, scale)

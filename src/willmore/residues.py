@@ -21,11 +21,12 @@ from typing import Optional
 import numpy as np
 
 from willmore.grid import (INTEGER, INTEGERS, MAPPING, PAIRS, REAL, REALS,
-                           REQUIRED, PolarGrid, circle_mean, circulation,
-                           jsonable, read_json)
+                           REQUIRED, PolarGrid, RowBand, circle_mean,
+                           circulation, jsonable, read_json)
 from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField
-from willmore.surface import BranchData, FrameField, ImmersionField
+from willmore.surface import (BranchData, ImmersionField, conformal_factor,
+                              frame_and_gauss)
 
 
 #: default ``winding_gate``: how far a raw winding may sit from its integer
@@ -61,10 +62,9 @@ def radial_extrapolate(grid: PolarGrid, rings: np.ndarray):
 # branch order and tangent vector
 # ---------------------------------------------------------------------------
 
-def branch_order(frame: FrameField) -> BranchData:
+def branch_order(grid: PolarGrid, lam: np.ndarray) -> BranchData:
     """theta0 = 1 + round(slope of circle-averaged lam against log r)."""
-    grid = frame.grid
-    lam_bar = circle_mean(frame.lam)
+    lam_bar = circle_mean(lam)
     k = max(4, int(round(0.5 * grid.n_r)))
     slope = float(np.polyfit(grid.s[:k], lam_bar[:k], 1)[0])
     nearest = int(np.rint(slope))
@@ -75,21 +75,26 @@ def branch_order(frame: FrameField) -> BranchData:
     theta0 = nearest + 1
     if theta0 < 1:
         raise ResidueError(f"branch order {theta0} is not a positive integer")
-    u = frame.lam - (theta0 - 1) * np.log(grid.rr)
+    u = lam - (theta0 - 1) * np.log(grid.rr)
     u0 = float(radial_extrapolate(grid, circle_mean(u)))
     return BranchData(theta0, slope, u, u0)
 
 
-def tangent_projector_at_origin(frame: FrameField):
+def tangent_projector_at_origin(field: ImmersionField):
     """pi_T onto the tangent plane at 0: T = e1 ^ e2, held as the matrix
     W = e1 e2^T - e2 e1^T, extrapolated by circle means to W0 and scaled to
     a unit 2-vector (|W0|_F = sqrt 2); for unit decomposable T, pi_T = W0^T W0.
+    The frame is built on the ``_inner_rows`` only, bit for bit the level's
+    there.
     """
-    rows = _inner_rows(frame.grid)
-    e1, e2 = frame.e1[:, rows], frame.e2[:, rows]
+    grid = field.grid
+    n = _inner_rows(grid).stop
+    inner = field.on(RowBand(grid, 0, n, slice(0, n)))
+    frame = frame_and_gauss(inner, conformal_factor(inner), np.inf)
+    e1, e2 = frame.e1, frame.e2
     # circle mean e1 e2^T per row, (rows, m, m)
-    M = np.moveaxis(e1, 0, 1) @ np.moveaxis(e2, 0, 2) / frame.grid.n_theta
-    W0 = radial_extrapolate(frame.grid, M - np.swapaxes(M, 1, 2))
+    M = np.moveaxis(e1, 0, 1) @ np.moveaxis(e2, 0, 2) / grid.n_theta
+    W0 = radial_extrapolate(grid, M - np.swapaxes(M, 1, 2))
     W0 *= np.sqrt(2.0) / np.linalg.norm(W0)
     P = W0.T @ W0  # symmetric
     return lambda v: v @ P
@@ -102,8 +107,7 @@ class TangentData:
     normal_defect: float        # |pi_n(0) A| / |A|
 
 
-def tangent_vector(field: ImmersionField, frame: FrameField,
-                   branch: BranchData) -> TangentData:
+def tangent_vector(field: ImmersionField, branch: BranchData) -> TangentData:
     """A = (2/theta0) lim z^{1-theta0} dz(Phi), by circle-mean extrapolation."""
     grid = field.grid
     rows = _inner_rows(grid)
@@ -115,7 +119,7 @@ def tangent_vector(field: ImmersionField, frame: FrameField,
         raise ResidueError("tangent-vector extrapolation diverged")
     norm2 = float(np.sum(np.abs(A) ** 2))
     iso = abs(A @ A) / max(norm2, 1e-300)
-    pi_T = tangent_projector_at_origin(frame)
+    pi_T = tangent_projector_at_origin(field)
     normal_part = A - pi_T(A)
     nd = float(np.linalg.norm(normal_part)) / max(np.sqrt(norm2), 1e-300)
     return TangentData(A, iso, nd)

@@ -60,6 +60,10 @@ class ImmersionField:
         if not np.all(np.isfinite(self.phi)):
             raise SurfaceError("immersion samples must be finite")
 
+    def on(self, band: RowBand) -> "ImmersionField":
+        """The samples on ``band``'s rows, as views, with the band as grid."""
+        return ImmersionField(band, self.slots[:, :, band.rows])
+
 
 def from_chart(chart: Callable, grid: PolarGrid, m: int) -> ImmersionField:
     """Samples of a jet chart with its exact first and second derivatives."""
@@ -95,7 +99,9 @@ class FrameField:
     II stacks pi_n of (Phi_xx, Phi_xy, Phi_yy); ``gram`` stacks the
     Gram-Schmidt data |Phi_x|, <Phi_y, e1> and |t2| (t2 = Phi_y - <Phi_y, e1>
     e1) that turn II into nu (``nu``).  The Gauss map n = star(e1 ^ e2) is
-    never formed: d_i n = star(nu1_i ^ e2 + e1 ^ nu2_i).
+    never formed: d_i n = star(nu1_i ^ e2 + e1 ^ nu2_i).  e^{2 lam} and nu
+    are formed on first use and kept with the frame, which a level builds
+    per row block, so every kernel of the block reads them from one place.
     """
 
     grid: PolarGrid
@@ -105,22 +111,18 @@ class FrameField:
     II: np.ndarray          # (3, m, n_r, n_theta)
     gram: np.ndarray        # (3, n_r, n_theta)
 
-    def on(self, band: RowBand) -> "FrameField":
-        """The frame on ``band``'s rows, as views, with the band as grid."""
-        r = band.rows
-        return FrameField(band, self.lam[r], self.e1[:, r], self.e2[:, r],
-                          self.II[:, :, r], self.gram[:, r])
-
-    def nu(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(pi_n d_i e1, pi_n d_i e2); i = 0 is x, 1 is y."""
-        a, c, b = self.gram
-        nu1 = self.II[i] / a
-        return nu1, (self.II[i + 1] - c * nu1) / b
+    @cached_property
+    def e2l(self) -> np.ndarray:
+        """e^{2 lam} per node."""
+        return np.exp(2.0 * self.lam)
 
     @cached_property
-    def dn_norm(self) -> np.ndarray:
-        """|grad n| per node: |grad n|^2 = sum_i |nu1_i|^2 + |nu2_i|^2."""
-        return np.sqrt(sum(dot(v, v) for i in (0, 1) for v in self.nu(i)))
+    def nu(self) -> tuple:
+        """((nu1, nu2) of d_x, (nu1, nu2) of d_y): nu_a = pi_n d_i e_a."""
+        a, c, b = self.gram
+        nu1 = [self.II[i] / a for i in (0, 1)]
+        return tuple((nu1[i], (self.II[i + 1] - c * nu1[i]) / b)
+                     for i in (0, 1))
 
 
 def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
@@ -137,6 +139,16 @@ def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
     return lam, defect
 
 
+def check_conformal(defect: np.ndarray,
+                    defect_threshold: float = DEFECT_THRESHOLD) -> float:
+    """The largest conformal defect, refused when over ``defect_threshold``."""
+    worst = float(np.max(defect))
+    if worst > defect_threshold:
+        raise SurfaceError(
+            f"conformal defect {worst:.3e} exceeds threshold {defect_threshold:.1e}")
+    return worst
+
+
 def frame_and_gauss(field: ImmersionField, conformal: tuple,
                     defect_threshold: float = DEFECT_THRESHOLD) -> FrameField:
     """Orthonormal tangent frame and the second fundamental form II.
@@ -149,10 +161,7 @@ def frame_and_gauss(field: ImmersionField, conformal: tuple,
     curvature and of the Gauss map's derivatives.
     """
     lam, defect = conformal
-    worst = float(np.max(defect))
-    if worst > defect_threshold:
-        raise SurfaceError(
-            f"conformal defect {worst:.3e} exceeds threshold {defect_threshold:.1e}")
+    check_conformal(defect, defect_threshold)
     p1, p2, d2 = field.d1[0], field.d1[1], field.d2
     a = np.sqrt(dot(p1, p1))
     e1 = p1 / a
@@ -400,12 +409,20 @@ REGULAR_ENTRIES = {"plane", "sphere_stereographic", "cylinder_cmc",
                    "clifford_torus_patch"}
 
 
-def catalog_surface(name: str, params: Optional[dict], grid: PolarGrid,
-                    ambient_dim: int = 3) -> ImmersionField:
+def catalog_chart(name: str, params: Optional[dict],
+                  ambient_dim: int = 3) -> Callable:
+    """The jet chart of catalog entry ``name``; an unknown name, a malformed
+    param or one outside the chart's domain is refused here, on no grid."""
     if name not in CATALOG:
         raise SurfaceError(f"unknown catalog surface {name!r}; "
                            f"choices: {sorted(CATALOG)}")
-    return from_chart(CATALOG[name](params, ambient_dim), grid, ambient_dim)
+    return CATALOG[name](params, ambient_dim)
+
+
+def catalog_surface(name: str, params: Optional[dict], grid: PolarGrid,
+                    ambient_dim: int = 3) -> ImmersionField:
+    return from_chart(catalog_chart(name, params, ambient_dim), grid,
+                      ambient_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ def star_dn_wedge_algebra(frame, H, i) -> np.ndarray:
     derivative d_i n = star(nu1_i ^ e2 + e1 ^ nu2_i)."""
     m = H.shape[0]
     vec = lambda v: MultiVec.vector(m, v)
-    nu1, nu2 = frame.nu(i)
+    nu1, nu2 = frame.nu[i]
     d = (wedge(vec(nu1), vec(frame.e2)).coeffs
          + wedge(vec(frame.e1), vec(nu2)).coeffs)
     return hodge_star(wedge(hodge_star(MultiVec(m, 2, d)), vec(H))).coeffs

@@ -243,7 +243,7 @@ def test_criterion_6_expansion_round_trip():
                              "E_a": E, "gamma0": g0, "xi": xi}, grid, m)
     frame = conformal_factor(field)
     frame = frame_and_gauss(field, frame, defect_threshold=2.0)
-    br = branch_order(frame)
+    br = branch_order(grid, frame.lam)
     fit = fit_phi(field, theta0, a, br.u0)
     assert np.max(np.abs(fit.A - A)) < 1e-6
     assert all(np.max(np.abs(bf - bp)) < 1e-4 for bf, bp in zip(fit.B, B))
@@ -351,8 +351,8 @@ def test_criterion_9_delta_profile():
     names = []
     for name, params, m in entries:
         grid = PolarGrid(1e-3, 1.0, 96, 64)
-        field, frame, _ = analyzed(name, params, grid, m=m)
-        prof = delta_profile(frame)
+        field, frame, curv = analyzed(name, params, grid, m=m)
+        prof = delta_profile(curv)
         d, r = prof["delta"], prof["r"]
         assert np.isfinite(prof["square_integral"])
         if np.max(d) < 1e-10:

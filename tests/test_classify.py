@@ -5,7 +5,8 @@ import numpy as np
 from willmore.classify import VERDICTS, classify, decide, pmc_detect
 from willmore.curvature import curvature
 from willmore.grid import PolarGrid
-from willmore.multiplier import MultiplierSpec, pmc_multiplier
+from willmore.multiplier import (MultiplierSpec, antiholomorphy_defect,
+                                 pmc_multiplier)
 from willmore.residual import equation
 from willmore.residues import ResidueReport
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
@@ -123,7 +124,8 @@ def test_pmc_detect_on_catalog():
         frame = frame_and_gauss(field, conformal_factor(field))
         curv = curvature(field, frame)
         out = pmc_detect(equation(curv, frame).pmc_defect,
-                         pmc_multiplier(curv, frame)["antiholomorphy_defect"],
+                         antiholomorphy_defect(grid,
+                                               pmc_multiplier(curv, frame)),
                          make_report(theta0=1))
         assert out["pmc"] == expect, name
 
@@ -135,7 +137,7 @@ def test_pmc_detect_cross_checks_residues():
     curv = curvature(field, frame)
     rep = make_report(theta0=1)
     pmc = (equation(curv, frame).pmc_defect,
-           pmc_multiplier(curv, frame)["antiholomorphy_defect"])
+           antiholomorphy_defect(grid, pmc_multiplier(curv, frame)))
     out = pmc_detect(*pmc, rep)
     assert out["pmc"] and out["residues_vanish"]
     bad = make_report(theta0=1, beta0=[0, 0, 2.0], spread=1e-8)

@@ -157,6 +157,7 @@ PLANE_RESIDUES = {"theta0": 1, "u0": 0.0, "A": [[1.0, 0.0], [0.0, 1.0],
      "the report's residues entry 'a' is not an integer"),
     ({"config": PLANE, "residues": {**PLANE_RESIDUES, "gamma": [0, True, 0]}},
      "the report's residues entry 'gamma' is not a list of integers"),
+    ({"residues": PLANE_RESIDUES}, "the report has no 'config' entry"),
 ])
 def test_classify_malformed_report_named(tmp_path, capsys, doc, message):
     report = tmp_path / "report.json"

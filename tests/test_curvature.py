@@ -83,7 +83,7 @@ def test_energy_identity_gauss_map_vs_fundamental_form():
             frame = frame_and_gauss(field, conformal_factor(field))
             curv = curvature(field, frame)
             band = grid.band(0.1, 0.9)
-            a = g.integrate(band, gauss_map_energy_density(frame)[band.rows])
+            a = g.integrate(band, gauss_map_energy_density(curv)[band.rows])
             b = g.integrate(band,
                             bending_energy_density(field, frame)[band.rows])
             gaps.append(abs(a - b) / max(abs(b), 1.0))
@@ -97,7 +97,7 @@ def test_weingarten_bounded_by_gauss_map_gradient():
     for name in ("sphere_stereographic", "inverted_catenoid", "cylinder_cmc"):
         _, frame, curv = setup(name)
         lhs = np.exp(curv.lam) * np.abs(np.linalg.norm(curv.H0, axis=0))
-        rhs = frame.dn_norm
+        rhs = curv.dn_norm
         sl = slice(5, -5)
         assert np.max((lhs[sl] - 2.0 * rhs[sl])) < 1e-6, name
 
@@ -127,14 +127,14 @@ def test_liouville_residual_branched_plane_flat():
 
 
 def test_delta_profile_plane_zero():
-    _, frame, _ = setup("plane")
-    prof = delta_profile(frame)
+    _, _, curv = setup("plane")
+    prof = delta_profile(curv)
     assert np.max(prof["delta"]) < 1e-10
 
 
 def test_delta_profile_sphere_vanishes_at_origin():
-    _, frame, _ = setup("sphere_stereographic")
-    prof = delta_profile(frame)
+    _, _, curv = setup("sphere_stereographic")
+    prof = delta_profile(curv)
     d = prof["delta"]
     n = len(d)
     assert d[0] < d[n // 2] < d[-1]
@@ -143,8 +143,8 @@ def test_delta_profile_sphere_vanishes_at_origin():
 
 def test_delta_profile_inverted_catenoid():
     grid = PolarGrid(1e-3, 1.0, 96, 64)
-    _, frame, _ = setup("inverted_catenoid", grid=grid)
-    prof = delta_profile(frame)
+    _, _, curv = setup("inverted_catenoid", grid=grid)
+    prof = delta_profile(curv)
     d, r = prof["delta"], prof["r"]
     # vanishes toward the branch point and has finite square integral
     inner = r < 8 * grid.r_min
@@ -183,8 +183,8 @@ def test_weingarten_constant_bounded_by_two():
     # e^lam |H0| <= c |grad n| with c <= 2; the measured best constant is
     # reported per run
     for name in ("inverted_catenoid", "cylinder_cmc"):
-        _, frame, curv = setup(name)
-        c = weingarten_constant(curv, frame)
+        _, _, curv = setup(name)
+        c = weingarten_constant(curv)
         assert 0 < c <= 2.0 + 1e-6, (name, c)
 
 
@@ -192,9 +192,9 @@ def test_weingarten_constant_zero_on_flat_chart():
     # the branched plane's |grad n| is rounding noise (r |grad n| ~ 1e-16),
     # so no node holds a ratio and the constant stays 0
     grid = PolarGrid(1e-3, 1.0, 48, 32)
-    _, frame, curv = setup("branched_plane", {"theta0": 2}, grid)
-    assert np.max(grid.rr * frame.dn_norm) < 1e-13
-    assert weingarten_constant(curv, frame) == 0.0
+    _, _, curv = setup("branched_plane", {"theta0": 2}, grid)
+    assert np.max(grid.rr * curv.dn_norm) < 1e-13
+    assert weingarten_constant(curv) == 0.0
 
 
 def test_liouville_route_cross_validates_K():

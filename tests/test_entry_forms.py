@@ -160,12 +160,11 @@ def test_config_entry_with_unknown_key_lists_accepted_keys(table):
 @pytest.mark.parametrize("chart, key", [
     (chart, key) for chart, keys in CHARTS.items() for key in keys])
 def test_catalog_param_of_wrong_type_refused_by_name(chart, key):
+    # refused by resolve, which reads the params on no grid
     for value in WRONG[CHARTS[chart][key]]:
-        settings = pipeline.resolve({
-            "surface": {"name": chart, "ambient_dim": 4,
-                        "params": {key: value}}, "grid": GRID})
-        err = _refusal(lambda: pipeline.level_geometry(settings,
-                                                       settings.grids[0]))
+        config = {"surface": {"name": chart, "ambient_dim": 4,
+                              "params": {key: value}}, "grid": GRID}
+        err = _refusal(lambda: pipeline.resolve(config))
         assert err.stage == "surface", (value, str(err))
         _check_message(str(err.cause), key, value)
 

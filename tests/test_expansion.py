@@ -16,7 +16,7 @@ def prepared(params, m=4, r_min=1e-2, n_r=96, n_theta=64, name="synthetic_th4"):
     conformal = conformal_factor(field)
     thr = max(1e-6, 2.0 * float(np.max(conformal[1])))
     frame = frame_and_gauss(field, conformal, defect_threshold=thr)
-    br = branch_order(frame)
+    br = branch_order(field.grid, frame.lam)
     return field, frame, br
 
 

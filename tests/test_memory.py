@@ -11,8 +11,9 @@ after their stages; 11.8 while g and G took 1 + C(m, 2) Poisson solves and
 grad_perp R was formed 28 components wide; 9.5 while the Gauss map and its
 stencil gradient were formed; 8.4 while the level's frame lived on for
 verify_system).  A pmc-mode m = 3 level of 191x256 nodes,
-which splits into three row blocks, peaks near 23.5 of its 3-component
-fields (26.4 while curvature and the equation pass ran on the whole grid
+which splits into three row blocks, peaks near 18.6 of its 3-component
+fields (23.5 while the level's frame, H0 and f_pmc were whole-grid
+arrays; 26.4 while curvature and the equation pass ran on the whole grid
 at once and the level kept the strong-form and divergence fields, the
 frame and H0 until its end).
 """
@@ -23,7 +24,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from willmore import pipeline
+from willmore import grid as g
+from willmore import pipeline, potentials, residues
 from willmore.curvature import CurvatureField, curvature
 from willmore.grid import PolarGrid
 from willmore.potentials import PotentialSet, potential_set
@@ -99,7 +101,30 @@ def test_pmc_level_peak_in_row_blocks():
     pipeline.analyze_level(settings, grid)  # grid caches
     field_bytes = grid.n_r * grid.n_theta * 3 * 8
     assert traced_peak(pipeline.analyze_level, settings, grid) \
-        < 25 * field_bytes
+        < 19 * field_bytes
+
+
+def test_no_frame_spans_a_multi_block_level(monkeypatch):
+    # the level pass builds one frame per row block, and the tangent
+    # projector and the system check theirs on their own rows
+    seen = []
+
+    def frame(field, *args):
+        seen.append(field.grid.n_r)
+        return frame_and_gauss(field, *args)
+
+    for module in (pipeline, residues, potentials):
+        monkeypatch.setattr(module, "frame_and_gauss", frame)
+    monkeypatch.setattr(g, "BLOCK_BYTES", 32 * 1024)
+    settings = pipeline.resolve({
+        "surface": {"name": "cylinder_cmc", "params": {"radius": 0.75}},
+        "multiplier": {"mode": "pmc"}, "with_potentials": True})
+    grid = settings.grids[0]
+    n_blocks = len(list(grid.blocks(3, 2)))
+    assert n_blocks >= 3
+    pipeline.analyze_level(settings, grid)
+    assert len(seen) == n_blocks + 2
+    assert max(seen) < grid.n_r
 
 
 def test_potential_set_keeps_only_its_band():

@@ -76,6 +76,53 @@ def test_analyze_level_runs_each_stage_once(name, monkeypatch):
                      "project": 3, "dz": 1}
 
 
+BLOCKED_CONFIGS = {
+    "pmc_cylinder": ONE_PASS_CONFIGS["pmc_cylinder"],
+    "spec_multiplier": {"surface": {"name": "inverted_catenoid"},
+                        "multiplier": {"mu": 0, "a_mu": [0.5, -0.25],
+                                       "f0": [[0.0, 0.0], [0.2, 0.1]]}},
+    "codim6_potentials": ONE_PASS_CONFIGS["codim6_potentials"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_CONFIGS))
+def test_blocked_level_record_is_the_one_block_record(name, monkeypatch):
+    # every kept row of the level pass equals the one-block pass, so the
+    # whole level record and the residues agree to the bit
+    settings = pipeline.resolve(BLOCKED_CONFIGS[name])
+    grid = PolarGrid(1e-3, 1.0, 96, 64)
+    m = settings.surface["ambient_dim"]
+    assert len(list(grid.blocks(m, 2))) == 1
+    dump = lambda run: json.dumps(g.jsonable([run[0], run[1].to_json()]))
+    one = dump(pipeline.analyze_level(settings, grid))
+    monkeypatch.setattr(g, "BLOCK_BYTES", 32 * 1024)
+    assert len(list(grid.blocks(m, 2))) >= 3
+    assert dump(pipeline.analyze_level(settings, grid)) == one
+
+
+@pytest.mark.parametrize("surface, message", [
+    ({"name": "no_such_chart"}, "unknown catalog surface 'no_such_chart'"),
+    ({"name": "cylinder_cmc", "params": {"radius": -0.5}},
+     "cylinder radius must be positive"),
+    ({"name": "clifford_torus_patch", "ambient_dim": 3},
+     "the Clifford torus needs ambient dimension >= 4"),
+    ({"name": "synthetic_th4", "params": {"theta0": 2, "a": 2}},
+     "need theta0 >= 1 and 0 <= a <= theta0 - 1"),
+    ({"name": "inverted_catenoid", "params": {"scale": True}},
+     "the inverted_catenoid params entry 'scale' is not a finite number"),
+])
+def test_bad_catalog_entry_refused_before_any_level(monkeypatch, surface,
+                                                    message):
+    def build_field(*args):
+        raise AssertionError("a level was begun")
+
+    monkeypatch.setattr(pipeline, "build_field", build_field)
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.run_pipeline({"surface": surface})
+    assert err.value.stage == "surface"
+    assert str(err.value.cause).startswith(message)
+
+
 @pytest.mark.parametrize("with_potentials", [False, True])
 def test_exterior_algebra_only_with_potentials(monkeypatch, with_potentials):
     # the flux and |grad n| come from the frame: only the potentials stage
@@ -129,9 +176,9 @@ def test_report_norms_are_the_equation_norms():
     # the equation owns the annulus of its norms: the library call and the
     # report agree to the bit
     settings = pipeline.resolve(ONE_PASS_CONFIGS["zero_multiplier"])
-    _, _, frame, _, curv = pipeline.level_geometry(settings,
-                                                   settings.grids[0])
-    norms = residual.equation(curv, frame).norms
+    field = pipeline.build_field(settings, settings.grids[0])
+    frame = surface.frame_and_gauss(field, surface.conformal_factor(field))
+    norms = residual.equation(curvature.curvature(field, frame), frame).norms
     doc = pipeline.run_pipeline(ONE_PASS_CONFIGS["zero_multiplier"])
     level = doc["levels"][0]
     assert level["strong_norms"] == norms["strong"]

@@ -186,11 +186,26 @@ def test_potential_set_solves_once_for_m_components(monkeypatch, m):
     assert calls == {"solve": [(m, 48, 32)], "grad": 1}
 
 
+def unblocked_R(L, beta0, field, curv):
+    """grad_perp R formed with the full wedges and integrated in one call:
+    R, its loop-defect part, grad_perp R and grad G (the set keeps only R's
+    loop defects)."""
+    grid, m, d1 = field.grid, field.ambient_dim, field.d1
+    bmv = lambda v: MultiVec.vector(m, v)
+    dU = g.grad(grid, solve_gG(beta0, field))
+    dG = [wedge(bmv(beta0), bmv(du)).coeffs for du in dU]
+    v_R = [(wedge(bmv(L), bmv(p)).coeffs
+            - 2.0 * wedge(bmv(curv.H), bmv(d)).coeffs - dG_k)
+           for p, d, dG_k in zip((-d1[1], d1[0]), d1, dG)]
+    R, part = integrate_curl_potential(grid, *v_R)
+    return R, part, v_R, dG
+
+
 @pytest.mark.parametrize("m", [3, 4, 8])
 def test_blocked_R_is_one_unblocked_integration(m):
     # v_R formed with the full wedges and integrated in one call gives the
-    # blocked R, the band rows of v_R and grad G, and the loop defects bit
-    # for bit
+    # band rows of v_R and grad G, and the loop defects of the blocked R,
+    # bit for bit
     grid = PolarGrid(1e-3, 1.0, 48, 32)
     field, frame, curv = analyzed("inverted_catenoid", grid, m)
     fl = equation(curv, frame).flux
@@ -198,16 +213,9 @@ def test_blocked_R_is_one_unblocked_integration(m):
     L, _ = potential_L(fl, beta0)
     band = grid.band(0.15, 0.85)
     pots = potential_set(L, beta0, field, curv, band)
-    bmv = lambda v: MultiVec.vector(m, v)
-    dU = g.grad(grid, solve_gG(beta0, field))
-    d1 = field.d1
-    dG = [wedge(bmv(beta0), bmv(du)).coeffs for du in dU]
-    v_R = [(wedge(bmv(L), bmv(p)).coeffs
-            - 2.0 * wedge(bmv(curv.H), bmv(d)).coeffs - dG_k)
-           for p, d, dG_k in zip((-d1[1], d1[0]), d1, dG)]
-    R, part = integrate_curl_potential(grid, *v_R)
+    assert not hasattr(pots, "R")
+    _, part, v_R, dG = unblocked_R(L, beta0, field, curv)
     defects = loop_defects(part)
-    assert np.array_equal(pots.R, R)
     for got, want in zip(pots.v_R + pots.dG, v_R + dG):
         assert np.array_equal(got, want[:, band.rows])
     got = pots.loop_defects["R"]
@@ -222,14 +230,15 @@ def full_chain(name, grid, band=(0.15, 0.85)):
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
     pots = potential_set(L, beta0, field, curv, grid.band(*band))
-    return field, frame, curv, pots
+    return field, frame, curv, pots, (L, beta0)
 
 
 def test_plane_potentials_constant():
     grid = PolarGrid(0.05, 1.0, 48, 64)
-    field, frame, curv, pots = full_chain("plane", grid)
+    field, frame, curv, pots, (L, beta0) = full_chain("plane", grid)
+    R = unblocked_R(L, beta0, field, curv)[0]
     assert np.ptp(pots.S) < 1e-12
-    assert np.ptp(pots.R.reshape(pots.R.shape[0], -1), axis=1).max() < 1e-12
+    assert np.ptp(R.reshape(R.shape[0], -1), axis=1).max() < 1e-12
 
 
 def test_sphere_loop_mismatch_refines():
@@ -238,7 +247,7 @@ def test_sphere_loop_mismatch_refines():
     defs, hs = [], []
     for n in (48, 96, 192):
         grid = PolarGrid(0.05, 1.0, n, 64)
-        _, _, _, pots = full_chain("sphere_stereographic", grid)
+        _, _, _, pots, _ = full_chain("sphere_stereographic", grid)
         defs.append(max(pots.loop_defects["S"]["defect"],
                         pots.loop_defects["R"]["defect"]))
         hs.append(grid.ds)
@@ -253,7 +262,7 @@ def test_conservative_system_residuals_refine(name):
     hs = []
     for n in (48, 96, 192):
         grid = PolarGrid(r_min, 1.0, n, 64)
-        field, frame, curv, pots = full_chain(name, grid, (lo, hi))
+        field, frame, curv, pots, _ = full_chain(name, grid, (lo, hi))
         out = verify_system(pots, field)
         for key in res:
             res[key].append(out[key]["rms"])
@@ -270,7 +279,7 @@ def test_verify_system_reads_only_its_band():
     # every input row outside the annulus and its halo is NaN, and the
     # norms come out unchanged: they rest on the band's rows alone
     grid = PolarGrid(1e-3, 1.0, 96, 64)
-    field, frame, _, pots = full_chain("inverted_catenoid", grid)
+    field, frame, _, pots, _ = full_chain("inverted_catenoid", grid)
     want = verify_system(pots, field)
     rows = pots.band.rows
     assert rows.stop - rows.start < grid.n_r // 4
@@ -278,7 +287,7 @@ def test_verify_system_reads_only_its_band():
     on_band = ImmersionField(pots.band, field.slots[:, :, rows])
     built = frame_and_gauss(on_band, conformal_factor(on_band), np.inf)
     for name in ("lam", "e1", "e2", "II", "gram"):
-        got, level = getattr(built, name), getattr(frame.on(pots.band), name)
+        got, level = getattr(built, name), getattr(frame, name)[..., rows, :]
         assert got.tobytes() == np.ascontiguousarray(level).tobytes(), name
 
     def blank(a, axis=0):
@@ -310,8 +319,9 @@ def test_synthetic_potentials_finite():
     beta0 = first_residue(fl)["beta0"]
     L, _ = potential_L(fl, beta0)
     pots = potential_set(L, beta0, field, curv, grid.band(0.15, 0.85))
+    R = unblocked_R(L, beta0, field, curv)[0]
     assert np.all(np.isfinite(pots.S))
-    assert np.all(np.isfinite(pots.R))
+    assert np.all(np.isfinite(R))
     assert np.isfinite(pots.loop_defects["S"]["defect"])
 
 

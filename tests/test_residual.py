@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from willmore import grid as g
+from willmore import pipeline
 from willmore.grid import PolarGrid, dot
 from willmore.curvature import curvature
 from willmore.multiplier import MultiplierSpec, pmc_multiplier
@@ -186,15 +187,16 @@ def test_equivalence_on_synthetic_with_multiplier():
     assert g.fit_order(hs, anti) >= 1.8
 
 
-def _level_passes(field, frame, multiplier):
-    curv = curvature(field, frame)
-    f = None
-    if multiplier == "spec":
-        spec = MultiplierSpec(mu=0, a_mu=0.5 + 0.2j, f0=(0, 0.3, -0.1j))
-        f = spec.evaluate(field.grid.z)
-    elif multiplier == "pmc":
-        f = pmc_multiplier(curv, frame)["f_pmc"]
-    return curv, equation(curv, frame, f, field)
+MULTIPLIERS = {"zero": None, "pmc": {"mode": "pmc"},
+               "spec": {"mu": 0, "a_mu": [0.5, 0.2],
+                        "f0": [[0, 0], [0.3, 0], [0, -0.1]]}}
+
+
+def _level_pass(field, multiplier):
+    """The level pass of ``pipeline.level_pass`` with ``multiplier``."""
+    settings = pipeline.resolve({"surface": {"name": "inverted_catenoid"},
+                                 "multiplier": MULTIPLIERS[multiplier]})
+    return pipeline.level_pass(settings, field, conformal_factor(field))
 
 
 @pytest.mark.parametrize("multiplier", ["zero", "spec", "pmc"])
@@ -202,23 +204,37 @@ def _level_passes(field, frame, multiplier):
 def test_row_blocks_equal_one_block(monkeypatch, multiplier, budget):
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field = catalog_surface("inverted_catenoid", {}, grid, 3)
-    frame = frame_and_gauss(field, conformal_factor(field))
     assert len(list(grid.blocks(3, 2))) == 1
-    curv, eq = _level_passes(field, frame, multiplier)
+    curv, pmc, eq = _level_pass(field, multiplier)
+    # one block is the whole-grid kernels
+    frame = frame_and_gauss(field, conformal_factor(field))
+    whole = curvature(field, frame)
+    f = {"zero": None, "pmc": pmc_multiplier(whole, frame)["f_pmc"],
+         "spec": MultiplierSpec.from_json(MULTIPLIERS["spec"]).evaluate(
+             grid.z)}[multiplier]
+    for name in ("H", "K", "energy_density", "dn_norm", "eH0_norm"):
+        assert np.array_equal(getattr(curv, name), getattr(whole, name))
+    assert eq.norms == equation(whole, frame, f, field).norms
 
     monkeypatch.setattr(g, "BLOCK_BYTES", budget)
     bands = list(grid.blocks(3, 2))
     assert len(bands) >= 3
     assert bands[0].rows.start == 0 and bands[-1].rows.stop == grid.n_r
-    curv_b, eq_b = _level_passes(field, frame, multiplier)
+    curv_b, pmc_b, eq_b = _level_pass(field, multiplier)
     # whole arrays: the rows next to both grid ends, read through the
     # one-sided stencils, and the rows next to every block edge
-    for name in ("lam", "H", "H0", "K", "energy_density"):
+    for name in ("lam", "H", "K", "energy_density", "dn_norm", "eH0_norm"):
         assert np.array_equal(getattr(curv_b, name), getattr(curv, name))
+    assert curv_b.H0 is None and pmc_b.keys() == pmc.keys() == {
+        "abs_max", "dz_max"}
+    for key, v in pmc.items():
+        assert np.array_equal(pmc_b[key], v)
     assert np.array_equal(eq_b.flux.raw, eq.flux.raw)
     assert eq_b.squares.keys() == eq.squares.keys()
     for key, sq in eq.squares.items():
         assert np.array_equal(eq_b.squares[key], sq)
+    assert np.array_equal(eq_b.parallel, eq.parallel)
+    assert np.array_equal(eq_b.scale, eq.scale)
     assert eq_b.norms == eq.norms
     assert eq_b.pmc_defect == eq.pmc_defect
     assert eq.norms["div"]["max"] > 0.0 and eq.pmc_defect > 0.0
@@ -264,7 +280,8 @@ def test_flux_term_frame_form(name):
         field = catalog_surface(name, params, grid, m)
         frame = frame_and_gauss(field, conformal_factor(field),
                                 defect_threshold=2.0)
-        H = curvature(field, frame).H
+        curv = curvature(field, frame)
+        H, dn_norm = curv.H, curv.dn_norm
         dn = stencil_dn(frame)
         eH = g.dot(frame.e1, H), g.dot(frame.e2, H)
         got = np.stack([star_dn_wedge(frame, H, eH, i) for i in (0, 1)])
@@ -275,15 +292,15 @@ def test_flux_term_frame_form(name):
         stencil_norm = np.sqrt(dot(dn[0], dn[0]) + dot(dn[1], dn[1]))
         if name in ("plane", "branched_plane"):
             # n is constant: |grad n| and the term sit at rounding level
-            assert np.max(grid.rr * frame.dn_norm) < 1e-13
+            assert np.max(grid.rr * dn_norm) < 1e-13
             assert np.max(grid.rr * stencil_norm) < 1e-13
             assert scale < 1e-13
             continue
         gap = lambda a: g.annulus_norms(grid, np.linalg.norm(a, axis=0))
         term_gaps.append(max(gap(got[i] - old[i])["max"]
                              for i in (0, 1)) / scale)
-        norm_gaps.append(g.annulus_norms(grid, stencil_norm - frame.dn_norm)
-                         ["max"] / float(np.max(frame.dn_norm)))
+        norm_gaps.append(g.annulus_norms(grid, stencil_norm - dn_norm)
+                         ["max"] / float(np.max(dn_norm)))
     falls = lambda gaps: all(a >= 3.5 * b for a, b in zip(gaps, gaps[1:]))
     if name in ("plane", "branched_plane"):
         return

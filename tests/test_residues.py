@@ -23,7 +23,7 @@ def analyzed_frame(field):
     conformal = conformal_factor(field)
     thr = max(1e-6, 2.0 * float(np.max(conformal[1])))
     frame = frame_and_gauss(field, conformal, defect_threshold=thr)
-    br = branch_order(frame)
+    br = branch_order(field.grid, frame.lam)
     return frame, br
 
 
@@ -79,10 +79,8 @@ def test_branch_order_rejects_non_integer_slope():
     field = catalog_surface("plane", {}, grid, 3)
     frame = frame_and_gauss(field, conformal_factor(field))
     half = frame.lam + 0.5 * np.log(grid.rr)  # slope 1/2: not a branch
-    import dataclasses
-    bad = dataclasses.replace(frame, lam=half)
     with pytest.raises(ResidueError):
-        branch_order(bad)
+        branch_order(grid, half)
 
 
 # -- tangent vector -----------------------------------------------------------
@@ -98,7 +96,7 @@ def test_tangent_vector_planted():
     A = 0.8 * (u + 1j * v)
     field = catalog_surface("branched_plane", {"theta0": 3, "A": A}, grid, 3)
     frame, br = analyzed_frame(field)
-    td = tangent_vector(field, frame, br)
+    td = tangent_vector(field, br)
     assert np.max(np.abs(td.A - A)) < 1e-8
     assert td.isotropy_defect < 1e-10
     assert td.normal_defect < 1e-8
@@ -110,7 +108,7 @@ def test_tangent_vector_sphere_norm():
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field = catalog_surface("sphere_stereographic", {"R": R}, grid, 3)
     frame, br = analyzed_frame(field)
-    td = tangent_vector(field, frame, br)
+    td = tangent_vector(field, br)
     assert np.linalg.norm(td.A.real) == pytest.approx(2 * R, rel=1e-6)
     assert np.linalg.norm(td.A.imag) == pytest.approx(2 * R, rel=1e-6)
     assert np.exp(br.u0) == pytest.approx(2 * R, rel=1e-6)
@@ -127,7 +125,7 @@ def test_tangent_vector_synthetic_recovery():
                             {"theta0": 2, "a": 1, "A": A, "E_a": E,
                              "gamma0": [0, 0, 0.1, 0]}, grid, 4)
     frame, br = analyzed_frame(field)
-    td = tangent_vector(field, frame, br)
+    td = tangent_vector(field, br)
     assert np.max(np.abs(td.A - A)) < 1e-6
 
 
@@ -219,7 +217,7 @@ def test_modified_residue_cancels_multiplier_circulation():
          "gamma0": [0, 0, 0.3, -0.1]}, grid, 4)
     frame, br = analyzed_frame(field)
     curv = curvature(field, frame)
-    td = tangent_vector(field, frame, br)
+    td = tangent_vector(field, br)
     b_plain = first_residue(equation(curv, frame).flux)["beta0"]
     f_field = spec.evaluate(grid.z)
     b_with_f = first_residue(equation(curv, frame, f_field,
@@ -242,7 +240,7 @@ def test_second_residue_with_log_multiplier():
          "gamma0": [0, 0, 0.25, 0]}, grid, 4)
     frame, br = analyzed_frame(field)
     curv = curvature(field, frame)
-    td = tangent_vector(field, frame, br)
+    td = tangent_vector(field, br)
     f_field = spec.evaluate(grid.z)
     fl = equation(curv, frame, f_field, field).flux
     beta0 = first_residue(fl)["beta0"]
@@ -458,7 +456,7 @@ def test_rotation_equivariance():
         curv = curvature(field, frame)
         fl = equation(curv, frame).flux
         out = first_residue(fl)
-        td = tangent_vector(field, frame, br)
+        td = tangent_vector(field, br)
         L, ldef = potential_L(fl, out["beta0"])
         sr = second_residue(w_field(L, curv.H, out["beta0"], None, grid), grid,
                             ldef["noise_profile"])
