@@ -6,7 +6,6 @@ the local asymptotic expansions of the immersion and its mean curvature, and
 classifies point removability.
 """
 
-from willmore.multivec import MultiVec
 from willmore.grid import PolarGrid
 from willmore.surface import (ImmersionField, FrameField, catalog_surface,
                               conformal_factor, frame_and_gauss)
@@ -14,7 +13,7 @@ from willmore.curvature import CurvatureField, curvature, willmore_energy
 from willmore.multiplier import MultiplierSpec
 
 __all__ = [
-    "MultiVec", "PolarGrid", "ImmersionField", "FrameField", "catalog_surface",
+    "PolarGrid", "ImmersionField", "FrameField", "catalog_surface",
     "conformal_factor", "frame_and_gauss", "CurvatureField", "curvature",
     "willmore_energy", "MultiplierSpec",
 ]

@@ -37,8 +37,8 @@ import numpy as np
 
 from willmore.curvature import CurvatureField
 from willmore.grid import PolarGrid, RowBand, div, dot, grad
-from willmore.multivec import (MultiVec, _apply_bilinear, _wedge_table, bullet,
-                               inner, wedge)
+from willmore.multivec import (_apply_bilinear, _wedge_terms, bullet_21,
+                               bullet_22, wedge)
 from willmore.residues import integrate_curl_potential, loop_defects
 from willmore.surface import ImmersionField, conformal_factor, frame_and_gauss
 
@@ -148,7 +148,7 @@ def potential_set(L: np.ndarray, beta0: np.ndarray, field: ImmersionField,
         cols = slice(lo, lo + width)
         # the table cut to the block's outputs: the wedge's slice, bitwise
         table = tuple((a, b, o - lo, sg) for a, b, o, sg
-                      in _wedge_table(m, 1, 1) if lo <= o < lo + width)
+                      in _wedge_terms(m) if lo <= o < lo + width)
         wb = lambda a, b: _apply_bilinear(table, a, b, width)
         # L ^ grad_perp Phi - 2 H ^ grad Phi - grad G (exact sign, doubling)
         v = [sign * wb(L, d1[1 - k]) - 2.0 * wb(curv.H, d1[k])
@@ -179,20 +179,17 @@ def verify_system(pots: PotentialSet, field: ImmersionField) -> dict:
     signs (s1 .. s5 below) carry the orientation of the contraction terms
     relative to the printed system; they are the ones under which every
     residual is refinement-convergent with this package's Hodge star
-    (star e_I = sign(I, I^c) e_{I^c}) and first-order contraction
-    (``bullet``), whose conventions differ from the cited statements'.
+    (star e_I = sign(I, I^c) e_{I^c}) and contractions ``bullet_21`` and
+    ``bullet_22``, whose conventions differ from the cited statements'.
     """
-    grid, m = pots.band, field.ambient_dim
+    grid = pots.band
     field = field.on(grid)
     frame = frame_and_gauss(field, conformal_factor(field), np.inf)
     s_bullR, s_dotS, s_bullG, s_sng, s_phi = -1, -1, -1, -1, +1
-    mk2 = lambda c: MultiVec(m, 2, c)
-    mk1 = lambda c: MultiVec.vector(m, c)
-    w11 = lambda a, b: wedge(mk1(a), mk1(b)).coeffs
-    e1, e2 = frame.e1, frame.e2
-    sn = mk2(w11(e1, e2))  # star n
-    sn_x, sn_y = (w11(nu1, e2) + w11(e1, nu2) for nu1, nu2 in frame.nu)
-    del frame, e1, e2  # and the frame's II and nu
+    sn = wedge(frame.e1, frame.e2)  # star n
+    sn_x, sn_y = (wedge(nu1, frame.e2) + wedge(frame.e1, nu2)
+                  for nu1, nu2 in frame.nu)
+    del frame  # its e1, e2, II and nu
 
     # grad_perp S = v_S and grad_perp R = v_R by construction, so
     # grad S = rot(v_S) and Lap S = d1(v_S_2) - d2(v_S_1); each residual's
@@ -203,18 +200,17 @@ def verify_system(pots: PotentialSet, field: ImmersionField) -> dict:
     (gx, gy), (Gx, Gy) = pots.dg, pots.dG
 
     # -Lap S = grad(star n) . perp grad R + div((star n) . grad G)
-    dot_R = (inner(mk2(sn_x), mk2(perp_R[0])) + inner(mk2(sn_y), mk2(perp_R[1])))
-    div_w = div(grid, inner(sn, mk2(Gx)), inner(sn, mk2(Gy)))
+    dot_R = dot(sn_x, perp_R[0]) + dot(sn_y, perp_R[1])
+    div_w = div(grid, dot(sn, Gx), dot(sn, Gy))
     norms = {"sysS": grid.norms(-div(grid, Sx, Sy) - dot_R - div_w)}
     del dot_R, div_w
 
     # -Lap R = s1 grad(star n) bullet perp grad R - grad(star n) perp grad S
     #          + div(s3 (star n) bullet grad G + s4 (star n) grad g)
     div_f = div(grid,
-                s_bullG * bullet(sn, mk2(Gx)).coeffs + s_sng * sn.coeffs * gx,
-                s_bullG * bullet(sn, mk2(Gy)).coeffs + s_sng * sn.coeffs * gy)
-    bull_R = (bullet(mk2(sn_x), mk2(perp_R[0])).coeffs
-              + bullet(mk2(sn_y), mk2(perp_R[1])).coeffs)
+                s_bullG * bullet_22(sn, Gx) + s_sng * sn * gx,
+                s_bullG * bullet_22(sn, Gy) + s_sng * sn * gy)
+    bull_R = bullet_22(sn_x, perp_R[0]) + bullet_22(sn_y, perp_R[1])
     dot_S = sn_x * perp_S[0] + sn_y * perp_S[1]
     del sn, sn_x, sn_y
     norms["sysR"] = grid.norms(-div(grid, Rx, Ry) - s_bullR * bull_R
@@ -226,8 +222,8 @@ def verify_system(pots: PotentialSet, field: ImmersionField) -> dict:
     d1, d2 = field.d1, field.d2
     perp_phi = (-d1[1], d1[0])
     t_scal = (Sx + gy) * perp_phi[0] + (Sy - gx) * perp_phi[1]
-    t_bull = (bullet(mk2(Rx + Gy), mk1(perp_phi[0])).coeffs
-              + bullet(mk2(Ry - Gx), mk1(perp_phi[1])).coeffs)
+    t_bull = (bullet_21(Rx + Gy, perp_phi[0])
+              + bullet_21(Ry - Gx, perp_phi[1]))
     norms["delphi"] = grid.norms(-2.0 * (d2[0] + d2[2]) - t_scal
                                  - s_phi * t_bull)
     return norms

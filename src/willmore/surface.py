@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -446,21 +447,31 @@ def save_samples_csv(field: ImmersionField, path) -> None:
 
 
 def load_samples_csv(path) -> ImmersionField:
+    """Samples read from r, theta, phi_1 .. phi_m rows; a malformed row, a
+    non-finite value or a repeated node is refused with its CSV line."""
+    rows = []                              # (line, values) per node
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         m = len(next(reader, [])) - 2
         if not MIN_DIM <= m <= MAX_DIM:
             raise SurfaceError(f"CSV has {m + 2} columns: need r, theta and "
                                f"{MIN_DIM} to {MAX_DIM} coordinates")
-        rows = [[float(v) for v in row] for row in reader]
-    for i, row in enumerate(rows, 2):      # line 1 is the header
-        if len(row) != m + 2:
-            raise SurfaceError(f"CSV line {i}: {len(row)} fields, not {m + 2}")
+        for row in reader:
+            line = f"CSV line {reader.line_num}"
+            if len(row) != m + 2:
+                raise SurfaceError(f"{line}: {len(row)} fields, not {m + 2}")
+            try:
+                row = [float(v) for v in row]
+            except ValueError as err:
+                raise SurfaceError(f"{line}: {err}") from None
+            if not all(map(isfinite, row)):
+                what = ("samples" if all(map(isfinite, row[:2]))
+                        else "node coordinates")
+                raise SurfaceError(f"{line}: {what} must be finite")
+            rows.append((reader.line_num, row))
     if not rows:
         raise SurfaceError("CSV has a header but no sample rows")
-    data = np.asarray(rows)
-    if not np.all(np.isfinite(data[:, :2])):
-        raise SurfaceError("CSV node coordinates must be finite")
+    data = np.asarray([row for _, row in rows])
     # the sorted distinct radii and angles (np.unique would import numpy.ma)
     r_vals, th_vals = (np.sort(data[:, k]) for k in (0, 1))
     r_vals, th_vals = (v[np.append(True, v[1:] != v[:-1])]
@@ -472,9 +483,15 @@ def load_samples_csv(path) -> ImmersionField:
     if not (np.allclose(grid.r, r_vals, rtol=1e-9)
             and np.allclose(grid.theta, th_vals, rtol=1e-9, atol=1e-12)):
         raise SurfaceError("CSV nodes are not exponential-polar")
-    phi = np.full((m, n_r, n_theta), np.nan)
+    # as many rows as nodes: with no node repeated, every node is filled
+    phi = np.empty((m, n_r, n_theta))
     ri = {float(v): i for i, v in enumerate(r_vals)}
     ti = {float(v): i for i, v in enumerate(th_vals)}
-    for row in rows:
-        phi[:, ri[row[0]], ti[row[1]]] = row[2:]
+    first = {}                             # node -> the line that gave it
+    for line, (r, theta, *sample) in rows:
+        i, j = ri[r], ti[theta]
+        if first.setdefault((i, j), line) != line:
+            raise SurfaceError(f"CSV line {line}: node r = {r!r}, theta = "
+                               f"{theta!r} repeats line {first[i, j]}")
+        phi[:, i, j] = sample
     return from_samples(grid, phi)

@@ -1,10 +1,12 @@
 """Closed-form oracles, chart transforms, curvature norms and identity
 cross-checks that only the tests use, among them both anti-holomorphy
-checks of the multiplier, the Hodge star and interior product of the
-exterior algebra, and the Gauss map n = star(e1 ^ e2) with the two forms
-of the flux term star(grad n ^ H) that the frame form replaced."""
+checks of the multiplier, the grade-general exterior algebra (wedge, Hodge
+star, interior product and the contraction tables it implies), and the
+Gauss map n = star(e1 ^ e2) with the two forms of the flux term
+star(grad n ^ H) that the frame form replaced."""
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -12,8 +14,7 @@ import numpy as np
 from willmore import jets
 from willmore.grid import annulus_norms, dot, dz, dzbar, grad, laplacian
 from willmore.jets import Jet
-from willmore.multivec import (AlgebraError, MultiVec, _apply_bilinear,
-                               _masks, _positions, _wedge_sign, wedge)
+from willmore.multivec import _apply_bilinear, wedge
 from willmore.potentials import _solve_modes
 from willmore.surface import normal_projector, synthetic_th4_coefficients
 
@@ -185,21 +186,60 @@ def gG_per_component(beta0, field):
     component: Lap g = grad(Gamma) . grad(Phi) and
     Lap G = grad(Gamma) ^ grad(Phi) with Gamma = 2 beta0 log|x|, assembled
     from the two components of grad(Gamma) as written."""
-    grid, d1, m = field.grid, field.d1, field.ambient_dim
+    grid, d1 = field.grid, field.d1
     r2 = grid.rr ** 2
     beta0 = np.asarray(beta0)[:, None, None]
     gam_x = 2.0 * grid.x * beta0 / r2
     gam_y = 2.0 * grid.y * beta0 / r2
     rhs_g = dot(gam_x, d1[0]) + dot(gam_y, d1[1])
-    bmv = lambda v: MultiVec.vector(m, v)
-    rhs_G = (wedge(bmv(gam_x), bmv(d1[0])).coeffs
-             + wedge(bmv(gam_y), bmv(d1[1])).coeffs)
+    rhs_G = wedge(gam_x, d1[0]) + wedge(gam_y, d1[1])
     return _solve_modes(grid, rhs_g), _solve_modes(grid, rhs_G)
 
 
 # ---------------------------------------------------------------------------
-# Hodge star and interior product
+# the grade-general exterior algebra
 # ---------------------------------------------------------------------------
+# A grade-k element of Lambda^k R^m is one coefficient per strictly
+# increasing k-subset of {1..m}, subsets ordered lexicographically, stored
+# coefficient-major as in ``willmore.multivec``; every grade is passed.
+
+@lru_cache(maxsize=None)
+def _masks(m: int, k: int) -> tuple:
+    # bitmask per sorted k-subset of {1..m}; bit (i-1) set means index i present
+    return tuple(sum(1 << (i - 1) for i in combo)
+                 for combo in combinations(range(1, m + 1), k))
+
+
+@lru_cache(maxsize=None)
+def _positions(m: int, k: int) -> dict:
+    return {mask: pos for pos, mask in enumerate(_masks(m, k))}
+
+
+def _wedge_sign(mask_a: int, mask_b: int) -> int:
+    # parity of moving every index of b past the larger indices of a
+    sign = 1
+    b = mask_b
+    while b:
+        low = b & -b
+        above = mask_a & ~(2 * low - 1)
+        if bin(above).count("1") % 2:
+            sign = -sign
+        b ^= low
+    return sign
+
+
+@lru_cache(maxsize=None)
+def wedge_table(m: int, p: int, q: int) -> tuple:
+    out_pos = _positions(m, p + q)
+    return tuple((ia, ib, out_pos[ma | mb], _wedge_sign(ma, mb))
+                 for ia, ma in enumerate(_masks(m, p))
+                 for ib, mb in enumerate(_masks(m, q)) if not ma & mb)
+
+
+def ext_wedge(m: int, p: int, a, q: int, b) -> np.ndarray:
+    """a ^ b of a grade-p and a grade-q element."""
+    return _apply_bilinear(wedge_table(m, p, q), a, b, comb(m, p + q))
+
 
 @lru_cache(maxsize=None)
 def _star_table(m: int, k: int):
@@ -228,56 +268,65 @@ def _interior_table(m: int, q: int, p: int):
     return tuple(table)
 
 
-def hodge_star(a: MultiVec) -> MultiVec:
-    """Hodge dual for the standard orientation: star e_I = sign(I, I^c) e_{I^c}."""
-    m, k = a.ambient_dim, a.grade
+def hodge_star(m: int, k: int, a) -> np.ndarray:
+    """Hodge dual of a grade-k element for the standard orientation:
+    star e_I = sign(I, I^c) e_{I^c}."""
     inv, sgn = _star_table(m, k)
-    sgn = sgn.reshape(sgn.shape + (1,) * (a.coeffs.ndim - 1))
-    return MultiVec(m, m - k, (a.coeffs * sgn)[inv])
+    return (a * sgn.reshape(sgn.shape + (1,) * (a.ndim - 1)))[inv]
 
 
-def interior(gamma: MultiVec, beta: MultiVec) -> MultiVec:
-    """Interior multiplication, <gamma . beta, alpha> = <gamma, beta ^ alpha>."""
-    gamma._like(beta)
-    if gamma.grade < beta.grade:
-        raise AlgebraError(
-            f"interior needs grade(gamma) >= grade(beta), got {gamma.grade} < {beta.grade}")
-    m = gamma.ambient_dim
-    k = gamma.grade - beta.grade
-    table = _interior_table(m, gamma.grade, beta.grade)
-    return MultiVec(m, k, _apply_bilinear(table, gamma.coeffs, beta.coeffs, comb(m, k)))
+def interior(m: int, q: int, gamma, p: int, beta) -> np.ndarray:
+    """Interior multiplication of a grade-q gamma by a grade-p beta (p <= q),
+    <gamma . beta, alpha> = <gamma, beta ^ alpha>."""
+    return _apply_bilinear(_interior_table(m, q, p), gamma, beta, comb(m, q - p))
+
+
+@lru_cache(maxsize=None)
+def bullet_table(m: int, q: int) -> tuple:
+    """Terms of a bivector bullet a grade-q element (q = 1 or 2), from the
+    interior product and the wedge: alpha . e_b is the interior product and
+    alpha . (e_b ^ e_c) = (alpha . e_b) ^ e_c - (alpha . e_c) ^ e_b for
+    b < c; ordered by alpha's basis element, then e_B's, then the output's."""
+    vec = np.eye(m, dtype=int)
+    table = []
+    for ia, alpha in enumerate(np.eye(comb(m, 2), dtype=int)):
+        for ib, mask in enumerate(_masks(m, q)):
+            b, *c = (vec[i] for i in range(m) if mask >> i & 1)
+            out = interior(m, 2, alpha, 1, b)
+            if c:
+                out = (ext_wedge(m, 1, out, 1, c[0])
+                       - ext_wedge(m, 1, interior(m, 2, alpha, 1, c[0]), 1, b))
+            table += [(ia, ib, io, int(s)) for io, s in enumerate(out) if s]
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
 # the Gauss map and the flux term star(grad n ^ H)
 # ---------------------------------------------------------------------------
 
-def gauss_map(frame) -> MultiVec:
-    """n = star(e1 ^ e2) of a ``FrameField``, normalized per node."""
+def gauss_map(frame) -> np.ndarray:
+    """n = star(e1 ^ e2) of a ``FrameField``, normalized per node: an
+    (m - 2)-vector."""
     m = frame.e1.shape[0]
-    vec = lambda v: MultiVec.vector(m, v)
-    n = hodge_star(wedge(vec(frame.e1), vec(frame.e2))).coeffs
-    return MultiVec(m, m - 2, n / np.sqrt(dot(n, n)))
+    n = hodge_star(m, 2, wedge(frame.e1, frame.e2))
+    return n / np.sqrt(dot(n, n))
 
 
 def star_dn_wedge_algebra(frame, H, i) -> np.ndarray:
     """star(d_i n ^ H) with the exterior-algebra operators, from the exact
     derivative d_i n = star(nu1_i ^ e2 + e1 ^ nu2_i)."""
     m = H.shape[0]
-    vec = lambda v: MultiVec.vector(m, v)
     nu1, nu2 = frame.nu[i]
-    d = (wedge(vec(nu1), vec(frame.e2)).coeffs
-         + wedge(vec(frame.e1), vec(nu2)).coeffs)
-    return hodge_star(wedge(hodge_star(MultiVec(m, 2, d)), vec(H))).coeffs
+    d = wedge(nu1, frame.e2) + wedge(frame.e1, nu2)
+    return star_dn_wedge_stencil(hodge_star(m, 2, d), H)
 
 
 def stencil_dn(frame) -> tuple:
     """(d_x n, d_y n): the grid stencils applied to the sampled Gauss map."""
-    return grad(frame.grid, gauss_map(frame).coeffs)
+    return grad(frame.grid, gauss_map(frame))
 
 
 def star_dn_wedge_stencil(dn_i, H) -> np.ndarray:
     """star(d_i n ^ H) from a stencil derivative ``dn_i`` of the Gauss map."""
     m = H.shape[0]
-    dn = MultiVec(m, m - 2, dn_i)
-    return hodge_star(wedge(dn, MultiVec.vector(m, H))).coeffs
+    return hodge_star(m, m - 1, ext_wedge(m, m - 2, dn_i, 1, H))

@@ -7,7 +7,7 @@ from willmore import grid as g
 from willmore.grid import PolarGrid
 from willmore.curvature import curvature
 from willmore import potentials
-from willmore.multivec import MultiVec, wedge
+from willmore.multivec import wedge
 from willmore.potentials import (PotentialError, _solve_modes, potential_set,
                                  solve_gG, verify_system)
 from willmore.residual import equation
@@ -108,9 +108,7 @@ def analyzed(name, grid, m=3):
 def gG(beta0, field):
     """g = beta0 . U and G = beta0 ^ U from ``solve_gG``'s U."""
     U = solve_gG(beta0, field)
-    m = field.ambient_dim
-    return (g.dot(U, beta0),
-            wedge(MultiVec.vector(m, beta0), MultiVec.vector(m, U)).coeffs)
+    return g.dot(U, beta0), wedge(beta0, U)
 
 
 def test_zero_beta0_gives_zero_potentials(monkeypatch):
@@ -190,12 +188,10 @@ def unblocked_R(L, beta0, field, curv):
     """grad_perp R formed with the full wedges and integrated in one call:
     R, its loop-defect part, grad_perp R and grad G (the set keeps only R's
     loop defects)."""
-    grid, m, d1 = field.grid, field.ambient_dim, field.d1
-    bmv = lambda v: MultiVec.vector(m, v)
+    grid, d1 = field.grid, field.d1
     dU = g.grad(grid, solve_gG(beta0, field))
-    dG = [wedge(bmv(beta0), bmv(du)).coeffs for du in dU]
-    v_R = [(wedge(bmv(L), bmv(p)).coeffs
-            - 2.0 * wedge(bmv(curv.H), bmv(d)).coeffs - dG_k)
+    dG = [wedge(beta0, du) for du in dU]
+    v_R = [wedge(L, p) - 2.0 * wedge(curv.H, d) - dG_k
            for p, d, dG_k in zip((-d1[1], d1[0]), d1, dG)]
     R, part = integrate_curl_potential(grid, *v_R)
     return R, part, v_R, dG

@@ -16,9 +16,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "willmore"
 #: names kept without a reader in ``src``, each with its reason
 ALLOWED = {
     "VERDICTS": "the verdict vocabulary: tests read it, and the three-valued "
-                "zero test of ROADMAP item 1 extends it",
+                "zero test of ROADMAP item 2 extends it",
     "dzbar": "the Codazzi oracle of tests/oracles.py reads it, and the gate "
-             "ledger of ROADMAP item 6 brings that check into src",
+             "ledger of ROADMAP item 13 brings that check into src",
 }
 
 

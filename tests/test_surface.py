@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from willmore import grid as g
+from willmore import surface
 from willmore.curvature import curvature
 from willmore.grid import PolarGrid
-from willmore.multivec import MultiVec, wedge
+from willmore.multivec import wedge
 from willmore.pipeline import build_field, resolve
 from willmore.surface import (
     SurfaceError, catalog_surface, conformal_factor, frame_and_gauss,
@@ -12,8 +13,8 @@ from willmore.surface import (
     synthetic_th4_coefficients, CATALOG, CATALOG_PARAMS,
 )
 
-from oracles import (gauss_map, hodge_star, inverted_chart, rotated_chart,
-                     synthetic_th4_per_component)
+from oracles import (ext_wedge, gauss_map, hodge_star, inverted_chart,
+                     rotated_chart, synthetic_th4_per_component)
 
 GEOMETRIC = ["plane", "branched_plane", "sphere_stereographic", "catenoid_end",
              "inverted_catenoid", "cylinder_cmc", "clifford_torus_patch"]
@@ -93,7 +94,7 @@ def test_sphere_normal_is_radial():
     # m = 3: n = star(e1 ^ e2) is already a 1-vector, the sphere normal up
     # to sign, and II = pi_n d2 Phi lies along it
     radial = field.phi / np.linalg.norm(field.phi, axis=0, keepdims=True)
-    align = np.abs(np.sum(gauss_map(frame).coeffs * radial, axis=0))
+    align = np.abs(np.sum(gauss_map(frame) * radial, axis=0))
     assert np.min(align) > 1 - 1e-10
     II = frame.II
     tang = II - np.sum(II * radial, axis=1, keepdims=True) * radial
@@ -105,7 +106,7 @@ def test_plane_gauss_map_constant():
     frame = frame_and_gauss(field, conformal_factor(field))
     expect = np.zeros(3)
     expect[2] = 1.0
-    assert np.allclose(np.abs(g.dot(gauss_map(frame).coeffs, expect)), 1.0,
+    assert np.allclose(np.abs(g.dot(gauss_map(frame), expect)), 1.0,
                        atol=1e-12)
     # the constant map has no derivative: II and |grad n| vanish
     assert np.max(np.abs(frame.II)) < 1e-12
@@ -117,15 +118,12 @@ def test_hodge_frame_identities_nodewise(name):
     field = build(name)
     frame = frame_and_gauss(field, conformal_factor(field))
     m = field.ambient_dim
-    e1 = MultiVec.vector(m, frame.e1)
-    e2 = MultiVec.vector(m, frame.e2)
     n = gauss_map(frame)
-    raw = hodge_star(wedge(e1, e2)).coeffs  # unit without normalizing
+    raw = hodge_star(m, 2, wedge(frame.e1, frame.e2))  # unit without normalizing
     assert np.max(np.abs(np.linalg.norm(raw, axis=0) - 1.0)) < 1e-12
-    lhs = hodge_star(wedge(n, e1))
-    assert np.max(np.abs(lhs.coeffs - frame.e2)) < 1e-9
-    lhs2 = hodge_star(wedge(n, e2))
-    assert np.max(np.abs(lhs2.coeffs + frame.e1)) < 1e-9
+    n_e = lambda e: hodge_star(m, m - 1, ext_wedge(m, m - 2, n, 1, e))
+    assert np.max(np.abs(n_e(frame.e1) - frame.e2)) < 1e-9
+    assert np.max(np.abs(n_e(frame.e2) + frame.e1)) < 1e-9
     # II is normal: pi_n d2 Phi has no part along e1 or e2
     scale = max(float(np.max(np.abs(field.d2))), 1.0)
     for e in (frame.e1, frame.e2):
@@ -314,5 +312,46 @@ def test_csv_non_finite_coordinate_refused(tmp_path, bad):
         row = lines[5].split(",")
         row[col] = bad
         path.write_text("\n".join(lines[:5] + [",".join(row)] + lines[6:]))
-        with pytest.raises(SurfaceError, match="finite"):
+        with pytest.raises(SurfaceError, match="^CSV line 6: node coordinates "
+                                               "must be finite$"):
             load_samples_csv(path)
+
+
+def plane_csv(tmp_path):
+    """A 48x32 plane chart saved as CSV: its path and its lines."""
+    grid = PolarGrid(0.05, 1.0, 48, 32)
+    path = tmp_path / "samples.csv"
+    save_samples_csv(catalog_surface("plane", {}, grid, 3), path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("col, bad, message", [
+    (2, "abc", "CSV line 7: could not convert string to float: 'abc'"),
+    (0, "abc", "CSV line 7: could not convert string to float: 'abc'"),
+    (3, "inf", "CSV line 7: samples must be finite"),
+    (4, "nan", "CSV line 7: samples must be finite"),
+])
+def test_csv_bad_value_refused_with_its_line(tmp_path, monkeypatch, col,
+                                             bad, message):
+    path, lines = plane_csv(tmp_path)
+    row = lines[6].split(",")
+    row[col] = bad
+    path.write_text("\n".join(lines[:6] + [",".join(row)] + lines[7:]))
+    # refused as it is read: nothing is differentiated
+    monkeypatch.setattr(surface, "from_samples", None)
+    with pytest.raises(SurfaceError) as err:
+        load_samples_csv(path)
+    assert str(err.value) == message
+
+
+def test_csv_repeated_node_refused_with_both_lines(tmp_path, monkeypatch):
+    # line 10 takes line 7's node, so line 10's own node has no sample
+    path, lines = plane_csv(tmp_path)
+    r, theta = lines[6].split(",")[:2]
+    row = [r, theta] + lines[9].split(",")[2:]
+    path.write_text("\n".join(lines[:9] + [",".join(row)] + lines[10:]))
+    monkeypatch.setattr(surface, "from_samples", None)
+    with pytest.raises(SurfaceError) as err:
+        load_samples_csv(path)
+    assert str(err.value) == (f"CSV line 10: node r = {float(r)!r}, "
+                              f"theta = {float(theta)!r} repeats line 7")
