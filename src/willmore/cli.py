@@ -90,10 +90,13 @@ def _write_json(doc, out) -> int:
 
 def cmd_generate(args) -> int:
     from willmore.pipeline import _stage, build_field, resolve
-    from willmore.surface import save_samples_csv
+    from willmore.surface import from_chart, save_samples_csv
 
     settings = resolve(_load_config(args.config))
     field = _stage("surface", build_field, settings, settings.grids[0])
+    if field.d2 is None:  # a chart, sampled on the whole grid at once
+        field = _stage("surface", from_chart, field.chart, field.grid,
+                       field.ambient_dim)
     save_samples_csv(field, args.out)
     print(f"wrote {field.grid.n_r * field.grid.n_theta} samples to {args.out}")
     return 0

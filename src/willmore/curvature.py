@@ -61,13 +61,14 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
 
     H = np.divide(0.5 * (pxx + pyy), e2l)
 
-    dz_phi = 0.5 * (p1 - 1j * p2)
-    dzz_phi = 0.25 * (pxx - pyy - 2j * pxy)
     lam_x = (dot(p1, pxx) + dot(p2, pxy)) / (2.0 * e2l)
     lam_y = (dot(p1, pxy) + dot(p2, pyy)) / (2.0 * e2l)
     dz_lam = 0.5 * (lam_x - 1j * lam_y)
-    H0 = np.divide(2.0 * (dzz_phi - 2.0 * dz_lam * dz_phi), e2l)
-    del dz_phi, dzz_phi
+    dz_phi = 0.5 * (p1 - 1j * p2)
+    H0 = 0.25 * (pxx - pyy - 2j * pxy)  # dzz_phi, turned into H0 in place
+    H0 -= np.multiply(2.0 * dz_lam, dz_phi, out=dz_phi)
+    del dz_phi
+    np.divide(np.multiply(2.0, H0, out=H0), e2l, out=H0)
 
     density = np.multiply(dot(H, H), e2l)
     dn_norm = np.sqrt(sum(dot(v, v) for pair in frame.nu for v in pair))

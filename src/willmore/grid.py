@@ -17,7 +17,7 @@ the leading (ambient) axis: bilinear, no conjugation.  ``PolarGrid.band``
 is the view of one annulus for stages that report only that annulus, and
 ``PolarGrid.blocks`` cuts the grid into row blocks of about
 ``BLOCK_BYTES`` of m-vector field rows, so that a level's one pass over
-its frame, curvature, multiplier and equation (``pipeline.level_pass``)
+its samples, frame, curvature, multiplier and equation (``pipeline.level_pass``)
 runs on arrays that stay in a core's cache; a block's halo rows feed its
 radial stencils and are not kept.
 ``annulus_mask`` always trims 10% of the rows at each rim, so every

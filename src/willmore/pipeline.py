@@ -8,8 +8,8 @@ frozen ``Settings``; a malformed or unknown entry, or a grid over
 resolves its config, executes the chain on every refinement level with
 those settings, aggregates convergence orders, and writes a versioned JSON
 report plus CSV radial profiles.  Any stage failure is re-raised with the
-stage named.  Each level runs its frame, curvature, multiplier and
-equation in one pass over its row blocks (``level_pass``).
+stage named.  Each level runs its sampling, frame, curvature, multiplier
+and equation in one pass over its row blocks (``level_pass``).
 
 Report files (schema_version 1):
     report.json            config, per-level records, convergence orders,
@@ -48,9 +48,8 @@ from willmore.residues import (WINDING_GATE, ResidueReport, branch_order,
                                first_residue, modified_residue, potential_L,
                                second_residue, tangent_vector, w_field)
 from willmore.surface import (DEFECT_THRESHOLD, REGULAR_ENTRIES,
-                              catalog_chart, catalog_surface, check_conformal,
-                              conformal_factor, frame_and_gauss,
-                              load_samples_csv, write_csv)
+                              ImmersionField, catalog_chart, conformal_factor,
+                              frame_and_gauss, load_samples_csv, write_csv)
 
 SCHEMA_VERSION = 1
 
@@ -199,41 +198,45 @@ def resolve(config) -> Settings:
                     c["with_potentials"], c["with_expansion"])
 
 
-def build_field(settings: Settings, grid: PolarGrid):
-    """The configured surface: CSV samples or a catalog chart on ``grid``."""
+def build_field(settings: Settings, grid: PolarGrid) -> ImmersionField:
+    """CSV samples, or a catalog chart's field that ``level_pass`` samples."""
     surf = settings.surface
     if "csv" in surf:
         return load_samples_csv(surf["csv"])
-    return catalog_surface(surf["name"], surf["params"], grid,
-                           surf["ambient_dim"])
+    m = surf["ambient_dim"]
+    return ImmersionField(grid, np.empty((3, m) + grid.rr.shape),
+                          chart=catalog_chart(surf["name"], surf["params"], m))
 
 
-def level_pass(settings: Settings, field, conformal: tuple):
-    """``(curv, pmc, eq)`` of a level, from one pass over its row blocks
-    (``PolarGrid.blocks``, two halo rows: grad H, then the divergences).
+def level_pass(settings: Settings, field: ImmersionField):
+    """``(curv, pmc, eq, defect)`` of a level, from one pass over its row
+    blocks (``PolarGrid.blocks``, two halo rows: grad H, then the
+    divergences); ``defect`` is the largest conformal defect per circle.
 
-    Each block builds its frame from the field's rows and runs the kernels
-    ``curvature``, ``pmc_multiplier`` and ``equation`` on it; every term is
-    per node or a stencil inside the halo, so each kept row equals a
-    one-block pass bit for bit.  The level keeps the blocks' own rows of
-    what later stages read: no H0, no f_pmc, per-circle maxima.
+    Each block samples its rows (``ImmersionField.on``), gates its own rows'
+    defect and runs ``curvature``, ``pmc_multiplier`` and ``equation`` on its
+    frame; every term is per node or a stencil inside the halo, so each kept
+    row equals a one-block pass bit for bit.  The level keeps the blocks' own
+    rows of what later stages read (phi, d1, lam; no d2, H0 or f_pmc).
     """
     grid, m = field.grid, field.ambient_dim
-    lam, defect = conformal
     spec, sign = settings.spec, settings.pmc_sign
     plane = lambda *lead: np.empty(lead + grid.rr.shape)
-    curv = CurvatureField(grid, lam, plane(m), *(plane() for _ in range(4)))
+    curv = CurvatureField(grid, plane(), plane(m), *(plane() for _ in range(4)))
     pmc = {"abs_max": np.empty(grid.n_r), "dz_max": np.empty(grid.n_r)}
     eq = Equation(FluxField(grid, plane(2, m)),
                   {key: plane() for key in ("strong", "div", "identity")},
                   np.empty(grid.n_r), np.empty(grid.n_r))
+    defect = np.empty(grid.n_r)
     for band in grid.blocks(m, 2):
-        rows, keep, kept = band.rows, band.keep, band.kept
-        part = field.on(band)
-        frame = _stage("frame_and_gauss", frame_and_gauss, part,
-                       (lam[rows], defect[rows]), np.inf)
+        keep, kept = band.keep, band.kept
+        part = _stage("surface", field.on, band)
+        lam, dfct = _stage("conformal_factor", conformal_factor, part)
+        curv.lam[kept], defect[kept] = lam[keep], np.max(dfct[keep], axis=-1)
+        frame = _stage("frame_and_gauss", frame_and_gauss, part, (lam, dfct[keep]),
+                       settings.tolerances["defect_threshold"])  # gates kept rows
         cb = _stage("curvature", curvature, part, frame)
-        del frame.II, frame.gram  # read last by curvature, with nu
+        del frame.II, frame.gram, part.d2  # read last by curvature, with nu
         for key in ("H", "K", "energy_density", "dn_norm", "eH0_norm"):
             getattr(curv, key)[..., kept, :] = getattr(cb, key)[..., keep, :]
         del cb.K, cb.energy_density, cb.dn_norm, cb.eH0_norm  # kept above
@@ -250,32 +253,27 @@ def level_pass(settings: Settings, field, conformal: tuple):
         del pb
 
         eb = _stage("equation", equation, cb, frame, f, part)
-        del part, frame, cb, f  # before the next block's are formed
+        del part, frame, cb, f, lam  # before the next block's are formed
         eq.flux.raw[..., kept, :] = eb.flux.raw[..., keep, :]
         for key, sq in eb.squares.items():
             eq.squares[key][kept] = sq[keep]
         eq.parallel[kept], eq.scale[kept] = eb.parallel[keep], eb.scale[keep]
         del eb
-    return curv, pmc, eq
+    return curv, pmc, eq, defect
 
 
 def level_geometry(settings: Settings, grid: PolarGrid):
-    """Surface, branch order, the level pass and Willmore energy of a level.
+    """Surface, the level pass, branch order and Willmore energy of a level.
 
     Returns the level record begun here and what the rest of the level
     reads: ``(level, field, branch, curv, pmc, eq)`` (``level_pass``).
     """
     field = _stage("surface", build_field, settings, grid)
-    conformal = _stage("conformal_factor", conformal_factor, field)
+    curv, pmc, eq, defect = level_pass(settings, field)
     level = {"grid": field.grid.to_json(),
-             "conformal_defect": _stage(
-                 "frame_and_gauss", check_conformal, conformal[1],
-                 settings.tolerances["defect_threshold"])}
-
-    br = _stage("branch_order", branch_order, field.grid, conformal[0])
+             "conformal_defect": float(np.max(defect))}
+    br = _stage("branch_order", branch_order, field.grid, curv.lam)
     level.update(theta0=br.theta0, slope_raw=br.slope, u0=br.u0)
-
-    curv, pmc, eq = level_pass(settings, field, conformal)
     level["willmore_energy"] = _stage("energy", willmore_energy, curv)
     return level, field, br, curv, pmc, eq
 

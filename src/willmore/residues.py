@@ -21,12 +21,11 @@ from typing import Optional
 import numpy as np
 
 from willmore.grid import (INTEGER, INTEGERS, MAPPING, PAIRS, REAL, REALS,
-                           REQUIRED, PolarGrid, RowBand, circle_mean,
+                           REQUIRED, PolarGrid, circle_mean,
                            circulation, jsonable, read_json)
 from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField
-from willmore.surface import (BranchData, ImmersionField, conformal_factor,
-                              frame_and_gauss)
+from willmore.surface import BranchData, ImmersionField, tangent_frame
 
 
 #: default ``winding_gate``: how far a raw winding may sit from its integer
@@ -84,14 +83,10 @@ def tangent_projector_at_origin(field: ImmersionField):
     """pi_T onto the tangent plane at 0: T = e1 ^ e2, held as the matrix
     W = e1 e2^T - e2 e1^T, extrapolated by circle means to W0 and scaled to
     a unit 2-vector (|W0|_F = sqrt 2); for unit decomposable T, pi_T = W0^T W0.
-    The frame is built on the ``_inner_rows`` only, bit for bit the level's
-    there.
+    e1 and e2 come from grad Phi on the ``_inner_rows``, as in the frame.
     """
     grid = field.grid
-    n = _inner_rows(grid).stop
-    inner = field.on(RowBand(grid, 0, n, slice(0, n)))
-    frame = frame_and_gauss(inner, conformal_factor(inner), np.inf)
-    e1, e2 = frame.e1, frame.e2
+    e1, e2, _ = tangent_frame(field.d1[:, :, _inner_rows(grid)])
     # circle mean e1 e2^T per row, (rows, m, m)
     M = np.moveaxis(e1, 0, 1) @ np.moveaxis(e2, 0, 2) / grid.n_theta
     W0 = radial_extrapolate(grid, M - np.swapaxes(M, 1, 2))

@@ -5,8 +5,8 @@ stereographic sphere, catenoid end, inverted catenoid, CMC cylinder,
 Clifford torus patch) plus a synthetic branch-point template with planted
 expansion coefficients.  Every catalog chart is written in ordinary
 arithmetic over jets, so sampled fields come with machine-precision first
-and second derivatives, written once into one (6, m, n_r, n_theta) array
-whose C-contiguous views are phi, d1 and d2 (``from_chart``).  Imported CSV
+and second derivatives (``from_chart``); a level samples its chart one row
+band at a time (``ImmersionField.on``), so d2 never spans it.  Imported CSV
 samples are differentiated once, at load, with the grid stencils
 (``from_samples``); every stage then reads the derivatives the field carries.
 A CSV keeps one row per node, r-major: its reader and writer transpose.
@@ -45,38 +45,43 @@ class SurfaceError(ValueError):
 class ImmersionField:
     """Samples of an immersion on a polar grid with their derivatives.
 
-    ``slots`` has shape (6, m, n_r, n_theta): phi (m, n_r, n_theta), then
-    d1, which stacks (d/dx1, d/dx2), and d2, which stacks (d2/dx1dx1,
-    d2/dx1dx2, d2/dx2dx2), each along its leading axis.
+    ``first`` stacks phi (m, n_r, n_theta) and d1 = (d/dx1, d/dx2), ``d2``
+    (d2/dx1dx1, d2/dx1dx2, d2/dx2dx2), each along its leading axis; a
+    level's field of a jet ``chart`` has no d2 and is filled by ``on``.
     """
 
     grid: PolarGrid
-    slots: np.ndarray
+    first: np.ndarray
+    d2: Optional[np.ndarray] = None
+    chart: Optional[Callable] = None
 
     def __post_init__(self):
-        self.phi, self.d1, self.d2 = self.slots[0], self.slots[1:3], self.slots[3:]
+        self.phi, self.d1 = self.first[0], self.first[1:]
         self.ambient_dim = len(self.phi)
-        if self.phi.shape[1:] != (self.grid.n_r, self.grid.n_theta):
-            raise SurfaceError(f"phi shape {self.phi.shape} does not match grid")
-        if not np.all(np.isfinite(self.phi)):
+        if self.d2 is not None and not np.all(np.isfinite(self.phi)):
             raise SurfaceError("immersion samples must be finite")
 
     def on(self, band: RowBand) -> "ImmersionField":
-        """The samples on ``band``'s rows, as views, with the band as grid."""
-        return ImmersionField(band, self.slots[:, :, band.rows])
+        """The samples on ``band``'s rows: views, or the chart sampled into them."""
+        first = self.first[:, :, band.rows]
+        if self.d2 is None:
+            return from_chart(self.chart, band, self.ambient_dim, first)
+        return ImmersionField(band, first, self.d2[:, :, band.rows])
 
 
-def from_chart(chart: Callable, grid: PolarGrid, m: int) -> ImmersionField:
-    """Samples of a jet chart with its exact first and second derivatives."""
+def from_chart(chart: Callable, grid: PolarGrid, m: int,
+               first: Optional[np.ndarray] = None) -> ImmersionField:
+    """Samples of a jet chart with exact derivatives, phi and d1 in ``first``."""
     xj, yj = Jet.seed(grid.x, grid.y)
     comps = chart(xj, yj)
     if len(comps) != m:
         raise SurfaceError(f"chart returned {len(comps)} components, expected {m}")
-    slots = np.empty((6, m) + grid.x.shape)
-    for s, name in enumerate(Jet.__slots__):
+    first = np.empty((3, m) + grid.x.shape) if first is None else first
+    d2 = np.empty((3, m) + grid.x.shape)
+    for slot, name in zip((*first, *d2), Jet.__slots__):
         for k, c in enumerate(comps):
-            slots[s, k] = getattr(c, name)
-    return ImmersionField(grid, slots)
+            slot[k] = getattr(c, name)
+    return ImmersionField(grid, first, d2)
 
 
 def from_samples(grid: PolarGrid, phi: np.ndarray) -> ImmersionField:
@@ -86,7 +91,7 @@ def from_samples(grid: PolarGrid, phi: np.ndarray) -> ImmersionField:
         raise SurfaceError("grid too coarse for the second-derivative stencil")
     d1 = grad(grid, phi)
     d2 = (*grad(grid, d1[0]), grad(grid, d1[1])[1])
-    return ImmersionField(grid, np.stack((phi, *d1, *d2)))
+    return ImmersionField(grid, np.stack((phi, *d1)), np.stack(d2))
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +145,6 @@ def conformal_factor(field: ImmersionField) -> tuple[np.ndarray, np.ndarray]:
     return lam, defect
 
 
-def check_conformal(defect: np.ndarray,
-                    defect_threshold: float = DEFECT_THRESHOLD) -> float:
-    """The largest conformal defect, refused when over ``defect_threshold``."""
-    worst = float(np.max(defect))
-    if worst > defect_threshold:
-        raise SurfaceError(
-            f"conformal defect {worst:.3e} exceeds threshold {defect_threshold:.1e}")
-    return worst
-
-
 def frame_and_gauss(field: ImmersionField, conformal: tuple,
                     defect_threshold: float = DEFECT_THRESHOLD) -> FrameField:
     """Orthonormal tangent frame and the second fundamental form II.
@@ -162,19 +157,27 @@ def frame_and_gauss(field: ImmersionField, conformal: tuple,
     curvature and of the Gauss map's derivatives.
     """
     lam, defect = conformal
-    check_conformal(defect, defect_threshold)
-    p1, p2, d2 = field.d1[0], field.d1[1], field.d2
+    worst = float(np.max(defect))
+    if worst > defect_threshold:
+        raise SurfaceError(
+            f"conformal defect {worst:.3e} exceeds threshold {defect_threshold:.1e}")
+    e1, e2, gram = tangent_frame(field.d1)
+    II = np.empty_like(field.d2)
+    for v, out in zip(field.d2, II):
+        np.subtract(v, dot(v, e1) * e1, out=out)
+        out -= dot(v, e2) * e2
+    return FrameField(field.grid, lam, e1, e2, II, np.stack(gram))
+
+
+def tangent_frame(d1: np.ndarray) -> tuple:
+    """e1, e2 and ``FrameField.gram`` of d1 = (Phi_x, Phi_y)."""
+    p1, p2 = d1
     a = np.sqrt(dot(p1, p1))
     e1 = p1 / a
     c = dot(p2, e1)
     t2 = p2 - c * e1
     b = np.sqrt(dot(t2, t2))
-    e2 = t2 / b
-    II = np.empty_like(d2)
-    for v, out in zip(d2, II):
-        np.subtract(v, dot(v, e1) * e1, out=out)
-        out -= dot(v, e2) * e2
-    return FrameField(field.grid, lam, e1, e2, II, np.stack([a, c, b]))
+    return e1, t2 / b, (a, c, b)
 
 
 @dataclass(eq=False)

@@ -51,6 +51,18 @@ def test_generate_writes_csv(tmp_path):
     assert field.phi.shape == (3, 48, 64)
 
 
+def test_generate_samples_the_whole_grid(tmp_path):
+    # generate writes the catalog chart sampled on the whole grid at once
+    cfg = write_config(tmp_path, SYNTH_TH2)
+    out, want = tmp_path / "samples.csv", tmp_path / "want.csv"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    surf = SYNTH_TH2["surface"]
+    save_samples_csv(catalog_surface(surf["name"], surf["params"],
+                                     PolarGrid.from_json(SYNTH_TH2["grid"]),
+                                     surf["ambient_dim"]), want)
+    assert out.read_bytes() == want.read_bytes()
+
+
 def test_analyze_plane(tmp_path, capsys):
     cfg = write_config(tmp_path, PLANE)
     code = main(["analyze", "--config", cfg, "--out", str(tmp_path / "rep")])

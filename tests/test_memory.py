@@ -4,15 +4,18 @@ tracemalloc sees every numpy data buffer, so the peak of a call measures
 how many field-sized arrays it keeps alive at once.  The bounds are
 multiples of one input field's bytes: the in-place curl-potential
 integration peaks near 3.1 of its inputs (8.0 when every path quantity
-had its own array), and a whole codim-6 level near 7.7 of its
+had its own array), and a whole codim-6 level near 7.5 of its
 28-component fields (23 when h_ij, grad H and the flux temporaries were
 all kept; 15.8 while g, G, grad G, v_R and grad n stayed on the full grid
 after their stages; 11.8 while g and G took 1 + C(m, 2) Poisson solves and
 grad_perp R was formed 28 components wide; 9.5 while the Gauss map and its
 stencil gradient were formed; 8.4 while the level's frame lived on for
-verify_system).  A pmc-mode m = 3 level of 191x256 nodes,
-which splits into three row blocks, peaks near 18.6 of its 3-component
-fields (23.5 while the level's frame, H0 and f_pmc were whole-grid
+verify_system; 7.6 while the level sampled its chart into one whole-grid
+array with the second derivatives).  A pmc-mode m = 3 level of 191x256
+nodes, which splits into three row blocks, peaks near 16.4 of its
+3-component fields (18.6 while the chart's second derivatives were
+sampled on the whole grid and H0 was formed through block-sized
+temporaries; 23.5 while the level's frame, H0 and f_pmc were whole-grid
 arrays; 26.4 while curvature and the equation pass ran on the whole grid
 at once and the level kept the strong-form and divergence fields, the
 frame and H0 until its end).
@@ -25,7 +28,7 @@ from dataclasses import fields
 import numpy as np
 
 from willmore import grid as g
-from willmore import pipeline, potentials, residues
+from willmore import pipeline, potentials, surface
 from willmore.curvature import CurvatureField, curvature
 from willmore.grid import PolarGrid
 from willmore.potentials import PotentialSet, potential_set
@@ -101,19 +104,40 @@ def test_pmc_level_peak_in_row_blocks():
     pipeline.analyze_level(settings, grid)  # grid caches
     field_bytes = grid.n_r * grid.n_theta * 3 * 8
     assert traced_peak(pipeline.analyze_level, settings, grid) \
-        < 19 * field_bytes
+        < 16.5 * field_bytes
+
+
+def test_chart_sampled_one_row_block_at_a_time(monkeypatch):
+    # each block samples the chart on its own rows and halo, and no call
+    # spans the level: its second derivatives never exist whole-grid
+    sampled, sample = [], surface.from_chart
+
+    def from_chart(chart, grid, *args):
+        sampled.append(grid.rows)
+        return sample(chart, grid, *args)
+
+    monkeypatch.setattr(surface, "from_chart", from_chart)
+    settings = pipeline.resolve({
+        "surface": {"name": "cylinder_cmc", "params": {"radius": 0.75}},
+        "multiplier": {"mode": "pmc"},
+        "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 191, "n_theta": 256}})
+    grid = settings.grids[0]
+    bands = list(grid.blocks(3, 2))
+    assert len(bands) == 3
+    pipeline.analyze_level(settings, grid)
+    assert sampled == [band.rows for band in bands]
 
 
 def test_no_frame_spans_a_multi_block_level(monkeypatch):
-    # the level pass builds one frame per row block, and the tangent
-    # projector and the system check theirs on their own rows
+    # the level pass builds one frame per row block and the system check
+    # its own on its rows; the tangent projector reads grad Phi alone
     seen = []
 
     def frame(field, *args):
         seen.append(field.grid.n_r)
         return frame_and_gauss(field, *args)
 
-    for module in (pipeline, residues, potentials):
+    for module in (pipeline, potentials):
         monkeypatch.setattr(module, "frame_and_gauss", frame)
     monkeypatch.setattr(g, "BLOCK_BYTES", 32 * 1024)
     settings = pipeline.resolve({
@@ -123,7 +147,7 @@ def test_no_frame_spans_a_multi_block_level(monkeypatch):
     n_blocks = len(list(grid.blocks(3, 2)))
     assert n_blocks >= 3
     pipeline.analyze_level(settings, grid)
-    assert len(seen) == n_blocks + 2
+    assert len(seen) == n_blocks + 1
     assert max(seen) < grid.n_r
 
 

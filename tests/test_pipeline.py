@@ -176,7 +176,8 @@ def test_report_norms_are_the_equation_norms():
     # the equation owns the annulus of its norms: the library call and the
     # report agree to the bit
     settings = pipeline.resolve(ONE_PASS_CONFIGS["zero_multiplier"])
-    field = pipeline.build_field(settings, settings.grids[0])
+    chart = pipeline.build_field(settings, settings.grids[0])
+    field = surface.from_chart(chart.chart, chart.grid, chart.ambient_dim)
     frame = surface.frame_and_gauss(field, surface.conformal_factor(field))
     norms = residual.equation(curvature.curvature(field, frame), frame).norms
     doc = pipeline.run_pipeline(ONE_PASS_CONFIGS["zero_multiplier"])
@@ -269,3 +270,76 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path):
             w.writerow([repr(float(v)) for v in row])
     assert ((tmp_path / "got.csv").read_bytes()
             == (tmp_path / "want.csv").read_bytes())
+
+
+# a planted branch point conformal only asymptotically, refused by a gate
+# tighter than its outer rows' defect
+SYNTH_PARAMS = {"theta0": 2, "a": 1, "gamma0": [0, 0, 0.25, 0],
+                "E_a": [[0, 0], [0, 0], [1.0, 0.5], [0, 0]]}
+SYNTH_STRICT = {"surface": {"name": "synthetic_th4", "ambient_dim": 4,
+                            "params": SYNTH_PARAMS},
+                "tolerances": {"defect_threshold": 1e-3}}
+
+
+@pytest.mark.filterwarnings("error")
+def test_defect_gate_refuses_before_the_frame():
+    # one block: the whole grid's worst defect, in the message the gate
+    # gave when it read a whole-grid defect plane; no frame of the
+    # refused samples is formed, so no RuntimeWarning either
+    settings = pipeline.resolve(SYNTH_STRICT)
+    grid = settings.grids[0]
+    assert len(list(grid.blocks(4, 2))) == 1
+    field = surface.catalog_surface("synthetic_th4", SYNTH_PARAMS, grid, 4)
+    worst = float(np.max(surface.conformal_factor(field)[1]))
+    assert worst > 1e-3
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.run_pipeline(SYNTH_STRICT)
+    assert err.value.stage == "frame_and_gauss"
+    assert str(err.value.cause) == (f"conformal defect {worst:.3e} exceeds "
+                                    "threshold 1.0e-03")
+
+
+def test_defect_gate_refuses_in_row_blocks(monkeypatch):
+    monkeypatch.setattr(g, "BLOCK_BYTES", 32 * 1024)
+    assert len(list(pipeline.resolve(SYNTH_STRICT).grids[0].blocks(4, 2))) > 2
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.run_pipeline(SYNTH_STRICT)
+    assert err.value.stage == "frame_and_gauss"
+    assert str(err.value.cause).startswith("conformal defect ")
+
+
+def test_non_integral_slope_refused_at_branch_order(tmp_path):
+    # phi = r^(1/2) (x, y, 0) is not conformal (a loose gate lets it in),
+    # and its lam rises as (1/2) log r: no integral branch order
+    grid = PolarGrid()
+    phi = np.sqrt(grid.rr) * np.stack([grid.x, grid.y, np.zeros_like(grid.x)])
+    path = tmp_path / "samples.csv"
+    surface.save_samples_csv(surface.from_samples(grid, phi), path)
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.run_pipeline({"surface": {"csv": str(path)},
+                               "tolerances": {"defect_threshold": 1.0}})
+    assert err.value.stage == "branch_order"
+    assert "farther than 0.2 from an integer" in str(err.value.cause)
+
+
+@pytest.mark.parametrize("budget", [None, 16 * 1024])
+def test_vanishing_gradient_refused_at_conformal_factor(monkeypatch, budget):
+    # (z - z0)^2 with z0 a node: grad Phi is exactly zero there, in a late
+    # row block when the level is cut into several
+    if budget:
+        monkeypatch.setattr(g, "BLOCK_BYTES", budget)
+    grid = PolarGrid()
+    x0, y0 = grid.x[80, 5], grid.y[80, 5]
+
+    def chart(x, y):
+        u, v = x - x0, y - y0
+        return [u * u - v * v, 2.0 * u * v, 0.0 * u]
+
+    monkeypatch.setitem(surface.CATALOG, "plane", lambda params, m: chart)
+    settings = pipeline.resolve({"surface": {"name": "plane"}})
+    n_blocks = len(list(grid.blocks(3, 2)))
+    assert n_blocks > 2 if budget else n_blocks == 1
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.analyze_level(settings, settings.grids[0])
+    assert err.value.stage == "conformal_factor"
+    assert "|grad Phi| vanishes at a node" in str(err.value.cause)

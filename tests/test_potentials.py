@@ -13,7 +13,7 @@ from willmore.potentials import (PotentialError, _solve_modes, potential_set,
 from willmore.residual import equation
 from willmore.residues import (first_residue, integrate_curl_potential,
                                loop_defects, potential_L)
-from willmore.surface import (ImmersionField, catalog_surface,
+from willmore.surface import (catalog_chart, catalog_surface,
                               conformal_factor, frame_and_gauss)
 
 from oracles import gG_per_component
@@ -280,7 +280,7 @@ def test_verify_system_reads_only_its_band():
     rows = pots.band.rows
     assert rows.stop - rows.start < grid.n_r // 4
     # the frame built from the band's rows is the level's frame there
-    on_band = ImmersionField(pots.band, field.slots[:, :, rows])
+    on_band = field.on(pots.band)
     built = frame_and_gauss(on_band, conformal_factor(on_band), np.inf)
     for name in ("lam", "e1", "e2", "II", "gram"):
         got, level = getattr(built, name), getattr(frame, name)[..., rows, :]
@@ -294,10 +294,15 @@ def test_verify_system_reads_only_its_band():
 
     # the set holds band rows only; the derivatives of Phi, from which the
     # frame is built on the band, are full-grid inputs
-    slots = field.slots.copy()
-    slots[1:] = blank(slots[1:], 2)     # phi must stay finite
-    field = replace(field, slots=slots)
+    first = field.first.copy()
+    first[1:] = blank(first[1:], 2)     # phi must stay finite
+    field = replace(field, first=first, d2=blank(field.d2, 2))
     assert verify_system(pots, field) == want
+    # a level's field of a chart holds no d2: the band is sampled from the
+    # chart, whatever the field holds elsewhere
+    chart = replace(field, first=np.full_like(first, np.nan), d2=None,
+                    chart=catalog_chart("inverted_catenoid", {}, 3))
+    assert verify_system(pots, chart) == want
 
 
 def test_synthetic_potentials_finite():

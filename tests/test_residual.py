@@ -7,8 +7,8 @@ from willmore.grid import PolarGrid, dot
 from willmore.curvature import curvature
 from willmore.multiplier import MultiplierSpec, pmc_multiplier
 from willmore.residual import equation, star_dn_wedge
-from willmore.surface import (CATALOG, catalog_surface, conformal_factor,
-                              frame_and_gauss, from_chart)
+from willmore.surface import (CATALOG, ImmersionField, catalog_surface,
+                              conformal_factor, frame_and_gauss, from_chart)
 
 from oracles import (antiholomorphy_identity_norms, inverted_chart,
                      star_dn_wedge_algebra, star_dn_wedge_stencil, stencil_dn)
@@ -196,7 +196,7 @@ def _level_pass(field, multiplier):
     """The level pass of ``pipeline.level_pass`` with ``multiplier``."""
     settings = pipeline.resolve({"surface": {"name": "inverted_catenoid"},
                                  "multiplier": MULTIPLIERS[multiplier]})
-    return pipeline.level_pass(settings, field, conformal_factor(field))
+    return pipeline.level_pass(settings, field)
 
 
 @pytest.mark.parametrize("multiplier", ["zero", "spec", "pmc"])
@@ -205,9 +205,12 @@ def test_row_blocks_equal_one_block(monkeypatch, multiplier, budget):
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field = catalog_surface("inverted_catenoid", {}, grid, 3)
     assert len(list(grid.blocks(3, 2))) == 1
-    curv, pmc, eq = _level_pass(field, multiplier)
+    curv, pmc, eq, defect = _level_pass(field, multiplier)
     # one block is the whole-grid kernels
-    frame = frame_and_gauss(field, conformal_factor(field))
+    lam, whole_defect = conformal_factor(field)
+    assert np.array_equal(curv.lam, lam)
+    assert np.array_equal(defect, np.max(whole_defect, axis=-1))
+    frame = frame_and_gauss(field, (lam, whole_defect))
     whole = curvature(field, frame)
     f = {"zero": None, "pmc": pmc_multiplier(whole, frame)["f_pmc"],
          "spec": MultiplierSpec.from_json(MULTIPLIERS["spec"]).evaluate(
@@ -220,7 +223,12 @@ def test_row_blocks_equal_one_block(monkeypatch, multiplier, budget):
     bands = list(grid.blocks(3, 2))
     assert len(bands) >= 3
     assert bands[0].rows.start == 0 and bands[-1].rows.stop == grid.n_r
-    curv_b, pmc_b, eq_b = _level_pass(field, multiplier)
+    # a level's field of the chart, sampled block by block
+    level = ImmersionField(grid, np.empty_like(field.first),
+                           chart=CATALOG["inverted_catenoid"]({}, 3))
+    curv_b, pmc_b, eq_b, defect_b = _level_pass(level, multiplier)
+    assert np.array_equal(level.first, field.first) and level.d2 is None
+    assert np.array_equal(defect_b, defect)
     # whole arrays: the rows next to both grid ends, read through the
     # one-sided stencils, and the rows next to every block edge
     for name in ("lam", "H", "K", "energy_density", "dn_norm", "eH0_norm"):

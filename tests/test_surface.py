@@ -54,7 +54,8 @@ def test_integral_params_and_accepted_keys():
     assert set(CATALOG_PARAMS) == set(CATALOG)
     want = build("synthetic_th4", {"theta0": 3, "a": 1}, m=4)
     got = build("synthetic_th4", {"theta0": 3.0, "a": 1.0}, m=4)
-    assert got.slots.tobytes() == want.slots.tobytes()
+    assert got.first.tobytes() == want.first.tobytes()
+    assert got.d2.tobytes() == want.d2.tobytes()
 
 
 def test_plane_lambda_and_defect():
@@ -281,9 +282,11 @@ def test_rotated_chart_rotates_samples():
 def test_surface_json_and_csv_round_trip(tmp_path):
     doc = {"name": "sphere_stereographic", "params": {"R": 1.0},
            "ambient_dim": 3}
-    field = build_field(resolve({"surface": doc}), PolarGrid.from_json(
+    level = build_field(resolve({"surface": doc}), PolarGrid.from_json(
         {"r_min": 0.05, "r_max": 1.0, "n_r": 24, "n_theta": 32}))
-    assert field.phi.shape == (3, 24, 32)
+    # a level's field of the chart, sampled here on the whole grid
+    assert level.phi.shape == (3, 24, 32) and level.d2 is None
+    field = from_chart(level.chart, level.grid, 3)
     path = tmp_path / "samples.csv"
     save_samples_csv(field, path)
     # one line per node, r-major and theta-minor, the coordinates in order
