@@ -16,13 +16,14 @@ section lists them.
 
 Every command reads its config (after its flags) through
 ``pipeline.resolve``, so an unknown key or a malformed entry is refused,
-with its stage named, before any work.  ``residues`` and ``fit`` run
-``analyze`` (without potentials; ``residues`` also without expansions) and
-print its last level, and ``energy`` runs the last level's stages up to the
-energy, with the same settings; ``classify`` re-derives the verdict with
-the report's saved config.  A config or report that is not JSON is
-refused with its file and the position named (a config at stage
-``config``).  ``--tol-zero`` replaces ``tol_zero`` on the
+with its stage named, before any work.  ``residues``, ``fit`` and
+``energy`` run ``analyze`` (without potentials; ``residues`` and ``energy``
+also without expansions) and print its last level, so each prints what
+``analyze`` reports and fails where it fails; ``generate`` samples the first
+level's chart one row block at a time, as a level does; ``classify``
+re-derives the verdict with the report's saved config.  A config or report
+that is not JSON is refused with its file and the position named (a config
+at stage ``config``).  ``--tol-zero`` replaces ``tol_zero`` on the
 two commands whose output reads it, ``analyze`` and ``classify``.
 """
 
@@ -90,13 +91,12 @@ def _write_json(doc, out) -> int:
 
 def cmd_generate(args) -> int:
     from willmore.pipeline import _stage, build_field, resolve
-    from willmore.surface import from_chart, save_samples_csv
+    from willmore.surface import save_samples_csv
 
     settings = resolve(_load_config(args.config))
     field = _stage("surface", build_field, settings, settings.grids[0])
-    if field.d2 is None:  # a chart, sampled on the whole grid at once
-        field = _stage("surface", from_chart, field.chart, field.grid,
-                       field.ambient_dim)
+    for band in field.grid.blocks(field.ambient_dim, 0):
+        _stage("surface", field.on, band)  # samples a chart in place
     save_samples_csv(field, args.out)
     print(f"wrote {field.grid.n_r * field.grid.n_theta} samples to {args.out}")
     return 0
@@ -126,10 +126,7 @@ def cmd_residues(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    from willmore.pipeline import level_geometry, resolve
-
-    settings = resolve(_load_config(args.config))
-    level, *_ = level_geometry(settings, settings.grids[-1])
+    level = _analyze(args, with_expansion=False)["levels"][-1]
     print("willmore energy over the sampled annulus: "
           f"{level['willmore_energy']:.12g}")
     return 0
@@ -169,7 +166,7 @@ def cmd_classify(args) -> int:
                        regular=settings.regular,
                        tol_zero=settings.tolerances["tol_zero"])
     out = verdict.to_json()
-    print(json.dumps(out, indent=1))
+    _write_json(out, None)
     return exit_code({"classification": out})
 
 

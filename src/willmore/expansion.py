@@ -172,7 +172,7 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
 
     weights = r ** float(a)
     targets = curv.H[:, sel].reshape(m, -1).T  # one row per node
-    coef, cond, resid = _weighted_lstsq(design, targets, weights)
+    coef = _weighted_lstsq(design, targets, weights)[0]
 
     n_struct = (1 if a == 0 else 2) + 1
     if a != 0:
@@ -188,7 +188,7 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
     slope, at_floor = _residual_slope(grid, eta_nodes, sel,
                                       float(np.max(np.abs(targets))))
     return {"E_a": E_a, "gamma0": gamma0, "eta_exponent": slope,
-            "at_floor": at_floor, "condition_number": cond}
+            "at_floor": at_floor}
 
 
 def verify_constants(fit: ExpansionFit, theta0: int, a: int, u0: float,

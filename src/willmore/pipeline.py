@@ -199,7 +199,8 @@ def resolve(config) -> Settings:
 
 
 def build_field(settings: Settings, grid: PolarGrid) -> ImmersionField:
-    """CSV samples, or a catalog chart's field that ``level_pass`` samples."""
+    """CSV samples, or a catalog chart's field that is sampled one row
+    block at a time (``ImmersionField.on``)."""
     surf = settings.surface
     if "csv" in surf:
         return load_samples_csv(surf["csv"])
@@ -262,29 +263,18 @@ def level_pass(settings: Settings, field: ImmersionField):
     return curv, pmc, eq, defect
 
 
-def level_geometry(settings: Settings, grid: PolarGrid):
-    """Surface, the level pass, branch order and Willmore energy of a level.
-
-    Returns the level record begun here and what the rest of the level
-    reads: ``(level, field, branch, curv, pmc, eq)`` (``level_pass``).
-    """
-    field = _stage("surface", build_field, settings, grid)
-    curv, pmc, eq, defect = level_pass(settings, field)
-    level = {"grid": field.grid.to_json(),
-             "conformal_defect": float(np.max(defect))}
-    br = _stage("branch_order", branch_order, field.grid, curv.lam)
-    level.update(theta0=br.theta0, slope_raw=br.slope, u0=br.u0)
-    level["willmore_energy"] = _stage("energy", willmore_energy, curv)
-    return level, field, br, curv, pmc, eq
-
-
 def analyze_level(settings: Settings,
                   grid: PolarGrid) -> tuple[dict, ResidueReport]:
-    """One refinement level of the full chain: the level record and the
-    level's residues."""
+    """One refinement level of the full chain, from its samples on: the
+    level record and the level's residues."""
     tol, spec, pmc_sign = settings.tolerances, settings.spec, settings.pmc_sign
-    level, field, br, curv, pmc, eq = level_geometry(settings, grid)
-    grid = field.grid
+    field = _stage("surface", build_field, settings, grid)
+    grid = field.grid  # CSV samples bring their own
+    curv, pmc, eq, defect = level_pass(settings, field)
+    level = {"grid": grid.to_json(), "conformal_defect": float(np.max(defect))}
+    br = _stage("branch_order", branch_order, grid, curv.lam)
+    level.update(theta0=br.theta0, slope_raw=br.slope, u0=br.u0)
+    level["willmore_energy"] = _stage("energy", willmore_energy, curv)
     # the Gauss-map energy is recorded, never silently rescaled away
     gm_energy = _stage("gauss_map_energy", integrate, grid,
                        gauss_map_energy_density(curv))

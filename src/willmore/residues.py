@@ -293,7 +293,6 @@ class SecondResidue:
     a: int
     raw: np.ndarray             # (n_circles, m) pre-rounding windings
     degenerate: np.ndarray      # (m,) bool
-    radii: np.ndarray
 
 
 def _winding(values: np.ndarray) -> float:
@@ -344,8 +343,7 @@ def second_residue(W: np.ndarray, grid: PolarGrid, noise_profile: np.ndarray,
     if scale == 0.0 or scale <= 3.0 * noise_floor:
         # identically vanishing or noise-dominated W: no usable poles
         raw[:] = np.nan
-        return SecondResidue(gamma, 0, raw, np.ones(m, dtype=bool),
-                             grid.r[idx])
+        return SecondResidue(gamma, 0, raw, np.ones(m, dtype=bool))
     log_r = np.log(grid.r[idx])
     for j in range(m):
         decay = float(np.polyfit(log_r, np.log(np.maximum(amp[:, j], 1e-300)),
@@ -373,7 +371,7 @@ def second_residue(W: np.ndarray, grid: PolarGrid, noise_profile: np.ndarray,
                 "meromorphic-with-pole at the puncture")
         gamma[j] = confirmed
     return SecondResidue(gamma, int(np.max(gamma)) if len(gamma) else 0,
-                         raw, degenerate, grid.r[idx])
+                         raw, degenerate)
 
 
 def pole_order_range(theta0: int, spec: MultiplierSpec) -> tuple[int, int]:

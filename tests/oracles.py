@@ -73,6 +73,17 @@ def inverted_chart(chart, center):
     return new_chart
 
 
+def branched_chart(chart, k: int):
+    """Compose a chart with the domain map w = z^k / k, branched to order k
+    at the origin.  A multiplier f pulls back to (f o w) conj(w')^2, so a
+    constant a becomes a zbar^{2k - 2}."""
+    def new_chart(x, y):
+        w = (x + 1j * y) ** k / k
+        part = lambda fn: Jet(*(fn(getattr(w, s)) for s in Jet.__slots__))
+        return chart(part(np.real), part(np.imag))
+    return new_chart
+
+
 def rotated_chart(chart, Q: np.ndarray):
     """Compose a chart with an ambient orthogonal map."""
     Q = np.asarray(Q, dtype=float)

@@ -9,11 +9,14 @@ workloads fine_m3, codim6_potentials, branch_th3 and pmc_cylinder at seeds
 1 and 2 (from ``perfbench/workloads.make_case``), the three golden configs
 of ``test_golden_reports.py``, a spec multiplier at the order
 mu = theta0 - 2 with an ``f0`` tail, and a CSV run.  Each run writes
-``DIR/<name>/``: its ``report.json`` without ``elapsed_seconds`` and its
-four profile CSVs.  The CSV run first samples ``CSV_CHART`` into its
-directory as ``samples.csv``; every run works inside its directory, so the
-CSV config names that file by a relative path and records the same config
-in every tree.
+``DIR/<name>/``: its ``report.json`` without ``elapsed_seconds``, its four
+profile CSVs, and what the other commands that compute write, each made
+through ``cli.main`` from the run's ``config.json``: ``generate.csv``
+(``willmore generate``) and ``energy.txt`` (the line ``willmore energy``
+prints).  The CSV run first samples ``CSV_CHART`` into its directory as
+``samples.csv``; every run works inside its directory, so the CSV config
+names that file by a relative path and records the same config in every
+tree.
 ``compare`` lists every file that differs between two such directories, or
 exists in only one, and exits 1 if there is any.  ``compare --rel`` holds
 every file to the rule of ``test_golden_reports.py`` instead of byte
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import io
 import json
 import math
 import sys
@@ -47,6 +51,16 @@ SEEDS = (1, 2)
 #: the chart, ambient dimension and grid sampled for the CSV run
 CSV_CHART = ("sphere_stereographic", 3, (1e-2, 1.0, 48, 32))
 
+# theta0 = mu + 2: the modified-residue correction, F_mu and the tail
+BRANCHED_PLANE_SPEC = {
+    "surface": {"name": "branched_plane", "params": {"theta0": 2}},
+    "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 48, "n_theta": 32},
+    "multiplier": {"mu": 0, "a_mu": [0.5, -0.25],
+                   "f0": [[0.0, 0.0], [0.2, 0.1]]}}
+# the defect gate of test_cli's CSV round trip: stencil-limited samples
+SPHERE_CSV = {"surface": {"csv": "samples.csv"},
+              "tolerances": {"defect_threshold": 1e-2}}
+
 
 def configs() -> dict:
     """Run name -> ``run_pipeline`` config, for the thirteen runs."""
@@ -56,17 +70,21 @@ def configs() -> dict:
     from workloads import make_case
     runs = {f"{name}-seed{seed}": make_case(name, seed).config
             for name in WORKLOADS for seed in SEEDS}
-    runs.update(CONFIGS)
-    # theta0 = mu + 2: the modified-residue correction, F_mu and the tail
-    runs["branched_plane_spec"] = {
-        "surface": {"name": "branched_plane", "params": {"theta0": 2}},
-        "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 48, "n_theta": 32},
-        "multiplier": {"mu": 0, "a_mu": [0.5, -0.25],
-                       "f0": [[0.0, 0.0], [0.2, 0.1]]}}
-    # the defect gate of test_cli's CSV round trip: stencil-limited samples
-    runs["sphere_csv"] = {"surface": {"csv": "samples.csv"},
-                          "tolerances": {"defect_threshold": 1e-2}}
+    runs.update(CONFIGS, branched_plane_spec=BRANCHED_PLANE_SPEC,
+                sphere_csv=SPHERE_CSV)
     return runs
+
+
+def _cli(*argv: str) -> str:
+    """What ``willmore argv`` prints; a failed command raises."""
+    from willmore.cli import main
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(list(argv))
+    if code:
+        raise RuntimeError(f"willmore {argv[0]} exited with {code} in "
+                           f"{Path.cwd()}")
+    return printed.getvalue()
 
 
 def write(out: Path) -> None:
@@ -83,6 +101,11 @@ def write(out: Path) -> None:
                              run_dir / config["surface"]["csv"])
         with contextlib.chdir(run_dir):
             doc = run_pipeline(copy.deepcopy(config), ".")
+            Path("config.json").write_text(json.dumps(config))
+            _cli("generate", "--config", "config.json", "--out",
+                 "generate.csv")
+            Path("energy.txt").write_text(
+                _cli("energy", "--config", "config.json"))
         doc.pop("elapsed_seconds")
         (run_dir / "report.json").write_text(json.dumps(doc, indent=1))
         print(f"wrote {run_dir}")

@@ -16,6 +16,8 @@ from willmore.residues import RESIDUE_KEYS
 from willmore.surface import (catalog_surface, load_samples_csv,
                               save_samples_csv)
 
+from report_bytes import BRANCHED_PLANE_SPEC, CSV_CHART, SPHERE_CSV
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -52,15 +54,20 @@ def test_generate_writes_csv(tmp_path):
 
 
 def test_generate_samples_the_whole_grid(tmp_path):
-    # generate writes the catalog chart sampled on the whole grid at once
-    cfg = write_config(tmp_path, SYNTH_TH2)
-    out, want = tmp_path / "samples.csv", tmp_path / "want.csv"
-    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    # generate writes the catalog chart's samples of the whole grid, on a
+    # grid of one row block and on one that PolarGrid.blocks splits in 7
     surf = SYNTH_TH2["surface"]
-    save_samples_csv(catalog_surface(surf["name"], surf["params"],
-                                     PolarGrid.from_json(SYNTH_TH2["grid"]),
-                                     surf["ambient_dim"]), want)
-    assert out.read_bytes() == want.read_bytes()
+    for grid, n_blocks in ((SYNTH_TH2["grid"], 1),
+                           ({**SYNTH_TH2["grid"], "n_r": 385,
+                             "n_theta": 256}, 7)):
+        g = PolarGrid.from_json(grid)
+        assert len(list(g.blocks(surf["ambient_dim"], 0))) == n_blocks
+        cfg = write_config(tmp_path, {**SYNTH_TH2, "grid": grid})
+        out, want = tmp_path / "samples.csv", tmp_path / "want.csv"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        save_samples_csv(catalog_surface(surf["name"], surf["params"], g,
+                                         surf["ambient_dim"]), want)
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_analyze_plane(tmp_path, capsys):
@@ -243,10 +250,29 @@ INVCAT_TWO_LEVELS = {
 }
 
 
-def test_cli_commands_agree_with_analyze(tmp_path, capsys):
-    for i, config in enumerate((INVCAT, SYNTH_TH2, INVCAT_TWO_LEVELS)):
+# one config of each multiplier kind beyond the zero one: pmc mode over
+# three levels, a spec at mu = theta0 - 2 with an f0 tail
+# (``BRANCHED_PLANE_SPEC``), and CSV samples (``SPHERE_CSV``)
+CYLINDER_PMC = {
+    "surface": {"name": "cylinder_cmc", "params": {"radius": 0.75}},
+    "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 24, "n_theta": 32},
+    "multiplier": {"mode": "pmc"}, "levels": 3,
+}
+
+
+def test_cli_commands_agree_with_analyze(tmp_path, capsys, monkeypatch):
+    # residues, fit, energy and classify each print their part of the
+    # report, for every multiplier kind and for CSV samples
+    configs = (INVCAT, SYNTH_TH2, INVCAT_TWO_LEVELS, CYLINDER_PMC,
+               BRANCHED_PLANE_SPEC, SPHERE_CSV)
+    for i, config in enumerate(configs):
         run = tmp_path / str(i)
         run.mkdir()
+        monkeypatch.chdir(run)  # the CSV config names its samples relatively
+        if "csv" in config["surface"]:
+            chart, m, grid = CSV_CHART
+            save_samples_csv(catalog_surface(chart, {}, PolarGrid(*grid), m),
+                             run / config["surface"]["csv"])
         cfg = write_config(run, config)
         doc = analyze_report(run, cfg, capsys)
         outputs = {}

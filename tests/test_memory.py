@@ -21,6 +21,7 @@ at once and the level kept the strong-form and divergence fields, the
 frame and H0 until its end).
 """
 
+import json
 import tracemalloc
 import weakref
 from dataclasses import fields
@@ -29,6 +30,7 @@ import numpy as np
 
 from willmore import grid as g
 from willmore import pipeline, potentials, surface
+from willmore.cli import main
 from willmore.curvature import CurvatureField, curvature
 from willmore.grid import PolarGrid
 from willmore.potentials import PotentialSet, potential_set
@@ -125,6 +127,28 @@ def test_chart_sampled_one_row_block_at_a_time(monkeypatch):
     bands = list(grid.blocks(3, 2))
     assert len(bands) == 3
     pipeline.analyze_level(settings, grid)
+    assert sampled == [band.rows for band in bands]
+
+
+def test_generate_samples_one_row_block_at_a_time(monkeypatch, tmp_path):
+    # willmore generate fills the chart's samples through the level's own
+    # accessor, one block's rows per call and no halo
+    sampled, sample = [], surface.from_chart
+
+    def from_chart(chart, grid, *args):
+        sampled.append(grid.rows)
+        return sample(chart, grid, *args)
+
+    monkeypatch.setattr(surface, "from_chart", from_chart)
+    config = {"surface": {"name": "cylinder_cmc", "params": {"radius": 0.75}},
+              "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 191,
+                       "n_theta": 256}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["generate", "--config", str(path),
+                 "--out", str(tmp_path / "samples.csv")]) == 0
+    bands = list(pipeline.resolve(config).grids[0].blocks(3, 0))
+    assert len(bands) == 3
     assert sampled == [band.rows for band in bands]
 
 

@@ -10,8 +10,8 @@ from willmore.residual import equation, star_dn_wedge
 from willmore.surface import (CATALOG, ImmersionField, catalog_surface,
                               conformal_factor, frame_and_gauss, from_chart)
 
-from oracles import (antiholomorphy_identity_norms, inverted_chart,
-                     star_dn_wedge_algebra, star_dn_wedge_stencil, stencil_dn)
+from oracles import (antiholomorphy_identity_norms, branched_chart,
+                     inverted_chart, star_dn_wedge_algebra, star_dn_wedge_stencil, stencil_dn)
 
 LEVELS = ((32, 32), (64, 64), (128, 128))
 
@@ -261,6 +261,39 @@ def test_moebius_invariance_smoke():
         errs.append(equation(curv, frame).norms["strong"]["rms"])
         hs.append(grid.ds)
     assert g.fit_order(hs, errs) >= 1.8
+
+
+#: the constant multiplier of the radius-0.75 CMC cylinder (its pmc value)
+CYLINDER_A = -8.0 / 9.0
+
+
+def test_multiplier_term_on_cylinder_images():
+    # cyl(z^k / k) and its images under two inversions are constrained
+    # Willmore with f = a zbar^(2k - 2), the pullback of the cylinder's
+    # constant a; their conformal factor is not constant, so the strong form
+    # converges only if the multiplier term carries the right e^(-2 lam)
+    # weight, and fails to with f = 0
+    cylinder = CATALOG["cylinder_cmc"]({"radius": 0.75}, 3)
+    coarse = PolarGrid(1e-3, 1.0, 191, 128)
+    grids = (coarse, coarse.refined())
+    for k in (1, 2, 3):
+        spec = MultiplierSpec(2 * k - 2, CYLINDER_A)
+        for center in (None, (1.5, -1.0, 2.0), (3.0, 0.5, 0.0)):
+            chart = branched_chart(cylinder, k)
+            if center is not None:
+                chart = inverted_chart(chart, center)
+            errs = {"f": [], "zero": []}
+            for grid in grids:
+                field = from_chart(chart, grid, 3)
+                frame = frame_and_gauss(field, conformal_factor(field))
+                curv = curvature(field, frame)
+                for key, f in (("f", spec.evaluate(grid.z)), ("zero", None)):
+                    eq = equation(curv, frame, f, field)
+                    errs[key].append(eq.norms["strong"]["rms"])
+            hs = [grid.ds for grid in grids]
+            case = f"k = {k}, center {center}"
+            assert g.fit_order(hs, errs["f"]) >= 1.9, (case, errs)
+            assert g.fit_order(hs, errs["zero"]) < 1.0, (case, errs)
 
 
 # every catalog chart, one of them at m = 8; synthetic_th4 is not conformal
