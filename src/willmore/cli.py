@@ -81,7 +81,9 @@ def _analyze(args, with_expansion: bool) -> dict:
 
 
 def _write_json(doc, out) -> int:
-    text = json.dumps(doc, indent=1)
+    from willmore.grid import json_text
+
+    text = json_text(doc)
     if out:
         Path(out).write_text(text)
     else:

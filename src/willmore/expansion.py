@@ -104,9 +104,7 @@ def fit_phi(field: ImmersionField, theta0: int, a: int, u0: float) -> ExpansionF
         zp = z ** (theta0 + k)
         cols += [zp.real, zp.imag]
     pole = r ** (2 * theta0) * z ** float(-a)
-    cols.append(pole.real)
-    if a != 0:
-        cols.append(pole.imag)
+    cols += [pole.real] + [pole.imag] * (a != 0)
     cols.append(-(r ** (2 * theta0)) * (theta0 * np.log(r) - 1.0))
     design = np.stack(cols, axis=1)
 
@@ -114,19 +112,12 @@ def fit_phi(field: ImmersionField, theta0: int, a: int, u0: float) -> ExpansionF
     targets = field.phi[:, sel].reshape(m, -1).T  # one row per node
     coef, cond, resid = _weighted_lstsq(design, targets, weights)
 
-    def complex_pair(i):
-        return coef[i] - 1j * coef[i + 1]
-
+    complex_pair = lambda i: coef[i] - 1j * coef[i + 1]
     A = complex_pair(0)
     B = [complex_pair(2 * k) for k in range(1, theta0 - a + 1)]
-    idx = 2 * (theta0 - a + 1)
-    if a != 0:
-        C_ta = coef[idx] - 1j * coef[idx + 1]
-        idx += 2
-    else:
-        C_ta = coef[idx].astype(complex)
-        idx += 1
-    C_vec = coef[idx].real
+    idx = 2 * (theta0 - a + 1)  # the pole column(s), then the log column
+    C_ta = complex_pair(idx) if a != 0 else coef[idx].astype(complex)
+    C_vec = coef[idx + 1 + (a != 0)].real
 
     E_a = 2.0 * theta0 * (theta0 - a) * np.exp(-2.0 * u0) * C_ta
     gamma0_fit = 2.0 * theta0 ** 3 * np.exp(-2.0 * u0) * C_vec
@@ -157,10 +148,7 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
     z = grid.z[sel].ravel()
     r = np.abs(z)
     zp = z ** float(-a)
-    cols = [zp.real]
-    if a != 0:
-        cols.append(zp.imag)
-    cols.append(-np.log(r))
+    cols = [zp.real] + [zp.imag] * (a != 0) + [-np.log(r)]
     for k in range(1, 3):
         zq = z ** float(k - a)
         cols.append(zq.real)
@@ -174,13 +162,9 @@ def fit_H(curv: CurvatureField, theta0: int, a: int, u0: float) -> dict:
     targets = curv.H[:, sel].reshape(m, -1).T  # one row per node
     coef = _weighted_lstsq(design, targets, weights)[0]
 
-    n_struct = (1 if a == 0 else 2) + 1
-    if a != 0:
-        E_a = coef[0] - 1j * coef[1]
-        gamma0 = coef[2].real
-    else:
-        E_a = coef[0].astype(complex)
-        gamma0 = coef[1].real
+    n_struct = (1 if a == 0 else 2) + 1  # the pole column(s), then the log
+    E_a = coef[0] - 1j * coef[1] if a != 0 else coef[0].astype(complex)
+    gamma0 = coef[n_struct - 1].real
     # eta is the gap to the structural part alone; the nuisance content is
     # part of the remainder whose decay the exponent measures
     eta = targets - design[:, :n_struct] @ coef[:n_struct]
@@ -204,13 +188,9 @@ def verify_constants(fit: ExpansionFit, theta0: int, a: int, u0: float,
     out["C_defect"] = float(np.linalg.norm(fit.C_vec - expect_C))
     expect_Cta = (np.exp(2.0 * u0) / (2.0 * theta0 * (theta0 - a))
                   * np.asarray(E_a_from_H))
-    if a == 0:
-        # |z|^{2 theta0} z^0 is real: only the real part is identifiable
-        out["C_theta_a_defect"] = float(
-            np.linalg.norm(fit.C_theta_a.real - expect_Cta.real))
-        out["C_theta_a_partial"] = True
-    else:
-        out["C_theta_a_defect"] = float(
-            np.linalg.norm(fit.C_theta_a - expect_Cta))
-        out["C_theta_a_partial"] = False
+    # a = 0: |z|^{2 theta0} z^0 is real, so only the real part is identifiable
+    got, want = ((fit.C_theta_a.real, expect_Cta.real) if a == 0
+                 else (fit.C_theta_a, expect_Cta))
+    out["C_theta_a_defect"] = float(np.linalg.norm(got - want))
+    out["C_theta_a_partial"] = a == 0
     return out

@@ -18,13 +18,15 @@ is the view of one annulus for stages that report only that annulus, and
 ``PolarGrid.blocks`` cuts the grid into row blocks of about
 ``BLOCK_BYTES`` of m-vector field rows, so that a level's one pass over
 its samples, frame, curvature, multiplier and equation (``pipeline.level_pass``)
-runs on arrays that stay in a core's cache; a block's halo rows feed its
-radial stencils and are not kept.
+runs on block-sized arrays; a block's halo rows feed its radial stencils and
+are not kept.  ``PolarGrid.strips`` splits rows the same way into strips
+of ``STRIP_BYTES`` per real plane, on which a chart is evaluated.
 ``annulus_mask`` always trims 10% of the rows at each rim, so every
 annulus norm stays off the one-sided stencils; ``integrate`` reads every
 row.  ``jsonable`` is the one converter of arrays and complex numbers to
-JSON values, used by every report writer, and ``read_json`` the one reader
-of JSON entries, each against its ``Form`` in its reader's table of keys.
+JSON values, ``json_text`` the one writer of JSON text, and ``read_json``
+the one reader of JSON entries, each against its ``Form`` in its reader's
+table of keys.
 
 Field arrays are shaped (..., n_r, n_theta): ambient, coefficient and
 derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
@@ -33,6 +35,7 @@ derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
 from __future__ import annotations
 
 import cmath
+import json
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,9 +43,12 @@ from numbers import Complex, Real
 
 import numpy as np
 
-#: bytes of m-vector field rows in one block of ``PolarGrid.blocks``: the
-#: few block-sized fields a pass keeps alive fit a 2 MB per-core L2 cache
+#: bytes of m-vector field rows in one block of ``PolarGrid.blocks``; a pass
+#: keeps tens of block-sized fields alive, more than a core's L2 cache holds
 BLOCK_BYTES = 512 * 1024
+#: bytes of a real plane in one of ``PolarGrid.strips``, on which a chart is
+#: sampled (4096 nodes): each jet temporary is a plane that fits L2 cache
+STRIP_BYTES = 32 * 1024
 
 
 # -- JSON entries ---------------------------------------------------------------
@@ -230,11 +236,19 @@ class PolarGrid:
         keeps at least 3 rows, which the one-sided stencils at the grid's
         ends read).  A grid that fits is one band over all its rows.
         """
-        n = -(-self.n_r // max(4, BLOCK_BYTES // (m * self.n_theta * 8)))
-        edges = [k * self.n_r // n for k in range(n + 1)]
-        for a, b in zip(edges, edges[1:]):
+        for a, b in self._runs(max(4, BLOCK_BYTES // (m * self.n_theta * 8))):
             lo, hi = max(a - halo, 0), min(b + halo, self.n_r)
             yield RowBand(self, lo, hi, slice(a - lo, b - lo))
+
+    def strips(self) -> list:
+        """The row slices of ``_runs`` of a real plane's ``STRIP_BYTES``."""
+        return [slice(*r) for r in self._runs(max(1, STRIP_BYTES // (self.n_theta * 8)))]
+
+    def _runs(self, most: int):
+        """(start, stop) of the fewest equal runs of at most ``most`` rows."""
+        n = -(-self.n_r // most)
+        edges = [k * self.n_r // n for k in range(n + 1)]
+        return zip(edges, edges[1:])
 
 
 #: the keys of a grid entry, read by ``PolarGrid.from_json``
@@ -442,11 +456,29 @@ def jsonable(v):
     if isinstance(v, (list, tuple)):
         return [jsonable(x) for x in v]
     if isinstance(v, np.ndarray):
-        if np.iscomplexobj(v):
-            return [jsonable(x) for x in v.tolist()]
-        return v.tolist()
+        return jsonable(v.tolist()) if np.iscomplexobj(v) else v.tolist()
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, (np.floating, np.integer, np.bool_)):
         return v.item()
     return v
+
+
+def json_text(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=1)`` byte for byte, but a list of floats is
+    one join of ``float.__repr__``, not json's pure-Python indent encoder."""
+    inner = indent + " "
+    if isinstance(doc, (list, tuple)) and doc:
+        if all(type(x) is float for x in doc):
+            body = ("," + inner).join(map(float.__repr__, doc))
+            body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        else:
+            body = ("," + inner).join(json_text(x, inner) for x in doc)
+        return f"[{inner}{body}{indent}]"
+    if isinstance(doc, dict) and doc:
+        return "{" + inner + ("," + inner).join(
+            json_text(k if isinstance(k, str) else json.dumps(k)) + ": "
+            + json_text(v, inner) for k, v in doc.items()) + indent + "}"
+    if isinstance(doc, str):
+        return json.encoder.encode_basestring_ascii(doc)
+    return json.dumps(doc)

@@ -22,7 +22,6 @@ Report files (schema_version 1):
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +37,8 @@ from willmore.curvature import (CurvatureField, curvature, delta_profile,
 from willmore.expansion import fit_H, fit_phi, verify_constants
 from willmore.grid import (BOOL, INTEGER, MAPPING, NON_NEGATIVE, REQUIRED,
                            STRING, Form, PolarGrid, circle_mean, fit_order,
-                           integrate, is_integer, jsonable, read_json)
+                           integrate, is_integer, json_text, jsonable,
+                           read_json)
 from willmore.multiplier import (MultiplierSpec, antiholomorphy_defect,
                                  pmc_multiplier, special_fields)
 from willmore.multivec import MAX_DIM, MIN_DIM
@@ -218,33 +218,44 @@ def level_pass(settings: Settings, field: ImmersionField):
     defect and runs ``curvature``, ``pmc_multiplier`` and ``equation`` on its
     frame; every term is per node or a stencil inside the halo, so each kept
     row equals a one-block pass bit for bit.  The level keeps the blocks' own
-    rows of what later stages read (phi, d1, lam; no d2, H0 or f_pmc).
+    rows of what later stages read (phi, d1, lam; no d2, H0 or f_pmc): a
+    one-block level keeps the block's arrays themselves.
     """
     grid, m = field.grid, field.ambient_dim
     spec, sign = settings.spec, settings.pmc_sign
-    plane = lambda *lead: np.empty(lead + grid.rr.shape)
-    curv = CurvatureField(grid, plane(), plane(m), *(plane() for _ in range(4)))
-    pmc = {"abs_max": np.empty(grid.n_r), "dz_max": np.empty(grid.n_r)}
-    eq = Equation(FluxField(grid, plane(2, m)),
-                  {key: plane() for key in ("strong", "div", "identity")},
-                  np.empty(grid.n_r), np.empty(grid.n_r))
-    defect = np.empty(grid.n_r)
+    level = {}
+    if next(grid.blocks(m, 2)).n_r < grid.n_r:  # below the blocks' in the heap
+        level = {key: np.empty(lead + grid.rr.shape) for key, lead in (
+            ("lam", ()), ("H", (m,)), ("K", ()), ("energy_density", ()),
+            ("dn_norm", ()), ("eH0_norm", ()), ("flux", (2, m)),
+            ("strong", ()), ("div", ()), ("identity", ()))}
+        level.update((key, np.empty(grid.n_r)) for key in (
+            "defect", "abs_max", "dz_max", "parallel", "scale"))
+
+    def keep(band, **arrays):
+        """Keeps ``band``'s own rows of arrays (axis -2, or -1 per circle)."""
+        for key, a in arrays.items():
+            own = (slice(None),) * (a.ndim > 1)
+            if key in level:
+                level[key][(..., band.kept, *own)] = a[(..., band.keep, *own)]
+            else:  # the level's one block, all of whose rows are its own
+                level[key] = a
+
     for band in grid.blocks(m, 2):
-        keep, kept = band.keep, band.kept
         part = _stage("surface", field.on, band)
         lam, dfct = _stage("conformal_factor", conformal_factor, part)
-        curv.lam[kept], defect[kept] = lam[keep], np.max(dfct[keep], axis=-1)
-        frame = _stage("frame_and_gauss", frame_and_gauss, part, (lam, dfct[keep]),
+        keep(band, lam=lam, defect=np.max(dfct, axis=-1))
+        frame = _stage("frame_and_gauss", frame_and_gauss, part,
+                       (lam, dfct[band.keep]),
                        settings.tolerances["defect_threshold"])  # gates kept rows
         cb = _stage("curvature", curvature, part, frame)
         del frame.II, frame.gram, part.d2  # read last by curvature, with nu
-        for key in ("H", "K", "energy_density", "dn_norm", "eH0_norm"):
-            getattr(curv, key)[..., kept, :] = getattr(cb, key)[..., keep, :]
+        keep(band, H=cb.H, K=cb.K, energy_density=cb.energy_density,
+             dn_norm=cb.dn_norm, eH0_norm=cb.eH0_norm)
         del cb.K, cb.energy_density, cb.dn_norm, cb.eH0_norm  # kept above
 
         pb = _stage("pmc_multiplier", pmc_multiplier, cb, frame, sign or 1)
-        for key in ("abs_max", "dz_max"):
-            pmc[key][kept] = pb[key][keep]
+        keep(band, abs_max=pb["abs_max"], dz_max=pb["dz_max"])
         if sign is not None:
             f = pb["f_pmc"]
         elif not spec.zero:
@@ -255,12 +266,15 @@ def level_pass(settings: Settings, field: ImmersionField):
 
         eb = _stage("equation", equation, cb, frame, f, part)
         del part, frame, cb, f, lam  # before the next block's are formed
-        eq.flux.raw[..., kept, :] = eb.flux.raw[..., keep, :]
-        for key, sq in eb.squares.items():
-            eq.squares[key][kept] = sq[keep]
-        eq.parallel[kept], eq.scale[kept] = eb.parallel[keep], eb.scale[keep]
+        keep(band, flux=eb.flux.raw, parallel=eb.parallel, scale=eb.scale,
+             **eb.squares)
         del eb
-    return curv, pmc, eq, defect
+    curv = CurvatureField(grid, *(level[key] for key in (
+        "lam", "H", "K", "energy_density", "dn_norm", "eH0_norm")))
+    eq = Equation(FluxField(grid, level["flux"]),
+                  {key: level[key] for key in ("strong", "div", "identity")},
+                  level["parallel"], level["scale"])
+    return curv, {key: level[key] for key in ("abs_max", "dz_max")}, eq, level["defect"]
 
 
 def analyze_level(settings: Settings,
@@ -409,8 +423,7 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.json", "w") as fh:
-            fh.write(json.dumps(doc, indent=1))
+        (out / "report.json").write_text(json_text(doc))
         _write_profiles(out, final)
     return doc
 

@@ -178,7 +178,7 @@ def _cumtrapz(vals: np.ndarray, h: float) -> np.ndarray:
 
 
 def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral antiderivative along axis -1, normalized to 0 at theta = 0.
+    """Spectral antiderivative along axis -1 (n_theta even), 0 at theta = 0.
 
     Writes the antiderivative samples over ``vals`` and returns them with
     the per-circle holonomy 2 pi mean(f) picked up over one full loop (the
@@ -189,11 +189,8 @@ def _cumtheta(vals: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     fh = np.fft.rfft(vals, axis=-1)
     k = np.arange(n_theta // 2 + 1, dtype=float)
     mask = np.ones(len(k))
-    mask[0] = 0.0
-    k[0] = 1.0
-    if n_theta % 2 == 0:
-        mask[n_theta // 2] = 0.0  # drop the unpaired Nyquist mode
-        k[n_theta // 2] = 1.0
+    mask[0] = mask[-1] = 0.0  # the mean and the unpaired Nyquist mode
+    k[0] = k[-1] = 1.0
     fh *= mask / (1j * k)
     np.fft.irfft(fh, n_theta, axis=-1, out=vals)
     del fh

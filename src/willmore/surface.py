@@ -71,16 +71,22 @@ class ImmersionField:
 
 def from_chart(chart: Callable, grid: PolarGrid, m: int,
                first: Optional[np.ndarray] = None) -> ImmersionField:
-    """Samples of a jet chart with exact derivatives, phi and d1 in ``first``."""
-    xj, yj = Jet.seed(grid.x, grid.y)
-    comps = chart(xj, yj)
-    if len(comps) != m:
-        raise SurfaceError(f"chart returned {len(comps)} components, expected {m}")
-    first = np.empty((3, m) + grid.x.shape) if first is None else first
-    d2 = np.empty((3, m) + grid.x.shape)
-    for slot, name in zip((*first, *d2), Jet.__slots__):
-        for k, c in enumerate(comps):
-            slot[k] = getattr(c, name)
+    """Samples of a jet chart with exact derivatives, phi and d1 in ``first``,
+    evaluated one of ``grid.strips()`` at a time, so each jet temporary is a
+    strip-sized plane; each operation is per node, so they equal one
+    evaluation on all rows bit for bit."""
+    first = np.empty((3, m) + grid.rr.shape) if first is None else first
+    d2 = np.empty((3, m) + grid.rr.shape)
+    for rows in grid.strips():
+        rr = grid.rr[rows]  # x and y as PolarGrid forms them, per strip
+        comps = chart(*Jet.seed(rr * grid.cos_t[rows], rr * grid.sin_t[rows]))
+        if len(comps) != m:
+            raise SurfaceError(f"chart returned {len(comps)} components, "
+                               f"expected {m}")
+        for slot, name in zip((*first[:, :, rows], *d2[:, :, rows]),
+                              Jet.__slots__):
+            for k, c in enumerate(comps):
+                slot[k] = getattr(c, name)
     return ImmersionField(grid, first, d2)
 
 

@@ -22,7 +22,8 @@ exists in only one, and exits 1 if there is any.  ``compare --rel`` holds
 every file to the rule of ``test_golden_reports.py`` instead of byte
 equality (ints, strings and bools exact, floats within
 1e-8 max(|a|, |b|) + 1e-12, the raw winding of a degenerate component not
-compared; CSV cells are read as floats), prints the worst relative
+compared; CSV cells are read as floats; ``config.json`` and
+``energy.txt`` are compared as text, exactly), prints the worst relative
 difference among floats more than 1e-12 apart per file, then per key path
 (the file name and the path inside it, array indices collapsed to ``[]``,
 over every run, with the run where the worst one sits), then the first
@@ -122,11 +123,13 @@ def compare(a: Path, b: Path) -> list[str]:
 
 
 def _read(path: Path):
-    """A report as ``test_golden_reports`` compares it, or a CSV's columns
-    by their header names."""
+    """A report as ``test_golden_reports`` compares it, a CSV's columns by
+    their header names, or any other file's text (compared exactly)."""
     from test_golden_reports import _blank_noise
-    if path.suffix == ".json":
+    if path.name == "report.json":
         return _blank_noise(json.loads(path.read_text()))
+    if path.suffix != ".csv":
+        return path.read_text()
     header, *rows = (line.split(",") for line in path.read_text().splitlines())
     return {name: [float(row[k]) for row in rows]
             for k, name in enumerate(header)}

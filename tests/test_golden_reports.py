@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from willmore.grid import json_text
 from willmore.pipeline import run_pipeline
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,6 +103,28 @@ def test_report_matches_golden(name):
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     bad = mismatches(_blank_noise(report(name)), _blank_noise(want))
     assert not bad, "\n".join(bad[:20])
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_json_text_writes_json_dumps_bytes(name):
+    # report.json is written by json_text, not json.dumps(doc, indent=1)
+    doc = run_pipeline(CONFIGS[name])
+    assert json_text(doc) == json.dumps(doc, indent=1)
+
+
+@pytest.mark.parametrize("doc", [
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 5e300,
+     0.1, -2.5e-7],
+    [], {}, (), [[]], {"a": {}}, (1.0, 2.0), [(1.0, "x"), ()],
+    "h\u00e9 \u2603 \"q\" \\ \n\t\u0001", {"\u00e9": "\U0001f600"},
+    [[0.5, -1.25], [float("nan"), -0.0]], [1, -7, 2 ** 70, 0],
+    [True, False, None], [1.0, 2, 3.0], [1.0, True], {"k": [1.0, None]},
+    {1: "int", 2.5: "float", False: "bool", None: "null"},
+    0.1, float("nan"), -float("inf"), 3, True, None, "plain"])
+def test_json_text_edge_values(doc):
+    assert json_text(doc) == json.dumps(doc, indent=1)
+    assert json_text([doc, {"x": doc}]) == json.dumps([doc, {"x": doc}],
+                                                      indent=1)
 
 
 def test_rule_rejects_drift():

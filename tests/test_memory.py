@@ -12,8 +12,9 @@ grad_perp R was formed 28 components wide; 9.5 while the Gauss map and its
 stencil gradient were formed; 8.4 while the level's frame lived on for
 verify_system; 7.6 while the level sampled its chart into one whole-grid
 array with the second derivatives).  A pmc-mode m = 3 level of 191x256
-nodes, which splits into three row blocks, peaks near 16.4 of its
-3-component fields (18.6 while the chart's second derivatives were
+nodes, which splits into three row blocks, peaks near 16.0 of its
+3-component fields (16.4 while each block evaluated its chart on the
+block's x and y at once; 18.6 while the chart's second derivatives were
 sampled on the whole grid and H0 was formed through block-sized
 temporaries; 23.5 while the level's frame, H0 and f_pmc were whole-grid
 arrays; 26.4 while curvature and the equation pass ran on the whole grid
@@ -128,6 +129,25 @@ def test_chart_sampled_one_row_block_at_a_time(monkeypatch):
     assert len(bands) == 3
     pipeline.analyze_level(settings, grid)
     assert sampled == [band.rows for band in bands]
+
+
+def test_chart_sampled_in_row_strips(monkeypatch):
+    # one 191x128 synthetic_th4 block (branch_th3's chart) is sampled in
+    # strips of STRIP_BYTES per real plane: the jet temporaries add about
+    # 1.2 of the block's six slots (first and d2) to them, against 3.5 when
+    # the chart is evaluated on the whole block at once
+    params = {"theta0": 3, "a": 1, "E_a": [0, 0, 0.2 + 0.1j, -0.15 + 0.12j],
+              "gamma0": [0, 0, 0.6, -0.5]}
+    grid = PolarGrid(1e-2, 1.0, 191, 128)
+    band = next(grid.blocks(4, 2))
+    assert band.n_r < grid.n_r and len(band.strips()) > 1
+    chart = surface.catalog_chart("synthetic_th4", params, 4)
+    slots = 6 * 4 * band.n_r * band.n_theta * 8
+    surface.from_chart(chart, band, 4)  # the grid's trig tables
+    assert traced_peak(surface.from_chart, chart, band, 4) < 3.0 * slots
+    monkeypatch.setattr(g, "STRIP_BYTES", band.n_r * band.n_theta * 8)
+    assert len(band.strips()) == 1
+    assert traced_peak(surface.from_chart, chart, band, 4) > 3.0 * slots
 
 
 def test_generate_samples_one_row_block_at_a_time(monkeypatch, tmp_path):

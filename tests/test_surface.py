@@ -242,6 +242,32 @@ def test_synthetic_chart_matches_per_component_oracle_bitwise(theta0):
 
 
 @pytest.mark.parametrize("name", GEOMETRIC + ["synthetic_th4"])
+def test_strips_sample_the_chart_bit_for_bit(name, monkeypatch):
+    # a chart is evaluated one row strip at a time: strips of one row, and
+    # strips of unequal size, equal one strip over all rows to the last bit,
+    # signed zeros included
+    params = (_planted(3, 1, 4, True, True, np.random.default_rng(0))
+              if name == "synthetic_th4" else None)
+    m = 4 if name in ("clifford_torus_patch", "synthetic_th4") else 3
+    grid = make_grid(n_r=23, n_theta=32)
+    chart = surface.catalog_chart(name, params, m)
+    row = grid.n_theta * 8
+    fields = []
+    for rows, n_strips in ((grid.n_r, 1), (1, grid.n_r), (7, 4)):
+        monkeypatch.setattr(g, "STRIP_BYTES", rows * row)
+        strips = grid.strips()
+        assert len(strips) == n_strips
+        assert strips[0].start == 0 and strips[-1].stop == grid.n_r
+        fields.append(from_chart(chart, grid, m))
+    assert {s.stop - s.start for s in strips} == {5, 6}  # the last budget's
+    whole = fields[0]
+    for field in fields[1:]:
+        for key in ("phi", "d1", "d2"):
+            assert np.array_equal(getattr(field, key).view(np.int64),
+                                  getattr(whole, key).view(np.int64)), key
+
+
+@pytest.mark.parametrize("name", GEOMETRIC + ["synthetic_th4"])
 def test_chart_fields_are_c_contiguous(name):
     # the rounding of the angular FFTs depends on the memory layout
     field = build(name)
