@@ -26,15 +26,9 @@ TOL_ZERO = 1e-6
 #: default ``pmc_threshold``: the largest parallelism defect read as pmc
 PMC_THRESHOLD = 5e-3
 
-VERDICTS = (
-    "smooth",
-    "c_theta_plus_one_alpha",
-    "sobolev_limited",
-    "c_one_alpha_worst_case",
-    "regular_point_smooth",
-    "regular_point_c2alpha",
-    "inconsistent",
-)
+VERDICTS = ("smooth", "c_theta_plus_one_alpha", "sobolev_limited",
+            "c_one_alpha_worst_case", "regular_point_smooth",
+            "regular_point_c2alpha", "inconsistent")
 
 
 @dataclass(eq=False)
@@ -103,19 +97,11 @@ def classify(report: ResidueReport, spec: MultiplierSpec,
     verdict, citations, exponent = decide(
         report.theta0, report.a, gamma0_zero, gamma_zero, mu, pmc, regular,
         range_ok)
-    conditions = {
-        "gamma0_zero": gamma0_zero,
-        "gamma_zero": gamma_zero,
-        "gamma0_norm": float(np.linalg.norm(report.gamma0)),
-        "zero_gate": gate,
-        "theta0": report.theta0,
-        "a": report.a,
-        "mu": mu,
-        "pmc": pmc,
-        "regular": regular,
-        "range_ok": range_ok,
-        "willmore": mu is None,
-    }
+    conditions = dict(
+        gamma0_zero=gamma0_zero, gamma_zero=gamma_zero,
+        gamma0_norm=float(np.linalg.norm(report.gamma0)), zero_gate=gate,
+        theta0=report.theta0, a=report.a, mu=mu, pmc=pmc, regular=regular,
+        range_ok=range_ok, willmore=mu is None)
     diagnostics = {}
     if not range_ok:
         diagnostics["admissible_a"] = [lo, hi]

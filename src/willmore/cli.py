@@ -20,11 +20,12 @@ with its stage named, before any work.  ``residues``, ``fit`` and
 ``energy`` run ``analyze`` (without potentials; ``residues`` and ``energy``
 also without expansions) and print its last level, so each prints what
 ``analyze`` reports and fails where it fails; ``generate`` samples the first
-level's chart one row block at a time, as a level does; ``classify``
-re-derives the verdict with the report's saved config.  A config or report
-that is not JSON is refused with its file and the position named (a config
-at stage ``config``).  ``--tol-zero`` replaces ``tol_zero`` on the
-two commands whose output reads it, ``analyze`` and ``classify``.
+level's chart one row block at a time, as a level does, or copies CSV
+samples with no stencil; ``classify`` re-derives the verdict with the
+report's saved config.  A config or report that is not JSON is refused
+with its file and the position named (a config at stage ``config``).
+``--tol-zero`` replaces ``tol_zero`` on the two commands whose output
+reads it, ``analyze`` and ``classify``.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def cmd_generate(args) -> int:
     from willmore.surface import save_samples_csv
 
     settings = resolve(_load_config(args.config))
-    field = _stage("surface", build_field, settings, settings.grids[0])
-    for band in field.grid.blocks(field.ambient_dim, 0):
+    field = _stage("surface", build_field, settings, settings.grids[0], False)
+    for band in field.grid.blocks(field.ambient_dim, 0) if field.chart else ():
         _stage("surface", field.on, band)  # samples a chart in place
     save_samples_csv(field, args.out)
     print(f"wrote {field.grid.n_r * field.grid.n_theta} samples to {args.out}")

@@ -9,11 +9,11 @@ H0 = 2 e^{-2 lam} (dzz Phi - 2 dz(lam) dz Phi).  The Gauss curvature comes
 from <h11, h22> - <h12, h12>, which feeds the Liouville residual
 Lap u + e^{2 lam} K.  Every term is per node, so ``curvature`` is a kernel
 over the rows of its frame: a level runs it once per row block
-(``pipeline.level_pass``) and keeps H, K, the energy density, |grad n| of
-the Gauss map (from the frame's nu) and e^lam |H0|, while H0 lives only
-in the block, for the multiplier and the equation pass.  The h_ij are
-temporaries of K, and grad H is taken by the equation pass, its only
-reader.
+(``pipeline.level_pass``) and keeps H, K, |grad n| of the Gauss map (from
+the frame's nu), e^lam |H0| and the circle means of the energy density
+and of |grad n|^2, while H0 lives only in the block, for the multiplier
+and the equation pass.  The h_ij are temporaries of K, and grad H is
+taken by the equation pass, its only reader.
 """
 
 from __future__ import annotations
@@ -24,22 +24,25 @@ from typing import Optional
 
 import numpy as np
 
-from willmore.grid import PolarGrid, annulus_mask, dot, integrate, laplacian
+from willmore.grid import (PolarGrid, annulus_mask, circle_mean, dot,
+                           integrate_means, laplacian)
 from willmore.surface import BranchData, FrameField, ImmersionField
 
 
 @dataclass(eq=False)
 class CurvatureField:
     """The curvature of a grid's or a row block's nodes; a level's keeps no
-    H0, whose readers run per block."""
+    H0, whose readers run per block, nor the energy density, of which
+    ``means`` keeps the circle means ("energy"), as of |grad n|^2."""
 
     grid: PolarGrid
     lam: np.ndarray
     H: np.ndarray          # (m, n_r, n_theta) real, un-projected evaluation
     K: np.ndarray
-    energy_density: np.ndarray  # |H|^2 e^{2 lam}
     dn_norm: np.ndarray    # |grad n| of the Gauss map
     eH0_norm: np.ndarray   # e^lam |H0|
+    means: dict            # per circle: "energy" and "gauss_map"
+    energy_density: Optional[np.ndarray] = None  # |H|^2 e^{2 lam}
     H0: Optional[np.ndarray] = None  # (m, n_r, n_theta) complex
 
     @cached_property
@@ -74,19 +77,15 @@ def curvature(field: ImmersionField, frame: FrameField) -> CurvatureField:
     dn_norm = np.sqrt(sum(dot(v, v) for pair in frame.nu for v in pair))
     re, im = H0.real, H0.imag
     eH0_norm = np.exp(frame.lam) * np.sqrt(dot(re, re) + dot(im, im))
-    return CurvatureField(frame.grid, frame.lam, H, K, density, dn_norm,
-                          eH0_norm, H0)
+    means = {"energy": circle_mean(density),
+             "gauss_map": circle_mean(dn_norm ** 2)}
+    return CurvatureField(frame.grid, frame.lam, H, K, dn_norm, eH0_norm,
+                          means, density, H0)
 
 
 def willmore_energy(curv: CurvatureField) -> float:
     """Integral of |H|^2 over the grid annulus in the induced area element."""
-    return integrate(curv.grid, curv.energy_density)
-
-
-def gauss_map_energy_density(curv: CurvatureField) -> np.ndarray:
-    """|grad n|^2 of the Gauss map n = star(e1 ^ e2) (flat measure), from
-    the frame's second fundamental form."""
-    return curv.dn_norm ** 2
+    return integrate_means(curv.grid, curv.means["energy"])
 
 
 def gauss_bonnet_check(curv: CurvatureField, branch: BranchData) -> dict:

@@ -22,11 +22,11 @@ runs on block-sized arrays; a block's halo rows feed its radial stencils and
 are not kept.  ``PolarGrid.strips`` splits rows the same way into strips
 of ``STRIP_BYTES`` per real plane, on which a chart is evaluated.
 ``annulus_mask`` always trims 10% of the rows at each rim, so every
-annulus norm stays off the one-sided stencils; ``integrate`` reads every
-row.  ``jsonable`` is the one converter of arrays and complex numbers to
-JSON values, ``json_text`` the one writer of JSON text, and ``read_json``
-the one reader of JSON entries, each against its ``Form`` in its reader's
-table of keys.
+annulus norm stays off the one-sided stencils; ``integrate_means`` reads
+the circle means of every row.  ``jsonable`` is the one converter of arrays
+and complex numbers to JSON values, ``json_text`` the one writer of JSON
+text, and ``read_json`` the one reader of JSON entries, each against its
+``Form`` in its reader's table of keys.
 
 Field arrays are shaped (..., n_r, n_theta): ambient, coefficient and
 derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
@@ -418,15 +418,13 @@ def _norms(rows: np.ndarray) -> dict:
     return {"max": float(np.max(vals)), "rms": float(np.sqrt(np.mean(vals ** 2)))}
 
 
-def integrate(grid: PolarGrid, f: np.ndarray) -> float:
-    """Integral of a scalar node field over the whole grid annulus,
-    dx = r^2 ds dtheta, reading every row.
-
-    Periodic trapezoid in theta; endpoint-corrected trapezoid in s
-    (fourth order for smooth radial profiles).
-    """
+def integrate_means(grid: PolarGrid, means: np.ndarray) -> float:
+    """Integral over the whole grid annulus, dx = r^2 ds dtheta, of a scalar
+    node field whose ``circle_mean`` (its periodic trapezoid in theta) on
+    every row is ``means``: an endpoint-corrected trapezoid in s (fourth
+    order for smooth radial profiles)."""
     s = grid.s
-    ring = circle_mean(f) * 2.0 * np.pi * np.exp(2.0 * s)
+    ring = means * 2.0 * np.pi * np.exp(2.0 * s)
     total = float(np.trapezoid(ring, s))
     h = s[1] - s[0]
     w = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)

@@ -32,21 +32,22 @@ import numpy as np
 
 from willmore.classify import PMC_THRESHOLD, TOL_ZERO, classify, pmc_detect
 from willmore.curvature import (CurvatureField, curvature, delta_profile,
-                                gauss_bonnet_check, gauss_map_energy_density,
-                                weingarten_constant, willmore_energy)
-from willmore.expansion import fit_H, fit_phi, verify_constants
+                                gauss_bonnet_check, weingarten_constant,
+                                willmore_energy)
+from willmore.expansion import _fit_rows, fit_H, fit_phi, verify_constants
 from willmore.grid import (BOOL, INTEGER, MAPPING, NON_NEGATIVE, REQUIRED,
-                           STRING, Form, PolarGrid, circle_mean, fit_order,
-                           integrate, is_integer, json_text, jsonable,
-                           read_json)
+                           STRING, Form, PolarGrid, annulus_mask, circle_mean,
+                           fit_order, integrate_means, is_integer, json_text,
+                           jsonable, read_json)
 from willmore.multiplier import (MultiplierSpec, antiholomorphy_defect,
                                  pmc_multiplier, special_fields)
 from willmore.multivec import MAX_DIM, MIN_DIM
 from willmore.potentials import potential_set, verify_system
-from willmore.residual import Equation, FluxField, equation
-from willmore.residues import (WINDING_GATE, ResidueReport, branch_order,
-                               first_residue, modified_residue, potential_L,
-                               second_residue, tangent_vector, w_field)
+from willmore.residual import NORM_ANNULUS, Equation, FluxField, equation
+from willmore.residues import (WINDING_GATE, ResidueReport, _inner_rows,
+                               branch_order, first_residue, modified_residue,
+                               potential_L, second_residue, tangent_vector,
+                               w_field)
 from willmore.surface import (DEFECT_THRESHOLD, REGULAR_ENTRIES,
                               ImmersionField, catalog_chart, conformal_factor,
                               frame_and_gauss, load_samples_csv, write_csv)
@@ -198,46 +199,54 @@ def resolve(config) -> Settings:
                     c["with_potentials"], c["with_expansion"])
 
 
-def build_field(settings: Settings, grid: PolarGrid) -> ImmersionField:
-    """CSV samples, or a catalog chart's field that is sampled one row
-    block at a time (``ImmersionField.on``)."""
+def build_field(settings: Settings, grid: PolarGrid,
+                level: bool = True) -> ImmersionField:
+    """A level's field (CSV samples differentiated once, or a catalog chart
+    sampled one row block at a time by ``ImmersionField.on``), or with
+    ``level`` false the samples ``willmore generate`` writes.  Without
+    potentials or a spec multiplier, a level keeps phi and grad phi on the
+    rows of ``_fit_rows`` and ``_inner_rows`` alone, their only readers."""
     surf = settings.surface
     if "csv" in surf:
-        return load_samples_csv(surf["csv"])
-    m = surf["ambient_dim"]
-    return ImmersionField(grid, np.empty((3, m) + grid.rr.shape),
+        return load_samples_csv(surf["csv"], level)
+    m, every = surf["ambient_dim"], settings.with_potentials or not level
+    n_r = (grid.n_r if every or not settings.spec.zero
+           else max(_fit_rows(grid).stop, _inner_rows(grid).stop))
+    return ImmersionField(grid, np.empty((3, m, n_r, grid.n_theta)),
                           chart=catalog_chart(surf["name"], surf["params"], m))
 
 
 def level_pass(settings: Settings, field: ImmersionField):
-    """``(curv, pmc, eq, defect)`` of a level, from one pass over its row
+    """``(curv, eq, circles)`` of a level, from one pass over its row
     blocks (``PolarGrid.blocks``, two halo rows: grad H, then the
-    divergences); ``defect`` is the largest conformal defect per circle.
+    divergences).
 
     Each block samples its rows (``ImmersionField.on``), gates its own rows'
     defect and runs ``curvature``, ``pmc_multiplier`` and ``equation`` on its
     frame; every term is per node or a stencil inside the halo, so each kept
     row equals a one-block pass bit for bit.  The level keeps the blocks' own
-    rows of what later stages read (phi, d1, lam; no d2, H0 or f_pmc): a
-    one-block level keeps the block's arrays themselves.
+    rows of what later stages read: lam, H, K, |grad n|, e^lam |H0| and the
+    flux per node, the squared norms on the ``NORM_ANNULUS`` rows alone,
+    and in ``circles`` per circle the largest conformal defect, the maxima
+    and the means of the others (no d2, H0, f_pmc or energy density per
+    node); a one-block level keeps the block's node arrays themselves.
     """
     grid, m = field.grid, field.ambient_dim
     spec, sign = settings.spec, settings.pmc_sign
-    level = {}
+    ann, level, circles, squares = annulus_mask(grid, *NORM_ANNULUS), {}, {}, {}
     if next(grid.blocks(m, 2)).n_r < grid.n_r:  # below the blocks' in the heap
         level = {key: np.empty(lead + grid.rr.shape) for key, lead in (
-            ("lam", ()), ("H", (m,)), ("K", ()), ("energy_density", ()),
-            ("dn_norm", ()), ("eH0_norm", ()), ("flux", (2, m)),
-            ("strong", ()), ("div", ()), ("identity", ()))}
-        level.update((key, np.empty(grid.n_r)) for key in (
-            "defect", "abs_max", "dz_max", "parallel", "scale"))
+            ("lam", ()), ("H", (m,)), ("K", ()), ("dn_norm", ()),
+            ("eH0_norm", ()), ("flux", (2, m)))}
 
     def keep(band, **arrays):
-        """Keeps ``band``'s own rows of arrays (axis -2, or -1 per circle)."""
+        """Keeps ``band``'s own rows of arrays: per node (axis -2) in the
+        level's, per circle (axis -1) in ``circles``."""
         for key, a in arrays.items():
-            own = (slice(None),) * (a.ndim > 1)
-            if key in level:
-                level[key][(..., band.kept, *own)] = a[(..., band.keep, *own)]
+            if a.ndim == 1:
+                circles.setdefault(key, []).append(a[band.keep])
+            elif key in level:
+                level[key][..., band.kept, :] = a[..., band.keep, :]
             else:  # the level's one block, all of whose rows are its own
                 level[key] = a
 
@@ -250,8 +259,8 @@ def level_pass(settings: Settings, field: ImmersionField):
                        settings.tolerances["defect_threshold"])  # gates kept rows
         cb = _stage("curvature", curvature, part, frame)
         del frame.II, frame.gram, part.d2  # read last by curvature, with nu
-        keep(band, H=cb.H, K=cb.K, energy_density=cb.energy_density,
-             dn_norm=cb.dn_norm, eH0_norm=cb.eH0_norm)
+        keep(band, H=cb.H, K=cb.K, dn_norm=cb.dn_norm, eH0_norm=cb.eH0_norm,
+             **cb.means)
         del cb.K, cb.energy_density, cb.dn_norm, cb.eH0_norm  # kept above
 
         pb = _stage("pmc_multiplier", pmc_multiplier, cb, frame, sign or 1)
@@ -267,14 +276,18 @@ def level_pass(settings: Settings, field: ImmersionField):
         eb = _stage("equation", equation, cb, frame, f, part)
         del part, frame, cb, f, lam  # before the next block's are formed
         keep(band, flux=eb.flux.raw, parallel=eb.parallel, scale=eb.scale,
-             **eb.squares)
+             **{key: circle_mean(sq) for key, sq in eb.squares.items()})
+        for key, sq in eb.squares.items():
+            squares.setdefault(key, []).append(sq[band.keep][ann[band.kept]])
         del eb
+    c, squares = ({key: np.concatenate(v) for key, v in d.items()}
+                  for d in (circles, squares))
     curv = CurvatureField(grid, *(level[key] for key in (
-        "lam", "H", "K", "energy_density", "dn_norm", "eH0_norm")))
-    eq = Equation(FluxField(grid, level["flux"]),
-                  {key: level[key] for key in ("strong", "div", "identity")},
-                  level["parallel"], level["scale"])
-    return curv, {key: level[key] for key in ("abs_max", "dz_max")}, eq, level["defect"]
+        "lam", "H", "K", "dn_norm", "eH0_norm")),
+        {key: c[key] for key in ("energy", "gauss_map")})
+    eq = Equation(FluxField(grid, level["flux"]), squares, slice(None),
+                  c["parallel"], c["scale"])
+    return curv, eq, c
 
 
 def analyze_level(settings: Settings,
@@ -284,14 +297,15 @@ def analyze_level(settings: Settings,
     tol, spec, pmc_sign = settings.tolerances, settings.spec, settings.pmc_sign
     field = _stage("surface", build_field, settings, grid)
     grid = field.grid  # CSV samples bring their own
-    curv, pmc, eq, defect = level_pass(settings, field)
-    level = {"grid": grid.to_json(), "conformal_defect": float(np.max(defect))}
+    curv, eq, circles = level_pass(settings, field)
+    level = {"grid": grid.to_json(),
+             "conformal_defect": float(np.max(circles["defect"]))}
     br = _stage("branch_order", branch_order, grid, curv.lam)
     level.update(theta0=br.theta0, slope_raw=br.slope, u0=br.u0)
     level["willmore_energy"] = _stage("energy", willmore_energy, curv)
     # the Gauss-map energy is recorded, never silently rescaled away
-    gm_energy = _stage("gauss_map_energy", integrate, grid,
-                       gauss_map_energy_density(curv))
+    gm_energy = _stage("gauss_map_energy", integrate_means, grid,
+                       curv.means["gauss_map"])  # flat measure
     level.update(gauss_map_energy=gm_energy, warnings=[])
     if gm_energy > 4.0 * np.pi:
         level["warnings"].append(
@@ -300,17 +314,16 @@ def analyze_level(settings: Settings,
     prof = _stage("delta_profile", delta_profile, curv)
     level["delta_square_integral"] = prof["square_integral"]
     level["delta_profile"] = {"r": prof["r"], "delta": prof["delta"]}
-    level["energy_profile"] = circle_mean(curv.energy_density)
+    level["energy_profile"] = curv.means["energy"]
     level["liouville"] = _stage("gauss_bonnet", gauss_bonnet_check, curv, br)
-    del curv.K, curv.energy_density  # read last by the two stages above
     level["weingarten_constant"] = weingarten_constant(curv)
-    del curv.dn_norm, curv.eH0_norm  # read last by the stages above
+    del curv.K, curv.dn_norm, curv.eH0_norm  # read last by the stages above
 
     td = _stage("tangent_vector", tangent_vector, field, br)
     level.update(A=td.A, A_isotropy_defect=td.isotropy_defect,
                  A_normal_defect=td.normal_defect)
 
-    anti = antiholomorphy_defect(grid, pmc)
+    anti = antiholomorphy_defect(grid, circles)
     if pmc_sign is not None:
         level["multiplier"] = {"mode": "pmc", "sign": pmc_sign,
                                "antiholomorphy_defect": anti}
@@ -318,13 +331,13 @@ def analyze_level(settings: Settings,
         level["multiplier"] = {"mode": "zero" if spec.zero else "spec",
                                "spec": spec.to_json()}
 
-    fl, pmc_defect, sq, norms = eq.flux, eq.pmc_defect, eq.squares, eq.norms
+    fl, pmc_defect, norms = eq.flux, eq.pmc_defect, eq.norms
     level.update(strong_norms=norms["strong"], div_norms=norms["div"])
     level["residual_profile"] = {
-        "r": grid.r, "strong_rms": np.sqrt(circle_mean(sq["strong"])),
-        "div_rms": np.sqrt(circle_mean(sq["div"]))}
+        "r": grid.r, "strong_rms": np.sqrt(circles["strong"]),
+        "div_rms": np.sqrt(circles["div"])}
     level["equivalence_norms"] = norms["identity"]
-    del eq, sq  # the squared norms are read only above
+    del eq  # the flux's other holder
 
     fr = _stage("first_residue", first_residue, fl)
     beta0 = fr["beta0"]
@@ -353,14 +366,12 @@ def analyze_level(settings: Settings,
     del W  # read only by the winding stage and the profile above
 
     report = ResidueReport(
-        br.theta0, br.u0, td.A, beta0, fr["rho_spread"], gamma0,
-        srw.gamma, srw.a,
-        diagnostics={"per_circle_beta0": fr["per_circle"],
-                     "circle_radii": fr["radii"],
-                     "winding_raw": srw.raw})
-    level["pmc_detect"] = _stage("pmc_detect", pmc_detect, pmc_defect,
-                                 anti, report,
-                                 tol["pmc_threshold"], tol["tol_zero"])
+        br.theta0, br.u0, td.A, beta0, fr["rho_spread"], gamma0, srw.gamma,
+        srw.a, diagnostics={"per_circle_beta0": fr["per_circle"],
+                            "circle_radii": fr["radii"],
+                            "winding_raw": srw.raw})
+    level["pmc_detect"] = _stage("pmc_detect", pmc_detect, pmc_defect, anti,
+                                 report, tol["pmc_threshold"], tol["tol_zero"])
 
     if settings.with_potentials:
         pots = _stage("potentials", potential_set, L, beta0, field, curv,
@@ -374,10 +385,7 @@ def analyze_level(settings: Settings,
         fit = _stage("fit_phi", fit_phi, field, br.theta0, srw.a, br.u0)
         hfit = _stage("fit_H", fit_H, curv, br.theta0, srw.a, br.u0)
         level["expansion"] = fit.to_json()
-        level["expansion_H"] = {
-            "E_a": hfit["E_a"], "gamma0": hfit["gamma0"],
-            "eta_exponent": hfit["eta_exponent"],
-            "at_floor": hfit["at_floor"]}
+        level["expansion_H"] = hfit  # E_a, gamma0, eta_exponent, at_floor
         level["constants"] = _stage(
             "verify_constants", verify_constants, fit, br.theta0, srw.a,
             br.u0, gamma0, hfit["E_a"])
@@ -411,14 +419,10 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
                        tol_zero=settings.tolerances["tol_zero"])
 
     doc = jsonable({
-        "schema_version": SCHEMA_VERSION,
-        "config": config,
-        "elapsed_seconds": time.time() - t0,
-        "levels": levels,
-        "convergence": convergence,
-        "residues": report.to_json(),
-        "classification": verdict.to_json(),
-    })
+        "schema_version": SCHEMA_VERSION, "config": config,
+        "elapsed_seconds": time.time() - t0, "levels": levels,
+        "convergence": convergence, "residues": report.to_json(),
+        "classification": verdict.to_json()})
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -30,8 +30,8 @@ curvature, each formed once per block, and returns the flux (built once,
 without beta0), the per-node squared norms dot(f, f) of the strong form,
 of div X_raw and of the gap in the identity above, and the per-circle
 maxima of |pi_n grad H| and of max(|grad H|, |H|); from these
-``Equation`` takes the
-norms over ``NORM_ANNULUS`` and the parallelism defect
+``Equation`` takes the norms over ``NORM_ANNULUS`` (the only rows of the
+squares a level keeps) and the parallelism defect
 |pi_n grad H| / max(|grad H|, |H|).  The strong form and div X_raw
 themselves are never kept.  n is never formed: the term
 star(grad_perp n ^ H) comes from the frame (``star_dn_wedge``), and
@@ -48,8 +48,7 @@ from typing import Optional
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import (PolarGrid, annulus_mask, annulus_norms, div, dot,
-                           grad)
+from willmore.grid import PolarGrid, _norms, annulus_mask, div, dot, grad
 from willmore.multiplier import matrix_field
 from willmore.surface import FrameField, ImmersionField, normal_projector
 
@@ -61,15 +60,15 @@ NORM_ANNULUS = (0.1, 0.9)
 @dataclass(eq=False)
 class FluxField:
     grid: PolarGrid
-    raw: np.ndarray                 # (2, m, n_r, n_theta), no beta0 correction
+    raw: np.ndarray  # (2, m, n_r, n_theta), uncorrected until ``corrected``
 
     def corrected(self, beta0) -> np.ndarray:
         """X = raw - 2 beta0 grad log|x|, the flux with vanishing circulation,
-        subtracted in place in one copy of the raw flux."""
+        subtracted in place: the raw flux is overwritten, and returned."""
         twice = 2.0 * np.asarray(beta0, dtype=float)[..., None, None]
         grid = self.grid
         r2 = grid.rr ** 2
-        X = self.raw.copy()
+        X = self.raw
         X[0] -= twice * grid.x / r2
         X[1] -= twice * grid.y / r2
         return X
@@ -79,23 +78,24 @@ class FluxField:
 class Equation:
     """Both forms of the equation on a grid's or a row block's nodes.
 
-    ``squares`` holds dot(f, f) per node, shape (n_r, n_theta), of the
-    strong form ("strong"), of div X_raw ("div") and of the identity gap
-    ("identity"); ``parallel`` and ``scale`` hold per circle the max of
-    |pi_n grad H| and of max(|grad H|, |H|).  ``norms`` are the
-    ``NORM_ANNULUS`` norms of the three squares, whose pooled |f| is
-    sqrt(dot(f, f)), and ``pmc_defect`` the annulus max of |pi_n grad H|
-    over the largest scale.
+    ``squares`` holds dot(f, f) per node of the strong form ("strong"), of
+    div X_raw ("div") and of the identity gap ("identity"), on a level only
+    on the ``NORM_ANNULUS`` rows, which ``rows`` picks.  ``parallel`` and
+    ``scale`` hold per circle the max of |pi_n grad H| and of
+    max(|grad H|, |H|).  ``norms`` are the ``NORM_ANNULUS`` norms of the
+    three squares, whose pooled |f| is sqrt(dot(f, f)), and ``pmc_defect``
+    the annulus max of |pi_n grad H| over the largest scale.
     """
 
     flux: FluxField
     squares: dict
+    rows: object  # the squares' NORM_ANNULUS rows: a mask, or all of a level's
     parallel: np.ndarray
     scale: np.ndarray
 
     @property
     def norms(self) -> dict:
-        return {key: annulus_norms(self.flux.grid, np.sqrt(sq), *NORM_ANNULUS)
+        return {key: _norms(np.sqrt(sq[self.rows]))
                 for key, sq in self.squares.items()}
 
     @property
@@ -168,4 +168,5 @@ def equation(curv: CurvatureField, frame: FrameField,
     squares = {key: dot(v, v) for key, v in (("strong", strong),
                                               ("div", div_defect),
                                               ("identity", gap))}
-    return Equation(FluxField(grid, raw), squares, parallel, scale)
+    return Equation(FluxField(grid, raw), squares,
+                    annulus_mask(grid, *NORM_ANNULUS), parallel, scale)

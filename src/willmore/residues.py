@@ -259,7 +259,8 @@ def loop_defects(*parts) -> dict:
 
 def potential_L(fl: FluxField, beta0) -> tuple[np.ndarray, dict]:
     """L with grad_perp L = X, the flux corrected by the first residue
-    beta0, and its loop defects."""
+    beta0 in place (``FluxField.corrected``: ``fl.raw`` is overwritten),
+    and its loop defects."""
     X = fl.corrected(beta0)
     L, part = integrate_curl_potential(fl.grid, X[0], X[1])
     return L, loop_defects(part)

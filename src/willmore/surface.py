@@ -47,7 +47,8 @@ class ImmersionField:
 
     ``first`` stacks phi (m, n_r, n_theta) and d1 = (d/dx1, d/dx2), ``d2``
     (d2/dx1dx1, d2/dx1dx2, d2/dx2dx2), each along its leading axis; a
-    level's field of a jet ``chart`` has no d2 and is filled by ``on``.
+    level's field of a jet ``chart`` has no d2, is filled by ``on`` and may
+    keep ``first`` on its inner rows alone.
     """
 
     grid: PolarGrid
@@ -62,11 +63,16 @@ class ImmersionField:
             raise SurfaceError("immersion samples must be finite")
 
     def on(self, band: RowBand) -> "ImmersionField":
-        """The samples on ``band``'s rows: views, or the chart sampled into them."""
-        first = self.first[:, :, band.rows]
-        if self.d2 is None:
+        """The samples on ``band``'s rows: views, or the chart sampled into
+        them (past the rows ``first`` keeps, into the band's own array)."""
+        first = self.first[:, :, band.rows]  # the band's rows that it keeps
+        if self.d2 is not None:
+            return ImmersionField(band, first, self.d2[:, :, band.rows])
+        if first.shape[-2] == band.n_r:
             return from_chart(self.chart, band, self.ambient_dim, first)
-        return ImmersionField(band, first, self.d2[:, :, band.rows])
+        part = from_chart(self.chart, band, self.ambient_dim)
+        first[...] = part.first[:, :, :first.shape[-2]]
+        return part
 
 
 def from_chart(chart: Callable, grid: PolarGrid, m: int,
@@ -455,9 +461,11 @@ def save_samples_csv(field: ImmersionField, path) -> None:
               + list(field.phi.reshape(m, -1)))
 
 
-def load_samples_csv(path) -> ImmersionField:
-    """Samples read from r, theta, phi_1 .. phi_m rows; a malformed row, a
-    non-finite value or a repeated node is refused with its CSV line."""
+def load_samples_csv(path, derive: bool = True) -> ImmersionField:
+    """Samples read from r, theta, phi_1 .. phi_m rows, differentiated once
+    (``from_samples``), or with ``derive`` false phi alone (no d1); a
+    malformed row, a non-finite value or a repeated node is refused with
+    its CSV line."""
     rows = []                              # (line, values) per node
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -503,4 +511,5 @@ def load_samples_csv(path) -> ImmersionField:
             raise SurfaceError(f"CSV line {line}: node r = {r!r}, theta = "
                                f"{theta!r} repeats line {first[i, j]}")
         phi[:, i, j] = sample
-    return from_samples(grid, phi)
+    return (from_samples(grid, phi) if derive
+            else ImmersionField(grid, phi[None]))

@@ -506,6 +506,24 @@ def test_csv_too_coarse_for_stencil_named(tmp_path):
     assert "too coarse" in str(err.value)
 
 
+def test_generate_copies_csv_samples_without_stencils(tmp_path):
+    # a CSV too coarse for the stencils goes through generate as it is:
+    # generate writes its own samples again, with the same phi columns
+    cfg = write_config(tmp_path, {**PLANE, "grid": {**PLANE["grid"],
+                                                    "n_r": 16, "n_theta": 32}})
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main(["generate", "--config", cfg, "--out", str(first)]) == 0
+    cfg = write_config(tmp_path, {"surface": {"csv": str(first)}}, "csv.json")
+    assert main(["generate", "--config", cfg, "--out", str(again)]) == 0
+
+    def columns(path):
+        header, *lines = path.read_text().splitlines()
+        return header, [line.split(",")[2:] for line in lines]
+    header, phi = columns(again)
+    assert header == "r,theta,phi_1,phi_2,phi_3" and len(phi) == 16 * 32
+    assert (header, phi) == columns(first)
+
+
 @pytest.mark.parametrize("m", [2, 9])
 def test_csv_column_count_refused_at_surface(tmp_path, m):
     # r, theta and m coordinates of a plane; m outside [3, 8] is refused

@@ -176,7 +176,7 @@ def test_dot_is_the_trailing_axis_sum(m, is_complex):
 def test_integrate_area():
     gr = make_grid(n_r=64)
     one = np.ones((gr.n_r, gr.n_theta))
-    area = g.integrate(gr, one)
+    area = g.integrate_means(gr, g.circle_mean(one))
     assert area == pytest.approx(np.pi * (1 - gr.r_min ** 2), rel=1e-5)
 
 

@@ -4,7 +4,8 @@ tracemalloc sees every numpy data buffer, so the peak of a call measures
 how many field-sized arrays it keeps alive at once.  The bounds are
 multiples of one input field's bytes: the in-place curl-potential
 integration peaks near 3.1 of its inputs (8.0 when every path quantity
-had its own array), and a whole codim-6 level near 7.5 of its
+had its own array), ``potential_L`` near 1.7 of its flux (2.7 while it
+corrected a copy of the flux), and a whole codim-6 level near 7.5 of its
 28-component fields (23 when h_ij, grad H and the flux temporaries were
 all kept; 15.8 while g, G, grad G, v_R and grad n stayed on the full grid
 after their stages; 11.8 while g and G took 1 + C(m, 2) Poisson solves and
@@ -12,14 +13,16 @@ grad_perp R was formed 28 components wide; 9.5 while the Gauss map and its
 stencil gradient were formed; 8.4 while the level's frame lived on for
 verify_system; 7.6 while the level sampled its chart into one whole-grid
 array with the second derivatives).  A pmc-mode m = 3 level of 191x256
-nodes, which splits into three row blocks, peaks near 16.0 of its
-3-component fields (16.4 while each block evaluated its chart on the
-block's x and y at once; 18.6 while the chart's second derivatives were
-sampled on the whole grid and H0 was formed through block-sized
-temporaries; 23.5 while the level's frame, H0 and f_pmc were whole-grid
-arrays; 26.4 while curvature and the equation pass ran on the whole grid
-at once and the level kept the strong-form and divergence fields, the
-frame and H0 until its end).
+nodes, which splits into three row blocks, peaks near 13.9 of its
+3-component fields (16.0 while the level kept the energy density and the
+three squared norms on every node, phi and grad phi on every row, and
+potential_L corrected a copy of the flux; 16.4 while each block evaluated
+its chart on the block's x and y at once; 18.6 while the chart's second
+derivatives were sampled on the whole grid and H0 was formed through
+block-sized temporaries; 23.5 while the level's frame, H0 and f_pmc were
+whole-grid arrays; 26.4 while curvature and the equation pass ran on the
+whole grid at once and the level kept the strong-form and divergence
+fields, the frame and H0 until its end).
 """
 
 import json
@@ -28,15 +31,18 @@ import weakref
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from willmore import grid as g
 from willmore import pipeline, potentials, surface
 from willmore.cli import main
 from willmore.curvature import CurvatureField, curvature
+from willmore.expansion import _fit_rows
 from willmore.grid import PolarGrid
 from willmore.potentials import PotentialSet, potential_set
-from willmore.residual import equation
-from willmore.residues import first_residue, integrate_curl_potential, potential_L
+from willmore.residual import NORM_ANNULUS, FluxField, equation
+from willmore.residues import (_inner_rows, first_residue,
+                               integrate_curl_potential, potential_L)
 from willmore.surface import catalog_surface, conformal_factor, frame_and_gauss
 
 
@@ -58,6 +64,16 @@ def test_curl_potential_peak_is_three_inputs():
     integrate_curl_potential(grid, vx, vy)  # the grid's trig tables
     assert traced_peak(integrate_curl_potential, grid, vx, vy) \
         < 3.5 * vx.nbytes
+
+
+def test_potential_L_corrects_the_flux_in_place():
+    grid = PolarGrid(1e-3, 1.0, 96, 64)
+    raw = np.random.default_rng(7).standard_normal((2, 8, 96, 64))
+    beta0 = np.linspace(-1.0, 1.0, 8)
+    potential_L(FluxField(grid, raw.copy()), beta0)  # the grid's tables
+    fl = FluxField(grid, raw.copy())
+    assert traced_peak(potential_L, fl, beta0) < 2.0 * raw.nbytes
+    assert np.array_equal(fl.raw, FluxField(grid, raw).corrected(beta0))
 
 
 def test_codim6_level_peak():
@@ -107,7 +123,7 @@ def test_pmc_level_peak_in_row_blocks():
     pipeline.analyze_level(settings, grid)  # grid caches
     field_bytes = grid.n_r * grid.n_theta * 3 * 8
     assert traced_peak(pipeline.analyze_level, settings, grid) \
-        < 16.5 * field_bytes
+        < 14.6 * field_bytes
 
 
 def test_chart_sampled_one_row_block_at_a_time(monkeypatch):
@@ -219,3 +235,65 @@ def test_curvature_field_keeps_no_second_fundamental_form():
     names = {f.name for f in fields(CurvatureField)}
     assert not names & {"h11", "h12", "h22"}
     assert not hasattr(CurvatureField, "dH")
+
+
+PMC_191 = {"surface": {"name": "cylinder_cmc", "params": {"radius": 0.75}},
+           "multiplier": {"mode": "pmc"},
+           "grid": {"r_min": 1e-3, "r_max": 1.0, "n_r": 191, "n_theta": 256}}
+SPEC = {"mu": 0, "a_mu": [0.5, 0.2]}
+
+
+def test_level_keeps_no_whole_grid_energy_density_or_squares():
+    # the blocks' energy density, |grad n|^2 and squared norms reach the
+    # level as circle means, and the squares as their NORM_ANNULUS rows
+    settings = pipeline.resolve(PMC_191)
+    grid = settings.grids[0]
+    assert len(list(grid.blocks(3, 2))) == 3
+    curv, eq, circles = pipeline.level_pass(
+        settings, pipeline.build_field(settings, grid))
+    assert curv.energy_density is None
+    rows = int(np.sum(g.annulus_mask(grid, *NORM_ANNULUS)))
+    assert rows < grid.n_r // 2
+    for sq in eq.squares.values():
+        assert sq.shape == (rows, grid.n_theta)
+    for key in ("energy", "gauss_map", "strong", "div", "identity"):
+        assert circles[key].shape == (grid.n_r,)
+    assert curv.means.keys() == {"energy", "gauss_map"}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The fields that ``pipeline.build_field`` returns, in order."""
+    out, build = [], pipeline.build_field
+    monkeypatch.setattr(pipeline, "build_field",
+                        lambda *args: out.append(build(*args)) or out[-1])
+    return out
+
+
+def test_level_keeps_phi_only_on_the_rows_its_readers_take(built):
+    # a level with a zero or pmc multiplier and without potentials keeps
+    # phi and grad phi on the inner rows the expansion fit and the residues
+    # read
+    for config in ({**PMC_191, "multiplier": None}, PMC_191):
+        pipeline.run_pipeline(config)
+        field = built.pop()
+        grid = field.grid
+        kept = max(_fit_rows(grid).stop, _inner_rows(grid).stop)
+        assert field.first.shape == (3, 3, kept, grid.n_theta)
+        assert kept < grid.n_r // 2
+
+
+def test_every_row_kept_where_a_reader_takes_them(built, tmp_path):
+    # with potentials or a spec multiplier (special_fields) the level reads
+    # every row; generate writes them all, which write_csv would truncate
+    # without an error if phi kept fewer
+    zero = {**PMC_191, "multiplier": None}
+    for config in ({**zero, "with_potentials": True},
+                   {**zero, "multiplier": SPEC}):
+        pipeline.run_pipeline(config)
+        assert built.pop().first.shape == (3, 3, 191, 256)
+    path, out = tmp_path / "config.json", tmp_path / "samples.csv"
+    path.write_text(json.dumps(zero))
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    assert built.pop().first.shape == (3, 3, 191, 256)
+    assert len(out.read_text().splitlines()) == 1 + 191 * 256

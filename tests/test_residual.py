@@ -6,7 +6,7 @@ from willmore import pipeline
 from willmore.grid import PolarGrid, dot
 from willmore.curvature import curvature
 from willmore.multiplier import MultiplierSpec, pmc_multiplier
-from willmore.residual import equation, star_dn_wedge
+from willmore.residual import NORM_ANNULUS, equation, star_dn_wedge
 from willmore.surface import (CATALOG, ImmersionField, catalog_surface,
                               conformal_factor, frame_and_gauss, from_chart)
 
@@ -205,19 +205,32 @@ def test_row_blocks_equal_one_block(monkeypatch, multiplier, budget):
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     field = catalog_surface("inverted_catenoid", {}, grid, 3)
     assert len(list(grid.blocks(3, 2))) == 1
-    curv, pmc, eq, defect = _level_pass(field, multiplier)
-    # one block is the whole-grid kernels
+    curv, eq, circles = _level_pass(field, multiplier)
+    # one block is the whole-grid kernels, of whose energy density,
+    # |grad n|^2 and squared norms the level keeps the circle means and
+    # the squares' NORM_ANNULUS rows
     lam, whole_defect = conformal_factor(field)
     assert np.array_equal(curv.lam, lam)
-    assert np.array_equal(defect, np.max(whole_defect, axis=-1))
+    assert np.array_equal(circles["defect"], np.max(whole_defect, axis=-1))
     frame = frame_and_gauss(field, (lam, whole_defect))
     whole = curvature(field, frame)
     f = {"zero": None, "pmc": pmc_multiplier(whole, frame)["f_pmc"],
          "spec": MultiplierSpec.from_json(MULTIPLIERS["spec"]).evaluate(
              grid.z)}[multiplier]
-    for name in ("H", "K", "energy_density", "dn_norm", "eH0_norm"):
+    for name in ("H", "K", "dn_norm", "eH0_norm"):
         assert np.array_equal(getattr(curv, name), getattr(whole, name))
-    assert eq.norms == equation(whole, frame, f, field).norms
+    assert curv.energy_density is None
+    assert np.array_equal(curv.means["energy"],
+                          g.circle_mean(whole.energy_density))
+    assert np.array_equal(curv.means["gauss_map"],
+                          g.circle_mean(whole.dn_norm ** 2))
+    whole_eq = equation(whole, frame, f, field)
+    rows = g.annulus_mask(grid, *NORM_ANNULUS)
+    assert eq.squares.keys() == whole_eq.squares.keys()
+    for key, sq in whole_eq.squares.items():
+        assert np.array_equal(eq.squares[key], sq[rows])
+        assert np.array_equal(circles[key], g.circle_mean(sq))
+    assert eq.norms == whole_eq.norms
 
     monkeypatch.setattr(g, "BLOCK_BYTES", budget)
     bands = list(grid.blocks(3, 2))
@@ -226,19 +239,23 @@ def test_row_blocks_equal_one_block(monkeypatch, multiplier, budget):
     # a level's field of the chart, sampled block by block
     level = ImmersionField(grid, np.empty_like(field.first),
                            chart=CATALOG["inverted_catenoid"]({}, 3))
-    curv_b, pmc_b, eq_b, defect_b = _level_pass(level, multiplier)
+    curv_b, eq_b, circles_b = _level_pass(level, multiplier)
     assert np.array_equal(level.first, field.first) and level.d2 is None
-    assert np.array_equal(defect_b, defect)
     # whole arrays: the rows next to both grid ends, read through the
     # one-sided stencils, and the rows next to every block edge
-    for name in ("lam", "H", "K", "energy_density", "dn_norm", "eH0_norm"):
+    for name in ("lam", "H", "K", "dn_norm", "eH0_norm"):
         assert np.array_equal(getattr(curv_b, name), getattr(curv, name))
-    assert curv_b.H0 is None and pmc_b.keys() == pmc.keys() == {
-        "abs_max", "dz_max"}
-    for key, v in pmc.items():
-        assert np.array_equal(pmc_b[key], v)
+    assert curv_b.H0 is None and curv_b.energy_density is None
+    for key, v in curv.means.items():
+        assert np.array_equal(curv_b.means[key], v)
+    # per circle: the defect, the pmc maxima, the parallelism maxima and
+    # the circle means of the energy density, |grad n|^2 and the squares
+    assert circles_b.keys() == circles.keys() == {
+        "defect", "abs_max", "dz_max", "energy", "gauss_map", "parallel",
+        "scale", "strong", "div", "identity"}
+    for key, v in circles.items():
+        assert np.array_equal(circles_b[key], v)
     assert np.array_equal(eq_b.flux.raw, eq.flux.raw)
-    assert eq_b.squares.keys() == eq.squares.keys()
     for key, sq in eq.squares.items():
         assert np.array_equal(eq_b.squares[key], sq)
     assert np.array_equal(eq_b.parallel, eq.parallel)

@@ -285,7 +285,8 @@ def test_potential_requires_beta0_subtraction():
     grid = PolarGrid(0.02, 1.0, 64, 64)
     beta0 = np.array([0.8, -1.3, 2.2])
     fl = _planted_flux(grid, beta0)
-    _, defect = potential_L(fl, beta0)
+    # potential_L corrects the flux in place, so it is given a copy
+    _, defect = potential_L(FluxField(grid, fl.raw.copy()), beta0)
     assert defect["holonomy"] < 1e-12
     _, raw_defect = potential_L(fl, 0)
     assert abs(raw_defect["holonomy"] - 4 * np.pi * 2.2) < 1e-10
@@ -300,7 +301,8 @@ def test_potential_L_is_the_per_component_integration(m):
     frame, _ = analyzed_frame(field)
     fl = equation(curvature(field, frame), frame).flux
     beta0 = first_residue(fl)["beta0"]
-    L, defects = potential_L(fl, beta0)
+    # potential_L corrects the flux in place, so it is given a copy
+    L, defects = potential_L(FluxField(grid, fl.raw.copy()), beta0)
     parts = []
     for j in range(m):
         X = FluxField(grid, fl.raw[:, j]).corrected(beta0[j])

@@ -309,8 +309,8 @@ def test_surface_json_and_csv_round_trip(tmp_path):
     doc = {"name": "sphere_stereographic", "params": {"R": 1.0},
            "ambient_dim": 3}
     level = build_field(resolve({"surface": doc}), PolarGrid.from_json(
-        {"r_min": 0.05, "r_max": 1.0, "n_r": 24, "n_theta": 32}))
-    # a level's field of the chart, sampled here on the whole grid
+        {"r_min": 0.05, "r_max": 1.0, "n_r": 24, "n_theta": 32}), False)
+    # the chart's field that generate writes, sampled here on the whole grid
     assert level.phi.shape == (3, 24, 32) and level.d2 is None
     field = from_chart(level.chart, level.grid, 3)
     path = tmp_path / "samples.csv"
