@@ -13,7 +13,7 @@ both gates are reported next to the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield, fields
+from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 import numpy as np
@@ -38,9 +38,6 @@ class Classification:
     citations: list
     sobolev_exponent: Optional[int] = None
     diagnostics: dict = dfield(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _zero_gate(tol_zero: float, spread: float) -> float:

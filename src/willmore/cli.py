@@ -82,9 +82,7 @@ def _analyze(args, with_expansion: bool) -> dict:
 
 
 def _write_json(doc, out) -> int:
-    from willmore.grid import json_text
-
-    text = json_text(doc)
+    text = json.dumps(doc, indent=1)
     if out:
         Path(out).write_text(text)
     else:
@@ -143,6 +141,7 @@ def cmd_fit(args) -> int:
 
 def cmd_classify(args) -> int:
     from willmore.classify import classify
+    from willmore.grid import jsonable
     from willmore.pipeline import exit_code, resolve
     from willmore.residues import ResidueReport
 
@@ -158,6 +157,10 @@ def cmd_classify(args) -> int:
     if not isinstance(cond, dict):
         raise ValueError("the report's 'classification.conditions' entry is "
                          f"a JSON mapping, got {type(cond).__name__}")
+    pmc = cond.get("pmc", False)
+    if not isinstance(pmc, bool):
+        raise ValueError("the report's 'classification.conditions.pmc' entry "
+                         f"is not true or false, got {json.dumps(pmc)}")
     try:
         report = ResidueReport.from_json(doc["residues"])
     except KeyError as exc:
@@ -165,10 +168,10 @@ def cmd_classify(args) -> int:
     if "config" not in doc:
         raise ValueError("the report has no 'config' entry")
     settings = resolve(_apply_overrides(doc["config"], args))
-    verdict = classify(report, settings.spec, pmc=bool(cond.get("pmc", False)),
+    verdict = classify(report, settings.spec, pmc=pmc,
                        regular=settings.regular,
                        tol_zero=settings.tolerances["tol_zero"])
-    out = verdict.to_json()
+    out = jsonable(verdict)
     _write_json(out, None)
     return exit_code({"classification": out})
 

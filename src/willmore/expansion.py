@@ -16,13 +16,13 @@ exponents come from log-log slopes of the residual circle norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from willmore.curvature import CurvatureField
-from willmore.grid import PolarGrid, circle_mean, fit_order, jsonable
+from willmore.grid import PolarGrid, circle_mean, fit_order
 from willmore.surface import ImmersionField
 
 
@@ -32,7 +32,7 @@ class ExpansionError(ValueError):
 
 @dataclass(eq=False)
 class ExpansionFit:
-    """What ``fit_phi`` measured; ``to_json`` reports every field."""
+    """What ``fit_phi`` measured; the report keeps every field."""
 
     A: np.ndarray                     # complex (m,)
     B: list                           # complex (m,) per order 1..theta0-a
@@ -45,9 +45,6 @@ class ExpansionFit:
     fit_residual: float = 0.0
     condition_number: float = 1.0
     at_floor: bool = False
-
-    def to_json(self) -> dict:
-        return jsonable({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _weighted_lstsq(design: np.ndarray, targets: np.ndarray,

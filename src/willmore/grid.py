@@ -23,10 +23,10 @@ are not kept.  ``PolarGrid.strips`` splits rows the same way into strips
 of ``STRIP_BYTES`` per real plane, on which a chart is evaluated.
 ``annulus_mask`` always trims 10% of the rows at each rim, so every
 annulus norm stays off the one-sided stencils; ``integrate_means`` reads
-the circle means of every row.  ``jsonable`` is the one converter of arrays
-and complex numbers to JSON values, ``json_text`` the one writer of JSON
-text, and ``read_json`` the one reader of JSON entries, each against its
-``Form`` in its reader's table of keys.
+the circle means of every row.  ``jsonable`` is the one converter of
+records, arrays and complex numbers to JSON values, which the standard
+``json`` encoder writes, and ``read_json`` the one reader of JSON entries,
+each against its ``Form`` in its reader's table of keys.
 
 Field arrays are shaped (..., n_r, n_theta): ambient, coefficient and
 derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
@@ -35,9 +35,8 @@ derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
 from __future__ import annotations
 
 import cmath
-import json
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from numbers import Complex, Real
 
@@ -205,9 +204,6 @@ class PolarGrid:
         """The next refinement level: radial and angular steps halved."""
         return PolarGrid(self.r_min, self.r_max,
                          (self.n_r - 1) * 2 + 1, self.n_theta * 2)
-
-    def to_json(self) -> dict:
-        return {key: getattr(self, key) for key in GRID_KEYS}
 
     @staticmethod
     def from_json(doc) -> "PolarGrid":
@@ -444,11 +440,10 @@ def fit_order(hs, errs) -> float:
 
 
 def jsonable(v):
-    """``v`` with arrays, numpy scalars and complex numbers made JSON-ready.
-
-    Complex values become ``[re, im]`` pairs; containers are converted
-    recursively, and anything else is returned as it is.
-    """
+    """``v`` made JSON-ready: a dataclass record becomes the mapping of its
+    fields in order, an array or numpy scalar its Python value and a complex
+    number an ``[re, im]`` pair, in containers recursively; anything else
+    is returned as it is."""
     if isinstance(v, dict):
         return {k: jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -459,24 +454,7 @@ def jsonable(v):
         return [v.real, v.imag]
     if isinstance(v, (np.floating, np.integer, np.bool_)):
         return v.item()
+    if is_dataclass(v):
+        return {f.name: jsonable(getattr(v, f.name)) for f in fields(v)}
     return v
 
-
-def json_text(doc, indent: str = "\n") -> str:
-    """``json.dumps(doc, indent=1)`` byte for byte, but a list of floats is
-    one join of ``float.__repr__``, not json's pure-Python indent encoder."""
-    inner = indent + " "
-    if isinstance(doc, (list, tuple)) and doc:
-        if all(type(x) is float for x in doc):
-            body = ("," + inner).join(map(float.__repr__, doc))
-            body = body.replace("nan", "NaN").replace("inf", "Infinity")
-        else:
-            body = ("," + inner).join(json_text(x, inner) for x in doc)
-        return f"[{inner}{body}{indent}]"
-    if isinstance(doc, dict) and doc:
-        return "{" + inner + ("," + inner).join(
-            json_text(k if isinstance(k, str) else json.dumps(k)) + ": "
-            + json_text(v, inner) for k, v in doc.items()) + indent + "}"
-    if isinstance(doc, str):
-        return json.encoder.encode_basestring_ascii(doc)
-    return json.dumps(doc)

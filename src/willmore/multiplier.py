@@ -16,13 +16,12 @@ e^{-2 lam} f dz(Phi) = dzbar(F_mu) + J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from willmore.grid import (BOOL, INTEGER, PAIR, PAIRS, REQUIRED, PolarGrid,
-                           annulus_mask, annulus_norms, dz, jsonable,
-                           read_json)
+                           annulus_mask, annulus_norms, dz, read_json)
 from willmore.surface import BranchData, FrameField, ImmersionField
 
 
@@ -71,14 +70,11 @@ class MultiplierSpec:
 
     # -- JSON wire format ----------------------------------------------------
 
-    def to_json(self) -> dict:
-        return jsonable({f.name: getattr(self, f.name) for f in fields(self)})
-
     @staticmethod
     def from_json(doc) -> "MultiplierSpec":
-        """The spec ``to_json`` wrote as ``doc``; a missing, unknown or
-        malformed entry raises MultiplierError naming its key, and so does
-        a zero spec with an order or a coefficient."""
+        """The spec whose ``grid.jsonable`` form is ``doc``; a missing,
+        unknown or malformed entry raises MultiplierError naming its key,
+        and so does a zero spec with an order or a coefficient."""
         table = SPEC_KEYS
         if isinstance(doc, dict) and doc.get("zero") is True:
             table = {**SPEC_KEYS, "mu": (INTEGER, 0), "a_mu": (PAIR, 0j)}

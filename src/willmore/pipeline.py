@@ -22,6 +22,7 @@ Report files (schema_version 1):
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,8 +38,8 @@ from willmore.curvature import (CurvatureField, curvature, delta_profile,
 from willmore.expansion import _fit_rows, fit_H, fit_phi, verify_constants
 from willmore.grid import (BOOL, INTEGER, MAPPING, NON_NEGATIVE, REQUIRED,
                            STRING, Form, PolarGrid, annulus_mask, circle_mean,
-                           fit_order, integrate_means, is_integer, json_text,
-                           jsonable, read_json)
+                           fit_order, integrate_means, is_integer, jsonable,
+                           read_json)
 from willmore.multiplier import (MultiplierSpec, antiholomorphy_defect,
                                  pmc_multiplier, special_fields)
 from willmore.multivec import MAX_DIM, MIN_DIM
@@ -172,6 +173,9 @@ def resolve(config) -> Settings:
     if "csv" in surface and n_levels > 1:
         _refuse("surface", "CSV-imported samples cannot be refined; use "
                 "levels = 1")
+    if "csv" in surface and c["grid"] is not None:
+        _refuse("grid", "CSV-imported samples bring their own grid; drop "
+                "the grid entry")
     grids = [PolarGrid() if c["grid"] is None
              else _stage("grid", PolarGrid.from_json, c["grid"])]
     for level in range(n_levels):
@@ -298,7 +302,7 @@ def analyze_level(settings: Settings,
     field = _stage("surface", build_field, settings, grid)
     grid = field.grid  # CSV samples bring their own
     curv, eq, circles = level_pass(settings, field)
-    level = {"grid": grid.to_json(),
+    level = {"grid": grid,
              "conformal_defect": float(np.max(circles["defect"]))}
     br = _stage("branch_order", branch_order, grid, curv.lam)
     level.update(theta0=br.theta0, slope_raw=br.slope, u0=br.u0)
@@ -329,7 +333,7 @@ def analyze_level(settings: Settings,
                                "antiholomorphy_defect": anti}
     else:
         level["multiplier"] = {"mode": "zero" if spec.zero else "spec",
-                               "spec": spec.to_json()}
+                               "spec": spec}
 
     fl, pmc_defect, norms = eq.flux, eq.pmc_defect, eq.norms
     level.update(strong_norms=norms["strong"], div_norms=norms["div"])
@@ -384,7 +388,7 @@ def analyze_level(settings: Settings,
     if settings.with_expansion:
         fit = _stage("fit_phi", fit_phi, field, br.theta0, srw.a, br.u0)
         hfit = _stage("fit_H", fit_H, curv, br.theta0, srw.a, br.u0)
-        level["expansion"] = fit.to_json()
+        level["expansion"] = fit
         level["expansion_H"] = hfit  # E_a, gamma0, eta_exponent, at_floor
         level["constants"] = _stage(
             "verify_constants", verify_constants, fit, br.theta0, srw.a,
@@ -402,7 +406,7 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
 
     convergence = {}
     if len(levels) >= 2:
-        hs = [1.0 / lv["grid"]["n_r"] for lv in levels]
+        hs = [1.0 / lv["grid"].n_r for lv in levels]
         for key, label in (("strong_norms", "strong_order"),
                            ("div_norms", "div_order"),
                            ("equivalence_norms", "equivalence_order")):
@@ -421,13 +425,13 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
     doc = jsonable({
         "schema_version": SCHEMA_VERSION, "config": config,
         "elapsed_seconds": time.time() - t0, "levels": levels,
-        "convergence": convergence, "residues": report.to_json(),
-        "classification": verdict.to_json()})
+        "convergence": convergence, "residues": report,
+        "classification": verdict})
 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json_text(doc))
+        (out / "report.json").write_text(json.dumps(doc))
         _write_profiles(out, final)
     return doc
 

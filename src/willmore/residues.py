@@ -15,14 +15,14 @@ circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield, fields
+from dataclasses import dataclass, field as dfield
 from typing import Optional
 
 import numpy as np
 
 from willmore.grid import (INTEGER, INTEGERS, MAPPING, PAIRS, REAL, REALS,
                            REQUIRED, PolarGrid, circle_mean,
-                           circulation, jsonable, read_json)
+                           circulation, read_json)
 from willmore.multiplier import MultiplierSpec
 from willmore.residual import FluxField
 from willmore.surface import BranchData, ImmersionField, tangent_frame
@@ -395,13 +395,10 @@ class ResidueReport:
     a: int
     diagnostics: dict = dfield(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return jsonable({f.name: getattr(self, f.name) for f in fields(self)})
-
     @classmethod
     def from_json(cls, doc: dict) -> "ResidueReport":
-        """The report that ``to_json`` wrote as ``doc``; a missing entry or
-        one of the wrong form raises ValueError naming its key."""
+        """The report whose ``grid.jsonable`` form is ``doc``; a missing
+        entry or one of the wrong form raises ValueError naming its key."""
         e = read_json(doc, RESIDUE_KEYS, "the report's residues",
                       missing="the report has no {key!r} entry")
         e["diagnostics"] = {k: np.asarray(v)

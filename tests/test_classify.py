@@ -4,7 +4,7 @@ import numpy as np
 
 from willmore.classify import VERDICTS, classify, decide, pmc_detect
 from willmore.curvature import curvature
-from willmore.grid import PolarGrid
+from willmore.grid import PolarGrid, jsonable
 from willmore.multiplier import (MultiplierSpec, antiholomorphy_defect,
                                  pmc_multiplier)
 from willmore.residual import equation
@@ -149,5 +149,5 @@ def test_classification_serialization():
     rep = make_report(theta0=1)
     out = classify(rep, MultiplierSpec.zero_spec())
     import json
-    doc = json.dumps(out.to_json())
+    doc = json.dumps(jsonable(out))
     assert "verdict" in doc

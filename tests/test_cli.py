@@ -138,7 +138,7 @@ def test_classify_from_saved_report(tmp_path, capsys):
     assert gate == 10.0 * spread < 1e-6
 
 
-# the residues of a flat plane as ``ResidueReport.to_json`` writes them
+# the residues of a flat plane as a report holds them
 PLANE_RESIDUES = {"theta0": 1, "u0": 0.0, "A": [[1.0, 0.0], [0.0, 1.0],
                                                 [0.0, 0.0]],
                   "beta0": [0.0] * 3, "rho_spread": 0.0, "gamma0": [0.0] * 3,
@@ -177,6 +177,12 @@ PLANE_RESIDUES = {"theta0": 1, "u0": 0.0, "A": [[1.0, 0.0], [0.0, 1.0],
     ({"config": PLANE, "residues": {**PLANE_RESIDUES, "gamma": [0, True, 0]}},
      "the report's residues entry 'gamma' is not a list of integers"),
     ({"residues": PLANE_RESIDUES}, "the report has no 'config' entry"),
+    # a saved pmc is true or false: no truthiness turns "no" into pmc
+    *(({"config": PLANE, "residues": PLANE_RESIDUES,
+        "classification": {"conditions": {"pmc": pmc}}},
+       "the report's 'classification.conditions.pmc' entry is not true or "
+       f"false, got {text}") for pmc, text in (("no", '"no"'), (1, "1"),
+                                               (None, "null"))),
 ])
 def test_classify_malformed_report_named(tmp_path, capsys, doc, message):
     report = tmp_path / "report.json"
@@ -489,6 +495,27 @@ def test_csv_surface_single_level(tmp_path):
     with pytest.raises(PipelineError):
         run_pipeline({"surface": {"csv": str(out)},
                       "grid": PLANE["grid"], "levels": 2})
+
+
+def test_csv_surface_with_grid_refused_at_grid(tmp_path, capsys):
+    # the samples bring their own grid: one beside them would be recorded in
+    # the report and held to the node budget, but never run on
+    cfg = write_config(tmp_path, PLANE)
+    out = tmp_path / "samples.csv"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    config = {"surface": {"csv": str(out)},
+              "grid": {"r_min": 0.5, "n_r": 2000, "n_theta": 2048}}
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(config)
+    assert err.value.stage == "grid"
+    assert "bring their own grid" in str(err.value)
+    # and so is a saved config with the pair
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"config": config,
+                                  "residues": PLANE_RESIDUES}))
+    capsys.readouterr()
+    assert main(["classify", "--report", str(report)]) == 1
+    assert "stage 'grid' failed" in capsys.readouterr().err
 
 
 def test_csv_too_coarse_for_stencil_named(tmp_path):

@@ -96,7 +96,7 @@ INTERNAL = ("could not convert", "argument must be", "object is not",
 GRID = {"r_min": 0.01, "r_max": 1.0, "n_r": 16, "n_theta": 32}
 PLANE = {"surface": {"name": "plane"}, "grid": GRID}
 SPEC = {"mu": 1, "a_mu": [1.0, 0.0], "f0": [], "zero": False}
-# the residues of a flat plane as ``ResidueReport.to_json`` writes them
+# the residues of a flat plane as a report holds them
 RESIDUES = {"theta0": 1, "u0": 0.0, "A": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
             "beta0": [0.0] * 3, "rho_spread": 0.0, "gamma0": [0.0] * 3,
             "gamma": [0] * 3, "a": 0, "diagnostics": {}}

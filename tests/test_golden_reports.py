@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from willmore.grid import json_text
+from willmore.cli import main
+from willmore.grid import jsonable
 from willmore.pipeline import run_pipeline
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -106,10 +107,24 @@ def test_report_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_json_text_writes_json_dumps_bytes(name):
-    # report.json is written by json_text, not json.dumps(doc, indent=1)
-    doc = run_pipeline(CONFIGS[name])
-    assert json_text(doc) == json.dumps(doc, indent=1)
+def test_json_text_writes_json_dumps_bytes(name, tmp_path, capsys):
+    # report.json is json.dumps(doc) of the returned document (compared
+    # through json.dumps, so NaN equals NaN), and each command prints
+    # json.dumps(doc, indent=1) of its part of it
+    doc = run_pipeline(CONFIGS[name], tmp_path)
+    text = (tmp_path / "report.json").read_text()
+    assert json.dumps(json.loads(text)) == json.dumps(doc) == text
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIGS[name]))
+    level = doc["levels"][-1]
+    for argv, want in (
+            (["residues", "--config", str(cfg)], doc["residues"]),
+            (["fit", "--config", str(cfg)], {k: level[k] for k in (
+                "expansion", "expansion_H", "constants")}),
+            (["classify", "--report", str(tmp_path / "report.json")],
+             doc["classification"])):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("doc", [
@@ -122,9 +137,9 @@ def test_json_text_writes_json_dumps_bytes(name):
     {1: "int", 2.5: "float", False: "bool", None: "null"},
     0.1, float("nan"), -float("inf"), 3, True, None, "plain"])
 def test_json_text_edge_values(doc):
-    assert json_text(doc) == json.dumps(doc, indent=1)
-    assert json_text([doc, {"x": doc}]) == json.dumps([doc, {"x": doc}],
-                                                      indent=1)
+    # jsonable leaves a JSON value as the encoder writes it
+    for v in (doc, [doc, {"x": doc}]):
+        assert json.dumps(jsonable(v), indent=1) == json.dumps(v, indent=1)
 
 
 def test_rule_rejects_drift():

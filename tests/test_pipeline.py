@@ -93,7 +93,7 @@ def test_blocked_level_record_is_the_one_block_record(name, monkeypatch):
     grid = PolarGrid(1e-3, 1.0, 96, 64)
     m = settings.surface["ambient_dim"]
     assert len(list(grid.blocks(m, 2))) == 1
-    dump = lambda run: json.dumps(g.jsonable([run[0], run[1].to_json()]))
+    dump = lambda run: json.dumps(g.jsonable(run))
     one = dump(pipeline.analyze_level(settings, grid))
     monkeypatch.setattr(g, "BLOCK_BYTES", 32 * 1024)
     assert len(list(grid.blocks(m, 2))) >= 3

@@ -479,13 +479,13 @@ def test_report_serialization():
         beta0=np.array([0.0, 0.0, 0.3]), rho_spread=1e-8,
         gamma0=np.array([0.0, 0.0, 0.3]), gamma=np.array([0, 0, 1]), a=1,
         diagnostics={"note": "test", "radii": np.array([0.1, 0.2])})
-    doc = rep.to_json()
+    doc = g.jsonable(rep)
     assert doc["theta0"] == 2 and doc["a"] == 1
     assert doc["gamma"] == [0, 0, 1]
     import json
     json.dumps(doc)  # must be JSON-clean
     back = ResidueReport.from_json(json.loads(json.dumps(doc)))
-    np.testing.assert_equal(back.to_json(), doc)
+    np.testing.assert_equal(g.jsonable(back), doc)
     assert np.array_equal(back.A, rep.A) and back.gamma.dtype.kind == "i"
     spec = MultiplierSpec(mu=0, a_mu=1.0)
 
