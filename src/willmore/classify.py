@@ -23,7 +23,7 @@ from willmore.residues import ResidueReport, pole_order_range
 
 #: default ``tol_zero``, the floor of the residue zero gate
 TOL_ZERO = 1e-6
-#: default ``pmc_threshold``: the largest parallelism defect read as pmc
+#: the largest parallelism defect read as pmc
 PMC_THRESHOLD = 5e-3
 
 VERDICTS = ("smooth", "c_theta_plus_one_alpha", "sobolev_limited",
@@ -111,16 +111,16 @@ def classify(report: ResidueReport, spec: MultiplierSpec,
 
 
 def pmc_detect(defect: float, antiholomorphy_defect: float,
-               report: ResidueReport, threshold: float = PMC_THRESHOLD,
-               tol_zero: float = TOL_ZERO) -> dict:
+               report: ResidueReport, tol_zero: float = TOL_ZERO) -> dict:
     """Parallelism test |pi_n grad H| with the residue cross-check.
 
-    ``defect`` is the parallelism defect of ``residual.equation`` and
-    ``antiholomorphy_defect`` that of ``multiplier.pmc_multiplier``.  A
-    surface flagged parallel-mean-curvature must also show vanishing
-    residues; disagreement is reported, not silently resolved.
+    ``defect`` is the parallelism defect of ``residual.equation``, read as
+    pmc below ``PMC_THRESHOLD``, and ``antiholomorphy_defect`` that of
+    ``multiplier.pmc_multiplier``.  A surface flagged
+    parallel-mean-curvature must also show vanishing residues;
+    disagreement is reported, not silently resolved.
     """
-    is_pmc = bool(defect < threshold)
+    is_pmc = bool(defect < PMC_THRESHOLD)
     result = {"pmc": is_pmc, "defect": defect,
               "antiholomorphy_defect": antiholomorphy_defect}
     if is_pmc:

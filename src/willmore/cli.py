@@ -82,7 +82,7 @@ def _analyze(args, with_expansion: bool) -> dict:
 
 
 def _write_json(doc, out) -> int:
-    text = json.dumps(doc, indent=1)
+    text = json.dumps(doc, indent=1, allow_nan=False)
     if out:
         Path(out).write_text(text)
     else:

@@ -17,7 +17,6 @@ exponents come from log-log slopes of the residual circle norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class ExpansionFit:
     C_theta_a: np.ndarray             # complex (m,)
     gamma0_fit: np.ndarray            # real (m,), decoded from C_vec
     remainder_exponent_phi: float
-    remainder_exponent_H: Optional[float] = None
     fit_residual: float = 0.0
     condition_number: float = 1.0
     at_floor: bool = False

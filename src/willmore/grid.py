@@ -24,9 +24,10 @@ of ``STRIP_BYTES`` per real plane, on which a chart is evaluated.
 ``annulus_mask`` always trims 10% of the rows at each rim, so every
 annulus norm stays off the one-sided stencils; ``integrate_means`` reads
 the circle means of every row.  ``jsonable`` is the one converter of
-records, arrays and complex numbers to JSON values, which the standard
-``json`` encoder writes, and ``read_json`` the one reader of JSON entries,
-each against its ``Form`` in its reader's table of keys.
+records, arrays and complex numbers to strict JSON values (a NaN or
+infinite float becomes null), which the standard ``json`` encoder writes,
+and ``read_json`` the one reader of JSON entries, each against its
+``Form`` in its reader's table of keys.
 
 Field arrays are shaped (..., n_r, n_theta): ambient, coefficient and
 derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
@@ -35,6 +36,7 @@ derivative axes lead, so every (n_r, n_theta) table broadcasts as it is.
 from __future__ import annotations
 
 import cmath
+import math
 from collections import namedtuple
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
@@ -440,20 +442,27 @@ def fit_order(hs, errs) -> float:
 
 
 def jsonable(v):
-    """``v`` made JSON-ready: a dataclass record becomes the mapping of its
-    fields in order, an array or numpy scalar its Python value and a complex
-    number an ``[re, im]`` pair, in containers recursively; anything else
-    is returned as it is."""
+    """``v`` made strict-JSON-ready: a dataclass record becomes the mapping
+    of its fields in order, an array or numpy scalar its Python value, a
+    complex number an ``[re, im]`` pair and a NaN or infinite float ``None``
+    (JSON null), in containers recursively; anything else is returned as
+    it is."""
     if isinstance(v, dict):
         return {k: jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [jsonable(x) for x in v]
     if isinstance(v, np.ndarray):
-        return jsonable(v.tolist()) if np.iscomplexobj(v) else v.tolist()
-    if isinstance(v, complex):
-        return [v.real, v.imag]
+        if v.dtype.kind == "c":
+            v = np.stack((v.real, v.imag), axis=-1)
+        if v.dtype.kind != "f" or np.isfinite(v).all():
+            return v.tolist()
+        return np.where(np.isfinite(v), v, None).tolist()
     if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
+        v = v.item()
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, complex):
+        return [jsonable(v.real), jsonable(v.imag)]
     if is_dataclass(v):
         return {f.name: jsonable(getattr(v, f.name)) for f in fields(v)}
     return v

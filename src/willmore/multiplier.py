@@ -58,8 +58,6 @@ class MultiplierSpec:
         return MultiplierSpec(zero=True)
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
-        if self.zero:
-            return np.zeros_like(np.asarray(z), dtype=complex)
         zb = np.conj(z)
         out = self.a_mu * zb ** self.mu if self.mu != 0 else \
             self.a_mu * np.ones_like(zb)
@@ -154,17 +152,18 @@ def special_fields(spec: MultiplierSpec, branch: BranchData, A: np.ndarray,
     return SpecialFields(F_mu, J, mismatch)
 
 
-def pmc_multiplier(curv, frame: FrameField, sign: int = +1) -> dict:
-    """Multiplier induced by parallel mean curvature, f = sign 2 e^{2 lam} H.H0*.
+def pmc_multiplier(curv, frame: FrameField) -> dict:
+    """Multiplier induced by parallel mean curvature, f = 2 e^{2 lam} H.H0*.
 
     Returns the sampled field on the rows of ``curv`` (``f_pmc``) and the
     per-circle maxima of |f_pmc| (``abs_max``) and of its discrete
     |dz f_pmc| (``dz_max``), from which ``antiholomorphy_defect`` reads the
-    defect of a level that ran in row blocks.  The sign convention is
-    configurable; +1 balances the strong-form equation when pi_n grad H = 0,
-    which ``residual.equation`` measures as its parallelism defect.
+    defect of a level that ran in row blocks.  The sign is not a choice:
+    only with + does the strong-form equation vanish when pi_n grad H = 0,
+    which ``residual.equation`` measures as its parallelism defect; with -
+    a CMC cylinder keeps an O(1) strong residual under refinement.
     """
-    f_pmc = sign * 2.0 * frame.e2l * curv.hdot
+    f_pmc = 2.0 * frame.e2l * curv.hdot
     return {"f_pmc": f_pmc, "abs_max": np.max(np.abs(f_pmc), axis=-1),
             "dz_max": np.max(np.abs(dz(curv.grid, f_pmc)), axis=-1)}
 

@@ -27,11 +27,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NoReturn, Optional
+from typing import Mapping, NoReturn
 
 import numpy as np
 
-from willmore.classify import PMC_THRESHOLD, TOL_ZERO, classify, pmc_detect
+from willmore.classify import TOL_ZERO, classify, pmc_detect
 from willmore.curvature import (CurvatureField, curvature, delta_profile,
                                 gauss_bonnet_check, weingarten_constant,
                                 willmore_energy)
@@ -45,10 +45,9 @@ from willmore.multiplier import (MultiplierSpec, antiholomorphy_defect,
 from willmore.multivec import MAX_DIM, MIN_DIM
 from willmore.potentials import potential_set, verify_system
 from willmore.residual import NORM_ANNULUS, Equation, FluxField, equation
-from willmore.residues import (WINDING_GATE, ResidueReport, _inner_rows,
-                               branch_order, first_residue, modified_residue,
-                               potential_L, second_residue, tangent_vector,
-                               w_field)
+from willmore.residues import (ResidueReport, _inner_rows, branch_order,
+                               first_residue, modified_residue, potential_L,
+                               second_residue, tangent_vector, w_field)
 from willmore.surface import (DEFECT_THRESHOLD, REGULAR_ENTRIES,
                               ImmersionField, catalog_chart, conformal_factor,
                               frame_and_gauss, load_samples_csv, write_csv)
@@ -60,9 +59,8 @@ SCHEMA_VERSION = 1
 CONFIG_KEYS = {
     "surface": (MAPPING, REQUIRED), "grid": (MAPPING, None),
     "levels": (INTEGER, 1),
-    "multiplier": (Form('null, "zero", a spec or a pmc entry',
-                        lambda v: v is None or v == "zero"
-                        or isinstance(v, dict)), None),
+    "multiplier": (Form("null, a spec or a pmc entry",
+                        lambda v: v is None or isinstance(v, dict)), None),
     "tolerances": (MAPPING, {}), "regular": (BOOL, None),
     "with_potentials": (BOOL, False), "with_expansion": (BOOL, True)}
 
@@ -75,14 +73,10 @@ SURFACE_KEYS = {"csv": (STRING, None), "name": (STRING, None),
 
 #: the tolerances, each defaulting to a constant of the module that applies it
 TOLERANCE_KEYS = {"tol_zero": (NON_NEGATIVE, TOL_ZERO),
-                  "defect_threshold": (NON_NEGATIVE, DEFECT_THRESHOLD),
-                  "pmc_threshold": (NON_NEGATIVE, PMC_THRESHOLD),
-                  "winding_gate": (NON_NEGATIVE, WINDING_GATE)}
+                  "defect_threshold": (NON_NEGATIVE, DEFECT_THRESHOLD)}
 
 #: a pmc multiplier entry
-PMC_KEYS = {"mode": (Form("'pmc'", lambda v: v == "pmc"), REQUIRED),
-            "sign": (Form("+1 or -1", lambda v: not isinstance(v, bool)
-                          and v in (1, -1), int), 1)}
+PMC_KEYS = {"mode": (Form("'pmc'", lambda v: v == "pmc"), REQUIRED)}
 
 #: the most nodes any level's grid may have: 43 times the 385x256 grid, and
 #: five levels of the default 96x64 grid; a larger grid or deeper refinement
@@ -116,15 +110,15 @@ class Settings:
 
     ``surface`` is ``{"csv": path}`` or ``{"name", "params",
     "ambient_dim"}``; ``grids`` are the refinement levels, coarsest first;
-    ``pmc_sign`` is None unless the run is in pmc mode, where ``spec`` is
-    the zero spec.
+    ``pmc`` is true when the run is in pmc mode, where ``spec`` is the zero
+    spec.
     """
 
     surface: Mapping
     grids: tuple[PolarGrid, ...]
     tolerances: Mapping[str, float]
     spec: MultiplierSpec
-    pmc_sign: Optional[int]
+    pmc: bool
     regular: bool
     with_potentials: bool
     with_expansion: bool
@@ -147,14 +141,14 @@ def _surface_entry(surf: dict) -> dict:
     return entry
 
 
-def _multiplier(doc) -> tuple[MultiplierSpec, Optional[int]]:
-    """(spec, pmc sign or None) of the config's multiplier entry."""
-    if doc is None or doc == "zero":
-        return MultiplierSpec.zero_spec(), None
+def _multiplier(doc) -> tuple[MultiplierSpec, bool]:
+    """(spec, whether in pmc mode) of the config's multiplier entry."""
+    if doc is None:
+        return MultiplierSpec.zero_spec(), False
     if "mode" not in doc:
-        return _stage("multiplier", MultiplierSpec.from_json, doc), None
-    pmc = _stage("multiplier", read_json, doc, PMC_KEYS, "the pmc multiplier")
-    return MultiplierSpec.zero_spec(), pmc["sign"]
+        return _stage("multiplier", MultiplierSpec.from_json, doc), False
+    _stage("multiplier", read_json, doc, PMC_KEYS, "the pmc multiplier")
+    return MultiplierSpec.zero_spec(), True
 
 
 def resolve(config) -> Settings:
@@ -195,11 +189,11 @@ def resolve(config) -> Settings:
         tol_keys = {**tol_keys, "defect_threshold": (NON_NEGATIVE, 2.0)}
     tol = _stage("tolerances", read_json, c["tolerances"], tol_keys,
                  "the tolerances")
-    spec, pmc_sign = _multiplier(c["multiplier"])
+    spec, pmc = _multiplier(c["multiplier"])
     regular = (name in REGULAR_ENTRIES if c["regular"] is None
                else c["regular"])
     return Settings(MappingProxyType(surface), tuple(grids),
-                    MappingProxyType(tol), spec, pmc_sign, regular,
+                    MappingProxyType(tol), spec, pmc, regular,
                     c["with_potentials"], c["with_expansion"])
 
 
@@ -236,7 +230,7 @@ def level_pass(settings: Settings, field: ImmersionField):
     node); a one-block level keeps the block's node arrays themselves.
     """
     grid, m = field.grid, field.ambient_dim
-    spec, sign = settings.spec, settings.pmc_sign
+    spec = settings.spec
     ann, level, circles, squares = annulus_mask(grid, *NORM_ANNULUS), {}, {}, {}
     if next(grid.blocks(m, 2)).n_r < grid.n_r:  # below the blocks' in the heap
         level = {key: np.empty(lead + grid.rr.shape) for key, lead in (
@@ -267,9 +261,9 @@ def level_pass(settings: Settings, field: ImmersionField):
              **cb.means)
         del cb.K, cb.energy_density, cb.dn_norm, cb.eH0_norm  # kept above
 
-        pb = _stage("pmc_multiplier", pmc_multiplier, cb, frame, sign or 1)
+        pb = _stage("pmc_multiplier", pmc_multiplier, cb, frame)
         keep(band, abs_max=pb["abs_max"], dz_max=pb["dz_max"])
-        if sign is not None:
+        if settings.pmc:
             f = pb["f_pmc"]
         elif not spec.zero:
             f = _stage("multiplier", spec.evaluate, band.z)
@@ -298,7 +292,7 @@ def analyze_level(settings: Settings,
                   grid: PolarGrid) -> tuple[dict, ResidueReport]:
     """One refinement level of the full chain, from its samples on: the
     level record and the level's residues."""
-    tol, spec, pmc_sign = settings.tolerances, settings.spec, settings.pmc_sign
+    tol, spec = settings.tolerances, settings.spec
     field = _stage("surface", build_field, settings, grid)
     grid = field.grid  # CSV samples bring their own
     curv, eq, circles = level_pass(settings, field)
@@ -328,9 +322,8 @@ def analyze_level(settings: Settings,
                  A_normal_defect=td.normal_defect)
 
     anti = antiholomorphy_defect(grid, circles)
-    if pmc_sign is not None:
-        level["multiplier"] = {"mode": "pmc", "sign": pmc_sign,
-                               "antiholomorphy_defect": anti}
+    if settings.pmc:
+        level["multiplier"] = {"mode": "pmc", "antiholomorphy_defect": anti}
     else:
         level["multiplier"] = {"mode": "zero" if spec.zero else "spec",
                                "spec": spec}
@@ -362,7 +355,7 @@ def analyze_level(settings: Settings,
         level["special_fields_mismatch"] = sf.mismatch
     W = _stage("w_field", w_field, L, curv.H, beta0, F_mu, grid)
     srw = _stage("second_residue", second_residue, W, grid,
-                 ldef["noise_profile"], tol["winding_gate"])
+                 ldef["noise_profile"])
     level.update(gamma=srw.gamma, a=srw.a, winding_raw=srw.raw,
                  winding_degenerate=srw.degenerate)
     level["w_profile"] = {"r": grid.r,  # one row per circle
@@ -375,7 +368,7 @@ def analyze_level(settings: Settings,
                             "circle_radii": fr["radii"],
                             "winding_raw": srw.raw})
     level["pmc_detect"] = _stage("pmc_detect", pmc_detect, pmc_defect, anti,
-                                 report, tol["pmc_threshold"], tol["tol_zero"])
+                                 report, tol["tol_zero"])
 
     if settings.with_potentials:
         pots = _stage("potentials", potential_set, L, beta0, field, curv,
@@ -416,9 +409,8 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
             np.asarray(levels[-1]["beta0"]) - np.asarray(levels[-2]["beta0"])))
 
     final, report = runs[-1]
-    pmc_flag = bool(settings.pmc_sign is not None
-                    and final["pmc_detect"]["pmc"])
-    verdict = classify(report, settings.spec, pmc=pmc_flag,
+    verdict = classify(report, settings.spec,
+                       pmc=settings.pmc and final["pmc_detect"]["pmc"],
                        regular=settings.regular,
                        tol_zero=settings.tolerances["tol_zero"])
 
@@ -431,7 +423,7 @@ def run_pipeline(config: dict, out_dir=None) -> dict:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(doc))
+        (out / "report.json").write_text(json.dumps(doc, allow_nan=False))
         _write_profiles(out, final)
     return doc
 

@@ -28,7 +28,7 @@ from willmore.residual import FluxField
 from willmore.surface import BranchData, ImmersionField, tangent_frame
 
 
-#: default ``winding_gate``: how far a raw winding may sit from its integer
+#: how far a raw winding may sit from its integer
 WINDING_GATE = 0.2
 
 
@@ -306,13 +306,13 @@ def _winding(values: np.ndarray) -> float:
     return float(np.sum(steps) * n / (n - 1) / (2.0 * np.pi))
 
 
-def second_residue(W: np.ndarray, grid: PolarGrid, noise_profile: np.ndarray,
-                   gate: float = WINDING_GATE) -> SecondResidue:
+def second_residue(W: np.ndarray, grid: PolarGrid,
+                   noise_profile: np.ndarray) -> SecondResidue:
     """Componentwise winding numbers gamma_j = -winding(W_j) on small circles.
 
     Four circles are drawn from the innermost quartile of radii where the
     meromorphic part dominates; each integer must be confirmed by two
-    consecutive circles with raw winding within ``gate`` of it.  Components
+    consecutive circles with raw winding within WINDING_GATE of it.  Components
     that vanish at the puncture carry no pole and no usable phase; they are
     flagged degenerate with gamma_j = 0 by convention.  Vanishing is
     detected by a modulus below 1e-7 relative to the largest component,
@@ -354,15 +354,15 @@ def second_residue(W: np.ndarray, grid: PolarGrid, noise_profile: np.ndarray,
         confirmed = None
         for ci in range(len(idx) - 1):
             k1, k2 = np.rint(raw[ci, j]), np.rint(raw[ci + 1, j])
-            ok1 = abs(raw[ci, j] - k1) <= gate
-            ok2 = abs(raw[ci + 1, j] - k2) <= gate
+            ok1 = abs(raw[ci, j] - k1) <= WINDING_GATE
+            ok2 = abs(raw[ci + 1, j] - k2) <= WINDING_GATE
             if ok1 and ok2 and k1 == k2:
                 confirmed = int(k1)
                 break
         if confirmed is None:
             raise ResidueError(
                 f"component {j}: raw windings {raw[:, j]} never within "
-                f"{gate} of one integer on two consecutive circles")
+                f"{WINDING_GATE} of one integer on two consecutive circles")
         if confirmed < 0:
             raise ResidueError(
                 f"component {j}: negative winding {confirmed}; W is not "

@@ -209,7 +209,8 @@ def test_criterion_5_second_residue():
             got = np.array(res["gamma"])
             assert np.array_equal(got[live], expect[live])
             assert np.all(got[~live] == 0)
-            raw = np.array(doc["levels"][-1]["winding_raw"])[:, live]
+            raw = np.array(doc["levels"][-1]["winding_raw"],
+                           dtype=float)[:, live]
             if raw.size:
                 assert np.nanmax(np.abs(raw - np.rint(raw))) < 0.05
             checked += 1

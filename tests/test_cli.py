@@ -11,7 +11,7 @@ from willmore import pipeline, surface
 from willmore.cli import main
 from willmore.pipeline import run_pipeline, PipelineError
 from willmore.grid import GRID_KEYS, PolarGrid
-from willmore.multiplier import SPEC_KEYS, MultiplierSpec
+from willmore.multiplier import SPEC_KEYS
 from willmore.residues import RESIDUE_KEYS
 from willmore.surface import (catalog_surface, load_samples_csv,
                               save_samples_csv)
@@ -365,6 +365,11 @@ def test_malformed_levels_named_before_work(monkeypatch, levels):
     ("levels", {"levels": 12}),
     ("levels", {"levels": 10 ** 400}),
     ("grid", {"grid": {**PLANE["grid"], "n_r": 10 ** 400}}),
+    # the removed settings, at their old defaults: refused like any unknown
+    ("multiplier", {"multiplier": "zero"}),
+    ("multiplier", {"multiplier": {"mode": "pmc", "sign": 1}}),
+    ("tolerances", {"tolerances": {"pmc_threshold": 5e-3}}),
+    ("tolerances", {"tolerances": {"winding_gate": 0.2}}),
 ])
 def test_malformed_config_named_before_work(monkeypatch, stage, entry):
     _no_level_work(monkeypatch)
@@ -447,10 +452,16 @@ def test_readme_documents_every_key_table():
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_pmc_sign_accepts_plus_or_minus_one(sign):
-    s = pipeline.resolve({**PLANE,
-                          "multiplier": {"mode": "pmc", "sign": sign}})
-    assert (s.spec, s.pmc_sign) == (MultiplierSpec.zero_spec(), sign)
+def test_saved_pmc_sign_refused_by_classify(tmp_path, capsys, sign):
+    # the pmc multiplier's sign is +, not a setting: a saved config that
+    # still sets it is refused with the key named
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({
+        "config": {**PLANE, "multiplier": {"mode": "pmc", "sign": sign}},
+        "residues": PLANE_RESIDUES}))
+    assert main(["classify", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'multiplier'" in err and re.search(r"\bsign\b", err), err
 
 
 @pytest.mark.parametrize("grid", [

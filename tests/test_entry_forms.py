@@ -35,7 +35,6 @@ WRONG = {
     "dimension": [True, "4", [4], None, 4.5, NAN, 2, 9],
     "multiplier": [1, True, 1.5, "pmc", [1]],
     "mode": [1, True, None, ["pmc"], {}, "PMC"],
-    "sign": [True, "1", [1], None, 0, 2, 1.5, NAN],
     "pair": [1, True, "x", None, {}, [1.0], [1.0, 0.0, 0.0], [True, 0.0],
              [NAN, 0.0], [0.0, INF], ["1", 0.0]],
     "pairs": [1, "x", {}, None, [1.0, 0.0], [[True, 0.0]], [[NAN, 0.0]],
@@ -62,9 +61,8 @@ FORMS = {
     "grid": {"r_min": "number", "r_max": "number", "n_r": "integer",
              "n_theta": "integer"},
     "tolerances": {key: "non-negative" for key in
-                   ("tol_zero", "defect_threshold", "pmc_threshold",
-                    "winding_gate")},
-    "pmc": {"mode": "mode", "sign": "sign"},
+                   ("tol_zero", "defect_threshold")},
+    "pmc": {"mode": "mode"},
     "spec": {"mu": "integer", "a_mu": "pair", "f0": "pairs", "zero": "bool"},
     "residues": {"theta0": "integer", "u0": "number", "A": "pairs",
                  "beta0": "numbers", "rho_spread": "number",

@@ -2,9 +2,12 @@
 
 The reports under ``tests/golden/`` were last written by ``run_pipeline``
 when the flux term star(grad n ^ H) and |grad n| moved from stencil
-derivatives of the Gauss map to the frame's second fundamental form; kernel
-changes may move floats by rounding only.  Integers, strings, bools and non-finite floats
-must match exactly; every other float must satisfy
+derivatives of the Gauss map to the frame's second fundamental form.  When
+reports became strict JSON they were rewritten with those numbers kept:
+each NaN or infinite float became null, and the pmc level's ``sign`` and
+the expansion's ``remainder_exponent_H`` were dropped.  Kernel changes may
+move floats by rounding only.  Integers, strings, bools, nulls and non-finite
+floats must match exactly; every other float must satisfy
 |a - b| <= 1e-8 max(|a|, |b|) + 1e-12.  The one exception is the raw winding
 of a component flagged ``winding_degenerate``: such a component has no pole,
 so its unwrapped phase is rounding noise and is not compared.
@@ -17,6 +20,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from willmore.cli import main
@@ -127,6 +131,27 @@ def test_json_text_writes_json_dumps_bytes(name, tmp_path, capsys):
         assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_json_is_strict(name, tmp_path):
+    # NaN and Infinity are not JSON: report.json writes each as null
+    run_pipeline(CONFIGS[name], tmp_path)
+    json.loads((tmp_path / "report.json").read_text(),
+               parse_constant=_refuse_constant)
+
+
+def _nulled(v):
+    """``v`` with each NaN or infinite float as None, as JSON null."""
+    if isinstance(v, dict):
+        return {k: _nulled(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_nulled(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 @pytest.mark.parametrize("doc", [
     [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 5e300,
      0.1, -2.5e-7],
@@ -137,9 +162,24 @@ def test_json_text_writes_json_dumps_bytes(name, tmp_path, capsys):
     {1: "int", 2.5: "float", False: "bool", None: "null"},
     0.1, float("nan"), -float("inf"), 3, True, None, "plain"])
 def test_json_text_edge_values(doc):
-    # jsonable leaves a JSON value as the encoder writes it
+    # jsonable leaves a JSON value as the encoder writes it, but a NaN or
+    # infinite float as null
     for v in (doc, [doc, {"x": doc}]):
-        assert json.dumps(jsonable(v), indent=1) == json.dumps(v, indent=1)
+        assert (json.dumps(jsonable(v), indent=1, allow_nan=False)
+                == json.dumps(_nulled(v), indent=1))
+
+
+def test_jsonable_writes_non_finite_array_entries_as_null():
+    nan, inf = float("nan"), float("inf")
+    for v, want in (
+            (np.array([1.5, nan, -inf]), [1.5, None, None]),
+            (np.array([[1.0 + 2.0j, complex(nan, 1.0)]]),
+             [[[1.0, 2.0], [None, 1.0]]]),
+            (np.array(inf), None), (np.float32(nan), None),
+            (np.complex128(complex(1.0, inf)), [1.0, None]),
+            (np.array([1.0, 2.5]), [1.0, 2.5]),  # finite: one tolist()
+            (np.array([3, 4]), [3, 4]), (np.array(["x"]), ["x"])):
+        assert jsonable(v) == want, v
 
 
 def test_rule_rejects_drift():

@@ -221,9 +221,6 @@ def test_pmc_multiplier_cylinder():
     assert np.allclose(out["f_pmc"], -1.0 / (2 * rho ** 2), atol=1e-9)
     assert multiplier.antiholomorphy_defect(curv.grid, out) < 1e-8
     assert equation(curv, frame).pmc_defect < 5e-3
-    # the opposite sign convention stays available
-    flipped = pmc_multiplier(curv, frame, sign=-1)
-    assert np.allclose(flipped["f_pmc"], 1.0 / (2 * rho ** 2), atol=1e-9)
 
 
 def test_codazzi_defect_refines():
